@@ -76,7 +76,7 @@ struct CertifiedRouting {
 /// tolerance sweep harness — the planner's end of the sweep pipeline. The
 /// check fans across check_options.threads workers; the certificate is
 /// bit-identical for any thread count. When the fault budget allows
-/// exhausting f <= 3 the certification runs the revolving-door fast path
+/// exhausting C(n, f) the certification runs the revolving-door scan
 /// (incremental strike/unstrike over the shared SRG index) instead of
 /// rebuilding the kill index per fault set.
 CertifiedRouting build_certified_routing(

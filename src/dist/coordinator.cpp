@@ -681,11 +681,8 @@ ToleranceReport check_tolerance_distributed(DistSweepPool& pool,
   ToleranceReport report;
   report.claimed_bound = claimed_bound;
   report.faults = f;
-  constexpr std::uint32_t kGrayFastPathMaxFaults = 3;
   if (binomial(n, f) <= opts.exhaustive_budget) {
-    const AdvPartial p = (f <= kGrayFastPathMaxFaults && f <= n)
-                             ? pool.adv_gray(f)
-                             : pool.adv_lex(f);
+    const AdvPartial p = pool.adv_gray(f);
     report.worst_diameter = p.any ? p.d : 0;
     report.worst_faults = p.faults;
     report.fault_sets_checked = p.evaluations;

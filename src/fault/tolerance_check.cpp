@@ -92,24 +92,18 @@ FaultEvaluatorFactory engine_evaluator_factory(
   };
 }
 
-// Exhaustive verification of small fault budgets goes through the
-// revolving-door fast path: Gray-order enumeration with O(delta)
-// strike/unstrike per set against the shared index. Beyond f = 3 the
-// one-element deltas no longer dominate the per-set cost, so the generic
-// chunked lexicographic scan keeps that territory.
-constexpr std::uint32_t kGrayFastPathMaxFaults = 3;
-
-// The index-level check: gray fast path when the budget allows exhausting
-// f <= 3, otherwise the sampled + hill-climbing adversary via the evaluator
-// factory. The index is a handle so worker evaluators can co-own it.
+// The index-level check: the revolving-door Gray scan (O(delta)
+// strike/unstrike per set, packed lanes under kAuto) whenever the budget
+// allows exhausting C(n, f), at any f; otherwise the sampled +
+// hill-climbing adversary via the evaluator factory. The index is a handle
+// so worker evaluators can co-own it.
 ToleranceReport check_tolerance_index(const std::shared_ptr<const SrgIndex>& index,
                                       std::uint32_t f,
                                       std::uint32_t claimed_bound,
                                       std::uint64_t seed,
                                       const ToleranceCheckOptions& options) {
   const std::size_t n = index->num_nodes();
-  if (f <= kGrayFastPathMaxFaults && f <= n &&
-      binomial(n, f) <= options.exhaustive_budget) {
+  if (f <= n && binomial(n, f) <= options.exhaustive_budget) {
     ToleranceReport report;
     report.claimed_bound = claimed_bound;
     report.faults = f;

@@ -7,7 +7,7 @@
 // Checks fan their fault sets across ToleranceCheckOptions::threads workers
 // (one SrgScratch per worker over one shared SrgIndex); the report —
 // verdict, witness, evaluation count — is bit-identical for any thread
-// count. Exhaustive checks at f <= 3 take the revolving-door fast path
+// count. Exhaustive checks take the revolving-door path at every f
 // (Gray-order enumeration, O(delta) strike/unstrike per set), so the
 // reported witness is the first worst set in gray order.
 #pragma once
@@ -49,7 +49,7 @@ struct ToleranceCheckOptions {
   std::vector<std::vector<Node>> seeds;
   /// How the check executes (see common/exec_policy.hpp): threads fan the
   /// fault sweep across workers, kernel/lanes drive the evaluators (kAuto
-  /// runs the f <= 3 exhaustive fast path packed and the sampled /
+  /// runs the exhaustive Gray scan packed and the sampled /
   /// hill-climbing evaluators on the bitset kernel), executor picks the
   /// chunk scheduler. The report is identical for any value of any of it.
   ExecPolicy exec;

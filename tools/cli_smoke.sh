@@ -4,8 +4,8 @@
 # --threads 1 and --threads 4 for every verb that fans out work, across
 # every --kernel choice and every packed --lanes width on the exhaustive
 # sweep, and across --workers process counts on the distributed
-# sweep/check, and across --executor steal|cursor on every evaluating
-# verb. This is the
+# sweep/check (including an f=4 exhaustive check), and across --executor
+# steal|cursor on every evaluating verb. This is the
 # executable form of the repo's determinism contract — if a thread count
 # or kernel choice ever leaks into stdout, this script (and the CI job
 # running it) fails on the cmp.
@@ -193,6 +193,25 @@ cmp "${GOLD}/serve.golden" "${WORK}/serve.1.out"
 cmp "${GOLD}/sweep_exhaustive.golden" "${WORK}/xsweep.auto.out"
 cmp "${GOLD}/sweep_exhaustive_delivery.golden" "${WORK}/dsweep.0.out"
 cmp "${GOLD}/stretch.golden" "${WORK}/stretch.out"
+
+# Exhaustive check past f = 3: all C(25, 4) = 12650 sets in Gray order,
+# in-process and through forked workers, under the packed and bitset
+# kernels — every combination prints the golden bytes. The claim is
+# violated, so check exits 1; anything else is a failure.
+echo "== exhaustive f=4 check across --workers and --kernel"
+for w in 0 1 4; do
+  for k in auto bitset; do
+    rc=0
+    "${CLI}" check "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+      --faults 4 --claimed 6 --seed 7 --workers "${w}" --kernel "${k}" \
+      > "${WORK}/check4.${w}.${k}.out" 2> /dev/null || rc=$?
+    if [[ "${rc}" -ne 1 ]]; then
+      echo "error: f=4 check (--workers ${w} --kernel ${k}) exited ${rc}, want 1" >&2
+      exit 1
+    fi
+    cmp "${GOLD}/check_f4.golden" "${WORK}/check4.${w}.${k}.out"
+  done
+done
 
 # The chunk scheduler (--executor steal|cursor) is pure scheduling: every
 # evaluating verb must print the same bytes under either, including
