@@ -1,6 +1,6 @@
 // Experiment E24: SRG evaluation at memory speed. The three evaluation
 // kernels (fault/srg_engine.hpp) on the exhaustive Gray certification
-// workload — the f <= 3 fast path behind check_tolerance and the CLI's
+// workload — the exhaustive path behind check_tolerance and the CLI's
 // `sweep --exhaustive`:
 //   * scalar — queue BFS + O(delta) strike/unstrike (the previous engine,
 //     kept as the differential oracle);

@@ -291,9 +291,7 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
   FTR_EXPECTS(index.num_nodes() == table.num_nodes());
   const std::size_t n = index.num_nodes();
   FTR_EXPECTS(f <= n);
-  const std::uint64_t total = binomial(n, f);
-  FTR_EXPECTS_MSG(total != ~std::uint64_t{0},
-                  "C(" << n << "," << f << ") saturated; not enumerable");
+  const std::uint64_t total = checked_binomial(n, f);
   FTR_EXPECTS(begin_rank <= end_rank && end_rank <= total);
 
   SweepPartial partial;
@@ -409,9 +407,7 @@ FaultSweepSummary sweep_exhaustive_gray(const RoutingTable& table,
   FTR_EXPECTS(index.num_nodes() == table.num_nodes());
   const std::size_t n = index.num_nodes();
   FTR_EXPECTS(f <= n);
-  const std::uint64_t total = binomial(n, f);
-  FTR_EXPECTS_MSG(total != ~std::uint64_t{0},
-                  "C(" << n << "," << f << ") saturated; not enumerable");
+  const std::uint64_t total = checked_binomial(n, f);
   const auto t0 = std::chrono::steady_clock::now();
   ExecutorStats executor;
   const SweepPartial partial = sweep_exhaustive_gray_range(

@@ -67,7 +67,8 @@ int cmd_check(const std::vector<std::string>& args) {
       const TableSnapshot snap =
           make_table_snapshot(std::move(g), std::move(table));
       DistSweepPool pool(snap, snap_path, dist_pool_options(a, workers));
-      report = check_tolerance_distributed(pool, f, claimed, rng, opts);
+      opts.runner = [&pool](const UnitSpec& u) { return pool.run_adv(u); };
+      report = check_tolerance(snap.table, snap.index, f, claimed, rng, opts);
       print_dist_stats(pool.stats());
     } else {
       report = check_tolerance(table, f, claimed, rng, opts);

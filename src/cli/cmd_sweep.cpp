@@ -120,7 +120,8 @@ int cmd_sweep(const std::vector<std::string>& args) {
         IstreamFaultSetSource source(std::cin, n);
         partial = pool.sweep_source(source, opts);
       } else {
-        partial = pool.sweep_sampled(f, sets, opts);
+        partial = pool.run_sweep(
+            sweep_unit(UnitKind::kSweepSampled, f, sets, opts));
       }
       summary = summarize_sweep_partial(partial);
       summary.threads_used = opts.exec.threads;

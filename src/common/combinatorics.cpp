@@ -20,37 +20,17 @@ std::uint64_t binomial(std::uint64_t n, std::uint64_t k) {
   return result;
 }
 
+std::uint64_t checked_binomial(std::uint64_t n, std::uint64_t k) {
+  const std::uint64_t total = binomial(n, k);
+  FTR_EXPECTS_MSG(total != std::numeric_limits<std::uint64_t>::max(),
+                  "C(" << n << ", " << k
+                       << ") overflows the 64-bit rank space; not enumerable");
+  return total;
+}
+
 SubsetEnumerator::SubsetEnumerator(std::size_t n, std::size_t k)
     : n_(n), k_(k), cur_(k), valid_(k <= n) {
   for (std::size_t i = 0; i < k; ++i) cur_[i] = i;
-}
-
-SubsetEnumerator::SubsetEnumerator(std::size_t n, std::size_t k,
-                                   std::uint64_t rank)
-    : n_(n), k_(k), valid_(k <= n && rank < binomial(n, k)) {
-  cur_ = valid_ ? subset_at_rank(n, k, rank) : std::vector<std::size_t>(k);
-}
-
-std::vector<std::size_t> subset_at_rank(std::size_t n, std::size_t k,
-                                        std::uint64_t rank) {
-  FTR_EXPECTS(k <= n);
-  FTR_EXPECTS_MSG(rank < binomial(n, k),
-                  "rank " << rank << " out of range for C(" << n << "," << k
-                          << ")");
-  std::vector<std::size_t> out(k);
-  // Lexicographic unranking: element i is the smallest candidate c such
-  // that the subsets starting with out[0..i-1], c cover the residual rank.
-  std::size_t c = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    for (;; ++c) {
-      // Subsets with out[i] == c: choose the remaining k-i-1 from (c, n).
-      const std::uint64_t block = binomial(n - c - 1, k - i - 1);
-      if (rank < block) break;
-      rank -= block;
-    }
-    out[i] = c++;
-  }
-  return out;
 }
 
 void SubsetEnumerator::advance() {

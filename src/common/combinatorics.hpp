@@ -13,6 +13,10 @@ namespace ftr {
 /// compare enumeration budgets safely ("if binomial(n,f) <= budget: exhaust").
 std::uint64_t binomial(std::uint64_t n, std::uint64_t k);
 
+/// C(n, k) for a task space that is about to be enumerated by u64 rank:
+/// throws ContractViolation when binomial(n, k) saturates.
+std::uint64_t checked_binomial(std::uint64_t n, std::uint64_t k);
+
 /// Iterator-style enumeration of all k-subsets of {0,...,n-1} in
 /// lexicographic order. Usage:
 ///
@@ -23,12 +27,6 @@ std::uint64_t binomial(std::uint64_t n, std::uint64_t k);
 class SubsetEnumerator {
  public:
   SubsetEnumerator(std::size_t n, std::size_t k);
-
-  /// Starts the enumeration at the subset of lexicographic rank `rank`
-  /// (rank >= count() yields an exhausted enumerator). This is what lets
-  /// the parallel exhaustive adversary hand each worker chunk a disjoint
-  /// rank range of the same enumeration order the serial scan uses.
-  SubsetEnumerator(std::size_t n, std::size_t k, std::uint64_t rank);
 
   bool valid() const { return valid_; }
   const std::vector<std::size_t>& current() const { return cur_; }
@@ -43,12 +41,6 @@ class SubsetEnumerator {
   std::vector<std::size_t> cur_;
   bool valid_;
 };
-
-/// The k-subset of {0,...,n-1} with lexicographic rank `rank` (0-based,
-/// rank < binomial(n, k)). Standard combinatorial unranking: O(n) binomial
-/// probes.
-std::vector<std::size_t> subset_at_rank(std::size_t n, std::size_t k,
-                                        std::uint64_t rank);
 
 /// One step of a revolving-door enumeration: element `out` left the subset
 /// and element `in` entered it. The first subset of an enumeration has no
@@ -78,8 +70,8 @@ struct GrayTransition {
 ///
 /// Rank-seeded starts (`rank` = position in this order) let chunked and
 /// parallel sweeps hand each worker a disjoint rank range of the same
-/// enumeration a serial scan would produce, exactly like the lexicographic
-/// SubsetEnumerator.
+/// enumeration a serial scan would produce. This is the order every
+/// exhaustive sweep and search in the library uses.
 class GraySubsetEnumerator {
  public:
   GraySubsetEnumerator(std::size_t n, std::size_t k);

@@ -21,16 +21,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Mirrors the enumeration-size guard the in-process exhaustive scans apply:
-// a saturated binomial means the task space is not u64-addressable.
-std::uint64_t checked_total(std::size_t n, std::size_t f) {
-  const std::uint64_t total = binomial(n, f);
-  FTR_EXPECTS_MSG(total != ~std::uint64_t{0},
-                  "C(" << n << ", " << f
-                       << ") overflows the 64-bit rank space");
-  return total;
-}
-
 }  // namespace
 
 struct DistSweepPool::Worker {
@@ -185,8 +175,7 @@ std::uint64_t DistSweepPool::auto_unit_items(std::uint64_t total) const {
   return std::clamp<std::uint64_t>(per, 1, 65536);
 }
 
-void DistSweepPool::run(const std::function<std::optional<UnitSpec>()>& feed,
-                        bool adversary,
+void DistSweepPool::run(const UnitFeed& feed, bool adversary,
                         std::vector<std::optional<SweepPartial>>& sweeps,
                         std::vector<std::optional<AdvPartial>>& advs) {
   sweeps.clear();
@@ -243,7 +232,7 @@ void DistSweepPool::run(const std::function<std::optional<UnitSpec>()>& feed,
     if (unit_is_sweep(unit.kind)) {
       store_sweep(unit.unit_id, execute_sweep_unit(*snapshot_, unit));
     } else {
-      store_adv(unit.unit_id, execute_adv_unit(*snapshot_, unit));
+      store_adv(unit.unit_id, execute_adv_unit(*snapshot_->index, unit));
     }
     ++stats_.units_inline;
   };
@@ -480,8 +469,7 @@ void DistSweepPool::run(const std::function<std::optional<UnitSpec>()>& feed,
   }
 }
 
-SweepPartial DistSweepPool::run_sweep(
-    const std::function<std::optional<UnitSpec>()>& feed) {
+SweepPartial DistSweepPool::fold_sweeps(const UnitFeed& feed) {
   std::vector<std::optional<SweepPartial>> sweeps;
   std::vector<std::optional<AdvPartial>> advs;
   run(feed, /*adversary=*/false, sweeps, advs);
@@ -493,8 +481,7 @@ SweepPartial DistSweepPool::run_sweep(
   return total;
 }
 
-AdvPartial DistSweepPool::run_adv(
-    const std::function<std::optional<UnitSpec>()>& feed) {
+AdvPartial DistSweepPool::fold_advs(const UnitFeed& feed) {
   std::vector<std::optional<SweepPartial>> sweeps;
   std::vector<std::optional<AdvPartial>> advs;
   run(feed, /*adversary=*/true, sweeps, advs);
@@ -507,61 +494,44 @@ AdvPartial DistSweepPool::run_adv(
   return total;
 }
 
-UnitSpec DistSweepPool::base_sweep_unit(
-    UnitKind kind, const FaultSweepOptions& sweep_options) const {
-  UnitSpec u;
-  u.kind = kind;
-  u.seed = sweep_options.seed;
-  u.delivery_pairs = sweep_options.delivery_pairs;
-  // kernel/lanes follow the sweep request; threads/batch/executor are the
-  // pool's per-worker knobs. Progress is coordinator-side only — workers
-  // never emit it.
-  u.exec = sweep_options.exec;
-  u.exec.threads = options_.exec.threads;
-  u.exec.batch_size = options_.exec.batch_size;
-  u.exec.executor = options_.exec.executor;
-  u.exec.progress_every = 0;
-  return u;
+UnitSpec DistSweepPool::pool_unit(UnitSpec unit) const {
+  // kernel/lanes follow the unit; threads/batch/executor are the pool's
+  // per-worker knobs. Progress is coordinator-side only — workers never
+  // emit it.
+  unit.exec.threads = options_.exec.threads;
+  unit.exec.batch_size = options_.exec.batch_size;
+  unit.exec.executor = options_.exec.executor;
+  unit.exec.progress_every = 0;
+  return unit;
 }
 
-UnitSpec DistSweepPool::base_adv_unit(UnitKind kind, std::uint32_t f) const {
-  UnitSpec u;
-  u.kind = kind;
-  u.f = f;
-  u.exec = options_.exec;
-  u.exec.progress_every = 0;
-  return u;
+DistSweepPool::UnitFeed DistSweepPool::split(const UnitSpec& whole) const {
+  FTR_EXPECTS(whole.begin <= whole.end);
+  const std::uint64_t step = auto_unit_items(whole.end - whole.begin);
+  return [step, pos = whole.begin,
+          unit = pool_unit(whole)]() mutable -> std::optional<UnitSpec> {
+    if (pos >= unit.end) return std::nullopt;
+    UnitSpec u = unit;
+    u.begin = pos;
+    u.end = std::min(unit.end, pos + step);
+    pos = u.end;
+    return u;
+  };
+}
+
+SweepPartial DistSweepPool::run_sweep(const UnitSpec& whole) {
+  return fold_sweeps(split(whole));
+}
+
+AdvPartial DistSweepPool::run_adv(const UnitSpec& whole) {
+  return fold_advs(split(whole));
 }
 
 SweepPartial DistSweepPool::sweep_exhaustive(
     std::size_t f, const FaultSweepOptions& sweep_options) {
-  const std::uint64_t total = checked_total(snapshot_->table.num_nodes(), f);
-  const std::uint64_t step = auto_unit_items(total);
-  std::uint64_t pos = 0;
-  return run_sweep([&]() -> std::optional<UnitSpec> {
-    if (pos >= total) return std::nullopt;
-    UnitSpec u = base_sweep_unit(UnitKind::kSweepGray, sweep_options);
-    u.f = static_cast<std::uint32_t>(f);
-    u.begin = pos;
-    u.end = std::min(total, pos + step);
-    pos = u.end;
-    return u;
-  });
-}
-
-SweepPartial DistSweepPool::sweep_sampled(
-    std::size_t f, std::uint64_t count, const FaultSweepOptions& sweep_options) {
-  const std::uint64_t step = auto_unit_items(count);
-  std::uint64_t pos = 0;
-  return run_sweep([&]() -> std::optional<UnitSpec> {
-    if (pos >= count) return std::nullopt;
-    UnitSpec u = base_sweep_unit(UnitKind::kSweepSampled, sweep_options);
-    u.f = static_cast<std::uint32_t>(f);
-    u.begin = pos;
-    u.end = std::min(count, pos + step);
-    pos = u.end;
-    return u;
-  });
+  return run_sweep(sweep_unit(
+      UnitKind::kSweepGray, f,
+      checked_binomial(snapshot_->table.num_nodes(), f), sweep_options));
 }
 
 SweepPartial DistSweepPool::sweep_source(
@@ -570,144 +540,36 @@ SweepPartial DistSweepPool::sweep_source(
   const std::uint64_t step =
       known.has_value() ? auto_unit_items(*known)
                         : (options_.unit_items > 0 ? options_.unit_items : 4096);
-  std::uint64_t base = 0;
+  const UnitSpec base =
+      pool_unit(sweep_unit(UnitKind::kSweepExplicit, 0, 0, sweep_options));
+  std::uint64_t next = 0;
   bool done = false;
   std::vector<Node> set;
-  return run_sweep([&]() -> std::optional<UnitSpec> {
+  return fold_sweeps([&]() -> std::optional<UnitSpec> {
     if (done) return std::nullopt;
-    UnitSpec u = base_sweep_unit(UnitKind::kSweepExplicit, sweep_options);
+    UnitSpec u = base;
     while (u.sets.size() < step && source.next(set)) u.sets.push_back(set);
     if (u.sets.empty()) {
       done = true;
       return std::nullopt;
     }
-    u.begin = base;
-    base += u.sets.size();
-    u.end = base;
+    u.begin = next;
+    next += u.sets.size();
+    u.end = next;
     return u;
   });
 }
 
-AdvPartial DistSweepPool::adv_gray(std::uint32_t f, std::uint32_t stop_above) {
-  const std::uint64_t total = checked_total(snapshot_->table.num_nodes(), f);
-  const std::uint64_t step = auto_unit_items(total);
-  std::uint64_t pos = 0;
-  return run_adv([&]() -> std::optional<UnitSpec> {
-    if (pos >= total) return std::nullopt;
-    UnitSpec u = base_adv_unit(UnitKind::kAdvGray, f);
-    u.stop_above = stop_above;
-    u.begin = pos;
-    u.end = std::min(total, pos + step);
-    pos = u.end;
-    return u;
-  });
-}
-
-AdvPartial DistSweepPool::adv_lex(std::uint32_t f, std::uint32_t stop_above) {
-  const std::uint64_t total = checked_total(snapshot_->table.num_nodes(), f);
-  const std::uint64_t step = auto_unit_items(total);
-  std::uint64_t pos = 0;
-  return run_adv([&]() -> std::optional<UnitSpec> {
-    if (pos >= total) return std::nullopt;
-    UnitSpec u = base_adv_unit(UnitKind::kAdvLex, f);
-    u.stop_above = stop_above;
-    u.begin = pos;
-    u.end = std::min(total, pos + step);
-    pos = u.end;
-    return u;
-  });
-}
-
-AdvPartial DistSweepPool::adv_sampled(std::uint32_t f, std::uint64_t samples,
-                                      std::uint64_t seed) {
-  const std::uint64_t step = auto_unit_items(samples);
-  std::uint64_t pos = 0;
-  return run_adv([&]() -> std::optional<UnitSpec> {
-    if (pos >= samples) return std::nullopt;
-    UnitSpec u = base_adv_unit(UnitKind::kAdvSampled, f);
-    u.seed = seed;
-    u.begin = pos;
-    u.end = std::min(samples, pos + step);
-    pos = u.end;
-    return u;
-  });
-}
-
-AdvPartial DistSweepPool::adv_climb(std::uint32_t f, std::uint64_t restarts,
-                                    std::uint64_t seed, std::uint64_t max_steps,
-                                    const std::vector<std::vector<Node>>& seeds) {
-  // Mirrors the in-process wrapper: informed seeds extend the restart count.
-  const std::uint64_t total = std::max<std::uint64_t>(restarts, seeds.size());
-  const std::uint64_t step = auto_unit_items(total);
-  std::uint64_t pos = 0;
-  return run_adv([&]() -> std::optional<UnitSpec> {
-    if (pos >= total) return std::nullopt;
-    UnitSpec u = base_adv_unit(UnitKind::kAdvClimb, f);
-    u.seed = seed;
-    u.max_steps = max_steps;
-    // Restart indices into `seeds` are global, so every unit carries the
-    // full (tiny) seed list rather than a window-relative slice.
-    u.climb_seeds = seeds;
-    u.begin = pos;
-    u.end = std::min(total, pos + step);
-    pos = u.end;
-    return u;
-  });
-}
-
-ToleranceReport check_tolerance_distributed(DistSweepPool& pool,
-                                            std::uint32_t f,
-                                            std::uint32_t claimed_bound,
-                                            Rng& rng,
-                                            const ToleranceCheckOptions& options) {
-  const TableSnapshot& snap = pool.snapshot();
-  const std::size_t n = snap.table.num_nodes();
-  if (f == 0) {
-    // Degenerate: one evaluation of the empty set; nothing to distribute.
-    return check_tolerance(snap.table, snap.index, f, claimed_bound, rng,
-                           options);
-  }
-
-  // Mirror of the in-process table-level check, step for step: route-load
-  // hill-climber seeds, ONE seed draw, then the same decision tree with each
-  // search phase fanned over the pool.
-  ToleranceCheckOptions opts = options;
-  if (opts.seeds.empty() && f <= n) {
-    const auto& ranked = snap.route_load_ranking;
-    opts.seeds.emplace_back(ranked.begin(), ranked.begin() + f);
-  }
-  const std::uint64_t seed = rng();
-
-  ToleranceReport report;
-  report.claimed_bound = claimed_bound;
-  report.faults = f;
-  if (binomial(n, f) <= opts.exhaustive_budget) {
-    const AdvPartial p = pool.adv_gray(f);
-    report.worst_diameter = p.any ? p.d : 0;
-    report.worst_faults = p.faults;
-    report.fault_sets_checked = p.evaluations;
-    report.exhaustive = true;
-  } else {
-    const std::uint64_t sampled_seed = Rng::stream(seed, 1)();
-    const std::uint64_t climb_seed = Rng::stream(seed, 2)();
-    AdvPartial best = pool.adv_sampled(f, opts.samples, sampled_seed);
-    AdvPartial climbed =
-        pool.adv_climb(f, opts.hillclimb_restarts, climb_seed,
-                       opts.hillclimb_steps, opts.seeds);
-    std::uint32_t best_d = best.any ? best.d : 0;
-    std::vector<Node> best_faults = std::move(best.faults);
-    const std::uint32_t climbed_d = climbed.any ? climbed.d : 0;
-    if (climbed_d > best_d) {
-      best_d = climbed_d;
-      best_faults = std::move(climbed.faults);
-    }
-    report.worst_diameter = best_d;
-    report.worst_faults = std::move(best_faults);
-    report.fault_sets_checked = best.evaluations + climbed.evaluations;
-    report.exhaustive = false;
-  }
-  report.holds = report.worst_diameter <= claimed_bound;
-  return report;
+UnitSpec sweep_unit(UnitKind kind, std::size_t f, std::uint64_t count,
+                    const FaultSweepOptions& options) {
+  UnitSpec u;
+  u.kind = kind;
+  u.f = static_cast<std::uint32_t>(f);
+  u.end = count;
+  u.seed = options.seed;
+  u.delivery_pairs = options.delivery_pairs;
+  u.exec = options.exec;
+  return u;
 }
 
 }  // namespace ftr

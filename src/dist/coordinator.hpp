@@ -1,13 +1,14 @@
 // The coordinator side of the distributed sweep layer: forks a pool of
-// worker processes (pipe pair each, single host), partitions a sweep's or
-// adversary search's task space into UnitSpec windows, fans them over the
-// workers, and folds the returned partials in unit order with exactly the
-// merge authorities the in-process paths use (merge_sweep_partials /
+// worker processes (pipe pair each, single host), splits a whole-space
+// UnitSpec (fault/work_unit.hpp) into windows, fans them over the workers,
+// and folds the returned partials in unit order with exactly the merge
+// authorities the in-process paths use (merge_sweep_partials /
 // merge_adversary_partials). Because units carry GLOBAL indices and the
 // merges are associative under the index-order discipline, the merged
 // result — every aggregate, the worst witness, the evaluation count, the
 // early-stop point — is bit-identical to the in-process computation for ANY
-// worker count and ANY unit size.
+// worker count and ANY unit size. A distributed check is the ordinary
+// check_tolerance decision tree with run_adv as its unit runner.
 //
 // Robustness: a worker that dies mid-unit has its window requeued for the
 // survivors (or executed inline by the coordinator when none remain); a
@@ -35,9 +36,8 @@
 #include <sys/types.h>
 
 #include "analysis/fault_sweep.hpp"
-#include "common/rng.hpp"
 #include "dist/wire.hpp"
-#include "fault/tolerance_check.hpp"
+#include "fault/adversary.hpp"
 #include "routing/serialization.hpp"
 
 namespace ftr {
@@ -85,41 +85,36 @@ struct DistStats {
 class DistSweepPool {
  public:
   /// Forks options.workers children immediately. `snapshot` must outlive
-  /// the pool (it backs the inline fallback and the distributed check);
-  /// `snapshot_path` names the snapshot file workers should mmap, or "" to
-  /// have the coordinator serialize `snapshot` into an unlinked temp file
-  /// the children inherit by fd. Call from a single-threaded process state
-  /// (the parallel executor joins its threads per call, so any point
-  /// between sweeps qualifies).
+  /// the pool (it backs the inline fallback); `snapshot_path` names the
+  /// snapshot file workers should mmap, or "" to have the coordinator
+  /// serialize `snapshot` into an unlinked temp file the children inherit
+  /// by fd. Call from a single-threaded process state (the parallel
+  /// executor joins its threads per call, so any point between sweeps
+  /// qualifies).
   DistSweepPool(const TableSnapshot& snapshot, std::string snapshot_path,
                 const DistPoolOptions& options);
   ~DistSweepPool();
   DistSweepPool(const DistSweepPool&) = delete;
   DistSweepPool& operator=(const DistSweepPool&) = delete;
 
-  // Sweeps (no early stop; the merged partial summarizes via
-  // summarize_sweep_partial exactly like the in-process engine).
+  /// Splits `whole`'s window [begin, end) into auto_unit_items-sized units
+  /// (kernel/lanes from the unit; threads/batch/executor are the pool's
+  /// per-worker knobs), runs them over the workers, and folds the partials
+  /// in order. Sweeps never stop early and summarize via
+  /// summarize_sweep_partial exactly like the in-process engine; adversary
+  /// searches stop dispatching past the first stopped unit, and evaluation
+  /// counts match the in-process scans.
+  SweepPartial run_sweep(const UnitSpec& whole);
+  AdvPartial run_adv(const UnitSpec& whole);
+
+  /// run_sweep over every Gray rank of the f-subsets.
   SweepPartial sweep_exhaustive(std::size_t f,
                                 const FaultSweepOptions& sweep_options);
-  SweepPartial sweep_sampled(std::size_t f, std::uint64_t count,
-                             const FaultSweepOptions& sweep_options);
   /// Consumes `source` on the coordinator, re-chunking it into explicit-set
   /// units (this is how unbounded stdin feeds distribute).
   SweepPartial sweep_source(FaultSetSource& source,
                             const FaultSweepOptions& sweep_options);
 
-  // Adversary searches (early-stopping ones stop dispatching past the
-  // first stopped unit; evaluation counts match the in-process scans).
-  AdvPartial adv_gray(std::uint32_t f, std::uint32_t stop_above = 0);
-  AdvPartial adv_lex(std::uint32_t f, std::uint32_t stop_above = 0);
-  AdvPartial adv_sampled(std::uint32_t f, std::uint64_t samples,
-                         std::uint64_t seed);
-  AdvPartial adv_climb(std::uint32_t f, std::uint64_t restarts,
-                       std::uint64_t seed, std::uint64_t max_steps,
-                       const std::vector<std::vector<Node>>& seeds = {});
-
-  const TableSnapshot& snapshot() const { return *snapshot_; }
-  const DistPoolOptions& options() const { return options_; }
   const DistStats& stats() const { return stats_; }
   unsigned live_workers() const;
 
@@ -130,20 +125,19 @@ class DistSweepPool {
   void spawn_workers();
   std::uint64_t auto_unit_items(std::uint64_t total) const;
 
+  using UnitFeed = std::function<std::optional<UnitSpec>()>;
+
   /// The event loop: pulls units from `feed` (which assigns no ids — the
   /// pool numbers them 0..k in generation order), dispatches, recovers, and
   /// stores results. Exactly one of the output vectors fills, positionally
   /// by unit id.
-  void run(const std::function<std::optional<UnitSpec>()>& feed,
-           bool adversary,
+  void run(const UnitFeed& feed, bool adversary,
            std::vector<std::optional<SweepPartial>>& sweeps,
            std::vector<std::optional<AdvPartial>>& advs);
-  SweepPartial run_sweep(const std::function<std::optional<UnitSpec>()>& feed);
-  AdvPartial run_adv(const std::function<std::optional<UnitSpec>()>& feed);
-
-  UnitSpec base_sweep_unit(UnitKind kind,
-                           const FaultSweepOptions& sweep_options) const;
-  UnitSpec base_adv_unit(UnitKind kind, std::uint32_t f) const;
+  SweepPartial fold_sweeps(const UnitFeed& feed);
+  AdvPartial fold_advs(const UnitFeed& feed);
+  UnitSpec pool_unit(UnitSpec unit) const;
+  UnitFeed split(const UnitSpec& whole) const;
 
   const TableSnapshot* snapshot_;
   std::string snapshot_path_;
@@ -153,13 +147,9 @@ class DistSweepPool {
   int payload_fd_ = -1;
 };
 
-/// The distributed mirror of the table-level check_tolerance: same
-/// route-load hill-climber seeds, same single seed draw from `rng`, same
-/// decision tree (gray fast path / lexicographic exhaustion / sampling +
-/// hill-climbing) — but each search phase fans over the pool's workers.
-/// The report is bit-identical to the in-process check.
-ToleranceReport check_tolerance_distributed(
-    DistSweepPool& pool, std::uint32_t f, std::uint32_t claimed_bound,
-    Rng& rng, const ToleranceCheckOptions& options = {});
+/// The whole-space sweep unit of `kind` over task indices [0, count),
+/// carrying the sweep's seed, delivery pairs, and execution policy.
+UnitSpec sweep_unit(UnitKind kind, std::size_t f, std::uint64_t count,
+                    const FaultSweepOptions& options);
 
 }  // namespace ftr

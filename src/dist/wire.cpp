@@ -27,6 +27,10 @@ class ByteWriter {
     u32(static_cast<std::uint32_t>(v.size()));
     for (Node x : v) u32(x);
   }
+  void node_lists(const std::vector<std::vector<Node>>& v) {
+    u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& list : v) nodes(list);
+  }
   void bytes(const void* p, std::size_t n) {
     const auto* b = static_cast<const unsigned char*>(p);
     out_.insert(out_.end(), b, b + n);
@@ -70,6 +74,32 @@ class ByteReader {
     std::vector<Node> v(len);
     for (std::uint32_t i = 0; i < len; ++i) v[i] = u32();
     return v;
+  }
+  std::vector<std::vector<Node>> node_lists() {
+    const std::uint32_t count = u32();
+    // Each list costs at least its 4-byte length: bound before reserve.
+    FTR_EXPECTS_MSG(std::size_t{count} * 4 <= n_ - pos_,
+                    "wire payload truncated: " << count
+                                               << " node lists exceed frame");
+    std::vector<std::vector<Node>> v;
+    v.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) v.push_back(nodes());
+    return v;
+  }
+  UnitKind unit_kind() {
+    const std::uint32_t raw = u32();
+    const auto kind = static_cast<UnitKind>(raw);
+    switch (kind) {
+      case UnitKind::kSweepGray:
+      case UnitKind::kSweepSampled:
+      case UnitKind::kSweepExplicit:
+      case UnitKind::kAdvGray:
+      case UnitKind::kAdvSampled:
+      case UnitKind::kAdvClimb:
+        return kind;
+    }
+    FTR_EXPECTS_MSG(false, "wire unit has unknown kind " << raw);
+    return kind;
   }
   std::string str() {
     const std::uint32_t len = u32();
@@ -141,24 +171,6 @@ void check_payload(const Header& h, const unsigned char* payload) {
 
 }  // namespace
 
-const char* unit_kind_name(UnitKind kind) {
-  switch (kind) {
-    case UnitKind::kSweepGray: return "sweep-gray";
-    case UnitKind::kSweepSampled: return "sweep-sampled";
-    case UnitKind::kSweepExplicit: return "sweep-explicit";
-    case UnitKind::kAdvGray: return "adv-gray";
-    case UnitKind::kAdvLex: return "adv-lex";
-    case UnitKind::kAdvSampled: return "adv-sampled";
-    case UnitKind::kAdvClimb: return "adv-climb";
-  }
-  return "unknown";
-}
-
-bool unit_is_sweep(UnitKind kind) {
-  return kind == UnitKind::kSweepGray || kind == UnitKind::kSweepSampled ||
-         kind == UnitKind::kSweepExplicit;
-}
-
 std::vector<unsigned char> pack_frame(FrameType type,
                                       const std::vector<unsigned char>& payload) {
   std::vector<unsigned char> frame(kHeaderBytes + payload.size());
@@ -212,17 +224,15 @@ std::vector<unsigned char> encode_unit(const UnitSpec& unit) {
   w.u64(unit.max_steps);
   w.u32(unit.stop_above);
   w.exec_policy(unit.exec);
-  w.u32(static_cast<std::uint32_t>(unit.sets.size()));
-  for (const auto& s : unit.sets) w.nodes(s);
-  w.u32(static_cast<std::uint32_t>(unit.climb_seeds.size()));
-  for (const auto& s : unit.climb_seeds) w.nodes(s);
+  w.node_lists(unit.sets);
+  w.node_lists(unit.climb_seeds);
   return w.take();
 }
 
 UnitSpec decode_unit(const std::vector<unsigned char>& payload) {
   ByteReader r(payload.data(), payload.size());
   UnitSpec u;
-  u.kind = static_cast<UnitKind>(r.u32());
+  u.kind = r.unit_kind();
   u.f = r.u32();
   u.unit_id = r.u64();
   u.begin = r.u64();
@@ -232,12 +242,8 @@ UnitSpec decode_unit(const std::vector<unsigned char>& payload) {
   u.max_steps = r.u64();
   u.stop_above = r.u32();
   u.exec = r.exec_policy();
-  const std::uint32_t nsets = r.u32();
-  u.sets.reserve(nsets);
-  for (std::uint32_t i = 0; i < nsets; ++i) u.sets.push_back(r.nodes());
-  const std::uint32_t nseeds = r.u32();
-  u.climb_seeds.reserve(nseeds);
-  for (std::uint32_t i = 0; i < nseeds; ++i) u.climb_seeds.push_back(r.nodes());
+  u.sets = r.node_lists();
+  u.climb_seeds = r.node_lists();
   r.expect_end();
   return u;
 }

@@ -12,7 +12,7 @@
 // worker surfaces as a loud error or a closed stream, never as data.
 //
 // The protocol is deliberately tiny: the coordinator sends kUnit frames
-// (one UnitSpec each), a worker answers every unit with exactly one
+// (one UnitSpec each, see fault/work_unit.hpp), a worker answers every unit with exactly one
 // kSweepResult/kAdvResult frame (the unit_id leads the payload so the
 // coordinator can merge out-of-order completions in unit order), or a
 // kError frame carrying the exception text. Closing the unit pipe is the
@@ -27,7 +27,7 @@
 #include "analysis/fault_sweep.hpp"
 #include "common/pipe_io.hpp"
 #include "fault/adversary.hpp"
-#include "fault/srg_engine.hpp"
+#include "fault/work_unit.hpp"
 #include "graph/graph.hpp"
 
 namespace ftr {
@@ -37,46 +37,6 @@ enum class FrameType : std::uint32_t {
   kSweepResult = 3,
   kAdvResult = 4,
   kError = 6,
-};
-
-/// What a work unit asks a worker to run. Each kind maps onto one of the
-/// slice/partial entry points, which take GLOBAL indices — so a unit is
-/// nothing but a window [begin, end) of the task space plus the knobs, and
-/// any re-chunking (or re-dispatch after a worker dies) cannot change the
-/// merged result.
-enum class UnitKind : std::uint32_t {
-  kSweepGray = 1,     // sweep_exhaustive_gray_range over subset ranks
-  kSweepSampled = 2,  // SampledStreamSource window through the sweep engine
-  kSweepExplicit = 3, // literal fault sets carried in the unit (stdin feeds)
-  kAdvGray = 4,       // exhaustive_worst_faults_gray_slice
-  kAdvLex = 5,        // exhaustive_worst_faults_slice (lexicographic)
-  kAdvSampled = 6,    // sampled_worst_faults_slice
-  kAdvClimb = 7,      // hillclimb_worst_faults_slice over restart indices
-};
-
-const char* unit_kind_name(UnitKind kind);
-bool unit_is_sweep(UnitKind kind);
-
-struct UnitSpec {
-  UnitKind kind = UnitKind::kSweepGray;
-  /// Merge position: results come back keyed by it, and the coordinator
-  /// folds partials in unit_id order (the merge-precondition discipline).
-  std::uint64_t unit_id = 0;
-  std::uint32_t f = 0;
-  std::uint64_t begin = 0;  // GLOBAL window [begin, end): subset ranks,
-  std::uint64_t end = 0;    // sample indices, restart indices, set indices
-  std::uint64_t seed = 0;   // stream root (sampling, delivery, climbing)
-  std::uint64_t delivery_pairs = 0;  // sweep units only
-  std::uint64_t max_steps = 0;       // kAdvClimb step budget
-  std::uint32_t stop_above = 0;      // kAdvGray/kAdvLex early-stop threshold
-  /// How the unit executes INSIDE the worker process: threads, kernel,
-  /// lanes, batch size, executor. Carried over the wire via the versioned
-  /// encode_exec_policy blob (common/exec_policy.hpp) — pure throughput
-  /// knobs; units stay result-invariant across all of them.
-  ExecPolicy exec;
-  std::vector<std::vector<Node>> sets;         // kSweepExplicit literal sets
-  std::vector<std::vector<Node>> climb_seeds;  // kAdvClimb informed starts
-                                               // (GLOBAL restart indexing)
 };
 
 struct WireFrame {
@@ -99,8 +59,10 @@ bool pop_frame(std::vector<unsigned char>& buf, WireFrame& out);
 /// from a dying peer is a closed stream, not data.
 IoStatus read_frame(int fd, WireFrame& out);
 
-// Payload encode/decode. Decoders are strict (truncation and trailing
-// bytes throw); result payloads lead with the unit_id they answer.
+// Payload encode/decode. Decoders are strict: truncation, trailing bytes,
+// unknown unit kinds, and counts the remaining bytes cannot hold all throw
+// ContractViolation before anything is allocated. Result payloads lead
+// with the unit_id they answer.
 std::vector<unsigned char> encode_unit(const UnitSpec& unit);
 UnitSpec decode_unit(const std::vector<unsigned char>& payload);
 

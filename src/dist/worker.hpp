@@ -4,10 +4,11 @@
 // slice/partial entry points, write back exactly one result frame. Workers
 // never touch stdout; the coordinator owns all user-visible output.
 //
-// execute_sweep_unit / execute_adv_unit are the single execution authority:
-// worker processes and the coordinator's inline fallback (dead/hung worker,
-// zero live workers) both call them, so a re-executed unit cannot produce a
-// different partial than the worker would have.
+// execute_sweep_unit (here) and execute_adv_unit (fault/adversary.hpp) are
+// the single execution authorities: worker processes and the coordinator's
+// inline fallback (dead/hung worker, zero live workers) both call them, so
+// a re-executed unit cannot produce a different partial than the worker
+// would have.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +31,10 @@ struct WorkerFailSpec {
 
 WorkerFailSpec parse_worker_fail_spec(const char* spec);
 
-/// Executes one unit against the snapshot, returning the partial for the
-/// unit's global window. Pure functions of (snapshot, unit) minus telemetry.
+/// Executes one sweep unit against the snapshot, returning the partial for
+/// the unit's global window. A pure function of (snapshot, unit).
 SweepPartial execute_sweep_unit(const TableSnapshot& snapshot,
                                 const UnitSpec& unit);
-AdvPartial execute_adv_unit(const TableSnapshot& snapshot,
-                            const UnitSpec& unit);
 
 /// The worker process body. Returns the exit code the child should _exit
 /// with: 0 on clean shutdown (EOF on in_fd), nonzero on protocol or

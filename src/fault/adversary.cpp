@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_set>
+#include <memory>
 #include <utility>
 
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "graph/bfs.hpp"
 
 namespace ftr {
@@ -36,20 +37,21 @@ void note_stop(std::atomic<std::size_t>& first_stop, std::size_t chunk) {
   }
 }
 
-// The rank-chunked scaffolding shared by every slice scan: chunk the global
-// window [begin, end), run `scan(partial, chunk_begin, chunk_end, aborted)`
-// per chunk with GLOBAL indices (the scan sets partial.stopped when it
-// early-stops), skip or mid-chunk-abort chunks past the first stopped one,
-// and fold the chunk partials in rank order via merge_adversary_partials —
-// the same merge the distributed coordinator applies across worker slices,
-// so inner chunking and outer unit boundaries are interchangeable.
+// The rank-chunked scaffolding shared by every searcher: chunk the global
+// window [begin, end) (`grain` tasks per chunk, 0 = auto), run
+// `scan(partial, chunk_begin, chunk_end, aborted)` per chunk with GLOBAL
+// indices (the scan sets partial.stopped when it early-stops), skip or
+// mid-chunk-abort chunks past the first stopped one, and fold the chunk
+// partials in rank order via merge_adversary_partials — the same merge the
+// distributed coordinator applies across worker units, so inner chunking
+// and outer unit boundaries are interchangeable.
 template <typename ChunkScan>
 AdvPartial chunked_rank_scan(std::uint64_t begin, std::uint64_t end,
-                             const ExecPolicy& policy, ExecutorStats* executor,
-                             const ChunkScan& scan) {
+                             const ExecPolicy& policy, std::size_t grain,
+                             ExecutorStats* executor, const ChunkScan& scan) {
   const unsigned threads = policy.resolved_threads();
   const auto count = static_cast<std::size_t>(end - begin);
-  const std::size_t grain = sweep_grain(count, threads);
+  if (grain == 0) grain = sweep_grain(count, threads);
   const std::size_t chunks = num_chunks(count, grain);
   std::vector<AdvPartial> partials(chunks);
   std::atomic<std::size_t> first_stop{chunks};
@@ -84,117 +86,31 @@ AdvPartial chunked_rank_scan(std::uint64_t begin, std::uint64_t end,
   return acc;
 }
 
-// Expands a fully merged partial into the result type of the full-space
-// searchers.
-AdversaryResult result_from_partial(AdvPartial&& p, bool exhaustive_scan,
-                                    const ExecutorStats& executor) {
-  AdversaryResult result;
-  result.worst_diameter = p.any ? p.d : 0;
-  result.worst_faults = std::move(p.faults);
-  result.evaluations = p.evaluations;
-  result.exhaustive = exhaustive_scan && !p.stopped;
-  result.executor = executor;
-  return result;
-}
-
-std::uint64_t checked_total(std::size_t n, std::size_t f) {
-  const std::uint64_t total = binomial(n, f);
-  FTR_EXPECTS_MSG(total != ~std::uint64_t{0},
-                  "C(" << n << "," << f << ") saturated; not enumerable");
-  return total;
-}
-
 }  // namespace
 
-AdversaryResult exhaustive_worst_faults(std::size_t n, std::size_t f,
-                                        const FaultEvaluator& eval,
-                                        std::uint32_t stop_above) {
-  FTR_EXPECTS(f <= n);
-  AdversaryResult result;
-  result.exhaustive = true;
-  std::vector<Node> faults(f);
-  for_each_subset(n, f, [&](const std::vector<std::size_t>& subset) {
-    for (std::size_t i = 0; i < f; ++i) faults[i] = static_cast<Node>(subset[i]);
-    const std::uint32_t d = eval(faults);
-    ++result.evaluations;
-    if (result.evaluations == 1 || d > result.worst_diameter) {
-      result.worst_diameter = d;
-      result.worst_faults = faults;
-    }
-    if (stop_above != 0 && d > stop_above) {
-      result.exhaustive = false;  // aborted early
-      return false;
-    }
-    return true;
-  });
-  return result;
+FaultEvaluatorFactory srg_evaluator_factory(const SrgIndex& index,
+                                            SrgKernel kernel) {
+  return [&index, kernel]() {
+    auto scratch = std::make_shared<SrgScratch>(index);
+    scratch->set_kernel(kernel);
+    return [scratch](const std::vector<Node>& faults) {
+      return scratch->surviving_diameter(faults);
+    };
+  };
 }
 
-AdvPartial exhaustive_worst_faults_slice(std::size_t n, std::size_t f,
-                                         const FaultEvaluatorFactory& make_eval,
-                                         std::uint64_t begin_rank,
-                                         std::uint64_t end_rank,
-                                         const SearchExecution& exec,
-                                         std::uint32_t stop_above,
-                                         ExecutorStats* executor) {
-  FTR_EXPECTS(f <= n);
-  const std::uint64_t total = checked_total(n, f);
-  FTR_EXPECTS(begin_rank <= end_rank && end_rank <= total);
-  return chunked_rank_scan(
-      begin_rank, end_rank, exec.exec, executor,
-      [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
-          const auto& aborted) {
-        const FaultEvaluator eval = make_eval();
-        SubsetEnumerator e(n, f, static_cast<std::size_t>(begin));
-        std::vector<Node> faults(f);
-        for (std::uint64_t r = begin; r < end && e.valid(); ++r, e.advance()) {
-          // A lower chunk stopped: this partial is merge-dead, drop it now
-          // (one relaxed load per rank, dwarfed by the evaluation).
-          if (aborted()) return;
-          const auto& subset = e.current();
-          for (std::size_t i = 0; i < f; ++i) {
-            faults[i] = static_cast<Node>(subset[i]);
-          }
-          const std::uint32_t d = eval(faults);
-          ++p.evaluations;
-          if (!p.any || d > p.d) {
-            p.any = true;
-            p.d = d;
-            p.faults = faults;
-          }
-          if (stop_above != 0 && d > stop_above) {
-            p.stopped = true;
-            break;
-          }
-        }
-      });
-}
-
-AdversaryResult exhaustive_worst_faults(std::size_t n, std::size_t f,
-                                        const FaultEvaluatorFactory& make_eval,
-                                        const SearchExecution& exec,
-                                        std::uint32_t stop_above) {
-  FTR_EXPECTS(f <= n);
-  const std::uint64_t total = checked_total(n, f);
-  ExecutorStats executor;
-  AdvPartial p = exhaustive_worst_faults_slice(n, f, make_eval, 0, total, exec,
-                                               stop_above, &executor);
-  return result_from_partial(std::move(p), /*exhaustive_scan=*/true, executor);
-}
-
-AdvPartial exhaustive_worst_faults_gray_slice(const SrgIndex& index,
-                                              std::size_t f,
-                                              std::uint64_t begin_rank,
-                                              std::uint64_t end_rank,
-                                              const SearchExecution& exec,
-                                              std::uint32_t stop_above,
-                                              ExecutorStats* executor) {
+AdvPartial exhaustive_worst_faults_gray(const SrgIndex& index, std::size_t f,
+                                        std::uint64_t begin_rank,
+                                        std::uint64_t end_rank,
+                                        const ExecPolicy& exec,
+                                        std::uint32_t stop_above,
+                                        ExecutorStats* executor) {
   const std::size_t n = index.num_nodes();
   FTR_EXPECTS(f <= n);
-  const std::uint64_t total = checked_total(n, f);
+  const std::uint64_t total = checked_binomial(n, f);
   FTR_EXPECTS(begin_rank <= end_rank && end_rank <= total);
   const bool packed =
-      exec.exec.resolved_kernel(/*gray_adjacent=*/true) == SrgKernel::kPacked;
+      exec.resolved_kernel(/*gray_adjacent=*/true) == SrgKernel::kPacked;
   if (packed) {
     // Up to lane_width() Gray-adjacent sets per bit-parallel pass. The
     // lanes of each block are consumed in rank order, so the running best,
@@ -205,11 +121,11 @@ AdvPartial exhaustive_worst_faults_gray_slice(const SrgIndex& index,
     // pure optimization either way, since the ordered merge discards
     // aborted partials.
     return chunked_rank_scan(
-        begin_rank, end_rank, exec.exec, executor,
+        begin_rank, end_rank, exec, 0, executor,
         [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
             const auto& aborted) {
           SrgScratch scratch(index);
-          scratch.set_lane_width(exec.exec.lanes);
+          scratch.set_lane_width(exec.lanes);
           const std::uint64_t lanes = scratch.lane_width();
           GraySubsetEnumerator e(n, f, begin);
           SrgScratch::Result res[512];
@@ -244,11 +160,11 @@ AdvPartial exhaustive_worst_faults_gray_slice(const SrgIndex& index,
         });
   }
   return chunked_rank_scan(
-      begin_rank, end_rank, exec.exec, executor,
+      begin_rank, end_rank, exec, 0, executor,
       [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
           const auto& aborted) {
         SrgScratch scratch(index);
-        scratch.set_kernel(exec.exec.kernel);
+        scratch.set_kernel(exec.kernel);
         GraySubsetEnumerator e(n, f, begin);
         std::vector<Node> faults(e.current().begin(), e.current().end());
         scratch.begin_incremental(faults);
@@ -276,33 +192,35 @@ AdvPartial exhaustive_worst_faults_gray_slice(const SrgIndex& index,
       });
 }
 
-AdversaryResult exhaustive_worst_faults_gray(const SrgIndex& index,
-                                             std::size_t f,
-                                             const SearchExecution& exec,
-                                             std::uint32_t stop_above) {
-  const std::uint64_t total = checked_total(index.num_nodes(), f);
-  ExecutorStats executor;
-  AdvPartial p = exhaustive_worst_faults_gray_slice(index, f, 0, total, exec,
-                                                    stop_above, &executor);
-  return result_from_partial(std::move(p), /*exhaustive_scan=*/true, executor);
-}
-
-AdversaryResult sampled_worst_faults(std::size_t n, std::size_t f,
-                                     std::size_t samples,
-                                     const FaultEvaluator& eval, Rng& rng) {
+AdvPartial sampled_worst_faults(std::size_t n, std::size_t f,
+                                const FaultEvaluatorFactory& make_eval,
+                                std::uint64_t seed, std::uint64_t begin_index,
+                                std::uint64_t end_index,
+                                const ExecPolicy& exec,
+                                ExecutorStats* executor) {
   FTR_EXPECTS(f <= n);
-  AdversaryResult result;
-  for (std::size_t i = 0; i < samples; ++i) {
-    const auto sample = rng.sample(n, f);
-    std::vector<Node> faults(sample.begin(), sample.end());
-    const std::uint32_t d = eval(faults);
-    ++result.evaluations;
-    if (d > result.worst_diameter || result.worst_faults.empty()) {
-      result.worst_diameter = std::max(result.worst_diameter, d);
-      result.worst_faults = std::move(faults);
-    }
-  }
-  return result;
+  FTR_EXPECTS(begin_index <= end_index);
+  return chunked_rank_scan(
+      begin_index, end_index, exec, 0, executor,
+      [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
+          const auto& aborted) {
+        (void)aborted;  // sampling never early-stops
+        const FaultEvaluator eval = make_eval();
+        for (std::uint64_t i = begin; i < end; ++i) {
+          // Sample i is a pure function of (seed, i): thread-count-proof
+          // AND partition-proof.
+          Rng rng = Rng::stream(seed, i);
+          const auto sample = rng.sample(n, f);
+          std::vector<Node> faults(sample.begin(), sample.end());
+          const std::uint32_t d = eval(faults);
+          ++p.evaluations;
+          if (!p.any || d > p.d) {
+            p.any = true;
+            p.d = d;
+            p.faults = std::move(faults);
+          }
+        }
+      });
 }
 
 namespace {
@@ -346,154 +264,73 @@ std::pair<std::vector<Node>, std::uint32_t> climb(
 
 }  // namespace
 
-AdversaryResult hillclimb_worst_faults(
-    std::size_t n, std::size_t f, const FaultEvaluator& eval, Rng& rng,
-    std::size_t restarts, std::size_t max_steps,
-    const std::vector<std::vector<Node>>& seeds) {
+AdvPartial hillclimb_worst_faults(std::size_t n, std::size_t f,
+                                  const FaultEvaluatorFactory& make_eval,
+                                  std::uint64_t seed,
+                                  std::uint64_t begin_restart,
+                                  std::uint64_t end_restart,
+                                  std::size_t max_steps,
+                                  const std::vector<std::vector<Node>>& seeds,
+                                  const ExecPolicy& exec,
+                                  ExecutorStats* executor) {
   FTR_EXPECTS(f <= n);
-  AdversaryResult result;
-  if (f == 0) {
-    result.worst_diameter = eval({});
-    result.evaluations = 1;
-    return result;
-  }
-  std::vector<std::vector<Node>> starts = seeds;
-  while (starts.size() < restarts) {
-    const auto sample = rng.sample(n, f);
-    starts.emplace_back(sample.begin(), sample.end());
-  }
-  for (auto& start : starts) {
-    FTR_EXPECTS(start.size() == f);
-    auto [faults, d] = climb(n, eval, std::move(start), max_steps, rng,
-                             result.evaluations);
-    if (d > result.worst_diameter || result.worst_faults.empty()) {
-      result.worst_diameter = d;
-      result.worst_faults = std::move(faults);
-    }
-    if (result.worst_diameter == kUnreachable) break;
-  }
-  return result;
-}
-
-AdvPartial sampled_worst_faults_slice(std::size_t n, std::size_t f,
-                                      std::uint64_t begin_index,
-                                      std::uint64_t end_index,
-                                      const FaultEvaluatorFactory& make_eval,
-                                      std::uint64_t seed,
-                                      const SearchExecution& exec,
-                                      ExecutorStats* executor) {
-  FTR_EXPECTS(f <= n);
-  FTR_EXPECTS(begin_index <= end_index);
+  FTR_EXPECTS(begin_restart <= end_restart);
+  // One restart per chunk: climbs dominate the cost and balance poorly, so
+  // the finest grain gives the scheduler the most room.
   return chunked_rank_scan(
-      begin_index, end_index, exec.exec, executor,
+      begin_restart, end_restart, exec, 1, executor,
       [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
           const auto& aborted) {
-        (void)aborted;  // sampling never early-stops
         const FaultEvaluator eval = make_eval();
-        for (std::uint64_t i = begin; i < end; ++i) {
-          // Sample i is a pure function of (seed, i): thread-count-proof
-          // AND partition-proof.
-          Rng rng = Rng::stream(seed, i);
-          const auto sample = rng.sample(n, f);
-          std::vector<Node> faults(sample.begin(), sample.end());
-          const std::uint32_t d = eval(faults);
-          ++p.evaluations;
+        for (std::uint64_t restart = begin; restart < end; ++restart) {
+          if (aborted()) return;
+          Rng rng = Rng::stream(seed, restart);
+          std::vector<Node> start;
+          if (restart < seeds.size()) {
+            start = seeds[static_cast<std::size_t>(restart)];
+          } else {
+            const auto sample = rng.sample(n, f);
+            start.assign(sample.begin(), sample.end());
+          }
+          FTR_EXPECTS(start.size() == f);
+          std::uint64_t evaluations = 0;
+          auto [faults, d] =
+              climb(n, eval, std::move(start), max_steps, rng, evaluations);
+          p.evaluations += evaluations;
           if (!p.any || d > p.d) {
             p.any = true;
             p.d = d;
             p.faults = std::move(faults);
           }
+          // Cannot get worse than disconnected: the search stops here.
+          if (d == kUnreachable) {
+            p.stopped = true;
+            return;
+          }
         }
       });
 }
 
-AdversaryResult sampled_worst_faults(std::size_t n, std::size_t f,
-                                     std::size_t samples,
-                                     const FaultEvaluatorFactory& make_eval,
-                                     std::uint64_t seed,
-                                     const SearchExecution& exec) {
-  ExecutorStats executor;
-  AdvPartial p = sampled_worst_faults_slice(n, f, 0, samples, make_eval, seed,
-                                            exec, &executor);
-  return result_from_partial(std::move(p), /*exhaustive_scan=*/false,
-                             executor);
-}
-
-AdvPartial hillclimb_worst_faults_slice(
-    std::size_t n, std::size_t f, const FaultEvaluatorFactory& make_eval,
-    std::uint64_t seed, const SearchExecution& exec,
-    std::uint64_t begin_restart, std::uint64_t end_restart,
-    std::size_t max_steps, const std::vector<std::vector<Node>>& seeds,
-    ExecutorStats* executor) {
-  FTR_EXPECTS(f <= n && f > 0);
-  FTR_EXPECTS(begin_restart <= end_restart);
-  const auto count = static_cast<std::size_t>(end_restart - begin_restart);
-  std::vector<AdvPartial> partials(count);
-  std::atomic<std::size_t> first_stop{count};
-
-  ExecutorStats stats;
-  // One restart per chunk: climbs dominate the cost and balance poorly, so
-  // the finest grain gives the scheduler the most room.
-  parallel_for_chunks(
-      exec.exec.executor, count, exec.exec.resolved_threads(), 1,
-      [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end) {
-        (void)c_end;
-        if (chunk > first_stop.load(std::memory_order_relaxed)) return;
-        AdvPartial& p = partials[chunk];
-        const FaultEvaluator eval = make_eval();
-        const std::uint64_t restart = begin_restart + c_begin;
-        Rng rng = Rng::stream(seed, restart);
-        std::vector<Node> start;
-        if (restart < seeds.size()) {
-          start = seeds[static_cast<std::size_t>(restart)];
-        } else {
-          const auto sample = rng.sample(n, f);
-          start.assign(sample.begin(), sample.end());
-        }
-        FTR_EXPECTS(start.size() == f);
-        auto [faults, d] =
-            climb(n, eval, std::move(start), max_steps, rng, p.evaluations);
-        p.any = true;
-        p.d = d;
-        p.faults = std::move(faults);
-        if (d == kUnreachable) {
-          p.stopped = true;
-          note_stop(first_stop, chunk);
-        }
-      },
-      &stats);
-  if (executor != nullptr) executor->accumulate(stats);
-
-  AdvPartial acc;
-  for (const auto& p : partials) {
-    merge_adversary_partials(acc, p);
-    // Serial scan breaks after absorbing a disconnecting restart.
-    if (acc.stopped) break;
+AdvPartial execute_adv_unit(const SrgIndex& index, const UnitSpec& unit) {
+  const std::size_t n = index.num_nodes();
+  switch (unit.kind) {
+    case UnitKind::kAdvGray:
+      return exhaustive_worst_faults_gray(index, unit.f, unit.begin, unit.end,
+                                          unit.exec, unit.stop_above);
+    case UnitKind::kAdvSampled:
+      return sampled_worst_faults(
+          n, unit.f, srg_evaluator_factory(index, unit.exec.kernel), unit.seed,
+          unit.begin, unit.end, unit.exec);
+    case UnitKind::kAdvClimb:
+      return hillclimb_worst_faults(
+          n, unit.f, srg_evaluator_factory(index, unit.exec.kernel), unit.seed,
+          unit.begin, unit.end, static_cast<std::size_t>(unit.max_steps),
+          unit.climb_seeds, unit.exec);
+    default:
+      FTR_EXPECTS_MSG(false, "unit kind " << unit_kind_name(unit.kind)
+                                          << " is not an adversary search");
   }
-  return acc;
-}
-
-AdversaryResult hillclimb_worst_faults(std::size_t n, std::size_t f,
-                                       const FaultEvaluatorFactory& make_eval,
-                                       std::uint64_t seed,
-                                       const SearchExecution& exec,
-                                       std::size_t restarts,
-                                       std::size_t max_steps,
-                                       const std::vector<std::vector<Node>>& seeds) {
-  FTR_EXPECTS(f <= n);
-  if (f == 0) {
-    AdversaryResult result;
-    result.worst_diameter = make_eval()({});
-    result.evaluations = 1;
-    return result;
-  }
-  const std::size_t total = std::max(seeds.size(), restarts);
-  ExecutorStats executor;
-  AdvPartial p = hillclimb_worst_faults_slice(n, f, make_eval, seed, exec, 0,
-                                              total, max_steps, seeds,
-                                              &executor);
-  return result_from_partial(std::move(p), /*exhaustive_scan=*/false,
-                             executor);
+  return {};
 }
 
 }  // namespace ftr

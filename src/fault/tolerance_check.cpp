@@ -1,5 +1,6 @@
 #include "fault/tolerance_check.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -25,101 +26,59 @@ std::string ToleranceReport::summary() const {
   return os.str();
 }
 
-ToleranceReport check_tolerance_with(std::size_t n,
-                                     const FaultEvaluatorFactory& make_eval,
-                                     std::uint32_t f,
-                                     std::uint32_t claimed_bound,
-                                     std::uint64_t seed,
-                                     const ToleranceCheckOptions& options) {
-  ToleranceReport report;
-  report.claimed_bound = claimed_bound;
-  report.faults = f;
-  const SearchExecution exec{options.exec};
+ToleranceReport check_tolerance(const SrgIndex& index, std::uint32_t f,
+                                std::uint32_t claimed_bound,
+                                std::uint64_t seed,
+                                const ToleranceCheckOptions& options) {
+  const std::size_t n = index.num_nodes();
+  FTR_EXPECTS_MSG(f <= n, "f = " << f << " exceeds n = " << n);
+  const std::uint64_t total = binomial(n, f);
+  const bool exhaustive = total <= options.exhaustive_budget;
 
-  if (binomial(n, f) <= options.exhaustive_budget) {
-    const AdversaryResult r = exhaustive_worst_faults(n, f, make_eval, exec);
-    report.worst_diameter = r.worst_diameter;
-    report.worst_faults = r.worst_faults;
-    report.fault_sets_checked = r.evaluations;
-    report.exhaustive = true;
+  // Plan whole-space units; a runner may split each one further.
+  UnitSpec unit;
+  unit.f = f;
+  unit.exec = options.exec;
+  std::vector<UnitSpec> plan;
+  if (exhaustive) {
+    unit.kind = UnitKind::kAdvGray;
+    unit.end = total;
+    plan.push_back(unit);
   } else {
     // Independent stream roots for the two search phases, both derived from
     // the one seed so the whole report is a pure function of it.
-    const std::uint64_t sampled_seed = Rng::stream(seed, 1)();
-    const std::uint64_t climb_seed = Rng::stream(seed, 2)();
-    AdversaryResult best = sampled_worst_faults(n, f, options.samples,
-                                                make_eval, sampled_seed, exec);
-    AdversaryResult climbed = hillclimb_worst_faults(
-        n, f, make_eval, climb_seed, exec, options.hillclimb_restarts,
-        options.hillclimb_steps, options.seeds);
-    if (climbed.worst_diameter > best.worst_diameter) {
-      best.worst_diameter = climbed.worst_diameter;
-      best.worst_faults = std::move(climbed.worst_faults);
-    }
-    best.evaluations += climbed.evaluations;
-    report.worst_diameter = best.worst_diameter;
-    report.worst_faults = std::move(best.worst_faults);
-    report.fault_sets_checked = best.evaluations;
-    report.exhaustive = false;
+    unit.kind = UnitKind::kAdvSampled;
+    unit.seed = Rng::stream(seed, 1)();
+    unit.end = options.samples;
+    plan.push_back(unit);
+    unit.kind = UnitKind::kAdvClimb;
+    unit.seed = Rng::stream(seed, 2)();
+    unit.end = std::max<std::uint64_t>(options.hillclimb_restarts,
+                                       options.seeds.size());
+    unit.max_steps = options.hillclimb_steps;
+    unit.climb_seeds = options.seeds;
+    plan.push_back(std::move(unit));
   }
+
+  AdvPartial worst;
+  for (const UnitSpec& u : plan) {
+    merge_adversary_partials(worst, options.runner
+                                        ? options.runner(u)
+                                        : execute_adv_unit(index, u));
+  }
+
+  ToleranceReport report;
+  report.claimed_bound = claimed_bound;
+  report.faults = f;
+  report.worst_diameter = worst.d;
+  report.worst_faults = std::move(worst.faults);
+  report.fault_sets_checked = worst.evaluations;
+  report.exhaustive = exhaustive;
   report.holds = report.worst_diameter <= claimed_bound;
   return report;
 }
 
-ToleranceReport check_tolerance_with(std::size_t n, const FaultEvaluator& eval,
-                                     std::uint32_t f,
-                                     std::uint32_t claimed_bound, Rng& rng,
-                                     const ToleranceCheckOptions& options) {
-  // A lone evaluator may own scratch, so never share it across workers.
-  ToleranceCheckOptions serial = options;
-  serial.exec.threads = 1;
-  const FaultEvaluatorFactory make_eval = [&eval]() { return eval; };
-  return check_tolerance_with(n, make_eval, f, claimed_bound, rng(), serial);
-}
-
 namespace {
-
-// One shared preprocessing, one scratch per worker chunk: the canonical
-// parallel-sweep evaluator.
-FaultEvaluatorFactory engine_evaluator_factory(
-    const std::shared_ptr<const SrgIndex>& index, SrgKernel kernel) {
-  return [index, kernel]() {
-    auto scratch = std::make_shared<SrgScratch>(*index);
-    scratch->set_kernel(kernel);
-    return [index, scratch](const std::vector<Node>& faults) {
-      return scratch->surviving_diameter(faults);
-    };
-  };
-}
-
-// The index-level check: the revolving-door Gray scan (O(delta)
-// strike/unstrike per set, packed lanes under kAuto) whenever the budget
-// allows exhausting C(n, f), at any f; otherwise the sampled +
-// hill-climbing adversary via the evaluator factory. The index is a handle
-// so worker evaluators can co-own it.
-ToleranceReport check_tolerance_index(const std::shared_ptr<const SrgIndex>& index,
-                                      std::uint32_t f,
-                                      std::uint32_t claimed_bound,
-                                      std::uint64_t seed,
-                                      const ToleranceCheckOptions& options) {
-  const std::size_t n = index->num_nodes();
-  if (f <= n && binomial(n, f) <= options.exhaustive_budget) {
-    ToleranceReport report;
-    report.claimed_bound = claimed_bound;
-    report.faults = f;
-    const AdversaryResult r =
-        exhaustive_worst_faults_gray(*index, f, SearchExecution{options.exec});
-    report.worst_diameter = r.worst_diameter;
-    report.worst_faults = r.worst_faults;
-    report.fault_sets_checked = r.evaluations;
-    report.exhaustive = true;
-    report.holds = report.worst_diameter <= claimed_bound;
-    return report;
-  }
-  return check_tolerance_with(n,
-                              engine_evaluator_factory(index, options.exec.kernel),
-                              f, claimed_bound, seed, options);
-}
 
 // Route-load-targeted hill-climber seeds: knocking out the busiest nodes
 // first is the natural informed attack. Applied for single-route tables
@@ -144,8 +103,8 @@ ToleranceReport check_tolerance(const RoutingTable& table,
                                 Rng& rng, const ToleranceCheckOptions& options) {
   FTR_EXPECTS(index != nullptr);
   FTR_EXPECTS(index->num_nodes() == table.num_nodes());
-  return check_tolerance_index(index, f, claimed_bound, rng(),
-                               with_route_load_seeds(table, f, options));
+  return check_tolerance(*index, f, claimed_bound, rng(),
+                         with_route_load_seeds(table, f, options));
 }
 
 ToleranceReport check_tolerance(const MultiRouteTable& table,
@@ -154,7 +113,7 @@ ToleranceReport check_tolerance(const MultiRouteTable& table,
                                 Rng& rng, const ToleranceCheckOptions& options) {
   FTR_EXPECTS(index != nullptr);
   FTR_EXPECTS(index->num_nodes() == table.num_nodes());
-  return check_tolerance_index(index, f, claimed_bound, rng(), options);
+  return check_tolerance(*index, f, claimed_bound, rng(), options);
 }
 
 ToleranceReport check_tolerance(const RoutingTable& table, std::uint32_t f,

@@ -1,15 +1,16 @@
 // The (d, f)-tolerance verification harness: the bridge between the paper's
 // theorems and the benchmark tables. Given a routing and a claimed bound, it
-// measures the worst surviving diameter over fault sets of size <= f —
-// exhaustively when affordable, otherwise with sampling + targeted
-// hill-climbing — and reports claimed vs. measured.
+// measures the worst surviving diameter over fault sets of size f and
+// reports claimed vs. measured.
 //
-// Checks fan their fault sets across ToleranceCheckOptions::threads workers
-// (one SrgScratch per worker over one shared SrgIndex); the report —
-// verdict, witness, evaluation count — is bit-identical for any thread
-// count. Exhaustive checks take the revolving-door path at every f
-// (Gray-order enumeration, O(delta) strike/unstrike per set), so the
-// reported witness is the first worst set in gray order.
+// One decision tree answers every check: when C(n, f) fits the exhaustive
+// budget it plans one kAdvGray unit over the whole Gray rank space (ground
+// truth; the witness is the first worst set in Gray order), otherwise a
+// kAdvSampled unit plus a route-load-seeded kAdvClimb unit (an adversarial
+// lower bound). The units run through ToleranceCheckOptions::runner — in
+// process by default, or split over a worker pool — and fold with
+// merge_adversary_partials. The report (verdict, witness, evaluation count)
+// is bit-identical for any runner, thread count, kernel, or lane width.
 #pragma once
 
 #include <cstdint>
@@ -47,12 +48,15 @@ struct ToleranceCheckOptions {
   std::size_t hillclimb_steps = 24;
   /// Extra seed sets (e.g. concentrator-targeted) for the hill-climber.
   std::vector<std::vector<Node>> seeds;
-  /// How the check executes (see common/exec_policy.hpp): threads fan the
-  /// fault sweep across workers, kernel/lanes drive the evaluators (kAuto
+  /// How each unit executes (see common/exec_policy.hpp): threads fan the
+  /// fault sets across workers, kernel/lanes drive the evaluators (kAuto
   /// runs the exhaustive Gray scan packed and the sampled /
   /// hill-climbing evaluators on the bitset kernel), executor picks the
   /// chunk scheduler. The report is identical for any value of any of it.
   ExecPolicy exec;
+  /// Runs the planned units; empty = in-process (execute_adv_unit over the
+  /// check's index). `check --workers N` passes DistSweepPool::run_adv.
+  AdvUnitRunner runner;
 };
 
 /// Worst-case check for exactly f faults (the paper's bounds are monotone
@@ -83,21 +87,12 @@ ToleranceReport check_tolerance(const MultiRouteTable& table,
                                 Rng& rng,
                                 const ToleranceCheckOptions& options = {});
 
-/// Generic version over a single evaluator. The evaluator may own scratch
-/// state, so this path always runs serially (options.threads is ignored).
-ToleranceReport check_tolerance_with(std::size_t n, const FaultEvaluator& eval,
-                                     std::uint32_t f,
-                                     std::uint32_t claimed_bound, Rng& rng,
-                                     const ToleranceCheckOptions& options);
-
-/// Generic parallel version over an evaluator factory (one evaluator per
-/// worker chunk). All randomness derives from `seed` via counter-based
-/// streams, so the report is a pure function of its arguments.
-ToleranceReport check_tolerance_with(std::size_t n,
-                                     const FaultEvaluatorFactory& make_eval,
-                                     std::uint32_t f,
-                                     std::uint32_t claimed_bound,
-                                     std::uint64_t seed,
-                                     const ToleranceCheckOptions& options);
+/// The decision tree itself, over a prebuilt index with an explicit search
+/// seed. The table-level overloads add route-load hill-climber seeds and
+/// draw `seed` from their Rng, then delegate here.
+ToleranceReport check_tolerance(const SrgIndex& index, std::uint32_t f,
+                                std::uint32_t claimed_bound,
+                                std::uint64_t seed,
+                                const ToleranceCheckOptions& options = {});
 
 }  // namespace ftr

@@ -11,17 +11,10 @@
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
+#include "lex_oracle.hpp"
 
 namespace ftr {
 namespace {
-
-std::uint32_t exhaustive_worst(const RoutingTable& table, std::size_t f) {
-  return exhaustive_worst_faults(table.num_nodes(), f,
-                                 [&](const std::vector<Node>& faults) {
-                                   return surviving_diameter(table, faults);
-                                 })
-      .worst_diameter;
-}
 
 std::vector<Node> nset(const Graph& g, std::size_t want) {
   Rng rng(1234);
@@ -75,30 +68,32 @@ TEST(Circular, MembersReachableWithinTwoNoFaults) {
 TEST(Circular, Theorem10CycleT1Exhaustive) {
   const auto gg = cycle_graph(16);  // t = 1 (kappa 2), K = 3
   const auto cr = build_circular_routing(gg.graph, 1, nset(gg.graph, 3));
-  EXPECT_LE(exhaustive_worst(cr.table, 1), 6u);
+  EXPECT_LE(lex_worst_diameter(cr.table, 1), 6u);
 }
 
 TEST(Circular, Theorem10CccT2Exhaustive) {
   const auto gg = cube_connected_cycles(3);  // t = 2 (kappa 3), K = 3
   const auto cr = build_circular_routing(gg.graph, 2, nset(gg.graph, 3));
-  EXPECT_LE(exhaustive_worst(cr.table, 2), 6u);
+  EXPECT_LE(lex_worst_diameter(cr.table, 2), 6u);
 }
 
 TEST(Circular, Theorem10TorusT3Exhaustive) {
   const auto gg = torus_graph(5, 5);  // t = 3 (kappa 4), K = 5
   const auto cr = build_circular_routing(gg.graph, 3, nset(gg.graph, 5));
-  EXPECT_LE(exhaustive_worst(cr.table, 2), 6u);  // C(25,3) too big; f=2 exact
+  EXPECT_LE(lex_worst_diameter(cr.table, 2), 6u);  // C(25,3) too big; f=2 exact
 }
 
 TEST(Circular, Theorem10TorusT3Adversarial) {
   const auto gg = torus_graph(5, 5);
   const auto cr = build_circular_routing(gg.graph, 3, nset(gg.graph, 5));
-  Rng rng(7);
-  const auto res = hillclimb_worst_faults(
-      25, 3,
-      [&](const std::vector<Node>& f) { return surviving_diameter(cr.table, f); },
-      rng, 6, 24);
-  EXPECT_LE(res.worst_diameter, 6u);
+  const FaultEvaluatorFactory make_eval = [&]() -> FaultEvaluator {
+    return [&](const std::vector<Node>& f) {
+      return surviving_diameter(cr.table, f);
+    };
+  };
+  const auto res = hillclimb_worst_faults(25, 3, make_eval, /*seed=*/7,
+                                          0, /*restarts=*/6, 24);
+  EXPECT_LE(res.d, 6u);
 }
 
 TEST(Circular, BiggerKAlsoTolerant) {
@@ -106,7 +101,7 @@ TEST(Circular, BiggerKAlsoTolerant) {
   // pair from the paper's first construction.
   const auto gg = cycle_graph(24);  // t = 1, K = 2t+1 = 3... use 5 instead
   const auto cr = build_circular_routing(gg.graph, 1, nset(gg.graph, 5), 5);
-  EXPECT_LE(exhaustive_worst(cr.table, 1), 6u);
+  EXPECT_LE(lex_worst_diameter(cr.table, 1), 6u);
 }
 
 TEST(Circular, WithFaultsOnConcentratorMembers) {

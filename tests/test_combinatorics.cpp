@@ -113,67 +113,6 @@ TEST(ForEachSubset, EarlyStop) {
   EXPECT_EQ(count, 3);
 }
 
-TEST(SubsetAtRank, AgreesWithEnumerationOrder) {
-  for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{6, 2},
-                             {7, 3},
-                             {5, 0},
-                             {5, 5}}) {
-    SubsetEnumerator e(n, k);
-    for (std::uint64_t rank = 0; e.valid(); e.advance(), ++rank) {
-      EXPECT_EQ(subset_at_rank(n, k, rank), e.current())
-          << "n=" << n << " k=" << k << " rank=" << rank;
-    }
-  }
-}
-
-TEST(SubsetAtRank, RejectsOutOfRange) {
-  EXPECT_THROW(subset_at_rank(5, 2, binomial(5, 2)), ContractViolation);
-}
-
-TEST(SubsetEnumerator, StartsAtRank) {
-  // Seeding the enumerator mid-sequence continues exactly where a fresh
-  // scan would be — the property the chunked exhaustive adversary needs.
-  SubsetEnumerator reference(6, 3);
-  for (std::uint64_t rank = 0; reference.valid();
-       reference.advance(), ++rank) {
-    SubsetEnumerator seeded(6, 3, rank);
-    ASSERT_TRUE(seeded.valid());
-    EXPECT_EQ(seeded.current(), reference.current()) << "rank " << rank;
-  }
-  SubsetEnumerator past(6, 3, binomial(6, 3));
-  EXPECT_FALSE(past.valid());
-}
-
-// Regression: the edge ranks and degenerate shapes of the rank-seeded
-// constructor — the final rank must yield the last subset (and exactly one
-// more advance), k = 0 must yield the single empty subset, and k = n the
-// single full subset.
-TEST(SubsetEnumerator, RankSeededAtFinalRank) {
-  SubsetEnumerator e(6, 3, binomial(6, 3) - 1);
-  ASSERT_TRUE(e.valid());
-  EXPECT_EQ(e.current(), (std::vector<std::size_t>{3, 4, 5}));
-  e.advance();
-  EXPECT_FALSE(e.valid());
-}
-
-TEST(SubsetEnumerator, RankSeededKZero) {
-  SubsetEnumerator e(5, 0, 0);
-  ASSERT_TRUE(e.valid());
-  EXPECT_TRUE(e.current().empty());
-  e.advance();
-  EXPECT_FALSE(e.valid());
-  EXPECT_FALSE(SubsetEnumerator(5, 0, 1).valid());
-}
-
-TEST(SubsetEnumerator, RankSeededKEqualsN) {
-  SubsetEnumerator e(4, 4, 0);
-  ASSERT_TRUE(e.valid());
-  EXPECT_EQ(e.current(), (std::vector<std::size_t>{0, 1, 2, 3}));
-  e.advance();
-  EXPECT_FALSE(e.valid());
-  EXPECT_FALSE(SubsetEnumerator(4, 4, 1).valid());
-}
-
 TEST(SubsetEnumerator, EmptyUniverse) {
   SubsetEnumerator e(0, 0);
   ASSERT_TRUE(e.valid());

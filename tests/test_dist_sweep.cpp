@@ -175,6 +175,35 @@ TEST(DistWire, FramesReassembleFromArbitraryByteArrivals) {
   EXPECT_THROW(pop_frame(cbuf, out), ContractViolation);
 }
 
+// decode_unit bounds each list count by the bytes left before reserving: a
+// frame with a valid checksum whose set or seed count is 2^32-1 is a
+// ContractViolation, not a ~100 GB allocation.
+TEST(DistWire, HugeListCountsAreRejectedBeforeAllocation) {
+  UnitSpec u;
+  u.kind = UnitKind::kSweepExplicit;
+  const auto payload = encode_unit(u);
+  // The payload ends with the two list counts (sets, climb seeds), both 0.
+  for (const std::size_t at : {payload.size() - 8, payload.size() - 4}) {
+    auto bad = payload;
+    for (std::size_t i = 0; i < 4; ++i) bad[at + i] = 0xff;
+    auto buf = pack_frame(FrameType::kUnit, bad);
+    WireFrame frame;
+    ASSERT_TRUE(pop_frame(buf, frame));  // the checksum holds
+    EXPECT_THROW(decode_unit(frame.payload), ContractViolation);
+  }
+}
+
+// Unit kinds are checked at decode time. 5 was the retired lexicographic
+// scan; a frame still carrying it must be refused, as must any kind the
+// enum never had.
+TEST(DistWire, UnknownUnitKindsAreRejected) {
+  for (const std::uint32_t kind : {5u, 0u, 8u, 0xffffffffu}) {
+    auto payload = encode_unit(UnitSpec{});
+    for (int i = 0; i < 4; ++i) payload[i] = (kind >> (8 * i)) & 0xff;
+    EXPECT_THROW(decode_unit(payload), ContractViolation) << "kind " << kind;
+  }
+}
+
 // The merge authority: folding window partials in order must equal the
 // whole-range computation, for any cut points.
 TEST(DistSweep, MergeSweepPartialsFoldsLikeOneRange) {
@@ -229,8 +258,8 @@ TEST(DistSweep, SampledSweepWithDeliveryMatchesInProcess) {
       sweep_fault_source(rig.kr.table, *rig.snap.index, source, opts);
   for (const unsigned workers : {1u, 3u}) {
     DistSweepPool pool(rig.snap, "", rig.pool_options(workers, 13));
-    const auto got =
-        summarize_sweep_partial(pool.sweep_sampled(2, 60, opts));
+    const auto got = summarize_sweep_partial(
+        pool.run_sweep(sweep_unit(UnitKind::kSweepSampled, 2, 60, opts)));
     expect_summary_equal(got, want);
   }
 }
@@ -277,43 +306,45 @@ TEST(DistSweep, SnapshotFileFedWorkersMatchPayloadFedWorkers) {
   ::unlink(path.c_str());
 }
 
-TEST(DistCheck, GrayFastPathReportMatchesInProcess) {
+// A check whose units run through the pool must report exactly what the
+// in-process check reports, on every path of the decision tree: exhaustive
+// at f <= 3, exhaustive beyond f = 3 (C(16, 4) = 1820 fits the default
+// budget), and sampling + hill-climbing — for any worker count and unit
+// size.
+TEST(DistCheck, PoolRunnerMatchesInProcessOnEveryPath) {
   const Rig rig;
-  Rng rng_local(5), rng_dist(5);
-  const auto want = check_tolerance(rig.kr.table, 2, 6, rng_local);
-  for (const unsigned workers : {1u, 3u}) {
-    Rng rng(5);
-    DistSweepPool pool(rig.snap, "", rig.pool_options(workers, 9));
-    expect_report_equal(check_tolerance_distributed(pool, 2, 6, rng), want);
-  }
-  (void)rng_dist;
-}
-
-TEST(DistCheck, LexicographicExhaustivePathMatchesInProcess) {
-  const Rig rig;  // C(16, 4) = 1820 <= default budget, f > 3 -> lex path
-  Rng rng_local(6);
-  const auto want = check_tolerance(rig.kr.table, 4, 8, rng_local);
-  ASSERT_TRUE(want.exhaustive);
-  Rng rng(6);
-  DistSweepPool pool(rig.snap, "", rig.pool_options(2, 100));
-  expect_report_equal(check_tolerance_distributed(pool, 4, 8, rng), want);
-}
-
-TEST(DistCheck, SampledPlusHillclimbPathMatchesInProcess) {
-  const Rig rig;
-  ToleranceCheckOptions opts;
-  opts.exhaustive_budget = 1;  // force the adversarial path
-  opts.samples = 40;
-  opts.hillclimb_restarts = 4;
-  opts.hillclimb_steps = 8;
-  Rng rng_local(7);
-  const auto want = check_tolerance(rig.kr.table, 2, 6, rng_local, opts);
-  ASSERT_FALSE(want.exhaustive);
-  for (const std::uint64_t unit_items : {std::uint64_t{1}, std::uint64_t{0}}) {
-    Rng rng(7);
-    DistSweepPool pool(rig.snap, "", rig.pool_options(2, unit_items));
-    expect_report_equal(check_tolerance_distributed(pool, 2, 6, rng, opts),
-                        want);
+  struct Path {
+    std::uint32_t f;
+    bool adversarial;
+  };
+  for (const Path path : {Path{2, false}, Path{4, false}, Path{3, true}}) {
+    ToleranceCheckOptions opts;
+    if (path.adversarial) {
+      opts.exhaustive_budget = 1;
+      opts.samples = 40;
+      opts.hillclimb_restarts = 4;
+      opts.hillclimb_steps = 8;
+    }
+    Rng rng_local(6);
+    const auto want = check_tolerance(rig.kr.table, path.f, 6, rng_local, opts);
+    ASSERT_EQ(want.exhaustive, !path.adversarial);
+    for (const unsigned workers : {1u, 3u}) {
+      for (const std::uint64_t unit_items :
+           {std::uint64_t{1}, std::uint64_t{0}}) {
+        SCOPED_TRACE("f=" + std::to_string(path.f) +
+                     " workers=" + std::to_string(workers) +
+                     " unit_items=" + std::to_string(unit_items));
+        DistSweepPool pool(rig.snap, "", rig.pool_options(workers, unit_items));
+        ToleranceCheckOptions dopts = opts;
+        dopts.runner = [&pool](const UnitSpec& u) { return pool.run_adv(u); };
+        Rng rng(6);
+        expect_report_equal(check_tolerance(rig.snap.table, rig.snap.index,
+                                            path.f, 6, rng, dopts),
+                            want);
+        EXPECT_GE(pool.stats().units_completed, 1u);
+        EXPECT_EQ(pool.stats().units_inline, 0u);
+      }
+    }
   }
 }
 
@@ -322,15 +353,20 @@ TEST(DistAdv, GrayEarlyStopMatchesInProcessEvaluationForEvaluation) {
   // stop_above = 1 trips on the first set whose surviving diameter exceeds
   // 1, so most of the rank space is never evaluated; the distributed scan
   // must stop at the same global rank with the same count.
-  const auto want = exhaustive_worst_faults_gray(*rig.snap.index, 2,
-                                                 SearchExecution{}, 1);
+  UnitSpec whole;
+  whole.kind = UnitKind::kAdvGray;
+  whole.f = 2;
+  whole.end = binomial(rig.gg.graph.num_nodes(), 2);
+  whole.stop_above = 1;
+  const AdvPartial want = execute_adv_unit(*rig.snap.index, whole);
+  ASSERT_TRUE(want.stopped);
   for (const unsigned workers : {1u, 3u}) {
     for (const std::uint64_t unit_items : {std::uint64_t{1}, std::uint64_t{5},
                                            std::uint64_t{0}}) {
       DistSweepPool pool(rig.snap, "", rig.pool_options(workers, unit_items));
-      const AdvPartial p = pool.adv_gray(2, 1);
-      EXPECT_EQ(p.any ? p.d : 0, want.worst_diameter);
-      EXPECT_EQ(p.faults, want.worst_faults);
+      const AdvPartial p = pool.run_adv(whole);
+      EXPECT_EQ(p.d, want.d);
+      EXPECT_EQ(p.faults, want.faults);
       EXPECT_EQ(p.evaluations, want.evaluations);
       EXPECT_TRUE(p.stopped);
     }

@@ -310,11 +310,6 @@ TEST(ExecPolicyAdoption, DefaultsMatchPreRefactorValues) {
   EXPECT_EQ(sweep.exec.batch_size, 1024u);
   EXPECT_EQ(sweep.exec.progress_every, 0u);
 
-  const SearchExecution search;
-  EXPECT_EQ(search.exec.threads, 1u);
-  EXPECT_EQ(search.exec.kernel, SrgKernel::kAuto);
-  EXPECT_EQ(search.exec.lanes, 0u);
-
   const ToleranceCheckOptions check;
   EXPECT_EQ(check.exec.threads, 1u);
   EXPECT_EQ(check.exec.kernel, SrgKernel::kAuto);

@@ -29,6 +29,7 @@
 #include "routing/circular.hpp"
 #include "routing/kernel.hpp"
 #include "routing/tricircular.hpp"
+#include "lex_oracle.hpp"
 
 namespace ftr {
 namespace {
@@ -343,37 +344,35 @@ TEST(FaultStream, GraySweepWorstWitnessIsConsistent) {
 TEST(AdversaryGray, MatchesLexicographicGroundTruth) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  auto index = std::make_shared<const SrgIndex>(kr.table);
+  const SrgIndex index(kr.table);
+  const std::uint64_t total = binomial(25, 2);
 
-  const auto serial = exhaustive_worst_faults(
-      25, 2,
-      [&](const std::vector<Node>& f) {
-        SrgScratch scratch(*index);
-        return scratch.surviving_diameter(f);
-      });
+  const auto serial = lex_worst_faults(25, 2, [&](const std::vector<Node>& f) {
+    SrgScratch scratch(index);
+    return scratch.surviving_diameter(f);
+  });
 
-  AdversaryResult base;
+  AdvPartial base;
   bool have_base = false;
   for (unsigned threads : kThreadCounts) {
-    const auto gray =
-        exhaustive_worst_faults_gray(*index, 2, SearchExecution{{.threads = threads}});
+    const auto gray = exhaustive_worst_faults_gray(
+        index, 2, 0, total, ExecPolicy{.threads = threads});
     // Same ground truth (the max over all sets) and the same coverage...
-    EXPECT_EQ(gray.worst_diameter, serial.worst_diameter);
+    EXPECT_EQ(gray.d, serial.worst_diameter);
     EXPECT_EQ(gray.evaluations, serial.evaluations);
-    EXPECT_TRUE(gray.exhaustive);
+    EXPECT_FALSE(gray.stopped);
     // ...the witness may be a different set (gray vs lex order), but must
     // attain the max.
-    SrgScratch scratch(*index);
-    EXPECT_EQ(scratch.surviving_diameter(gray.worst_faults),
-              gray.worst_diameter);
+    SrgScratch scratch(index);
+    EXPECT_EQ(scratch.surviving_diameter(gray.faults), gray.d);
     // And the gray path itself is thread-count-invariant.
     if (!have_base) {
       base = gray;
       have_base = true;
       continue;
     }
-    EXPECT_EQ(gray.worst_faults, base.worst_faults);
-    EXPECT_EQ(gray.worst_diameter, base.worst_diameter);
+    EXPECT_EQ(gray.faults, base.faults);
+    EXPECT_EQ(gray.d, base.d);
     EXPECT_EQ(gray.evaluations, base.evaluations);
   }
 }
@@ -381,27 +380,27 @@ TEST(AdversaryGray, MatchesLexicographicGroundTruth) {
 TEST(AdversaryGray, EarlyStopIsThreadInvariant) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  auto index = std::make_shared<const SrgIndex>(kr.table);
+  const SrgIndex index(kr.table);
   // Any diameter > 2 stops the scan; the kernel table has such sets at
   // f = 3, so the scan aborts early and must do so identically for any
   // thread count.
-  AdversaryResult base;
+  AdvPartial base;
   bool have_base = false;
   for (unsigned threads : kThreadCounts) {
-    const auto r = exhaustive_worst_faults_gray(*index, 3,
-                                                SearchExecution{{.threads = threads}},
-                                                /*stop_above=*/2);
+    const auto r = exhaustive_worst_faults_gray(
+        index, 3, 0, binomial(25, 3), ExecPolicy{.threads = threads},
+        /*stop_above=*/2);
     if (!have_base) {
       base = r;
       have_base = true;
-      EXPECT_FALSE(r.exhaustive);  // it really did abort
-      EXPECT_GT(r.worst_diameter, 2u);
+      EXPECT_TRUE(r.stopped);  // it really did abort
+      EXPECT_GT(r.d, 2u);
       continue;
     }
-    EXPECT_EQ(r.worst_faults, base.worst_faults);
-    EXPECT_EQ(r.worst_diameter, base.worst_diameter);
+    EXPECT_EQ(r.faults, base.faults);
+    EXPECT_EQ(r.d, base.d);
     EXPECT_EQ(r.evaluations, base.evaluations);
-    EXPECT_EQ(r.exhaustive, base.exhaustive);
+    EXPECT_EQ(r.stopped, base.stopped);
   }
 }
 
@@ -410,14 +409,16 @@ TEST(AdversaryGray, DegenerateBudgets) {
   const auto kr = build_kernel_routing(gg.graph, 1);
   const SrgIndex index(kr.table);
   // f = 0: exactly one (empty) evaluation.
-  const auto none = exhaustive_worst_faults_gray(index, 0);
+  const auto none = exhaustive_worst_faults_gray(index, 0, 0, 1);
   EXPECT_EQ(none.evaluations, 1u);
-  EXPECT_TRUE(none.exhaustive);
-  EXPECT_TRUE(none.worst_faults.empty());
+  EXPECT_FALSE(none.stopped);
+  EXPECT_TRUE(none.faults.empty());
   // f = n: the single everyone-faulty set has diameter 0 by convention.
-  const auto all = exhaustive_worst_faults_gray(index, 8);
+  const auto all = exhaustive_worst_faults_gray(index, 8, 0, 1);
   EXPECT_EQ(all.evaluations, 1u);
-  EXPECT_EQ(all.worst_diameter, 0u);
+  EXPECT_EQ(all.d, 0u);
+  // An empty window evaluates nothing.
+  EXPECT_EQ(exhaustive_worst_faults_gray(index, 2, 5, 5).evaluations, 0u);
 }
 
 }  // namespace

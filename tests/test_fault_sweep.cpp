@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/neighborhood.hpp"
+#include "common/combinatorics.hpp"
 #include "core/planner.hpp"
 #include "fault/adversary.hpp"
 #include "fault/fault_gen.hpp"
@@ -22,6 +23,7 @@
 #include "routing/kernel.hpp"
 #include "routing/tricircular.hpp"
 #include "sim/recovery.hpp"
+#include "lex_oracle.hpp"
 
 namespace ftr {
 namespace {
@@ -168,79 +170,49 @@ TEST(ToleranceCheck, ReportThreadInvariant) {
   }
 }
 
-TEST(Adversary, ParallelExhaustiveEqualsSerial) {
+TEST(Adversary, ParallelGrayScanMatchesLexOracle) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  const auto serial = exhaustive_worst_faults(
-      25, 2, [&](const std::vector<Node>& f) {
-        return surviving_diameter(kr.table, f);
-      });
-
-  auto index = std::make_shared<const SrgIndex>(kr.table);
-  const FaultEvaluatorFactory factory = [index]() {
-    auto scratch = std::make_shared<SrgScratch>(*index);
-    return [index, scratch](const std::vector<Node>& f) {
-      return scratch->surviving_diameter(f);
-    };
-  };
+  const auto serial = lex_worst_faults(25, 2, [&](const std::vector<Node>& f) {
+    return surviving_diameter(kr.table, f);
+  });
+  const SrgIndex index(kr.table);
+  const AdvPartial base = exhaustive_worst_faults_gray(
+      index, 2, 0, binomial(25, 2), ExecPolicy{.threads = 1});
+  EXPECT_EQ(base.d, serial.worst_diameter);
+  EXPECT_EQ(base.evaluations, serial.evaluations);
   for (unsigned threads : kThreadCounts) {
-    const auto par =
-        exhaustive_worst_faults(25, 2, factory, SearchExecution{{.threads = threads}});
-    EXPECT_EQ(par.worst_diameter, serial.worst_diameter);
-    EXPECT_EQ(par.worst_faults, serial.worst_faults);
-    EXPECT_EQ(par.evaluations, serial.evaluations);
-    EXPECT_TRUE(par.exhaustive);
-  }
-}
-
-TEST(Adversary, ParallelEarlyStopEqualsSerial) {
-  // A synthetic landscape where rank order is known: diameter = sum of
-  // fault ids, early-stop above 9. The parallel scan must report the same
-  // witness, the same worst value, and the same evaluation count as the
-  // serial scan, for any thread count.
-  const FaultEvaluator eval = [](const std::vector<Node>& f) {
-    std::uint32_t s = 0;
-    for (Node v : f) s += v;
-    return s;
-  };
-  const auto serial = exhaustive_worst_faults(12, 2, eval, /*stop_above=*/9);
-  const FaultEvaluatorFactory factory = [&eval]() { return eval; };
-  for (unsigned threads : kThreadCounts) {
-    const auto par = exhaustive_worst_faults(12, 2, factory,
-                                             SearchExecution{{.threads = threads}}, 9);
-    EXPECT_EQ(par.worst_diameter, serial.worst_diameter);
-    EXPECT_EQ(par.worst_faults, serial.worst_faults);
-    EXPECT_EQ(par.evaluations, serial.evaluations);
-    EXPECT_FALSE(par.exhaustive);
+    const auto par = exhaustive_worst_faults_gray(
+        index, 2, 0, binomial(25, 2), ExecPolicy{.threads = threads});
+    EXPECT_EQ(par.d, base.d);
+    EXPECT_EQ(par.faults, base.faults);
+    EXPECT_EQ(par.evaluations, base.evaluations);
+    EXPECT_FALSE(par.stopped);
   }
 }
 
 TEST(Adversary, SampledAndHillclimbThreadInvariant) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  auto index = std::make_shared<const SrgIndex>(kr.table);
-  const FaultEvaluatorFactory factory = [index]() {
-    auto scratch = std::make_shared<SrgScratch>(*index);
-    return [index, scratch](const std::vector<Node>& f) {
-      return scratch->surviving_diameter(f);
-    };
-  };
-  const auto sampled_base =
-      sampled_worst_faults(25, 3, 50, factory, 77, SearchExecution{{.threads = 1}});
+  const SrgIndex index(kr.table);
+  const FaultEvaluatorFactory factory =
+      srg_evaluator_factory(index, SrgKernel::kAuto);
+  const auto sampled_base = sampled_worst_faults(25, 3, factory, 77, 0, 50,
+                                                 ExecPolicy{.threads = 1});
   const auto climbed_base = hillclimb_worst_faults(
-      25, 3, factory, 77, SearchExecution{{.threads = 1}}, 4, 8, {{0, 1, 2}});
+      25, 3, factory, 77, 0, 4, 8, {{0, 1, 2}}, ExecPolicy{.threads = 1});
   EXPECT_EQ(sampled_base.evaluations, 50u);
   for (unsigned threads : kThreadCounts) {
-    const auto s =
-        sampled_worst_faults(25, 3, 50, factory, 77, SearchExecution{{.threads = threads}});
-    EXPECT_EQ(s.worst_diameter, sampled_base.worst_diameter);
-    EXPECT_EQ(s.worst_faults, sampled_base.worst_faults);
+    const auto s = sampled_worst_faults(25, 3, factory, 77, 0, 50,
+                                        ExecPolicy{.threads = threads});
+    EXPECT_EQ(s.d, sampled_base.d);
+    EXPECT_EQ(s.faults, sampled_base.faults);
     EXPECT_EQ(s.evaluations, sampled_base.evaluations);
-    const auto h = hillclimb_worst_faults(25, 3, factory, 77,
-                                          SearchExecution{{.threads = threads}}, 4, 8,
-                                          {{0, 1, 2}});
-    EXPECT_EQ(h.worst_diameter, climbed_base.worst_diameter);
-    EXPECT_EQ(h.worst_faults, climbed_base.worst_faults);
+    const auto h = hillclimb_worst_faults(25, 3, factory, 77, 0, 4, 8,
+                                          {{0, 1, 2}},
+                                          ExecPolicy{.threads = threads});
+    EXPECT_EQ(h.d, climbed_base.d);
+    EXPECT_EQ(h.faults, climbed_base.faults);
     EXPECT_EQ(h.evaluations, climbed_base.evaluations);
   }
 }

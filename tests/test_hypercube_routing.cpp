@@ -9,17 +9,10 @@
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
+#include "lex_oracle.hpp"
 
 namespace ftr {
 namespace {
-
-std::uint32_t exhaustive_worst(const RoutingTable& table, std::size_t f) {
-  return exhaustive_worst_faults(table.num_nodes(), f,
-                                 [&](const std::vector<Node>& faults) {
-                                   return surviving_diameter(table, faults);
-                                 })
-      .worst_diameter;
-}
 
 TEST(BitFixing, PathsFollowAscendingBits) {
   const auto gg = hypercube(4);
@@ -86,14 +79,14 @@ TEST(BitFixing, MeasuredToleranceQ3) {
   const auto gg = hypercube(3);  // t = 2
   const auto uni = build_bitfixing_unidirectional(gg.graph, 3);
   const auto bi = build_bitfixing_bidirectional(gg.graph, 3);
-  EXPECT_LE(exhaustive_worst(uni, 2), 3u);
-  EXPECT_LE(exhaustive_worst(bi, 2), 4u);
+  EXPECT_LE(lex_worst_diameter(uni, 2), 3u);
+  EXPECT_LE(lex_worst_diameter(bi, 2), 4u);
 }
 
 TEST(BitFixing, MeasuredToleranceQ4SingleFault) {
   const auto gg = hypercube(4);
   const auto uni = build_bitfixing_unidirectional(gg.graph, 4);
-  EXPECT_LE(exhaustive_worst(uni, 1), 2u);
+  EXPECT_LE(lex_worst_diameter(uni, 1), 2u);
 }
 
 }  // namespace

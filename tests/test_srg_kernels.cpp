@@ -292,21 +292,24 @@ TEST(SrgKernels, StdinSourceAllKernelsIdentical) {
 TEST(SrgKernels, AdversaryGrayScanIdenticalAcrossKernels) {
   for (const auto& entry : construction_tables()) {
     const SrgIndex index(entry.table);
+    const std::uint64_t total = binomial(entry.table.num_nodes(), entry.f);
     const auto base = exhaustive_worst_faults_gray(
-        index, entry.f, SearchExecution{{.threads = 1, .kernel = SrgKernel::kScalar}});
-    EXPECT_TRUE(base.exhaustive);
+        index, entry.f, 0, total,
+        ExecPolicy{.threads = 1, .kernel = SrgKernel::kScalar});
+    EXPECT_FALSE(base.stopped);
     for (const SrgKernel kernel : kAllKernels) {
       for (unsigned threads : kThreadCounts) {
         for (unsigned lanes : widths_for(kernel)) {
           const auto got = exhaustive_worst_faults_gray(
-              index, entry.f, SearchExecution{{.threads = threads, .kernel = kernel, .lanes = lanes}});
+              index, entry.f, 0, total,
+              ExecPolicy{.threads = threads, .kernel = kernel, .lanes = lanes});
           SCOPED_TRACE(entry.name + " kernel=" + srg_kernel_name(kernel) +
                        " threads=" + std::to_string(threads) + " lanes=" +
                        std::to_string(lanes));
-          EXPECT_EQ(base.worst_diameter, got.worst_diameter);
-          EXPECT_EQ(base.worst_faults, got.worst_faults);
+          EXPECT_EQ(base.d, got.d);
+          EXPECT_EQ(base.faults, got.faults);
           EXPECT_EQ(base.evaluations, got.evaluations);
-          EXPECT_EQ(base.exhaustive, got.exhaustive);
+          EXPECT_EQ(base.stopped, got.stopped);
         }
       }
     }
@@ -326,21 +329,24 @@ TEST(SrgKernels, AdversaryGrayEarlyStopIdenticalAcrossKernels) {
   RoutingTable t(12, RoutingMode::kBidirectional);
   install_edge_routes(t, gg.graph);
   const SrgIndex index(t);
+  const std::uint64_t total = binomial(12, 2);
   const auto base = exhaustive_worst_faults_gray(
-      index, 2, SearchExecution{{.threads = 1, .kernel = SrgKernel::kScalar}}, /*stop_above=*/6);
-  ASSERT_GT(base.worst_diameter, 6u);
+      index, 2, 0, total, ExecPolicy{.threads = 1, .kernel = SrgKernel::kScalar},
+      /*stop_above=*/6);
+  ASSERT_GT(base.d, 6u);
   ASSERT_LT(base.evaluations, binomial(12, 2));  // the stop actually fired
   for (const SrgKernel kernel : kAllKernels) {
     for (unsigned threads : kThreadCounts) {
       for (unsigned lanes : widths_for(kernel)) {
         const auto got = exhaustive_worst_faults_gray(
-            index, 2, SearchExecution{{.threads = threads, .kernel = kernel, .lanes = lanes}},
+            index, 2, 0, total,
+            ExecPolicy{.threads = threads, .kernel = kernel, .lanes = lanes},
             /*stop_above=*/6);
         SCOPED_TRACE(std::string(srg_kernel_name(kernel)) + " threads=" +
                      std::to_string(threads) + " lanes=" +
                      std::to_string(lanes));
-        EXPECT_EQ(base.worst_diameter, got.worst_diameter);
-        EXPECT_EQ(base.worst_faults, got.worst_faults);
+        EXPECT_EQ(base.d, got.d);
+        EXPECT_EQ(base.faults, got.faults);
         EXPECT_EQ(base.evaluations, got.evaluations);
       }
     }

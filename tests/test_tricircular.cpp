@@ -10,17 +10,10 @@
 #include "fault/adversary.hpp"
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
+#include "lex_oracle.hpp"
 
 namespace ftr {
 namespace {
-
-std::uint32_t exhaustive_worst(const RoutingTable& table, std::size_t f) {
-  return exhaustive_worst_faults(table.num_nodes(), f,
-                                 [&](const std::vector<Node>& faults) {
-                                   return surviving_diameter(table, faults);
-                                 })
-      .worst_diameter;
-}
 
 std::vector<Node> nset(const Graph& g, std::size_t want) {
   Rng rng(555);
@@ -70,7 +63,7 @@ TEST(TriCircular, Theorem13CycleT1Exhaustive) {
   const auto gg = cycle_graph(48);  // t = 1
   const auto tr = build_tricircular_routing(gg.graph, 1, nset(gg.graph, 15),
                                             TriCircularVariant::kFull);
-  EXPECT_LE(exhaustive_worst(tr.table, 1), 4u);
+  EXPECT_LE(lex_worst_diameter(tr.table, 1), 4u);
 }
 
 TEST(TriCircular, Theorem13TorusT3Adversarial) {
@@ -78,14 +71,17 @@ TEST(TriCircular, Theorem13TorusT3Adversarial) {
   const auto gg = torus_graph(13, 13);
   const auto tr = build_tricircular_routing(gg.graph, 3, nset(gg.graph, 27),
                                             TriCircularVariant::kFull);
-  Rng rng(17);
-  const FaultEvaluator eval = [&](const std::vector<Node>& f) {
-    return surviving_diameter(tr.table, f);
+  const FaultEvaluatorFactory make_eval = [&]() -> FaultEvaluator {
+    return [&](const std::vector<Node>& f) {
+      return surviving_diameter(tr.table, f);
+    };
   };
-  const auto sampled = sampled_worst_faults(169, 3, 60, eval, rng);
-  EXPECT_LE(sampled.worst_diameter, 4u);
-  const auto climbed = hillclimb_worst_faults(169, 3, eval, rng, 3, 10);
-  EXPECT_LE(climbed.worst_diameter, 4u);
+  const auto sampled =
+      sampled_worst_faults(169, 3, make_eval, /*seed=*/17, 0, /*samples=*/60);
+  EXPECT_LE(sampled.d, 4u);
+  const auto climbed = hillclimb_worst_faults(169, 3, make_eval, /*seed=*/18,
+                                              0, /*restarts=*/3, 10);
+  EXPECT_LE(climbed.d, 4u);
 }
 
 // ---- Remark 14: (5, t) with the compact concentrator. ----
@@ -94,19 +90,21 @@ TEST(TriCircular, Remark14CycleT1Exhaustive) {
   const auto gg = cycle_graph(30);
   const auto tr = build_tricircular_routing(gg.graph, 1, nset(gg.graph, 9),
                                             TriCircularVariant::kCompact);
-  EXPECT_LE(exhaustive_worst(tr.table, 1), 5u);
+  EXPECT_LE(lex_worst_diameter(tr.table, 1), 5u);
 }
 
 TEST(TriCircular, Remark14TorusT3Sampled) {
   const auto gg = torus_graph(10, 10);  // t = 3: compact K = 15, packing ~20
   const auto tr = build_tricircular_routing(gg.graph, 3, nset(gg.graph, 15),
                                             TriCircularVariant::kCompact);
-  Rng rng(23);
-  const auto res = sampled_worst_faults(
-      100, 3, 60,
-      [&](const std::vector<Node>& f) { return surviving_diameter(tr.table, f); },
-      rng);
-  EXPECT_LE(res.worst_diameter, 5u);
+  const FaultEvaluatorFactory make_eval = [&]() -> FaultEvaluator {
+    return [&](const std::vector<Node>& f) {
+      return surviving_diameter(tr.table, f);
+    };
+  };
+  const auto res =
+      sampled_worst_faults(100, 3, make_eval, /*seed=*/23, 0, /*samples=*/60);
+  EXPECT_LE(res.d, 5u);
 }
 
 TEST(TriCircular, FullBeatsCompactOnBound) {
@@ -117,8 +115,8 @@ TEST(TriCircular, FullBeatsCompactOnBound) {
   const auto compact = build_tricircular_routing(
       gg.graph, 1, nset(gg.graph, 9), TriCircularVariant::kCompact);
   EXPECT_LT(full.claimed_bound(), compact.claimed_bound());
-  EXPECT_LE(exhaustive_worst(full.table, 1), 4u);
-  EXPECT_LE(exhaustive_worst(compact.table, 1), 5u);
+  EXPECT_LE(lex_worst_diameter(full.table, 1), 4u);
+  EXPECT_LE(lex_worst_diameter(compact.table, 1), 5u);
 }
 
 TEST(TriCircular, MemberFaultsStayBounded) {
