@@ -1,13 +1,11 @@
-// Executor microbench: the work-stealing scheduler vs the legacy shared
-// cursor, on uniform and deliberately skewed chunk costs. Skew is where
-// stealing is supposed to pay — e.g. the request router's mixed-f windows,
-// where one table's sweep chunks dwarf its neighbors' checks — while the
-// uniform shape guards against the per-pop deque cost regressing the common
-// sweep path. items_per_second counts work items per wall-clock second
-// (UseRealTime), so on a multi-core host the /threads:N cases show the
-// scaling curve; on a 1-core container the thread cases measure scheduling
-// overhead only (wall-clock scaling is impossible by construction there —
-// see the README bench notes).
+// Executor microbench: the work-stealing scheduler on uniform and
+// deliberately skewed chunk costs. Skew is where stealing is supposed to
+// pay — e.g. the request router's mixed-f windows, where one table's sweep
+// chunks dwarf its neighbors' checks — while the uniform shape guards
+// against the per-pop deque cost regressing the common sweep path.
+// items_per_second counts work items per wall-clock second (UseRealTime),
+// so on a multi-core host the /threads:N cases show the scaling curve; on
+// a 1-core container the thread cases measure scheduling overhead only.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -36,14 +34,13 @@ std::uint64_t spin(std::uint64_t x, std::uint32_t rounds) {
 
 // Per-item cost in xorshift rounds. Uniform: flat. Skewed: the last eighth
 // of the items cost 16x — under the pre-partitioned deques that pins the
-// heavy tail on the last worker until thieves relieve it, the shape a
-// single-cursor loop never exposes.
+// heavy tail on the last worker until thieves relieve it.
 std::uint32_t rounds_for(std::size_t item, bool skewed) {
   if (skewed && item >= kItems - kItems / 8) return 16 * 64;
   return 64;
 }
 
-void run_case(benchmark::State& state, ExecutorKind kind, bool skewed) {
+void run_case(benchmark::State& state, bool skewed) {
   const auto threads = static_cast<unsigned>(state.range(0));
   // Results land keyed by chunk index — the same index-ordered-reduce shape
   // every real caller uses, so the bench exercises the executor's actual
@@ -53,7 +50,7 @@ void run_case(benchmark::State& state, ExecutorKind kind, bool skewed) {
   for (auto _ : state) {
     ExecutorStats stats;
     parallel_for_chunks(
-        kind, kItems, threads, kGrain,
+        kItems, threads, kGrain,
         [&partial, skewed](std::size_t chunk, std::size_t begin,
                            std::size_t end) {
           std::uint64_t acc = 0;
@@ -78,34 +75,16 @@ void run_case(benchmark::State& state, ExecutorKind kind, bool skewed) {
   state.counters["chunks_stolen"] = static_cast<double>(stolen) / iters;
 }
 
-void bench_parallel_executor_cursor_uniform(benchmark::State& state) {
-  run_case(state, ExecutorKind::kCursor, /*skewed=*/false);
-}
 void bench_parallel_executor_steal_uniform(benchmark::State& state) {
-  run_case(state, ExecutorKind::kWorkStealing, /*skewed=*/false);
-}
-void bench_parallel_executor_cursor_skewed(benchmark::State& state) {
-  run_case(state, ExecutorKind::kCursor, /*skewed=*/true);
+  run_case(state, /*skewed=*/false);
 }
 void bench_parallel_executor_steal_skewed(benchmark::State& state) {
-  run_case(state, ExecutorKind::kWorkStealing, /*skewed=*/true);
+  run_case(state, /*skewed=*/true);
 }
 
 // UseRealTime: items_per_second must count wall clock, not main-thread CPU
 // time, or the spawned workers' progress would be invisible.
-BENCHMARK(bench_parallel_executor_cursor_uniform)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime();
 BENCHMARK(bench_parallel_executor_steal_uniform)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime();
-BENCHMARK(bench_parallel_executor_cursor_skewed)
     ->ArgName("threads")
     ->Arg(1)
     ->Arg(2)
@@ -121,7 +100,7 @@ BENCHMARK(bench_parallel_executor_steal_skewed)
 }  // namespace
 
 int main(int argc, char** argv) {
-  ftr::bench::banner("E23", "work-stealing vs cursor chunk executor",
+  ftr::bench::banner("E23", "work-stealing chunk executor",
                      "scheduling substrate for every sweep/serve fan-out");
   return ftr::bench::run_registered_benchmarks(argc, argv);
 }

@@ -2,8 +2,8 @@
 // kernels (fault/srg_engine.hpp) on the exhaustive Gray certification
 // workload — the exhaustive path behind check_tolerance and the CLI's
 // `sweep --exhaustive`:
-//   * scalar — queue BFS + O(delta) strike/unstrike (the previous engine,
-//     kept as the differential oracle);
+//   * scalar — stamped-queue BFS over the per-set rebuilt arc CSR (kept
+//     as the differential oracle);
 //   * bitset — word-packed frontier/visited bitmaps with a direction-
 //     optimizing top-down/bottom-up switch;
 //   * packed — Gray-adjacent fault sets evaluated lane-parallel in

@@ -20,7 +20,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-.}"
-FILTER="${BENCH_FILTER:-surviving_diameter|fault_sweep|componentwise_sweep|gray_vs_rebuild|srg_kernels|table_registry|parallel_executor|dist_sweep}"
+FILTER="${BENCH_FILTER:-surviving_diameter|fault_sweep|componentwise_sweep|srg_kernels|table_registry|parallel_executor|dist_sweep}"
 HOST_CORES="$(nproc 2>/dev/null || echo 1)"
 mkdir -p "${OUT_DIR}"
 
@@ -78,7 +78,7 @@ for bench in "${BENCHES[@]}"; do
   out="${OUT_DIR}/BENCH_${bench#bench_}.json"
   if [[ "${bench}" == "bench_parallel_executor" ]]; then
     # Short name for the baseline the perf trajectory tracks
-    # (cursor-vs-stealing on uniform/skewed chunk costs).
+    # (the stealing executor on uniform/skewed chunk costs).
     out="${OUT_DIR}/BENCH_parallel.json"
   elif [[ "${bench}" == "bench_dist_sweep" ]]; then
     # Short name for the multi-process fan-out overhead baseline.
@@ -92,11 +92,11 @@ for bench in "${BENCHES[@]}"; do
     --benchmark_format=console
     --benchmark_out="${out}"
     --benchmark_out_format=json)
-  # The executor bench is an A/B comparison, so interleave its repetitions
-  # randomly and take more of them: sequential case order would fold slow
-  # machine drift (cgroup throttling, frequency scaling — easily 2x on
-  # shared containers) into whichever scheduler happens to run last. The
-  # later --benchmark_repetitions wins. (Appended conditionally rather than
+  # The executor bench compares uniform against skewed chunk costs, so
+  # interleave its repetitions randomly and take more of them: sequential
+  # case order would fold slow machine drift (cgroup throttling, frequency
+  # scaling — easily 2x on shared containers) into whichever case happens
+  # to run last. The later --benchmark_repetitions wins. (Appended conditionally rather than
   # via an empty-by-default array: bash 3.2 under `set -u` rejects
   # expanding an empty array, and macOS still ships 3.2.)
   if [[ "${bench}" == "bench_parallel_executor" ]]; then

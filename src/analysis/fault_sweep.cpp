@@ -232,7 +232,7 @@ SweepPartial stream_partial_impl(const RoutingTable& table,
     const std::uint64_t base = base_index + partial.sets;
     ExecutorStats batch_stats;
     parallel_for_chunks(
-        options.exec.executor, filled, workers, batch_size,
+        filled, workers, batch_size,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           (void)chunk;
           SrgScratch scratch(index);
@@ -315,14 +315,14 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
     ExecutorStats batch_stats;
     // Packed evaluates up to lane_width() Gray-adjacent sets per
     // bit-parallel pass, but cannot materialize per-set surviving graphs —
-    // delivery sampling degrades it to the incremental (bitset) path.
+    // delivery sampling degrades it to per-set evaluation (bitset).
     // resolved_kernel is the canonical statement of this rule.
     const bool packed =
         options.exec.resolved_kernel(/*gray_adjacent=*/true,
                                      options.delivery_pairs > 0) ==
         SrgKernel::kPacked;
     parallel_for_chunks(
-        options.exec.executor, filled, workers, batch_size,
+        filled, workers, batch_size,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           (void)chunk;
           SrgScratch scratch(index);
@@ -345,27 +345,11 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
             }
             return;
           }
-          std::vector<Node> faults(e.current().begin(), e.current().end());
-          scratch.begin_incremental(faults);
+          std::vector<Node> faults;
           for (std::size_t r = begin; r < end; ++r) {
-            FaultSweepRecord& rec = records[r];
-            const auto res = scratch.evaluate_incremental();
-            rec.diameter = res.diameter;
-            rec.survivors = res.survivors;
-            rec.arcs = res.arcs;
-            rec.delivery = {};
-            if (options.delivery_pairs > 0) {
-              Rng rng = Rng::stream(options.seed, base + r);
-              rec.delivery = measure_delivery_on(
-                  table, scratch.incremental_surviving_graph(),
-                  options.delivery_pairs, rng);
-            }
-            if (r + 1 < end) {
-              e.advance();
-              const GrayTransition& t = e.last_transition();
-              scratch.unstrike(static_cast<Node>(t.out));
-              scratch.strike(static_cast<Node>(t.in));
-            }
+            faults.assign(e.current().begin(), e.current().end());
+            records[r] = evaluate_one(table, scratch, faults, options, base + r);
+            if (r + 1 < end) e.advance();
           }
         },
         &batch_stats);

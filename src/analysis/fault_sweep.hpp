@@ -24,9 +24,11 @@
 // shared generator.
 //
 // sweep_exhaustive_gray is the fast path for "all C(n, f) fault sets": it
-// enumerates in revolving-door order and evaluates each set by an O(delta)
-// strike/unstrike against the incremental SRG kill index, instead of
-// rebuilding the index per set. Its output is bit-identical to streaming an
+// walks the revolving-door enumeration itself and, without delivery
+// sampling, evaluates whole lane blocks of Gray-adjacent sets on the
+// packed kernel. Under a forced scalar/bitset
+// kernel, or with delivery, it evaluates each set by a full rebuild, like
+// the generic engine. Its output is bit-identical to streaming an
 // ExhaustiveGraySource through the generic engine (differentially tested).
 #pragma once
 
@@ -125,7 +127,9 @@ class ExhaustiveGraySource final : public FaultSetSource {
 /// non-numeric tokens (a leading '-' included) or node ids >= n — throw
 /// ContractViolation naming the 1-based line number and the offending
 /// token, so a bad feed fails with a diagnosable error instead of silent
-/// misparsing. An empty file yields an empty stream. This is the
+/// misparsing; so does a line longer than kMaxLineBytes (common/parse.hpp),
+/// which is never buffered whole. An empty file yields an empty stream.
+/// This is the
 /// `ftroute sweep --stdin` reader.
 class IstreamFaultSetSource final : public FaultSetSource {
  public:
@@ -152,8 +156,8 @@ struct FaultSweepProgress {
 };
 
 struct FaultSweepOptions {
-  /// How the sweep executes — threads, kernel, lanes, batch size, executor,
-  /// progress cadence (see common/exec_policy.hpp for the resolution
+  /// How the sweep executes — threads, kernel, lanes, batch size, progress
+  /// cadence (see common/exec_policy.hpp for the resolution
   /// rules). Results never depend on any of it. exec.progress_every
   /// schedules on_progress below: invoked roughly every that many sets
   /// (0 = never), between batches, on the calling thread — it never races
@@ -297,10 +301,10 @@ FaultSweepSummary sweep_fault_source(const RoutingTable& table,
                                      FaultSetSource& source,
                                      const FaultSweepOptions& options = {});
 
-/// Exhaustive sweep over all C(n, f) fault sets in revolving-door order,
-/// evaluated incrementally: each worker chunk seeds the enumeration at its
-/// gray rank, strikes the first subset once, then applies one
-/// strike/unstrike pair per subsequent set. Aggregates are bit-identical to
+/// Exhaustive sweep over all C(n, f) fault sets in revolving-door order:
+/// each worker chunk seeds the enumeration at its gray rank and walks it,
+/// evaluating packed lane blocks when the kernel resolves to kPacked and
+/// one set at a time otherwise. Aggregates are bit-identical to
 /// streaming an ExhaustiveGraySource through sweep_fault_source. Requires
 /// C(n, f) to be representable (no uint64 saturation).
 FaultSweepSummary sweep_exhaustive_gray(const RoutingTable& table,

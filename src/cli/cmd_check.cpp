@@ -36,8 +36,7 @@ const VerbSpec& spec() {
                "per-unit seconds before a hung worker is killed\n"
                "        (default 300, 0 = off)"},
           },
-      .exec_mask = kExecFlagThreads | kExecFlagKernel | kExecFlagLanes |
-                   kExecFlagExecutor,
+      .exec_mask = kExecFlagThreads | kExecFlagKernel | kExecFlagLanes,
       .min_positional = 2,
       .max_positional = 2,
       .notes =

@@ -30,8 +30,9 @@ const VerbSpec& spec() {
               {"--sets", "N", "sampled fault sets (default 1000)"},
               {"--seed", "S", "sampling stream seed (default 7)"},
               {"--exhaustive", nullptr,
-               "sweep all C(n,F) sets (revolving-door incremental\n"
-               "        evaluation)"},
+               "sweep all C(n,F) sets in revolving-door order (packed\n"
+               "        lane blocks; one set at a time under a forced\n"
+               "        scalar/bitset kernel or with --delivery-pairs)"},
               {"--stdin", nullptr,
                "read one fault set per line from stdin (whitespace-\n"
                "        separated node ids, '#' comments)"},

@@ -53,8 +53,8 @@ struct GrayTransition {
 
 /// Revolving-door (Gray-code) enumeration of all k-subsets of {0,...,n-1}:
 /// consecutive subsets differ by exactly one element swap, so a consumer
-/// holding per-element state (the SRG engine's incremental kill index) can
-/// update in O(delta) instead of rebuilding per subset. The order is the
+/// holding per-element state (the SRG engine's packed per-node lane masks)
+/// can update in O(delta) instead of rebuilding per subset. The order is the
 /// classic recursion
 ///
 ///   L(n, k) = L(n-1, k) ++ [S + {n-1} : S in reverse(L(n-1, k-1))]

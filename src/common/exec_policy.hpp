@@ -8,13 +8,11 @@
 // ExecPolicy instead of redeclaring {threads, kernel, lanes, batch} — so a
 // new knob is added HERE, parsed HERE, resolved HERE, and shipped over the
 // wire HERE, and reaches all six layers without touching their option
-// structs. ExecutorKind (PR 5's work-stealing vs shared-cursor scheduler)
-// is the proof knob: it rides this struct from the CLI flag all the way
-// into forked dist workers.
+// structs.
 //
 // Determinism contract: NOTHING in an ExecPolicy may affect any result or
-// any stdout byte. Threads, kernel, lanes, batch size, executor, and
-// progress cadence are pure throughput/telemetry knobs; the differential
+// any stdout byte. Threads, kernel, lanes, batch size, and progress
+// cadence are pure throughput/telemetry knobs; the differential
 // suites and tools/cli_smoke.sh enforce bit-identical output across all of
 // them.
 //
@@ -39,12 +37,10 @@
 //    So `--lanes 64` wins over FTROUTE_FORCE_LANE_WIDTH=512, and the env
 //    var only ever fills an "auto" request. A malformed env value fails
 //    loudly. See common/cpu_features.hpp for the probe.
-//  * executor — no resolution: kWorkStealing is the production scheduler,
-//    kCursor the shared-cursor baseline ("steal"/"cursor" on the CLI).
-//    Both honor the same chunking/index-keyed-results contract, so the
-//    choice is as unobservable as the thread count.
 //  * batch_size / progress_every — taken literally; consumers clamp
 //    batch_size to >= 1 (and the router additionally caps it at 2^20).
+//    progress_every is local to the process that reports progress, so the
+//    wire encoding does not carry it (workers decode it as 0).
 #pragma once
 
 #include <cstddef>
@@ -53,8 +49,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "common/parallel.hpp"
 
 namespace ftr {
 
@@ -70,12 +64,6 @@ const char* srg_kernel_name(SrgKernel kernel);
 /// Inverse of srg_kernel_name; nullopt on unknown names.
 std::optional<SrgKernel> parse_srg_kernel(std::string_view name);
 
-/// "steal" (kWorkStealing) / "cursor" (kCursor).
-const char* executor_kind_name(ExecutorKind kind);
-
-/// Inverse of executor_kind_name; nullopt on unknown names.
-std::optional<ExecutorKind> parse_executor_kind(std::string_view name);
-
 struct ExecPolicy {
   /// Worker threads (0 = all hardware threads, capped at 256).
   unsigned threads = 1;
@@ -86,8 +74,6 @@ struct ExecPolicy {
   unsigned lanes = 0;
   /// Items per worker per batch/window in the streaming engines.
   std::size_t batch_size = 1024;
-  /// Chunk scheduler: work-stealing (production) or shared-cursor.
-  ExecutorKind executor = ExecutorKind::kWorkStealing;
   /// Progress callback cadence in items (0 = never). The callback itself
   /// stays on the consuming option struct (it is not wire-encodable).
   std::uint64_t progress_every = 0;
@@ -118,14 +104,13 @@ enum ExecFlagBit : unsigned {
   kExecFlagKernel = 1u << 1,    // --kernel auto|scalar|bitset|packed
   kExecFlagLanes = 1u << 2,     // --lanes auto|64|128|256|512
   kExecFlagBatch = 1u << 3,     // --batch B
-  kExecFlagExecutor = 1u << 4,  // --executor steal|cursor
-  kExecFlagProgress = 1u << 5,  // --progress-every N
+  kExecFlagProgress = 1u << 4,  // --progress-every N
 };
 
 /// Every evaluating verb's default mask.
-inline constexpr unsigned kExecFlagsAll =
-    kExecFlagThreads | kExecFlagKernel | kExecFlagLanes | kExecFlagBatch |
-    kExecFlagExecutor | kExecFlagProgress;
+inline constexpr unsigned kExecFlagsAll = kExecFlagThreads | kExecFlagKernel |
+                                          kExecFlagLanes | kExecFlagBatch |
+                                          kExecFlagProgress;
 
 /// One registry row: the flag, its value placeholder, and its help line.
 struct ExecFlagInfo {
@@ -166,14 +151,15 @@ std::string exec_policy_usage(unsigned mask);
 // versioned so a future field is an append + version bump here, not a new
 // hand-rolled field in every frame codec.
 
-/// Appends the versioned encoding of `policy` to `out`.
+/// Appends the versioned encoding of `policy` to `out` (every field but
+/// progress_every).
 void encode_exec_policy(const ExecPolicy& policy,
                         std::vector<unsigned char>& out);
 
 /// Decodes one policy from data[pos..), advancing `pos` past it. Strict:
-/// truncation, a version from the future, and out-of-range enum values all
-/// throw (ContractViolation) — a torn frame must never decode into a
-/// plausible policy.
+/// truncation, any version but the current one, and out-of-range enum
+/// values all throw (ContractViolation) — a torn frame must never decode
+/// into a plausible policy.
 ExecPolicy decode_exec_policy(const unsigned char* data, std::size_t size,
                               std::size_t& pos);
 

@@ -78,9 +78,9 @@ void ExecutorStats::accumulate(const ExecutorStats& other) {
 
 namespace {
 
-// Shared error bookkeeping for both executors: once anything failed,
-// remaining chunks are abandoned rather than ground through — the rethrow
-// makes their results unreachable anyway. Among the chunks that did fail,
+// Error bookkeeping: once anything failed, remaining chunks are abandoned
+// rather than ground through — the rethrow makes their results
+// unreachable anyway. Among the chunks that did fail,
 // the lowest index wins the rethrow.
 struct FailureState {
   std::atomic<bool> failed{false};
@@ -112,44 +112,6 @@ struct alignas(64) WorkerDeque {
   std::size_t tail = 0;
   bool stolen_origin = false;
 };
-
-void run_cursor(std::size_t count, std::size_t g, std::size_t chunks,
-                unsigned workers, const ChunkBody& body, ExecutorStats* stats) {
-  std::atomic<std::size_t> cursor{0};
-  FailureState failure(chunks);
-  // Per-worker counters, not a shared atomic: this path is the bench
-  // baseline the stealing executor is compared against, so bookkeeping
-  // must not add a second contended RMW per chunk.
-  std::vector<std::uint64_t> executed(workers, 0);
-
-  const auto worker = [&](unsigned w) {
-    for (;;) {
-      if (failure.failed.load(std::memory_order_relaxed)) return;
-      const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks) return;
-      try {
-        body(c, c * g, std::min(c * g + g, count));
-      } catch (...) {
-        failure.record(c);
-      }
-      ++executed[w];
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned i = 1; i < workers; ++i) {
-    pool.emplace_back([&worker, i] { worker(i); });
-  }
-  worker(0);
-  for (auto& t : pool) t.join();
-
-  if (stats != nullptr) {
-    stats->workers = workers;
-    for (const std::uint64_t e : executed) stats->chunks_local += e;
-  }
-  if (failure.error) std::rethrow_exception(failure.error);
-}
 
 void run_work_stealing(std::size_t count, std::size_t g, std::size_t chunks,
                        unsigned workers, const ChunkBody& body,
@@ -247,9 +209,9 @@ void run_work_stealing(std::size_t count, std::size_t g, std::size_t chunks,
 
 }  // namespace
 
-void parallel_for_chunks(ExecutorKind kind, std::size_t count,
-                         unsigned threads, std::size_t grain,
-                         const ChunkBody& body, ExecutorStats* stats) {
+void parallel_for_chunks(std::size_t count, unsigned threads,
+                         std::size_t grain, const ChunkBody& body,
+                         ExecutorStats* stats) {
   if (stats != nullptr) *stats = {};
   if (count == 0) return;
   const std::size_t g = std::max<std::size_t>(grain, 1);
@@ -267,21 +229,7 @@ void parallel_for_chunks(ExecutorKind kind, std::size_t count,
     return;
   }
 
-  switch (kind) {
-    case ExecutorKind::kCursor:
-      run_cursor(count, g, chunks, workers, body, stats);
-      return;
-    case ExecutorKind::kWorkStealing:
-      run_work_stealing(count, g, chunks, workers, body, stats);
-      return;
-  }
-}
-
-void parallel_for_chunks(std::size_t count, unsigned threads,
-                         std::size_t grain, const ChunkBody& body,
-                         ExecutorStats* stats) {
-  parallel_for_chunks(ExecutorKind::kWorkStealing, count, threads, grain, body,
-                      stats);
+  run_work_stealing(count, g, chunks, workers, body, stats);
 }
 
 }  // namespace ftr

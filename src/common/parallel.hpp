@@ -15,7 +15,7 @@
 //    by item index, not from a shared generator whose consumption order
 //    would depend on scheduling.
 //
-// The default scheduler is a work-stealing executor: the chunk ids are
+// The scheduler is a work-stealing executor: the chunk ids are
 // pre-partitioned into one contiguous interval per worker (a pure function
 // of (chunks, workers) — see steal_partition), each worker drains its own
 // interval from the front, and a worker whose interval runs dry steals the
@@ -30,9 +30,7 @@
 //    and therefore any index-ordered reduce a caller performs;
 //  * NOT deterministic: which worker ultimately runs a chunk (steals depend
 //    on timing) and the ExecutorStats counters. Bodies must not rely on
-//    execution order and must write results keyed by chunk or item index —
-//    the same rule the previous shared-cursor executor imposed, so every
-//    caller's merge logic is executor-agnostic.
+//    execution order and must write results keyed by chunk or item index.
 //
 // parallel_for_chunks is the only primitive; everything above it (adversary
 // searches, tolerance sweeps, recovery sweeps, the CLI `sweep` and `serve`
@@ -98,8 +96,7 @@ struct ExecutorStats {
   /// Chunks executed, split by provenance: a chunk is "local" when the
   /// worker that ran it popped it from its initially assigned interval,
   /// "stolen" when it was popped from an interval obtained by stealing
-  /// (re-steals included). local + stolen = chunks executed (on the cursor
-  /// executor every chunk counts as local).
+  /// (re-steals included). local + stolen = chunks executed.
   std::uint64_t chunks_local = 0;
   std::uint64_t chunks_stolen = 0;
   /// Steal probes issued by idle workers, successful or not.
@@ -110,15 +107,6 @@ struct ExecutorStats {
   /// Folds another call's stats into this one (counters add, workers max):
   /// the shape the per-batch telemetry loops in sweep/serve want.
   void accumulate(const ExecutorStats& other);
-};
-
-/// Scheduler selector, exposed so benches and differential tests can pin
-/// the work-stealing executor against the legacy shared-cursor one. Both
-/// honor the same contract (chunk boundaries, index-keyed results,
-/// exception discipline); they differ only in how chunks meet workers.
-enum class ExecutorKind : std::uint8_t {
-  kCursor,        // single shared atomic claim cursor (the pre-steal model)
-  kWorkStealing,  // per-worker interval deques + back-half stealing
 };
 
 /// Runs `body` over all chunks of [0, count) on `threads` workers (the
@@ -134,13 +122,6 @@ enum class ExecutorKind : std::uint8_t {
 void parallel_for_chunks(std::size_t count, unsigned threads,
                          std::size_t grain, const ChunkBody& body,
                          ExecutorStats* stats = nullptr);
-
-/// parallel_for_chunks with an explicit scheduler. kWorkStealing is the
-/// production path (what the default overload runs); kCursor is retained as
-/// the bench/differential baseline.
-void parallel_for_chunks(ExecutorKind kind, std::size_t count,
-                         unsigned threads, std::size_t grain,
-                         const ChunkBody& body, ExecutorStats* stats = nullptr);
 
 /// Grain heuristic for sweeps: aims for ~8 chunks per worker so scheduling
 /// overhead stays cold, while never exceeding `count`. Uses ceiling

@@ -76,9 +76,9 @@ struct CertifiedRouting {
 /// tolerance sweep harness — the planner's end of the sweep pipeline. The
 /// check fans across check_options.threads workers; the certificate is
 /// bit-identical for any thread count. When the fault budget allows
-/// exhausting C(n, f) the certification runs the revolving-door scan
-/// (incremental strike/unstrike over the shared SRG index) instead of
-/// rebuilding the kill index per fault set.
+/// exhausting C(n, f) the certification runs the revolving-door scan,
+/// evaluating Gray-adjacent fault sets in packed lane blocks over the
+/// shared SRG index.
 CertifiedRouting build_certified_routing(
     const Graph& g, std::optional<std::uint32_t> known_connectivity, Rng& rng,
     const ToleranceCheckOptions& check_options = {});

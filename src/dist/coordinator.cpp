@@ -495,13 +495,10 @@ AdvPartial DistSweepPool::fold_advs(const UnitFeed& feed) {
 }
 
 UnitSpec DistSweepPool::pool_unit(UnitSpec unit) const {
-  // kernel/lanes follow the unit; threads/batch/executor are the pool's
-  // per-worker knobs. Progress is coordinator-side only — workers never
-  // emit it.
+  // kernel/lanes follow the unit; threads/batch are the pool's per-worker
+  // knobs. Progress is coordinator-side only: the wire does not carry it.
   unit.exec.threads = options_.exec.threads;
   unit.exec.batch_size = options_.exec.batch_size;
-  unit.exec.executor = options_.exec.executor;
-  unit.exec.progress_every = 0;
   return unit;
 }
 

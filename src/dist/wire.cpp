@@ -237,6 +237,9 @@ UnitSpec decode_unit(const std::vector<unsigned char>& payload) {
   u.unit_id = r.u64();
   u.begin = r.u64();
   u.end = r.u64();
+  // An inverted window would wrap end - begin into a ~2^64-item unit.
+  FTR_EXPECTS_MSG(u.begin <= u.end, "unit window [" << u.begin << ", " << u.end
+                                                    << ") is inverted");
   u.seed = r.u64();
   u.delivery_pairs = r.u64();
   u.max_steps = r.u64();

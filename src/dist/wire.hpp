@@ -60,7 +60,8 @@ bool pop_frame(std::vector<unsigned char>& buf, WireFrame& out);
 IoStatus read_frame(int fd, WireFrame& out);
 
 // Payload encode/decode. Decoders are strict: truncation, trailing bytes,
-// unknown unit kinds, and counts the remaining bytes cannot hold all throw
+// unknown unit kinds, inverted unit windows (begin > end), and counts the
+// remaining bytes cannot hold all throw
 // ContractViolation before anything is allocated. Result payloads lead
 // with the unit_id they answer.
 std::vector<unsigned char> encode_unit(const UnitSpec& unit);

@@ -58,7 +58,7 @@ AdvPartial chunked_rank_scan(std::uint64_t begin, std::uint64_t end,
 
   ExecutorStats stats;
   parallel_for_chunks(
-      policy.executor, count, threads, grain,
+      count, threads, grain,
       [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end) {
         // A chunk past an already-stopped one will be discarded by the
         // ordered merge, so skipping — or, via `aborted`, bailing out
@@ -166,28 +166,23 @@ AdvPartial exhaustive_worst_faults_gray(const SrgIndex& index, std::size_t f,
         SrgScratch scratch(index);
         scratch.set_kernel(exec.kernel);
         GraySubsetEnumerator e(n, f, begin);
-        std::vector<Node> faults(e.current().begin(), e.current().end());
-        scratch.begin_incremental(faults);
+        std::vector<Node> faults;
         for (std::uint64_t r = begin; r < end; ++r) {
           // A lower chunk stopped: this partial is merge-dead, drop it now.
           if (aborted()) return;
-          const std::uint32_t d = scratch.evaluate_incremental().diameter;
+          faults.assign(e.current().begin(), e.current().end());
+          const std::uint32_t d = scratch.surviving_diameter(faults);
           ++p.evaluations;
           if (!p.any || d > p.d) {
             p.any = true;
             p.d = d;
-            p.faults.assign(e.current().begin(), e.current().end());
+            p.faults = faults;
           }
           if (stop_above != 0 && d > stop_above) {
             p.stopped = true;
             break;
           }
-          if (r + 1 < end) {
-            e.advance();
-            const GrayTransition& t = e.last_transition();
-            scratch.unstrike(static_cast<Node>(t.out));
-            scratch.strike(static_cast<Node>(t.in));
-          }
+          if (r + 1 < end) e.advance();
         }
       });
 }

@@ -71,10 +71,10 @@ struct AdvPartial {
 void merge_adversary_partials(AdvPartial& into, const AdvPartial& next);
 
 /// Ground truth over Gray ranks [begin_rank, end_rank) of the f-subsets of
-/// the index's nodes: each worker applies one strike/unstrike delta per set
-/// against its incremental kill index (packed lanes when exec resolves to
-/// kPacked). `stop_above`, if nonzero, stops at the first set whose
-/// diameter exceeds it. The witness is the first maximum in Gray order.
+/// the index's nodes: each worker walks the enumeration from its chunk's
+/// rank, evaluating packed lane blocks when exec resolves to kPacked and
+/// one set at a time otherwise. `stop_above`, if nonzero, stops at the
+/// first set whose diameter exceeds it. The witness is the first maximum in Gray order.
 AdvPartial exhaustive_worst_faults_gray(const SrgIndex& index, std::size_t f,
                                         std::uint64_t begin_rank,
                                         std::uint64_t end_rank,

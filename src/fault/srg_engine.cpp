@@ -131,8 +131,6 @@ void SrgScratch::reset() {
   std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
   epoch_ = 0;
   bfs_epoch_ = 0;
-  inc_active_ = false;
-  inc_bits_active_ = false;
   bits_valid_ = false;
 }
 
@@ -241,13 +239,13 @@ void SrgScratch::ensure_bits() {
   bits_valid_ = true;
 }
 
-std::uint32_t SrgScratch::bfs_from_bits(const std::uint64_t* succ,
-                                        const std::uint64_t* pred,
-                                        const std::uint64_t* alive,
-                                        std::uint32_t survivors, Node s,
+std::uint32_t SrgScratch::bfs_from_bits(std::uint32_t survivors, Node s,
                                         std::uint32_t* reached_out,
                                         bool fill_dist) {
   const std::size_t W = words_;
+  const std::uint64_t* succ = succ_bits_.data();
+  const std::uint64_t* pred = pred_bits_.data();
+  const std::uint64_t* alive = alive_bits_.data();
   std::fill_n(visited_bits_.data(), W, 0);
   std::fill_n(frontier_bits_.data(), W, 0);
   const std::uint64_t sbit = std::uint64_t{1} << (s & 63);
@@ -324,42 +322,21 @@ std::uint32_t SrgScratch::bfs_from_bits(const std::uint64_t* succ,
   return ecc;
 }
 
-template <typename FaultyFn>
-std::uint32_t SrgScratch::bitset_diameter(const std::uint64_t* succ,
-                                          const std::uint64_t* pred,
-                                          const std::uint64_t* alive,
-                                          std::uint32_t survivors,
-                                          FaultyFn&& faulty) {
-  std::uint32_t diam = 0;
-  for (Node s = 0; s < index_->n_; ++s) {
-    if (faulty(s)) continue;
-    std::uint32_t reached = 0;
-    const std::uint32_t ecc =
-        bfs_from_bits(succ, pred, alive, survivors, s, &reached, false);
-    if (reached < survivors) return kUnreachable;
-    diam = std::max(diam, ecc);
-  }
-  return diam;
-}
-
 SrgScratch::Result SrgScratch::evaluate(std::span<const Node> faults) {
   const std::uint32_t survivors = strike(faults);
   Result res;
   res.survivors = survivors;
   res.arcs = static_cast<std::uint32_t>(arcs_.size());
   if (survivors <= 1) return res;  // diameter 0 by convention
-  if (single_set_kernel() == SrgKernel::kBitset) {
-    ensure_bits();
-    res.diameter = bitset_diameter(
-        succ_bits_.data(), pred_bits_.data(), alive_bits_.data(), survivors,
-        [this](Node v) { return fault_stamp_[v] == epoch_; });
-    return res;
-  }
+  const bool bitset = single_set_kernel() == SrgKernel::kBitset;
+  if (bitset) ensure_bits();
   std::uint32_t diam = 0;
   for (Node s = 0; s < index_->n_; ++s) {
     if (fault_stamp_[s] == epoch_) continue;
     std::uint32_t reached = 0;
-    const std::uint32_t ecc = bfs_from(s, &reached);
+    const std::uint32_t ecc = bitset
+                                  ? bfs_from_bits(survivors, s, &reached, false)
+                                  : bfs_from(s, &reached);
     if (reached < survivors) {
       res.diameter = kUnreachable;
       return res;
@@ -370,205 +347,8 @@ SrgScratch::Result SrgScratch::evaluate(std::span<const Node> faults) {
   return res;
 }
 
-SrgScratch::Result SrgScratch::apply(std::span<const Node> faults) {
-  Result res;
-  res.survivors = strike(faults);
-  res.arcs = static_cast<std::uint32_t>(arcs_.size());
-  return res;
-}
-
 std::uint32_t SrgScratch::surviving_diameter(std::span<const Node> faults) {
   return evaluate(faults).diameter;
-}
-
-// --- incremental (Gray) mode -------------------------------------------------
-
-void SrgScratch::begin_incremental(std::span<const Node> faults) {
-  const SrgIndex& ix = *index_;
-  inc_active_ = true;
-  inc_fault_.assign(ix.n_, 0);
-  inc_route_kill_.assign(ix.route_src_.size(), 0);
-  inc_pair_live_.assign(ix.pair_route_count_.begin(),
-                        ix.pair_route_count_.end());
-  inc_slot_.resize(ix.num_pairs_);
-  inc_adj_.resize(ix.n_);
-  for (auto& list : inc_adj_) list.clear();
-  for (std::uint32_t pid = 0; pid < ix.num_pairs_; ++pid) {
-    auto& list = inc_adj_[ix.pair_src_[pid]];
-    inc_slot_[pid] = static_cast<std::uint32_t>(list.size());
-    list.push_back({ix.pair_dst_[pid], pid});
-  }
-  inc_survivors_ = static_cast<std::uint32_t>(ix.n_);
-  inc_arcs_ = static_cast<std::uint32_t>(ix.num_pairs_);
-  // Latch "maintain bitmaps?" for this incremental session: a scalar-only
-  // walk must not pay the O(n^2 / 8) mirror, and strike()/unstrike() need
-  // one consistent answer for its whole lifetime.
-  inc_bits_active_ = (kernel_ != SrgKernel::kScalar);
-  if (inc_bits_active_) {
-    inc_succ_bits_.assign(ix.n_ * words_, 0);
-    inc_pred_bits_.assign(ix.n_ * words_, 0);
-    inc_alive_bits_.assign(words_, 0);
-    for (Node v = 0; v < ix.n_; ++v) {
-      inc_alive_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
-    }
-    for (std::uint32_t pid = 0; pid < ix.num_pairs_; ++pid) {
-      const Node src = ix.pair_src_[pid];
-      const Node dst = ix.pair_dst_[pid];
-      inc_succ_bits_[src * words_ + (dst >> 6)] |= std::uint64_t{1}
-                                                   << (dst & 63);
-      inc_pred_bits_[dst * words_ + (src >> 6)] |= std::uint64_t{1}
-                                                   << (src & 63);
-    }
-  }
-  for (Node f : faults) strike(f);
-}
-
-void SrgScratch::inc_add_arc(std::uint32_t pair) {
-  const Node src = index_->pair_src_[pair];
-  const Node dst = index_->pair_dst_[pair];
-  auto& list = inc_adj_[src];
-  inc_slot_[pair] = static_cast<std::uint32_t>(list.size());
-  list.push_back({dst, pair});
-  ++inc_arcs_;
-  if (inc_bits_active_) {
-    // Ordered pairs are unique, so arc <-> pair is one-to-one and the bit
-    // flip cannot clobber another pair's arc.
-    inc_succ_bits_[src * words_ + (dst >> 6)] |= std::uint64_t{1} << (dst & 63);
-    inc_pred_bits_[dst * words_ + (src >> 6)] |= std::uint64_t{1} << (src & 63);
-  }
-}
-
-void SrgScratch::inc_remove_arc(std::uint32_t pair) {
-  const Node src = index_->pair_src_[pair];
-  const Node dst = index_->pair_dst_[pair];
-  auto& list = inc_adj_[src];
-  const std::uint32_t slot = inc_slot_[pair];
-  list[slot] = list.back();
-  inc_slot_[list[slot].pair] = slot;
-  list.pop_back();
-  --inc_arcs_;
-  if (inc_bits_active_) {
-    inc_succ_bits_[src * words_ + (dst >> 6)] &=
-        ~(std::uint64_t{1} << (dst & 63));
-    inc_pred_bits_[dst * words_ + (src >> 6)] &=
-        ~(std::uint64_t{1} << (src & 63));
-  }
-}
-
-void SrgScratch::strike(Node v) {
-  const SrgIndex& ix = *index_;
-  FTR_EXPECTS_MSG(inc_active_, "begin_incremental() first");
-  FTR_EXPECTS_MSG(v < ix.n_, "fault " << v << " out of range");
-  FTR_EXPECTS_MSG(!inc_fault_[v], "node " << v << " already faulty");
-  inc_fault_[v] = 1;
-  --inc_survivors_;
-  if (inc_bits_active_) {
-    inc_alive_bits_[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
-  }
-  for (std::uint32_t i = ix.node_route_off_[v]; i < ix.node_route_off_[v + 1];
-       ++i) {
-    const std::uint32_t r = ix.node_route_ids_[i];
-    if (inc_route_kill_[r]++ != 0) continue;  // already dead via another fault
-    const std::uint32_t pid = ix.route_pair_[r];
-    if (--inc_pair_live_[pid] == 0) inc_remove_arc(pid);
-  }
-}
-
-void SrgScratch::unstrike(Node v) {
-  const SrgIndex& ix = *index_;
-  FTR_EXPECTS_MSG(inc_active_, "begin_incremental() first");
-  FTR_EXPECTS_MSG(v < ix.n_, "fault " << v << " out of range");
-  FTR_EXPECTS_MSG(inc_fault_[v], "node " << v << " is not faulty");
-  inc_fault_[v] = 0;
-  ++inc_survivors_;
-  if (inc_bits_active_) {
-    inc_alive_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
-  }
-  for (std::uint32_t i = ix.node_route_off_[v]; i < ix.node_route_off_[v + 1];
-       ++i) {
-    const std::uint32_t r = ix.node_route_ids_[i];
-    if (--inc_route_kill_[r] != 0) continue;  // still dead via another fault
-    const std::uint32_t pid = ix.route_pair_[r];
-    if (inc_pair_live_[pid]++ == 0) inc_add_arc(pid);
-  }
-}
-
-std::uint32_t SrgScratch::bfs_from_inc(Node s, std::uint32_t* reached_out) {
-  ++bfs_epoch_;
-  if (bfs_epoch_ == 0) {  // same wraparound discipline as bfs_from()
-    std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-    bfs_epoch_ = 1;
-  }
-  queue_.clear();
-  queue_.push_back(s);
-  seen_stamp_[s] = bfs_epoch_;
-  dist_[s] = 0;
-  std::uint32_t reached = 1;
-  std::uint32_t ecc = 0;
-  for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
-    const Node u = queue_[qi];
-    const std::uint32_t du = dist_[u];
-    for (const IncArc& arc : inc_adj_[u]) {
-      const Node v = arc.dst;
-      if (seen_stamp_[v] == bfs_epoch_) continue;
-      seen_stamp_[v] = bfs_epoch_;
-      dist_[v] = du + 1;
-      ecc = du + 1;
-      ++reached;
-      queue_.push_back(v);
-    }
-  }
-  if (reached_out != nullptr) *reached_out = reached;
-  return ecc;
-}
-
-SrgScratch::Result SrgScratch::evaluate_incremental() {
-  FTR_EXPECTS_MSG(inc_active_, "begin_incremental() first");
-  Result res;
-  res.survivors = inc_survivors_;
-  res.arcs = inc_arcs_;
-  if (inc_survivors_ <= 1) return res;  // diameter 0 by convention
-  if (inc_bits_active_ && single_set_kernel() == SrgKernel::kBitset) {
-    res.diameter = bitset_diameter(
-        inc_succ_bits_.data(), inc_pred_bits_.data(), inc_alive_bits_.data(),
-        inc_survivors_, [this](Node v) { return inc_fault_[v] != 0; });
-    return res;
-  }
-  std::uint32_t diam = 0;
-  for (Node s = 0; s < index_->n_; ++s) {
-    if (inc_fault_[s]) continue;
-    std::uint32_t reached = 0;
-    const std::uint32_t ecc = bfs_from_inc(s, &reached);
-    if (reached < inc_survivors_) {
-      res.diameter = kUnreachable;
-      return res;
-    }
-    diam = std::max(diam, ecc);
-  }
-  res.diameter = diam;
-  return res;
-}
-
-Digraph SrgScratch::incremental_surviving_graph() const {
-  FTR_EXPECTS_MSG(inc_active_, "begin_incremental() first");
-  const SrgIndex& ix = *index_;
-  Digraph r(ix.n_);
-  for (Node v = 0; v < ix.n_; ++v) {
-    if (inc_fault_[v]) r.remove_node(v);
-  }
-  // Arcs in route-id order, one per pair at its FIRST live route — the
-  // exact insertion order strike()+last_surviving_graph() produces, so
-  // order-sensitive consumers see identical digraphs on both paths.
-  inc_emitted_.assign(ix.num_pairs_, 0);  // member buffer: no per-set alloc
-  const std::size_t num_routes = ix.route_src_.size();
-  for (std::uint32_t rt = 0; rt < num_routes; ++rt) {
-    if (inc_route_kill_[rt] != 0) continue;
-    const std::uint32_t pid = ix.route_pair_[rt];
-    if (inc_emitted_[pid]) continue;
-    inc_emitted_[pid] = 1;
-    r.add_arc(ix.route_src_[rt], ix.route_dst_[rt]);
-  }
-  return r;
 }
 
 // --- packed wide-lane Gray mode ----------------------------------------------
@@ -717,8 +497,7 @@ std::uint32_t SrgScratch::componentwise_diameter(
     ensure_bits();
     for (Node s = 0; s < index_->n_; ++s) {
       if (fault_stamp_[s] == epoch_) continue;
-      bfs_from_bits(succ_bits_.data(), pred_bits_.data(), alive_bits_.data(),
-                    survivors, s, nullptr, /*fill_dist=*/true);
+      bfs_from_bits(survivors, s, nullptr, /*fill_dist=*/true);
       for (Node t = 0; t < index_->n_; ++t) {
         if (t == s || fault_stamp_[t] == epoch_ || comp[t] != comp[s]) continue;
         if ((visited_bits_[t >> 6] & (std::uint64_t{1} << (t & 63))) == 0) {

@@ -31,16 +31,11 @@
 //  * BFS runs over the scratch CSR with stamped distance arrays and a flat
 //    queue — no allocation after the first evaluation.
 //
-// On top of the per-set full-rebuild path, SrgScratch has an INCREMENTAL
-// mode for enumerations that visit fault sets by one-element deltas (the
-// revolving-door exhaustive sweep): begin_incremental() seeds a fault set,
-// strike(v)/unstrike(v) apply a delta in O(routes through v) by maintaining
-// exact counts (per-route fault counts, per-pair live-route counts, a
-// per-source live-arc adjacency with O(1) insert/remove) instead of
-// re-deriving the kill index from scratch. evaluate_incremental() answers
-// the same Result a full-rebuild evaluate() would on the same fault set —
-// the differential tests in tests/test_srg_engine.cpp pin the two paths
-// together.
+// There are two evaluation paths: evaluate() rebuilds the kill index and
+// arc CSR for one fault set (any kernel), and evaluate_gray_block() runs
+// the packed kernel over a block of Gray-adjacent sets. Exhaustive scans
+// under a forced scalar/bitset kernel, or with per-set delivery, walk the
+// Gray enumeration and call evaluate() on each set.
 //
 // Semantics match fault/surviving.cpp exactly: an arc x -> y survives iff
 // some route rho(x, y) avoids every fault (endpoints included), and the
@@ -58,8 +53,7 @@
 //    direction-optimizing (top-down/bottom-up) switch driven by frontier
 //    density. The surviving route graphs are dense-frontier for most of
 //    each BFS, exactly the regime where bottom-up's "scan unvisited nodes,
-//    test predecessor rows" wins. On the incremental path the adjacency
-//    bitmaps are maintained O(delta) by strike()/unstrike().
+//    test predecessor rows" wins.
 //  * kPacked — evaluate_gray_block(): up to lane_width() adjacent
 //    revolving-door fault sets evaluated against one W-word lane block at a
 //    time (W in {1,2,4,8} words -> 64/128/256/512 lanes; set_lane_width()
@@ -166,13 +160,9 @@ class SrgScratch {
   const SrgIndex& index() const { return *index_; }
   std::size_t num_nodes() const { return index_->num_nodes(); }
 
-  /// Selects the BFS kernel for evaluate()/evaluate_incremental()/
-  /// componentwise_diameter(). kAuto and kPacked run single-set evaluations
-  /// on the bitset kernel (packed only applies to evaluate_gray_block()).
-  /// Takes effect immediately on the full-rebuild path; the incremental
-  /// path latches "maintain bitmaps?" at begin_incremental(), so switching
-  /// scalar -> bitset mid-walk keeps evaluating scalar until the next
-  /// begin_incremental() (results are identical either way).
+  /// Selects the BFS kernel for evaluate()/componentwise_diameter(). kAuto
+  /// and kPacked run single-set evaluations on the bitset kernel (packed
+  /// only applies to evaluate_gray_block()). Takes effect immediately.
   void set_kernel(SrgKernel kernel) { kernel_ = kernel; }
   SrgKernel kernel() const { return kernel_; }
 
@@ -198,11 +188,6 @@ class SrgScratch {
   /// ids must be < num_nodes() (duplicates are tolerated).
   Result evaluate(std::span<const Node> faults);
 
-  /// Strikes the fault set and reports survivors/arcs WITHOUT measuring the
-  /// diameter (left 0) — the kill-index application alone. Benchmarks use
-  /// this to time the phase the incremental mode replaces.
-  Result apply(std::span<const Node> faults);
-
   /// diam R(G, rho)/F — the batched counterpart of ftr::surviving_diameter.
   std::uint32_t surviving_diameter(std::span<const Node> faults);
 
@@ -223,44 +208,6 @@ class SrgScratch {
   /// construction or reset().
   Digraph last_surviving_graph() const;
 
-  // --- incremental (Gray) mode ---------------------------------------------
-  // For enumerations that visit fault sets by one-element deltas. The mode
-  // keeps its own exact-count state, fully independent of the epoch-stamped
-  // full-rebuild path above: interleaving evaluate() calls neither corrupts
-  // nor is corrupted by it. All incremental state is (re)built by
-  // begin_incremental().
-
-  /// Enters incremental mode with `faults` as the current fault set
-  /// (ids < num_nodes(), duplicates rejected by contract). Cost is one
-  /// O(routes + pairs) re-initialization plus one strike per fault —
-  /// amortize it over a chunk of delta steps.
-  void begin_incremental(std::span<const Node> faults);
-
-  bool incremental_active() const { return inc_active_; }
-
-  /// Adds fault v to the current set in O(routes through v). v must not be
-  /// faulty already.
-  void strike(Node v);
-
-  /// Removes fault v from the current set in O(routes through v). v must be
-  /// faulty.
-  void unstrike(Node v);
-
-  /// Survivor / surviving-arc counts of the current incremental fault set,
-  /// maintained by the deltas (no recomputation).
-  std::uint32_t incremental_survivors() const { return inc_survivors_; }
-  std::uint32_t incremental_arcs() const { return inc_arcs_; }
-
-  /// Full Result (diameter via BFS over the maintained live arcs) for the
-  /// current incremental fault set. Identical to evaluate() on that set.
-  Result evaluate_incremental();
-
-  /// Materializes the surviving route graph of the current incremental
-  /// fault set, with arcs in the same canonical (route-id) order as
-  /// last_surviving_graph() — so downstream order-sensitive consumers
-  /// (delivery simulation) see bit-identical graphs on both paths.
-  Digraph incremental_surviving_graph() const;
-
   // --- packed wide-lane Gray mode ------------------------------------------
 
   /// Evaluates `count` (1..lane_width()) CONSECUTIVE revolving-door fault
@@ -268,8 +215,8 @@ class SrgScratch {
   /// return on the i-th set. The enumerator must be positioned on the first
   /// set of the block over this index's node universe; the call advances it
   /// by count - 1 steps (so the caller advances once more between blocks).
-  /// Independent of both the epoch-stamped and the incremental state —
-  /// interleaving is safe. Runs the packed kernel regardless of
+  /// Independent of the epoch-stamped state — interleaving with evaluate()
+  /// is safe. Runs the packed kernel regardless of
   /// set_kernel(); callers gate on it.
   void evaluate_gray_block(GraySubsetEnumerator& e, std::size_t count,
                            Result* out);
@@ -302,22 +249,12 @@ class SrgScratch {
   // the bitset kernel's view of the full-rebuild path. Lazy and gated on
   // the kernel so the scalar oracle never pays for it.
   void ensure_bits();
-  // Direction-optimizing bitset BFS over the given n*words_ succ/pred rows
-  // and alive mask. Returns the eccentricity among reached survivors,
+  // Direction-optimizing bitset BFS over the succ/pred/alive bitmaps
+  // ensure_bits() built. Returns the eccentricity among reached survivors,
   // stores the reached count, and leaves visited_bits_ (and dist_, when
   // fill_dist) describing the traversal.
-  std::uint32_t bfs_from_bits(const std::uint64_t* succ,
-                              const std::uint64_t* pred,
-                              const std::uint64_t* alive,
-                              std::uint32_t survivors, Node s,
+  std::uint32_t bfs_from_bits(std::uint32_t survivors, Node s,
                               std::uint32_t* reached_out, bool fill_dist);
-  // Shared diameter loop over all surviving sources for the bitset kernel;
-  // `faulty(v)` must match the path's notion of "currently faulty".
-  template <typename FaultyFn>
-  std::uint32_t bitset_diameter(const std::uint64_t* succ,
-                                const std::uint64_t* pred,
-                                const std::uint64_t* alive,
-                                std::uint32_t survivors, FaultyFn&& faulty);
   void ensure_packed_state();
 
   const SrgIndex* index_;
@@ -338,18 +275,12 @@ class SrgScratch {
   std::vector<Node> queue_;
 
   // Bitset-kernel state. words_ = ceil(n / 64); succ/pred rows are n *
-  // words_ bitmaps. The full-rebuild bitmaps (succ_bits_ etc.) are rebuilt
-  // lazily per strike; the inc_* bitmaps mirror the incremental adjacency
-  // and are maintained O(delta) when inc_bits_active_.
+  // words_ bitmaps, rebuilt lazily per strike.
   std::size_t words_ = 0;
   bool bits_valid_ = false;
   std::vector<std::uint64_t> succ_bits_;      // n * words_ (lazy)
   std::vector<std::uint64_t> pred_bits_;      // n * words_ (lazy)
   std::vector<std::uint64_t> alive_bits_;     // words_
-  bool inc_bits_active_ = false;
-  std::vector<std::uint64_t> inc_succ_bits_;  // n * words_
-  std::vector<std::uint64_t> inc_pred_bits_;  // n * words_
-  std::vector<std::uint64_t> inc_alive_bits_;
   std::vector<std::uint64_t> visited_bits_;   // words_, per BFS
   std::vector<std::uint64_t> frontier_bits_;  // words_
   std::vector<std::uint64_t> next_bits_;      // words_
@@ -380,27 +311,6 @@ class SrgScratch {
   std::vector<std::uint32_t> pk_diam_;          // 64*W
   std::vector<std::uint32_t> pk_ecc_;           // 64*W BFS scratch
   std::vector<std::uint64_t> pk_disconnected_;  // W words
-
-  // Incremental-mode state: exact counts plus a per-source live-arc
-  // adjacency. inc_slot_ records each live pair's position in its source
-  // list so removal is a swap-with-back.
-  void inc_add_arc(std::uint32_t pair);
-  void inc_remove_arc(std::uint32_t pair);
-  std::uint32_t bfs_from_inc(Node s, std::uint32_t* reached_out);
-
-  struct IncArc {
-    Node dst;
-    std::uint32_t pair;
-  };
-  bool inc_active_ = false;
-  std::vector<std::uint8_t> inc_fault_;        // node -> currently faulty?
-  std::vector<std::uint32_t> inc_route_kill_;  // route -> #faults on it
-  std::vector<std::uint32_t> inc_pair_live_;   // pair -> #live routes
-  std::vector<std::vector<IncArc>> inc_adj_;   // src -> live arcs
-  std::vector<std::uint32_t> inc_slot_;        // pair -> index in src list
-  mutable std::vector<std::uint8_t> inc_emitted_;  // materialization scratch
-  std::uint32_t inc_survivors_ = 0;
-  std::uint32_t inc_arcs_ = 0;
 };
 
 /// Single-threaded batching facade: one shared, immutable SrgIndex plus one

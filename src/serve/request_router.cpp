@@ -182,15 +182,16 @@ ServeRequest parse_request_line(const std::string& line, std::size_t line_no) {
 }
 
 bool IstreamRequestSource::next(ServeRequest& out) {
-  if (!next_data_line(*in_, line_, line_no_)) return false;
   try {
+    if (!next_data_line(*in_, line_, line_no_)) return false;
     out = parse_request_line(line_, line_no_);
   } catch (const std::exception& e) {
-    // A malformed line is answered as a deterministic error response at
-    // its request index, not thrown mid-window: a throw here would cut
-    // the stream at a point that depends on threads * batch_size (how
-    // many windows already flushed), breaking the bit-identical-stdout
-    // contract for the well-formed requests around it.
+    // A malformed or over-long line is answered as a deterministic error
+    // response at its request index, not thrown mid-window: a throw here
+    // would cut the stream at a point that depends on threads * batch_size
+    // (how many windows already flushed), breaking the bit-identical-stdout
+    // contract for the well-formed requests around it. next_data_line has
+    // already skipped past the over-long line, so reading continues.
     out = ServeRequest{};
     out.line = line_no_;
     out.parse_error = e.what();
@@ -242,7 +243,6 @@ std::string execute_request(const ServeRequest& request,
       opts.exec.threads = 1;
       opts.exec.kernel = policy.kernel;
       opts.exec.lanes = policy.lanes;
-      opts.exec.executor = policy.executor;
       // Pre-seed the hill-climber from the entry's cached route-load
       // ranking — the same top-f set check_tolerance would otherwise
       // re-rank the whole table to derive, once per request.
@@ -276,7 +276,6 @@ std::string execute_request(const ServeRequest& request,
       opts.exec.threads = 1;
       opts.exec.kernel = policy.kernel;
       opts.exec.lanes = policy.lanes;
-      opts.exec.executor = policy.executor;
       opts.seed = request.seed;
       opts.delivery_pairs = request.pairs;
       FaultSweepSummary summary;
@@ -460,7 +459,7 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
 
     ExecutorStats window_stats;
     parallel_for_chunks(
-        options.exec.executor, order.size(), workers, batch_size,
+        order.size(), workers, batch_size,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           (void)chunk;
           // The worker's scratch slot; execute_request fills it lazily on

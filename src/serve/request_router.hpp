@@ -92,6 +92,8 @@ class RequestSource {
 };
 
 /// Line-delimited text feed (the CLI's `serve --requests FILE | --stdin`).
+/// A malformed or over-long (> kMaxLineBytes) line yields a request whose
+/// parse_error is set, so it is answered in place and the stream goes on.
 class IstreamRequestSource final : public RequestSource {
  public:
   explicit IstreamRequestSource(std::istream& in) : in_(&in) {}

@@ -61,7 +61,7 @@ std::vector<ComponentwiseDiameter> componentwise_sweep(
   const unsigned threads = policy.resolved_threads();
   std::vector<ComponentwiseDiameter> out(fault_sets.size());
   parallel_for_chunks(
-      policy.executor, fault_sets.size(), threads,
+      fault_sets.size(), threads,
       sweep_grain(fault_sets.size(), threads),
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         (void)chunk;

@@ -87,7 +87,6 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   u.exec.kernel = SrgKernel::kBitset;
   u.exec.threads = 2;
   u.exec.lanes = 128;
-  u.exec.executor = ExecutorKind::kCursor;
   u.sets = {{1, 2, 3}, {4, 5}};
   u.climb_seeds = {{9, 8, 7}};
   const UnitSpec d = decode_unit(encode_unit(u));
@@ -104,7 +103,6 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   EXPECT_EQ(d.exec.kernel, u.exec.kernel);
   EXPECT_EQ(d.exec.threads, u.exec.threads);
   EXPECT_EQ(d.exec.lanes, u.exec.lanes);
-  EXPECT_EQ(d.exec.executor, u.exec.executor);
   EXPECT_EQ(d.sets, u.sets);
   EXPECT_EQ(d.climb_seeds, u.climb_seeds);
 
@@ -202,6 +200,22 @@ TEST(DistWire, UnknownUnitKindsAreRejected) {
     for (int i = 0; i < 4; ++i) payload[i] = (kind >> (8 * i)) & 0xff;
     EXPECT_THROW(decode_unit(payload), ContractViolation) << "kind " << kind;
   }
+}
+
+// begin > end would wrap end - begin into a ~2^64-set window (a sampled
+// unit would walk it instead of failing), so decode refuses it. An empty
+// window (begin == end) is legal.
+TEST(DistWire, InvertedWindowIsRejected) {
+  UnitSpec u;
+  u.kind = UnitKind::kSweepSampled;
+  u.f = 2;
+  u.begin = 10;
+  u.end = 3;
+  EXPECT_THROW(decode_unit(encode_unit(u)), ContractViolation);
+  u.end = u.begin;
+  const UnitSpec d = decode_unit(encode_unit(u));
+  EXPECT_EQ(d.begin, 10u);
+  EXPECT_EQ(d.end, 10u);
 }
 
 // The merge authority: folding window partials in order must equal the

@@ -66,16 +66,6 @@ TEST(ExecPolicy, KernelNamesRoundTrip) {
   EXPECT_FALSE(parse_srg_kernel("").has_value());
 }
 
-TEST(ExecPolicy, ExecutorNamesRoundTrip) {
-  for (ExecutorKind e : {ExecutorKind::kWorkStealing, ExecutorKind::kCursor}) {
-    const auto parsed = parse_executor_kind(executor_kind_name(e));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, e);
-  }
-  EXPECT_FALSE(parse_executor_kind("greedy").has_value());
-  EXPECT_FALSE(parse_executor_kind("").has_value());
-}
-
 // ---- flag registry ----------------------------------------------------------
 
 TEST(ExecPolicy, RegistryCoversEveryBitExactlyOnce) {
@@ -92,9 +82,8 @@ TEST(ExecPolicy, RegistryCoversEveryBitExactlyOnce) {
 
 TEST(ExecPolicy, ParseFlagsFillEveryField) {
   const std::vector<std::string> args = {
-      "--threads", "4",  "--kernel",         "packed", "--lanes", "256",
-      "--batch",   "9",  "--executor",       "cursor", "--progress-every",
-      "5"};
+      "--threads", "4", "--kernel",         "packed", "--lanes", "256",
+      "--batch",   "9", "--progress-every", "5"};
   ExecPolicy p;
   for (std::size_t i = 0; i < args.size();) {
     const ExecFlagParse r = parse_exec_flag(kExecFlagsAll, args, i, p);
@@ -105,7 +94,6 @@ TEST(ExecPolicy, ParseFlagsFillEveryField) {
   EXPECT_EQ(p.kernel, SrgKernel::kPacked);
   EXPECT_EQ(p.lanes, 256u);
   EXPECT_EQ(p.batch_size, 9u);
-  EXPECT_EQ(p.executor, ExecutorKind::kCursor);
   EXPECT_EQ(p.progress_every, 5u);
 }
 
@@ -133,9 +121,6 @@ TEST(ExecPolicy, ParseFlagRejectsMissingAndBadValues) {
   const std::vector<std::string> bad_lanes = {"--lanes", "96"};
   EXPECT_THROW(parse_exec_flag(kExecFlagsAll, bad_lanes, 0, p),
                std::runtime_error);
-  const std::vector<std::string> bad_exec = {"--executor", "greedy"};
-  EXPECT_THROW(parse_exec_flag(kExecFlagsAll, bad_exec, 0, p),
-               std::runtime_error);
   const std::vector<std::string> huge = {"--threads", "4294967296"};
   EXPECT_THROW(parse_exec_flag(kExecFlagsAll, huge, 0, p), std::runtime_error);
 }
@@ -149,7 +134,6 @@ TEST(ExecPolicy, UsageMentionsExactlyTheMaskedFlags) {
   EXPECT_NE(some.find("--threads"), std::string::npos);
   EXPECT_NE(some.find("--lanes"), std::string::npos);
   EXPECT_EQ(some.find("--batch"), std::string::npos);
-  EXPECT_EQ(some.find("--executor"), std::string::npos);
 }
 
 // ---- resolution -------------------------------------------------------------
@@ -217,16 +201,16 @@ TEST(ExecPolicy, AutoLanesWithoutPinMatchTheProbe) {
 
 // ---- wire encoding ----------------------------------------------------------
 
-TEST(ExecPolicyWire, RoundTripsEveryField) {
+TEST(ExecPolicyWire, RoundTripsEveryWireField) {
   ExecPolicy p;
   p.threads = 7;
   p.kernel = SrgKernel::kPacked;
   p.lanes = 512;
   p.batch_size = 12345;
-  p.executor = ExecutorKind::kCursor;
-  p.progress_every = 99;
+  p.progress_every = 99;  // process-local: not on the wire
   std::vector<unsigned char> buf;
   encode_exec_policy(p, buf);
+  EXPECT_EQ(buf.size(), 4u + 4u + 1u + 4u + 8u);
   std::size_t pos = 0;
   const ExecPolicy d = decode_exec_policy(buf.data(), buf.size(), pos);
   EXPECT_EQ(pos, buf.size());
@@ -234,8 +218,7 @@ TEST(ExecPolicyWire, RoundTripsEveryField) {
   EXPECT_EQ(d.kernel, p.kernel);
   EXPECT_EQ(d.lanes, p.lanes);
   EXPECT_EQ(d.batch_size, p.batch_size);
-  EXPECT_EQ(d.executor, p.executor);
-  EXPECT_EQ(d.progress_every, p.progress_every);
+  EXPECT_EQ(d.progress_every, 0u);
 }
 
 TEST(ExecPolicyWire, DecodeStopsAtTheBlobEnd) {
@@ -262,20 +245,37 @@ TEST(ExecPolicyWire, EveryTruncationThrows) {
 TEST(ExecPolicyWire, FutureVersionThrows) {
   std::vector<unsigned char> buf;
   encode_exec_policy(ExecPolicy{}, buf);
-  buf[0] = 2;  // LE version word -> version 2
+  buf[0] = 3;  // LE version word -> version 3
   std::size_t pos = 0;
   EXPECT_THROW((void)decode_exec_policy(buf.data(), buf.size(), pos),
                ContractViolation);
 }
 
+// A v1 blob (which also carried an executor byte and progress_every) is
+// refused outright rather than half-decoded.
+TEST(ExecPolicyWire, V1BlobIsRejected) {
+  // u32 version=1 | u32 threads | u8 kernel | u32 lanes | u64 batch |
+  // u8 executor | u64 progress_every.
+  std::vector<unsigned char> v1(4 + 4 + 1 + 4 + 8 + 1 + 8, 0);
+  v1[0] = 1;
+  v1[4] = 1;  // threads = 1
+  std::size_t pos = 0;
+  try {
+    (void)decode_exec_policy(v1.data(), v1.size(), pos);
+    FAIL() << "v1 blob decoded";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1 not understood"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ExecPolicyWire, OutOfRangeEnumBytesThrow) {
   std::vector<unsigned char> buf;
   encode_exec_policy(ExecPolicy{}, buf);
-  // Layout: u32 version | u32 threads | u8 kernel | u32 lanes | u64 batch |
-  // u8 executor | u64 progress.
+  // Layout: u32 version | u32 threads | u8 kernel | u32 lanes | u64 batch.
   const std::size_t kernel_at = 8;
   const std::size_t lanes_at = 9;
-  const std::size_t executor_at = 21;
   auto corrupt = [&](std::size_t at, unsigned char v) {
     std::vector<unsigned char> c = buf;
     c[at] = v;
@@ -286,7 +286,6 @@ TEST(ExecPolicyWire, OutOfRangeEnumBytesThrow) {
   };
   corrupt(kernel_at, 200);   // kernel byte past kPacked
   corrupt(lanes_at, 3);      // lanes = 3: not 0/64/128/256/512
-  corrupt(executor_at, 9);   // executor byte past kWorkStealing
 }
 
 // ---- adoption differential --------------------------------------------------
@@ -300,7 +299,6 @@ TEST(ExecPolicyAdoption, DefaultsMatchPreRefactorValues) {
   EXPECT_EQ(def.kernel, SrgKernel::kAuto);
   EXPECT_EQ(def.lanes, 0u);
   EXPECT_EQ(def.batch_size, 1024u);
-  EXPECT_EQ(def.executor, ExecutorKind::kWorkStealing);
   EXPECT_EQ(def.progress_every, 0u);
 
   const FaultSweepOptions sweep;

@@ -4,11 +4,11 @@
 //
 //  * streaming a source == materializing the same sets and batch-sweeping
 //    them, for any thread count and any batch size;
-//  * sweep_exhaustive_gray (incremental strike/unstrike evaluation) is
-//    bit-identical — histograms, verdicts, worst witness, delivery — to
-//    pushing an ExhaustiveGraySource through the generic full-rebuild
-//    engine, on kernel / circular / tri-circular tables, threads {1, 2, 8},
-//    f in {1, 2, 3};
+//  * sweep_exhaustive_gray (packed lane blocks, or one set at a time under
+//    a forced kernel or delivery) is bit-identical — histograms, verdicts,
+//    worst witness, delivery — to pushing an ExhaustiveGraySource through
+//    the generic engine, on kernel / circular / tri-circular tables,
+//    kernels {auto, bitset, scalar}, threads {1, 2, 8}, f in {1, 2, 3};
 //  * the line-delimited istream feed reproduces the materialized sweep.
 #include "analysis/fault_sweep.hpp"
 
@@ -194,6 +194,24 @@ TEST(FaultSetSource, IstreamErrorsNameTheLineAndToken) {
                           "out of range");
 }
 
+// A newline-free feed must not be buffered whole: the reader stops at
+// kMaxLineBytes and fails naming the line.
+TEST(FaultSetSource, IstreamRejectsAnOverLongLine) {
+  std::istringstream in("1 2\n" + std::string(4u << 20, '7'));
+  IstreamFaultSetSource source(in, 10);
+  std::vector<Node> out;
+  ASSERT_TRUE(source.next(out));
+  EXPECT_EQ(out, (std::vector<Node>{1, 2}));
+  try {
+    source.next(out);
+    FAIL() << "over-long line accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2 is longer than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- streaming engine vs materialized path ----------------------------------
 
 TEST(FaultStream, StreamingMatchesMaterializedAcrossThreadsAndBatches) {
@@ -290,21 +308,23 @@ TEST(FaultStream, ProgressFiresBetweenBatches) {
   EXPECT_EQ(reported.back(), 64u);  // the final batch reports completion
 }
 
-// --- the Gray fast path vs the full-rebuild path -----------------------------
+// --- the Gray fast path vs the generic engine --------------------------------
 
-// THE acceptance differential: the incremental revolving-door sweep and the
-// generic engine fed the same enumeration must agree bit for bit on every
-// aggregate, across the three construction families, f in {1, 2, 3}, and
-// threads {1, 2, 8}.
-TEST(FaultStream, GrayIncrementalSweepBitIdenticalToFullRebuild) {
+// THE acceptance differential: the revolving-door sweep and the generic
+// engine fed the same enumeration must agree bit for bit on every
+// aggregate, across the three construction families, f in {1, 2, 3},
+// kernels {auto, bitset, scalar}, and threads {1, 2, 8}. Delivery (which
+// turns packed off and materializes each set's surviving graph) runs at
+// f = 1 everywhere and at f = 2 on the kernel table.
+TEST(FaultStream, GraySweepMatchesGenericEngine) {
   for (const auto& entry : construction_tables()) {
     const SrgIndex index(entry.table);
     const std::size_t n = entry.g.num_nodes();
     for (std::size_t f : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
       FaultSweepOptions base_opts;
-      // Delivery exercises the canonical-order digraph materialization;
-      // keep it to f = 1 so the full product stays fast.
-      base_opts.delivery_pairs = (f == 1) ? 4 : 0;
+      const bool delivery =
+          f == 1 || (f == 2 && entry.name == "kernel/torus");
+      base_opts.delivery_pairs = delivery ? 4 : 0;
       base_opts.seed = 99;
       base_opts.exec.batch_size = 64;  // force several batches at f >= 2
 
@@ -313,13 +333,18 @@ TEST(FaultStream, GrayIncrementalSweepBitIdenticalToFullRebuild) {
           sweep_fault_source(entry.table, index, ref_source, base_opts);
       ASSERT_EQ(rebuild.total_sets, binomial(n, f)) << entry.name;
 
-      for (unsigned threads : kThreadCounts) {
-        FaultSweepOptions opts = base_opts;
-        opts.exec.threads = threads;
-        const auto gray = sweep_exhaustive_gray(entry.table, index, f, opts);
-        SCOPED_TRACE(entry.name + " f=" + std::to_string(f) +
-                     " threads=" + std::to_string(threads));
-        expect_same_aggregates(gray, rebuild);
+      for (SrgKernel kernel :
+           {SrgKernel::kAuto, SrgKernel::kBitset, SrgKernel::kScalar}) {
+        for (unsigned threads : kThreadCounts) {
+          FaultSweepOptions opts = base_opts;
+          opts.exec.kernel = kernel;
+          opts.exec.threads = threads;
+          const auto gray = sweep_exhaustive_gray(entry.table, index, f, opts);
+          SCOPED_TRACE(entry.name + " f=" + std::to_string(f) + " kernel=" +
+                       srg_kernel_name(kernel) +
+                       " threads=" + std::to_string(threads));
+          expect_same_aggregates(gray, rebuild);
+        }
       }
     }
   }

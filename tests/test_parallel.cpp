@@ -115,35 +115,28 @@ TEST(Parallel, StealPartitionCoversChunksExactly) {
   }
 }
 
-TEST(Parallel, ExecutorsAgreeOnCoverage) {
-  // Both schedulers honor the same contract: every index exactly once,
-  // chunk boundaries a function of (count, grain) only.
-  for (const ExecutorKind kind :
-       {ExecutorKind::kCursor, ExecutorKind::kWorkStealing}) {
-    for (unsigned threads : {2u, 8u}) {
-      std::vector<std::atomic<int>> hits(1000);
-      for (auto& h : hits) h = 0;
-      ExecutorStats stats;
-      parallel_for_chunks(kind, hits.size(), threads, 7,
-                          [&](std::size_t chunk, std::size_t begin,
-                              std::size_t end) {
-                            EXPECT_EQ(begin, chunk * 7);
-                            for (std::size_t i = begin; i < end; ++i) {
-                              ++hits[i];
-                            }
-                          },
-                          &stats);
-      for (std::size_t i = 0; i < hits.size(); ++i) {
-        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-      }
-      EXPECT_EQ(stats.workers, threads);
-      EXPECT_EQ(stats.chunks_local + stats.chunks_stolen,
-                num_chunks(hits.size(), 7));
-      if (kind == ExecutorKind::kCursor) {
-        EXPECT_EQ(stats.chunks_stolen, 0u);
-        EXPECT_EQ(stats.steal_attempts, 0u);
-      }
+TEST(Parallel, StealingCoversEveryIndexOnce) {
+  // Every index exactly once, chunk boundaries a function of (count, grain)
+  // only, and every executed chunk counted as local or stolen.
+  for (unsigned threads : {2u, 8u}) {
+    std::vector<std::atomic<int>> hits(1000);
+    for (auto& h : hits) h = 0;
+    ExecutorStats stats;
+    parallel_for_chunks(hits.size(), threads, 7,
+                        [&](std::size_t chunk, std::size_t begin,
+                            std::size_t end) {
+                          EXPECT_EQ(begin, chunk * 7);
+                          for (std::size_t i = begin; i < end; ++i) {
+                            ++hits[i];
+                          }
+                        },
+                        &stats);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i;
     }
+    EXPECT_EQ(stats.workers, threads);
+    EXPECT_EQ(stats.chunks_local + stats.chunks_stolen,
+              num_chunks(hits.size(), 7));
   }
 }
 

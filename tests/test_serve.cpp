@@ -474,6 +474,39 @@ TEST(Serve, MalformedLineMidStreamIsAnsweredNotFatal) {
   }
 }
 
+// An over-long request line is answered with an error at its index and the
+// stream goes on; a 4 MiB stream with no newline at all is one such line,
+// not an unbounded buffer.
+TEST(Serve, OverLongLinesAreAnsweredNotBuffered) {
+  const std::string huge(4u << 20, 'x');
+  struct Case {
+    std::string feed;
+    std::uint64_t requests;
+    std::string error_at;
+  };
+  for (const Case& c :
+       {Case{"check ker f=1 claimed=6 seed=5\n" + huge +
+                 "\ncheck tri f=1 claimed=6 seed=7\n",
+             3, "#1 error:"},
+        Case{huge, 1, "#0 error:"}}) {
+    TableRegistry registry;
+    define_construction_tables(registry);
+    std::istringstream in(c.feed);
+    IstreamRequestSource source(in);
+    std::ostringstream out;
+    const auto summary = serve_requests(registry, source, out, {});
+    const auto text = out.str();
+    EXPECT_EQ(summary.requests, c.requests);
+    EXPECT_EQ(summary.errors, 1u);
+    EXPECT_NE(text.find(c.error_at), std::string::npos) << text;
+    EXPECT_NE(text.find("is longer than"), std::string::npos) << text;
+    EXPECT_LT(text.size(), std::size_t{4096});  // the line is not echoed
+    if (c.requests == 3) {
+      EXPECT_NE(text.find("#2 check tri"), std::string::npos) << text;
+    }
+  }
+}
+
 TEST(Serve, IstreamSourceSkipsCommentsAndCountsLines) {
   std::istringstream in(
       "# header comment\n"

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "analysis/neighborhood.hpp"
-#include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_gen.hpp"
@@ -230,169 +229,6 @@ TEST(SrgEngine, CircularRoutingSweepAgainstOneShot) {
     EXPECT_EQ(engine.surviving_diameter(faults),
               surviving_diameter(cr.table, faults));
   }
-}
-
-// --- incremental (Gray) mode -------------------------------------------------
-
-void expect_same_result(const SrgScratch::Result& a,
-                        const SrgScratch::Result& b) {
-  EXPECT_EQ(a.diameter, b.diameter);
-  EXPECT_EQ(a.survivors, b.survivors);
-  EXPECT_EQ(a.arcs, b.arcs);
-}
-
-// Differential test of the delta path: a random walk of strike/unstrike
-// operations, where after EVERY delta the incremental evaluation must match
-// a full-rebuild evaluate() of the same fault set on an independent
-// scratch, and the materialized digraphs must be identical arc-for-arc
-// (same canonical order).
-TEST(SrgEngine, IncrementalMatchesFullRebuildOnRandomWalk) {
-  const auto gg = torus_graph(5, 5);
-  const auto kr = build_kernel_routing(gg.graph, 3);
-  const SrgIndex index(kr.table);
-  SrgScratch inc(index);
-  SrgScratch rebuild(index);
-  const std::size_t n = gg.graph.num_nodes();
-
-  Rng rng(9001);
-  std::vector<Node> current{1, 7};
-  inc.begin_incremental(current);
-  for (int step = 0; step < 300; ++step) {
-    // Strike when small, unstrike when large, coin-flip in between.
-    const bool do_strike =
-        current.empty() ||
-        (current.size() < 6 && rng.chance(0.5));
-    if (do_strike) {
-      Node v = static_cast<Node>(rng.below(n));
-      while (std::find(current.begin(), current.end(), v) != current.end()) {
-        v = static_cast<Node>(rng.below(n));
-      }
-      inc.strike(v);
-      current.push_back(v);
-    } else {
-      const std::size_t i = rng.below(current.size());
-      inc.unstrike(current[i]);
-      current.erase(current.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    expect_same_result(inc.evaluate_incremental(), rebuild.evaluate(current));
-    EXPECT_EQ(inc.incremental_survivors(),
-              static_cast<std::uint32_t>(n - current.size()));
-    if (step % 25 == 0) {
-      expect_same_digraph(inc.incremental_surviving_graph(),
-                          rebuild.surviving_graph(current));
-    }
-  }
-}
-
-TEST(SrgEngine, IncrementalMatchesRebuildOnMultirouting) {
-  const auto gg = torus_graph(5, 5);
-  const MultiRouteTable mr = build_full_multirouting(gg.graph, 2);
-  const SrgIndex index(mr);
-  SrgScratch inc(index);
-  SrgScratch rebuild(index);
-
-  Rng rng(77);
-  for (int round = 0; round < 10; ++round) {
-    const auto sample = rng.sample(gg.graph.num_nodes(), 3);
-    std::vector<Node> faults(sample.begin(), sample.end());
-    inc.begin_incremental(faults);
-    expect_same_result(inc.evaluate_incremental(), rebuild.evaluate(faults));
-    expect_same_digraph(inc.incremental_surviving_graph(),
-                        rebuild.surviving_graph(faults));
-  }
-}
-
-// Walking the whole revolving-door enumeration with one strike/unstrike per
-// step — exactly what the exhaustive gray sweep does per worker chunk.
-TEST(SrgEngine, IncrementalGrayWalkMatchesRebuild) {
-  const auto gg = torus_graph(4, 4);
-  const auto kr = build_kernel_routing(gg.graph, 2);
-  const SrgIndex index(kr.table);
-  SrgScratch inc(index);
-  SrgScratch rebuild(index);
-
-  GraySubsetEnumerator e(gg.graph.num_nodes(), 2);
-  std::vector<Node> faults(e.current().begin(), e.current().end());
-  inc.begin_incremental(faults);
-  while (true) {
-    faults.assign(e.current().begin(), e.current().end());
-    expect_same_result(inc.evaluate_incremental(), rebuild.evaluate(faults));
-    if (!e.advance()) break;
-    inc.unstrike(static_cast<Node>(e.last_transition().out));
-    inc.strike(static_cast<Node>(e.last_transition().in));
-  }
-}
-
-// The two modes own disjoint state: interleaving full evaluate() calls on
-// the SAME scratch must not perturb the incremental walk, and vice versa.
-TEST(SrgEngine, IncrementalSurvivesInterleavedFullEvaluations) {
-  const auto gg = torus_graph(5, 5);
-  const auto kr = build_kernel_routing(gg.graph, 3);
-  const SrgIndex index(kr.table);
-  SrgScratch scratch(index);
-  SrgScratch reference(index);
-
-  Rng rng(5150);
-  const std::vector<Node> inc_set{2, 11, 19};
-  scratch.begin_incremental(inc_set);
-  const auto inc_expected = reference.evaluate(inc_set);
-  for (int i = 0; i < 20; ++i) {
-    const auto sample = rng.sample(gg.graph.num_nodes(), 4);
-    const std::vector<Node> other(sample.begin(), sample.end());
-    // Full-rebuild evaluation in between...
-    expect_same_result(scratch.evaluate(other), reference.evaluate(other));
-    // ...leaves the incremental fault set's answers untouched.
-    expect_same_result(scratch.evaluate_incremental(), inc_expected);
-  }
-}
-
-// Regression: bfs_from_inc has its own bfs_epoch_ wraparound reset, but
-// only the rebuild path's wrap used to be tested. Plant the counters just
-// below the 2^32 wrap BEFORE entering incremental mode (the test hook
-// resets the scratch, which leaves incremental mode), pin the scalar
-// kernel so the stamped incremental BFS actually runs (the default would
-// route to the stamp-free bitset BFS), and walk a Gray enumeration whose
-// first evaluation already crosses the wrap mid-set. The rebuild oracle
-// scratch rides its default kernel, so this doubles as a scalar-vs-bitset
-// differential across the wrap.
-TEST(SrgEngine, IncrementalEpochWraparound) {
-  const auto gg = torus_graph(4, 4);
-  const auto kr = build_kernel_routing(gg.graph, 2);
-  const SrgIndex index(kr.table);
-  SrgScratch inc(index);
-  SrgScratch rebuild(index);
-
-  inc.set_epochs_for_testing(~std::uint32_t{0} - 3);
-  inc.set_kernel(SrgKernel::kScalar);
-
-  GraySubsetEnumerator e(gg.graph.num_nodes(), 2);
-  std::vector<Node> faults(e.current().begin(), e.current().end());
-  inc.begin_incremental(faults);
-  for (int step = 0; step < 40; ++step) {
-    faults.assign(e.current().begin(), e.current().end());
-    expect_same_result(inc.evaluate_incremental(), rebuild.evaluate(faults));
-    ASSERT_TRUE(e.advance());
-    inc.unstrike(static_cast<Node>(e.last_transition().out));
-    inc.strike(static_cast<Node>(e.last_transition().in));
-  }
-}
-
-TEST(SrgEngine, IncrementalContractViolations) {
-  const auto gg = cycle_graph(8);
-  RoutingTable t(8, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
-  const SrgIndex index(t);
-  SrgScratch scratch(index);
-  EXPECT_THROW(scratch.strike(1), ContractViolation);       // no begin
-  EXPECT_THROW(scratch.evaluate_incremental(), ContractViolation);
-  scratch.begin_incremental(std::vector<Node>{3});
-  EXPECT_THROW(scratch.strike(3), ContractViolation);       // already faulty
-  EXPECT_THROW(scratch.unstrike(5), ContractViolation);     // not faulty
-  EXPECT_THROW(scratch.strike(99), ContractViolation);      // out of range
-  // reset() leaves incremental mode.
-  scratch.reset();
-  EXPECT_FALSE(scratch.incremental_active());
-  EXPECT_THROW(scratch.strike(1), ContractViolation);
 }
 
 }  // namespace

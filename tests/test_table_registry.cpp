@@ -259,6 +259,20 @@ TEST(TableRegistry, ManifestParsesAndRejectsWithLineNumbers) {
     }
   }
   {
+    // A line past the 1 MiB line cap fails by number, unbuffered.
+    std::istringstream bad("table demo graph=" + graph_path + "\n" +
+                           std::string((std::size_t{1} << 20) + 1, 'x'));
+    TableRegistry fresh;
+    try {
+      load_table_manifest(bad, fresh);
+      FAIL() << "expected ContractViolation";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2 is longer than"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
     std::istringstream bad("table demo seed=3\n");  // no graph=
     TableRegistry fresh;
     EXPECT_THROW(load_table_manifest(bad, fresh), ContractViolation);

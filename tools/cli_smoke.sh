@@ -4,8 +4,7 @@
 # --threads 1 and --threads 4 for every verb that fans out work, across
 # every --kernel choice and every packed --lanes width on the exhaustive
 # sweep, and across --workers process counts on the distributed
-# sweep/check (including an f=4 exhaustive check), and across --executor
-# steal|cursor on every evaluating verb. This is the
+# sweep/check (including an f=4 exhaustive check). This is the
 # executable form of the repo's determinism contract — if a thread count
 # or kernel choice ever leaks into stdout, this script (and the CI job
 # running it) fails on the cmp.
@@ -213,36 +212,15 @@ for w in 0 1 4; do
   done
 done
 
-# The chunk scheduler (--executor steal|cursor) is pure scheduling: every
-# evaluating verb must print the same bytes under either, including
-# through forked dist workers (the policy rides the UnitSpec wire blob).
-echo "== comparing stdout across --executor kinds"
-for e in steal cursor; do
+# Exhaustive sweeps with delivery evaluate one set at a time under every
+# kernel; a forced scalar or bitset kernel must print the golden bytes.
+echo "== exhaustive delivery sweep across --kernel"
+for k in bitset scalar; do
   "${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
-    --stdin --threads 4 --batch 3 --executor "${e}" < "${WORK}/faults.txt" \
-    > "${WORK}/esweep.${e}.out" 2> /dev/null
-  "${CLI}" check "${WORK}/graph.ftg" "${WORK}/table.ftt" \
-    --faults 2 --claimed 6 --seed 7 --threads 4 --executor "${e}" \
-    > "${WORK}/echeck.${e}.out" 2> /dev/null
-  "${CLI}" serve --tables "${WORK}/tables.txt" --stdin \
-    --threads 4 --batch 2 --executor "${e}" < "${WORK}/requests.txt" \
-    > "${WORK}/eserve.${e}.out" 2> /dev/null
+    --faults 2 --exhaustive --delivery-pairs 3 --seed 7 --threads 2 \
+    --kernel "${k}" > "${WORK}/kdsweep.${k}.out" 2> /dev/null
+  cmp "${GOLD}/sweep_exhaustive_delivery.golden" "${WORK}/kdsweep.${k}.out"
 done
-cmp "${WORK}/sweep.1.out" "${WORK}/esweep.steal.out"
-cmp "${WORK}/sweep.1.out" "${WORK}/esweep.cursor.out"
-cmp "${WORK}/check.1.out" "${WORK}/echeck.steal.out"
-cmp "${WORK}/check.1.out" "${WORK}/echeck.cursor.out"
-cmp "${WORK}/serve.1.out" "${WORK}/eserve.steal.out"
-cmp "${WORK}/serve.1.out" "${WORK}/eserve.cursor.out"
-"${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
-  --faults 2 --exhaustive --delivery-pairs 3 --seed 7 \
-  --workers 2 --executor cursor \
-  > "${WORK}/edsweep.out" 2> /dev/null
-cmp "${WORK}/dsweep.0.out" "${WORK}/edsweep.out"
-"${CLI}" check "${WORK}/graph.ftg" "${WORK}/table.ftt" \
-  --faults 2 --claimed 6 --seed 7 --workers 2 --executor cursor \
-  > "${WORK}/edcheck.out" 2> /dev/null
-cmp "${WORK}/check.1.out" "${WORK}/edcheck.out"
 
 # Per-verb --help: exit 0 and list every flag the verb's parser accepts
 # (usage is generated from the same registry the parser consults, so a
@@ -262,14 +240,14 @@ help_has() {
 }
 help_has gen
 help_has profile
-help_has build --seed --certify --threads --kernel --lanes --executor
+help_has build --seed --certify --threads --kernel --lanes
 help_has check --faults --claimed --seed --workers --worker-batch \
-  --worker-timeout --threads --kernel --lanes --executor
+  --worker-timeout --threads --kernel --lanes
 help_has sweep --faults --sets --seed --exhaustive --stdin \
   --delivery-pairs --workers --worker-batch --worker-timeout --threads \
-  --kernel --lanes --batch --executor --progress-every
+  --kernel --lanes --batch --progress-every
 help_has serve --tables --requests --stdin --max-resident-bytes \
-  --threads --kernel --lanes --batch --executor --progress-every
+  --threads --kernel --lanes --batch --progress-every
 help_has stretch
 help_has snapshot --graph --routes --seed --out
 
@@ -303,7 +281,10 @@ expect_usage_error serve --tables
 expect_usage_error snapshot --graph
 expect_usage_error check --kernel frob
 expect_usage_error sweep --lanes 96
-expect_usage_error sweep --executor greedy
+# The chunk-scheduler flag is retired: it is an unknown flag everywhere.
+for v in build check sweep serve; do
+  expect_usage_error "${v}" --executor steal
+done
 expect_usage_error sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
   --stdin --exhaustive
 

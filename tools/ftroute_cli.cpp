@@ -12,7 +12,7 @@
 //   ftroute snapshot --graph FILE --out FILE ...
 //
 // Run `ftroute <verb> --help` for the verb's flags; the execution-policy
-// flags (--threads/--kernel/--lanes/--batch/--executor/--progress-every)
+// flags (--threads/--kernel/--lanes/--batch/--progress-every)
 // are shared across verbs and documented in src/common/exec_policy.hpp.
 // Every verb's stdout is bit-identical across all execution knobs.
 #include <string>
