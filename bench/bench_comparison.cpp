@@ -107,7 +107,7 @@ void bench_planner_end_to_end(benchmark::State& state) {
 BENCHMARK(bench_planner_end_to_end);
 
 // The headline-table workload in miniature: sweep many fault sets against
-// one construction. Seed path vs the batched engine — items_per_second is
+// one construction. Seed path vs one reused SrgScratch — items_per_second is
 // fault-sets/sec in the JSON baselines.
 void bench_fault_sweep_per_fault_set(benchmark::State& state) {
   const auto gg = torus_graph(7, 7);
@@ -127,13 +127,14 @@ BENCHMARK(bench_fault_sweep_per_fault_set);
 void bench_fault_sweep_batched(benchmark::State& state) {
   const auto gg = torus_graph(7, 7);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  SurvivingRouteGraphEngine engine(kr.table);
+  const SrgIndex index(kr.table);
+  SrgScratch scratch(index);
   Rng rng(4);
   const auto sets = random_fault_sets(gg.graph.num_nodes(), 3, 64, rng);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.surviving_diameter(sets[i++ % sets.size()]));
+        scratch.surviving_diameter(sets[i++ % sets.size()]));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel("fault-sets");

@@ -45,8 +45,9 @@ void table_overload() {
                        build_kernel_routing(gg.graph, 2).table});
   }
   for (const auto& e : entries) {
-    // One engine per table, reused across every fault set of the sweep.
-    SurvivingRouteGraphEngine engine(e.rt);
+    // One index and scratch per table, reused across every fault set.
+    const SrgIndex index(e.rt);
+    SrgScratch scratch(index);
     for (std::uint32_t f = e.t; f <= 2 * e.t + 1; ++f) {
       const std::size_t trials = 60;
       std::size_t split = 0, cut = 0;
@@ -54,7 +55,7 @@ void table_overload() {
       for (std::size_t trial = 0; trial < trials; ++trial) {
         const auto sample = rng.sample(e.g.num_nodes(), f);
         const std::vector<Node> faults(sample.begin(), sample.end());
-        const auto cw = componentwise_surviving_diameter(e.g, engine, faults);
+        const auto cw = componentwise_surviving_diameter(e.g, scratch, faults);
         if (cw.num_components > 1) ++split;
         if (cw.worst == kUnreachable) {
           ++cut;
@@ -107,7 +108,8 @@ void table_recovery() {
 
 // Batched vs. per-fault-set surviving-diameter throughput: the seed path
 // rebuilds the surviving Digraph (and all its per-node vectors) for every
-// fault set; the engine preprocesses the table once and replays fault sets
+// fault set; SrgIndex preprocesses the table once and one SrgScratch replays
+// fault sets
 // against reused scratch; the parallel column fans the same batch across
 // 4 worker scratches over one shared index. The printed table gives the
 // wall-clock summary; the registered benchmarks below record
@@ -147,20 +149,21 @@ void table_batched_throughput() {
     }
     const auto t1 = clock::now();
 
-    SurvivingRouteGraphEngine engine(e.rt);
+    const SrgIndex index(e.rt);
+    SrgScratch scratch(index);
     std::uint64_t checksum_batched = 0;
     const auto t2 = clock::now();
     for (const auto& faults : sets) {
-      checksum_batched += engine.surviving_diameter(faults);
+      checksum_batched += scratch.surviving_diameter(faults);
     }
     const auto t3 = clock::now();
     FTR_ASSERT_MSG(checksum_seed == checksum_batched,
-                   "engine and one-shot paths disagree");
+                   "scratch and one-shot paths disagree");
 
     FaultSweepOptions opts;
     opts.exec.threads = 4;
     const auto t4 = clock::now();
-    const auto summary = sweep_fault_sets(e.rt, *engine.index(), sets, opts);
+    const auto summary = sweep_fault_sets(e.rt, index, sets, opts);
     const auto t5 = clock::now();
     std::uint64_t checksum_parallel = 0;
     for (const auto& rec : summary.per_set) checksum_parallel += rec.diameter;
@@ -181,7 +184,7 @@ void table_batched_throughput() {
   }
   table.print(std::cout);
   std::cout << "(same diameters, same fault sets; the batched column reuses"
-            << " one SurvivingRouteGraphEngine, the 4-thread column fans the"
+            << " one SrgScratch, the 4-thread column fans the"
             << " shared index across worker scratches)\n\n";
 }
 
@@ -203,13 +206,14 @@ BENCHMARK(bench_surviving_diameter_per_fault_set);
 void bench_surviving_diameter_batched(benchmark::State& state) {
   const auto gg = torus_graph(6, 6);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  SurvivingRouteGraphEngine engine(kr.table);
+  const SrgIndex index(kr.table);
+  SrgScratch scratch(index);
   Rng rng(9);
   const auto sets = random_fault_sets(gg.graph.num_nodes(), 3, 64, rng);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.surviving_diameter(sets[i++ % sets.size()]));
+        scratch.surviving_diameter(sets[i++ % sets.size()]));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel("fault-sets");

@@ -5,6 +5,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/cpu_features.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "graph/bfs.hpp"
@@ -76,11 +77,14 @@ void add_tolerance_row(Table& table, const std::string& graph_name,
 int run_registered_benchmarks(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Execution context for the JSON baselines: how many cores the host has.
-  // Per-case sweep worker counts are hard-coded benchmark Args and appear
-  // in the /threads:N case names themselves.
+  // Execution context for the JSON baselines: how many cores the host has
+  // and the packed lane width the code resolves on it. Per-case sweep
+  // worker counts are hard-coded benchmark Args and appear in the
+  // /threads:N case names themselves.
   benchmark::AddCustomContext("host_cores",
                               std::to_string(hardware_threads()));
+  benchmark::AddCustomContext("lane_width",
+                              std::to_string(resolve_lane_width(0)));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

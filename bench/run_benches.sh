@@ -14,8 +14,12 @@
 # JSON's context block records host_cores next to google-benchmark's own
 # num_cpus, plus max_resident_bytes — the peak RSS of the bench process
 # (getrusage ru_maxrss of the child) — so memory-sensitive baselines like
-# the table-registry warm/cold cases are comparable across hosts. RSS
-# capture needs python3; without it the field is simply absent.
+# the table-registry warm/cold cases are comparable across hosts. Next to
+# those, an "ftroute" context object names the build that produced the
+# numbers: CMake build type, compiler and version, the -m flags (global,
+# and the per-ISA packed-kernel files), and the packed lane width the code
+# resolved on this host (each bench binary records it as lane_width).
+# Both injections need python3; without it those fields are simply absent.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -25,6 +29,24 @@ HOST_CORES="$(nproc 2>/dev/null || echo 1)"
 mkdir -p "${OUT_DIR}"
 
 echo "host cores: ${HOST_CORES}"
+
+# Build context, read from the build directory's CMake cache.
+cache_value() {
+  sed -n "s/^$1:[A-Z]*=//p" "${BUILD_DIR}/CMakeCache.txt" 2>/dev/null | head -n 1
+}
+BUILD_TYPE="$(cache_value CMAKE_BUILD_TYPE)"
+CXX_BIN="$(cache_value CMAKE_CXX_COMPILER)"
+CXX_VERSION="$("${CXX_BIN:-c++}" --version 2>/dev/null | head -n 1 || true)"
+BUILD_TYPE_UPPER="$(printf '%s' "${BUILD_TYPE}" | tr '[:lower:]' '[:upper:]')"
+GLOBAL_M_FLAGS="$(printf '%s\n' $(cache_value CMAKE_CXX_FLAGS) \
+  $(cache_value "CMAKE_CXX_FLAGS_${BUILD_TYPE_UPPER}") | grep -- '^-m' \
+  | tr '\n' ' ' | sed 's/ $//' || true)"
+ISA_M_FLAGS=""
+[[ "$(cache_value FTROUTE_COMPILER_HAS_MAVX2)" == "1" ]] && ISA_M_FLAGS+="-mavx2 "
+[[ "$(cache_value FTROUTE_COMPILER_HAS_MAVX512F)" == "1" ]] && ISA_M_FLAGS+="-mavx512f"
+ISA_M_FLAGS="${ISA_M_FLAGS% }"
+echo "build: ${BUILD_TYPE:-unknown}, ${CXX_VERSION:-unknown compiler}," \
+  "global -m flags: '${GLOBAL_M_FLAGS}', per-ISA files: '${ISA_M_FLAGS}'"
 
 HAVE_PYTHON3=0
 if command -v python3 >/dev/null 2>&1; then
@@ -50,16 +72,25 @@ sys.exit(rc)
 PY
 }
 
-# Injects max_resident_bytes into the JSON's context block, next to
-# host_cores / num_cpus.
-inject_rss() {
+# Injects max_resident_bytes and the ftroute build context into the JSON's
+# context block, next to host_cores / num_cpus / lane_width.
+inject_context() {
   local json="$1" rss="$2"
-  python3 - "${json}" "${rss}" <<'PY'
+  python3 - "${json}" "${rss}" "${BUILD_TYPE}" "${CXX_VERSION}" \
+    "${GLOBAL_M_FLAGS}" "${ISA_M_FLAGS}" <<'PY'
 import json, sys
-path, rss = sys.argv[1], int(sys.argv[2])
+path, rss, build_type, compiler, global_m, isa_m = sys.argv[1:7]
 with open(path) as f:
     data = json.load(f)
-data.setdefault("context", {})["max_resident_bytes"] = rss
+context = data.setdefault("context", {})
+context["max_resident_bytes"] = int(rss)
+context["ftroute"] = {
+    "build_type": build_type,
+    "compiler": compiler,
+    "global_m_flags": global_m,
+    "packed_kernel_m_flags": isa_m,
+    "lane_width": context.get("lane_width", ""),
+}
 with open(path, "w") as f:
     json.dump(data, f, indent=2)
     f.write("\n")
@@ -106,7 +137,7 @@ for bench in "${BENCHES[@]}"; do
   if [[ "${HAVE_PYTHON3}" -eq 1 ]]; then
     rss_file="$(mktemp)"
     run_with_rss "${rss_file}" "${bench_cmd[@]}"
-    inject_rss "${out}" "$(cat "${rss_file}")"
+    inject_context "${out}" "$(cat "${rss_file}")"
     rm -f "${rss_file}"
   else
     "${bench_cmd[@]}"

@@ -163,11 +163,11 @@ FaultSweepRecord evaluate_one(const RoutingTable& table, SrgScratch& scratch,
   rec.survivors = res.survivors;
   rec.arcs = res.arcs;
   if (options.delivery_pairs > 0) {
-    // The scratch is still struck from evaluate() above; materialize
-    // without a second strike.
+    // The scratch is still struck from evaluate() above; delivery walks
+    // that set's bitset rows without a second strike.
     Rng rng = Rng::stream(options.seed, set_index);
-    rec.delivery = measure_delivery_on(table, scratch.last_surviving_graph(),
-                                       options.delivery_pairs, rng);
+    rec.delivery =
+        measure_delivery(table, scratch, options.delivery_pairs, rng);
   }
   return rec;
 }

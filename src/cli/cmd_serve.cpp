@@ -36,8 +36,7 @@ const VerbSpec& spec() {
           "exactly one of --requests FILE or --stdin is required\n"
           "manifest lines: table <name> graph=<file> [routes=<file>] "
           "[seed=S]\n"
-          "                table <name> snapshot=<file> "
-          "[snapshot_load=bulk|mmap]\n"
+          "                table <name> snapshot=<file>\n"
           "request lines:  check|sweep|delivery|certify <table> "
           "[key=value...]\n",
   };

@@ -117,6 +117,7 @@ SrgScratch::SrgScratch(const SrgIndex& index) : index_(&index) {
   seen_stamp_.assign(n, 0);
   dist_.assign(n, 0);
   queue_.reserve(n);
+  parent_.assign(n, 0);
   arcs_.reserve(index.num_pairs_);
   words_ = bit_words(n);
   visited_bits_.assign(words_, 0);
@@ -520,19 +521,55 @@ std::uint32_t SrgScratch::componentwise_diameter(
   return worst;
 }
 
-Digraph SrgScratch::surviving_graph(std::span<const Node> faults) {
-  strike(faults);
-  return last_surviving_graph();
+std::span<const Node> SrgScratch::last_survivors() {
+  FTR_EXPECTS_MSG(epoch_ != 0, "no fault set has been struck yet");
+  survivor_list_.clear();
+  for (Node v = 0; v < index_->n_; ++v) {
+    if (fault_stamp_[v] != epoch_) survivor_list_.push_back(v);
+  }
+  return survivor_list_;
 }
 
-Digraph SrgScratch::last_surviving_graph() const {
+std::span<const Node> SrgScratch::route_path(Node s, Node t) {
   FTR_EXPECTS_MSG(epoch_ != 0, "no fault set has been struck yet");
-  Digraph r(index_->n_);
-  for (Node v = 0; v < index_->n_; ++v) {
-    if (fault_stamp_[v] == epoch_) r.remove_node(v);
+  const std::size_t n = index_->n_;
+  FTR_EXPECTS_MSG(s < n && t < n && fault_stamp_[s] != epoch_ &&
+                      fault_stamp_[t] != epoch_,
+                  "route_path endpoints " << s << " -> " << t
+                                          << " must both survive");
+  path_.clear();
+  if (s == t) {
+    path_.push_back(s);
+    return path_;
   }
-  for (const auto& [src, dst] : arcs_) r.add_arc(src, dst);
-  return r;
+  ensure_bits();
+  const std::size_t W = words_;
+  std::fill_n(visited_bits_.data(), W, 0);
+  visited_bits_[s >> 6] = std::uint64_t{1} << (s & 63);
+  queue_.clear();
+  queue_.push_back(s);
+  for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
+    const Node u = queue_[qi];
+    const std::uint64_t* row = succ_bits_.data() + u * W;
+    for (std::size_t w = 0; w < W; ++w) {
+      std::uint64_t fresh = row[w] & ~visited_bits_[w];
+      visited_bits_[w] |= fresh;
+      while (fresh != 0) {
+        const auto v =
+            static_cast<Node>(w * kLaneBits + std::countr_zero(fresh));
+        fresh &= fresh - 1;
+        parent_[v] = u;
+        if (v == t) {
+          for (Node x = t; x != s; x = parent_[x]) path_.push_back(x);
+          path_.push_back(s);
+          std::reverse(path_.begin(), path_.end());
+          return path_;
+        }
+        queue_.push_back(v);
+      }
+    }
+  }
+  return {};
 }
 
 }  // namespace ftr

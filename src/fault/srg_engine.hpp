@@ -17,10 +17,12 @@
 //    concurrent workers.
 //  * SrgScratch is the per-thread mutable state — the epoch-stamped kill
 //    index, the scratch arc CSR, and the BFS queues. Each sweep worker owns
-//    one; evaluations are allocation-free after warm-up.
-//  * SurvivingRouteGraphEngine is the single-threaded facade (one shared
-//    index + one scratch) that all pre-existing call sites keep using; its
-//    index() handle is what parallel sweeps fan out to worker scratches.
+//    one; evaluations are allocation-free after warm-up. Single-threaded
+//    callers build one index and one scratch next to it.
+//
+// Delivery (sim/network_sim.hpp) runs on the same scratch: after an
+// evaluation, last_survivors() and route_path() answer from the struck
+// set's bitset rows, so no per-set Digraph is ever materialized.
 //
 // Per fault set:
 //  * a fault set of size f kills its routes in O(sum over faults of
@@ -73,14 +75,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/combinatorics.hpp"
 #include "common/flat_array.hpp"
 #include "fault/srg_packed.hpp"
-#include "graph/digraph.hpp"
 #include "graph/graph.hpp"
 #include "routing/multi_route_table.hpp"
 #include "routing/route_table.hpp"
@@ -187,15 +187,24 @@ class SrgScratch {
   std::uint32_t componentwise_diameter(std::span<const Node> faults,
                                        std::span<const std::uint32_t> comp);
 
-  /// Materializes the surviving route graph as a Digraph, for callers that
-  /// need the full structure (property checks, delivery simulation).
-  Digraph surviving_graph(std::span<const Node> faults);
+  // --- delivery on the last evaluated set ---------------------------------
+  //
+  // Both calls read the fault set most recently struck by evaluate() or
+  // componentwise_diameter() (at least one must have run since
+  // construction or reset()); evaluate_gray_block() does not move them.
+  // Their spans stay valid until the next call of the same method.
 
-  /// Materializes the Digraph for the most recently struck fault set
-  /// without re-striking — for pipelines that already called evaluate() on
-  /// that set. At least one evaluation must have happened since
-  /// construction or reset().
-  Digraph last_surviving_graph() const;
+  /// Survivors of the last evaluated set, ascending.
+  std::span<const Node> last_survivors();
+
+  /// A fewest-arc path s -> t in the surviving route graph of the last
+  /// evaluated set: s, ..., t (just s when s == t), or empty when t is
+  /// unreachable. FIFO BFS over the successor bitset rows, each row walked
+  /// in ascending node order, so a node's parent is the first dequeued node
+  /// with an arc to it — the same tree as a BFS over a Digraph's sorted
+  /// successor lists (the scratch CSR is in route order and is not used).
+  /// Both endpoints must survive. Allocation-free after warm-up.
+  std::span<const Node> route_path(Node s, Node t);
 
   // --- packed wide-lane Gray mode ------------------------------------------
 
@@ -257,6 +266,11 @@ class SrgScratch {
   std::vector<std::uint32_t> dist_;
   std::vector<Node> queue_;
 
+  // Delivery buffers (last_survivors() / route_path()).
+  std::vector<Node> survivor_list_;
+  std::vector<Node> parent_;
+  std::vector<Node> path_;
+
   // Bitset-kernel state. words_ = ceil(n / 64); succ/pred rows are n *
   // words_ bitmaps, rebuilt lazily per strike.
   std::size_t words_ = 0;
@@ -294,49 +308,6 @@ class SrgScratch {
   std::vector<std::uint32_t> pk_diam_;          // 64*W
   std::vector<std::uint32_t> pk_ecc_;           // 64*W BFS scratch
   std::vector<std::uint64_t> pk_disconnected_;  // W words
-};
-
-/// Single-threaded batching facade: one shared, immutable SrgIndex plus one
-/// SrgScratch. Existing call sites use this directly; parallel sweeps grab
-/// index() and give each worker its own SrgScratch.
-class SurvivingRouteGraphEngine {
- public:
-  explicit SurvivingRouteGraphEngine(const RoutingTable& table)
-      : index_(std::make_shared<const SrgIndex>(table)), scratch_(*index_) {}
-  explicit SurvivingRouteGraphEngine(const MultiRouteTable& table)
-      : index_(std::make_shared<const SrgIndex>(table)), scratch_(*index_) {}
-
-  using Result = SrgScratch::Result;
-
-  std::size_t num_nodes() const { return index_->num_nodes(); }
-  std::size_t num_routes() const { return index_->num_routes(); }
-  std::size_t num_pairs() const { return index_->num_pairs(); }
-
-  /// The shared preprocessing; hand this to parallel sweep workers (one
-  /// SrgScratch each) so one table preprocessing serves N threads.
-  const std::shared_ptr<const SrgIndex>& index() const { return index_; }
-
-  /// The facade's own scratch, for callers that interleave engine use with
-  /// scratch-level calls.
-  SrgScratch& scratch() { return scratch_; }
-
-  Result evaluate(std::span<const Node> faults) {
-    return scratch_.evaluate(faults);
-  }
-  std::uint32_t surviving_diameter(std::span<const Node> faults) {
-    return scratch_.surviving_diameter(faults);
-  }
-  std::uint32_t componentwise_diameter(std::span<const Node> faults,
-                                       std::span<const std::uint32_t> comp) {
-    return scratch_.componentwise_diameter(faults, comp);
-  }
-  Digraph surviving_graph(std::span<const Node> faults) {
-    return scratch_.surviving_graph(faults);
-  }
-
- private:
-  std::shared_ptr<const SrgIndex> index_;
-  SrgScratch scratch_;
 };
 
 }  // namespace ftr

@@ -860,13 +860,6 @@ const char* snapshot_load_mode_name(SnapshotLoadMode mode) {
   return mode == SnapshotLoadMode::kBulkRead ? "bulk" : "mmap";
 }
 
-std::optional<SnapshotLoadMode> parse_snapshot_load_mode(
-    std::string_view name) {
-  if (name == "bulk") return SnapshotLoadMode::kBulkRead;
-  if (name == "mmap") return SnapshotLoadMode::kMmap;
-  return std::nullopt;
-}
-
 namespace {
 
 // EINTR-safe whole-file read (pipe_io): a signal landing mid-read can no

@@ -45,9 +45,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/planner.hpp"
@@ -127,8 +125,6 @@ enum class SnapshotLoadMode : std::uint8_t {
 };
 
 const char* snapshot_load_mode_name(SnapshotLoadMode mode);
-std::optional<SnapshotLoadMode> parse_snapshot_load_mode(
-    std::string_view name);
 
 /// Loads a snapshot file. Throws ContractViolation naming the file (and the
 /// offending section, where one exists) on wrong magic, future format

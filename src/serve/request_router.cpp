@@ -313,8 +313,8 @@ std::string execute_request(const ServeRequest& request,
       }
       const auto res = scratch->evaluate(request.fault_list);
       Rng rng(request.seed);
-      const auto delivery = measure_delivery_on(
-          table.table, scratch->last_surviving_graph(), request.pairs, rng);
+      const auto delivery =
+          measure_delivery(table.table, *scratch, request.pairs, rng);
       os << " faults=" << join_nodes(request.fault_list)
          << " diameter=" << fmt_diameter(res.diameter)
          << " survivors=" << res.survivors << " arcs=" << res.arcs

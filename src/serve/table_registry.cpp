@@ -214,7 +214,6 @@ std::size_t load_table_manifest(std::istream& in, TableRegistry& registry) {
                     "manifest line " << line_no << ": missing table name");
     TableSpec spec;
     bool saw_seed = false;
-    bool saw_load_mode = false;
     std::string token;
     while (fields >> token) {
       const auto eq = token.find('=');
@@ -237,13 +236,6 @@ std::size_t load_table_manifest(std::istream& in, TableRegistry& registry) {
         saw_seed = true;
       } else if (key == "snapshot") {
         spec.snapshot_file = value;
-      } else if (key == "snapshot_load") {
-        const auto load_mode = parse_snapshot_load_mode(value);
-        FTR_EXPECTS_MSG(load_mode.has_value(),
-                        "manifest line " << line_no << ": bad snapshot_load '"
-                                         << value << "' (bulk|mmap)");
-        spec.snapshot_mode = *load_mode;
-        saw_load_mode = true;
       } else {
         FTR_EXPECTS_MSG(false, "manifest line " << line_no
                                                 << ": unknown key '" << key
@@ -261,9 +253,6 @@ std::size_t load_table_manifest(std::istream& in, TableRegistry& registry) {
                         << line_no << ": table '" << name
                         << "': snapshot= is exclusive with "
                         << "graph=/routes=/seed=");
-    FTR_EXPECTS_MSG(!saw_load_mode || !spec.snapshot_file.empty(),
-                    "manifest line " << line_no << ": table '" << name
-                                     << "': snapshot_load= needs snapshot=");
     // A duplicate name in one manifest is almost certainly a copy-paste
     // typo; silently letting the last definition win would strand every
     // request aimed at the lost spec on 'unknown table'. (Programmatic

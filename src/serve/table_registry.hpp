@@ -20,10 +20,10 @@
 //  * snapshot-on-miss: a spec may instead name a binary snapshot
 //    (snapshot=<file> in the manifest) — the complete precomputed payload,
 //    SrgIndex and route-load ranking included — which materializes by
-//    loading (bulk read or zero-copy mmap), bumping stats().snapshot_loads
-//    instead of builds. Served responses are bit-identical to the
-//    build-on-miss path for the same materials; only the cold-acquire cost
-//    changes;
+//    loading (zero-copy mmap; TableSpec::snapshot_mode can pick the bulk
+//    read), bumping stats().snapshot_loads instead of builds. Served
+//    responses are bit-identical to the build-on-miss path for the same
+//    materials; only the cold-acquire cost changes;
 //  * residency is byte-accounted against max_resident_bytes (0 = unlimited)
 //    using the memory_bytes() probes of Graph / RoutingTable / SrgIndex, and
 //    evicted in LRU order — acquire() touches, eviction walks from the cold
@@ -185,12 +185,12 @@ class TableRegistry {
 /// Parses a tables manifest into `registry` and returns how many tables it
 /// defined. Line-oriented, '#' comments and blank lines skipped:
 ///   table <name> graph=<file> [routes=<file>] [seed=<S>]
-///   table <name> snapshot=<file> [snapshot_load=bulk|mmap]
+///   table <name> snapshot=<file>
 /// Without routes=, the table is built by the planner on first acquire
 /// (seeded by seed=, default 42). snapshot= materializes from a binary
-/// snapshot instead and is mutually exclusive with graph=/routes=/seed=;
-/// snapshot_load= picks the load path (default mmap). Malformed lines throw
-/// ContractViolation naming the 1-based line number.
+/// snapshot instead (zero-copy mmap) and is mutually exclusive with
+/// graph=/routes=/seed=. Malformed lines throw ContractViolation naming the
+/// 1-based line number.
 std::size_t load_table_manifest(std::istream& in, TableRegistry& registry);
 
 }  // namespace ftr

@@ -1,84 +1,15 @@
 #include "sim/network_sim.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/contracts.hpp"
-#include "fault/surviving.hpp"
-#include "graph/bfs.hpp"
 
 namespace ftr {
 
-namespace {
-
-struct HopCounts {
-  std::uint32_t route_hops;
-  std::uint64_t edge_hops;
-  bool delivered;
-};
-
-// BFS over the surviving route graph minimizing route traversals; edge hops
-// are accumulated along the BFS tree path actually taken (a realistic
-// delivery, not necessarily edge-optimal).
-HopCounts route_message(const Digraph& surviving, const RoutingTable& table,
-                        Node source, Node target) {
-  if (source == target) return {0, 0, true};
-  const std::size_t n = surviving.num_nodes();
-  std::vector<Node> parent(n, static_cast<Node>(n));
-  std::deque<Node> queue;
-  parent[source] = source;
-  queue.push_back(source);
-  while (!queue.empty()) {
-    const Node u = queue.front();
-    queue.pop_front();
-    for (Node v : surviving.successors(u)) {
-      if (parent[v] != static_cast<Node>(n)) continue;
-      parent[v] = u;
-      if (v == target) {
-        std::uint32_t route_hops = 0;
-        std::uint64_t edge_hops = 0;
-        for (Node w = target; w != source; w = parent[w]) {
-          ++route_hops;
-          const PathView leg = table.route(parent[w], w);
-          FTR_ASSERT_MSG(!leg.null(), "surviving arc without a route");
-          edge_hops += leg.hops();
-        }
-        return {route_hops, edge_hops, true};
-      }
-      queue.push_back(v);
-    }
-  }
-  return {0, 0, false};
-}
-
-}  // namespace
-
-DeliveryStats measure_delivery(const RoutingTable& table,
-                               const std::vector<Node>& faults,
-                               std::size_t sample_pairs, Rng& rng) {
-  const Digraph surviving = surviving_graph(table, faults);
-  return measure_delivery_on(table, surviving, sample_pairs, rng);
-}
-
-DeliveryStats measure_delivery(const RoutingTable& table,
-                               SurvivingRouteGraphEngine& engine,
-                               const std::vector<Node>& faults,
-                               std::size_t sample_pairs, Rng& rng) {
-  return measure_delivery(table, engine.scratch(), faults, sample_pairs, rng);
-}
-
 DeliveryStats measure_delivery(const RoutingTable& table, SrgScratch& scratch,
-                               const std::vector<Node>& faults,
                                std::size_t sample_pairs, Rng& rng) {
   FTR_EXPECTS(scratch.num_nodes() == table.num_nodes());
-  const Digraph surviving = scratch.surviving_graph(faults);
-  return measure_delivery_on(table, surviving, sample_pairs, rng);
-}
-
-DeliveryStats measure_delivery_on(const RoutingTable& table,
-                                  const Digraph& surviving,
-                                  std::size_t sample_pairs, Rng& rng) {
-  const auto nodes = surviving.present_nodes();
+  const std::span<const Node> nodes = scratch.last_survivors();
   DeliveryStats stats;
   if (nodes.size() < 2) return stats;
 
@@ -87,13 +18,20 @@ DeliveryStats measure_delivery_on(const RoutingTable& table,
 
   auto run_pair = [&](Node s, Node t) {
     ++stats.pairs_sampled;
-    const HopCounts hc = route_message(surviving, table, s, t);
-    if (!hc.delivered) return;
+    const std::span<const Node> path = scratch.route_path(s, t);
+    if (path.empty()) return;
+    const auto route_hops = static_cast<std::uint32_t>(path.size() - 1);
+    std::uint64_t edge_hops = 0;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      const PathView leg = table.route(path[i], path[i + 1]);
+      FTR_ASSERT_MSG(!leg.null(), "surviving arc without a route");
+      edge_hops += leg.hops();
+    }
     ++stats.delivered;
-    total_route_hops += hc.route_hops;
-    total_edge_hops += hc.edge_hops;
-    stats.max_route_hops = std::max(stats.max_route_hops, hc.route_hops);
-    stats.max_edge_hops = std::max(stats.max_edge_hops, hc.edge_hops);
+    total_route_hops += route_hops;
+    total_edge_hops += edge_hops;
+    stats.max_route_hops = std::max(stats.max_route_hops, route_hops);
+    stats.max_edge_hops = std::max(stats.max_edge_hops, edge_hops);
   };
 
   if (sample_pairs == 0) {

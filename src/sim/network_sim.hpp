@@ -4,14 +4,16 @@
 // surviving diameter is the worst case. This module measures both the
 // route-hop distribution and the underlying edge-hop totals for delivered
 // messages — the systems-level view of the graph-theoretic bounds.
+//
+// Delivery runs on the fault set an SrgScratch last evaluated: messages
+// follow SrgScratch::route_path over the scratch's own bitset rows, so
+// measuring a set costs a few BFS walks and no per-set graph build.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "fault/srg_engine.hpp"
-#include "graph/digraph.hpp"
 #include "graph/graph.hpp"
 #include "routing/route_table.hpp"
 
@@ -32,30 +34,13 @@ struct DeliveryStats {
   std::uint64_t edge_hops_total = 0;
 };
 
-/// Samples ordered pairs of non-faulty nodes and routes a message from
-/// source to target through the surviving route graph (fewest route
-/// traversals; edge hops accumulated along the realized route sequence).
-/// `sample_pairs` = 0 measures all ordered pairs.
-DeliveryStats measure_delivery(const RoutingTable& table,
-                               const std::vector<Node>& faults,
-                               std::size_t sample_pairs, Rng& rng);
-
-/// Batched variant: reuses a prepared engine (built from `table`) so sweeps
-/// over many fault sets skip the per-set table walk.
-DeliveryStats measure_delivery(const RoutingTable& table,
-                               SurvivingRouteGraphEngine& engine,
-                               const std::vector<Node>& faults,
-                               std::size_t sample_pairs, Rng& rng);
-
-/// Scratch-level variant used by parallel sweep workers (the scratch must
-/// come from an index over `table`).
+/// Samples ordered pairs of survivors of the set `scratch` last evaluated
+/// and routes a message from source to target through that set's
+/// surviving route graph (fewest route traversals, SrgScratch::route_path;
+/// edge hops accumulated along the realized route sequence).
+/// `sample_pairs` = 0 measures all ordered pairs. The scratch must come
+/// from an index over `table`.
 DeliveryStats measure_delivery(const RoutingTable& table, SrgScratch& scratch,
-                               const std::vector<Node>& faults,
                                std::size_t sample_pairs, Rng& rng);
-
-/// Core: measures delivery over an already-materialized surviving graph.
-DeliveryStats measure_delivery_on(const RoutingTable& table,
-                                  const Digraph& surviving,
-                                  std::size_t sample_pairs, Rng& rng);
 
 }  // namespace ftr

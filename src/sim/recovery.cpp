@@ -14,14 +14,9 @@ ComponentwiseDiameter componentwise_surviving_diameter(
     const Graph& g, const RoutingTable& table,
     const std::vector<Node>& faults) {
   FTR_EXPECTS(g.num_nodes() == table.num_nodes());
-  SurvivingRouteGraphEngine engine(table);
-  return componentwise_surviving_diameter(g, engine.scratch(), faults);
-}
-
-ComponentwiseDiameter componentwise_surviving_diameter(
-    const Graph& g, SurvivingRouteGraphEngine& engine,
-    const std::vector<Node>& faults) {
-  return componentwise_surviving_diameter(g, engine.scratch(), faults);
+  const SrgIndex index(table);
+  SrgScratch scratch(index);
+  return componentwise_surviving_diameter(g, scratch, faults);
 }
 
 ComponentwiseDiameter componentwise_surviving_diameter(

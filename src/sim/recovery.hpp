@@ -39,14 +39,9 @@ struct ComponentwiseDiameter {
 ComponentwiseDiameter componentwise_surviving_diameter(
     const Graph& g, const RoutingTable& table, const std::vector<Node>& faults);
 
-/// Batched variant: reuses a prepared engine across many fault sets against
-/// the same table (the engine must have been built from that table).
-ComponentwiseDiameter componentwise_surviving_diameter(
-    const Graph& g, SurvivingRouteGraphEngine& engine,
-    const std::vector<Node>& faults);
-
-/// Scratch-level variant used by parallel sweep workers (the scratch must
-/// have been built from an index over the same table).
+/// Batched variant: reuses one SrgScratch across many fault sets against
+/// the same table (the scratch must have been built from an index over that
+/// table; parallel sweep workers own one each).
 ComponentwiseDiameter componentwise_surviving_diameter(
     const Graph& g, SrgScratch& scratch, const std::vector<Node>& faults);
 

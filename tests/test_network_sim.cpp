@@ -2,20 +2,101 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/contracts.hpp"
+#include "core/planner.hpp"
+#include "delivery_oracle.hpp"
+#include "fault/fault_gen.hpp"
+#include "fault/srg_engine.hpp"
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
+#include "routing/hypercube_routing.hpp"
 #include "routing/kernel.hpp"
 #include "routing/route_table.hpp"
 
 namespace ftr {
 namespace {
 
+DeliveryStats deliver(const RoutingTable& t, const std::vector<Node>& faults,
+                      std::size_t sample_pairs, Rng& rng) {
+  const SrgIndex index(t);
+  SrgScratch scratch(index);
+  scratch.evaluate(faults);
+  return measure_delivery(t, scratch, sample_pairs, rng);
+}
+
+void expect_same_stats(const DeliveryStats& a, const DeliveryStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.pairs_sampled, b.pairs_sampled) << what;
+  EXPECT_EQ(a.delivered, b.delivered) << what;
+  EXPECT_EQ(a.avg_route_hops, b.avg_route_hops) << what;
+  EXPECT_EQ(a.max_route_hops, b.max_route_hops) << what;
+  EXPECT_EQ(a.avg_edge_hops, b.avg_edge_hops) << what;
+  EXPECT_EQ(a.max_edge_hops, b.max_edge_hops) << what;
+  EXPECT_EQ(a.route_hops_total, b.route_hops_total) << what;
+  EXPECT_EQ(a.edge_hops_total, b.edge_hops_total) << what;
+}
+
+// Every ordered survivor pair's route_path equals the Digraph oracle's BFS
+// path on the one-shot surviving graph, and measure_delivery equals the
+// oracle measure for every sample size (same draws, same totals).
+void expect_matches_oracle(const RoutingTable& table, SrgScratch& scratch,
+                           const std::vector<Node>& faults,
+                           const std::string& what) {
+  scratch.evaluate(faults);
+  const Digraph surviving = surviving_graph(table, faults);
+  const auto nodes = surviving.present_nodes();
+  const auto survivors = scratch.last_survivors();
+  ASSERT_EQ(std::vector<Node>(survivors.begin(), survivors.end()), nodes)
+      << what;
+  for (Node s : nodes) {
+    for (Node t : nodes) {
+      const auto got = scratch.route_path(s, t);
+      EXPECT_EQ(std::vector<Node>(got.begin(), got.end()),
+                oracle_route_path(surviving, s, t))
+          << what << " pair " << s << "->" << t;
+    }
+  }
+  for (const std::size_t pairs : {0u, 1u, 7u}) {
+    Rng a(1000 + pairs);
+    Rng b(1000 + pairs);
+    const auto got = measure_delivery(table, scratch, pairs, a);
+    const auto want = oracle_measure_delivery(table, faults, pairs, b);
+    expect_same_stats(got, want, what + " pairs=" + std::to_string(pairs));
+    EXPECT_EQ(a(), b()) << what << " (same number of draws)";
+  }
+}
+
+void run_differential(const RoutingTable& table,
+                      const std::vector<std::vector<Node>>& extra_sets,
+                      const std::string& name) {
+  const SrgIndex index(table);
+  const std::size_t n = table.num_nodes();
+  for (const bool scalar : {false, true}) {
+    SrgScratch scratch(index);
+    scratch.set_scalar_oracle(scalar);
+    const std::string kernel = scalar ? " scalar" : " bitset";
+    Rng rng(77);
+    for (std::size_t f = 0; f <= 4; ++f) {
+      for (const auto& faults : random_fault_sets(n, f, 3, rng)) {
+        expect_matches_oracle(table, scratch, faults,
+                              name + kernel + " f=" + std::to_string(f));
+      }
+    }
+    for (const auto& faults : extra_sets) {
+      expect_matches_oracle(table, scratch, faults, name + kernel + " extra");
+    }
+  }
+}
+
 TEST(NetworkSim, AllPairsOnEdgeRouting) {
   const auto gg = cycle_graph(6);
   RoutingTable t(6, RoutingMode::kBidirectional);
   install_edge_routes(t, gg.graph);
   Rng rng(1);
-  const auto stats = measure_delivery(t, {}, 0, rng);
+  const auto stats = deliver(t, {}, 0, rng);
   EXPECT_EQ(stats.pairs_sampled, 30u);
   EXPECT_EQ(stats.delivered, 30u);
   // With only edge routes, route hops equal graph distance: max = 3 on C6.
@@ -28,7 +109,7 @@ TEST(NetworkSim, SamplingCountsPairs) {
   RoutingTable t(8, RoutingMode::kBidirectional);
   install_edge_routes(t, gg.graph);
   Rng rng(2);
-  const auto stats = measure_delivery(t, {}, 40, rng);
+  const auto stats = deliver(t, {}, 40, rng);
   EXPECT_EQ(stats.pairs_sampled, 40u);
   EXPECT_EQ(stats.delivered, 40u);
 }
@@ -37,7 +118,7 @@ TEST(NetworkSim, KernelRoutingDeliversUnderFaults) {
   const auto gg = cube_connected_cycles(3);
   const auto kr = build_kernel_routing(gg.graph, 2);
   Rng rng(3);
-  const auto stats = measure_delivery(kr.table, {0, 7}, 0, rng);
+  const auto stats = deliver(kr.table, {0, 7}, 0, rng);
   EXPECT_EQ(stats.delivered, stats.pairs_sampled);
   // Theorem 3 bound: 2t = 4 route hops worst case.
   EXPECT_LE(stats.max_route_hops, 4u);
@@ -50,7 +131,7 @@ TEST(NetworkSim, UndeliveredCountedWhenRoutingDisconnects) {
   t.set_route({0, 1});
   t.set_route({2, 3});
   Rng rng(4);
-  const auto stats = measure_delivery(t, {}, 0, rng);
+  const auto stats = deliver(t, {}, 0, rng);
   EXPECT_EQ(stats.pairs_sampled, 12u);
   EXPECT_EQ(stats.delivered, 4u);  // only within the two pairs
 }
@@ -59,7 +140,7 @@ TEST(NetworkSim, FewSurvivorsShortCircuit) {
   RoutingTable t(3, RoutingMode::kBidirectional);
   t.set_route({0, 1});
   Rng rng(5);
-  const auto stats = measure_delivery(t, {0, 1}, 10, rng);
+  const auto stats = deliver(t, {0, 1}, 10, rng);
   EXPECT_EQ(stats.pairs_sampled, 0u);
 }
 
@@ -67,10 +148,110 @@ TEST(NetworkSim, AveragesAreConsistent) {
   const auto gg = torus_graph(4, 4);
   const auto kr = build_kernel_routing(gg.graph, 3);
   Rng rng(6);
-  const auto stats = measure_delivery(kr.table, {5}, 0, rng);
+  const auto stats = deliver(kr.table, {5}, 0, rng);
   EXPECT_GT(stats.avg_route_hops, 0.0);
   EXPECT_LE(stats.avg_route_hops, static_cast<double>(stats.max_route_hops));
   EXPECT_LE(stats.avg_edge_hops, static_cast<double>(stats.max_edge_hops));
+}
+
+TEST(NetworkSim, RoutePathNeedsAnEvaluationAndLiveEndpoints) {
+  RoutingTable t(3, RoutingMode::kBidirectional);
+  t.set_route({0, 1});
+  const SrgIndex index(t);
+  SrgScratch scratch(index);
+  EXPECT_THROW(scratch.route_path(0, 1), ContractViolation);
+  EXPECT_THROW(scratch.last_survivors(), ContractViolation);
+  scratch.evaluate(std::vector<Node>{2});
+  EXPECT_EQ(scratch.route_path(0, 1).size(), 2u);
+  EXPECT_EQ(scratch.route_path(1, 1).size(), 1u);
+  EXPECT_THROW(scratch.route_path(0, 2), ContractViolation);
+  scratch.evaluate(std::vector<Node>{});
+  EXPECT_TRUE(scratch.route_path(0, 2).empty());  // 2 is isolated
+}
+
+TEST(NetworkSimDifferential, PlannerTorus) {
+  const auto gg = torus_graph(6, 6);
+  Rng rng(11);
+  const auto planned =
+      build_planned_routing(gg.graph, gg.known_connectivity, rng);
+  const auto ring = gg.graph.neighbors(0);
+  // Killing node 0's four neighbors cuts every route out of it.
+  const std::vector<Node> isolate(ring.begin(), ring.end());
+  run_differential(planned.table, {isolate}, "planner torus(6,6)");
+}
+
+TEST(NetworkSimDifferential, KernelCubeConnectedCycles) {
+  const auto gg = cube_connected_cycles(3);
+  const auto kr = build_kernel_routing(gg.graph, 2);
+  // Fewer than two survivors: every node but 5 fails.
+  std::vector<Node> all_but_one;
+  for (Node v = 0; v < gg.graph.num_nodes(); ++v) {
+    if (v != 5) all_but_one.push_back(v);
+  }
+  const auto ring = gg.graph.neighbors(0);
+  const std::vector<Node> isolate(ring.begin(), ring.end());
+  run_differential(kr.table, {all_but_one, isolate}, "kernel CCC(3)");
+}
+
+TEST(NetworkSimDifferential, HypercubeBitFixing) {
+  const auto gg = hypercube(5);
+  const auto ring = gg.graph.neighbors(0);
+  const std::vector<Node> isolate(ring.begin(), ring.end());
+  run_differential(build_bitfixing_unidirectional(gg.graph, 5), {isolate},
+                   "bit-fixing Q5 uni");
+  run_differential(build_bitfixing_bidirectional(gg.graph, 5), {isolate},
+                   "bit-fixing Q5 bi");
+}
+
+// BFS over successor lists in ROUTE-INSERTION order (what the scratch CSR
+// holds) — the order route_path must not follow.
+std::vector<Node> insertion_order_path(const RoutingTable& t, Node s, Node u) {
+  std::vector<std::vector<Node>> succ(t.num_nodes());
+  t.for_each_view([&](Node x, Node y, PathView) { succ[x].push_back(y); });
+  std::vector<Node> parent(t.num_nodes(), static_cast<Node>(t.num_nodes()));
+  std::vector<Node> queue{s};
+  parent[s] = s;
+  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+    for (Node v : succ[queue[qi]]) {
+      if (parent[v] != static_cast<Node>(t.num_nodes())) continue;
+      parent[v] = queue[qi];
+      queue.push_back(v);
+    }
+  }
+  std::vector<Node> path;
+  for (Node w = u; w != s; w = parent[w]) path.push_back(w);
+  path.push_back(s);
+  return {path.rbegin(), path.rend()};
+}
+
+TEST(NetworkSimDifferential, SuccessorOrderIsAscendingNotInsertion) {
+  // Routes installed in descending (x, y) order, so every scratch CSR row
+  // is descending. From 0, BFS in ascending order reaches 3 through 1 (the
+  // two-edge route 1 -> 4 -> 3); in insertion order it would go through 2
+  // (the direct edge 2 -> 3), with a different edge-hop total.
+  RoutingTable t(5, RoutingMode::kUnidirectional);
+  t.set_route({2, 3});
+  t.set_route({1, 4, 3});
+  t.set_route({0, 2});
+  t.set_route({0, 1});
+  ASSERT_EQ(insertion_order_path(t, 0, 3), (std::vector<Node>{0, 2, 3}));
+
+  const SrgIndex index(t);
+  SrgScratch scratch(index);
+  for (const bool scalar : {false, true}) {
+    scratch.set_scalar_oracle(scalar);
+    scratch.evaluate(std::vector<Node>{});
+    const auto path = scratch.route_path(0, 3);
+    EXPECT_EQ(std::vector<Node>(path.begin(), path.end()),
+              (std::vector<Node>{0, 1, 3}));
+    Rng rng(1);
+    const auto stats = measure_delivery(t, scratch, 0, rng);
+    // 0->1 (1), 0->2 (1), 0->3 via 1 (1 + 2), 1->3 (2), 2->3 (1).
+    EXPECT_EQ(stats.delivered, 5u);
+    EXPECT_EQ(stats.edge_hops_total, 8u);
+    EXPECT_EQ(stats.max_edge_hops, 3u);
+  }
+  run_differential(t, {}, "descending hand-built");
 }
 
 }  // namespace

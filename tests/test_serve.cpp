@@ -3,7 +3,7 @@
 //  * DIFFERENTIAL: every response the router emits equals the one computed
 //    by issuing the same request one-at-a-time through the existing
 //    single-table paths (check_tolerance / sweep_fault_source /
-//    sweep_exhaustive_gray / measure_delivery_on), formatted per the
+//    sweep_exhaustive_gray / measure_delivery), formatted per the
 //    documented response grammar;
 //  * INVARIANCE: serving output is bit-identical for any thread count, any
 //    batch size, and any registry byte budget (eviction churn never leaks
@@ -183,8 +183,7 @@ TEST(Serve, DifferentialAgainstSingleTablePaths) {
     const std::vector<Node> faults = {3, 7};
     const auto res = scratch.evaluate(faults);
     Rng rng(11);
-    const auto d = measure_delivery_on(ker.table,
-                                       scratch.last_surviving_graph(), 5, rng);
+    const auto d = measure_delivery(ker.table, scratch, 5, rng);
     std::ostringstream os;
     os << "#2 delivery ker faults=3,7 diameter=" << fmt_diameter(res.diameter)
        << " survivors=" << res.survivors << " arcs=" << res.arcs

@@ -1,16 +1,18 @@
-// SurvivingRouteGraphEngine must be observationally identical to the
-// one-shot path in fault/surviving.cpp — same surviving graphs, same
-// diameters — while reusing scratch state across arbitrary interleavings of
-// fault sets. These tests are differential: every engine answer is checked
-// against the straightforward implementation.
+// SrgIndex + SrgScratch must be observationally identical to the one-shot
+// path in fault/surviving.cpp — same arcs, survivors and diameters, and the
+// same delivery paths — while reusing scratch state across arbitrary
+// interleavings of fault sets. These tests are differential: every scratch
+// answer is checked against the straightforward implementation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "analysis/neighborhood.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "delivery_oracle.hpp"
 #include "fault/fault_gen.hpp"
 #include "fault/srg_engine.hpp"
 #include "fault/surviving.hpp"
@@ -25,35 +27,45 @@
 namespace ftr {
 namespace {
 
-void expect_same_digraph(const Digraph& a, const Digraph& b) {
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  EXPECT_EQ(a.num_present(), b.num_present());
-  EXPECT_EQ(a.num_arcs(), b.num_arcs());
-  for (Node u = 0; u < a.num_nodes(); ++u) {
-    EXPECT_EQ(a.present(u), b.present(u)) << "node " << u;
-    const auto sa = a.successors(u);
-    const auto sb = b.successors(u);
-    ASSERT_EQ(sa.size(), sb.size()) << "out-degree of " << u;
-    for (std::size_t i = 0; i < sa.size(); ++i) EXPECT_EQ(sa[i], sb[i]);
+// One fault set through the scratch against the one-shot surviving graph:
+// arc and survivor counts, the diameter, and every ordered survivor pair's
+// route_path against the oracle BFS. A length-1 path is exactly an arc, so
+// the pair check covers the arc set itself, not just its size.
+template <class Table>
+void expect_matches_one_shot(SrgScratch& scratch, const Table& table,
+                             const std::vector<Node>& faults) {
+  const auto res = scratch.evaluate(faults);
+  const Digraph r = surviving_graph(table, faults);
+  EXPECT_EQ(res.arcs, r.num_arcs());
+  EXPECT_EQ(res.survivors, r.num_present());
+  EXPECT_EQ(res.diameter, surviving_diameter(table, faults));
+  const auto nodes = r.present_nodes();
+  const auto survivors = scratch.last_survivors();
+  ASSERT_EQ(std::vector<Node>(survivors.begin(), survivors.end()), nodes);
+  for (Node s : nodes) {
+    for (Node t : nodes) {
+      const auto got = scratch.route_path(s, t);
+      ASSERT_EQ(std::vector<Node>(got.begin(), got.end()),
+                oracle_route_path(r, s, t))
+          << "pair " << s << "->" << t;
+    }
   }
 }
 
 TEST(SrgEngine, MatchesOneShotOnKernelRouting) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  SurvivingRouteGraphEngine engine(kr.table);
-  EXPECT_EQ(engine.num_nodes(), kr.table.num_nodes());
-  EXPECT_EQ(engine.num_routes(), kr.table.num_routes());
+  const SrgIndex index(kr.table);
+  SrgScratch scratch(index);
+  EXPECT_EQ(index.num_nodes(), kr.table.num_nodes());
+  EXPECT_EQ(index.num_routes(), kr.table.num_routes());
 
   Rng rng(31);
   for (std::size_t f : {0u, 1u, 3u, 6u, 10u}) {
     const auto sets = random_fault_sets(gg.graph.num_nodes(), f, 8, rng);
     for (const auto& faults : sets) {
-      EXPECT_EQ(engine.surviving_diameter(faults),
-                surviving_diameter(kr.table, faults))
-          << "f=" << f;
-      expect_same_digraph(engine.surviving_graph(faults),
-                          surviving_graph(kr.table, faults));
+      SCOPED_TRACE("f=" + std::to_string(f));
+      expect_matches_one_shot(scratch, kr.table, faults);
     }
   }
 }
@@ -62,18 +74,16 @@ TEST(SrgEngine, MatchesOneShotOnMultirouting) {
   const auto gg = cube_connected_cycles(3);
   Rng rng(7);
   const MultiRouteTable table = build_full_multirouting(gg.graph, 2);
-  SurvivingRouteGraphEngine engine(table);
-  EXPECT_EQ(engine.num_pairs(), table.num_routed_pairs());
-  EXPECT_EQ(engine.num_routes(), table.total_routes());
+  const SrgIndex index(table);
+  SrgScratch scratch(index);
+  EXPECT_EQ(index.num_pairs(), table.num_routed_pairs());
+  EXPECT_EQ(index.num_routes(), table.total_routes());
 
   for (std::size_t f : {0u, 2u, 4u}) {
     const auto sets = random_fault_sets(gg.graph.num_nodes(), f, 6, rng);
     for (const auto& faults : sets) {
-      EXPECT_EQ(engine.surviving_diameter(faults),
-                surviving_diameter(table, faults))
-          << "f=" << f;
-      expect_same_digraph(engine.surviving_graph(faults),
-                          surviving_graph(table, faults));
+      SCOPED_TRACE("f=" + std::to_string(f));
+      expect_matches_one_shot(scratch, table, faults);
     }
   }
 }
@@ -83,16 +93,17 @@ TEST(SrgEngine, ScratchReuseIsOrderIndependent) {
   // evaluation must never leak into the next.
   const auto gg = torus_graph(4, 4);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  SurvivingRouteGraphEngine engine(kr.table);
+  const SrgIndex index(kr.table);
+  SrgScratch scratch(index);
   Rng rng(99);
   const auto heavy = random_fault_sets(16, 6, 10, rng);
   const auto light = random_fault_sets(16, 1, 10, rng);
   for (std::size_t i = 0; i < heavy.size(); ++i) {
-    EXPECT_EQ(engine.surviving_diameter(heavy[i]),
+    EXPECT_EQ(scratch.surviving_diameter(heavy[i]),
               surviving_diameter(kr.table, heavy[i]));
-    EXPECT_EQ(engine.surviving_diameter(light[i]),
+    EXPECT_EQ(scratch.surviving_diameter(light[i]),
               surviving_diameter(kr.table, light[i]));
-    EXPECT_EQ(engine.surviving_diameter(std::vector<Node>{}),
+    EXPECT_EQ(scratch.surviving_diameter(std::vector<Node>{}),
               surviving_diameter(kr.table, {}));
   }
 }
@@ -101,10 +112,11 @@ TEST(SrgEngine, DuplicateAndOutOfRangeFaults) {
   const auto gg = cycle_graph(8);
   RoutingTable t(8, RoutingMode::kBidirectional);
   install_edge_routes(t, gg.graph);
-  SurvivingRouteGraphEngine engine(t);
+  const SrgIndex index(t);
+  SrgScratch scratch(index);
   const std::vector<Node> dup{2, 2, 5};
-  EXPECT_EQ(engine.surviving_diameter(dup), surviving_diameter(t, dup));
-  EXPECT_THROW(engine.surviving_diameter(std::vector<Node>{9}),
+  EXPECT_EQ(scratch.surviving_diameter(dup), surviving_diameter(t, dup));
+  EXPECT_THROW(scratch.surviving_diameter(std::vector<Node>{9}),
                ContractViolation);
 }
 
@@ -112,14 +124,15 @@ TEST(SrgEngine, EvaluateReportsSurvivorsAndArcs) {
   const auto gg = cycle_graph(6);
   RoutingTable t(6, RoutingMode::kBidirectional);
   install_edge_routes(t, gg.graph);
-  SurvivingRouteGraphEngine engine(t);
+  const SrgIndex index(t);
+  SrgScratch scratch(index);
 
-  const auto clean = engine.evaluate(std::vector<Node>{});
+  const auto clean = scratch.evaluate(std::vector<Node>{});
   EXPECT_EQ(clean.survivors, 6u);
   EXPECT_EQ(clean.arcs, 12u);  // 6 edges, both directions
   EXPECT_EQ(clean.diameter, 3u);
 
-  const auto struck = engine.evaluate(std::vector<Node>{0});
+  const auto struck = scratch.evaluate(std::vector<Node>{0});
   EXPECT_EQ(struck.survivors, 5u);
   EXPECT_EQ(struck.arcs, 8u);          // arcs touching node 0 are gone
   EXPECT_EQ(struck.diameter, 4u);      // cycle minus a node = 5-node path
@@ -130,21 +143,23 @@ TEST(SrgEngine, FewSurvivorsDiameterZero) {
   t.set_route({0, 1});
   t.set_route({1, 2});
   t.set_route({0, 1, 2});
-  SurvivingRouteGraphEngine engine(t);
-  EXPECT_EQ(engine.surviving_diameter(std::vector<Node>{0, 1}), 0u);
-  EXPECT_EQ(engine.surviving_diameter(std::vector<Node>{0, 1, 2}), 0u);
+  const SrgIndex index(t);
+  SrgScratch scratch(index);
+  EXPECT_EQ(scratch.surviving_diameter(std::vector<Node>{0, 1}), 0u);
+  EXPECT_EQ(scratch.surviving_diameter(std::vector<Node>{0, 1, 2}), 0u);
 }
 
 TEST(SrgEngine, ComponentwiseMatchesRecoveryMetric) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  SurvivingRouteGraphEngine engine(kr.table);
+  const SrgIndex index(kr.table);
+  SrgScratch scratch(index);
   Rng rng(515);
   for (std::size_t f : {3u, 5u, 7u}) {
     const auto sets = random_fault_sets(gg.graph.num_nodes(), f, 6, rng);
     for (const auto& faults : sets) {
       const auto batched =
-          componentwise_surviving_diameter(gg.graph, engine, faults);
+          componentwise_surviving_diameter(gg.graph, scratch, faults);
       const auto oneshot =
           componentwise_surviving_diameter(gg.graph, kr.table, faults);
       EXPECT_EQ(batched.worst, oneshot.worst);
@@ -182,39 +197,40 @@ TEST(SrgEngine, EpochWraparound) {
   // fault/route/pair stamp wrap (its BFS is stamp-free).
   const auto gg = torus_graph(4, 4);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  SurvivingRouteGraphEngine engine(kr.table);
+  const SrgIndex index(kr.table);
+  SrgScratch scratch(index);
   Rng rng(3);
   const auto sets = random_fault_sets(16, 3, 10, rng);
 
   for (const bool scalar : {true, false}) {
-    engine.scratch().set_epochs_for_testing(~std::uint32_t{0} - 3);
-    engine.scratch().set_scalar_oracle(scalar);
+    scratch.set_epochs_for_testing(~std::uint32_t{0} - 3);
+    scratch.set_scalar_oracle(scalar);
     for (const auto& faults : sets) {
-      EXPECT_EQ(engine.surviving_diameter(faults),
+      EXPECT_EQ(scratch.surviving_diameter(faults),
                 surviving_diameter(kr.table, faults))
           << (scalar ? "scalar" : "bitset");
     }
 
     // An explicit reset must be behavior-preserving as well.
-    engine.scratch().reset();
+    scratch.reset();
     for (const auto& faults : sets) {
-      EXPECT_EQ(engine.surviving_diameter(faults),
+      EXPECT_EQ(scratch.surviving_diameter(faults),
                 surviving_diameter(kr.table, faults))
           << (scalar ? "scalar" : "bitset");
     }
   }
 }
 
-TEST(SrgEngine, EpochWraparoundOnSurvivingGraph) {
+TEST(SrgEngine, EpochWraparoundOnRoutePaths) {
   const auto gg = cycle_graph(8);
   RoutingTable t(8, RoutingMode::kBidirectional);
   install_edge_routes(t, gg.graph);
-  SurvivingRouteGraphEngine engine(t);
-  engine.scratch().set_epochs_for_testing(~std::uint32_t{0} - 1);
+  const SrgIndex index(t);
+  SrgScratch scratch(index);
+  scratch.set_epochs_for_testing(~std::uint32_t{0} - 1);
   const std::vector<Node> faults{2, 5};
   for (int round = 0; round < 4; ++round) {  // crosses the wrap mid-loop
-    expect_same_digraph(engine.surviving_graph(faults),
-                        surviving_graph(t, faults));
+    expect_matches_one_shot(scratch, t, faults);
   }
 }
 
@@ -223,10 +239,11 @@ TEST(SrgEngine, CircularRoutingSweepAgainstOneShot) {
   Rng rng(42);
   const auto m = neighborhood_set_of_size(gg.graph, 5, rng, 16);
   const auto cr = build_circular_routing(gg.graph, 3, m);
-  SurvivingRouteGraphEngine engine(cr.table);
+  const SrgIndex index(cr.table);
+  SrgScratch scratch(index);
   const auto sets = random_fault_sets(gg.graph.num_nodes(), 3, 20, rng);
   for (const auto& faults : sets) {
-    EXPECT_EQ(engine.surviving_diameter(faults),
+    EXPECT_EQ(scratch.surviving_diameter(faults),
               surviving_diameter(cr.table, faults));
   }
 }

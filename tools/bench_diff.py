@@ -11,10 +11,12 @@ prints one per-benchmark delta table per file: baseline vs fresh time,
 items_per_second, and the percent change of each.
 
 This report is INFORMATIONAL — it always exits 0 unless an input is
-unreadable. CI runs on a 1-core shared runner whose clock speed varies by
-easily 2x between runs, so a hard regression gate on these numbers would
-flap; the deltas are for a human (or a release checklist) to eyeball, with
-the cross-kernel ratios inside one fresh file being the stable signal.
+unreadable. CI runs on a shared runner whose clock speed varies by easily
+2x between runs and whose core count need not match the host the
+baselines were recorded on (each file's context block names it), so a hard
+regression gate on these numbers would flap; the deltas are for a human
+(or a release checklist) to eyeball, with the cross-kernel ratios inside
+one fresh file being the stable signal.
 """
 import argparse
 import json
@@ -131,8 +133,8 @@ def main():
     for name in sorted(set(fresh_files) - set(base_files)):
         print(f"== {name}: fresh only (no checked-in baseline yet)")
 
-    print("(informational: 1-core CI timing is noisy; cross-kernel ratios "
-          "within one fresh file are the stable signal)")
+    print("(informational: shared-runner timing is noisy; cross-kernel "
+          "ratios within one fresh file are the stable signal)")
     return 0
 
 

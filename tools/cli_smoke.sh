@@ -95,23 +95,33 @@ if grep -q "error:" "${WORK}/serve.1.out"; then
 fi
 
 # Binary snapshot round trip: dump the graph+routes into a snapshot, serve
-# from a snapshot= manifest (both load paths), and demand stdout identical
-# to the build-on-miss serve above — the snapshot is a cold-path
-# accelerator, never a behavior change. Snapshots are also accepted
-# anywhere a graph/table file is read (check/sweep sniff the magic).
+# from a snapshot= manifest, and demand stdout identical to the
+# build-on-miss serve above — the snapshot is a cold-path accelerator,
+# never a behavior change. Snapshots are also accepted anywhere a
+# graph/table file is read (check/sweep sniff the magic).
 echo "== snapshot round trip"
 "${CLI}" snapshot --graph "${WORK}/graph.ftg" --routes "${WORK}/table.ftt" \
   --out "${WORK}/table.snap" 2> /dev/null
-for m in mmap bulk; do
-  printf 'table demo snapshot=%s snapshot_load=%s\n' \
-    "${WORK}/table.snap" "${m}" > "${WORK}/tables.snap.txt"
-  for t in 1 4; do
-    "${CLI}" serve --tables "${WORK}/tables.snap.txt" --stdin \
-      --threads "${t}" --batch 2 < "${WORK}/requests.txt" \
-      > "${WORK}/serve.snap.${m}.${t}.out" 2> /dev/null
-    cmp "${WORK}/serve.1.out" "${WORK}/serve.snap.${m}.${t}.out"
-  done
+printf 'table demo snapshot=%s\n' "${WORK}/table.snap" \
+  > "${WORK}/tables.snap.txt"
+for t in 1 4; do
+  "${CLI}" serve --tables "${WORK}/tables.snap.txt" --stdin \
+    --threads "${t}" --batch 2 < "${WORK}/requests.txt" \
+    > "${WORK}/serve.snap.${t}.out" 2> /dev/null
+  cmp "${WORK}/serve.1.out" "${WORK}/serve.snap.${t}.out"
 done
+# The retired snapshot_load= manifest key is rejected like any unknown key.
+printf 'table demo snapshot=%s snapshot_load=bulk\n' "${WORK}/table.snap" \
+  > "${WORK}/tables.retired.txt"
+rc=0
+"${CLI}" serve --tables "${WORK}/tables.retired.txt" --stdin \
+  < "${WORK}/requests.txt" > /dev/null 2> "${WORK}/retired.err" || rc=$?
+if [[ "${rc}" -eq 0 ]] || ! grep -q "unknown key 'snapshot_load'" \
+    "${WORK}/retired.err"; then
+  echo "error: serve accepted the retired snapshot_load= key (exit ${rc})" >&2
+  cat "${WORK}/retired.err" >&2
+  exit 1
+fi
 
 echo "== snapshot accepted by check/sweep"
 "${CLI}" check "${WORK}/table.snap" "${WORK}/table.snap" \
