@@ -116,12 +116,16 @@ for bench in "${BENCHES[@]}"; do
     out="${OUT_DIR}/BENCH_dist.json"
   fi
   echo "== ${bench} -> ${out}"
+  # The run writes to a temp file, which replaces ${out} only if the filter
+  # matched something in this binary: a filtered run must not clobber the
+  # baselines of the benches it did not select.
+  run_out="$(mktemp)"
   bench_cmd=("${bin}"
     --benchmark_filter="${FILTER}"
     --benchmark_repetitions=3
     --benchmark_report_aggregates_only=true
     --benchmark_format=console
-    --benchmark_out="${out}"
+    --benchmark_out="${run_out}"
     --benchmark_out_format=json)
   # The executor bench compares uniform against skewed chunk costs, so
   # interleave its repetitions randomly and take more of them: sequential
@@ -134,14 +138,22 @@ for bench in "${BENCHES[@]}"; do
     bench_cmd+=(--benchmark_enable_random_interleaving=true
       --benchmark_repetitions=9)
   fi
+  rss_file="$(mktemp)"
   if [[ "${HAVE_PYTHON3}" -eq 1 ]]; then
-    rss_file="$(mktemp)"
     run_with_rss "${rss_file}" "${bench_cmd[@]}"
-    inject_context "${out}" "$(cat "${rss_file}")"
-    rm -f "${rss_file}"
   else
     "${bench_cmd[@]}"
   fi
+  if ! grep -q '"name": "' "${run_out}"; then
+    echo "no benchmark in ${bench} matched; ${out} left as it was"
+    rm -f "${run_out}" "${rss_file}"
+    continue
+  fi
+  if [[ "${HAVE_PYTHON3}" -eq 1 ]]; then
+    inject_context "${run_out}" "$(cat "${rss_file}")"
+  fi
+  rm -f "${rss_file}"
+  mv "${run_out}" "${out}"
   WRITTEN_JSONS+=("${out}")
 done
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/cpu_features.hpp"
 #include "common/parallel.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
@@ -296,12 +297,15 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
   SweepPartial partial;
   ExecutorStats executor;
   const unsigned workers = options.exec.resolved_threads();
-  const std::size_t batch_size =
-      std::max<std::size_t>(1, options.exec.batch_size);
   // Packed evaluates up to lane_width() Gray-adjacent sets per bit-parallel
   // pass, but cannot materialize per-set surviving graphs, so delivery
-  // sampling evaluates each set on its own (bitset).
+  // sampling evaluates each set on its own (bitset). Packed chunks are
+  // whole blocks: the batch rounds up to a multiple of the widest lane width.
   const bool packed = options.delivery_pairs == 0;
+  const std::size_t batch =
+      std::max<std::size_t>(1, options.exec.batch_size);
+  const std::size_t batch_size =
+      packed ? static_cast<std::size_t>(lane_aligned(batch)) : batch;
   const std::uint64_t range = end_rank - begin_rank;
   const std::uint64_t batch_items =
       static_cast<std::uint64_t>(batch_size) * workers;
@@ -324,7 +328,7 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
           GraySubsetEnumerator e(n, f, base + begin);
           if (packed) {
             const std::size_t lanes = scratch.lane_width();
-            SrgScratch::Result res[512];
+            SrgScratch::Result res[kMaxLaneWidth];
             std::size_t r = begin;
             while (r < end) {
               const std::size_t cnt = std::min<std::size_t>(lanes, end - r);

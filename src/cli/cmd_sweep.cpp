@@ -31,7 +31,8 @@ const VerbSpec& spec() {
               {"--seed", "S", "sampling stream seed (default 7)"},
               {"--exhaustive", nullptr,
                "sweep all C(n,F) sets in revolving-door order (packed\n"
-               "        lane blocks; one set at a time with --delivery-pairs)"},
+               "        lane blocks, --batch rounded up to a multiple of 512;\n"
+               "        one set at a time with --delivery-pairs)"},
               {"--stdin", nullptr,
                "read one fault set per line from stdin (whitespace-\n"
                "        separated node ids, '#' comments)"},

@@ -17,6 +17,8 @@
 //     win on plain x86-64/NEON-less builds because the word loops unroll).
 #pragma once
 
+#include <cstdint>
+
 namespace ftr {
 
 /// One-time cpuid probe, cached for the process lifetime. On non-x86
@@ -35,5 +37,18 @@ bool is_valid_lane_width(unsigned lanes);
 /// valid width (contract violation otherwise). Always returns a valid
 /// width.
 unsigned resolve_lane_width(unsigned requested);
+
+/// Lanes in the widest packed block. Every valid width divides it, so a run
+/// of Gray ranks whose length is a multiple of it splits into full blocks at
+/// any width.
+inline constexpr unsigned kMaxLaneWidth = 512;
+
+/// `items` rounded up to a positive multiple of kMaxLaneWidth: the chunk
+/// grain of every exhaustive Gray scan, so that no chunk but the scan's last
+/// ends in a partial block (which costs as much as a full one).
+constexpr std::uint64_t lane_aligned(std::uint64_t items) {
+  const std::uint64_t blocks = (items + kMaxLaneWidth - 1) / kMaxLaneWidth;
+  return (blocks == 0 ? 1 : blocks) * kMaxLaneWidth;
+}
 
 }  // namespace ftr

@@ -21,6 +21,9 @@
 //    branches). See common/parallel.hpp.
 //  * batch_size / progress_every — taken literally; consumers clamp
 //    batch_size to >= 1 (and the router additionally caps it at 2^20).
+//    Exhaustive Gray scans round batch_size up to a multiple of the widest
+//    packed lane width (lane_aligned, common/cpu_features.hpp), since a
+//    chunk ending in a partial block pays for a full one.
 //    progress_every is local to the process that reports progress, so the
 //    wire encoding does not carry it (workers decode it as 0).
 //

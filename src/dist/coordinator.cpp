@@ -12,6 +12,7 @@
 
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
+#include "common/cpu_features.hpp"
 #include "common/pipe_io.hpp"
 #include "dist/worker.hpp"
 
@@ -168,11 +169,16 @@ unsigned DistSweepPool::live_workers() const {
   return live;
 }
 
-std::uint64_t DistSweepPool::auto_unit_items(std::uint64_t total) const {
+std::uint64_t DistSweepPool::auto_unit_items(std::uint64_t total,
+                                             UnitKind kind) const {
   if (options_.unit_items > 0) return options_.unit_items;
   const std::uint64_t slots = std::uint64_t{options_.workers} * 8;
-  const std::uint64_t per = (total + slots - 1) / slots;
-  return std::clamp<std::uint64_t>(per, 1, 65536);
+  const std::uint64_t per =
+      std::clamp<std::uint64_t>((total + slots - 1) / slots, 1, 65536);
+  // Gray-rank units run packed blocks: whole blocks only, so that no unit
+  // but the last ends in a partial one.
+  const bool gray = kind == UnitKind::kSweepGray || kind == UnitKind::kAdvGray;
+  return gray ? lane_aligned(per) : per;
 }
 
 void DistSweepPool::run(const UnitFeed& feed, bool adversary,
@@ -504,7 +510,8 @@ UnitSpec DistSweepPool::pool_unit(UnitSpec unit) const {
 
 DistSweepPool::UnitFeed DistSweepPool::split(const UnitSpec& whole) const {
   FTR_EXPECTS(whole.begin <= whole.end);
-  const std::uint64_t step = auto_unit_items(whole.end - whole.begin);
+  const std::uint64_t step =
+      auto_unit_items(whole.end - whole.begin, whole.kind);
   return [step, pos = whole.begin,
           unit = pool_unit(whole)]() mutable -> std::optional<UnitSpec> {
     if (pos >= unit.end) return std::nullopt;
@@ -535,7 +542,7 @@ SweepPartial DistSweepPool::sweep_source(
     FaultSetSource& source, const FaultSweepOptions& sweep_options) {
   const auto known = source.size();
   const std::uint64_t step =
-      known.has_value() ? auto_unit_items(*known)
+      known.has_value() ? auto_unit_items(*known, UnitKind::kSweepExplicit)
                         : (options_.unit_items > 0 ? options_.unit_items : 4096);
   const UnitSpec base =
       pool_unit(sweep_unit(UnitKind::kSweepExplicit, 0, 0, sweep_options));

@@ -48,7 +48,9 @@ struct DistPoolOptions {
   unsigned workers = 1;
   /// Task items (subset ranks, sample indices, restart indices, literal
   /// sets) per unit; 0 = auto (~8 units per worker over the task space,
-  /// clamped to [1, 65536]; streams of unknown length use 4096).
+  /// clamped to [1, 65536] and, for Gray-rank units, rounded up to a
+  /// multiple of kMaxLaneWidth so each unit is whole packed blocks; streams
+  /// of unknown length use 4096).
   std::uint64_t unit_items = 0;
   /// How units execute INSIDE each worker process (the process x thread
   /// hierarchy): exec.threads is the per-worker thread count, and the batch
@@ -122,7 +124,9 @@ class DistSweepPool {
 
   [[noreturn]] void child_main(int in_fd, int out_fd, unsigned index);
   void spawn_workers();
-  std::uint64_t auto_unit_items(std::uint64_t total) const;
+  /// Items per unit over a window of `total` items: unit_items when set
+  /// (taken literally), else the auto rule in DistPoolOptions::unit_items.
+  std::uint64_t auto_unit_items(std::uint64_t total, UnitKind kind) const;
 
   using UnitFeed = std::function<std::optional<UnitSpec>()>;
 

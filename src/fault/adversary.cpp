@@ -7,6 +7,7 @@
 
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
+#include "common/cpu_features.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "graph/bfs.hpp"
@@ -114,15 +115,18 @@ AdvPartial exhaustive_worst_faults_gray(const SrgIndex& index, std::size_t f,
   // winning rank at chunk end (sorted ascending, like the enumerator's
   // current()). aborted() is polled per block instead of per rank — a pure
   // optimization either way, since the ordered merge discards aborted
-  // partials.
+  // partials. The auto grain rounds up to a multiple of the widest lane
+  // width, so only the window's last chunk ends in a partial block.
+  const auto grain = static_cast<std::size_t>(lane_aligned(sweep_grain(
+      static_cast<std::size_t>(end_rank - begin_rank), exec.threads)));
   return chunked_rank_scan(
-      begin_rank, end_rank, exec, 0, executor,
+      begin_rank, end_rank, exec, grain, executor,
       [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
           const auto& aborted) {
         SrgScratch scratch(index);
         const std::uint64_t lanes = scratch.lane_width();
         GraySubsetEnumerator e(n, f, begin);
-        SrgScratch::Result res[512];
+        SrgScratch::Result res[kMaxLaneWidth];
         std::uint64_t best_rank = begin;
         std::uint64_t r = begin;
         while (r < end) {

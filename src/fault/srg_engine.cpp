@@ -94,6 +94,21 @@ void SrgIndex::finalize_routes() {
   for (std::uint32_t pid = 0; pid < num_pairs_; ++pid) {
     src_pair_ids_[cursor[pair_src_[pid]]++] = pid;
   }
+  build_dst_pairs();
+}
+
+void SrgIndex::build_dst_pairs() {
+  // Same counting sort keyed by target: the in-adjacency the bottom-up
+  // levels of the lane-parallel BFS walk.
+  dst_pair_off_.assign(n_ + 1, 0);
+  for (Node t : pair_dst_) ++dst_pair_off_[t + 1];
+  for (std::size_t i = 1; i <= n_; ++i) dst_pair_off_[i] += dst_pair_off_[i - 1];
+  dst_pair_ids_.resize(num_pairs_);
+  std::vector<std::uint32_t> cursor(dst_pair_off_.begin(),
+                                    dst_pair_off_.end() - 1);
+  for (std::uint32_t pid = 0; pid < num_pairs_; ++pid) {
+    dst_pair_ids_[cursor[pair_dst_[pid]]++] = pid;
+  }
 }
 
 std::size_t SrgIndex::memory_bytes() const {
@@ -104,7 +119,8 @@ std::size_t SrgIndex::memory_bytes() const {
          pair_dst_.memory_bytes() + pair_route_count_.memory_bytes() +
          node_route_off_.memory_bytes() + node_route_ids_.memory_bytes() +
          pair_route_off_.memory_bytes() + src_pair_off_.memory_bytes() +
-         src_pair_ids_.memory_bytes();
+         src_pair_ids_.memory_bytes() + dst_pair_off_.memory_bytes() +
+         dst_pair_ids_.memory_bytes();
 }
 
 SrgScratch::SrgScratch(const SrgIndex& index) : index_(&index) {
@@ -449,9 +465,12 @@ void SrgScratch::evaluate_gray_block(GraySubsetEnumerator& e,
   ctx.node_route_ids = ix.node_route_ids_.data();
   ctx.route_pair = ix.route_pair_.data();
   ctx.pair_route_off = ix.pair_route_off_.data();
+  ctx.pair_src = ix.pair_src_.data();
   ctx.pair_dst = ix.pair_dst_.data();
   ctx.src_pair_off = ix.src_pair_off_.data();
   ctx.src_pair_ids = ix.src_pair_ids_.data();
+  ctx.dst_pair_off = ix.dst_pair_off_.data();
+  ctx.dst_pair_ids = ix.dst_pair_ids_.data();
   ctx.lane_node_mask = lane_node_mask_.data();
   ctx.route_kill_mask = route_kill_mask_.data();
   ctx.pair_dead_mask = pair_dead_mask_.data();

@@ -60,8 +60,10 @@
 //    time (W in {1,2,4,8} words -> 64/128/256/512 lanes; the widest the CPU
 //    profits from — see common/cpu_features.hpp). Per-route kill masks,
 //    per-pair dead masks, and a lane-parallel BFS turn route liveness, arc
-//    counts, and reachability into AND/OR/popcount over lane blocks; the
-//    block body is dispatched at runtime to a portable, AVX2, or AVX-512
+//    counts, and reachability into AND/OR/popcount over lane blocks. The
+//    BFS switches per level between top-down over out-pairs and bottom-up
+//    over in-pairs on frontier density, like the bitset kernel; the block
+//    body is dispatched at runtime to a portable, AVX2, or AVX-512
 //    instantiation (fault/srg_packed.hpp). Lanes are consumed in rank
 //    order, so neither the width nor the chosen instantiation is observable
 //    in any result.
@@ -101,6 +103,13 @@ class SrgIndex {
   std::size_t num_routes() const { return route_src_.size(); }
   std::size_t num_pairs() const { return num_pairs_; }
 
+  /// Ids of the ordered pairs whose target is `v`, ascending: the
+  /// in-adjacency the packed kernel's bottom-up BFS levels walk.
+  std::span<const std::uint32_t> pairs_into(Node v) const {
+    return {dst_pair_ids_.data() + dst_pair_off_[v],
+            dst_pair_ids_.data() + dst_pair_off_[v + 1]};
+  }
+
   /// Heap footprint of the preprocessing arrays (capacities), for
   /// byte-accounted caches like the serving layer's table registry.
   std::size_t memory_bytes() const;
@@ -112,6 +121,10 @@ class SrgIndex {
   SrgIndex() = default;  // snapshot loads fill the arrays directly
 
   void finalize_routes();
+  // Groups the ordered pairs by target node (dst_pair_*) from pair_dst_.
+  // Table builds call it from finalize_routes(); snapshot loads call it on
+  // the validated pair_dst_, since the grouping is derived, not stored.
+  void build_dst_pairs();
 
   // All flat arrays: owned vectors when built from a table, aliases into a
   // mapped snapshot on the zero-copy load path (the index never mutates
@@ -133,11 +146,15 @@ class SrgIndex {
   // route-id range (both table constructors emit them that way; finalize
   // asserts it), so a pair's routes are [pair_route_off_[p],
   // pair_route_off_[p + 1]). src_pair_* lists the ordered pairs by source
-  // node — the adjacency the lane-parallel BFS walks, since in packed mode
-  // "arc" and "pair with a live route" coincide.
+  // node and dst_pair_* by target node — the out- and in-adjacency the
+  // lane-parallel BFS walks top-down and bottom-up, since in packed mode
+  // "arc" and "pair with a live route" coincide. dst_pair_* is never
+  // stored in a snapshot: build_dst_pairs() derives it on load.
   FlatArray<std::uint32_t> pair_route_off_;  // pair -> first route id
   FlatArray<std::uint32_t> src_pair_off_;    // node -> pairs sourced at it
   FlatArray<std::uint32_t> src_pair_ids_;
+  FlatArray<std::uint32_t> dst_pair_off_;    // node -> pairs targeting it
+  FlatArray<std::uint32_t> dst_pair_ids_;
 };
 
 /// Per-worker mutable state for fault-set evaluation against a shared

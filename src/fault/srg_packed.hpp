@@ -1,7 +1,10 @@
 // Width-parameterized packed SRG block kernel: dispatch surface.
 //
 // The packed kernel evaluates up to 64*W Gray-adjacent fault sets per
-// call, W words (LaneBlock<W>) per node/route/pair. Its body is a
+// call, W words (LaneBlock<W>) per node/route/pair. Its lane-parallel BFS
+// is direction-optimizing: each level runs top-down over the frontier's
+// out-pairs (src_pair_*) or bottom-up over the unreached nodes' in-pairs
+// (dst_pair_*), whichever the frontier's density favors. Its body is a
 // single width template (srg_packed_impl.hpp) compiled THREE times into
 // separate translation units with different ISA flags:
 //
@@ -45,9 +48,12 @@ struct PackedCtx {
   const std::uint32_t* node_route_ids = nullptr;
   const std::uint32_t* route_pair = nullptr;      // route -> pair id
   const std::uint32_t* pair_route_off = nullptr;  // pair -> route range
+  const std::uint32_t* pair_src = nullptr;        // pair -> source node
   const std::uint32_t* pair_dst = nullptr;        // pair -> target node
-  const std::uint32_t* src_pair_off = nullptr;    // node -> pair range
+  const std::uint32_t* src_pair_off = nullptr;    // node -> out-pair range
   const std::uint32_t* src_pair_ids = nullptr;
+  const std::uint32_t* dst_pair_off = nullptr;    // node -> in-pair range
+  const std::uint32_t* dst_pair_ids = nullptr;
 
   // W-strided lane masks (scratch).
   std::uint64_t* lane_node_mask = nullptr;   // n*W; prefilled by caller

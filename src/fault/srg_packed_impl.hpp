@@ -12,6 +12,15 @@
 // evaluation counts, and early-stop behavior are bit-identical to the
 // scalar oracle at every width.
 //
+// The BFS picks a direction per level, like the bitset kernel's
+// bfs_from_bits: bottom-up (each unreached node walks its in-pairs until
+// every lane it still misses is found) once the frontier holds at least a
+// quarter as many nodes as are left to reach, else top-down (each frontier
+// node walks its out-pairs). On the near-complete surviving route graphs
+// the second level has the whole neighbourhood as its frontier, and
+// bottom-up answers it in a few probes per node instead of a scan of every
+// ordered pair. Both directions reach the same (node, lane) set per level.
+//
 // The caller (SrgScratch) owns phase (a) — walking the revolving-door
 // enumerator into lane_node_mask / lane_touched — because that phase
 // needs GraySubsetEnumerator, which must not be instantiated inside an
@@ -103,23 +112,66 @@ void run_block(const PackedCtx& ctx, std::size_t count,
       std::uint32_t level = 0;
       while (frontier_count != 0) {
         ++level;
+        // Candidates: nodes still unreached in some active lane where they
+        // survive. They are listed in `next`, which the bottom-up step
+        // compacts in place (its write index never passes its read index)
+        // and the top-down step simply overwrites.
+        std::size_t candidates = 0;
+        for (std::uint32_t v = 0; v < ctx.n; ++v) {
+          const Block need = andnot(
+              andnot(active, Block::load(ctx.visited + std::size_t{v} * W)),
+              Block::load(ctx.lane_node_mask + std::size_t{v} * W));
+          if (need.any()) next[candidates++] = v;
+        }
+        // Direction switch on frontier density, as in the bitset kernel:
+        // top-down walks every out-pair of every frontier node; bottom-up
+        // walks each candidate's in-pairs and stops once all of its
+        // missing lanes are found. The (node, lane) set reached at a level
+        // is the same either way, so the choice never changes a result.
         std::size_t next_count = 0;
-        for (std::size_t i = 0; i < frontier_count; ++i) {
-          const std::uint32_t u = frontier[i];
-          const Block fm = Block::load(ctx.new_mask + std::size_t{u} * W);
-          for (std::uint32_t k = ctx.src_pair_off[u];
-               k < ctx.src_pair_off[u + 1]; ++k) {
-            const std::uint32_t pid = ctx.src_pair_ids[k];
-            const std::uint32_t v = ctx.pair_dst[pid];
-            const Block m = andnot(
-                andnot(fm,
-                       Block::load(ctx.pair_dead_mask + std::size_t{pid} * W)),
-                Block::load(ctx.visited + std::size_t{v} * W));
-            if (m.none()) continue;
-            std::uint64_t* nm = ctx.next_mask + std::size_t{v} * W;
-            const Block prev = Block::load(nm);
-            if (prev.none()) next[next_count++] = v;
-            (prev | m).store(nm);
+        if (candidates == 0) {
+          // Nothing left to reach: the BFS ends at this level.
+        } else if (frontier_count * 4 >= candidates) {
+          for (std::size_t i = 0; i < candidates; ++i) {
+            const std::uint32_t v = next[i];
+            Block need = andnot(
+                andnot(active, Block::load(ctx.visited + std::size_t{v} * W)),
+                Block::load(ctx.lane_node_mask + std::size_t{v} * W));
+            Block got = Block::zero();
+            for (std::uint32_t k = ctx.dst_pair_off[v];
+                 k < ctx.dst_pair_off[v + 1]; ++k) {
+              const std::uint32_t pid = ctx.dst_pair_ids[k];
+              const std::uint32_t u = ctx.pair_src[pid];
+              const Block m = andnot(
+                  need & Block::load(ctx.new_mask + std::size_t{u} * W),
+                  Block::load(ctx.pair_dead_mask + std::size_t{pid} * W));
+              if (m.none()) continue;
+              got = got | m;
+              need = andnot(need, m);
+              if (need.none()) break;
+            }
+            if (got.none()) continue;
+            got.store(ctx.next_mask + std::size_t{v} * W);
+            next[next_count++] = v;
+          }
+        } else {
+          for (std::size_t i = 0; i < frontier_count; ++i) {
+            const std::uint32_t u = frontier[i];
+            const Block fm = Block::load(ctx.new_mask + std::size_t{u} * W);
+            for (std::uint32_t k = ctx.src_pair_off[u];
+                 k < ctx.src_pair_off[u + 1]; ++k) {
+              const std::uint32_t pid = ctx.src_pair_ids[k];
+              const std::uint32_t v = ctx.pair_dst[pid];
+              const Block m = andnot(
+                  andnot(fm, Block::load(ctx.pair_dead_mask +
+                                         std::size_t{pid} * W)),
+                  Block::load(ctx.visited + std::size_t{v} * W));
+              if (m.none()) continue;
+              std::uint64_t* nm = ctx.next_mask + std::size_t{v} * W;
+              const Block prev = Block::load(nm);
+              if (prev.none()) next[next_count++] = v;
+              (prev | m).store(nm);
+            }
           }
         }
         for (std::size_t i = 0; i < frontier_count; ++i) {

@@ -248,6 +248,7 @@ struct SnapshotAccess {
     ix->pair_route_off_ = std::move(pair_route_off);
     ix->src_pair_off_ = std::move(src_pair_off);
     ix->src_pair_ids_ = std::move(src_pair_ids);
+    ix->build_dst_pairs();
     return ix;
   }
 

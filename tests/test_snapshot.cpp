@@ -6,6 +6,7 @@
 // differential (snapshot-backed output bit-identical to build-on-miss).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
 #include "fault/srg_engine.hpp"
 #include "gen/generators.hpp"
@@ -264,32 +266,30 @@ TEST(Snapshot, RejectsDirectoryTampering) {
   expect_load_rejects(path, "directory checksum mismatch");
 }
 
-TEST(Snapshot, RejectsStructuralCorruptionUnderValidChecksums) {
-  // A hostile WRITER (not storage rot): craft a file whose checksums are
-  // all honest but whose payload breaks a structural invariant. Flip a
-  // graph CSR offset to be non-monotone, then re-checksum section and
-  // directory so only structural validation can catch it.
-  const std::string path = write_test_snapshot("crafted.snap");
+// A hostile WRITER (not storage rot): overwrites the u32 at byte `at` of
+// section `tag` with 0xffffffff, then re-checksums the section and the
+// directory, so only structural validation can catch the damage.
+void poison_u32_under_valid_checksums(const std::string& path,
+                                      const std::string& tag,
+                                      std::uint64_t at) {
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   in.close();
   const auto info = read_snapshot_directory(path);
-  const SnapshotSectionInfo* goff = nullptr;
-  std::size_t goff_index = 0;
+  const SnapshotSectionInfo* sec = nullptr;
+  std::size_t sec_index = 0;
   for (std::size_t i = 0; i < info.sections.size(); ++i) {
-    if (info.sections[i].tag == "goff") {
-      goff = &info.sections[i];
-      goff_index = i;
+    if (info.sections[i].tag == tag) {
+      sec = &info.sections[i];
+      sec_index = i;
     }
   }
-  ASSERT_NE(goff, nullptr);
-  ASSERT_GE(goff->length, 8u);
-  // offsets_[1] (u32 at +4): 0xffffffff breaks monotonicity and bounds.
-  bytes[goff->offset + 4] = static_cast<char>(0xff);
-  bytes[goff->offset + 5] = static_cast<char>(0xff);
-  bytes[goff->offset + 6] = static_cast<char>(0xff);
-  bytes[goff->offset + 7] = static_cast<char>(0xff);
+  ASSERT_NE(sec, nullptr) << tag;
+  ASSERT_GE(sec->length, at + 4) << tag;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    bytes[sec->offset + at + i] = static_cast<char>(0xff);
+  }
   // Recompute the section checksum exactly as the writer does: FNV-1a over
   // 64-bit LE words, zero-padded tail, length mixed last.
   const auto checksum = [&](std::uint64_t off, std::uint64_t n) {
@@ -308,14 +308,85 @@ TEST(Snapshot, RejectsStructuralCorruptionUnderValidChecksums) {
     }
     return (h ^ n) * kPrime;
   };
-  const std::uint64_t entry_off = 48 + goff_index * 32;
-  const std::uint64_t section_sum = checksum(goff->offset, goff->length);
+  const std::uint64_t entry_off = 48 + sec_index * 32;
+  const std::uint64_t section_sum = checksum(sec->offset, sec->length);
   std::memcpy(bytes.data() + entry_off + 24, &section_sum, 8);
   const std::uint64_t dir_sum = checksum(48, info.sections.size() * 32);
   std::memcpy(bytes.data() + 32, &dir_sum, 8);
   std::ofstream(path, std::ios::binary | std::ios::trunc)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Snapshot, RejectsStructuralCorruptionUnderValidChecksums) {
+  // offsets_[1] (u32 at +4): 0xffffffff breaks monotonicity and bounds.
+  const std::string path = write_test_snapshot("crafted.snap");
+  poison_u32_under_valid_checksums(path, "goff", 4);
   expect_load_rejects(path, "section 'goff'");
+}
+
+// The pair-by-target grouping is derived on load from 'spdst', indexed by
+// its entries; an out-of-range target must stop at the validator, before
+// any derivation reads it.
+TEST(Snapshot, RejectsOutOfRangePairTargetBeforeDerivingInPairs) {
+  const std::string path = write_test_snapshot("crafted_spdst.snap");
+  poison_u32_under_valid_checksums(path, "spdst", 4 * 7);
+  expect_load_rejects(path, "section 'spdst': destination out of range");
+}
+
+// The in-pair index is not stored: a loaded index derives it, on both load
+// paths, identical to the table-built one, and the packed kernel (which
+// walks it bottom-up) agrees with the table-built index at every width.
+TEST(Snapshot, LoadedIndexDerivesInPairsAndMatchesPacked) {
+  const TableSnapshot orig = test_snapshot();
+  const std::string path = temp_path("in_pairs.snap");
+  save_table_snapshot_file(orig, path);
+  for (const auto mode :
+       {SnapshotLoadMode::kBulkRead, SnapshotLoadMode::kMmap}) {
+    SCOPED_TRACE(snapshot_load_mode_name(mode));
+    const TableSnapshot got = load_table_snapshot_file(path, mode);
+    const SrgIndex& a = *orig.index;
+    const SrgIndex& b = *got.index;
+    ASSERT_EQ(a.num_nodes(), b.num_nodes());
+    std::size_t listed = 0;
+    for (Node v = 0; v < a.num_nodes(); ++v) {
+      const auto pa = a.pairs_into(v);
+      const auto pb = b.pairs_into(v);
+      EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
+          << "node " << v;
+      listed += pb.size();
+    }
+    EXPECT_EQ(listed, b.num_pairs());
+    const std::size_t n = a.num_nodes();
+    for (const unsigned width : {64u, 128u, 256u, 512u}) {
+      SrgScratch sa(a);
+      SrgScratch sb(b);
+      sa.set_lane_width(width);
+      sb.set_lane_width(width);
+      GraySubsetEnumerator ea(n, 3);
+      GraySubsetEnumerator eb(n, 3);
+      const std::uint64_t total = ea.count();  // C(16, 3) = 560
+      SrgScratch::Result ra[512];
+      SrgScratch::Result rb[512];
+      for (std::uint64_t rank = 0; rank < total;) {
+        const auto cnt =
+            static_cast<std::size_t>(std::min<std::uint64_t>(width, total - rank));
+        sa.evaluate_gray_block(ea, cnt, ra);
+        sb.evaluate_gray_block(eb, cnt, rb);
+        for (std::size_t i = 0; i < cnt; ++i) {
+          SCOPED_TRACE("width=" + std::to_string(width) +
+                       " rank=" + std::to_string(rank + i));
+          EXPECT_EQ(ra[i].diameter, rb[i].diameter);
+          EXPECT_EQ(ra[i].survivors, rb[i].survivors);
+          EXPECT_EQ(ra[i].arcs, rb[i].arcs);
+        }
+        rank += cnt;
+        if (rank < total) {
+          ASSERT_TRUE(ea.advance());
+          ASSERT_TRUE(eb.advance());
+        }
+      }
+    }
+  }
 }
 
 // --- registry + serving integration -----------------------------------------

@@ -11,7 +11,8 @@
 //    evaluation counts, early-stop points, and the reported witnesses;
 //  * the packed block kernel, pinned per scratch to each lane width
 //    (SrgScratch::set_lane_width), must match the scalar oracle lane for
-//    lane on every construction table, for full and partial blocks.
+//    lane on every construction table, for full and partial blocks, and on
+//    tables chosen to drive its BFS both top-down and bottom-up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +32,9 @@
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
 #include "routing/circular.hpp"
+#include "routing/hypercube_routing.hpp"
 #include "routing/kernel.hpp"
+#include "routing/multirouting.hpp"
 #include "routing/route_table.hpp"
 #include "routing/tricircular.hpp"
 #include "sim/recovery.hpp"
@@ -437,30 +440,35 @@ TEST(SrgKernels, ScratchLaneWidthRoundTrip) {
   EXPECT_TRUE(is_valid_lane_width(scratch.lane_width()));
 }
 
-// Every construction table, walked through its whole Gray enumeration in
-// full blocks of each pinned width (the shape the exhaustive scans use),
-// matches the scalar oracle set for set.
-TEST(SrgKernels, PackedBlocksMatchScalarOracleAtEveryWidth) {
-  for (const auto& entry : construction_tables()) {
-    const SrgIndex index(entry.table);
-    const std::size_t n = entry.g.num_nodes();
-    const auto sets = gray_sets(n, entry.f);
-    SrgScratch scalar(index);
-    scalar.set_scalar_oracle(true);
-    std::vector<SrgScratch::Result> expect;
-    for (const auto& set : sets) expect.push_back(scalar.evaluate(set));
-    for (const unsigned width : kExplicitWidths) {
+// Walks every f-subset of the index's nodes in Gray order through the
+// packed kernel, pinned to each width, in blocks of `width` sets (the shape
+// the exhaustive scans use) and of width / 2 + 3 (every block partial, with
+// a partly filled last word), and checks each lane against the scalar
+// oracle's evaluation of the same set.
+void expect_packed_matches_oracle(const SrgIndex& index, std::size_t f,
+                                  const std::string& name) {
+  const std::size_t n = index.num_nodes();
+  const auto sets = gray_sets(n, f);
+  SrgScratch scalar(index);
+  scalar.set_scalar_oracle(true);
+  std::vector<SrgScratch::Result> expect;
+  for (const auto& set : sets) expect.push_back(scalar.evaluate(set));
+  for (const unsigned width : kExplicitWidths) {
+    for (const std::size_t block : {std::size_t{width},
+                                    std::size_t{width / 2 + 3}}) {
       SrgScratch packed(index);
       packed.set_lane_width(width);
-      GraySubsetEnumerator e(n, entry.f);
-      SrgScratch::Result out[512];
+      GraySubsetEnumerator e(n, f);
+      SrgScratch::Result out[kMaxLaneWidth];
       std::size_t rank = 0;
       while (rank < sets.size()) {
-        const std::size_t cnt = std::min<std::size_t>(width, sets.size() - rank);
+        const std::size_t cnt = std::min(block, sets.size() - rank);
         packed.evaluate_gray_block(e, cnt, out);
         for (std::size_t i = 0; i < cnt; ++i) {
-          SCOPED_TRACE(entry.name + " width=" + std::to_string(width) +
-                       " rank=" + std::to_string(rank + i));
+          SCOPED_TRACE(name + " f=" + std::to_string(f) + " width=" +
+                       std::to_string(width) + " block=" +
+                       std::to_string(block) + " rank=" +
+                       std::to_string(rank + i));
           EXPECT_EQ(expect[rank + i].diameter, out[i].diameter);
           EXPECT_EQ(expect[rank + i].survivors, out[i].survivors);
           EXPECT_EQ(expect[rank + i].arcs, out[i].arcs);
@@ -470,6 +478,57 @@ TEST(SrgKernels, PackedBlocksMatchScalarOracleAtEveryWidth) {
           ASSERT_TRUE(e.advance());
         }
       }
+    }
+  }
+}
+
+// Every construction table, walked through its whole Gray enumeration at
+// each pinned width, matches the scalar oracle set for set.
+TEST(SrgKernels, PackedBlocksMatchScalarOracleAtEveryWidth) {
+  for (const auto& entry : construction_tables()) {
+    expect_packed_matches_oracle(SrgIndex(entry.table), entry.f, entry.name);
+  }
+}
+
+// The packed BFS picks top-down or bottom-up per level from the frontier's
+// density; these tables drive both directions against the oracle.
+TEST(SrgKernels, PackedBfsDirectionsMatchScalarOracle) {
+  {
+    // Edge routes only: R/F = G - F, so from each source the frontier is
+    // two nodes wide for ~20 levels (top-down) before the few unreached
+    // nodes left make it dense (bottom-up). Two non-adjacent faults split
+    // the ring, so most sets disconnect.
+    const auto gg = cycle_graph(48);
+    RoutingTable t(48, RoutingMode::kBidirectional);
+    install_edge_routes(t, gg.graph);
+    expect_packed_matches_oracle(SrgIndex(t), 2, "edge-only/cycle48");
+  }
+  {
+    // Four disjoint routes per pair: a pair dies only when every one of its
+    // routes is hit, which five faults sometimes manage.
+    const auto gg = hypercube(4);
+    expect_packed_matches_oracle(
+        SrgIndex(build_full_multirouting(gg.graph, 3)), 5,
+        "full-multirouting/hypercube4");
+  }
+  {
+    // Unidirectional bit-fixing: rho(x, y) and rho(y, x) differ, so a
+    // node's in-pairs are not its out-pairs reversed. Four faults kill
+    // pairs by their interior nodes, so bottom-up levels must honor the
+    // pair dead masks, not just the endpoints' fault lanes.
+    const auto gg = hypercube(4);
+    expect_packed_matches_oracle(
+        SrgIndex(build_bitfixing_unidirectional(gg.graph, 4)), 4,
+        "bitfixing-unidirectional/hypercube4");
+  }
+  {
+    // Two survivors (connected or not), one survivor, none.
+    const auto gg = cycle_graph(5);
+    RoutingTable t(5, RoutingMode::kBidirectional);
+    install_edge_routes(t, gg.graph);
+    const SrgIndex index(t);
+    for (const std::size_t f : {3u, 4u, 5u}) {
+      expect_packed_matches_oracle(index, f, "edge-only/cycle5");
     }
   }
 }

@@ -174,6 +174,12 @@ cmp "${GOLD}/check.golden" "${WORK}/check.1.out"
 cmp "${GOLD}/sweep_stdin.golden" "${WORK}/sweep.1.out"
 cmp "${GOLD}/serve.golden" "${WORK}/serve.1.out"
 cmp "${GOLD}/sweep_exhaustive.golden" "${WORK}/xsweep.1.out"
+# A batch that is no multiple of any lane width: exhaustive scans round it
+# up to whole packed blocks, and the bytes must not move.
+"${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+  --faults 2 --exhaustive --threads 4 --batch 7 \
+  > "${WORK}/xsweep.b7.out" 2> /dev/null
+cmp "${GOLD}/sweep_exhaustive.golden" "${WORK}/xsweep.b7.out"
 cmp "${GOLD}/sweep_exhaustive_delivery.golden" "${WORK}/dsweep.0.out"
 cmp "${GOLD}/stretch.golden" "${WORK}/stretch.out"
 
