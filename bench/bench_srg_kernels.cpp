@@ -19,14 +19,18 @@
 // exhaustive f=2 kernel/torus scan, and the widest supported lane count
 // must beat lanes:64. All kernels and widths produce bit-identical results
 // (tests/test_srg_kernels pins that); only throughput may differ.
-// Single-threaded and CPU-time based, so the ratios are meaningful on any
-// core count.
+// bench_srg_kernels_stream_torus12 times the single-set path on the e2e
+// stream_sweep shape (planner torus(12,12), 4-6 faults per set), scalar vs
+// bitset. Single-threaded and CPU-time based, so the ratios are meaningful
+// on any core count.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/cpu_features.hpp"
@@ -230,6 +234,37 @@ void bench_srg_kernels_stream(benchmark::State& state) {
   state.SetLabel(kernel_lanes_label(state.range(0), 0));
 }
 BENCHMARK(bench_srg_kernels_stream)->ArgName("kernel")->Arg(0)->Arg(1);
+
+// The e2e `stream_sweep` shape: a planner-built torus(12,12) (planner seed
+// 42, as the CLI builds it) and random sets of 4, 5 and 6 faults,
+// interleaved. The bitset path strikes sparsely (base rows minus the pairs
+// killed through the faults' routes); the scalar oracle still scans every
+// route per set.
+void bench_srg_kernels_stream_torus12(benchmark::State& state) {
+  const auto gg = torus_graph(12, 12);
+  Rng plan_rng(42);
+  const auto planned = build_planned_routing(gg.graph, std::nullopt, plan_rng);
+  const SrgIndex index(planned.table);
+  Rng rng(11);
+  std::vector<std::vector<Node>> sets;
+  for (const std::size_t f : {4u, 5u, 6u}) {
+    for (auto& set : random_fault_sets(gg.graph.num_nodes(), f, 64, rng)) {
+      sets.push_back(std::move(set));
+    }
+  }
+  std::shuffle(sets.begin(), sets.end(), rng);
+  SrgScratch scratch(index);
+  scratch.set_scalar_oracle(state.range(0) == kScalar);
+  for (auto _ : state) {
+    for (const auto& faults : sets) {
+      benchmark::DoNotOptimize(scratch.evaluate(faults));
+    }
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * sets.size()));
+  state.SetLabel(kernel_lanes_label(state.range(0), 0));
+}
+BENCHMARK(bench_srg_kernels_stream_torus12)->ArgName("kernel")->Arg(0)->Arg(1);
 
 // Single-set evaluation latency (the serving layer's per-request shape):
 // one evaluate() against reused scratch, scalar vs bitset.

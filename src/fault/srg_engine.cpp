@@ -95,6 +95,7 @@ void SrgIndex::finalize_routes() {
     src_pair_ids_[cursor[pair_src_[pid]]++] = pid;
   }
   build_dst_pairs();
+  build_base_rows();
 }
 
 void SrgIndex::build_dst_pairs() {
@@ -111,6 +112,24 @@ void SrgIndex::build_dst_pairs() {
   }
 }
 
+void SrgIndex::build_base_rows() {
+  row_words_ = bit_words(n_);
+  std::vector<std::uint64_t> succ(n_ * row_words_, 0);
+  std::vector<std::uint64_t> pred(n_ * row_words_, 0);
+  for (std::uint32_t pid = 0; pid < num_pairs_; ++pid) {
+    const Node s = pair_src_[pid];
+    const Node t = pair_dst_[pid];
+    std::uint64_t& sw = succ[s * row_words_ + (t >> 6)];
+    const std::uint64_t tbit = std::uint64_t{1} << (t & 63);
+    FTR_EXPECTS_MSG((sw & tbit) == 0,
+                    "ordered pair " << s << " -> " << t << " listed twice");
+    sw |= tbit;
+    pred[t * row_words_ + (s >> 6)] |= std::uint64_t{1} << (s & 63);
+  }
+  base_succ_ = FlatArray<std::uint64_t>(std::move(succ));
+  base_pred_ = FlatArray<std::uint64_t>(std::move(pred));
+}
+
 std::size_t SrgIndex::memory_bytes() const {
   // Allocator capacity when owned, mapped extent when snapshot-backed.
   return route_nodes_.memory_bytes() + route_off_.memory_bytes() +
@@ -120,7 +139,8 @@ std::size_t SrgIndex::memory_bytes() const {
          node_route_off_.memory_bytes() + node_route_ids_.memory_bytes() +
          pair_route_off_.memory_bytes() + src_pair_off_.memory_bytes() +
          src_pair_ids_.memory_bytes() + dst_pair_off_.memory_bytes() +
-         dst_pair_ids_.memory_bytes();
+         dst_pair_ids_.memory_bytes() + base_succ_.memory_bytes() +
+         base_pred_.memory_bytes();
 }
 
 SrgScratch::SrgScratch(const SrgIndex& index) : index_(&index) {
@@ -128,14 +148,13 @@ SrgScratch::SrgScratch(const SrgIndex& index) : index_(&index) {
   fault_stamp_.assign(n, 0);
   route_stamp_.assign(index.route_src_.size(), 0);
   pair_stamp_.assign(index.num_pairs_, 0);
-  arc_off_.assign(n + 1, 0);
-  arc_cursor_.assign(n, 0);
+  pair_live_.assign(index.num_pairs_, 0);
+  dead_pairs_.reserve(index.num_pairs_);
   seen_stamp_.assign(n, 0);
   dist_.assign(n, 0);
   queue_.reserve(n);
   parent_.assign(n, 0);
-  arcs_.reserve(index.num_pairs_);
-  words_ = bit_words(n);
+  words_ = index.row_words_;
   visited_bits_.assign(words_, 0);
   frontier_bits_.assign(words_, 0);
   next_bits_.assign(words_, 0);
@@ -149,6 +168,7 @@ void SrgScratch::reset() {
   epoch_ = 0;
   bfs_epoch_ = 0;
   bits_valid_ = false;
+  oracle_csr_valid_ = false;
 }
 
 void SrgScratch::set_epochs_for_testing(std::uint32_t epoch) {
@@ -169,6 +189,9 @@ std::uint32_t SrgScratch::strike(std::span<const Node> faults) {
     std::fill(pair_stamp_.begin(), pair_stamp_.end(), 0);
     epoch_ = 1;
   }
+  bits_valid_ = false;  // both views of this set are rebuilt on demand
+  oracle_csr_valid_ = false;
+  dead_pairs_.clear();
   auto survivors = static_cast<std::uint32_t>(ix.n_);
   for (Node f : faults) {
     FTR_EXPECTS_MSG(f < ix.n_, "fault " << f << " out of range");
@@ -177,9 +200,29 @@ std::uint32_t SrgScratch::strike(std::span<const Node> faults) {
     --survivors;
     for (std::uint32_t i = ix.node_route_off_[f]; i < ix.node_route_off_[f + 1];
          ++i) {
-      route_stamp_[ix.node_route_ids_[i]] = epoch_;
+      const std::uint32_t r = ix.node_route_ids_[i];
+      if (route_stamp_[r] == epoch_) continue;  // killed by an earlier fault
+      route_stamp_[r] = epoch_;
+      // A pair's live-route count is loaded on first touch this epoch; the
+      // pair dies with its last route.
+      const std::uint32_t pid = ix.route_pair_[r];
+      if (pair_stamp_[pid] != epoch_) {
+        pair_stamp_[pid] = epoch_;
+        pair_live_[pid] = ix.pair_route_count_[pid];
+      }
+      if (--pair_live_[pid] == 0) dead_pairs_.push_back(pid);
     }
   }
+  return survivors;
+}
+
+void SrgScratch::ensure_oracle_csr() {
+  if (oracle_csr_valid_) return;
+  const SrgIndex& ix = *index_;
+  const std::size_t n = ix.n_;
+  arc_off_.resize(n + 1);
+  arc_cursor_.resize(n);
+  oracle_pair_seen_.assign(ix.num_pairs_, 0);
 
   // Collect surviving arcs, one per ordered pair with a live route.
   arcs_.clear();
@@ -187,20 +230,19 @@ std::uint32_t SrgScratch::strike(std::span<const Node> faults) {
   for (std::uint32_t r = 0; r < num_routes; ++r) {
     if (route_stamp_[r] == epoch_) continue;
     const std::uint32_t pid = ix.route_pair_[r];
-    if (pair_stamp_[pid] == epoch_) continue;
-    pair_stamp_[pid] = epoch_;
+    if (oracle_pair_seen_[pid] != 0) continue;
+    oracle_pair_seen_[pid] = 1;
     arcs_.emplace_back(ix.route_src_[r], ix.route_dst_[r]);
   }
 
-  // Counting sort by source into the scratch CSR.
+  // Counting sort by source into the oracle CSR.
   std::fill(arc_off_.begin(), arc_off_.end(), 0);
   for (const auto& [src, dst] : arcs_) ++arc_off_[src + 1];
-  for (std::size_t i = 1; i <= ix.n_; ++i) arc_off_[i] += arc_off_[i - 1];
+  for (std::size_t i = 1; i <= n; ++i) arc_off_[i] += arc_off_[i - 1];
   arc_tgt_.resize(arcs_.size());
   std::copy(arc_off_.begin(), arc_off_.end() - 1, arc_cursor_.begin());
   for (const auto& [src, dst] : arcs_) arc_tgt_[arc_cursor_[src]++] = dst;
-  bits_valid_ = false;  // bitset view of this set is rebuilt on demand
-  return survivors;
+  oracle_csr_valid_ = true;
 }
 
 std::uint32_t SrgScratch::bfs_from(Node s, std::uint32_t* reached_out) {
@@ -236,22 +278,28 @@ void SrgScratch::ensure_bits() {
   if (bits_valid_) return;
   const SrgIndex& ix = *index_;
   const std::size_t n = ix.n_;
+  const std::size_t W = words_;
   if (succ_bits_.empty()) {
-    succ_bits_.resize(n * words_);
-    pred_bits_.resize(n * words_);
-    alive_bits_.resize(words_);
+    succ_bits_.resize(n * W);
+    pred_bits_.resize(n * W);
+    alive_bits_.resize(W);
   }
-  std::fill(succ_bits_.begin(), succ_bits_.end(), 0);
-  std::fill(pred_bits_.begin(), pred_bits_.end(), 0);
+  // The fault-free rows minus the pairs this strike killed. Every route
+  // holds its endpoints, so a faulty node's pairs are all dead and its rows
+  // and columns come out empty.
+  std::copy_n(ix.base_succ_.data(), n * W, succ_bits_.data());
+  std::copy_n(ix.base_pred_.data(), n * W, pred_bits_.data());
+  for (std::uint32_t pid : dead_pairs_) {
+    const Node src = ix.pair_src_[pid];
+    const Node dst = ix.pair_dst_[pid];
+    succ_bits_[src * W + (dst >> 6)] &= ~(std::uint64_t{1} << (dst & 63));
+    pred_bits_[dst * W + (src >> 6)] &= ~(std::uint64_t{1} << (src & 63));
+  }
   std::fill(alive_bits_.begin(), alive_bits_.end(), 0);
   for (Node v = 0; v < n; ++v) {
     if (fault_stamp_[v] != epoch_) {
       alive_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
     }
-  }
-  for (const auto& [src, dst] : arcs_) {
-    succ_bits_[src * words_ + (dst >> 6)] |= std::uint64_t{1} << (dst & 63);
-    pred_bits_[dst * words_ + (src >> 6)] |= std::uint64_t{1} << (src & 63);
   }
   bits_valid_ = true;
 }
@@ -343,9 +391,15 @@ SrgScratch::Result SrgScratch::evaluate(std::span<const Node> faults) {
   const std::uint32_t survivors = strike(faults);
   Result res;
   res.survivors = survivors;
-  res.arcs = static_cast<std::uint32_t>(arcs_.size());
-  if (survivors <= 1) return res;  // diameter 0 by convention
   const bool bitset = !scalar_oracle_;
+  if (bitset) {
+    res.arcs = static_cast<std::uint32_t>(index_->num_pairs_ -
+                                          dead_pairs_.size());
+  } else {
+    ensure_oracle_csr();
+    res.arcs = static_cast<std::uint32_t>(arcs_.size());
+  }
+  if (survivors <= 1) return res;  // diameter 0 by convention
   if (bitset) ensure_bits();
   std::uint32_t diam = 0;
   for (Node s = 0; s < index_->n_; ++s) {
@@ -528,6 +582,7 @@ std::uint32_t SrgScratch::componentwise_diameter(
     }
     return worst;
   }
+  ensure_oracle_csr();
   for (Node s = 0; s < index_->n_; ++s) {
     if (fault_stamp_[s] == epoch_) continue;
     bfs_from(s, nullptr);

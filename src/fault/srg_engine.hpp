@@ -12,33 +12,42 @@
 // The split matters for the parallel sweep layer:
 //
 //  * SrgIndex is the immutable preprocessing — the route arena flattened
-//    into per-route node ranges plus a node -> routes inverted index. It is
-//    read-only after construction, so ONE index serves any number of
-//    concurrent workers.
+//    into per-route node ranges, a node -> routes inverted index, and the
+//    fault-free route graph as bitset rows. It is read-only after
+//    construction, so ONE index serves any number of concurrent workers.
 //  * SrgScratch is the per-thread mutable state — the epoch-stamped kill
-//    index, the scratch arc CSR, and the BFS queues. Each sweep worker owns
-//    one; evaluations are allocation-free after warm-up. Single-threaded
-//    callers build one index and one scratch next to it.
+//    index, the dead-pair list, the struck set's bitset rows, and the BFS
+//    queues. Each sweep worker owns one; evaluations are allocation-free
+//    after warm-up. Single-threaded callers build one index and one
+//    scratch next to it.
 //
 // Delivery (sim/network_sim.hpp) runs on the same scratch: after an
 // evaluation, last_survivors() and route_path() answer from the struck
 // set's bitset rows, so no per-set Digraph is ever materialized.
 //
-// Per fault set:
-//  * a fault set of size f kills its routes in O(sum over faults of
-//    routes-through-fault) via the inverted index instead of re-scanning
-//    every route node;
-//  * one pass over the route list collects surviving arcs into a scratch
-//    CSR (counting sort by source), with per-pair dedup for multiroutes;
-//  * BFS runs over the scratch CSR with stamped distance arrays and a flat
-//    queue — no allocation after the first evaluation.
+// Per fault set (evaluate(), componentwise_diameter()):
+//  * the index holds the fault-free successor/predecessor bitset rows once
+//    (one bit per ordered pair with a route), since R(G, rho)/F differs
+//    from the fault-free route graph only in the pairs whose every route
+//    meets F;
+//  * strike() walks only the routes through the faults (the node -> routes
+//    inverted index), stamps them killed, and counts each touched pair's
+//    live routes down; a pair is listed dead when its count reaches 0, so a
+//    multiroute pair dies only with its last route;
+//  * the bitset view copies the base rows and clears the dead pairs' bits,
+//    and BFS runs over it allocation-free after the first evaluation.
+// A set costs O(sum over faults of routes-through-fault + n * ceil(n/64))
+// instead of O(all routes). Only the scalar oracle (below) still scans
+// every route: it builds its own arc CSR lazily from the kill stamps, so it
+// shares no pair bookkeeping, base rows or dead list with the path it
+// checks.
 //
 // There are two evaluation paths, and the caller's shape picks between them
-// — no option does: evaluate() rebuilds the kill index and arc CSR for one
-// fault set and runs the bitset BFS, and evaluate_gray_block() runs the
-// packed kernel over a block of Gray-adjacent sets. Exhaustive scans take
-// the packed path; exhaustive sweeps with per-set delivery walk the Gray
-// enumeration and call evaluate() on each set, like every streamed set.
+// — no option does: evaluate() strikes one fault set and runs the bitset
+// BFS, and evaluate_gray_block() runs the packed kernel over a block of
+// Gray-adjacent sets. Exhaustive scans take the packed path; exhaustive
+// sweeps with per-set delivery walk the Gray enumeration and call
+// evaluate() on each set, like every streamed set.
 //
 // Semantics match fault/surviving.cpp exactly: an arc x -> y survives iff
 // some route rho(x, y) avoids every fault (endpoints included), and the
@@ -50,11 +59,12 @@
 // live route — so each BFS touches ~n^2 arcs). SrgScratch runs it three
 // ways:
 //
-//  * bitset — evaluate()/componentwise_diameter(): word-packed frontier/
-//    visited bitmaps with a direction-optimizing (top-down/bottom-up)
-//    switch driven by frontier density. The surviving route graphs are
-//    dense-frontier for most of each BFS, exactly the regime where
-//    bottom-up's "scan unvisited nodes, test predecessor rows" wins.
+//  * bitset — evaluate()/componentwise_diameter(): the struck set's
+//    succ/pred rows, word-packed frontier/visited bitmaps, and a
+//    direction-optimizing (top-down/bottom-up) switch driven by frontier
+//    density. The surviving route graphs are dense-frontier for most of
+//    each BFS, exactly the regime where bottom-up's "scan unvisited nodes,
+//    test predecessor rows" wins.
 //  * packed — evaluate_gray_block(): up to lane_width() adjacent
 //    revolving-door fault sets evaluated against one W-word lane block at a
 //    time (W in {1,2,4,8} words -> 64/128/256/512 lanes; the widest the CPU
@@ -67,9 +77,11 @@
 //    instantiation (fault/srg_packed.hpp). Lanes are consumed in rank
 //    order, so neither the width nor the chosen instantiation is observable
 //    in any result.
-//  * scalar — the original stamped-queue BFS over the scratch CSR, enabled
-//    per scratch by set_scalar_oracle(). Nothing in the library selects it;
-//    it is the differential oracle the other two are tested against.
+//  * scalar — the original stamped-queue BFS over an arc CSR rebuilt from a
+//    full pass over the route list (per-pair dedup, counting sort by
+//    source), enabled per scratch by set_scalar_oracle(). Nothing in the
+//    library selects it; it is the differential oracle the other two are
+//    tested against, and its CSR is never allocated unless it runs.
 //
 // All kernels produce bit-identical Results for every fault set — pinned by
 // the differential suite in tests/test_srg_kernels.cpp — so the kernel,
@@ -89,8 +101,9 @@
 
 namespace ftr {
 
-/// Immutable preprocessing of one routing table: flattened routes plus the
-/// node -> routes inverted index. Thread-safe to share by const reference
+/// Immutable preprocessing of one routing table: flattened routes, the
+/// node -> routes inverted index and the fault-free route graph as bitset
+/// rows. Thread-safe to share by const reference
 /// across any number of SrgScratch workers.
 class SrgIndex {
  public:
@@ -110,6 +123,18 @@ class SrgIndex {
             dst_pair_ids_.data() + dst_pair_off_[v + 1]};
   }
 
+  /// Words per bitset row: ceil(num_nodes() / 64).
+  std::size_t row_words() const { return row_words_; }
+
+  /// The fault-free route graph as bitset rows: bit t of succ_row(s) (and
+  /// bit s of pred_row(t)) is set iff the ordered pair (s, t) has a route.
+  std::span<const std::uint64_t> succ_row(Node v) const {
+    return {base_succ_.data() + std::size_t{v} * row_words_, row_words_};
+  }
+  std::span<const std::uint64_t> pred_row(Node v) const {
+    return {base_pred_.data() + std::size_t{v} * row_words_, row_words_};
+  }
+
   /// Heap footprint of the preprocessing arrays (capacities), for
   /// byte-accounted caches like the serving layer's table registry.
   std::size_t memory_bytes() const;
@@ -125,6 +150,10 @@ class SrgIndex {
   // Table builds call it from finalize_routes(); snapshot loads call it on
   // the validated pair_dst_, since the grouping is derived, not stored.
   void build_dst_pairs();
+  // Sets one succ/pred bit per ordered pair (base_succ_/base_pred_). Derived
+  // like dst_pair_*: from finalize_routes() on table builds and next to
+  // build_dst_pairs() on snapshot loads. Rejects a pair listed twice.
+  void build_base_rows();
 
   // All flat arrays: owned vectors when built from a table, aliases into a
   // mapped snapshot on the zero-copy load path (the index never mutates
@@ -155,6 +184,13 @@ class SrgIndex {
   FlatArray<std::uint32_t> src_pair_ids_;
   FlatArray<std::uint32_t> dst_pair_off_;    // node -> pairs targeting it
   FlatArray<std::uint32_t> dst_pair_ids_;
+
+  // Fault-free successor/predecessor rows, n * row_words_ words each; the
+  // bitset kernel starts every struck set from a copy. Never stored in a
+  // snapshot.
+  std::size_t row_words_ = 0;
+  FlatArray<std::uint64_t> base_succ_;
+  FlatArray<std::uint64_t> base_pred_;
 };
 
 /// Per-worker mutable state for fault-set evaluation against a shared
@@ -169,7 +205,8 @@ class SrgScratch {
 
   /// Oracle hook for the differential tests and kernel benches: runs
   /// evaluate()/componentwise_diameter() on the scalar stamped-queue BFS
-  /// instead of the bitset kernel. Takes effect immediately.
+  /// over a full-scan arc CSR instead of the bitset kernel (Result::arcs is
+  /// then that CSR's size). Takes effect immediately.
   void set_scalar_oracle(bool enabled) { scalar_oracle_ = enabled; }
 
   /// Pins the packed lane width (64/128/256/512) for the tests and benches
@@ -219,7 +256,7 @@ class SrgScratch {
   /// unreachable. FIFO BFS over the successor bitset rows, each row walked
   /// in ascending node order, so a node's parent is the first dequeued node
   /// with an arc to it — the same tree as a BFS over a Digraph's sorted
-  /// successor lists (the scratch CSR is in route order and is not used).
+  /// successor lists.
   /// Both endpoints must survive. Allocation-free after warm-up.
   std::span<const Node> route_path(Node s, Node t);
 
@@ -247,16 +284,22 @@ class SrgScratch {
   void set_epochs_for_testing(std::uint32_t epoch);
 
  private:
-  // Stamps faults/killed routes and rebuilds the scratch arc CSR for this
-  // fault set. Returns the number of survivors.
+  // Stamps the faults and the routes through them, and lists the pairs
+  // whose last route died (dead_pairs_). Touches only routes through the
+  // faults. Returns the number of survivors.
   std::uint32_t strike(std::span<const Node> faults);
-  // BFS from s over the scratch CSR; returns the eccentricity among reached
+
+  // The scalar oracle's input: one full pass over the route list collects
+  // the surviving arcs (one per pair with a route not stamped killed) into
+  // the arc CSR. Lazy and invalidated by every strike.
+  void ensure_oracle_csr();
+  // BFS from s over the oracle CSR; returns the eccentricity among reached
   // survivors and leaves dist/seen stamps for this bfs_epoch_.
   std::uint32_t bfs_from(Node s, std::uint32_t* reached_out);
 
-  // (Re)builds succ/pred/alive bitmaps from the current epoch's arcs_ —
-  // the bitset kernel's view of the full-rebuild path. Lazy, so the scalar
-  // oracle never pays for it.
+  // Builds the struck set's succ/pred/alive bitmaps: the index's base rows
+  // with the dead pairs' bits cleared. Lazy, so the scalar oracle never
+  // pays for it.
   void ensure_bits();
   // Direction-optimizing bitset BFS over the succ/pred/alive bitmaps
   // ensure_bits() built. Returns the eccentricity among reached survivors,
@@ -272,9 +315,15 @@ class SrgScratch {
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> fault_stamp_;
   std::vector<std::uint32_t> route_stamp_;
-  std::vector<std::uint32_t> pair_stamp_;
+  std::vector<std::uint32_t> pair_stamp_;  // pair touched this epoch
+  std::vector<std::uint32_t> pair_live_;   // its live routes, if touched
+  std::vector<std::uint32_t> dead_pairs_;  // pairs with no live route left
+
+  // Scalar-oracle state (lazy; empty unless the oracle has run).
+  bool oracle_csr_valid_ = false;
+  std::vector<std::uint8_t> oracle_pair_seen_;
   std::vector<std::pair<Node, Node>> arcs_;
-  std::vector<std::uint32_t> arc_off_;     // scratch CSR offsets (n + 1)
+  std::vector<std::uint32_t> arc_off_;     // oracle CSR offsets (n + 1)
   std::vector<std::uint32_t> arc_cursor_;
   std::vector<Node> arc_tgt_;
 
@@ -289,7 +338,7 @@ class SrgScratch {
   std::vector<Node> path_;
 
   // Bitset-kernel state. words_ = ceil(n / 64); succ/pred rows are n *
-  // words_ bitmaps, rebuilt lazily per strike.
+  // words_ bitmaps, copied from the index's base rows lazily per strike.
   std::size_t words_ = 0;
   bool bits_valid_ = false;
   std::vector<std::uint64_t> succ_bits_;      // n * words_ (lazy)

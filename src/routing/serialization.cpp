@@ -249,6 +249,7 @@ struct SnapshotAccess {
     ix->src_pair_off_ = std::move(src_pair_off);
     ix->src_pair_ids_ = std::move(src_pair_ids);
     ix->build_dst_pairs();
+    ix->build_base_rows();
     return ix;
   }
 
@@ -673,9 +674,15 @@ void validate_structure(
                    "pair offsets not monotone at pair " << p);
     FTR_SNAP_CHECK(sproff[p + 1] - sproff[p] == sprcnt[p], "sprcnt",
                    "route count disagrees with 'sproff' at pair " << p);
+    // The sparse strike kills a pair with its last route and takes the
+    // pair's bit from the fault-free rows, so each pair needs a route, and
+    // every route its pair's endpoints.
+    FTR_SNAP_CHECK(sprcnt[p] >= 1, "sprcnt", "pair " << p << " has no route");
     for (std::uint32_t r = sproff[p]; r < sproff[p + 1]; ++r) {
       FTR_SNAP_CHECK(srpair[r] == p, "sproff",
                      "route " << r << " is outside its pair's range");
+      FTR_SNAP_CHECK(ssrc[r] == spsrc[p] && sdst[r] == spdst[p], "spsrc",
+                     "route " << r << " endpoints disagree with pair " << p);
     }
   }
   FTR_SNAP_CHECK(sproff.back() == routes, "sproff",

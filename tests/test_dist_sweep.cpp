@@ -163,9 +163,9 @@ TEST(DistWire, FramesReassembleFromArbitraryByteArrivals) {
   EXPECT_EQ(out.payload, payload);
 
   // A flipped payload byte must be caught by the frame checksum.
-  auto corrupt = frame;
-  corrupt.back() ^= 0x01;
-  std::vector<unsigned char> cbuf(corrupt.begin(), corrupt.end());
+  std::vector<unsigned char> cbuf(frame.begin(), frame.end());
+  ASSERT_FALSE(cbuf.empty());
+  cbuf[cbuf.size() - 1] ^= 0x01;
   EXPECT_THROW(pop_frame(cbuf, out), ContractViolation);
 }
 

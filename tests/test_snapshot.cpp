@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -267,11 +269,12 @@ TEST(Snapshot, RejectsDirectoryTampering) {
 }
 
 // A hostile WRITER (not storage rot): overwrites the u32 at byte `at` of
-// section `tag` with 0xffffffff, then re-checksums the section and the
-// directory, so only structural validation can catch the damage.
-void poison_u32_under_valid_checksums(const std::string& path,
-                                      const std::string& tag,
-                                      std::uint64_t at) {
+// section `tag` with 0xffffffff (or XORs it with `flip`, when given), then
+// re-checksums the section and the directory, so only structural validation
+// can catch the damage.
+void poison_u32_under_valid_checksums(
+    const std::string& path, const std::string& tag, std::uint64_t at,
+    std::optional<std::uint32_t> flip = std::nullopt) {
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
@@ -287,9 +290,12 @@ void poison_u32_under_valid_checksums(const std::string& path,
   }
   ASSERT_NE(sec, nullptr) << tag;
   ASSERT_GE(sec->length, at + 4) << tag;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    bytes[sec->offset + at + i] = static_cast<char>(0xff);
+  std::uint32_t word = 0xffffffffu;
+  if (flip) {
+    std::memcpy(&word, bytes.data() + sec->offset + at, 4);
+    word ^= *flip;
   }
+  std::memcpy(bytes.data() + sec->offset + at, &word, 4);
   // Recompute the section checksum exactly as the writer does: FNV-1a over
   // 64-bit LE words, zero-padded tail, length mixed last.
   const auto checksum = [&](std::uint64_t off, std::uint64_t n) {
@@ -331,6 +337,83 @@ TEST(Snapshot, RejectsOutOfRangePairTargetBeforeDerivingInPairs) {
   const std::string path = write_test_snapshot("crafted_spdst.snap");
   poison_u32_under_valid_checksums(path, "spdst", 4 * 7);
   expect_load_rejects(path, "section 'spdst': destination out of range");
+}
+
+// The sparse strike takes a pair's arc from the fault-free rows and kills it
+// through its routes; a pair whose route ends elsewhere would keep an arc
+// its faults should remove, so the validator rejects it.
+TEST(Snapshot, RejectsPairDisagreeingWithItsRoute) {
+  const std::string path = write_test_snapshot("crafted_spsrc.snap");
+  poison_u32_under_valid_checksums(path, "spsrc", 4 * 7, /*flip=*/1u);
+  expect_load_rejects(path, "route 7 endpoints disagree with pair 7");
+}
+
+// The fault-free succ/pred rows are not stored either: on both load paths a
+// loaded index derives them identical to the table-built one, evaluates
+// every set of up to 3 faults exactly as it does (and as the scalar
+// oracle does), and charges them in memory_bytes(). The sparse table makes
+// the rows (2 * 640 * 10 words) outweigh every other array, so a count
+// that left them out would fall short.
+TEST(Snapshot, LoadedIndexDerivesBaseRowsAndMatchesEvaluate) {
+  const TableSnapshot orig = test_snapshot();
+  const std::string path = temp_path("base_rows.snap");
+  save_table_snapshot_file(orig, path);
+  const auto cycle = cycle_graph(640);
+  RoutingTable sparse(640, RoutingMode::kBidirectional);
+  sparse.set_route({0, 1});
+  sparse.set_route({1, 2});
+  const TableSnapshot sparse_orig = make_table_snapshot(cycle.graph, sparse);
+  const std::string sparse_path = temp_path("base_rows_sparse.snap");
+  save_table_snapshot_file(sparse_orig, sparse_path);
+  const std::size_t row_bytes = 2 * 640 * 10 * sizeof(std::uint64_t);
+  EXPECT_GE(sparse_orig.index->memory_bytes(), row_bytes);
+  for (const auto mode :
+       {SnapshotLoadMode::kBulkRead, SnapshotLoadMode::kMmap}) {
+    SCOPED_TRACE(snapshot_load_mode_name(mode));
+    const TableSnapshot got = load_table_snapshot_file(path, mode);
+    const SrgIndex& a = *orig.index;
+    const SrgIndex& b = *got.index;
+    ASSERT_EQ(a.num_nodes(), b.num_nodes());
+    ASSERT_EQ(a.row_words(), b.row_words());
+    std::size_t bits = 0;
+    for (Node v = 0; v < a.num_nodes(); ++v) {
+      const auto sa = a.succ_row(v);
+      const auto sb = b.succ_row(v);
+      const auto pa = a.pred_row(v);
+      const auto pb = b.pred_row(v);
+      EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin(), sb.end()))
+          << "succ row " << v;
+      EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
+          << "pred row " << v;
+      std::size_t in_bits = 0;
+      for (std::uint64_t w : pb) in_bits += std::popcount(w);
+      EXPECT_EQ(in_bits, b.pairs_into(v).size()) << "node " << v;
+      for (std::uint64_t w : sb) bits += std::popcount(w);
+    }
+    EXPECT_EQ(bits, b.num_pairs());
+
+    SrgScratch sa(a), sb(b), oracle(b);
+    oracle.set_scalar_oracle(true);
+    for (std::size_t f = 0; f <= 3; ++f) {
+      GraySubsetEnumerator e(a.num_nodes(), f);
+      for (bool more = e.valid(); more; more = e.advance()) {
+        const std::vector<Node> faults(e.current().begin(),
+                                       e.current().end());
+        const auto ra = sa.evaluate(faults);
+        const auto rb = sb.evaluate(faults);
+        const auto ro = oracle.evaluate(faults);
+        EXPECT_EQ(ra.diameter, rb.diameter);
+        EXPECT_EQ(ra.survivors, rb.survivors);
+        EXPECT_EQ(ra.arcs, rb.arcs);
+        EXPECT_EQ(ro.diameter, rb.diameter);
+        EXPECT_EQ(ro.arcs, rb.arcs);
+      }
+    }
+
+    const TableSnapshot sparse_got = load_table_snapshot_file(sparse_path, mode);
+    EXPECT_EQ(sparse_got.index->row_words(), 10u);
+    EXPECT_GE(sparse_got.index->memory_bytes(), row_bytes);
+  }
 }
 
 // The in-pair index is not stored: a loaded index derives it, on both load

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/neighborhood.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "core/planner.hpp"
 #include "delivery_oracle.hpp"
 #include "fault/fault_gen.hpp"
 #include "fault/srg_engine.hpp"
@@ -84,6 +86,49 @@ TEST(SrgEngine, MatchesOneShotOnMultirouting) {
     for (const auto& faults : sets) {
       SCOPED_TRACE("f=" + std::to_string(f));
       expect_matches_one_shot(scratch, table, faults);
+    }
+  }
+}
+
+// Sparse strikes on a table whose pairs have four disjoint routes: most
+// struck pairs lose some routes and keep their arc. Delivery paths and the
+// componentwise metric read the struck set's rows, so they must match the
+// one-shot graph too, on a scratch that also evaluates heavier sets in
+// between (every set must start from the fault-free rows again).
+TEST(SrgEngine, SparseStrikeDeliveryOnMultirouting) {
+  const auto gg = hypercube(4);
+  const MultiRouteTable table = build_full_multirouting(gg.graph, 3);
+  const SrgIndex index(table);
+  SrgScratch scratch(index);
+  Rng rng(61);
+  std::vector<std::vector<Node>> sets = {{}, {0}, {15}, {0, 15}, {3, 3, 12}};
+  for (std::size_t f : {2u, 4u, 6u}) {
+    for (auto& set : random_fault_sets(16, f, 5, rng)) sets.push_back(set);
+  }
+  for (const auto& faults : sets) {
+    SCOPED_TRACE("faults " + ::testing::PrintToString(faults));
+    expect_matches_one_shot(scratch, table, faults);
+    scratch.evaluate(std::vector<Node>{1, 2, 4, 8, 7, 11, 13, 14});
+  }
+}
+
+TEST(SrgEngine, SparseStrikeComponentwiseOnPlannerTorus) {
+  const auto gg = torus_graph(6, 6);
+  Rng rng(19);
+  const auto planned = build_planned_routing(gg.graph, std::nullopt, rng);
+  const SrgIndex index(planned.table);
+  SrgScratch scratch(index);
+  for (std::size_t f : {0u, 2u, 5u, 9u}) {
+    for (const auto& faults : random_fault_sets(36, f, 6, rng)) {
+      SCOPED_TRACE("f=" + std::to_string(f));
+      const auto batched =
+          componentwise_surviving_diameter(gg.graph, scratch, faults);
+      const auto oneshot =
+          componentwise_surviving_diameter(gg.graph, planned.table, faults);
+      EXPECT_EQ(batched.worst, oneshot.worst);
+      EXPECT_EQ(batched.num_components, oneshot.num_components);
+      EXPECT_EQ(batched.survivors, oneshot.survivors);
+      expect_matches_one_shot(scratch, planned.table, faults);
     }
   }
 }

@@ -12,10 +12,16 @@
 //  * the packed block kernel, pinned per scratch to each lane width
 //    (SrgScratch::set_lane_width), must match the scalar oracle lane for
 //    lane on every construction table, for full and partial blocks, and on
-//    tables chosen to drive its BFS both top-down and bottom-up.
+//    tables chosen to drive its BFS both top-down and bottom-up;
+//  * the sparse strike behind every single-set evaluation (base rows minus
+//    the pairs whose every route died) must match the oracle's full route
+//    scan on planner, kernel and multiroute tables, with the oracle
+//    switched on and off on one scratch and across the epoch wrap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +31,7 @@
 #include "common/combinatorics.hpp"
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
+#include "core/planner.hpp"
 #include "fault/adversary.hpp"
 #include "fault/fault_gen.hpp"
 #include "fault/surviving.hpp"
@@ -644,6 +651,173 @@ TEST(SrgKernels, PackedBlockFewSurvivors) {
       EXPECT_EQ(expect.survivors, out[i].survivors);
       EXPECT_EQ(expect.arcs, out[i].arcs);
     }
+  }
+}
+
+// --- sparse strike -----------------------------------------------------------
+//
+// evaluate() derives a set's surviving route graph from the routes through
+// its faults; the scalar oracle still scans every route. Both must agree on
+// every Result field for every table shape and fault-set shape.
+
+void expect_same_result(const SrgScratch::Result& want,
+                        const SrgScratch::Result& got) {
+  EXPECT_EQ(want.diameter, got.diameter);
+  EXPECT_EQ(want.survivors, got.survivors);
+  EXPECT_EQ(want.arcs, got.arcs);
+}
+
+// f = 0, duplicate ids, endpoint faults, random sets of several sizes, and
+// the extremes: n - 2 and n - 1 faults (two and one survivors) and all n.
+std::vector<std::vector<Node>> strike_sets(std::size_t n, std::uint64_t seed) {
+  const auto last = static_cast<Node>(n - 1);
+  std::vector<std::vector<Node>> sets = {
+      {}, {0}, {last}, {0, last}, {1, 1}, {2, 0, 2, 2}, {last, 0, last}};
+  Rng rng(seed);
+  for (const std::size_t f : {1u, 2u, 3u, 5u, 8u}) {
+    for (auto& set : random_fault_sets(n, f, 6, rng)) {
+      sets.push_back(std::move(set));
+    }
+  }
+  std::vector<Node> all(n);
+  std::iota(all.begin(), all.end(), Node{0});
+  sets.push_back(all);
+  for (const Node keep : {Node{0}, static_cast<Node>(n / 2), last}) {
+    std::vector<Node> set;
+    for (Node v : all) {
+      if (v != keep) set.push_back(v);
+    }
+    sets.push_back(set);
+  }
+  sets.emplace_back(all.begin() + 2, all.end());
+  // A repeat of an earlier set after heavier ones: stale dead bits from the
+  // sets in between must not survive into it.
+  sets.push_back(sets[10]);
+  return sets;
+}
+
+// Ordered pairs of `table` that `faults` strike on some but not all of
+// their routes — the case a multiroute pair must survive.
+std::size_t partially_struck_pairs(const MultiRouteTable& table,
+                                   const std::vector<Node>& faults) {
+  std::size_t partial = 0;
+  table.for_each_pair_view(
+      [&](Node, Node, const MultiRouteTable::RouteRange& routes) {
+        std::size_t hit = 0;
+        for (PathView path : routes) {
+          const bool struck = std::any_of(
+              path.begin(), path.end(), [&](Node v) {
+                return std::find(faults.begin(), faults.end(), v) !=
+                       faults.end();
+              });
+          if (struck) ++hit;
+        }
+        if (hit > 0 && hit < routes.size()) ++partial;
+      });
+  return partial;
+}
+
+// Every set through a bitset scratch, and through one scratch whose oracle
+// is switched on for two sets and off for the next two, against a
+// dedicated oracle scratch.
+void expect_sparse_strike_matches_oracle(
+    const SrgIndex& index, const std::vector<std::vector<Node>>& sets,
+    const std::string& name) {
+  SrgScratch oracle(index), bitset(index), toggled(index);
+  oracle.set_scalar_oracle(true);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    SCOPED_TRACE(name + " set " + std::to_string(i));
+    const auto want = oracle.evaluate(sets[i]);
+    expect_same_result(want, bitset.evaluate(sets[i]));
+    toggled.set_scalar_oracle((i / 2) % 2 == 0);
+    expect_same_result(want, toggled.evaluate(sets[i]));
+  }
+}
+
+TEST(SrgKernels, SparseStrikeMatchesScalarOracle) {
+  Rng rng(808);
+  {
+    // Planner-built torus, as the streamed e2e sweep runs it; 81 nodes
+    // give two-word rows with a partial last word.
+    const auto gg = torus_graph(9, 9);
+    const auto planned = build_planned_routing(gg.graph, std::nullopt, rng);
+    const SrgIndex index(planned.table);
+    expect_sparse_strike_matches_oracle(index, strike_sets(81, 1),
+                                        "planner/torus9");
+  }
+  for (const auto& entry : construction_tables()) {
+    const SrgIndex index(entry.table);
+    expect_sparse_strike_matches_oracle(
+        index, strike_sets(entry.g.num_nodes(), 2), entry.name);
+  }
+  {
+    // Four disjoint routes per pair: most struck pairs keep a route.
+    const auto gg = hypercube(4);
+    const MultiRouteTable table = build_full_multirouting(gg.graph, 3);
+    const auto sets = strike_sets(16, 3);
+    std::size_t partial = 0;
+    for (const auto& set : sets) partial += partially_struck_pairs(table, set);
+    ASSERT_GT(partial, 0u);
+    expect_sparse_strike_matches_oracle(SrgIndex(table), sets,
+                                        "full-multirouting/hypercube4");
+  }
+}
+
+// One pair, two routes: the pair survives either route's death and dies
+// only with both; the arc count says so exactly.
+TEST(SrgKernels, SparseStrikeKillsMultiroutePairWithItsLastRoute) {
+  MultiRouteTable table(6, 2, /*bidirectional=*/false);
+  table.add_route({0, 1, 2, 3});
+  table.add_route({0, 5, 4, 3});
+  table.add_route({1, 2});
+  const SrgIndex index(table);
+  SrgScratch oracle(index), bitset(index);
+  oracle.set_scalar_oracle(true);
+  const std::vector<std::pair<std::vector<Node>, std::uint32_t>> cases = {
+      {{}, 2}, {{5}, 2}, {{1}, 1}, {{4}, 2}, {{5, 2}, 0}, {{4, 5}, 2}};
+  for (const auto& [faults, arcs] : cases) {
+    const auto want = oracle.evaluate(faults);
+    EXPECT_EQ(want.arcs, arcs);
+    expect_same_result(want, bitset.evaluate(faults));
+  }
+}
+
+// The oracle switched per set on one scratch while the strike epoch wraps:
+// the oracle's arc CSR and the bitset view are both rebuilt for every set.
+TEST(SrgKernels, SparseStrikeOracleToggleAcrossEpochWrap) {
+  const auto gg = hypercube(4);
+  const SrgIndex index(build_full_multirouting(gg.graph, 3));
+  const auto sets = strike_sets(16, 4);
+  std::vector<SrgScratch::Result> want;
+  {
+    SrgScratch oracle(index);
+    oracle.set_scalar_oracle(true);
+    for (const auto& set : sets) want.push_back(oracle.evaluate(set));
+  }
+  for (const std::size_t run : {1u, 2u, 3u}) {
+    SrgScratch scratch(index);
+    scratch.set_epochs_for_testing(~std::uint32_t{0} - 5);  // wraps at set 5
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      SCOPED_TRACE("run " + std::to_string(run) + " set " + std::to_string(i));
+      scratch.set_scalar_oracle((i / run) % 2 == 0);
+      expect_same_result(want[i], scratch.evaluate(sets[i]));
+    }
+  }
+}
+
+// componentwise_diameter and delivery read the same struck set: both
+// kernels agree on it after sparse strikes, interleaved with evaluate().
+TEST(SrgKernels, SparseStrikeComponentwiseMatchesScalarOracle) {
+  const auto gg = hypercube(4);
+  const SrgIndex index(build_full_multirouting(gg.graph, 3));
+  std::vector<std::uint32_t> comp(16);
+  for (Node v = 0; v < 16; ++v) comp[v] = v % 3;
+  SrgScratch oracle(index), bitset(index);
+  oracle.set_scalar_oracle(true);
+  for (const auto& set : strike_sets(16, 5)) {
+    expect_same_result(oracle.evaluate(set), bitset.evaluate(set));
+    EXPECT_EQ(oracle.componentwise_diameter(set, comp),
+              bitset.componentwise_diameter(set, comp));
   }
 }
 
