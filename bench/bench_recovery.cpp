@@ -165,8 +165,11 @@ void table_batched_throughput() {
     const auto t4 = clock::now();
     const auto summary = sweep_fault_sets(e.rt, index, sets, opts);
     const auto t5 = clock::now();
-    std::uint64_t checksum_parallel = 0;
-    for (const auto& rec : summary.per_set) checksum_parallel += rec.diameter;
+    std::uint64_t checksum_parallel =
+        summary.disconnected * std::uint64_t{kUnreachable};
+    for (std::size_t d = 0; d < summary.diameter_histogram.size(); ++d) {
+      checksum_parallel += d * summary.diameter_histogram[d];
+    }
     FTR_ASSERT_MSG(checksum_seed == checksum_parallel,
                    "parallel sweep and one-shot paths disagree");
 

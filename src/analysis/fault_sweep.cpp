@@ -24,7 +24,7 @@ bool ExplicitListSource::next(std::vector<Node>& out) {
 }
 
 bool SampledStreamSource::next(std::vector<Node>& out) {
-  if (pos_ == end_) return false;
+  if (pos_ == count_) return false;
   Rng rng = Rng::stream(seed_, pos_++);
   const auto sample = rng.sample(n_, f_);
   out.assign(sample.begin(), sample.end());
@@ -68,38 +68,6 @@ bool IstreamFaultSetSource::next(std::vector<Node>& out) {
 
 // --- merge authority ---------------------------------------------------------
 
-void absorb_sweep_record(SweepPartial& partial, std::uint64_t index,
-                         const FaultSweepRecord& rec,
-                         const std::vector<Node>* faults) {
-  ++partial.sets;
-  if (rec.diameter == kUnreachable) {
-    ++partial.disconnected;
-  } else {
-    if (rec.diameter >= partial.diameter_histogram.size()) {
-      partial.diameter_histogram.resize(rec.diameter + 1, 0);
-    }
-    ++partial.diameter_histogram[rec.diameter];
-  }
-  // First index attaining the max wins: strictly-greater replaces, equal
-  // keeps the incumbent (which has the smaller index under in-order folds).
-  // kUnreachable compares greater than every finite diameter, so
-  // disconnection needs no special casing.
-  if (!partial.have_worst || rec.diameter > partial.worst_diameter) {
-    partial.worst_diameter = rec.diameter;
-    partial.worst_index = index;
-    partial.worst_faults.clear();
-    if (faults != nullptr) partial.worst_faults = *faults;
-    partial.have_worst = true;
-  }
-  partial.pairs_sampled += rec.delivery.pairs_sampled;
-  partial.delivered += rec.delivery.delivered;
-  partial.route_hops_total += rec.delivery.route_hops_total;
-  partial.max_route_hops =
-      std::max(partial.max_route_hops, rec.delivery.max_route_hops);
-  partial.max_edge_hops =
-      std::max(partial.max_edge_hops, rec.delivery.max_edge_hops);
-}
-
 void merge_sweep_partials(SweepPartial& into, const SweepPartial& next) {
   into.sets += next.sets;
   if (next.diameter_histogram.size() > into.diameter_histogram.size()) {
@@ -110,8 +78,9 @@ void merge_sweep_partials(SweepPartial& into, const SweepPartial& next) {
   }
   into.disconnected += next.disconnected;
   // `next` covers later indices, so on equal diameters the incumbent (the
-  // earlier index) must survive — same strictly-greater rule as the
-  // per-record fold.
+  // earlier index) must survive: strictly greater replaces. kUnreachable
+  // compares greater than every finite diameter, so disconnection needs no
+  // special casing.
   if (next.have_worst &&
       (!into.have_worst || next.worst_diameter > into.worst_diameter)) {
     into.worst_diameter = next.worst_diameter;
@@ -145,257 +114,287 @@ FaultSweepSummary summarize_sweep_partial(const SweepPartial& partial) {
   return summary;
 }
 
-// --- streaming engine --------------------------------------------------------
+UnitSpec sweep_unit(UnitKind kind, std::size_t f, std::uint64_t count,
+                    const FaultSweepOptions& options) {
+  UnitSpec u;
+  u.kind = kind;
+  u.f = static_cast<std::uint32_t>(f);
+  u.end = count;
+  u.seed = options.seed;
+  u.delivery_pairs = options.delivery_pairs;
+  u.exec = options.exec;
+  return u;
+}
+
+// --- the unit executor -------------------------------------------------------
 
 namespace {
 
-// One fault set through one worker scratch. The delivery stream is keyed by
-// the set's global index, so the record is a pure function of (table, set,
-// delivery_pairs, seed, index) — scheduling-proof AND partition-proof: a
-// remote worker handed index i reproduces the exact record the local sweep
-// would have produced at i.
-FaultSweepRecord evaluate_one(const RoutingTable& table, SrgScratch& scratch,
-                              const std::vector<Node>& faults,
-                              const FaultSweepOptions& options,
-                              std::uint64_t set_index) {
-  FaultSweepRecord rec;
-  const auto res = scratch.evaluate(faults);
-  rec.diameter = res.diameter;
-  rec.survivors = res.survivors;
-  rec.arcs = res.arcs;
-  if (options.delivery_pairs > 0) {
-    // The scratch is still struck from evaluate() above; delivery walks
-    // that set's bitset rows without a second strike.
-    Rng rng = Rng::stream(options.seed, set_index);
-    rec.delivery =
-        measure_delivery(table, scratch, options.delivery_pairs, rng);
+using Clock = std::chrono::steady_clock;
+
+// Folds one set at global index `index`. Called in ascending index order
+// within a chunk, so "strictly greater replaces" keeps the first index
+// attaining the maximum. `faults` may be null when the caller unranks the
+// worst set from worst_index afterwards.
+void absorb_set(SweepPartial& partial, std::uint64_t index,
+                std::uint32_t diameter, const DeliveryStats& delivery,
+                const std::vector<Node>* faults) {
+  ++partial.sets;
+  if (diameter == kUnreachable) {
+    ++partial.disconnected;
+  } else {
+    if (diameter >= partial.diameter_histogram.size()) {
+      partial.diameter_histogram.resize(diameter + 1, 0);
+    }
+    ++partial.diameter_histogram[diameter];
   }
-  return rec;
+  if (!partial.have_worst || diameter > partial.worst_diameter) {
+    partial.worst_diameter = diameter;
+    partial.worst_index = index;
+    partial.worst_faults.clear();
+    if (faults != nullptr) partial.worst_faults = *faults;
+    partial.have_worst = true;
+  }
+  partial.pairs_sampled += delivery.pairs_sampled;
+  partial.delivered += delivery.delivered;
+  partial.route_hops_total += delivery.route_hops_total;
+  partial.max_route_hops =
+      std::max(partial.max_route_hops, delivery.max_route_hops);
+  partial.max_edge_hops =
+      std::max(partial.max_edge_hops, delivery.max_edge_hops);
 }
 
-// Emits progress between batches (on the calling thread) whenever the
-// processed count crosses a multiple of progress_every.
-struct ProgressEmitter {
-  const FaultSweepOptions& options;
-  std::chrono::steady_clock::time_point t0;
-  std::uint64_t next_at;
+// One chunk of a unit: sets [lo, hi) of the global index space, made from
+// their indices and evaluated on a scratch of the chunk's own.
+SweepPartial sweep_chunk(const RoutingTable& table, const SrgIndex& index,
+                         const UnitSpec& unit, std::uint64_t lo,
+                         std::uint64_t hi) {
+  SweepPartial part;
+  SrgScratch scratch(index);
+  const std::size_t n = index.num_nodes();
+  const bool gray = unit.kind == UnitKind::kSweepGray;
+  std::optional<GraySubsetEnumerator> e;
+  if (gray) e.emplace(n, unit.f, lo);
 
-  explicit ProgressEmitter(const FaultSweepOptions& opts,
-                           std::chrono::steady_clock::time_point start)
-      : options(opts), t0(start), next_at(opts.exec.progress_every) {}
+  if (gray && unit.delivery_pairs == 0) {
+    // Packed: whole lane blocks of Gray-adjacent sets per bit-parallel pass.
+    const std::size_t lanes = scratch.lane_width();
+    SrgScratch::Result res[kMaxLaneWidth];
+    for (std::uint64_t r = lo; r < hi;) {
+      const auto cnt =
+          static_cast<std::size_t>(std::min<std::uint64_t>(lanes, hi - r));
+      scratch.evaluate_gray_block(*e, cnt, res);
+      for (std::size_t i = 0; i < cnt; ++i) {
+        absorb_set(part, r + i, res[i].diameter, {}, nullptr);
+      }
+      r += cnt;
+      if (r < hi) e->advance();
+    }
+    return part;
+  }
+
+  std::vector<Node> made;
+  for (std::uint64_t i = lo; i < hi; ++i) {
+    const std::vector<Node>* faults = &made;
+    if (gray) {
+      if (i > lo) e->advance();
+      made.assign(e->current().begin(), e->current().end());
+    } else if (unit.kind == UnitKind::kSweepSampled) {
+      Rng rng = Rng::stream(unit.seed, i);
+      const auto sample = rng.sample(n, unit.f);
+      made.assign(sample.begin(), sample.end());
+    } else {
+      faults = &unit.sets[i - unit.begin];
+    }
+    const auto res = scratch.evaluate(*faults);
+    DeliveryStats delivery;
+    if (unit.delivery_pairs > 0) {
+      // The scratch is still struck from evaluate() above; delivery walks
+      // that set's bitset rows without a second strike.
+      Rng rng = Rng::stream(unit.seed, i);
+      delivery = measure_delivery(table, scratch,
+                                  static_cast<std::size_t>(unit.delivery_pairs),
+                                  rng);
+    }
+    absorb_set(part, i, res.diameter, delivery, faults);
+  }
+  return part;
+}
+
+// Emits progress on the calling thread whenever the merged count crosses a
+// multiple of `every`.
+class ProgressEmitter {
+ public:
+  ProgressEmitter(std::uint64_t every, const SweepProgressFn& fn)
+      : every_(every), fn_(fn), t0_(Clock::now()), next_at_(every) {}
 
   void maybe_emit(const SweepPartial& partial, const ExecutorStats& executor) {
-    if (options.exec.progress_every == 0 || !options.on_progress) return;
-    if (partial.sets < next_at) return;
+    if (every_ == 0 || !fn_ || partial.sets < next_at_) return;
     FaultSweepProgress p;
     p.sets_done = partial.sets;
     p.worst_diameter = partial.worst_diameter;
     p.disconnected = partial.disconnected;
-    p.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
+    p.seconds = std::chrono::duration<double>(Clock::now() - t0_).count();
     p.executor = executor;
-    options.on_progress(p);
-    while (next_at <= partial.sets) next_at += options.exec.progress_every;
+    fn_(p);
+    while (next_at_ <= partial.sets) next_at_ += every_;
   }
+
+ private:
+  std::uint64_t every_;
+  const SweepProgressFn& fn_;
+  Clock::time_point t0_;
+  std::uint64_t next_at_;
 };
 
-// The batched streaming core. Reads batch_size * workers sets, fans the
-// batch across the workers (one chunk per worker, each owning an
-// SrgScratch), reduces the batch in input order, and reuses the buffers for
-// the next batch — memory is bounded by one batch regardless of stream
-// length. Per-record values are pure per-set functions and the reduce order
-// is the global input order, so the partial depends on neither the thread
-// count nor the batch size.
-SweepPartial stream_partial_impl(const RoutingTable& table,
-                                 const SrgIndex& index, FaultSetSource& source,
-                                 std::uint64_t base_index,
-                                 const FaultSweepOptions& options,
-                                 std::vector<FaultSweepRecord>* per_set_out,
-                                 ExecutorStats* executor_out) {
-  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
-  SweepPartial partial;
-  ExecutorStats executor;
-  const unsigned workers = options.exec.resolved_threads();
-  const std::size_t batch_size =
-      std::max<std::size_t>(1, options.exec.batch_size);
-  const std::size_t batch_items = batch_size * workers;
-
-  std::vector<std::vector<Node>> batch(batch_items);
-  std::vector<FaultSweepRecord> records(batch_items);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  ProgressEmitter progress(options, t0);
-  for (;;) {
-    std::size_t filled = 0;
-    while (filled < batch_items && source.next(batch[filled])) ++filled;
-    if (filled == 0) break;
-    const std::uint64_t base = base_index + partial.sets;
-    ExecutorStats batch_stats;
-    parallel_for_chunks(
-        filled, workers, batch_size,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          (void)chunk;
-          SrgScratch scratch(index);
-          for (std::size_t i = begin; i < end; ++i) {
-            records[i] =
-                evaluate_one(table, scratch, batch[i], options, base + i);
-          }
-        },
-        &batch_stats);
-    executor.accumulate(batch_stats);
-    for (std::size_t i = 0; i < filled; ++i) {
-      absorb_sweep_record(partial, base + i, records[i], &batch[i]);
-      if (per_set_out != nullptr) per_set_out->push_back(records[i]);
-    }
-    progress.maybe_emit(partial, executor);
-    if (filled < batch_items) break;  // the stream ended mid-batch
-  }
-  if (executor_out != nullptr) executor_out->accumulate(executor);
-  return partial;
-}
-
-// Fills the telemetry fields wrappers own on top of summarize_sweep_partial.
+// Fills the telemetry fields on top of summarize_sweep_partial.
 FaultSweepSummary finish_summary(const SweepPartial& partial, unsigned workers,
                                  const ExecutorStats& executor,
-                                 double seconds) {
+                                 Clock::time_point t0) {
   FaultSweepSummary summary = summarize_sweep_partial(partial);
   summary.threads_used = workers;
   summary.executor = executor;
-  summary.seconds = seconds;
-  if (seconds > 0.0 && summary.total_sets > 0) {
+  summary.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  if (summary.seconds > 0.0 && summary.total_sets > 0) {
     summary.fault_sets_per_sec =
-        static_cast<double>(summary.total_sets) / seconds;
+        static_cast<double>(summary.total_sets) / summary.seconds;
   }
   return summary;
 }
 
-}  // namespace
-
-SweepPartial sweep_fault_source_partial(const RoutingTable& table,
-                                        const SrgIndex& index,
-                                        FaultSetSource& source,
-                                        std::uint64_t base_index,
-                                        const FaultSweepOptions& options,
-                                        ExecutorStats* executor) {
-  return stream_partial_impl(table, index, source, base_index, options,
-                             nullptr, executor);
+// Sets per window: batch_size per thread, whole packed blocks on Gray units
+// without delivery (a chunk ending in a partial block pays for a full one).
+std::uint64_t unit_grain(const UnitSpec& unit) {
+  const std::uint64_t batch = std::max<std::size_t>(1, unit.exec.batch_size);
+  const bool packed =
+      unit.kind == UnitKind::kSweepGray && unit.delivery_pairs == 0;
+  return packed ? lane_aligned(batch) : batch;
 }
 
-SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
-                                         const SrgIndex& index, std::size_t f,
-                                         std::uint64_t begin_rank,
-                                         std::uint64_t end_rank,
-                                         const FaultSweepOptions& options,
-                                         ExecutorStats* executor_out) {
-  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
-  const std::size_t n = index.num_nodes();
-  FTR_EXPECTS(f <= n);
-  const std::uint64_t total = checked_binomial(n, f);
-  FTR_EXPECTS(begin_rank <= end_rank && end_rank <= total);
+}  // namespace
 
+SweepPartial execute_sweep_unit(const RoutingTable& table,
+                                const SrgIndex& index, const UnitSpec& unit,
+                                const SweepProgressFn& on_progress,
+                                ExecutorStats* executor_out) {
+  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
+  FTR_EXPECTS_MSG(unit_is_sweep(unit.kind),
+                  "unit kind " << unit_kind_name(unit.kind)
+                               << " is not a sweep");
+  FTR_EXPECTS(unit.begin <= unit.end);
+  const std::size_t n = index.num_nodes();
+  if (unit.kind == UnitKind::kSweepExplicit) {
+    FTR_EXPECTS_MSG(unit.sets.size() == unit.end - unit.begin,
+                    "explicit sweep unit [" << unit.begin << ", " << unit.end
+                                            << ") carries " << unit.sets.size()
+                                            << " sets");
+  } else {
+    FTR_EXPECTS(unit.f <= n);
+  }
+  const bool gray = unit.kind == UnitKind::kSweepGray;
+  if (gray) FTR_EXPECTS(unit.end <= checked_binomial(n, unit.f));
+
+  const unsigned workers = unit.exec.resolved_threads();
+  const std::uint64_t grain = unit_grain(unit);
+  const std::uint64_t window = grain * workers;
   SweepPartial partial;
   ExecutorStats executor;
-  const unsigned workers = options.exec.resolved_threads();
-  // Packed evaluates up to lane_width() Gray-adjacent sets per bit-parallel
-  // pass, but cannot materialize per-set surviving graphs, so delivery
-  // sampling evaluates each set on its own (bitset). Packed chunks are
-  // whole blocks: the batch rounds up to a multiple of the widest lane width.
-  const bool packed = options.delivery_pairs == 0;
-  const std::size_t batch =
-      std::max<std::size_t>(1, options.exec.batch_size);
-  const std::size_t batch_size =
-      packed ? static_cast<std::size_t>(lane_aligned(batch)) : batch;
-  const std::uint64_t range = end_rank - begin_rank;
-  const std::uint64_t batch_items =
-      static_cast<std::uint64_t>(batch_size) * workers;
-
-  std::vector<FaultSweepRecord> records(
-      static_cast<std::size_t>(std::min<std::uint64_t>(batch_items, range)));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  ProgressEmitter progress(options, t0);
-  while (partial.sets < range) {
-    const std::uint64_t base = begin_rank + partial.sets;
-    const auto filled = static_cast<std::size_t>(
-        std::min<std::uint64_t>(batch_items, end_rank - base));
-    ExecutorStats batch_stats;
+  ProgressEmitter progress(unit.exec.progress_every, on_progress);
+  std::vector<SweepPartial> chunks;
+  for (std::uint64_t lo = unit.begin, count = 0; lo < unit.end; lo += count) {
+    count = std::min(window, unit.end - lo);
+    chunks.assign(num_chunks(count, grain), SweepPartial{});
+    ExecutorStats window_stats;
     parallel_for_chunks(
-        filled, workers, batch_size,
+        count, workers, grain,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          (void)chunk;
-          SrgScratch scratch(index);
-          GraySubsetEnumerator e(n, f, base + begin);
-          if (packed) {
-            const std::size_t lanes = scratch.lane_width();
-            SrgScratch::Result res[kMaxLaneWidth];
-            std::size_t r = begin;
-            while (r < end) {
-              const std::size_t cnt = std::min<std::size_t>(lanes, end - r);
-              scratch.evaluate_gray_block(e, cnt, res);
-              for (std::size_t i = 0; i < cnt; ++i) {
-                records[r + i] = {res[i].diameter, res[i].survivors,
-                                  res[i].arcs, {}};
-              }
-              r += cnt;
-              if (r < end) e.advance();
-            }
-            return;
-          }
-          std::vector<Node> faults;
-          for (std::size_t r = begin; r < end; ++r) {
-            faults.assign(e.current().begin(), e.current().end());
-            records[r] = evaluate_one(table, scratch, faults, options, base + r);
-            if (r + 1 < end) e.advance();
-          }
+          chunks[chunk] = sweep_chunk(table, index, unit, lo + begin, lo + end);
         },
-        &batch_stats);
-    executor.accumulate(batch_stats);
-    for (std::size_t i = 0; i < filled; ++i) {
-      absorb_sweep_record(partial, base + i, records[i], nullptr);
-    }
+        &window_stats);
+    executor.accumulate(window_stats);
+    for (const auto& c : chunks) merge_sweep_partials(partial, c);
     progress.maybe_emit(partial, executor);
   }
 
-  if (range > 0) {
-    // The worst set was never stored (constant memory); unrank it from the
-    // winning gray rank instead.
-    const auto worst = gray_subset_at_rank(n, f, partial.worst_index);
+  if (gray && partial.have_worst) {
+    // Packed chunks never hold their sets; unrank the winner from its rank.
+    const auto worst = gray_subset_at_rank(n, unit.f, partial.worst_index);
     partial.worst_faults.assign(worst.begin(), worst.end());
   }
   if (executor_out != nullptr) executor_out->accumulate(executor);
   return partial;
 }
 
-// --- summary wrappers --------------------------------------------------------
+FaultSweepSummary sweep_unit_summary(const RoutingTable& table,
+                                     const SrgIndex& index,
+                                     const UnitSpec& unit,
+                                     const SweepProgressFn& on_progress) {
+  const auto t0 = Clock::now();
+  ExecutorStats executor;
+  const SweepPartial partial =
+      execute_sweep_unit(table, index, unit, on_progress, &executor);
+  return finish_summary(partial, unit.exec.resolved_threads(), executor, t0);
+}
+
+SweepUnitFeed explicit_unit_feed(FaultSetSource& source, const UnitSpec& base,
+                                 std::uint64_t step) {
+  FTR_EXPECTS(step > 0);
+  UnitSpec first = base;
+  first.kind = UnitKind::kSweepExplicit;
+  first.sets.clear();
+  return [&source, unit = std::move(first), step,
+          set = std::vector<Node>{}]() mutable -> std::optional<UnitSpec> {
+    UnitSpec u = unit;
+    while (u.sets.size() < step && source.next(set)) u.sets.push_back(set);
+    if (u.sets.empty()) return std::nullopt;
+    u.begin = unit.begin;
+    u.end = u.begin + u.sets.size();
+    unit.begin = u.end;
+    return u;
+  };
+}
+
+// --- wrappers ----------------------------------------------------------------
+
+SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
+                                         const SrgIndex& index, std::size_t f,
+                                         std::uint64_t begin_rank,
+                                         std::uint64_t end_rank,
+                                         const FaultSweepOptions& options,
+                                         ExecutorStats* executor) {
+  UnitSpec unit = sweep_unit(UnitKind::kSweepGray, f, end_rank, options);
+  unit.begin = begin_rank;
+  return execute_sweep_unit(table, index, unit, options.on_progress, executor);
+}
 
 FaultSweepSummary sweep_fault_source(const RoutingTable& table,
                                      const SrgIndex& index,
                                      FaultSetSource& source,
                                      const FaultSweepOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
+  const UnitSpec base = sweep_unit(UnitKind::kSweepExplicit, 0, 0, options);
+  const SweepUnitFeed feed = explicit_unit_feed(
+      source, base, unit_grain(base) * options.exec.resolved_threads());
+  SweepPartial partial;
   ExecutorStats executor;
-  const SweepPartial partial =
-      stream_partial_impl(table, index, source, 0, options, nullptr, &executor);
-  const auto t1 = std::chrono::steady_clock::now();
-  return finish_summary(partial, options.exec.resolved_threads(), executor,
-                        std::chrono::duration<double>(t1 - t0).count());
+  ProgressEmitter progress(options.exec.progress_every, options.on_progress);
+  while (const auto unit = feed()) {
+    merge_sweep_partials(partial,
+                         execute_sweep_unit(table, index, *unit, {}, &executor));
+    progress.maybe_emit(partial, executor);
+  }
+  return finish_summary(partial, options.exec.resolved_threads(), executor, t0);
 }
 
 FaultSweepSummary sweep_exhaustive_gray(const RoutingTable& table,
                                         const SrgIndex& index, std::size_t f,
                                         const FaultSweepOptions& options) {
-  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
-  const std::size_t n = index.num_nodes();
-  FTR_EXPECTS(f <= n);
-  const std::uint64_t total = checked_binomial(n, f);
-  const auto t0 = std::chrono::steady_clock::now();
-  ExecutorStats executor;
-  const SweepPartial partial = sweep_exhaustive_gray_range(
-      table, index, f, 0, total, options, &executor);
-  const auto t1 = std::chrono::steady_clock::now();
-  return finish_summary(partial, options.exec.resolved_threads(), executor,
-                        std::chrono::duration<double>(t1 - t0).count());
+  FTR_EXPECTS(f <= index.num_nodes());
+  return sweep_unit_summary(
+      table, index,
+      sweep_unit(UnitKind::kSweepGray, f,
+                 checked_binomial(index.num_nodes(), f), options),
+      options.on_progress);
 }
 
 FaultSweepSummary sweep_fault_sets(
@@ -403,19 +402,7 @@ FaultSweepSummary sweep_fault_sets(
     const std::vector<std::vector<Node>>& fault_sets,
     const FaultSweepOptions& options) {
   ExplicitListSource source(fault_sets);
-  std::vector<FaultSweepRecord> per_set;
-  per_set.reserve(fault_sets.size());
-  const auto t0 = std::chrono::steady_clock::now();
-  ExecutorStats executor;
-  const SweepPartial partial = stream_partial_impl(table, index, source, 0,
-                                                   options, &per_set,
-                                                   &executor);
-  const auto t1 = std::chrono::steady_clock::now();
-  FaultSweepSummary summary =
-      finish_summary(partial, options.exec.resolved_threads(), executor,
-                     std::chrono::duration<double>(t1 - t0).count());
-  summary.per_set = std::move(per_set);
-  return summary;
+  return sweep_fault_source(table, index, source, options);
 }
 
 FaultSweepSummary sweep_fault_sets(

@@ -1,34 +1,32 @@
-// The fault-sweep pipeline: evaluate one routing table against a stream of
-// fault sets and aggregate what every experiment in this repo wants from
-// such a sweep — the surviving-diameter distribution, the worst witness,
-// and (optionally) per-set delivery measurements from the paper's cost
-// model. This is the library surface behind the CLI `sweep` verb and the
-// scenario benches.
+// The fault-sweep pipeline: evaluate one routing table against many fault
+// sets and aggregate what every experiment in this repo wants from such a
+// sweep — the surviving-diameter distribution, the worst witness, and
+// (optionally) delivery measurements from the paper's cost model. This is
+// the library surface behind the CLI `sweep` verb, serve's sweep requests,
+// the distributed workers, and the scenario benches.
 //
-// The architecture is pull-based: a FaultSetSource yields fault sets one at
-// a time, and the sweep engine consumes it in bounded batches — one batch
-// of options.batch_size sets per worker is in flight at any moment, and the
-// aggregates (histogram, worst witness, delivery sums) are folded in input
-// order as each batch retires. Memory is therefore constant in the stream
-// length: a 10^7-set sweep materializes nothing beyond the reused batch
-// buffers. Sources exist for explicit lists, counter-seeded random streams,
-// the exhaustive revolving-door enumeration, and line-delimited text feeds
-// (the CLI's `sweep --stdin`).
+// Every sweep runs as work units (fault/work_unit.hpp) through ONE loop,
+// execute_sweep_unit. A unit names a GLOBAL window [begin, end) of set
+// indices and where its sets come from: Gray subset ranks, counter-seeded
+// samples (set i is Rng::stream(seed, i)), or literal sets it carries. The
+// executor walks the window in windows of grain x threads items (grain =
+// the policy's batch size, rounded up to whole packed lane blocks for Gray
+// units without delivery); each window fans out over the threads, and each
+// chunk builds its own SrgScratch, makes its own sets from their global
+// indices, and folds them into a chunk SweepPartial. The chunks merge in
+// index order with merge_sweep_partials — the same merge the distributed
+// coordinator uses — so a sweep's output is bit-identical for any thread
+// count, batch size, unit split, or worker count. Delivery sampling for
+// set i draws from Rng::stream(seed, i), never from a shared generator.
 //
-// Execution fans each batch across FaultSweepOptions::threads workers, each
-// owning an SrgScratch over one shared SrgIndex. Per-set results land at
-// their input index and the aggregation is a single index-ordered pass, so
-// a sweep's output — every record, the histogram, the worst index — is
-// bit-identical for any thread count AND for any batch size. Randomized
-// delivery sampling draws from Rng::stream(seed, set_index), never from a
-// shared generator.
+// Gray units without delivery evaluate whole lane blocks of Gray-adjacent
+// sets on the packed kernel; every other set is evaluated on its own by
+// SrgScratch::evaluate (bitset rows, struck sparsely through the faults'
+// routes), and delivery walks the rows that evaluation left behind.
 //
-// sweep_exhaustive_gray is the fast path for "all C(n, f) fault sets": it
-// walks the revolving-door enumeration itself and, without delivery
-// sampling, evaluates whole lane blocks of Gray-adjacent sets on the
-// packed kernel. With delivery it evaluates each set by a full rebuild,
-// like the generic engine. Its output is bit-identical to streaming an
-// ExhaustiveGraySource through the generic engine (differentially tested).
+// Unbounded streams (FaultSetSource, e.g. the CLI's `sweep --stdin`) are
+// cut into explicit-set units of one window each as they are read, so
+// memory stays constant in the stream length.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +40,7 @@
 #include "common/exec_policy.hpp"
 #include "common/parallel.hpp"
 #include "fault/srg_engine.hpp"
+#include "fault/work_unit.hpp"
 #include "graph/graph.hpp"
 #include "routing/route_table.hpp"
 #include "sim/network_sim.hpp"
@@ -50,8 +49,8 @@ namespace ftr {
 
 /// A pull-based stream of fault sets. next() overwrites `out` with the next
 /// set and returns true, or returns false when the stream is exhausted.
-/// Sources are single-pass and not thread-safe; the sweep engine consumes
-/// them from one thread and fans the batches out itself.
+/// Sources are single-pass and not thread-safe; explicit_unit_feed reads
+/// them from one thread and cuts them into units.
 class FaultSetSource {
  public:
   virtual ~FaultSetSource() = default;
@@ -80,21 +79,12 @@ class ExplicitListSource final : public FaultSetSource {
 /// Rng::stream(seed, i), so the stream is a pure function of (n, f, count,
 /// seed) — independent of batching, threading, and of how many sets were
 /// consumed before (unlike random_fault_sets, which advances one shared
-/// generator).
+/// generator). It yields exactly the sets of a kSweepSampled unit.
 class SampledStreamSource final : public FaultSetSource {
  public:
   SampledStreamSource(std::size_t n, std::size_t f, std::uint64_t count,
                       std::uint64_t seed)
-      : SampledStreamSource(n, f, count, seed, 0) {}
-
-  /// Sub-range constructor: yields sets `start .. start + count - 1` of the
-  /// same stream (set i is always Rng::stream(seed, i)). A distributed
-  /// sweep hands each worker a disjoint [start, start + count) window and
-  /// the union reproduces the single-process stream set-for-set.
-  SampledStreamSource(std::size_t n, std::size_t f, std::uint64_t count,
-                      std::uint64_t seed, std::uint64_t start)
-      : n_(n), f_(f), count_(count), seed_(seed), pos_(start),
-        end_(start + count) {}
+      : n_(n), f_(f), count_(count), seed_(seed) {}
 
   std::optional<std::uint64_t> size() const override { return count_; }
   bool next(std::vector<Node>& out) override;
@@ -104,8 +94,7 @@ class SampledStreamSource final : public FaultSetSource {
   std::size_t f_;
   std::uint64_t count_;
   std::uint64_t seed_;
-  std::uint64_t pos_;
-  std::uint64_t end_;
+  std::uint64_t pos_ = 0;
 };
 
 /// Every f-subset of {0..n-1} in revolving-door (Gray) order — the
@@ -143,47 +132,37 @@ class IstreamFaultSetSource final : public FaultSetSource {
   std::size_t line_no_ = 0;    // 1-based, for error messages
 };
 
-/// Progress snapshot handed to FaultSweepOptions::on_progress (aggregates
-/// so far; sets_done counts fully reduced sets).
+/// Progress snapshot handed to a sweep's progress callback (aggregates so
+/// far; sets_done counts fully merged sets).
 struct FaultSweepProgress {
   std::uint64_t sets_done = 0;
   std::uint32_t worst_diameter = 0;
   std::uint64_t disconnected = 0;
   double seconds = 0.0;
-  /// Work-stealing telemetry accumulated over the batches so far
+  /// Work-stealing telemetry accumulated over the windows so far
   /// (scheduling-dependent — stderr probes only, never results).
   ExecutorStats executor;
 };
+
+using SweepProgressFn = std::function<void(const FaultSweepProgress&)>;
 
 struct FaultSweepOptions {
   /// How the sweep executes — threads, batch size, progress cadence (see
   /// common/exec_policy.hpp for the resolution rules). Results never
   /// depend on any of it. exec.progress_every schedules on_progress below:
-  /// invoked roughly every that many sets (0 = never), between batches, on
+  /// invoked roughly every that many sets (0 = never), between windows, on
   /// the calling thread — it never races the workers.
   ExecPolicy exec;
   /// Ordered survivor pairs to sample per fault set for delivery stats;
   /// 0 skips delivery measurement entirely.
   std::size_t delivery_pairs = 0;
-  /// Root seed for the per-set delivery sampling streams.
+  /// Root seed for the sampled sets and the per-set delivery streams.
   std::uint64_t seed = 0;
-  std::function<void(const FaultSweepProgress&)> on_progress;
-};
-
-struct FaultSweepRecord {
-  std::uint32_t diameter = 0;  // kUnreachable = some pair cannot route
-  std::uint32_t survivors = 0;
-  std::uint32_t arcs = 0;
-  DeliveryStats delivery;  // only populated when delivery_pairs > 0
+  SweepProgressFn on_progress;
 };
 
 struct FaultSweepSummary {
-  /// One record per input fault set, positionally aligned. Only the
-  /// materialized sweep_fault_sets API fills this; the streaming entry
-  /// points leave it empty (constant memory).
-  std::vector<FaultSweepRecord> per_set;
-
-  /// Sets processed (streaming sweeps have no per_set to count).
+  /// Sets processed.
   std::uint64_t total_sets = 0;
 
   /// diameter_histogram[d] = number of sets with finite surviving diameter
@@ -191,9 +170,8 @@ struct FaultSweepSummary {
   std::vector<std::uint64_t> diameter_histogram;
   std::uint64_t disconnected = 0;
 
-  /// Worst surviving diameter over the stream (kUnreachable if any set
-  /// disconnects), the first input index attaining it, and that set's
-  /// contents (tracked incrementally — available even when per_set is not).
+  /// Worst surviving diameter over the sweep (kUnreachable if any set
+  /// disconnects), the first input index attaining it, and that set.
   std::uint32_t worst_diameter = 0;
   std::size_t worst_index = 0;
   std::vector<Node> worst_faults;
@@ -210,21 +188,20 @@ struct FaultSweepSummary {
   unsigned threads_used = 1;
   double seconds = 0.0;
   double fault_sets_per_sec = 0.0;
-  /// Work-stealing executor counters accumulated over all batches.
+  /// Work-stealing executor counters accumulated over all windows.
   ExecutorStats executor;
 };
 
 /// A mergeable fragment of a sweep: everything FaultSweepSummary aggregates,
-/// folded over one contiguous index range of the input stream. This is the
-/// single merge authority — the in-process reduce, the streaming batches,
-/// and the distributed coordinator all fold records with absorb_sweep_record
-/// and combine ranges with merge_sweep_partials, so the two paths cannot
-/// drift.
+/// folded over one contiguous index range of the sweep. This is the single
+/// merge authority — the executor's chunks, the streaming feed, and the
+/// distributed coordinator all combine ranges with merge_sweep_partials.
 ///
 /// Every field is exact (integer hop totals, not means), which makes the
-/// merge strictly associative: any partition of the stream into contiguous
-/// ranges — threads, batches, worker processes — folds to bit-identical
-/// aggregates. worst_index is the GLOBAL input index of the worst witness.
+/// merge strictly associative: any partition of the sweep into contiguous
+/// ranges — chunks, windows, units, worker processes — folds to
+/// bit-identical aggregates. worst_index is the GLOBAL index of the worst
+/// witness.
 struct SweepPartial {
   std::uint64_t sets = 0;
   std::vector<std::uint64_t> diameter_histogram;
@@ -233,8 +210,6 @@ struct SweepPartial {
   bool have_worst = false;
   std::uint32_t worst_diameter = 0;
   std::uint64_t worst_index = 0;
-  /// Contents of the worst set. May be left empty by producers that can
-  /// reconstruct it from worst_index afterwards (the Gray sweep unranks it).
   std::vector<Node> worst_faults;
 
   std::uint64_t pairs_sampled = 0;
@@ -243,15 +218,6 @@ struct SweepPartial {
   std::uint32_t max_route_hops = 0;
   std::uint64_t max_edge_hops = 0;
 };
-
-/// Folds one per-set record at its global input index. The worst-witness
-/// rule is "first index attaining the maximum wins": a record replaces the
-/// incumbent only on a strictly greater diameter, so calling this in
-/// ascending index order reproduces the serial scan exactly. `faults` may
-/// be null when the caller reconstructs the worst set from worst_index.
-void absorb_sweep_record(SweepPartial& partial, std::uint64_t index,
-                         const FaultSweepRecord& rec,
-                         const std::vector<Node>* faults);
 
 /// Merges `next` into `into`. PRECONDITION: `next` covers input indices
 /// strictly after everything already folded into `into` — the worst-witness
@@ -267,23 +233,46 @@ void merge_sweep_partials(SweepPartial& into, const SweepPartial& next);
 /// (threads_used, seconds, rate, executor) are the caller's to fill.
 FaultSweepSummary summarize_sweep_partial(const SweepPartial& partial);
 
-/// Streams `source` through the sweep engine and returns the partial
-/// instead of a summary. `base_index` is the global input index of the
-/// source's first set — worst_index and the per-set delivery RNG streams
-/// (Rng::stream(options.seed, global index)) are keyed globally, so a
-/// worker evaluating sets [base, base + k) produces exactly the fragment
-/// the full sweep would. Executor telemetry lands in *executor when given.
-SweepPartial sweep_fault_source_partial(const RoutingTable& table,
-                                        const SrgIndex& index,
-                                        FaultSetSource& source,
-                                        std::uint64_t base_index,
-                                        const FaultSweepOptions& options = {},
-                                        ExecutorStats* executor = nullptr);
+/// The whole-space sweep unit of `kind` over task indices [0, count),
+/// carrying the sweep's seed, delivery pairs, and execution policy.
+UnitSpec sweep_unit(UnitKind kind, std::size_t f, std::uint64_t count,
+                    const FaultSweepOptions& options);
+
+/// THE sweep loop: evaluates every set of `unit`'s global window and
+/// returns the partial for it — a pure function of (table, unit's sets,
+/// delivery_pairs, seed), whatever the unit's ExecPolicy says. A
+/// kSweepExplicit unit must carry exactly end - begin sets
+/// (ContractViolation otherwise); a kSweepGray window must lie inside
+/// [0, C(n, f)). `on_progress` fires between windows at the unit's
+/// exec.progress_every cadence; executor telemetry accumulates into
+/// *executor when given. Worker processes, the coordinator's inline
+/// fallback, serve, the CLI, and every wrapper below call it.
+SweepPartial execute_sweep_unit(const RoutingTable& table,
+                                const SrgIndex& index, const UnitSpec& unit,
+                                const SweepProgressFn& on_progress = {},
+                                ExecutorStats* executor = nullptr);
+
+/// execute_sweep_unit plus the summary's telemetry (threads, wall time,
+/// rate, executor counters).
+FaultSweepSummary sweep_unit_summary(const RoutingTable& table,
+                                     const SrgIndex& index,
+                                     const UnitSpec& unit,
+                                     const SweepProgressFn& on_progress = {});
+
+/// Yields units in generation order, then nullopt.
+using SweepUnitFeed = std::function<std::optional<UnitSpec>()>;
+
+/// Cuts `source` into kSweepExplicit units of up to `step` sets each, whose
+/// global windows run on from base.begin; every other field is copied from
+/// `base`.
+/// `source` must outlive the feed. The in-process stream below and
+/// DistSweepPool::sweep_source both read their sources through it.
+SweepUnitFeed explicit_unit_feed(FaultSetSource& source, const UnitSpec& base,
+                                 std::uint64_t step);
 
 /// Exhaustive Gray sweep restricted to revolving-door ranks
-/// [begin_rank, end_rank). The partial's worst_faults is unranked from the
-/// winning global rank (never empty when the range is non-empty). Merging
-/// adjacent ranges in order is bit-identical to one sweep of the union.
+/// [begin_rank, end_rank): one kSweepGray unit. The partial's worst_faults
+/// is unranked from the winning global rank.
 SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
                                          const SrgIndex& index, std::size_t f,
                                          std::uint64_t begin_rank,
@@ -291,27 +280,23 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
                                          const FaultSweepOptions& options = {},
                                          ExecutorStats* executor = nullptr);
 
-/// Streams `source` through the sweep at constant memory. The deterministic
-/// fields of the summary are a pure function of (table, the source's sets,
-/// options.delivery_pairs, options.seed) — identical to materializing the
-/// same sets and calling sweep_fault_sets, minus per_set.
+/// Streams `source` through the executor at constant memory, one window of
+/// batch_size x threads sets per kSweepExplicit unit, with progress after
+/// each unit. The deterministic fields are a pure function of (table, the
+/// source's sets, options.delivery_pairs, options.seed).
 FaultSweepSummary sweep_fault_source(const RoutingTable& table,
                                      const SrgIndex& index,
                                      FaultSetSource& source,
                                      const FaultSweepOptions& options = {});
 
 /// Exhaustive sweep over all C(n, f) fault sets in revolving-door order:
-/// each worker chunk seeds the enumeration at its gray rank and walks it,
-/// evaluating packed lane blocks without delivery sampling and one set at
-/// a time with it. Aggregates are bit-identical to
-/// streaming an ExhaustiveGraySource through sweep_fault_source. Requires
-/// C(n, f) to be representable (no uint64 saturation).
+/// one kSweepGray unit over every rank. Requires C(n, f) to be
+/// representable (no uint64 saturation).
 FaultSweepSummary sweep_exhaustive_gray(const RoutingTable& table,
                                         const SrgIndex& index, std::size_t f,
                                         const FaultSweepOptions& options = {});
 
-/// Materialized batch sweep (fills per_set). Built on the same streaming
-/// engine; kept as the ergonomic API for in-memory batches.
+/// Sweeps an in-memory list (sweep_fault_source over an ExplicitListSource).
 FaultSweepSummary sweep_fault_sets(const RoutingTable& table,
                                    const SrgIndex& index,
                                    const std::vector<std::vector<Node>>& fault_sets,

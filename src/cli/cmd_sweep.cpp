@@ -7,6 +7,7 @@
 #include "analysis/fault_sweep.hpp"
 #include "cli/cli.hpp"
 #include "cli/cli_support.hpp"
+#include "common/combinatorics.hpp"
 #include "common/table.hpp"
 #include "dist/coordinator.hpp"
 #include "graph/bfs.hpp"
@@ -40,7 +41,9 @@ const VerbSpec& spec() {
                "also sample P delivery pairs per fault set (default 0)"},
               {"--workers", "W",
                "fork W snapshot-fed worker processes (each running\n"
-               "        --threads threads); 0 = in-process (default)"},
+               "        --threads threads); 0 = in-process (default).\n"
+               "        Progress is in-process only: --progress-every is\n"
+               "        rejected with W > 0"},
               {"--worker-batch", "R",
                "task items per distributed unit (0 = auto)"},
               {"--worker-timeout", "S",
@@ -101,30 +104,34 @@ int cmd_sweep(const std::vector<std::string>& args) {
     }
 
     const auto workers = a.u32("--workers", 0);
+    if (workers > 0 && opts.exec.progress_every > 0) {
+      throw UsageError("--progress-every is in-process only; it cannot be "
+                       "combined with --workers");
+    }
+    // A bounded sweep is one whole-space unit; a --stdin feed is cut into
+    // explicit-set units as it is read. Set i of a sampled sweep is a pure
+    // function of (seed, i), so no sweep materializes its sets.
+    const std::size_t n = g.num_nodes();
+    const UnitSpec unit =
+        exhaustive
+            ? sweep_unit(UnitKind::kSweepGray, f, checked_binomial(n, f), opts)
+            : sweep_unit(UnitKind::kSweepSampled, f, sets, opts);
+    IstreamFaultSetSource source(std::cin, n);
     FaultSweepSummary summary;
     if (workers > 0) {
       // Multi-process fan-out: the partition into units and their merge use
-      // the same global-index discipline as the in-process engine, so
+      // the same global-index discipline as the in-process executor, so
       // stdout below is bit-identical to --workers 0 for any W and unit
       // size.
-      const std::size_t n = g.num_nodes();
       const std::string snap_path =
           dist_snapshot_path(a.positional.at(0), a.positional.at(1));
       const TableSnapshot snap =
           make_table_snapshot(std::move(g), std::move(table));
       DistSweepPool pool(snap, snap_path, dist_pool_options(a, workers));
       const auto t0 = std::chrono::steady_clock::now();
-      SweepPartial partial;
-      if (exhaustive) {
-        partial = pool.sweep_exhaustive(f, opts);
-      } else if (from_stdin) {
-        IstreamFaultSetSource source(std::cin, n);
-        partial = pool.sweep_source(source, opts);
-      } else {
-        partial = pool.run_sweep(
-            sweep_unit(UnitKind::kSweepSampled, f, sets, opts));
-      }
-      summary = summarize_sweep_partial(partial);
+      summary = summarize_sweep_partial(from_stdin
+                                            ? pool.sweep_source(source, opts)
+                                            : pool.run_sweep(unit));
       summary.threads_used = opts.exec.threads;
       summary.seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
@@ -134,19 +141,11 @@ int cmd_sweep(const std::vector<std::string>& args) {
               ? static_cast<double>(summary.total_sets) / summary.seconds
               : 0.0;
       print_dist_stats(pool.stats());
-    } else if (exhaustive) {
-      const SrgIndex index(table);
-      summary = sweep_exhaustive_gray(table, index, f, opts);
-    } else if (from_stdin) {
-      const SrgIndex index(table);
-      IstreamFaultSetSource source(std::cin, g.num_nodes());
-      summary = sweep_fault_source(table, index, source, opts);
     } else {
-      // Set i is a pure function of (seed, i): the stream is reproducible
-      // and never materialized, whatever --sets is.
       const SrgIndex index(table);
-      SampledStreamSource source(g.num_nodes(), f, sets, seed);
-      summary = sweep_fault_source(table, index, source, opts);
+      summary = from_stdin
+                    ? sweep_fault_source(table, index, source, opts)
+                    : sweep_unit_summary(table, index, unit, opts.on_progress);
     }
 
     Table t({"metric", "value"});

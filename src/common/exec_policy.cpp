@@ -22,7 +22,8 @@ const std::vector<ExecFlagInfo>& exec_flag_registry() {
       {kExecFlagBatch, "--batch", "B",
        "items per worker per batch"},
       {kExecFlagProgress, "--progress-every", "N",
-       "emit a progress line to stderr every N items (0 = never)"},
+       "emit a progress line to stderr every N items (0 = never;\n"
+       "        in-process only)"},
   };
   return registry;
 }

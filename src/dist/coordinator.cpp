@@ -236,7 +236,8 @@ void DistSweepPool::run(const UnitFeed& feed, bool adversary,
 
   auto run_inline = [&](const UnitSpec& unit) {
     if (unit_is_sweep(unit.kind)) {
-      store_sweep(unit.unit_id, execute_sweep_unit(*snapshot_, unit));
+      store_sweep(unit.unit_id, execute_sweep_unit(snapshot_->table,
+                                                   *snapshot_->index, unit));
     } else {
       store_adv(unit.unit_id, execute_adv_unit(*snapshot_->index, unit));
     }
@@ -512,12 +513,25 @@ DistSweepPool::UnitFeed DistSweepPool::split(const UnitSpec& whole) const {
   FTR_EXPECTS(whole.begin <= whole.end);
   const std::uint64_t step =
       auto_unit_items(whole.end - whole.begin, whole.kind);
-  return [step, pos = whole.begin,
-          unit = pool_unit(whole)]() mutable -> std::optional<UnitSpec> {
+  // Explicit-set units carry only their own slice of the literal sets.
+  UnitSpec unit = pool_unit(whole);
+  std::vector<std::vector<Node>> sets = std::move(unit.sets);
+  unit.sets.clear();
+  return [step, pos = whole.begin, unit = std::move(unit),
+          sets = std::move(sets)]() mutable -> std::optional<UnitSpec> {
     if (pos >= unit.end) return std::nullopt;
     UnitSpec u = unit;
     u.begin = pos;
     u.end = std::min(unit.end, pos + step);
+    if (!sets.empty()) {
+      // Clamped, so a short list yields short slices the executor rejects.
+      const auto at = [&](std::uint64_t i) {
+        return sets.begin() + static_cast<std::ptrdiff_t>(
+                                  std::min<std::uint64_t>(i - unit.begin,
+                                                          sets.size()));
+      };
+      u.sets.assign(at(u.begin), at(u.end));
+    }
     pos = u.end;
     return u;
   };
@@ -544,36 +558,10 @@ SweepPartial DistSweepPool::sweep_source(
   const std::uint64_t step =
       known.has_value() ? auto_unit_items(*known, UnitKind::kSweepExplicit)
                         : (options_.unit_items > 0 ? options_.unit_items : 4096);
-  const UnitSpec base =
-      pool_unit(sweep_unit(UnitKind::kSweepExplicit, 0, 0, sweep_options));
-  std::uint64_t next = 0;
-  bool done = false;
-  std::vector<Node> set;
-  return fold_sweeps([&]() -> std::optional<UnitSpec> {
-    if (done) return std::nullopt;
-    UnitSpec u = base;
-    while (u.sets.size() < step && source.next(set)) u.sets.push_back(set);
-    if (u.sets.empty()) {
-      done = true;
-      return std::nullopt;
-    }
-    u.begin = next;
-    next += u.sets.size();
-    u.end = next;
-    return u;
-  });
-}
-
-UnitSpec sweep_unit(UnitKind kind, std::size_t f, std::uint64_t count,
-                    const FaultSweepOptions& options) {
-  UnitSpec u;
-  u.kind = kind;
-  u.f = static_cast<std::uint32_t>(f);
-  u.end = count;
-  u.seed = options.seed;
-  u.delivery_pairs = options.delivery_pairs;
-  u.exec = options.exec;
-  return u;
+  return fold_sweeps(explicit_unit_feed(
+      source,
+      pool_unit(sweep_unit(UnitKind::kSweepExplicit, 0, 0, sweep_options)),
+      step));
 }
 
 }  // namespace ftr

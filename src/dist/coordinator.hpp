@@ -128,7 +128,7 @@ class DistSweepPool {
   /// (taken literally), else the auto rule in DistPoolOptions::unit_items.
   std::uint64_t auto_unit_items(std::uint64_t total, UnitKind kind) const;
 
-  using UnitFeed = std::function<std::optional<UnitSpec>()>;
+  using UnitFeed = SweepUnitFeed;
 
   /// The event loop: pulls units from `feed` (which assigns no ids — the
   /// pool numbers them 0..k in generation order), dispatches, recovers, and
@@ -149,10 +149,5 @@ class DistSweepPool {
   std::vector<Worker> workers_;
   int payload_fd_ = -1;
 };
-
-/// The whole-space sweep unit of `kind` over task indices [0, count),
-/// carrying the sweep's seed, delivery pairs, and execution policy.
-UnitSpec sweep_unit(UnitKind kind, std::size_t f, std::uint64_t count,
-                    const FaultSweepOptions& options);
 
 }  // namespace ftr

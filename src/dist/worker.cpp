@@ -34,34 +34,6 @@ WorkerFailSpec parse_worker_fail_spec(const char* spec) {
   return out;
 }
 
-SweepPartial execute_sweep_unit(const TableSnapshot& snapshot,
-                                const UnitSpec& unit) {
-  FaultSweepOptions opts;
-  opts.exec = unit.exec;
-  opts.delivery_pairs = static_cast<std::size_t>(unit.delivery_pairs);
-  opts.seed = unit.seed;
-  switch (unit.kind) {
-    case UnitKind::kSweepGray:
-      return sweep_exhaustive_gray_range(snapshot.table, *snapshot.index,
-                                         unit.f, unit.begin, unit.end, opts);
-    case UnitKind::kSweepSampled: {
-      SampledStreamSource source(snapshot.table.num_nodes(), unit.f,
-                                 unit.end - unit.begin, unit.seed, unit.begin);
-      return sweep_fault_source_partial(snapshot.table, *snapshot.index,
-                                        source, unit.begin, opts);
-    }
-    case UnitKind::kSweepExplicit: {
-      ExplicitListSource source(unit.sets);
-      return sweep_fault_source_partial(snapshot.table, *snapshot.index,
-                                        source, unit.begin, opts);
-    }
-    default:
-      FTR_EXPECTS_MSG(false, "unit kind " << unit_kind_name(unit.kind)
-                                          << " is not a sweep");
-  }
-  return {};
-}
-
 int run_worker_loop(int in_fd, int out_fd, const TableSnapshot& snapshot,
                     std::uint32_t worker_index) {
   const WorkerFailSpec fail =
@@ -87,7 +59,9 @@ int run_worker_loop(int in_fd, int out_fd, const TableSnapshot& snapshot,
       if (unit_is_sweep(unit.kind)) {
         reply = pack_frame(
             FrameType::kSweepResult,
-            encode_sweep_result(unit_id, execute_sweep_unit(snapshot, unit)));
+            encode_sweep_result(
+                unit_id, execute_sweep_unit(snapshot.table, *snapshot.index,
+                                            unit)));
       } else {
         reply = pack_frame(
             FrameType::kAdvResult,

@@ -1,14 +1,14 @@
 // The worker side of the distributed sweep layer: a forked child that loads
 // the table snapshot (from a file path or an inherited fd), then sits in a
-// blocking frame loop — read one UnitSpec, execute it through the
-// slice/partial entry points, write back exactly one result frame. Workers
-// never touch stdout; the coordinator owns all user-visible output.
+// blocking frame loop — read one UnitSpec, execute it, write back exactly
+// one result frame. Workers never touch stdout; the coordinator owns all
+// user-visible output.
 //
-// execute_sweep_unit (here) and execute_adv_unit (fault/adversary.hpp) are
-// the single execution authorities: worker processes and the coordinator's
-// inline fallback (dead/hung worker, zero live workers) both call them, so
-// a re-executed unit cannot produce a different partial than the worker
-// would have.
+// execute_sweep_unit (analysis/fault_sweep.hpp) and execute_adv_unit
+// (fault/adversary.hpp) are the single execution authorities: worker
+// processes and the coordinator's inline fallback (dead/hung worker, zero
+// live workers) both call them, so a re-executed unit cannot produce a
+// different partial than the worker would have.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +30,6 @@ struct WorkerFailSpec {
 };
 
 WorkerFailSpec parse_worker_fail_spec(const char* spec);
-
-/// Executes one sweep unit against the snapshot, returning the partial for
-/// the unit's global window. A pure function of (snapshot, unit).
-SweepPartial execute_sweep_unit(const TableSnapshot& snapshot,
-                                const UnitSpec& unit);
 
 /// The worker process body. Returns the exit code the child should _exit
 /// with: 0 on clean shutdown (EOF on in_fd), nonzero on protocol or

@@ -16,9 +16,10 @@
 namespace ftr {
 
 enum class UnitKind : std::uint32_t {
-  kSweepGray = 1,     // sweep_exhaustive_gray_range over Gray subset ranks
-  kSweepSampled = 2,  // SampledStreamSource window through the sweep engine
-  kSweepExplicit = 3, // literal fault sets carried in the unit (stdin feeds)
+  // Every sweep kind runs through execute_sweep_unit (analysis/fault_sweep).
+  kSweepGray = 1,     // Gray subset ranks, unranked per chunk
+  kSweepSampled = 2,  // sample indices; set i is Rng::stream(seed, i)
+  kSweepExplicit = 3, // literal sets, exactly end - begin of them (feeds)
   kAdvGray = 4,       // exhaustive_worst_faults_gray over Gray subset ranks
   // 5 was the retired lexicographic exhaustive scan; decoders reject it.
   kAdvSampled = 6,    // sampled_worst_faults over sample indices
@@ -57,7 +58,8 @@ struct UnitSpec {
   /// How the unit executes: threads and batch size. Pure throughput knobs;
   /// units stay result-invariant across both.
   ExecPolicy exec;
-  std::vector<std::vector<Node>> sets;         // kSweepExplicit literal sets
+  std::vector<std::vector<Node>> sets;         // kSweepExplicit: sets[i] is
+                                               // set begin + i
   std::vector<std::vector<Node>> climb_seeds;  // kAdvClimb informed starts
                                                // (GLOBAL restart indexing)
 };

@@ -274,16 +274,12 @@ std::string execute_request(const ServeRequest& request,
       opts.exec.threads = 1;
       opts.seed = request.seed;
       opts.delivery_pairs = request.pairs;
-      FaultSweepSummary summary;
-      if (request.exhaustive) {
-        summary =
-            sweep_exhaustive_gray(table.table, *table.index, request.faults,
-                                  opts);
-      } else {
-        SampledStreamSource source(n, request.faults, request.sets,
-                                   request.seed);
-        summary = sweep_fault_source(table.table, *table.index, source, opts);
-      }
+      const FaultSweepSummary summary =
+          summarize_sweep_partial(execute_sweep_unit(
+              table.table, *table.index,
+              sweep_unit(request.exhaustive ? UnitKind::kSweepGray
+                                            : UnitKind::kSweepSampled,
+                         request.faults, total, opts)));
       os << " sets=" << summary.total_sets
          << " worst=" << fmt_diameter(summary.worst_diameter)
          << " worst_index=" << summary.worst_index

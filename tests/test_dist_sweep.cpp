@@ -303,6 +303,36 @@ TEST(DistSweep, ExplicitSourceMatchesInProcessAndHandlesEmptyFeeds) {
   EXPECT_EQ(zero.worst_diameter, 0u);
 }
 
+// An explicit unit covers exactly its window: split hands each piece only
+// its own slice of the literal sets, and the executor rejects a unit whose
+// set count disagrees with its window (which also catches a bad frame).
+TEST(DistSweep, ExplicitUnitSweepsExactlyItsWindow) {
+  const Rig rig;
+  FaultSweepOptions opts;
+  opts.delivery_pairs = 2;
+  opts.seed = 3;
+  UnitSpec whole = sweep_unit(UnitKind::kSweepExplicit, 0, 10, opts);
+  {
+    SampledStreamSource src(rig.gg.graph.num_nodes(), 2, 10, 17);
+    std::vector<Node> s;
+    while (src.next(s)) whole.sets.push_back(s);
+  }
+  const auto want = summarize_sweep_partial(
+      execute_sweep_unit(rig.kr.table, *rig.snap.index, whole));
+  EXPECT_EQ(want.total_sets, 10u);
+  DistSweepPool pool(rig.snap, "", rig.pool_options(2, 3));
+  expect_summary_equal(summarize_sweep_partial(pool.run_sweep(whole)), want);
+
+  UnitSpec bad = whole;
+  bad.end = 3;
+  EXPECT_THROW(execute_sweep_unit(rig.kr.table, *rig.snap.index, bad),
+               ContractViolation);
+  bad = whole;
+  bad.sets.pop_back();
+  EXPECT_THROW(execute_sweep_unit(rig.kr.table, *rig.snap.index, bad),
+               ContractViolation);
+}
+
 TEST(DistSweep, SnapshotFileFedWorkersMatchPayloadFedWorkers) {
   const Rig rig;
   const std::string path = ::testing::TempDir() + "dist_sweep_rig.snap";

@@ -1,9 +1,10 @@
 // The streaming fault-sweep layer: FaultSetSource implementations, the
-// constant-memory batched engine, and the revolving-door (Gray) exhaustive
-// fast path. The central contracts, all differential:
+// sweep unit executor fed from them at constant memory, and the
+// revolving-door (Gray) exhaustive units. The central contracts, all differential:
 //
-//  * streaming a source == materializing the same sets and batch-sweeping
-//    them, for any thread count and any batch size;
+//  * streaming a source == materializing the same sets == running the
+//    equivalent sampled or explicit unit, for any thread count and any
+//    batch size;
 //  * sweep_exhaustive_gray (packed lane blocks, or one set at a time under
 //    a forced kernel or delivery) is bit-identical — histograms, verdicts,
 //    worst witness, delivery — to pushing an ExhaustiveGraySource through
@@ -68,8 +69,7 @@ std::vector<NamedTable> construction_tables() {
   return out;
 }
 
-// Every deterministic aggregate of the summary (per_set and telemetry
-// excluded — streaming paths have no per_set by design).
+// Every deterministic aggregate of the summary (telemetry excluded).
 void expect_same_aggregates(const FaultSweepSummary& a,
                             const FaultSweepSummary& b) {
   EXPECT_EQ(a.total_sets, b.total_sets);
@@ -214,33 +214,64 @@ TEST(FaultSetSource, IstreamRejectsAnOverLongLine) {
 
 // --- streaming engine vs materialized path ----------------------------------
 
+// Two inputs, each swept three ways: materialized, streamed through its
+// source, and run in-process as the equivalent unit — an explicit list
+// (ExplicitListSource / kSweepExplicit) and a seeded sample stream
+// (SampledStreamSource / kSweepSampled), with delivery.
 TEST(FaultStream, StreamingMatchesMaterializedAcrossThreadsAndBatches) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
-  Rng rng(17);
-  const auto sets = random_fault_sets(25, 4, 75, rng);
+  constexpr std::size_t kFaults = 4;
+  constexpr std::uint64_t kSets = 75;
 
   FaultSweepOptions base_opts;
   base_opts.delivery_pairs = 5;
   base_opts.seed = 4242;
-  const auto materialized = sweep_fault_sets(kr.table, index, sets, base_opts);
-  ASSERT_EQ(materialized.per_set.size(), sets.size());
-  EXPECT_EQ(materialized.worst_faults, sets[materialized.worst_index]);
+  Rng rng(17);
+  const auto listed = random_fault_sets(25, kFaults, kSets, rng);
+  std::vector<std::vector<Node>> sampled;
+  {
+    SampledStreamSource source(25, kFaults, kSets, base_opts.seed);
+    std::vector<Node> set;
+    while (source.next(set)) sampled.push_back(set);
+  }
 
-  for (unsigned threads : kThreadCounts) {
-    // Deliberately awkward batch sizes: boundaries must never show.
-    for (std::size_t batch : {std::size_t{1}, std::size_t{7},
-                              std::size_t{1024}}) {
-      FaultSweepOptions opts = base_opts;
-      opts.exec.threads = threads;
-      opts.exec.batch_size = batch;
-      ExplicitListSource source(sets);
-      const auto streamed = sweep_fault_source(kr.table, index, source, opts);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      EXPECT_TRUE(streamed.per_set.empty());  // constant-memory contract
-      expect_same_aggregates(streamed, materialized);
+  for (const UnitKind kind :
+       {UnitKind::kSweepExplicit, UnitKind::kSweepSampled}) {
+    const bool is_explicit = kind == UnitKind::kSweepExplicit;
+    const auto& sets = is_explicit ? listed : sampled;
+    const auto materialized =
+        sweep_fault_sets(kr.table, index, sets, base_opts);
+    ASSERT_EQ(materialized.total_sets, sets.size());
+    EXPECT_EQ(materialized.worst_faults, sets[materialized.worst_index]);
+
+    for (unsigned threads : kThreadCounts) {
+      // Deliberately awkward batch sizes: boundaries must never show.
+      for (std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                std::size_t{64}, std::size_t{1024}}) {
+        FaultSweepOptions opts = base_opts;
+        opts.exec.threads = threads;
+        opts.exec.batch_size = batch;
+        SCOPED_TRACE(std::string(unit_kind_name(kind)) +
+                     " threads=" + std::to_string(threads) +
+                     " batch=" + std::to_string(batch));
+        std::unique_ptr<FaultSetSource> source;
+        if (is_explicit) {
+          source = std::make_unique<ExplicitListSource>(sets);
+        } else {
+          source = std::make_unique<SampledStreamSource>(25, kFaults, kSets,
+                                                         opts.seed);
+        }
+        expect_same_aggregates(
+            sweep_fault_source(kr.table, index, *source, opts), materialized);
+
+        UnitSpec unit = sweep_unit(kind, kFaults, kSets, opts);
+        if (is_explicit) unit.sets = sets;
+        expect_same_aggregates(
+            summarize_sweep_partial(execute_sweep_unit(kr.table, index, unit)),
+            materialized);
+      }
     }
   }
 }

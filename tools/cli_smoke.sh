@@ -183,6 +183,19 @@ cmp "${GOLD}/sweep_exhaustive.golden" "${WORK}/xsweep.b7.out"
 cmp "${GOLD}/sweep_exhaustive_delivery.golden" "${WORK}/dsweep.0.out"
 cmp "${GOLD}/stretch.golden" "${WORK}/stretch.out"
 
+# Sampled sweep with delivery: set i and its delivery pairs are drawn from
+# Rng::stream(seed, i) inside whichever chunk or worker evaluates it, so
+# every thread count, batch size and worker split prints the golden bytes.
+echo "== sampled sweep across --threads, --batch and --workers"
+for knobs in "--threads 1" "--threads 4" "--batch 7" \
+    "--workers 2 --worker-batch 9"; do
+  # shellcheck disable=SC2086  # knobs is a deliberate word list
+  "${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+    --faults 3 --sets 200 --seed 5 --delivery-pairs 2 ${knobs} \
+    > "${WORK}/ssweep.out" 2> /dev/null
+  cmp "${GOLD}/sweep_sampled.golden" "${WORK}/ssweep.out"
+done
+
 # Exhaustive check past f = 3: all C(25, 4) = 12650 sets in Gray order,
 # in-process and through forked workers — every worker count prints the
 # golden bytes. The claim is violated, so check exits 1; anything else is
@@ -276,6 +289,9 @@ for v in build check sweep serve; do
 done
 expect_usage_error sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
   --stdin --exhaustive
+# Progress is in-process only: forked workers never report it.
+expect_usage_error sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+  --workers 2 --progress-every 10
 
 # Planner-built snapshots (no routes file) must serve like seed-built
 # manifests: same planner seed, same table, same bytes.
