@@ -26,7 +26,8 @@ const VerbSpec& spec() {
               {"--requests", "FILE", "request lines file"},
               {"--stdin", nullptr, "read request lines from stdin"},
               {"--max-resident-bytes", "B",
-               "LRU-evict built tables past this budget (0 = unlimited)"},
+               "LRU-evict resident tables, built or snapshot-loaded,\n"
+               "        past this budget (0 = unlimited)"},
           },
       .exec_mask = kExecFlagsAll,
       .exec_defaults = {.batch_size = 64},
@@ -87,6 +88,7 @@ int cmd_serve(const std::vector<std::string>& args) {
                              ? static_cast<double>(p.requests_done) / p.seconds
                              : 0.0)
                   << " req/sec; registry hits=" << p.registry.hits
+                  << " misses=" << p.registry.misses
                   << " builds=" << p.registry.builds
                   << " snapshot_loads=" << p.registry.snapshot_loads
                   << " evictions=" << p.registry.evictions

@@ -1,5 +1,6 @@
 #include "serve/request_router.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <iomanip>
 #include <limits>
@@ -327,6 +328,28 @@ std::string execute_request(const ServeRequest& request,
 
 namespace {
 
+// The execution rank of a request, longest first: certify, then check, then
+// sweeps by descending set count, then deliveries. A pure function of
+// (request, table), so the schedule never depends on timing.
+std::pair<int, std::uint64_t> cost_rank(const ServeRequest& request,
+                                        const ServedTable& table) {
+  switch (request.kind) {
+    case RequestKind::kCertify:
+      return {0, 0};
+    case RequestKind::kCheck:
+      return {1, 0};
+    case RequestKind::kSweep: {
+      const std::uint64_t sets =
+          request.exhaustive ? binomial(table.graph.num_nodes(), request.faults)
+                             : request.sets;
+      return {2, std::numeric_limits<std::uint64_t>::max() - sets};
+    }
+    case RequestKind::kDelivery:
+      break;
+  }
+  return {3, 0};
+}
+
 // Emits progress between windows whenever the served count crosses a
 // multiple of progress_every (mirrors the fault sweep's emitter).
 struct ServeProgressEmitter {
@@ -378,6 +401,7 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
   std::vector<std::string> responses;
   std::vector<std::uint8_t> failed;
   std::vector<std::size_t> order;
+  std::vector<std::size_t> dealt;
   std::vector<const ServedTable*> table_of;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -392,49 +416,53 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
     const std::uint64_t base = summary.requests;
 
     // Group by table in first-appearance order and acquire each handle
-    // ONCE per window: a warm registry serves the whole group without
-    // touching the planner or the SrgIndex constructor, and the handles
-    // pin their entries for the window even if a later acquire evicts them.
+    // ONCE per window, hits first: the groups already resident are touched
+    // before any miss materializes, so a miss can never evict a table this
+    // window was about to hit. A window's misses are then exactly its tables
+    // that were not resident when it started. Handles pin their entries for
+    // the window even if a later acquire evicts them.
     struct Group {
+      const std::string* name = nullptr;
+      bool acquired = false;
       TableHandle handle;
       std::string error;  // acquire failure, answered per-request
       std::vector<std::size_t> members;
     };
     std::unordered_map<std::string, std::size_t> group_of;
     std::vector<Group> groups;
-    std::vector<std::uint8_t> unparsed(window.size(), 0);
+    responses.assign(window.size(), {});
+    failed.assign(window.size(), 0);
     for (std::size_t i = 0; i < window.size(); ++i) {
       if (!window[i].parse_error.empty()) {
-        unparsed[i] = 1;
+        responses[i] = "error: " + window[i].parse_error;
+        failed[i] = 1;
         continue;
       }
       const auto [it, inserted] =
           group_of.try_emplace(window[i].table, groups.size());
-      if (inserted) {
-        Group g;
-        try {
-          g.handle = registry.acquire(window[i].table);
-        } catch (const std::exception& e) {
-          g.error = e.what();
-        }
-        groups.push_back(std::move(g));
-      }
+      if (inserted) groups.emplace_back().name = &it->first;
       groups[it->second].members.push_back(i);
     }
+    const auto acquire = [&](Group& g) {
+      g.acquired = true;
+      try {
+        g.handle = registry.acquire(*g.name);
+      } catch (const std::exception& e) {
+        g.error = e.what();
+      }
+    };
+    for (auto& g : groups) {
+      if (registry.resident(*g.name)) acquire(g);
+    }
+    for (auto& g : groups) {
+      if (!g.acquired) acquire(g);
+    }
 
-    // Execution order lists each table's requests contiguously so a worker
-    // chunk reuses one scratch across a table's slice. Responses are keyed
-    // by window index, so the emit below restores request order exactly.
+    // The executable requests in table-grouped order, then ranked longest
+    // first (a stable sort, so ties keep the grouped order). Responses are
+    // keyed by window index, so the emit below restores request order.
     order.clear();
     table_of.assign(window.size(), nullptr);
-    responses.assign(window.size(), {});
-    failed.assign(window.size(), 0);
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      if (unparsed[i] != 0) {
-        responses[i] = "error: " + window[i].parse_error;
-        failed[i] = 1;
-      }
-    }
     for (const auto& group : groups) {
       for (const std::size_t i : group.members) {
         if (!group.error.empty()) {
@@ -447,29 +475,43 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
         }
       }
     }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return cost_rank(window[a], *table_of[a]) <
+                              cost_rank(window[b], *table_of[b]);
+                     });
+
+    // One request per chunk. The ranked order is dealt round-robin over the
+    // workers' initial steal intervals, so every worker starts on its share
+    // of the expensive requests and an idle worker steals the cheap tail.
+    const std::size_t m = order.size();
+    const unsigned dealt_workers = workers_for(m, workers, 1);
+    dealt.resize(m);
+    for (std::size_t round = 0, k = 0; k < m; ++round) {
+      for (unsigned w = 0; w < dealt_workers && k < m; ++w) {
+        const auto [begin, end] = steal_partition(m, dealt_workers, w);
+        if (begin + round < end) dealt[begin + round] = order[k++];
+      }
+    }
 
     ExecutorStats window_stats;
     parallel_for_chunks(
-        order.size(), workers, batch_size,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          (void)chunk;
-          // The worker's scratch slot; execute_request fills it lazily on
-          // the first request that actually evaluates through a scratch.
+        m, workers, 1,
+        [&](std::size_t chunk, std::size_t, std::size_t) {
+          const std::size_t i = dealt[chunk];
+          const ServedTable& entry = *table_of[i];
+          // execute_request builds the scratch only for a delivery.
           std::optional<SrgScratch> scratch;
-          for (std::size_t k = begin; k < end; ++k) {
-            const std::size_t i = order[k];
-            const ServedTable& entry = *table_of[i];
-            try {
-              responses[i] =
-                  execute_request(window[i], entry, scratch, options.exec);
-            } catch (const std::exception& e) {
-              // A request-level failure (bad ids, missing claims) is itself
-              // a deterministic function of (request, table): answer it
-              // instead of killing the stream.
-              responses[i] = std::string(request_kind_name(window[i].kind)) +
-                             ' ' + entry.name + " error: " + e.what();
-              failed[i] = 1;
-            }
+          try {
+            responses[i] =
+                execute_request(window[i], entry, scratch, options.exec);
+          } catch (const std::exception& e) {
+            // A request-level failure (bad ids, missing claims) is itself a
+            // deterministic function of (request, table): answer it
+            // instead of killing the stream.
+            responses[i] = std::string(request_kind_name(window[i].kind)) +
+                           ' ' + entry.name + " error: " + e.what();
+            failed[i] = 1;
           }
         },
         &window_stats);

@@ -9,14 +9,17 @@
 //    memory is constant in the stream length, exactly like the fault-sweep
 //    engine this layer wraps;
 //  * within a window, requests are grouped by table (first-appearance
-//    order) and each table's handle is acquired ONCE — a warm registry
-//    therefore serves the whole group with zero preprocessing, and handles
-//    pin their entries for the duration of the window even if a later
-//    acquire evicts them;
-//  * execution fans the window across parallel_for_chunks workers. The
-//    execution order lists each table's requests contiguously, so a worker
-//    chunk builds one SrgScratch per table it crosses and reuses it across
-//    that table's requests;
+//    order) and each table's handle is acquired ONCE, hits first: the
+//    tables already resident are acquired before any miss, so a miss never
+//    evicts a table the same window hits. A warm registry therefore serves
+//    the whole group with zero preprocessing, and handles pin their entries
+//    for the duration of the window even if a later acquire evicts them;
+//  * execution runs one request per parallel_for_chunks chunk. The window
+//    is ranked longest first (certify, check, sweeps by descending set
+//    count, deliveries; ties in table-grouped order) and dealt round-robin
+//    over the workers' initial steal intervals, so every worker starts on
+//    its share of the expensive requests and idle workers steal the cheap
+//    tail. A delivery builds its SrgScratch inside its own chunk;
 //  * every response is a pure function of (request, table contents) — each
 //    request runs its kernels at threads=1 inside its worker, randomized
 //    kernels are seeded from the request, and nothing about residency or
@@ -130,11 +133,12 @@ struct ServeProgress {
 };
 
 struct ServeOptions {
-  /// How the router executes (see common/exec_policy.hpp): threads fan the
-  /// request windows across workers, batch_size is requests per worker per
-  /// window (clamped to 2^20 so batch * workers cannot overflow; the serve
-  /// default is 64, not the policy's 1024), progress_every schedules
-  /// on_progress below. Responses never depend on any of it.
+  /// How the router executes (see common/exec_policy.hpp): threads fan
+  /// each request window across workers, one request per chunk;
+  /// batch_size only sizes the window at batch_size * threads requests
+  /// (clamped to 2^20 so batch * workers cannot overflow; the serve default
+  /// is 64, not the policy's 1024); progress_every schedules on_progress
+  /// below. Responses never depend on any of it.
   ExecPolicy exec{.batch_size = 64};
   std::function<void(const ServeProgress&)> on_progress;
 };

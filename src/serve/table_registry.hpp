@@ -120,7 +120,9 @@ struct TableRegistryStats {
 /// build-on-miss, byte-accounted LRU eviction, and generation counters.
 /// All members are thread-safe behind one mutex; misses materialize under
 /// the lock (the serving router acquires once per table per batch window,
-/// so a build never sits on a hot path of another table's requests).
+/// the resident tables first and then the misses, so a build never sits on
+/// a hot path of another table's requests and never evicts a table the
+/// same window hits).
 class TableRegistry {
  public:
   explicit TableRegistry(TableRegistryOptions options = {});

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <iomanip>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -220,62 +221,151 @@ TEST(Serve, DifferentialAgainstSingleTablePaths) {
   EXPECT_EQ(served, expected_text);
 }
 
-TEST(Serve, OutputInvariantAcrossThreadsBatchesAndBudgets) {
-  const auto requests = mixed_requests();
+// Reads a request feed the way the CLI does: a malformed line becomes a
+// request carrying its parse_error, answered in place.
+std::vector<ServeRequest> requests_from_text(const std::string& text) {
+  std::istringstream in(text);
+  IstreamRequestSource source(in);
+  std::vector<ServeRequest> out;
+  ServeRequest req;
+  while (source.next(req)) out.push_back(req);
+  return out;
+}
 
-  std::string base;
-  ServeSummary base_summary;
-  {
-    TableRegistry registry;
-    define_construction_tables(registry);
-    ServeOptions opts;
-    base = serve_to_string(registry, requests, opts, &base_summary);
+// A skewed stream: one exhaustive sweep and one certify among cheap
+// deliveries and sampled sweeps over three tables, with an unknown table
+// and a malformed line in the middle (the two error responses).
+std::vector<ServeRequest> skewed_requests() {
+  std::string text;
+  for (int r = 0; r < 14; ++r) {
+    const std::string seed = " seed=" + std::to_string(r);
+    text += "delivery ker faults=" + std::to_string(r) + ',' +
+            std::to_string(r + 7) + " pairs=4" + seed + '\n';
+    text += "delivery tri faults=" + std::to_string(2 * r) + " pairs=3" +
+            seed + '\n';
+    if (r % 3 == 0) text += "sweep cir f=2 sets=12 pairs=2" + seed + '\n';
+    if (r == 6) {
+      text += "delivery ghost faults=1,2 seed=3\n";
+      text += "sweep cir f=2 exhaustive seed=3\n";
+      text += "frobnicate what f=1\n";
+      text += "certify ker f=2 claimed=6 seed=4\n";
+    }
   }
-  EXPECT_EQ(base_summary.requests, requests.size());
-  EXPECT_EQ(base_summary.errors, 0u);
+  return requests_from_text(text);
+}
 
-  for (const unsigned threads : kThreadCounts) {
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{64}}) {
+TEST(Serve, OutputInvariantAcrossThreadsBatchesAndBudgets) {
+  struct Stream {
+    const char* name;
+    std::vector<ServeRequest> requests;
+    std::uint64_t errors;
+  };
+  for (const Stream& stream : {Stream{"mixed", mixed_requests(), 0},
+                               Stream{"skewed", skewed_requests(), 2}}) {
+    SCOPED_TRACE(stream.name);
+    const auto& requests = stream.requests;
+    std::string base;
+    ServeSummary base_summary;
+    {
       TableRegistry registry;
       define_construction_tables(registry);
       ServeOptions opts;
-      opts.exec.threads = threads;
-      opts.exec.batch_size = batch;
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      EXPECT_EQ(serve_to_string(registry, requests, opts), base);
+      base = serve_to_string(registry, requests, opts, &base_summary);
+    }
+    EXPECT_EQ(base_summary.requests, requests.size());
+    EXPECT_EQ(base_summary.errors, stream.errors);
+
+    for (const unsigned threads : kThreadCounts) {
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
+                                      std::size_t{64}}) {
+        TableRegistry registry;
+        define_construction_tables(registry);
+        ServeOptions opts;
+        opts.exec.threads = threads;
+        opts.exec.batch_size = batch;
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " batch=" + std::to_string(batch));
+        EXPECT_EQ(serve_to_string(registry, requests, opts), base);
+      }
+    }
+
+    // An absurd batch_size is clamped, not overflowed: batch * workers
+    // wrapping to a zero window would silently drop every request.
+    {
+      TableRegistry registry;
+      define_construction_tables(registry);
+      ServeOptions opts;
+      opts.exec.threads = 8;
+      opts.exec.batch_size = std::numeric_limits<std::size_t>::max() / 2;
+      ServeSummary summary;
+      EXPECT_EQ(serve_to_string(registry, requests, opts, &summary), base);
+      EXPECT_EQ(summary.requests, requests.size());
+    }
+
+    // A starved byte budget churns the registry (evictions > 0) without
+    // changing a single output byte.
+    {
+      TableRegistryOptions ropts;
+      ropts.max_resident_bytes = 1;
+      TableRegistry registry(ropts);
+      define_construction_tables(registry);
+      ServeOptions opts;
+      opts.exec.threads = 2;
+      opts.exec.batch_size = 2;
+      ServeSummary summary;
+      EXPECT_EQ(serve_to_string(registry, requests, opts, &summary), base);
+      EXPECT_GT(summary.registry.evictions, 0u);
+      EXPECT_GT(summary.registry.builds, 3u);  // rebuilt on readmission
     }
   }
+}
 
-  // An absurd batch_size is clamped, not overflowed: batch * workers
-  // wrapping to a zero window would silently drop every request.
+// A window acquires its resident tables before its misses, so a miss never
+// evicts a table the same window hits. Three same-sized copies of one table
+// under a budget of two entries, in windows "A B A | C A B": the second
+// window hits A and B, then C's miss evicts the colder of them. Acquiring in
+// first-appearance order would miss all three there (C evicts A, A evicts
+// B, B evicts C): 5 misses instead of 3.
+TEST(Serve, WindowMissesNeverEvictItsOwnHits) {
+  const auto ker = construction_tables()[0];
+  const auto define = [&](TableRegistry& registry) {
+    for (const char* name : {"A", "B", "C"}) {
+      registry.define_prebuilt(name, ker.g, ker.table);
+    }
+  };
+  std::size_t entry_bytes = 0;
+  {
+    TableRegistry probe;
+    define(probe);
+    entry_bytes = probe.acquire("A")->memory_bytes;
+  }
+  std::vector<ServeRequest> requests;
+  const char* const names[] = {"A", "B", "A", "C", "A", "B"};
+  for (std::size_t i = 0; i < std::size(names); ++i) {
+    requests.push_back(parse_request_line(
+        std::string("delivery ") + names[i] +
+            " faults=3,7 pairs=4 seed=" + std::to_string(i),
+        i + 1));
+  }
+  ServeOptions opts;
+  opts.exec.threads = 1;
+  opts.exec.batch_size = 3;
+
+  std::string unlimited;
   {
     TableRegistry registry;
-    define_construction_tables(registry);
-    ServeOptions opts;
-    opts.exec.threads = 8;
-    opts.exec.batch_size = std::numeric_limits<std::size_t>::max() / 2;
-    ServeSummary summary;
-    EXPECT_EQ(serve_to_string(registry, requests, opts, &summary), base);
-    EXPECT_EQ(summary.requests, requests.size());
+    define(registry);
+    unlimited = serve_to_string(registry, requests, opts);
   }
-
-  // A starved byte budget churns the registry (evictions > 0) without
-  // changing a single output byte.
-  {
-    TableRegistryOptions ropts;
-    ropts.max_resident_bytes = 1;
-    TableRegistry registry(ropts);
-    define_construction_tables(registry);
-    ServeOptions opts;
-    opts.exec.threads = 2;
-    opts.exec.batch_size = 2;
-    ServeSummary summary;
-    EXPECT_EQ(serve_to_string(registry, requests, opts, &summary), base);
-    EXPECT_GT(summary.registry.evictions, 0u);
-    EXPECT_GT(summary.registry.builds, 3u);  // rebuilt on readmission
-  }
+  TableRegistryOptions ropts;
+  ropts.max_resident_bytes = 2 * entry_bytes;
+  TableRegistry registry(ropts);
+  define(registry);
+  ServeSummary summary;
+  EXPECT_EQ(serve_to_string(registry, requests, opts, &summary), unlimited);
+  EXPECT_EQ(summary.registry.misses, 3u);
+  EXPECT_EQ(summary.registry.hits, 2u);
+  EXPECT_EQ(summary.registry.evictions, 1u);
 }
 
 TEST(Serve, WarmRegistryBuildsEachTableOnce) {

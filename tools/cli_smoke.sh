@@ -196,6 +196,38 @@ for knobs in "--threads 1" "--threads 4" "--batch 7" \
   cmp "${GOLD}/sweep_sampled.golden" "${WORK}/ssweep.out"
 done
 
+# Multi-table churn: a planner-built graph= table and a snapshot= table
+# under a 1-byte budget, so every window that switches tables evicts one
+# and rebuilds or reloads the other. Every request kind on both tables
+# must print the golden bytes at every --threads and --batch.
+echo "== multi-table serve under a starved budget"
+printf 'table planned graph=%s seed=42\ntable snap snapshot=%s\n' \
+  "${WORK}/graph.ftg" "${WORK}/table.snap" > "${WORK}/tables.multi.txt"
+cat > "${WORK}/requests.multi.txt" <<'EOF'
+# multi-table churn: every kind over a planner-built and a snapshot table
+delivery planned faults=3,7 pairs=4 seed=1
+check snap f=2 claimed=6 seed=2
+sweep planned f=2 sets=30 seed=3 pairs=2
+delivery snap faults=0,12 pairs=4 seed=4
+certify planned seed=5
+sweep snap f=2 exhaustive seed=6
+delivery planned faults=11 pairs=3 seed=7
+certify snap f=2 claimed=6 seed=8
+check planned f=1 claimed=6 seed=9
+sweep snap f=3 sets=25 seed=10 pairs=3
+delivery snap faults=5,6,7 pairs=4 seed=11
+delivery planned faults=20,21 seed=12
+EOF
+for t in 1 4; do
+  for b in 1 64; do
+    "${CLI}" serve --tables "${WORK}/tables.multi.txt" \
+      --requests "${WORK}/requests.multi.txt" --max-resident-bytes 1 \
+      --threads "${t}" --batch "${b}" \
+      > "${WORK}/serve.multi.out" 2> /dev/null
+    cmp "${GOLD}/serve_multi.golden" "${WORK}/serve.multi.out"
+  done
+done
+
 # Exhaustive check past f = 3: all C(25, 4) = 12650 sets in Gray order,
 # in-process and through forked workers — every worker count prints the
 # golden bytes. The claim is violated, so check exits 1; anything else is
