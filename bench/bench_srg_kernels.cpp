@@ -8,8 +8,9 @@
 //     optimizing top-down/bottom-up switch (every single-set evaluation);
 //   * packed — Gray-adjacent fault sets evaluated lane-parallel in
 //     width-parameterized blocks (64/128/256/512 lanes = 1/2/4/8 words per
-//     route/pair/node; route liveness, arc counts, and reachability as
-//     AND/OR/popcount word loops with runtime AVX2/AVX-512 dispatch).
+//     route/pair/node; route liveness and reachability as AND/OR/ANDNOT
+//     over blocks held in vector registers, arc counts through a
+//     bit-sliced per-lane counter, runtime AVX2/AVX-512 dispatch).
 // The library picks packed for exhaustive scans and bitset elsewhere, at
 // the widest lane width the CPU profits from; these benches drive one
 // SrgScratch directly so every kernel and every width can be timed on the

@@ -15,8 +15,9 @@
 # num_cpus, plus max_resident_bytes — the peak RSS of the bench process
 # (getrusage ru_maxrss of the child) — so memory-sensitive baselines like
 # the table-registry warm/cold cases are comparable across hosts. Next to
-# those, an "ftroute" context object names the build that produced the
-# numbers: CMake build type, compiler and version, the -m flags (global,
+# those, cpu_model (Linux) names the host's CPU, and an "ftroute" context
+# object names the build that produced the numbers: CMake build type,
+# compiler and version, the -m flags (global,
 # and the per-ISA packed-kernel files), and the packed lane width the code
 # resolved on this host (each bench binary records it as lane_width).
 # Both injections need python3; without it those fields are simply absent.
@@ -84,6 +85,19 @@ with open(path) as f:
     data = json.load(f)
 context = data.setdefault("context", {})
 context["max_resident_bytes"] = int(rss)
+# The CPU model names the host next to num_cpus (Linux only; absent
+# elsewhere).
+cpu_model = ""
+try:
+    with open("/proc/cpuinfo") as info:
+        for line in info:
+            if line.startswith("model name"):
+                cpu_model = line.split(":", 1)[1].strip()
+                break
+except OSError:
+    pass
+if cpu_model:
+    context["cpu_model"] = cpu_model
 context["ftroute"] = {
     "build_type": build_type,
     "compiler": compiler,

@@ -438,11 +438,18 @@ void SrgScratch::set_lane_width(unsigned lanes) {
   pk_lanes_ = 0;  // re-resolve (and re-size the packed state) on next use
 }
 
+void SrgScratch::set_block_lookup_for_testing(
+    packed::PackedBlockLookup lookup) {
+  pk_lookup_ = lookup != nullptr ? lookup : &packed::select_block_fn;
+  pk_lanes_ = 0;  // re-resolve pk_fn_ on next use
+}
+
 unsigned SrgScratch::lane_width() {
   if (pk_lanes_ == 0) {
     pk_lanes_ = resolve_lane_width(pk_requested_lanes_);
-    pk_fn_ = packed::select_block_fn(pk_lanes_ / kLaneBits);
-    FTR_ASSERT(pk_fn_ != nullptr);
+    pk_fn_ = pk_lookup_(pk_lanes_ / kLaneBits);
+    FTR_EXPECTS_MSG(pk_fn_ != nullptr, "no packed block body for "
+                                           << pk_lanes_ << " lanes");
   }
   return pk_lanes_;
 }
@@ -467,8 +474,9 @@ void SrgScratch::ensure_packed_state() {
   pk_next_.assign(ix.n_, 0);
   pk_dead_pairs_.assign(kLaneBits * w, 0);
   pk_diam_.assign(kLaneBits * w, 0);
-  pk_ecc_.assign(kLaneBits * w, 0);
   pk_disconnected_.assign(w, 0);
+  pk_level_grew_.assign((ix.n_ + 1) * w, 0);
+  pk_diam_ge_.assign((ix.n_ + 1) * w, 0);
   pk_words_ = words;
 }
 
@@ -540,8 +548,9 @@ void SrgScratch::evaluate_gray_block(GraySubsetEnumerator& e,
   ctx.next = pk_next_.data();
   ctx.dead_pairs = pk_dead_pairs_.data();
   ctx.diam = pk_diam_.data();
-  ctx.ecc = pk_ecc_.data();
   ctx.disconnected = pk_disconnected_.data();
+  ctx.level_grew = pk_level_grew_.data();
+  ctx.diam_ge = pk_diam_ge_.data();
   const auto survivors = static_cast<std::uint32_t>(n - f);
   pk_fn_(ctx, count, survivors);
   lane_touched_.clear();

@@ -69,14 +69,17 @@
 //    revolving-door fault sets evaluated against one W-word lane block at a
 //    time (W in {1,2,4,8} words -> 64/128/256/512 lanes; the widest the CPU
 //    profits from — see common/cpu_features.hpp). Per-route kill masks,
-//    per-pair dead masks, and a lane-parallel BFS turn route liveness, arc
-//    counts, and reachability into AND/OR/popcount over lane blocks. The
-//    BFS switches per level between top-down over out-pairs and bottom-up
-//    over in-pairs on frontier density, like the bitset kernel; the block
-//    body is dispatched at runtime to a portable, AVX2, or AVX-512
-//    instantiation (fault/srg_packed.hpp). Lanes are consumed in rank
-//    order, so neither the width nor the chosen instantiation is observable
-//    in any result.
+//    per-pair dead masks, and a lane-parallel BFS turn route liveness and
+//    reachability into AND/OR/ANDNOT over lane blocks held in vector
+//    registers. Arc counts come from a bit-sliced per-lane counter the
+//    dead masks are added into, and diameters from per-level masks of the
+//    lanes each BFS level reached; both are read out once per block, so no
+//    phase loops over lanes per pair or per level. The BFS switches per
+//    level between top-down over out-pairs and bottom-up over in-pairs on
+//    frontier density, like the bitset kernel; the block body is
+//    dispatched at runtime to a portable, AVX2, or AVX-512 instantiation
+//    (fault/srg_packed.hpp). Lanes are consumed in rank order, so neither
+//    the width nor the chosen instantiation is observable in any result.
 //  * scalar — the original stamped-queue BFS over an arc CSR rebuilt from a
 //    full pass over the route list (per-pair dedup, counting sort by
 //    source), enabled per scratch by set_scalar_oracle(). Nothing in the
@@ -217,6 +220,14 @@ class SrgScratch {
   /// legal between blocks (the packed state is re-sized lazily).
   void set_lane_width(unsigned lanes);
 
+  /// Test-only pin next to set_lane_width(): resolves the packed block body
+  /// through `lookup` (one of packed::packed_block_fn_{portable,avx2,
+  /// avx512}) instead of packed::select_block_fn(), so a host can check
+  /// every instantiation its CPU runs, not just the strongest. nullptr
+  /// restores the default. The caller must pin only an ISA the CPU
+  /// supports; a lookup with no body for the width fails the next block.
+  void set_block_lookup_for_testing(packed::PackedBlockLookup lookup);
+
   /// The resolved lanes-per-block (64/128/256/512) the next
   /// evaluate_gray_block() call will use; resolves auto on first call.
   unsigned lane_width();
@@ -352,10 +363,11 @@ class SrgScratch {
   // pair — entity i owns words [i*W, (i+1)*W)). The mask arrays are all-
   // zero between blocks (the kernel's sparse cleanup restores that), so a
   // width change only needs a re-size. pk_fn_ is the runtime-dispatched
-  // block body (portable/AVX2/AVX-512) for the resolved width.
+  // block body (portable/AVX2/AVX-512) pk_lookup_ gave the resolved width.
   unsigned pk_requested_lanes_ = 0;  // set_lane_width() request; 0 = auto
   unsigned pk_lanes_ = 0;            // resolved lanes per block; 0 = not yet
   unsigned pk_words_ = 0;            // pk_lanes_ / 64, once sized
+  packed::PackedBlockLookup pk_lookup_ = &packed::select_block_fn;
   packed::PackedBlockFn pk_fn_ = nullptr;
   std::vector<std::uint64_t> lane_node_mask_;  // node -> lanes where faulty
   std::vector<Node> lane_touched_;
@@ -372,8 +384,9 @@ class SrgScratch {
   std::vector<Node> pk_members_;  // current fault set during the lane walk
   std::vector<std::uint32_t> pk_dead_pairs_;    // per-lane outputs (64*W)
   std::vector<std::uint32_t> pk_diam_;          // 64*W
-  std::vector<std::uint32_t> pk_ecc_;           // 64*W BFS scratch
   std::vector<std::uint64_t> pk_disconnected_;  // W words
+  std::vector<std::uint64_t> pk_level_grew_;    // (n+1)*W per-level masks
+  std::vector<std::uint64_t> pk_diam_ge_;       // (n+1)*W
 };
 
 }  // namespace ftr

@@ -8,12 +8,14 @@
 // single width template (srg_packed_impl.hpp) compiled THREE times into
 // separate translation units with different ISA flags:
 //
-//   srg_packed_portable.cpp  — baseline flags; the word loops
-//                              auto-vectorize to whatever the build's
-//                              global -m flags allow.
+//   srg_packed_portable.cpp  — baseline flags; blocks are plain 64-bit
+//                              words (or whatever registers the build's
+//                              global -m flags give the fragment).
 //   srg_packed_avx2.cpp      — compiled with -mavx2 when the toolchain
-//                              has it; explicit 256-bit paths light up.
-//   srg_packed_avx512.cpp    — likewise with -mavx512f.
+//                              has it; W = 4 and 8 blocks live in ymm
+//                              registers.
+//   srg_packed_avx512.cpp    — likewise with -mavx512f; W = 8 blocks live
+//                              in one zmm register.
 //
 // Each TU keeps its instantiations in an anonymous namespace (so the
 // linker can never ODR-merge portable and AVX codegen) and exports only
@@ -22,7 +24,8 @@
 // select_block_fn() is the runtime chooser: strongest ISA the cpuid
 // probe reports, falling back to portable. Callers (SrgScratch) hold
 // the chosen pointer; every implementation is bit-identical, so the
-// choice never affects results.
+// choice never affects results. The differential tests pin each lookup
+// the CPU supports in turn (SrgScratch::set_block_lookup_for_testing).
 //
 // PackedCtx is deliberately a POD of raw pointers/sizes: it is the only
 // type that crosses the ISA TU boundary, so it must not drag any
@@ -72,19 +75,32 @@ struct PackedCtx {
   std::uint32_t* frontier = nullptr;      // capacity: n
   std::uint32_t* next = nullptr;          // capacity: n
 
-  // Per-lane outputs, zeroed by the kernel. dead_pairs[l] counts pairs
-  // with no live route in lane l; diam[l] is the max finite
-  // eccentricity; disconnected has lane l set when some survivor pair
-  // is unreachable there. ecc is per-source BFS scratch.
+  // Per-lane outputs, written for lanes [0, count). dead_pairs[l] counts
+  // pairs with no live route in lane l (the kernel adds each dirty pair's
+  // dead mask into a bit-sliced counter and transposes it here once per
+  // block); diam[l] is the max finite eccentricity; disconnected has lane
+  // l set when some survivor pair is unreachable there.
   std::uint32_t* dead_pairs = nullptr;    // 64*W
   std::uint32_t* diam = nullptr;          // 64*W
-  std::uint32_t* ecc = nullptr;           // 64*W (scratch)
   std::uint64_t* disconnected = nullptr;  // W
+
+  // Per-level lane masks (scratch, (n+1)*W each, level k at words
+  // [k*W, (k+1)*W)). level_grew[k] holds the lanes one source's BFS
+  // reached new nodes in at level k; diam_ge[k] accumulates, over the
+  // sources, the lanes with eccentricity >= k, so diam[l] is read once per
+  // block as the deepest k whose mask holds l. diam_ge arrives zero and is
+  // left zero; level_grew is only read at levels the same BFS wrote.
+  std::uint64_t* level_grew = nullptr;
+  std::uint64_t* diam_ge = nullptr;
 };
 
 /// Runs one block: `count` lanes (1..64*W), `survivors` = n - f.
 using PackedBlockFn = void (*)(const PackedCtx& ctx, std::size_t count,
                                std::uint32_t survivors);
+
+/// Maps W = `words` (1/2/4/8) to a block implementation: the signature of
+/// the per-TU lookups and of select_block_fn().
+using PackedBlockLookup = PackedBlockFn (*)(unsigned words);
 
 /// Per-TU lookups: the TU's implementation for W = `words` (1/2/4/8),
 /// or nullptr when that TU was compiled without its ISA.

@@ -1,7 +1,7 @@
 // AVX2 instantiation of the packed block kernel. CMake compiles this TU
-// (and only this TU) with -mavx2 when the toolchain supports it, so the
-// LaneBlock word loops vectorize to 256-bit ops and the explicit
-// vptest paths light up. Without the flag the lookup returns nullptr
+// (and only this TU) with -mavx2 when the toolchain supports it, so
+// LaneBlock's explicit 256-bit paths light up (W = 4 in one ymm
+// register, W = 8 in two). Without the flag the lookup returns nullptr
 // and select_block_fn() falls through — the cpuid gate in the selector
 // (not this TU) decides whether the code may actually run.
 #if defined(__AVX2__)

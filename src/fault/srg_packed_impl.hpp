@@ -3,14 +3,23 @@
 // Included ONCE by each per-ISA translation unit (srg_packed_portable /
 // _avx2 / _avx512.cpp); everything here lives in an anonymous namespace
 // so each TU keeps its own copy compiled under its own -m flags — the
-// ODR-safety scheme described in srg_packed.hpp. The body is a faithful
-// width generalization of the 64-lane kernel that used to live inline
-// in SrgScratch::evaluate_gray_block: one uint64_t of lanes per entity
-// becomes a LaneBlock<W>, and every phase — route kill masks, pair dead
-// masks, the lane-parallel BFS — runs the same statements over W-word
-// blocks. Lanes are still consumed in rank order, so results, per-lane
-// evaluation counts, and early-stop behavior are bit-identical to the
-// scalar oracle at every width.
+// ODR-safety scheme described in srg_packed.hpp. One LaneBlock<W> of
+// lanes per entity (route kill masks, pair dead masks, the BFS's
+// visited/frontier masks), and every phase runs the same statements over
+// W-word blocks held in vector registers (lane_block.hpp). Lanes are
+// still consumed in rank order, so results, per-lane evaluation counts,
+// and early-stop behavior are bit-identical to the scalar oracle at every
+// width and under every ISA.
+//
+// No phase loops over lanes per pair or per BFS level; the two per-lane
+// outputs are accumulated as lane masks and read out once per block:
+//  * dead-pair counts — each dirty pair's dead mask is added into a
+//    bit-sliced counter (LaneCounter: plane k holds bit k of every lane's
+//    count), transposed into dead_pairs[l] at the end of phase (c);
+//  * diameters — each BFS level's newly reached lanes are kept as
+//    level_grew[k]; once a source's fully-reaching lanes (`ok`) are known,
+//    level_grew[k] & ok is ORed into diam_ge[k], and diam[l] is the
+//    deepest k whose mask holds lane l.
 //
 // The BFS picks a direction per level, like the bitset kernel's
 // bfs_from_bits: bottom-up (each unreached node walks its in-pairs until
@@ -42,18 +51,39 @@ namespace {
 #include "fault/lane_block.hpp"
 #undef FTR_LANE_BLOCK_FRAGMENT
 
+// Bit-sliced per-lane counter: plane k holds bit k of every lane's count.
+// add() ripples a one-bit-per-lane mask up the planes with half adders
+// until no lane carries, so a count costs block ops, never a lane loop.
+template <unsigned W>
+struct LaneCounter {
+  using Block = LaneBlock<W>;
+
+  Block planes[32];   // counts fit in uint32_t
+  unsigned used = 0;  // planes written so far
+
+  inline void add(Block m) {
+    for (unsigned k = 0; m.any(); ++k) {
+      if (k == used) planes[used++] = Block::zero();
+      const Block carry = planes[k] & m;
+      planes[k] = planes[k] ^ m;
+      m = carry;
+    }
+  }
+
+  // Transposes the planes into out[0, count), once per block.
+  void read(std::uint32_t* out, std::size_t count) const {
+    for (std::size_t l = 0; l < count; ++l) out[l] = 0;
+    for (unsigned k = 0; k < used; ++k) {
+      planes[k].for_each_lane([&](std::size_t l) { out[l] |= 1u << k; });
+    }
+  }
+};
+
 template <unsigned W>
 void run_block(const PackedCtx& ctx, std::size_t count,
                std::uint32_t survivors) {
   using Block = LaneBlock<W>;
-  const std::size_t lanes = std::size_t{64} * W;
   const Block full = Block::first_lanes(count);
-
-  for (std::size_t l = 0; l < lanes; ++l) {
-    ctx.dead_pairs[l] = 0;
-    ctx.diam[l] = 0;
-  }
-  for (unsigned i = 0; i < W; ++i) ctx.disconnected[i] = 0;
 
   // (b) Route kill masks via the inverted index: a route is dead in
   // every lane where some node on it is faulty.
@@ -73,8 +103,10 @@ void run_block(const PackedCtx& ctx, std::size_t count,
 
   // (c) Pair dead masks: a pair is dead in the lanes where ALL of its
   // routes are killed — an AND over its contiguous route range.
-  // Untouched pairs keep mask 0 (live in every lane).
+  // Untouched pairs keep mask 0 (live in every lane). Each dirty pair's
+  // dead lanes go into the bit-sliced counter, read out once below.
   std::size_t num_dirty_pairs = 0;
+  LaneCounter<W> dead_count;
   for (std::size_t i = 0; i < num_dirty_routes; ++i) {
     const std::uint32_t pid = ctx.route_pair[ctx.dirty_routes[i]];
     if (ctx.pair_dirty[pid] != 0) continue;
@@ -87,24 +119,31 @@ void run_block(const PackedCtx& ctx, std::size_t count,
       if (dead.none()) break;
     }
     dead.store(ctx.pair_dead_mask + std::size_t{pid} * W);
-    (dead & full).for_each_lane([&](std::size_t l) { ++ctx.dead_pairs[l]; });
+    dead_count.add(dead & full);
   }
+  dead_count.read(ctx.dead_pairs, count);
+  for (std::size_t l = 0; l < count; ++l) ctx.diam[l] = 0;
+  for (unsigned i = 0; i < W; ++i) ctx.disconnected[i] = 0;
 
   // (d) Lane-parallel BFS: one LaneBlock of lanes per node. A lane
   // drops out of `active` once some source fails to reach every
   // survivor in it (its diameter is then kUnreachable, matching the
-  // scalar early return).
+  // scalar early return). Level k's newly reached lanes are kept in
+  // level_grew[k]; once a source's `ok` lanes are known they are ORed
+  // into diam_ge[k], the lanes whose diameter is at least k.
   if (survivors >= 2) {
     Block disconnected = Block::zero();
     std::uint32_t* frontier = ctx.frontier;
     std::uint32_t* next = ctx.next;
+    std::uint32_t max_level = 0;  // deepest level with a diam_ge bit
     for (std::uint32_t s = 0; s < ctx.n; ++s) {
       const Block active = andnot(
           andnot(full, Block::load(ctx.lane_node_mask + std::size_t{s} * W)),
           disconnected);
       if (active.none()) continue;
-      for (std::size_t i = 0; i < ctx.n * W; ++i) ctx.visited[i] = 0;
-      for (std::size_t l = 0; l < lanes; ++l) ctx.ecc[l] = 0;
+      for (std::size_t i = 0; i < ctx.n * W; i += W) {
+        Block::zero().store(ctx.visited + i);
+      }
       active.store(ctx.visited + std::size_t{s} * W);
       active.store(ctx.new_mask + std::size_t{s} * W);
       frontier[0] = s;
@@ -188,7 +227,7 @@ void run_block(const PackedCtx& ctx, std::size_t count,
           (Block::load(vis) | m).store(vis);
           grew = grew | m;
         }
-        grew.for_each_lane([&](std::size_t l) { ctx.ecc[l] = level; });
+        grew.store(ctx.level_grew + std::size_t{level} * W);
         std::uint32_t* tmp = frontier;
         frontier = next;
         next = tmp;
@@ -202,12 +241,32 @@ void run_block(const PackedCtx& ctx, std::size_t count,
                    Block::load(ctx.lane_node_mask + std::size_t{v} * W));
       }
       disconnected = disconnected | andnot(active, ok);
-      (active & ok).for_each_lane([&](std::size_t l) {
-        if (ctx.ecc[l] > ctx.diam[l]) ctx.diam[l] = ctx.ecc[l];
-      });
+      // The last level reached nothing. Every level up to a lane's
+      // eccentricity grew in that lane, so diam_ge[k] collects exactly the
+      // lanes with some eccentricity >= k.
+      const std::uint32_t last_level = level - 1;
+      if (ok.any()) {
+        for (std::uint32_t k = 1; k <= last_level; ++k) {
+          std::uint64_t* ge = ctx.diam_ge + std::size_t{k} * W;
+          (Block::load(ge) |
+           (Block::load(ctx.level_grew + std::size_t{k} * W) & ok))
+              .store(ge);
+        }
+        if (last_level > max_level) max_level = last_level;
+      }
       if (disconnected == full) break;
     }
     disconnected.store(ctx.disconnected);
+    // diam[l] is the deepest level whose mask holds lane l; walking down
+    // from the deepest level, each lane is stamped once.
+    Block found = Block::zero();
+    for (std::uint32_t k = max_level; k >= 1; --k) {
+      std::uint64_t* ge = ctx.diam_ge + std::size_t{k} * W;
+      const Block fresh = andnot(Block::load(ge), found);
+      fresh.for_each_lane([&](std::size_t l) { ctx.diam[l] = k; });
+      found = found | fresh;
+      Block::zero().store(ge);
+    }
   }
 
   // Sparse cleanup: only the block's footprint was written, so only it

@@ -1,8 +1,8 @@
 // Portable instantiation of the packed block kernel (baseline build
-// flags; the word loops auto-vectorize to whatever the global -m flags
-// allow). Always available — select_block_fn()'s fallback. This TU also
-// hosts the runtime selector, since it is the one ISA TU that is safe
-// to call unconditionally.
+// flags; LaneBlock holds plain 64-bit words unless the global -m flags
+// enable a vector path). Always available — select_block_fn()'s
+// fallback. This TU also hosts the runtime selector, since it is the one
+// ISA TU that is safe to call unconditionally.
 #include "fault/srg_packed_impl.hpp"
 
 #include "common/cpu_features.hpp"

@@ -10,9 +10,13 @@
 //    every thread count in {1, 2, 8} and for every source kind, including
 //    evaluation counts, early-stop points, and the reported witnesses;
 //  * the packed block kernel, pinned per scratch to each lane width
-//    (SrgScratch::set_lane_width), must match the scalar oracle lane for
-//    lane on every construction table, for full and partial blocks, and on
-//    tables chosen to drive its BFS both top-down and bottom-up;
+//    (SrgScratch::set_lane_width) and to each block implementation the CPU
+//    runs (portable/AVX2/AVX-512, SrgScratch::set_block_lookup_for_testing),
+//    must match the scalar oracle lane for lane on every construction
+//    table, for full and partial blocks, on tables chosen to drive its BFS
+//    both top-down and bottom-up, and at the extremes of its bit-sliced
+//    dead-pair counter (0 to num_pairs) and per-level diameter masks (BFS
+//    depths past 150 levels);
 //  * the sparse strike behind every single-set evaluation (base rows minus
 //    the pairs whose every route died) must match the oracle's full route
 //    scan on planner, kernel and multiroute tables, with the oracle
@@ -20,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -29,6 +34,7 @@
 #include "analysis/fault_sweep.hpp"
 #include "analysis/neighborhood.hpp"
 #include "common/combinatorics.hpp"
+#include "common/contracts.hpp"
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
 #include "core/planner.hpp"
@@ -447,46 +453,123 @@ TEST(SrgKernels, ScratchLaneWidthRoundTrip) {
   EXPECT_TRUE(is_valid_lane_width(scratch.lane_width()));
 }
 
-// Walks every f-subset of the index's nodes in Gray order through the
-// packed kernel, pinned to each width, in blocks of `width` sets (the shape
-// the exhaustive scans use) and of width / 2 + 3 (every block partial, with
-// a partly filled last word), and checks each lane against the scalar
-// oracle's evaluation of the same set.
-void expect_packed_matches_oracle(const SrgIndex& index, std::size_t f,
-                                  const std::string& name) {
+// The packed block implementations this host can run: the portable TU
+// always, the AVX2 and AVX-512 TUs when they were compiled with their ISA
+// and cpuid reports it. By default a scratch only ever runs the strongest
+// (packed::select_block_fn), so the rest are pinned explicitly.
+struct BlockImpl {
+  std::string isa;
+  packed::PackedBlockLookup lookup;
+};
+
+std::vector<BlockImpl> runnable_block_impls() {
+  std::vector<BlockImpl> out = {
+      {"portable", &packed::packed_block_fn_portable}};
+  const CpuFeatures& cpu = cpu_features();
+  if (cpu.avx2 && packed::packed_block_fn_avx2(1) != nullptr) {
+    out.push_back({"avx2", &packed::packed_block_fn_avx2});
+  }
+  if (cpu.avx512f && packed::packed_block_fn_avx512(1) != nullptr) {
+    out.push_back({"avx512", &packed::packed_block_fn_avx512});
+  }
+  return out;
+}
+
+// Walks the first `max_sets` f-subsets (all of them by default) of the
+// index's nodes in Gray order through the packed kernel, under every
+// runnable block implementation and pinned to each width, in blocks of
+// `width` sets (the shape the exhaustive scans use) and of width / 2 + 3
+// (every block partial, with a partly filled last word), and checks each
+// lane against the scalar oracle's evaluation of the same set. Returns the
+// oracle's results.
+std::vector<SrgScratch::Result> expect_packed_matches_oracle(
+    const SrgIndex& index, std::size_t f, const std::string& name,
+    std::size_t max_sets = SIZE_MAX) {
   const std::size_t n = index.num_nodes();
-  const auto sets = gray_sets(n, f);
+  auto sets = gray_sets(n, f);
+  if (sets.size() > max_sets) sets.resize(max_sets);
   SrgScratch scalar(index);
   scalar.set_scalar_oracle(true);
   std::vector<SrgScratch::Result> expect;
   for (const auto& set : sets) expect.push_back(scalar.evaluate(set));
-  for (const unsigned width : kExplicitWidths) {
-    for (const std::size_t block : {std::size_t{width},
-                                    std::size_t{width / 2 + 3}}) {
-      SrgScratch packed(index);
-      packed.set_lane_width(width);
-      GraySubsetEnumerator e(n, f);
-      SrgScratch::Result out[kMaxLaneWidth];
-      std::size_t rank = 0;
-      while (rank < sets.size()) {
-        const std::size_t cnt = std::min(block, sets.size() - rank);
-        packed.evaluate_gray_block(e, cnt, out);
-        for (std::size_t i = 0; i < cnt; ++i) {
-          SCOPED_TRACE(name + " f=" + std::to_string(f) + " width=" +
-                       std::to_string(width) + " block=" +
-                       std::to_string(block) + " rank=" +
-                       std::to_string(rank + i));
-          EXPECT_EQ(expect[rank + i].diameter, out[i].diameter);
-          EXPECT_EQ(expect[rank + i].survivors, out[i].survivors);
-          EXPECT_EQ(expect[rank + i].arcs, out[i].arcs);
-        }
-        rank += cnt;
-        if (rank < sets.size()) {
-          ASSERT_TRUE(e.advance());
+  for (const BlockImpl& impl : runnable_block_impls()) {
+    for (const unsigned width : kExplicitWidths) {
+      for (const std::size_t block : {std::size_t{width},
+                                      std::size_t{width / 2 + 3}}) {
+        SrgScratch packed(index);
+        packed.set_lane_width(width);
+        packed.set_block_lookup_for_testing(impl.lookup);
+        GraySubsetEnumerator e(n, f);
+        SrgScratch::Result out[kMaxLaneWidth];
+        std::size_t rank = 0;
+        while (rank < sets.size()) {
+          const std::size_t cnt = std::min(block, sets.size() - rank);
+          packed.evaluate_gray_block(e, cnt, out);
+          for (std::size_t i = 0; i < cnt; ++i) {
+            SCOPED_TRACE(name + " f=" + std::to_string(f) + " isa=" +
+                         impl.isa + " width=" + std::to_string(width) +
+                         " block=" + std::to_string(block) + " rank=" +
+                         std::to_string(rank + i));
+            EXPECT_EQ(expect[rank + i].diameter, out[i].diameter);
+            EXPECT_EQ(expect[rank + i].survivors, out[i].survivors);
+            EXPECT_EQ(expect[rank + i].arcs, out[i].arcs);
+          }
+          rank += cnt;
+          if (rank < sets.size() && !e.advance()) {
+            ADD_FAILURE() << name << ": enumeration ended early";
+            return expect;
+          }
         }
       }
     }
   }
+  return expect;
+}
+
+// The ISA pin is honored per scratch (the lookup sees the pinned width's
+// word count), a lookup without a body for the width is a contract
+// violation at the next block, and nullptr restores the default chooser.
+TEST(SrgKernels, BlockLookupPinIsHonoredAndReset) {
+  static unsigned seen_words = 0;
+  const packed::PackedBlockLookup spy = [](unsigned words) {
+    seen_words = words;
+    return packed::packed_block_fn_portable(words);
+  };
+  const packed::PackedBlockLookup empty = [](unsigned) {
+    return packed::PackedBlockFn{nullptr};
+  };
+  const auto gg = cycle_graph(10);
+  RoutingTable t(10, RoutingMode::kBidirectional);
+  install_edge_routes(t, gg.graph);
+  const SrgIndex index(t);
+  SrgScratch oracle(index);
+  oracle.set_scalar_oracle(true);
+  const auto first = gray_subset_at_rank(10, 2, 0);
+  const auto want =
+      oracle.evaluate(std::vector<Node>(first.begin(), first.end()));
+
+  SrgScratch scratch(index);
+  SrgScratch::Result out[kMaxLaneWidth];
+  for (const unsigned width : kExplicitWidths) {
+    scratch.set_lane_width(width);
+    scratch.set_block_lookup_for_testing(spy);
+    GraySubsetEnumerator e(10, 2);
+    scratch.evaluate_gray_block(e, 1, out);
+    EXPECT_EQ(seen_words, width / 64);
+    EXPECT_EQ(want.diameter, out[0].diameter);
+    EXPECT_EQ(want.arcs, out[0].arcs);
+  }
+  scratch.set_block_lookup_for_testing(empty);
+  GraySubsetEnumerator e(10, 2);
+  EXPECT_THROW(scratch.evaluate_gray_block(e, 1, out), ContractViolation);
+  scratch.set_block_lookup_for_testing(nullptr);
+  scratch.set_lane_width(0);
+  seen_words = 0;
+  GraySubsetEnumerator e2(10, 2);
+  scratch.evaluate_gray_block(e2, 1, out);
+  EXPECT_EQ(seen_words, 0u);
+  EXPECT_EQ(want.diameter, out[0].diameter);
+  EXPECT_EQ(want.arcs, out[0].arcs);
 }
 
 // Every construction table, walked through its whole Gray enumeration at
@@ -651,6 +734,93 @@ TEST(SrgKernels, PackedBlockFewSurvivors) {
       EXPECT_EQ(expect.survivors, out[i].survivors);
       EXPECT_EQ(expect.arcs, out[i].arcs);
     }
+  }
+}
+
+// The largest finite diameter and the dead-pair counts (num_pairs - arcs)
+// among `results`.
+std::uint32_t max_finite_diameter(
+    const std::vector<SrgScratch::Result>& results) {
+  std::uint32_t worst = 0;
+  for (const auto& r : results) {
+    if (r.diameter != kUnreachable) worst = std::max(worst, r.diameter);
+  }
+  return worst;
+}
+
+std::vector<std::uint32_t> dead_pair_counts(
+    const SrgIndex& index, const std::vector<SrgScratch::Result>& results) {
+  std::vector<std::uint32_t> counts;
+  for (const auto& r : results) {
+    counts.push_back(static_cast<std::uint32_t>(index.num_pairs()) - r.arcs);
+  }
+  std::sort(counts.begin(), counts.end());
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  return counts;
+}
+
+// The kernel's bit-sliced dead-pair counter and per-level diameter masks at
+// their extremes, under every runnable ISA, at every width, for full and
+// partial blocks.
+TEST(SrgKernels, PackedCountersAndLevelMasksAtTheirExtremes) {
+  {
+    // Dead-pair counts from 0 to num_pairs. Terminals 0..11 route all 132
+    // ordered pairs among them, one route each. Relay r_c lies on the
+    // routes of exactly the first c pairs, so faulting it kills exactly c
+    // pairs; the counts sit on both sides of every power of two up to
+    // num_pairs, and r_132 is on every route. The last six nodes carry no
+    // route, so faulting them kills nothing.
+    constexpr Node kTerminals = 12;
+    const std::vector<std::uint32_t> relay_counts = {
+        1,  2,  3,  4,  5,  7,  8,   9,   15,  16,  17,
+        31, 32, 33, 63, 64, 65, 127, 128, 129, 131, 132};
+    const std::size_t n = kTerminals + relay_counts.size() + 6;
+    RoutingTable t(n, RoutingMode::kUnidirectional);
+    std::uint32_t pair = 0;
+    for (Node x = 0; x < kTerminals; ++x) {
+      for (Node y = 0; y < kTerminals; ++y) {
+        if (x == y) continue;
+        Path route = {x};
+        for (std::size_t j = 0; j < relay_counts.size(); ++j) {
+          if (pair < relay_counts[j]) {
+            route.push_back(static_cast<Node>(kTerminals + j));
+          }
+        }
+        route.push_back(y);
+        t.set_route(route);
+        ++pair;
+      }
+    }
+    const SrgIndex index(t);
+    ASSERT_EQ(index.num_pairs(), 132u);
+    for (const std::size_t f : {1u, 2u}) {
+      const auto expect =
+          expect_packed_matches_oracle(index, f, "dead-pair-spread");
+      const auto counts = dead_pair_counts(index, expect);
+      EXPECT_EQ(counts.front(), 0u);
+      EXPECT_EQ(counts.back(), 132u);
+      for (const std::uint32_t c : relay_counts) {
+        EXPECT_TRUE(std::binary_search(counts.begin(), counts.end(), c))
+            << "f=" << f << " never kills exactly " << c << " pairs";
+      }
+    }
+  }
+  {
+    // Edge routes on a 160-ring: with one fault, or two adjacent ones, the
+    // survivors form a path whose BFS runs 157-158 levels deep, far past
+    // one word of levels. Two faults are checked on the first 600 sets —
+    // a full 512-lane block plus partial ones — since every block holding a
+    // connected lane runs all those levels from every source.
+    const auto gg = cycle_graph(160);
+    RoutingTable t(160, RoutingMode::kBidirectional);
+    install_edge_routes(t, gg.graph);
+    const SrgIndex index(t);
+    EXPECT_EQ(max_finite_diameter(
+                  expect_packed_matches_oracle(index, 1, "edge-only/cycle160")),
+              158u);
+    EXPECT_EQ(max_finite_diameter(expect_packed_matches_oracle(
+                  index, 2, "edge-only/cycle160", 600)),
+              157u);
   }
 }
 
