@@ -22,14 +22,24 @@
 // (tests/test_srg_kernels pins that); only throughput may differ.
 // bench_srg_kernels_stream_torus12 times the single-set path on the e2e
 // stream_sweep shape (planner torus(12,12), 4-6 faults per set), scalar vs
-// bitset. Single-threaded and CPU-time based, so the ratios are meaningful
-// on any core count.
+// bitset. bench_srg_kernels_random_block times unrelated random sets
+// through the any-set packed kernel (SrgScratch::evaluate_block) against
+// the bitset path, on the planner torus(12,12) and torus(10,10) tables at
+// f = 4, 5, 6 and every lane width: packed must reach >= 3x bitset at 512
+// lanes on torus(12,12), and its partial-block rows set the smallest block
+// the sweeps hand to the packed kernel (kMinAnySetBlock, fault_sweep.cpp).
+// Single-threaded and CPU-time based, so the ratios are meaningful on any
+// core count.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <map>
+#include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -266,6 +276,88 @@ void bench_srg_kernels_stream_torus12(benchmark::State& state) {
   state.SetLabel(kernel_lanes_label(state.range(0), 0));
 }
 BENCHMARK(bench_srg_kernels_stream_torus12)->ArgName("kernel")->Arg(0)->Arg(1);
+
+// Random fault sets for the any-set block rows: `f` faults each, from a
+// fixed seed, on the planner-built torus(side, side) the e2e workloads use
+// (planner seed 42).
+struct RandomBlockInput {
+  SrgIndex index;
+  std::vector<std::vector<Node>> sets;
+};
+
+const RandomBlockInput& random_block_input(std::size_t side, std::size_t f) {
+  static std::map<std::pair<std::size_t, std::size_t>,
+                  std::unique_ptr<RandomBlockInput>>
+      cache;
+  auto& entry = cache[{side, f}];
+  if (!entry) {
+    const auto gg = torus_graph(side, side);
+    Rng plan_rng(42);
+    const auto planned =
+        build_planned_routing(gg.graph, std::nullopt, plan_rng);
+    Rng rng(1000 + f);
+    entry = std::make_unique<RandomBlockInput>(RandomBlockInput{
+        SrgIndex(planned.table),
+        random_fault_sets(gg.graph.num_nodes(), f, 1024, rng)});
+  }
+  return *entry;
+}
+
+// Unrelated random sets, one block of `count` at a time: the any-set packed
+// kernel pinned to `lanes`, or one evaluate() per set on the bitset kernel
+// (kernel 1; lanes and count unused). items_per_second is fault sets/sec.
+void bench_srg_kernels_random_block(benchmark::State& state) {
+  const auto side = static_cast<std::size_t>(state.range(0));
+  const auto f = static_cast<std::size_t>(state.range(1));
+  const std::int64_t kernel = state.range(2);
+  const auto lanes = static_cast<unsigned>(state.range(3));
+  const auto& input = random_block_input(side, f);
+  const std::span<const std::vector<Node>> sets(input.sets);
+  SrgScratch scratch(input.index);
+  std::size_t block = 1;
+  if (kernel == kPacked) {
+    scratch.set_lane_width(lanes);
+    block = static_cast<std::size_t>(state.range(4));
+    if (block == 0) block = scratch.lane_width();
+  }
+  SrgScratch::Result res[512];
+  std::size_t at = 0;
+  std::int64_t items = 0;
+  for (auto _ : state) {
+    if (at + block > sets.size()) at = 0;
+    if (kernel == kPacked) {
+      scratch.evaluate_block(sets.subspan(at, block), res);
+      benchmark::DoNotOptimize(res);
+    } else {
+      benchmark::DoNotOptimize(scratch.evaluate(sets[at]));
+    }
+    at += block;
+    items += static_cast<std::int64_t>(block);
+  }
+  state.SetItemsProcessed(items);
+  state.SetLabel(kernel_lanes_label(kernel, lanes) + " torus" +
+                 std::to_string(side) + " f=" + std::to_string(f) +
+                 (kernel == kPacked ? " block=" + std::to_string(block) : ""));
+}
+
+void random_block_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"side", "f", "kernel", "lanes", "count"});
+  for (const std::int64_t side : {12, 10}) {
+    for (const std::int64_t f : {4, 5, 6}) {
+      b->Args({side, f, kBitset, 0, 0});
+      for (const std::int64_t lanes : {64, 128, 256, 512}) {
+        b->Args({side, f, kPacked, lanes, 0});
+      }
+    }
+  }
+  // Partial blocks at f = 5 on torus(12,12): where packed stops paying.
+  for (const std::int64_t lanes : {128, 256, 512}) {
+    for (std::int64_t count = 32; count < lanes; count *= 2) {
+      b->Args({12, 5, kPacked, lanes, count});
+    }
+  }
+}
+BENCHMARK(bench_srg_kernels_random_block)->Apply(random_block_args);
 
 // Single-set evaluation latency (the serving layer's per-request shape):
 // one evaluate() against reused scratch, scalar vs bitset.

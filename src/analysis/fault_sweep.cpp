@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <istream>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -164,8 +165,19 @@ void absorb_set(SweepPartial& partial, std::uint64_t index,
       std::max(partial.max_edge_hops, delivery.max_edge_hops);
 }
 
+// The smallest block of unrelated sets worth the any-set packed kernel;
+// smaller blocks run evaluate() set by set. From bench_srg_kernels'
+// random-block rows (planner torus(12,12), f = 5): at every lane width
+// from 128 to 512, a 64-set block costs about what 64 bitset evaluations
+// do, a 96-set block about three quarters, and a full 512-set block about
+// a fifth. Blocks never exceed the lane width, so a 64-lane scratch
+// (which only tests and benches pin) evaluates every set on its own. Gray
+// blocks keep their stored masks and are always packed.
+constexpr std::size_t kMinAnySetBlock = 96;
+
 // One chunk of a unit: sets [lo, hi) of the global index space, made from
-// their indices and evaluated on a scratch of the chunk's own.
+// their indices and evaluated on a scratch of the chunk's own, one block
+// of up to lane_width() sets at a time.
 SweepPartial sweep_chunk(const RoutingTable& table, const SrgIndex& index,
                          const UnitSpec& unit, std::uint64_t lo,
                          std::uint64_t hi) {
@@ -173,50 +185,61 @@ SweepPartial sweep_chunk(const RoutingTable& table, const SrgIndex& index,
   SrgScratch scratch(index);
   const std::size_t n = index.num_nodes();
   const bool gray = unit.kind == UnitKind::kSweepGray;
+  const bool deliver = unit.delivery_pairs > 0;
   std::optional<GraySubsetEnumerator> e;
   if (gray) e.emplace(n, unit.f, lo);
-
-  if (gray && unit.delivery_pairs == 0) {
-    // Packed: whole lane blocks of Gray-adjacent sets per bit-parallel pass.
-    const std::size_t lanes = scratch.lane_width();
-    SrgScratch::Result res[kMaxLaneWidth];
-    for (std::uint64_t r = lo; r < hi;) {
-      const auto cnt =
-          static_cast<std::size_t>(std::min<std::uint64_t>(lanes, hi - r));
-      scratch.evaluate_gray_block(*e, cnt, res);
+  const std::size_t lanes = scratch.lane_width();
+  SrgScratch::Result res[kMaxLaneWidth];
+  std::vector<std::vector<Node>> made;
+  for (std::uint64_t r = lo; r < hi;) {
+    const auto cnt =
+        static_cast<std::size_t>(std::min<std::uint64_t>(lanes, hi - r));
+    // The block's sets. A Gray block without delivery never needs them:
+    // its worst set is unranked from worst_index afterwards.
+    std::span<const std::vector<Node>> sets;
+    if (unit.kind == UnitKind::kSweepExplicit) {
+      sets = std::span<const std::vector<Node>>(unit.sets)
+                 .subspan(static_cast<std::size_t>(r - unit.begin), cnt);
+    } else if (!gray || deliver) {
+      made.resize(cnt);
+      std::optional<GraySubsetEnumerator> walk = e;
       for (std::size_t i = 0; i < cnt; ++i) {
-        absorb_set(part, r + i, res[i].diameter, {}, nullptr);
+        if (gray) {
+          if (i > 0) walk->advance();
+          made[i].assign(walk->current().begin(), walk->current().end());
+        } else {
+          Rng rng = Rng::stream(unit.seed, r + i);
+          const auto sample = rng.sample(n, unit.f);
+          made[i].assign(sample.begin(), sample.end());
+        }
       }
-      r += cnt;
-      if (r < hi) e->advance();
+      sets = made;
     }
-    return part;
-  }
-
-  std::vector<Node> made;
-  for (std::uint64_t i = lo; i < hi; ++i) {
-    const std::vector<Node>* faults = &made;
+    const bool packed = gray || cnt >= kMinAnySetBlock;
     if (gray) {
-      if (i > lo) e->advance();
-      made.assign(e->current().begin(), e->current().end());
-    } else if (unit.kind == UnitKind::kSweepSampled) {
-      Rng rng = Rng::stream(unit.seed, i);
-      const auto sample = rng.sample(n, unit.f);
-      made.assign(sample.begin(), sample.end());
-    } else {
-      faults = &unit.sets[i - unit.begin];
+      scratch.evaluate_gray_block(*e, cnt, res);
+    } else if (packed) {
+      scratch.evaluate_block(sets, res);
     }
-    const auto res = scratch.evaluate(*faults);
-    DeliveryStats delivery;
-    if (unit.delivery_pairs > 0) {
-      // The scratch is still struck from evaluate() above; delivery walks
-      // that set's bitset rows without a second strike.
-      Rng rng = Rng::stream(unit.seed, i);
-      delivery = measure_delivery(table, scratch,
-                                  static_cast<std::size_t>(unit.delivery_pairs),
-                                  rng);
+    for (std::size_t i = 0; i < cnt; ++i) {
+      const std::vector<Node>* faults = sets.empty() ? nullptr : &sets[i];
+      if (!packed) {
+        res[i] = scratch.evaluate(*faults);
+      } else if (deliver) {
+        scratch.set_faults(*faults);
+      }
+      DeliveryStats delivery;
+      if (deliver) {
+        // Delivery walks the routes against the set's fault stamps, so a
+        // packed set needs no strike.
+        Rng rng = Rng::stream(unit.seed, r + i);
+        delivery = measure_delivery(
+            table, scratch, static_cast<std::size_t>(unit.delivery_pairs), rng);
+      }
+      absorb_set(part, r + i, res[i].diameter, delivery, faults);
     }
-    absorb_set(part, i, res.diameter, delivery, faults);
+    r += cnt;
+    if (gray && r < hi) e->advance();
   }
   return part;
 }
@@ -263,12 +286,11 @@ FaultSweepSummary finish_summary(const SweepPartial& partial, unsigned workers,
 }
 
 // Sets per window: batch_size per thread, whole packed blocks on Gray units
-// without delivery (a chunk ending in a partial block pays for a full one).
+// (a chunk ending in a partial Gray block pays for a full one; other units
+// run a short tail set by set).
 std::uint64_t unit_grain(const UnitSpec& unit) {
   const std::uint64_t batch = std::max<std::size_t>(1, unit.exec.batch_size);
-  const bool packed =
-      unit.kind == UnitKind::kSweepGray && unit.delivery_pairs == 0;
-  return packed ? lane_aligned(batch) : batch;
+  return unit.kind == UnitKind::kSweepGray ? lane_aligned(batch) : batch;
 }
 
 }  // namespace
@@ -317,7 +339,8 @@ SweepPartial execute_sweep_unit(const RoutingTable& table,
   }
 
   if (gray && partial.have_worst) {
-    // Packed chunks never hold their sets; unrank the winner from its rank.
+    // Gray chunks without delivery never hold their sets; unrank the winner
+    // from its rank.
     const auto worst = gray_subset_at_rank(n, unit.f, partial.worst_index);
     partial.worst_faults.assign(worst.begin(), worst.end());
   }

@@ -11,18 +11,23 @@
 // samples (set i is Rng::stream(seed, i)), or literal sets it carries. The
 // executor walks the window in windows of grain x threads items (grain =
 // the policy's batch size, rounded up to whole packed lane blocks for Gray
-// units without delivery); each window fans out over the threads, and each
-// chunk builds its own SrgScratch, makes its own sets from their global
-// indices, and folds them into a chunk SweepPartial. The chunks merge in
+// units); each window fans out over the threads, and each chunk builds its
+// own SrgScratch, makes its own sets from their global indices, and folds
+// them into a chunk SweepPartial. The chunks merge in
 // index order with merge_sweep_partials — the same merge the distributed
 // coordinator uses — so a sweep's output is bit-identical for any thread
 // count, batch size, unit split, or worker count. Delivery sampling for
 // set i draws from Rng::stream(seed, i), never from a shared generator.
 //
-// Gray units without delivery evaluate whole lane blocks of Gray-adjacent
-// sets on the packed kernel; every other set is evaluated on its own by
+// A chunk evaluates its sets block by block, up to the lane width at a
+// time, on the packed kernel: Gray units as blocks of Gray-adjacent sets
+// (SrgScratch::evaluate_gray_block), explicit and sampled units as blocks
+// of unrelated sets (SrgScratch::evaluate_block). Only a block of
+// unrelated sets too small to profit (fewer than 96 sets: a chunk's short
+// tail, a serve request's 20-set sweep) is evaluated set by set with
 // SrgScratch::evaluate (bitset rows, struck sparsely through the faults'
-// routes), and delivery walks the rows that evaluation left behind.
+// routes). Delivery stamps each set's faults (set_faults) and walks its
+// routes against them, so it never needs a strike of its own.
 //
 // Unbounded streams (FaultSetSource, e.g. the CLI's `sweep --stdin`) are
 // cut into explicit-set units of one window each as they are read, so

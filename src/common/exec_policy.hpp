@@ -28,11 +28,14 @@
 //    wire encoding does not carry it (workers decode it as 0).
 //
 // The SRG evaluation kernel and the packed lane width are NOT policy: the
-// code picks them. Gray-ordered exhaustive scans run the packed kernel
-// (unless a sweep samples delivery, which needs each set's surviving graph
-// and so evaluates set by set); every other evaluation runs the bitset
-// kernel. The lane width is the widest the CPU profits from (cpuid, see
-// common/cpu_features.hpp). See fault/srg_engine.hpp for the kernels.
+// code picks them from what it observes. Sweeps run every block of sets on
+// the packed kernel — Gray blocks always, blocks of unrelated sets once
+// they hold enough sets to profit, which the set count and the lane width
+// decide — and the rest, like every single-set evaluation, on the bitset
+// kernel. A batch size therefore never selects a kernel's output, only
+// which kernel computes it. The lane width is the widest the CPU profits
+// from (cpuid, see common/cpu_features.hpp). See fault/srg_engine.hpp for
+// the kernels.
 #pragma once
 
 #include <cstddef>

@@ -100,14 +100,35 @@ void SrgIndex::finalize_routes() {
 
 void SrgIndex::build_dst_pairs() {
   // Same counting sort keyed by target: the in-adjacency the bottom-up
-  // levels of the lane-parallel BFS walk.
+  // levels of the lane-parallel BFS walk. A bottom-up node stops walking
+  // its in-pairs once every lane it misses is found, and a short route is
+  // the likeliest to be live, so each target lists its in-pairs by their
+  // shortest route (fewest nodes first, then by id): a stable counting sort
+  // by length, then a stable one by target.
+  std::vector<std::uint32_t> len(num_pairs_);
+  std::uint32_t max_len = 0;
+  for (std::uint32_t pid = 0; pid < num_pairs_; ++pid) {
+    std::uint32_t best = UINT32_MAX;
+    for (std::uint32_t r = pair_route_off_[pid]; r < pair_route_off_[pid + 1];
+         ++r) {
+      best = std::min(best, route_off_[r + 1] - route_off_[r]);
+    }
+    len[pid] = best;
+    max_len = std::max(max_len, best);
+  }
+  std::vector<std::uint32_t> cursor(std::size_t{max_len} + 2, 0);
+  for (std::uint32_t l : len) ++cursor[l + 1];
+  for (std::size_t i = 1; i < cursor.size(); ++i) cursor[i] += cursor[i - 1];
+  std::vector<std::uint32_t> by_len(num_pairs_);
+  for (std::uint32_t pid = 0; pid < num_pairs_; ++pid) {
+    by_len[cursor[len[pid]]++] = pid;
+  }
   dst_pair_off_.assign(n_ + 1, 0);
   for (Node t : pair_dst_) ++dst_pair_off_[t + 1];
   for (std::size_t i = 1; i <= n_; ++i) dst_pair_off_[i] += dst_pair_off_[i - 1];
   dst_pair_ids_.resize(num_pairs_);
-  std::vector<std::uint32_t> cursor(dst_pair_off_.begin(),
-                                    dst_pair_off_.end() - 1);
-  for (std::uint32_t pid = 0; pid < num_pairs_; ++pid) {
+  cursor.assign(dst_pair_off_.begin(), dst_pair_off_.end() - 1);
+  for (std::uint32_t pid : by_len) {
     dst_pair_ids_[cursor[pair_dst_[pid]]++] = pid;
   }
 }
@@ -145,11 +166,9 @@ std::size_t SrgIndex::memory_bytes() const {
 
 SrgScratch::SrgScratch(const SrgIndex& index) : index_(&index) {
   const std::size_t n = index.n_;
+  // The per-route and per-pair strike state is sized by the first strike(),
+  // so a scratch that only runs packed blocks and delivery never holds it.
   fault_stamp_.assign(n, 0);
-  route_stamp_.assign(index.route_src_.size(), 0);
-  pair_stamp_.assign(index.num_pairs_, 0);
-  pair_live_.assign(index.num_pairs_, 0);
-  dead_pairs_.reserve(index.num_pairs_);
   seen_stamp_.assign(n, 0);
   dist_.assign(n, 0);
   queue_.reserve(n);
@@ -177,11 +196,10 @@ void SrgScratch::set_epochs_for_testing(std::uint32_t epoch) {
   bfs_epoch_ = epoch;
 }
 
-std::uint32_t SrgScratch::strike(std::span<const Node> faults) {
-  const SrgIndex& ix = *index_;
+void SrgScratch::next_epoch() {
   ++epoch_;
   if (epoch_ == 0) {
-    // Stamp wrap, once per 2^32 strikes: a stale stamp from the previous
+    // Stamp wrap, once per 2^32 fault sets: a stale stamp from the previous
     // counter era could otherwise collide with a fresh epoch value. Re-zero
     // every strike-side stamp and restart the counter above the zeroes.
     std::fill(fault_stamp_.begin(), fault_stamp_.end(), 0);
@@ -191,6 +209,26 @@ std::uint32_t SrgScratch::strike(std::span<const Node> faults) {
   }
   bits_valid_ = false;  // both views of this set are rebuilt on demand
   oracle_csr_valid_ = false;
+}
+
+void SrgScratch::set_faults(std::span<const Node> faults) {
+  next_epoch();
+  const std::size_t n = index_->n_;
+  for (Node f : faults) {
+    FTR_EXPECTS_MSG(f < n, "fault " << f << " out of range");
+    fault_stamp_[f] = epoch_;
+  }
+}
+
+std::uint32_t SrgScratch::strike(std::span<const Node> faults) {
+  const SrgIndex& ix = *index_;
+  if (route_stamp_.size() != ix.route_src_.size()) {
+    route_stamp_.assign(ix.route_src_.size(), 0);
+    pair_stamp_.assign(ix.num_pairs_, 0);
+    pair_live_.assign(ix.num_pairs_, 0);
+    dead_pairs_.reserve(ix.num_pairs_);
+  }
+  next_epoch();
   dead_pairs_.clear();
   auto survivors = static_cast<std::uint32_t>(ix.n_);
   for (Node f : faults) {
@@ -454,74 +492,66 @@ unsigned SrgScratch::lane_width() {
   return pk_lanes_;
 }
 
-void SrgScratch::ensure_packed_state() {
+void SrgScratch::ensure_packed_state(bool gray) {
   const unsigned words = lane_width() / kLaneBits;
-  if (pk_words_ == words && !lane_node_mask_.empty()) return;
   const SrgIndex& ix = *index_;
   const std::size_t w = words;
-  lane_node_mask_.assign(ix.n_ * w, 0);
-  route_kill_mask_.assign(ix.route_src_.size() * w, 0);
-  pair_dead_mask_.assign(ix.num_pairs_ * w, 0);
-  pair_dirty_.assign(ix.num_pairs_, 0);
-  pk_visited_.assign(ix.n_ * w, 0);
-  pk_new_.assign(ix.n_ * w, 0);
-  pk_next_mask_.assign(ix.n_ * w, 0);
-  // The dispatched kernel fills these through raw pointers, so they are
-  // sized (not just reserved) to their capacity contracts.
-  pk_dirty_routes_.assign(ix.route_src_.size(), 0);
-  pk_dirty_pairs_.assign(ix.num_pairs_, 0);
-  pk_frontier_.assign(ix.n_, 0);
-  pk_next_.assign(ix.n_, 0);
-  pk_dead_pairs_.assign(kLaneBits * w, 0);
-  pk_diam_.assign(kLaneBits * w, 0);
-  pk_disconnected_.assign(w, 0);
-  pk_level_grew_.assign((ix.n_ + 1) * w, 0);
-  pk_diam_ge_.assign((ix.n_ + 1) * w, 0);
-  pk_words_ = words;
+  if (pk_words_ != words || lane_node_mask_.empty()) {
+    lane_node_mask_.assign(ix.n_ * w, 0);
+    pk_visited_.assign(ix.n_ * w, 0);
+    pk_new_.assign(ix.n_ * w, 0);
+    pk_next_mask_.assign(ix.n_ * w, 0);
+    // The dispatched kernel fills these through raw pointers, so they are
+    // sized (not just reserved) to their capacity contracts.
+    pk_frontier_.assign(ix.n_, 0);
+    pk_next_.assign(ix.n_, 0);
+    pk_dead_pairs_.assign(kLaneBits * w, 0);
+    pk_diam_.assign(kLaneBits * w, 0);
+    pk_disconnected_.assign(w, 0);
+    pk_level_grew_.assign((ix.n_ + 1) * w, 0);
+    pk_diam_ge_.assign((ix.n_ + 1) * w, 0);
+    pk_words_ = words;
+    pk_gray_ready_ = false;
+  }
+  if (gray && !pk_gray_ready_) {
+    // Stored route/pair masks: only Gray blocks read them.
+    route_kill_mask_.assign(ix.route_src_.size() * w, 0);
+    pair_dead_mask_.assign(ix.num_pairs_ * w, 0);
+    pair_dirty_.assign(ix.num_pairs_, 0);
+    pk_dirty_routes_.assign(ix.route_src_.size(), 0);
+    pk_dirty_pairs_.assign(ix.num_pairs_, 0);
+    pk_gray_ready_ = true;
+  }
 }
 
-void SrgScratch::evaluate_gray_block(GraySubsetEnumerator& e,
-                                     std::size_t count, Result* out) {
-  ensure_packed_state();
+// Marks `v` faulty in lane `lane` of the block being filled; returns false
+// when it already was (a duplicate id).
+bool SrgScratch::mark_lane_fault(Node v, std::size_t lane) {
   const unsigned W = pk_words_;
-  FTR_EXPECTS(count >= 1 && count <= std::size_t{kLaneBits} * W);
-  FTR_EXPECTS_MSG(e.valid(), "enumerator exhausted before the block");
-  const SrgIndex& ix = *index_;
-  const std::size_t n = ix.n_;
+  std::uint64_t* block = lane_node_mask_.data() + std::size_t{v} * W;
+  const std::uint64_t bit = std::uint64_t{1} << (lane % kLaneBits);
+  if ((block[lane / kLaneBits] & bit) != 0) return false;
+  std::uint64_t seen = 0;
+  for (unsigned i = 0; i < W; ++i) seen |= block[i];
+  if (seen == 0) lane_touched_.push_back(v);
+  block[lane / kLaneBits] |= bit;
+  return true;
+}
 
-  // (a) Lane membership: walk the count-1 revolving-door transitions once,
-  // accumulating per-node masks of the lanes in which the node is faulty.
-  const auto& first = e.current();
-  const std::size_t f = first.size();
-  pk_members_.assign(first.begin(), first.end());
-  lane_touched_.clear();
-  for (std::size_t lane = 0; lane < count; ++lane) {
-    if (lane > 0) {
-      const bool ok = e.advance();
-      FTR_EXPECTS_MSG(ok, "enumeration ended inside a packed block");
-      const GrayTransition& t = e.last_transition();
-      for (Node& m : pk_members_) {
-        if (m == static_cast<Node>(t.out)) {
-          m = static_cast<Node>(t.in);
-          break;
-        }
-      }
-    }
-    const std::size_t word = lane / kLaneBits;
-    const std::uint64_t bit = std::uint64_t{1} << (lane % kLaneBits);
-    for (Node v : pk_members_) {
-      FTR_EXPECTS_MSG(v < n, "fault " << v << " out of range");
-      std::uint64_t* block = lane_node_mask_.data() + std::size_t{v} * W;
-      std::uint64_t seen = 0;
-      for (unsigned i = 0; i < W; ++i) seen |= block[i];
-      if (seen == 0) lane_touched_.push_back(v);
-      block[word] |= bit;
-    }
+void SrgScratch::clear_lane_marks() {
+  for (Node v : lane_touched_) {
+    std::fill_n(lane_node_mask_.data() + std::size_t{v} * pk_words_, pk_words_,
+                0);
   }
+  lane_touched_.clear();
+}
 
-  // (b)-(d) + sparse cleanup: the runtime-dispatched W-word block body.
+void SrgScratch::run_packed_block(std::size_t count,
+                                  const std::uint32_t* survivors, bool gray,
+                                  Result* out) {
+  const SrgIndex& ix = *index_;
   packed::PackedCtx ctx;
-  ctx.n = n;
+  ctx.n = ix.n_;
   ctx.num_pairs = ix.num_pairs_;
   ctx.node_route_off = ix.node_route_off_.data();
   ctx.node_route_ids = ix.node_route_ids_.data();
@@ -533,17 +563,22 @@ void SrgScratch::evaluate_gray_block(GraySubsetEnumerator& e,
   ctx.src_pair_ids = ix.src_pair_ids_.data();
   ctx.dst_pair_off = ix.dst_pair_off_.data();
   ctx.dst_pair_ids = ix.dst_pair_ids_.data();
+  ctx.route_off = ix.route_off_.data();
+  ctx.route_nodes = ix.route_nodes_.data();
+  ctx.any_sets = !gray;
   ctx.lane_node_mask = lane_node_mask_.data();
-  ctx.route_kill_mask = route_kill_mask_.data();
-  ctx.pair_dead_mask = pair_dead_mask_.data();
-  ctx.pair_dirty = pair_dirty_.data();
+  if (gray) {
+    ctx.route_kill_mask = route_kill_mask_.data();
+    ctx.pair_dead_mask = pair_dead_mask_.data();
+    ctx.pair_dirty = pair_dirty_.data();
+    ctx.dirty_routes = pk_dirty_routes_.data();
+    ctx.dirty_pairs = pk_dirty_pairs_.data();
+  }
   ctx.visited = pk_visited_.data();
   ctx.new_mask = pk_new_.data();
   ctx.next_mask = pk_next_mask_.data();
   ctx.lane_touched = lane_touched_.data();
   ctx.lane_touched_count = lane_touched_.size();
-  ctx.dirty_routes = pk_dirty_routes_.data();
-  ctx.dirty_pairs = pk_dirty_pairs_.data();
   ctx.frontier = pk_frontier_.data();
   ctx.next = pk_next_.data();
   ctx.dead_pairs = pk_dead_pairs_.data();
@@ -551,20 +586,77 @@ void SrgScratch::evaluate_gray_block(GraySubsetEnumerator& e,
   ctx.disconnected = pk_disconnected_.data();
   ctx.level_grew = pk_level_grew_.data();
   ctx.diam_ge = pk_diam_ge_.data();
-  const auto survivors = static_cast<std::uint32_t>(n - f);
-  pk_fn_(ctx, count, survivors);
+  const std::uint32_t most = *std::max_element(survivors, survivors + count);
+  pk_fn_(ctx, count, most);
   lane_touched_.clear();
 
   for (std::size_t lane = 0; lane < count; ++lane) {
-    out[lane].survivors = survivors;
+    out[lane].survivors = survivors[lane];
     out[lane].arcs =
         static_cast<std::uint32_t>(ix.num_pairs_) - pk_dead_pairs_[lane];
     const bool disconnected =
         ((pk_disconnected_[lane / kLaneBits] >> (lane % kLaneBits)) & 1) != 0;
-    out[lane].diameter = survivors <= 1 ? 0
-                         : disconnected ? kUnreachable
-                                        : pk_diam_[lane];
+    out[lane].diameter = survivors[lane] <= 1 ? 0
+                         : disconnected       ? kUnreachable
+                                              : pk_diam_[lane];
   }
+}
+
+void SrgScratch::evaluate_gray_block(GraySubsetEnumerator& e,
+                                     std::size_t count, Result* out) {
+  ensure_packed_state(/*gray=*/true);
+  FTR_EXPECTS(count >= 1 && count <= std::size_t{kLaneBits} * pk_words_);
+  FTR_EXPECTS_MSG(e.valid(), "enumerator exhausted before the block");
+  const std::size_t n = index_->n_;
+
+  // (a) Lane membership: walk the count-1 revolving-door transitions once,
+  // accumulating per-node masks of the lanes in which the node is faulty.
+  // A contract failure mid-walk first erases the lanes marked so far, so
+  // the masks stay all-zero between blocks.
+  const auto& first = e.current();
+  pk_members_.assign(first.begin(), first.end());
+  for (std::size_t lane = 0; lane < count; ++lane) {
+    if (lane > 0) {
+      const bool ok = e.advance();
+      if (!ok) clear_lane_marks();
+      FTR_EXPECTS_MSG(ok, "enumeration ended inside a packed block");
+      const GrayTransition& t = e.last_transition();
+      for (Node& m : pk_members_) {
+        if (m == static_cast<Node>(t.out)) {
+          m = static_cast<Node>(t.in);
+          break;
+        }
+      }
+    }
+    for (Node v : pk_members_) {
+      if (v >= n) clear_lane_marks();
+      FTR_EXPECTS_MSG(v < n, "fault " << v << " out of range");
+      mark_lane_fault(v, lane);
+    }
+  }
+  std::uint32_t survivors[kMaxLaneWidth];
+  std::fill_n(survivors, count, static_cast<std::uint32_t>(n - first.size()));
+  run_packed_block(count, survivors, /*gray=*/true, out);
+}
+
+void SrgScratch::evaluate_block(std::span<const std::vector<Node>> sets,
+                                Result* out) {
+  ensure_packed_state(/*gray=*/false);
+  const std::size_t count = sets.size();
+  FTR_EXPECTS(count >= 1 && count <= std::size_t{kLaneBits} * pk_words_);
+  const std::size_t n = index_->n_;
+  for (const auto& set : sets) {
+    for (Node v : set) FTR_EXPECTS_MSG(v < n, "fault " << v << " out of range");
+  }
+  // (a) Lane membership straight from each lane's set; a duplicate id
+  // marks nothing new and costs no survivor.
+  std::uint32_t survivors[kMaxLaneWidth];
+  for (std::size_t lane = 0; lane < count; ++lane) {
+    auto alive = static_cast<std::uint32_t>(n);
+    for (Node v : sets[lane]) alive -= mark_lane_fault(v, lane) ? 1 : 0;
+    survivors[lane] = alive;
+  }
+  run_packed_block(count, survivors, /*gray=*/false, out);
 }
 
 std::uint32_t SrgScratch::componentwise_diameter(
@@ -605,7 +697,8 @@ std::uint32_t SrgScratch::componentwise_diameter(
 }
 
 std::span<const Node> SrgScratch::last_survivors() {
-  FTR_EXPECTS_MSG(epoch_ != 0, "no fault set has been struck yet");
+  FTR_EXPECTS_MSG(epoch_ != 0,
+                  "no fault set yet: call set_faults() or evaluate() first");
   survivor_list_.clear();
   for (Node v = 0; v < index_->n_; ++v) {
     if (fault_stamp_[v] != epoch_) survivor_list_.push_back(v);
@@ -613,9 +706,38 @@ std::span<const Node> SrgScratch::last_survivors() {
   return survivor_list_;
 }
 
+bool SrgScratch::pair_survives(std::uint32_t pid) const {
+  const SrgIndex& ix = *index_;
+  for (std::uint32_t r = ix.pair_route_off_[pid];
+       r < ix.pair_route_off_[pid + 1]; ++r) {
+    const Node* first = ix.route_nodes_.data() + ix.route_off_[r];
+    const Node* last = ix.route_nodes_.data() + ix.route_off_[r + 1];
+    if (std::none_of(first, last,
+                     [&](Node v) { return fault_stamp_[v] == epoch_; })) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool SrgScratch::arc_survives(Node u, Node v) const {
+  const SrgIndex& ix = *index_;
+  if ((ix.succ_row(u)[v >> 6] & (std::uint64_t{1} << (v & 63))) == 0) {
+    return false;  // no route u -> v at all
+  }
+  // The base row lists exactly the ordered pairs, so the scan finds it.
+  const std::uint32_t end = ix.src_pair_off_[u + 1];
+  std::uint32_t k = ix.src_pair_off_[u];
+  while (k < end && ix.pair_dst_[ix.src_pair_ids_[k]] != v) ++k;
+  FTR_ASSERT(k < end);
+  return pair_survives(ix.src_pair_ids_[k]);
+}
+
 std::span<const Node> SrgScratch::route_path(Node s, Node t) {
-  FTR_EXPECTS_MSG(epoch_ != 0, "no fault set has been struck yet");
-  const std::size_t n = index_->n_;
+  FTR_EXPECTS_MSG(epoch_ != 0,
+                  "no fault set yet: call set_faults() or evaluate() first");
+  const SrgIndex& ix = *index_;
+  const std::size_t n = ix.n_;
   FTR_EXPECTS_MSG(s < n && t < n && fault_stamp_[s] != epoch_ &&
                       fault_stamp_[t] != epoch_,
                   "route_path endpoints " << s << " -> " << t
@@ -625,17 +747,46 @@ std::span<const Node> SrgScratch::route_path(Node s, Node t) {
     path_.push_back(s);
     return path_;
   }
-  ensure_bits();
+  // Shortcuts for the BFS below. One arc: the direct pair. Two arcs: the
+  // BFS dequeues s's live successors in ascending order, so t's parent is
+  // the lowest u with both s -> u and u -> t live.
+  if (arc_survives(s, t)) {
+    path_.assign({s, t});
+    return path_;
+  }
   const std::size_t W = words_;
+  const std::span<const std::uint64_t> from_s = ix.succ_row(s);
+  const std::span<const std::uint64_t> into_t = ix.pred_row(t);
+  for (std::size_t w = 0; w < W; ++w) {
+    for (std::uint64_t m = from_s[w] & into_t[w]; m != 0; m &= m - 1) {
+      const auto u = static_cast<Node>(w * kLaneBits + std::countr_zero(m));
+      if (fault_stamp_[u] != epoch_ && arc_survives(s, u) &&
+          arc_survives(u, t)) {
+        path_.assign({s, u, t});
+        return path_;
+      }
+    }
+  }
+  // FIFO BFS. Each dequeued node's live successors are gathered from its
+  // out-pairs into a row, then walked in ascending node order.
   std::fill_n(visited_bits_.data(), W, 0);
   visited_bits_[s >> 6] = std::uint64_t{1} << (s & 63);
   queue_.clear();
   queue_.push_back(s);
   for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
     const Node u = queue_[qi];
-    const std::uint64_t* row = succ_bits_.data() + u * W;
+    std::fill_n(next_bits_.data(), W, 0);
+    for (std::uint32_t k = ix.src_pair_off_[u]; k < ix.src_pair_off_[u + 1];
+         ++k) {
+      const std::uint32_t pid = ix.src_pair_ids_[k];
+      const Node v = ix.pair_dst_[pid];
+      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+      if ((visited_bits_[v >> 6] & bit) == 0 && pair_survives(pid)) {
+        next_bits_[v >> 6] |= bit;
+      }
+    }
     for (std::size_t w = 0; w < W; ++w) {
-      std::uint64_t fresh = row[w] & ~visited_bits_[w];
+      std::uint64_t fresh = next_bits_[w];
       visited_bits_[w] |= fresh;
       while (fresh != 0) {
         const auto v =

@@ -15,15 +15,21 @@
 //    into per-route node ranges, a node -> routes inverted index, and the
 //    fault-free route graph as bitset rows. It is read-only after
 //    construction, so ONE index serves any number of concurrent workers.
-//  * SrgScratch is the per-thread mutable state — the epoch-stamped kill
-//    index, the dead-pair list, the struck set's bitset rows, and the BFS
-//    queues. Each sweep worker owns one; evaluations are allocation-free
-//    after warm-up. Single-threaded callers build one index and one
-//    scratch next to it.
+//  * SrgScratch is the per-thread mutable state — the epoch-stamped fault
+//    and kill stamps, the dead-pair list, the struck set's bitset rows,
+//    the packed lane blocks, and the BFS queues. Each sweep worker owns
+//    one; evaluations are allocation-free after warm-up. The per-route and
+//    per-pair stamps are sized by the first strike, so a scratch that only
+//    runs packed blocks never holds them. Single-threaded callers build one
+//    index and one scratch next to it.
 //
-// Delivery (sim/network_sim.hpp) runs on the same scratch: after an
-// evaluation, last_survivors() and route_path() answer from the struck
-// set's bitset rows, so no per-set Digraph is ever materialized.
+// Delivery (sim/network_sim.hpp) runs on the same scratch and needs only
+// the current set's fault stamps: set_faults() stamps them without
+// striking (evaluate() stamps them too), and last_survivors() and
+// route_path() answer from them, testing each arc route_path walks for a
+// route that avoids every stamped fault. A set whose diameter came from a
+// packed block is therefore never struck or turned into bitset rows, and
+// no per-set Digraph is ever materialized.
 //
 // Per fault set (evaluate(), componentwise_diameter()):
 //  * the index holds the fault-free successor/predecessor bitset rows once
@@ -44,10 +50,12 @@
 //
 // There are two evaluation paths, and the caller's shape picks between them
 // — no option does: evaluate() strikes one fault set and runs the bitset
-// BFS, and evaluate_gray_block() runs the packed kernel over a block of
-// Gray-adjacent sets. Exhaustive scans take the packed path; exhaustive
-// sweeps with per-set delivery walk the Gray enumeration and call
-// evaluate() on each set, like every streamed set.
+// BFS, and the packed kernel runs a block of up to lane_width() sets at
+// once — Gray-adjacent sets through evaluate_gray_block(), any sets
+// through evaluate_block(). Sweeps (analysis/fault_sweep.hpp) hand every
+// block of sets to the packed kernel and fall back to evaluate() set by set
+// only for blocks of unrelated sets too small to profit; exhaustive
+// checks and the adversary's scans run Gray blocks.
 //
 // Semantics match fault/surviving.cpp exactly: an arc x -> y survives iff
 // some route rho(x, y) avoids every fault (endpoints included), and the
@@ -65,14 +73,16 @@
 //    density. The surviving route graphs are dense-frontier for most of
 //    each BFS, exactly the regime where bottom-up's "scan unvisited nodes,
 //    test predecessor rows" wins.
-//  * packed — evaluate_gray_block(): up to lane_width() adjacent
-//    revolving-door fault sets evaluated against one W-word lane block at a
+//  * packed — evaluate_gray_block() / evaluate_block(): up to
+//    lane_width() fault sets evaluated against one W-word lane block at a
 //    time (W in {1,2,4,8} words -> 64/128/256/512 lanes; the widest the CPU
-//    profits from — see common/cpu_features.hpp). Per-route kill masks,
-//    per-pair dead masks, and a lane-parallel BFS turn route liveness and
-//    reachability into AND/OR/ANDNOT over lane blocks held in vector
-//    registers. Arc counts come from a bit-sliced per-lane counter the
-//    dead masks are added into, and diameters from per-level masks of the
+//    profits from — see common/cpu_features.hpp). A lane-parallel BFS
+//    turns route liveness and reachability into AND/OR/ANDNOT over lane
+//    blocks held in vector registers. Gray blocks store per-route kill
+//    masks and per-pair dead masks for the pairs their faults touch; any-
+//    set blocks store none and OR each probed route's node lanes on the
+//    fly. Arc counts come from a bit-sliced per-lane counter the dead
+//    masks are added into, and diameters from per-level masks of the
 //    lanes each BFS level reached; both are read out once per block, so no
 //    phase loops over lanes per pair or per level. The BFS switches per
 //    level between top-down over out-pairs and bottom-up over in-pairs on
@@ -119,8 +129,9 @@ class SrgIndex {
   std::size_t num_routes() const { return route_src_.size(); }
   std::size_t num_pairs() const { return num_pairs_; }
 
-  /// Ids of the ordered pairs whose target is `v`, ascending: the
-  /// in-adjacency the packed kernel's bottom-up BFS levels walk.
+  /// Ids of the ordered pairs whose target is `v`, by their shortest
+  /// route (fewest nodes first, then ascending id): the in-adjacency the
+  /// packed kernel's bottom-up BFS levels walk.
   std::span<const std::uint32_t> pairs_into(Node v) const {
     return {dst_pair_ids_.data() + dst_pair_off_[v],
             dst_pair_ids_.data() + dst_pair_off_[v + 1]};
@@ -149,9 +160,10 @@ class SrgIndex {
   SrgIndex() = default;  // snapshot loads fill the arrays directly
 
   void finalize_routes();
-  // Groups the ordered pairs by target node (dst_pair_*) from pair_dst_.
-  // Table builds call it from finalize_routes(); snapshot loads call it on
-  // the validated pair_dst_, since the grouping is derived, not stored.
+  // Groups the ordered pairs by target node (dst_pair_*) from pair_dst_,
+  // shortest route first within a target. Table builds call it from
+  // finalize_routes(); snapshot loads call it on the validated arrays,
+  // since the grouping is derived, not stored.
   void build_dst_pairs();
   // Sets one succ/pred bit per ordered pair (base_succ_/base_pred_). Derived
   // like dst_pair_*: from finalize_routes() on table builds and next to
@@ -215,7 +227,7 @@ class SrgScratch {
   /// Pins the packed lane width (64/128/256/512) for the tests and benches
   /// that cover every LaneBlock<W> instantiation; 0 (the default) resolves
   /// at first use via ftr::resolve_lane_width(0), the widest width the CPU
-  /// supports. Only evaluate_gray_block() throughput is affected — results
+  /// supports. Only packed-block throughput is affected — results
   /// are bit-identical at every width. Changing the width mid-stream is
   /// legal between blocks (the packed state is re-sized lazily).
   void set_lane_width(unsigned lanes);
@@ -228,8 +240,8 @@ class SrgScratch {
   /// supports; a lookup with no body for the width fails the next block.
   void set_block_lookup_for_testing(packed::PackedBlockLookup lookup);
 
-  /// The resolved lanes-per-block (64/128/256/512) the next
-  /// evaluate_gray_block() call will use; resolves auto on first call.
+  /// The resolved lanes-per-block (64/128/256/512) the next packed block
+  /// will use; resolves auto on first call.
   unsigned lane_width();
 
   struct Result {
@@ -252,23 +264,32 @@ class SrgScratch {
   std::uint32_t componentwise_diameter(std::span<const Node> faults,
                                        std::span<const std::uint32_t> comp);
 
-  // --- delivery on the last evaluated set ---------------------------------
+  // --- delivery on the current fault set ----------------------------------
   //
-  // Both calls read the fault set most recently struck by evaluate() or
-  // componentwise_diameter() (at least one must have run since
-  // construction or reset()); evaluate_gray_block() does not move them.
-  // Their spans stay valid until the next call of the same method.
+  // Both calls read the fault set most recently stamped by set_faults(),
+  // evaluate() or componentwise_diameter() (one must have run since
+  // construction or reset()); the packed block calls do not move it. They
+  // need only the fault stamps, never a strike or bitset rows. Their spans
+  // stay valid until the next call of the same method.
 
-  /// Survivors of the last evaluated set, ascending.
+  /// Stamps `faults` as the current set for last_survivors() and
+  /// route_path(), and nothing else: no route is struck and no diameter is
+  /// computed. Ids must be < num_nodes() (duplicates are tolerated).
+  void set_faults(std::span<const Node> faults);
+
+  /// Survivors of the current set, ascending.
   std::span<const Node> last_survivors();
 
-  /// A fewest-arc path s -> t in the surviving route graph of the last
-  /// evaluated set: s, ..., t (just s when s == t), or empty when t is
-  /// unreachable. FIFO BFS over the successor bitset rows, each row walked
-  /// in ascending node order, so a node's parent is the first dequeued node
-  /// with an arc to it — the same tree as a BFS over a Digraph's sorted
-  /// successor lists.
-  /// Both endpoints must survive. Allocation-free after warm-up.
+  /// A fewest-arc path s -> t in the surviving route graph of the current
+  /// set: s, ..., t (just s when s == t), or empty when t is unreachable.
+  /// An arc u -> v is live when some route of the pair avoids every
+  /// stamped fault. The path is the one a FIFO BFS finds when it walks
+  /// each dequeued node's live successors in ascending node order (a node's
+  /// parent is the first dequeued node with an arc to it — the same tree
+  /// as a BFS over a Digraph's sorted successor lists). The direct arc and
+  /// the lowest two-arc detour are tried before the BFS, since they are
+  /// what it would find first. Both endpoints must survive.
+  /// Allocation-free after warm-up.
   std::span<const Node> route_path(Node s, Node t);
 
   // --- packed wide-lane Gray mode ------------------------------------------
@@ -283,6 +304,13 @@ class SrgScratch {
   void evaluate_gray_block(GraySubsetEnumerator& e, std::size_t count,
                            Result* out);
 
+  /// Evaluates any 1..lane_width() fault sets in one bit-parallel pass:
+  /// out[i] is exactly what evaluate() would return on sets[i]. The sets
+  /// need not be related; each may hold any number of ids < num_nodes()
+  /// (duplicates are tolerated). Stores no per-route or per-pair masks, and
+  /// like evaluate_gray_block() leaves the epoch-stamped state alone.
+  void evaluate_block(std::span<const std::vector<Node>> sets, Result* out);
+
   /// Zeroes every stamp array and restarts both epoch counters. Evaluation
   /// results never depend on it (the wrap paths below do the same lazily);
   /// exposed so long-lived servers can re-zero scratch at a quiet moment
@@ -295,10 +323,18 @@ class SrgScratch {
   void set_epochs_for_testing(std::uint32_t epoch);
 
  private:
+  // Starts a fault set: bumps epoch_ (re-zeroing the stamps on wrap) and
+  // invalidates both views of the previous set.
+  void next_epoch();
   // Stamps the faults and the routes through them, and lists the pairs
   // whose last route died (dead_pairs_). Touches only routes through the
-  // faults. Returns the number of survivors.
+  // faults; sizes the route/pair stamps on first use. Returns the number
+  // of survivors.
   std::uint32_t strike(std::span<const Node> faults);
+  // Delivery's arc test against the fault stamps alone: whether some route
+  // of pair `pid` (of the ordered pair u -> v) avoids every stamped fault.
+  bool pair_survives(std::uint32_t pid) const;
+  bool arc_survives(Node u, Node v) const;
 
   // The scalar oracle's input: one full pass over the route list collects
   // the surviving arcs (one per pair with a route not stamped killed) into
@@ -318,14 +354,25 @@ class SrgScratch {
   // fill_dist) describing the traversal.
   std::uint32_t bfs_from_bits(std::uint32_t survivors, Node s,
                               std::uint32_t* reached_out, bool fill_dist);
-  void ensure_packed_state();
+  // Sizes the packed state for the resolved width; the stored route/pair
+  // masks only when a Gray block needs them.
+  void ensure_packed_state(bool gray);
+  // Phase (a) helper: marks v faulty in `lane`, listing v in lane_touched_
+  // on its first lane; false when it already was (a duplicate id).
+  bool mark_lane_fault(Node v, std::size_t lane);
+  // Zeroes the lanes marked so far, before a contract failure mid-walk.
+  void clear_lane_marks();
+  // Phases (b)-(d) on the marked lanes, then the per-lane Results.
+  // survivors[l] is lane l's survivor count.
+  void run_packed_block(std::size_t count, const std::uint32_t* survivors,
+                        bool gray, Result* out);
 
   const SrgIndex* index_;
   bool scalar_oracle_ = false;
 
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> fault_stamp_;
-  std::vector<std::uint32_t> route_stamp_;
+  std::vector<std::uint32_t> route_stamp_;  // sized by the first strike()
   std::vector<std::uint32_t> pair_stamp_;  // pair touched this epoch
   std::vector<std::uint32_t> pair_live_;   // its live routes, if touched
   std::vector<std::uint32_t> dead_pairs_;  // pairs with no live route left
@@ -367,10 +414,12 @@ class SrgScratch {
   unsigned pk_requested_lanes_ = 0;  // set_lane_width() request; 0 = auto
   unsigned pk_lanes_ = 0;            // resolved lanes per block; 0 = not yet
   unsigned pk_words_ = 0;            // pk_lanes_ / 64, once sized
+  bool pk_gray_ready_ = false;       // Gray-only arrays sized for pk_words_
   packed::PackedBlockLookup pk_lookup_ = &packed::select_block_fn;
   packed::PackedBlockFn pk_fn_ = nullptr;
   std::vector<std::uint64_t> lane_node_mask_;  // node -> lanes where faulty
   std::vector<Node> lane_touched_;
+  // Gray blocks only (any-set blocks never size them):
   std::vector<std::uint64_t> route_kill_mask_;  // route -> lanes killed
   std::vector<std::uint32_t> pk_dirty_routes_;
   std::vector<std::uint64_t> pair_dead_mask_;  // pair -> lanes with 0 routes
@@ -381,7 +430,7 @@ class SrgScratch {
   std::vector<std::uint64_t> pk_next_mask_;
   std::vector<Node> pk_frontier_;
   std::vector<Node> pk_next_;
-  std::vector<Node> pk_members_;  // current fault set during the lane walk
+  std::vector<Node> pk_members_;  // current Gray set during the lane walk
   std::vector<std::uint32_t> pk_dead_pairs_;    // per-lane outputs (64*W)
   std::vector<std::uint32_t> pk_diam_;          // 64*W
   std::vector<std::uint64_t> pk_disconnected_;  // W words

@@ -1,7 +1,19 @@
 // Width-parameterized packed SRG block kernel: dispatch surface.
 //
-// The packed kernel evaluates up to 64*W Gray-adjacent fault sets per
-// call, W words (LaneBlock<W>) per node/route/pair. Its lane-parallel BFS
+// The packed kernel evaluates up to 64*W fault sets per call, W words
+// (LaneBlock<W>) per node/route/pair. Where a pair's dead lanes come from
+// depends on the block's shape (PackedCtx::any_sets):
+//
+//   Gray blocks  — adjacent revolving-door sets share most faults, so the
+//                  kernel stores per-route kill masks and per-pair dead
+//                  masks for the pairs the block's faults touch, and the
+//                  BFS loads them.
+//   any-set      — arbitrary sets spread the block's faults over most
+//                  nodes, so the kernel stores nothing per route or pair:
+//                  each probed pair ORs the lane masks of its routes'
+//                  nodes on the fly.
+//
+// Its lane-parallel BFS
 // is direction-optimizing: each level runs top-down over the frontier's
 // out-pairs (src_pair_*) or bottom-up over the unreached nodes' in-pairs
 // (dst_pair_*), whichever the frontier's density favors. Its body is a
@@ -57,12 +69,20 @@ struct PackedCtx {
   const std::uint32_t* src_pair_ids = nullptr;
   const std::uint32_t* dst_pair_off = nullptr;    // node -> in-pair range
   const std::uint32_t* dst_pair_ids = nullptr;
+  const std::uint32_t* route_off = nullptr;    // route -> node range
+  const std::uint32_t* route_nodes = nullptr;  // source first, target last
+
+  // Any-set block: pair dead lanes are computed on the fly from
+  // lane_node_mask, and the Gray-only arrays below (route_kill_mask,
+  // pair_dead_mask, pair_dirty, dirty_routes, dirty_pairs) are unused and
+  // may be null.
+  bool any_sets = false;
 
   // W-strided lane masks (scratch).
   std::uint64_t* lane_node_mask = nullptr;   // n*W; prefilled by caller
-  std::uint64_t* route_kill_mask = nullptr;  // routes*W
-  std::uint64_t* pair_dead_mask = nullptr;   // pairs*W
-  std::uint8_t* pair_dirty = nullptr;        // pairs
+  std::uint64_t* route_kill_mask = nullptr;  // routes*W (Gray blocks)
+  std::uint64_t* pair_dead_mask = nullptr;   // pairs*W (Gray blocks)
+  std::uint8_t* pair_dirty = nullptr;        // pairs (Gray blocks)
   std::uint64_t* visited = nullptr;          // n*W
   std::uint64_t* new_mask = nullptr;         // n*W
   std::uint64_t* next_mask = nullptr;        // n*W
@@ -70,16 +90,17 @@ struct PackedCtx {
   // Worklists (capacities guaranteed by the caller).
   const std::uint32_t* lane_touched = nullptr;  // nodes with faulty lanes
   std::size_t lane_touched_count = 0;
-  std::uint32_t* dirty_routes = nullptr;  // capacity: num routes
-  std::uint32_t* dirty_pairs = nullptr;   // capacity: num_pairs
+  std::uint32_t* dirty_routes = nullptr;  // capacity: num routes (Gray)
+  std::uint32_t* dirty_pairs = nullptr;   // capacity: num_pairs (Gray)
   std::uint32_t* frontier = nullptr;      // capacity: n
   std::uint32_t* next = nullptr;          // capacity: n
 
   // Per-lane outputs, written for lanes [0, count). dead_pairs[l] counts
-  // pairs with no live route in lane l (the kernel adds each dirty pair's
-  // dead mask into a bit-sliced counter and transposes it here once per
-  // block); diam[l] is the max finite eccentricity; disconnected has lane
-  // l set when some survivor pair is unreachable there.
+  // pairs with no live route in lane l (the kernel adds each dead mask —
+  // a Gray block's dirty pairs, or every pair of an any-set block — into
+  // a bit-sliced counter and transposes it here once per block); diam[l]
+  // is the max finite eccentricity; disconnected has lane l set when some
+  // survivor pair is unreachable there.
   std::uint32_t* dead_pairs = nullptr;    // 64*W
   std::uint32_t* diam = nullptr;          // 64*W
   std::uint64_t* disconnected = nullptr;  // W
@@ -94,7 +115,10 @@ struct PackedCtx {
   std::uint64_t* diam_ge = nullptr;
 };
 
-/// Runs one block: `count` lanes (1..64*W), `survivors` = n - f.
+/// Runs one block: `count` lanes (1..64*W), `survivors` = the most
+/// survivors any lane has (n - f for a Gray block). The BFS is skipped only
+/// when no lane has two survivors; lanes with fewer come out with
+/// diameter 0 either way.
 using PackedBlockFn = void (*)(const PackedCtx& ctx, std::size_t count,
                                std::uint32_t survivors);
 

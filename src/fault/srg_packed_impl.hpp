@@ -30,9 +30,22 @@
 // bottom-up answers it in a few probes per node instead of a scan of every
 // ordered pair. Both directions reach the same (node, lane) set per level.
 //
-// The caller (SrgScratch) owns phase (a) — walking the revolving-door
-// enumerator into lane_node_mask / lane_touched — because that phase
-// needs GraySubsetEnumerator, which must not be instantiated inside an
+// Where a probed pair's dead lanes come from is the one policy parameter
+// (kAnySets, picked at runtime from PackedCtx::any_sets):
+//  * Gray blocks store them: phase (b) ORs each touched node's lanes into
+//    the kill masks of the routes through it, phase (c) ANDs each dirty
+//    pair's route masks into its dead mask, and the BFS loads that mask.
+//    Adjacent revolving-door sets share most faults, so few pairs go dirty.
+//  * Any-set blocks compute them on the fly: a probed pair is dead in the
+//    lanes where every route has a faulty interior node (the OR of
+//    lane_node_mask over the route's interior). The BFS masks already
+//    exclude the lanes where the pair's source or target is faulty. The
+//    dead-pair counts come from one pass over every pair's full routes.
+//    Phases (b)-(c), their arrays and their sparse cleanup are skipped.
+//
+// The caller (SrgScratch) owns phase (a) — filling lane_node_mask /
+// lane_touched from the block's sets — because the Gray form needs
+// GraySubsetEnumerator, which must not be instantiated inside an
 // AVX-flagged TU. Everything after the ctx handoff touches only raw
 // arrays. No std:: calls in here either (see lane_block.hpp).
 #include <cstddef>
@@ -79,15 +92,38 @@ struct LaneCounter {
   }
 };
 
+// Lanes of `dead` in which every route of pair `pid` has a faulty node —
+// among its interior nodes only when `interior`, else among all of them.
 template <unsigned W>
-void run_block(const PackedCtx& ctx, std::size_t count,
-               std::uint32_t survivors) {
+inline LaneBlock<W> routes_dead(const PackedCtx& ctx, std::uint32_t pid,
+                                LaneBlock<W> dead, bool interior) {
   using Block = LaneBlock<W>;
-  const Block full = Block::first_lanes(count);
+  const std::uint32_t skip = interior ? 1 : 0;
+  for (std::uint32_t r = ctx.pair_route_off[pid];
+       r < ctx.pair_route_off[pid + 1]; ++r) {
+    Block kill = Block::zero();
+    const std::uint32_t end = ctx.route_off[r + 1] - skip;
+    for (std::uint32_t i = ctx.route_off[r] + skip; i < end; ++i) {
+      kill = kill | Block::load(ctx.lane_node_mask +
+                                std::size_t{ctx.route_nodes[i]} * W);
+    }
+    dead = dead & kill;
+    if (dead.none()) break;
+  }
+  return dead;
+}
 
+// Gray blocks, phases (b)-(c): stores the kill masks of the routes
+// through the touched nodes and the dead masks of their pairs, adds each
+// dirty pair's dead lanes into `dead_count`, and counts the dirty lists
+// for the sparse cleanup.
+template <unsigned W>
+void store_dead_masks(const PackedCtx& ctx, LaneBlock<W> full,
+                      LaneCounter<W>& dead_count, std::size_t& dirty_routes,
+                      std::size_t& dirty_pairs) {
+  using Block = LaneBlock<W>;
   // (b) Route kill masks via the inverted index: a route is dead in
   // every lane where some node on it is faulty.
-  std::size_t num_dirty_routes = 0;
   for (std::size_t t = 0; t < ctx.lane_touched_count; ++t) {
     const std::uint32_t v = ctx.lane_touched[t];
     const Block m = Block::load(ctx.lane_node_mask + std::size_t{v} * W);
@@ -96,7 +132,7 @@ void run_block(const PackedCtx& ctx, std::size_t count,
       const std::uint32_t r = ctx.node_route_ids[i];
       std::uint64_t* row = ctx.route_kill_mask + std::size_t{r} * W;
       const Block prev = Block::load(row);
-      if (prev.none()) ctx.dirty_routes[num_dirty_routes++] = r;
+      if (prev.none()) ctx.dirty_routes[dirty_routes++] = r;
       (prev | m).store(row);
     }
   }
@@ -105,13 +141,11 @@ void run_block(const PackedCtx& ctx, std::size_t count,
   // routes are killed — an AND over its contiguous route range.
   // Untouched pairs keep mask 0 (live in every lane). Each dirty pair's
   // dead lanes go into the bit-sliced counter, read out once below.
-  std::size_t num_dirty_pairs = 0;
-  LaneCounter<W> dead_count;
-  for (std::size_t i = 0; i < num_dirty_routes; ++i) {
+  for (std::size_t i = 0; i < dirty_routes; ++i) {
     const std::uint32_t pid = ctx.route_pair[ctx.dirty_routes[i]];
     if (ctx.pair_dirty[pid] != 0) continue;
     ctx.pair_dirty[pid] = 1;
-    ctx.dirty_pairs[num_dirty_pairs++] = pid;
+    ctx.dirty_pairs[dirty_pairs++] = pid;
     Block dead = Block::ones();
     for (std::uint32_t rr = ctx.pair_route_off[pid];
          rr < ctx.pair_route_off[pid + 1]; ++rr) {
@@ -120,6 +154,27 @@ void run_block(const PackedCtx& ctx, std::size_t count,
     }
     dead.store(ctx.pair_dead_mask + std::size_t{pid} * W);
     dead_count.add(dead & full);
+  }
+}
+
+template <unsigned W, bool kAnySets>
+void run_block_impl(const PackedCtx& ctx, std::size_t count,
+                    std::uint32_t survivors) {
+  using Block = LaneBlock<W>;
+  const Block full = Block::first_lanes(count);
+  LaneCounter<W> dead_count;
+  std::size_t num_dirty_routes = 0;
+  std::size_t num_dirty_pairs = 0;
+
+  if constexpr (kAnySets) {
+    // Dead-pair counts: a pair is dead in the lanes where each of its
+    // routes has a faulty node, endpoints included.
+    for (std::uint32_t pid = 0; pid < ctx.num_pairs; ++pid) {
+      dead_count.add(routes_dead<W>(ctx, pid, full, /*interior=*/false));
+    }
+  } else {
+    store_dead_masks<W>(ctx, full, dead_count, num_dirty_routes,
+                        num_dirty_pairs);
   }
   dead_count.read(ctx.dead_pairs, count);
   for (std::size_t l = 0; l < count; ++l) ctx.diam[l] = 0;
@@ -181,10 +236,22 @@ void run_block(const PackedCtx& ctx, std::size_t count,
                  k < ctx.dst_pair_off[v + 1]; ++k) {
               const std::uint32_t pid = ctx.dst_pair_ids[k];
               const std::uint32_t u = ctx.pair_src[pid];
-              const Block m = andnot(
-                  need & Block::load(ctx.new_mask + std::size_t{u} * W),
-                  Block::load(ctx.pair_dead_mask + std::size_t{pid} * W));
-              if (m.none()) continue;
+              Block m;
+              if constexpr (kAnySets) {
+                // No skip when the probe finds nothing: whether it does
+                // hangs on every earlier probe's lanes, so that branch
+                // mispredicts often enough to cost more than the route ORs
+                // it would save (about a quarter of the block's time).
+                const Block cand =
+                    need & Block::load(ctx.new_mask + std::size_t{u} * W);
+                m = andnot(cand,
+                           routes_dead<W>(ctx, pid, cand, /*interior=*/true));
+              } else {
+                m = andnot(
+                    need & Block::load(ctx.new_mask + std::size_t{u} * W),
+                    Block::load(ctx.pair_dead_mask + std::size_t{pid} * W));
+                if (m.none()) continue;
+              }
               got = got | m;
               need = andnot(need, m);
               if (need.none()) break;
@@ -201,10 +268,20 @@ void run_block(const PackedCtx& ctx, std::size_t count,
                  k < ctx.src_pair_off[u + 1]; ++k) {
               const std::uint32_t pid = ctx.src_pair_ids[k];
               const std::uint32_t v = ctx.pair_dst[pid];
-              const Block m = andnot(
-                  andnot(fm, Block::load(ctx.pair_dead_mask +
-                                         std::size_t{pid} * W)),
-                  Block::load(ctx.visited + std::size_t{v} * W));
+              Block m;
+              if constexpr (kAnySets) {
+                const Block cand = andnot(
+                    andnot(fm, Block::load(ctx.visited + std::size_t{v} * W)),
+                    Block::load(ctx.lane_node_mask + std::size_t{v} * W));
+                if (cand.none()) continue;
+                m = andnot(cand,
+                           routes_dead<W>(ctx, pid, cand, /*interior=*/true));
+              } else {
+                m = andnot(
+                    andnot(fm, Block::load(ctx.pair_dead_mask +
+                                           std::size_t{pid} * W)),
+                    Block::load(ctx.visited + std::size_t{v} * W));
+              }
               if (m.none()) continue;
               std::uint64_t* nm = ctx.next_mask + std::size_t{v} * W;
               const Block prev = Block::load(nm);
@@ -283,6 +360,16 @@ void run_block(const PackedCtx& ctx, std::size_t count,
     const std::uint32_t pid = ctx.dirty_pairs[i];
     Block::zero().store(ctx.pair_dead_mask + std::size_t{pid} * W);
     ctx.pair_dirty[pid] = 0;
+  }
+}
+
+template <unsigned W>
+void run_block(const PackedCtx& ctx, std::size_t count,
+               std::uint32_t survivors) {
+  if (ctx.any_sets) {
+    run_block_impl<W, true>(ctx, count, survivors);
+  } else {
+    run_block_impl<W, false>(ctx, count, survivors);
   }
 }
 

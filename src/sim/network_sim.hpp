@@ -5,9 +5,10 @@
 // route-hop distribution and the underlying edge-hop totals for delivered
 // messages — the systems-level view of the graph-theoretic bounds.
 //
-// Delivery runs on the fault set an SrgScratch last evaluated: messages
-// follow SrgScratch::route_path over the scratch's own bitset rows, so
-// measuring a set costs a few BFS walks and no per-set graph build.
+// Delivery runs on the fault set an SrgScratch holds (stamped by
+// set_faults() or an evaluation): messages follow SrgScratch::route_path,
+// which tests each arc it walks against the set's fault stamps, so
+// measuring a set needs no strike, no bitset rows and no per-set graph.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +35,11 @@ struct DeliveryStats {
   std::uint64_t edge_hops_total = 0;
 };
 
-/// Samples ordered pairs of survivors of the set `scratch` last evaluated
-/// and routes a message from source to target through that set's
-/// surviving route graph (fewest route traversals, SrgScratch::route_path;
-/// edge hops accumulated along the realized route sequence).
+/// Samples ordered pairs of survivors of the set `scratch` holds (its last
+/// set_faults() or evaluation) and routes a message from source to target
+/// through that set's surviving route graph (fewest route traversals,
+/// SrgScratch::route_path; edge hops accumulated along the realized route
+/// sequence).
 /// `sample_pairs` = 0 measures all ordered pairs. The scratch must come
 /// from an index over `table`.
 DeliveryStats measure_delivery(const RoutingTable& table, SrgScratch& scratch,

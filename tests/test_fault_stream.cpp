@@ -217,13 +217,17 @@ TEST(FaultSetSource, IstreamRejectsAnOverLongLine) {
 // Two inputs, each swept three ways: materialized, streamed through its
 // source, and run in-process as the equivalent unit — an explicit list
 // (ExplicitListSource / kSweepExplicit) and a seeded sample stream
-// (SampledStreamSource / kSweepSampled), with delivery.
+// (SampledStreamSource / kSweepSampled), with delivery. The materialized
+// reference runs in chunks of 7, too small for a packed block, so every
+// set is evaluated on its own; at batch 256 and 1024 the same sets fill
+// lane blocks of unrelated sets wherever the CPU's lane width lets a block
+// profit, and their delivery reads fault stamps alone.
 TEST(FaultStream, StreamingMatchesMaterializedAcrossThreadsAndBatches) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
   constexpr std::size_t kFaults = 4;
-  constexpr std::uint64_t kSets = 75;
+  constexpr std::uint64_t kSets = 700;
 
   FaultSweepOptions base_opts;
   base_opts.delivery_pairs = 5;
@@ -241,15 +245,17 @@ TEST(FaultStream, StreamingMatchesMaterializedAcrossThreadsAndBatches) {
        {UnitKind::kSweepExplicit, UnitKind::kSweepSampled}) {
     const bool is_explicit = kind == UnitKind::kSweepExplicit;
     const auto& sets = is_explicit ? listed : sampled;
-    const auto materialized =
-        sweep_fault_sets(kr.table, index, sets, base_opts);
+    FaultSweepOptions per_set = base_opts;
+    per_set.exec.batch_size = 7;
+    const auto materialized = sweep_fault_sets(kr.table, index, sets, per_set);
     ASSERT_EQ(materialized.total_sets, sets.size());
     EXPECT_EQ(materialized.worst_faults, sets[materialized.worst_index]);
 
     for (unsigned threads : kThreadCounts) {
       // Deliberately awkward batch sizes: boundaries must never show.
       for (std::size_t batch : {std::size_t{1}, std::size_t{7},
-                                std::size_t{64}, std::size_t{1024}}) {
+                                std::size_t{64}, std::size_t{256},
+                                std::size_t{1024}}) {
         FaultSweepOptions opts = base_opts;
         opts.exec.threads = threads;
         opts.exec.batch_size = batch;

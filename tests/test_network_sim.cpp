@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -39,24 +40,40 @@ void expect_same_stats(const DeliveryStats& a, const DeliveryStats& b,
   EXPECT_EQ(a.edge_hops_total, b.edge_hops_total) << what;
 }
 
+// How the scratch learns the fault set before delivery: a full evaluate()
+// (strike + bitset rows), or set_faults() alone, which stamps the faults
+// and nothing else — the path sweeps take for sets evaluated in packed
+// blocks.
+enum class Prime { kEvaluate, kSetFaults };
+
 // Every ordered survivor pair's route_path equals the Digraph oracle's BFS
 // path on the one-shot surviving graph, and measure_delivery equals the
-// oracle measure for every sample size (same draws, same totals).
-void expect_matches_oracle(const RoutingTable& table, SrgScratch& scratch,
-                           const std::vector<Node>& faults,
-                           const std::string& what) {
-  scratch.evaluate(faults);
+// oracle measure for every sample size (same draws, same totals). Returns
+// the longest path found, in arcs.
+std::size_t expect_matches_oracle(const RoutingTable& table,
+                                  SrgScratch& scratch,
+                                  const std::vector<Node>& faults,
+                                  const std::string& what,
+                                  Prime prime = Prime::kEvaluate) {
+  if (prime == Prime::kEvaluate) {
+    scratch.evaluate(faults);
+  } else {
+    scratch.set_faults(faults);
+  }
+  std::size_t longest = 0;
   const Digraph surviving = surviving_graph(table, faults);
   const auto nodes = surviving.present_nodes();
   const auto survivors = scratch.last_survivors();
-  ASSERT_EQ(std::vector<Node>(survivors.begin(), survivors.end()), nodes)
-      << what;
+  const std::vector<Node> listed(survivors.begin(), survivors.end());
+  EXPECT_EQ(listed, nodes) << what;
+  if (listed != nodes) return 0;
   for (Node s : nodes) {
     for (Node t : nodes) {
       const auto got = scratch.route_path(s, t);
       EXPECT_EQ(std::vector<Node>(got.begin(), got.end()),
                 oracle_route_path(surviving, s, t))
           << what << " pair " << s << "->" << t;
+      if (!got.empty()) longest = std::max(longest, got.size() - 1);
     }
   }
   for (const std::size_t pairs : {0u, 1u, 7u}) {
@@ -67,6 +84,7 @@ void expect_matches_oracle(const RoutingTable& table, SrgScratch& scratch,
     expect_same_stats(got, want, what + " pairs=" + std::to_string(pairs));
     EXPECT_EQ(a(), b()) << what << " (same number of draws)";
   }
+  return longest;
 }
 
 void run_differential(const RoutingTable& table,
@@ -88,6 +106,21 @@ void run_differential(const RoutingTable& table,
     for (const auto& faults : extra_sets) {
       expect_matches_oracle(table, scratch, faults, name + kernel + " extra");
     }
+  }
+  // Stamps alone, on a scratch that never strikes: the same paths and
+  // measures, with no evaluation behind them.
+  SrgScratch stamped(index);
+  Rng rng(77);
+  for (std::size_t f = 0; f <= 4; ++f) {
+    for (const auto& faults : random_fault_sets(n, f, 3, rng)) {
+      expect_matches_oracle(table, stamped, faults,
+                            name + " set_faults f=" + std::to_string(f),
+                            Prime::kSetFaults);
+    }
+  }
+  for (const auto& faults : extra_sets) {
+    expect_matches_oracle(table, stamped, faults, name + " set_faults extra",
+                          Prime::kSetFaults);
   }
 }
 
@@ -167,6 +200,45 @@ TEST(NetworkSim, RoutePathNeedsAnEvaluationAndLiveEndpoints) {
   EXPECT_THROW(scratch.route_path(0, 2), ContractViolation);
   scratch.evaluate(std::vector<Node>{});
   EXPECT_TRUE(scratch.route_path(0, 2).empty());  // 2 is isolated
+}
+
+// set_faults() alone drives delivery on every shortcut: the direct arc,
+// the lowest two-arc detour, and the full BFS, which only paths of three or
+// more arcs reach. Edge routes on a ring make every pair's path as long as
+// its ring distance, and interleaving set_faults() with evaluate() on one
+// scratch must not leave either reading the other's set.
+TEST(NetworkSimDifferential, SetFaultsAloneMatchesOracleOnLongPaths) {
+  const auto gg = cycle_graph(12);
+  RoutingTable ring(12, RoutingMode::kBidirectional);
+  install_edge_routes(ring, gg.graph);
+  const SrgIndex index(ring);
+  SrgScratch scratch(index);
+  std::size_t longest = 0;
+  for (const auto& faults : std::vector<std::vector<Node>>{
+           {}, {3}, {3, 3}, {0, 6}, {1, 2, 9}}) {
+    longest = std::max(
+        longest, expect_matches_oracle(ring, scratch, faults, "ring set_faults",
+                                       Prime::kSetFaults));
+    expect_matches_oracle(ring, scratch, {5}, "ring evaluate");
+  }
+  EXPECT_GE(longest, 3u);
+
+  // Multi-arc routes on the planner torus: stamps alone, target at
+  // distance >= 3 included when the faults stretch the route graph.
+  const auto torus = torus_graph(5, 5);
+  Rng rng(12);
+  const auto planned =
+      build_planned_routing(torus.graph, torus.known_connectivity, rng);
+  const SrgIndex tindex(planned.table);
+  SrgScratch tscratch(tindex);
+  const auto around = torus.graph.neighbors(0);
+  std::vector<Node> three(around.begin(), around.end());
+  three.pop_back();
+  longest = expect_matches_oracle(planned.table, tscratch, three,
+                                  "planner torus(5,5) set_faults",
+                                  Prime::kSetFaults);
+  EXPECT_GE(longest, 2u);
+  EXPECT_THROW(tscratch.set_faults(std::vector<Node>{25}), ContractViolation);
 }
 
 TEST(NetworkSimDifferential, PlannerTorus) {

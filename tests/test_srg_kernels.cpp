@@ -191,7 +191,8 @@ TEST(SrgKernels, ExhaustiveGrayMatchesScalarOracle) {
       // Packed lane blocks...
       expect_same_evaluations(
           oracle, sweep_exhaustive_gray(entry.table, index, entry.f, opts));
-      // ...and the same enumeration streamed set by set (bitset).
+      // ...and the same enumeration streamed as unrelated explicit sets
+      // (any-set lane blocks where a chunk is long enough, else bitset).
       ExhaustiveGraySource source(n, entry.f);
       expect_same_evaluations(
           oracle, sweep_fault_source(entry.table, index, source, opts));
@@ -217,11 +218,11 @@ TEST(SrgKernels, ExhaustiveGrayBatchSizeInvariant) {
   }
 }
 
-// Delivery measurement needs per-set materialized graphs, which the packed
-// kernel cannot provide, so a delivery sweep evaluates each Gray-ordered set
-// on its own — and must still match the oracle's evaluations and the
-// generic engine's randomized per-pair delivery statistics exactly.
-TEST(SrgKernels, ExhaustiveGrayDeliveryEvaluatesPerSet) {
+// A delivery sweep takes its diameters from packed Gray blocks and walks
+// each set's routes against its fault stamps alone (SrgScratch::set_faults)
+// — and must still match the oracle's evaluations and the generic engine's
+// randomized per-pair delivery statistics exactly.
+TEST(SrgKernels, ExhaustiveGrayDeliveryMatchesGenericEngine) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
@@ -250,14 +251,16 @@ TEST(SrgKernels, SampledStreamMatchesScalarOracle) {
   for (const auto& entry : construction_tables()) {
     const SrgIndex index(entry.table);
     const std::size_t n = entry.g.num_nodes();
-    SampledStreamSource oracle_source(n, entry.f + 1, 60, 4242);
+    // 400 sets: chunks long enough for any-set lane blocks, whose
+    // delivery reads the fault stamps alone.
+    SampledStreamSource oracle_source(n, entry.f + 1, 400, 4242);
     const auto oracle = oracle_summary(index, drain(oracle_source));
     for (unsigned threads : kThreadCounts) {
       FaultSweepOptions opts;
       opts.exec.threads = threads;
-      opts.delivery_pairs = 4;  // delivery rides the bitset path here
+      opts.delivery_pairs = 4;
       opts.seed = 4242;
-      SampledStreamSource source(n, entry.f + 1, 60, 4242);
+      SampledStreamSource source(n, entry.f + 1, 400, 4242);
       SCOPED_TRACE(entry.name + " threads=" + std::to_string(threads));
       expect_same_evaluations(
           oracle, sweep_fault_source(entry.table, index, source, opts));
@@ -734,6 +737,161 @@ TEST(SrgKernels, PackedBlockFewSurvivors) {
       EXPECT_EQ(expect.survivors, out[i].survivors);
       EXPECT_EQ(expect.arcs, out[i].arcs);
     }
+  }
+}
+
+// Random sets for any-set blocks: sizes 0..max_f mixed within one block,
+// every fifth set with a duplicated id, and — every 37th set — one that
+// leaves a single survivor or none, so those lanes sit next to normal ones
+// in the same block.
+std::vector<std::vector<Node>> mixed_sets(std::size_t n, std::size_t max_f,
+                                          std::size_t count,
+                                          std::uint64_t seed) {
+  std::vector<std::vector<Node>> sets;
+  for (std::size_t i = 0; i < count; ++i) {
+    Rng rng = Rng::stream(seed, i);
+    std::vector<Node> set;
+    if (i % 37 == 11) {
+      for (Node v = 0; v < n; ++v) {
+        if (v != i % n || i % 2 == 0) set.push_back(v);
+      }
+    } else {
+      const auto sample = rng.sample(n, rng.below(max_f + 1));
+      set.assign(sample.begin(), sample.end());
+      if (i % 5 == 0 && !set.empty()) set.push_back(set.front());
+    }
+    sets.push_back(std::move(set));
+  }
+  return sets;
+}
+
+// evaluate_block on `sets`, under every runnable block implementation and
+// pinned to each width, in blocks of `width` sets and of width / 2 + 3
+// (partial blocks with a partly filled last word), must match per-set
+// evaluate() and the scalar oracle lane for lane.
+void expect_any_set_blocks_match(const SrgIndex& index,
+                                 const std::vector<std::vector<Node>>& sets,
+                                 const std::string& name) {
+  SrgScratch scalar(index);
+  scalar.set_scalar_oracle(true);
+  SrgScratch bitset(index);
+  std::vector<SrgScratch::Result> expect;
+  for (const auto& set : sets) {
+    expect.push_back(scalar.evaluate(set));
+    const auto got = bitset.evaluate(set);
+    ASSERT_EQ(expect.back().diameter, got.diameter) << name;
+    ASSERT_EQ(expect.back().survivors, got.survivors) << name;
+    ASSERT_EQ(expect.back().arcs, got.arcs) << name;
+  }
+  for (const BlockImpl& impl : runnable_block_impls()) {
+    for (const unsigned width : kExplicitWidths) {
+      for (const std::size_t block : {std::size_t{width},
+                                      std::size_t{width / 2 + 3}}) {
+        SrgScratch packed(index);
+        packed.set_lane_width(width);
+        packed.set_block_lookup_for_testing(impl.lookup);
+        SrgScratch::Result out[kMaxLaneWidth];
+        for (std::size_t at = 0; at < sets.size(); at += block) {
+          const std::size_t cnt = std::min(block, sets.size() - at);
+          packed.evaluate_block(
+              std::span<const std::vector<Node>>(sets).subspan(at, cnt), out);
+          for (std::size_t i = 0; i < cnt; ++i) {
+            SCOPED_TRACE(name + " isa=" + impl.isa + " width=" +
+                         std::to_string(width) + " block=" +
+                         std::to_string(block) + " set=" +
+                         std::to_string(at + i));
+            EXPECT_EQ(expect[at + i].diameter, out[i].diameter);
+            EXPECT_EQ(expect[at + i].survivors, out[i].survivors);
+            EXPECT_EQ(expect[at + i].arcs, out[i].arcs);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Any-set blocks on every construction table the suite builds, multiroute
+// and unidirectional included, with f mixed inside each block.
+TEST(SrgKernels, AnySetBlocksMatchEvaluateAndOracle) {
+  std::uint64_t seed = 71;
+  for (const auto& entry : construction_tables()) {
+    const SrgIndex index(entry.table);
+    expect_any_set_blocks_match(
+        index, mixed_sets(index.num_nodes(), entry.f + 3, 700, ++seed),
+        entry.name);
+  }
+  const auto q4 = hypercube(4);
+  expect_any_set_blocks_match(
+      SrgIndex(build_full_multirouting(q4.graph, 3)),
+      mixed_sets(16, 6, 300, ++seed), "full-multirouting/hypercube4");
+  expect_any_set_blocks_match(
+      SrgIndex(build_bitfixing_unidirectional(q4.graph, 4)),
+      mixed_sets(16, 5, 300, ++seed), "bitfixing-unidirectional/hypercube4");
+  // Edge routes on a ring: two faults split it, so most lanes disconnect
+  // while their neighbours in the block stay connected.
+  const auto ring = cycle_graph(48);
+  RoutingTable t(48, RoutingMode::kBidirectional);
+  install_edge_routes(t, ring.graph);
+  expect_any_set_blocks_match(SrgIndex(t), mixed_sets(48, 3, 300, ++seed),
+                              "edge-only/cycle48");
+}
+
+// A block holding one lane with a single survivor (or none) and lanes that
+// need the BFS: the kernel's survivors gate must not skip the block.
+TEST(SrgKernels, AnySetBlockFewSurvivorLaneDoesNotGateTheBlock) {
+  const auto gg = torus_graph(4, 4);
+  const SrgIndex index(build_kernel_routing(gg.graph, 3).table);
+  std::vector<Node> all_but_one;
+  for (Node v = 1; v < 16; ++v) all_but_one.push_back(v);
+  std::vector<Node> all = all_but_one;
+  all.push_back(0);
+  all.push_back(3);  // a duplicate too
+  const std::vector<std::vector<Node>> sets = {
+      all_but_one, {}, {5}, all, {2, 2, 9}};
+  SrgScratch oracle(index);
+  oracle.set_scalar_oracle(true);
+  for (const unsigned width : kExplicitWidths) {
+    SrgScratch packed(index);
+    packed.set_lane_width(width);
+    for (std::size_t first = 0; first < 2; ++first) {
+      const auto block =
+          std::span<const std::vector<Node>>(sets).subspan(first);
+      SrgScratch::Result out[kMaxLaneWidth];
+      packed.evaluate_block(block, out);
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        const auto want = oracle.evaluate(block[i]);
+        SCOPED_TRACE("width=" + std::to_string(width) + " lane=" +
+                     std::to_string(i));
+        EXPECT_EQ(want.diameter, out[i].diameter);
+        EXPECT_EQ(want.survivors, out[i].survivors);
+        EXPECT_EQ(want.arcs, out[i].arcs);
+      }
+    }
+    EXPECT_EQ(packed.evaluate(sets[2]).diameter,
+              oracle.evaluate(sets[2]).diameter);
+  }
+}
+
+// Out-of-range ids are contract violations, as for evaluate(), and leave
+// the scratch clean for the next block; so do empty and oversized blocks.
+TEST(SrgKernels, AnySetBlockRejectsBadInputCleanly) {
+  const auto gg = torus_graph(4, 4);
+  const SrgIndex index(build_kernel_routing(gg.graph, 3).table);
+  SrgScratch packed(index);
+  packed.set_lane_width(64);
+  SrgScratch::Result out[kMaxLaneWidth];
+  const std::vector<std::vector<Node>> bad = {{1, 2}, {3, 16}};
+  EXPECT_THROW(packed.evaluate_block(bad, out), ContractViolation);
+  EXPECT_THROW(packed.evaluate_block({}, out), ContractViolation);
+  const std::vector<std::vector<Node>> too_many(65);
+  EXPECT_THROW(packed.evaluate_block(too_many, out), ContractViolation);
+  const std::vector<std::vector<Node>> good = {{1, 2}, {3}};
+  packed.evaluate_block(good, out);
+  SrgScratch oracle(index);
+  oracle.set_scalar_oracle(true);
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    EXPECT_EQ(oracle.evaluate(good[i]).diameter, out[i].diameter);
+    EXPECT_EQ(oracle.evaluate(good[i]).arcs, out[i].arcs);
   }
 }
 

@@ -196,6 +196,42 @@ for knobs in "--threads 1" "--threads 4" "--batch 7" \
   cmp "${GOLD}/sweep_sampled.golden" "${WORK}/ssweep.out"
 done
 
+# A streamed feed long enough for packed blocks: 640 seeded sets of 1-6
+# faults, one with a duplicate id and one leaving a single survivor. At
+# --batch 1024 the sets are evaluated in lane blocks of unrelated sets, at
+# --batch 7 set by set, and delivery walks each set's fault stamps either
+# way, so every knob prints the golden bytes.
+echo "== long stdin feed across --threads, --batch and --workers"
+x=20261017
+for ((i = 0; i < 640; ++i)); do
+  x=$(( (x * 1103515245 + 12345) % 2147483648 ))
+  f=$(( 1 + (x >> 8) % 6 ))
+  line=""
+  used=" "
+  while (( f > 0 )); do
+    x=$(( (x * 1103515245 + 12345) % 2147483648 ))
+    v=$(( (x >> 8) % 25 ))
+    [[ "${used}" == *" ${v} "* ]] && continue
+    used+="${v} "
+    line+="${v} "
+    f=$(( f - 1 ))
+  done
+  if (( i == 200 )); then
+    line+="${line%% *}"
+  elif (( i == 400 )); then
+    line="$(seq -s ' ' 0 23)"
+  fi
+  echo "${line% }"
+done > "${WORK}/faults.long.txt"
+for knobs in "--threads 1 --batch 7" "--threads 1 --batch 1024" \
+    "--threads 4 --batch 7" "--threads 4 --batch 1024" "--workers 2"; do
+  # shellcheck disable=SC2086  # knobs is a deliberate word list
+  "${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+    --stdin --delivery-pairs 2 ${knobs} < "${WORK}/faults.long.txt" \
+    > "${WORK}/lsweep.out" 2> /dev/null
+  cmp "${GOLD}/sweep_stdin_long.golden" "${WORK}/lsweep.out"
+done
+
 # Multi-table churn: a planner-built graph= table and a snapshot= table
 # under a 1-byte budget, so every window that switches tables evicts one
 # and rebuilds or reloads the other. Every request kind on both tables
