@@ -27,7 +27,9 @@
 // the bitset path, on the planner torus(12,12) and torus(10,10) tables at
 // f = 4, 5, 6 and every lane width: packed must reach >= 3x bitset at 512
 // lanes on torus(12,12), and its partial-block rows set the smallest block
-// the sweeps hand to the packed kernel (kMinAnySetBlock, fault_sweep.cpp).
+// the sweeps hand to the packed kernel (kMinAnySetBlock, srg_engine.hpp).
+// bench_srg_kernels_certify times check_tolerance's adversarial path
+// (sampled lane blocks, lockstep hill-climbs) per certify.
 // Single-threaded and CPU-time based, so the ratios are meaningful on any
 // core count.
 #include <benchmark/benchmark.h>
@@ -377,6 +379,43 @@ void bench_srg_kernels_single_set(benchmark::State& state) {
   state.SetLabel(kernel_lanes_label(state.range(0), 0));
 }
 BENCHMARK(bench_srg_kernels_single_set)->ArgName("kernel")->Arg(0)->Arg(1);
+
+// check_tolerance's adversarial path, which runs when C(n, f) is past the
+// exhaustive budget: 200 uniform samples in lane blocks plus six
+// route-load-seeded hill-climbs stepping in lockstep through the same
+// block policy (SrgScratch::evaluate_sets). One thread, planner-built
+// tables (planner seed 42): torus(8,8) at f = 3 — the serving layer's
+// certify shape — and hypercube(7) at f = 6. items_per_second counts the
+// fault sets the report counts (speculative climb candidates excluded).
+void bench_srg_kernels_certify(benchmark::State& state) {
+  const bool cube = state.range(0) == 1;
+  const auto gg = cube ? hypercube(7) : torus_graph(8, 8);
+  const std::uint32_t f = cube ? 6 : 3;
+  Rng plan_rng(42);
+  const auto planned =
+      build_planned_routing(gg.graph, gg.known_connectivity, plan_rng);
+  const auto index = std::make_shared<const SrgIndex>(planned.table);
+  ToleranceCheckOptions options;
+  options.exec.threads = 1;
+  std::uint64_t seed = 0;
+  std::int64_t items = 0;
+  for (auto _ : state) {
+    Rng rng(++seed);
+    const auto report = check_tolerance(planned.table, index, f,
+                                        planned.plan.guaranteed_diameter,
+                                        rng, options);
+    benchmark::DoNotOptimize(report.worst_diameter);
+    items += static_cast<std::int64_t>(report.fault_sets_checked);
+  }
+  state.SetItemsProcessed(items);
+  state.SetLabel(gg.name + " f=" + std::to_string(f) + " packed" +
+                 std::to_string(resolve_lane_width(0)));
+}
+BENCHMARK(bench_srg_kernels_certify)
+    ->ArgName("table")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

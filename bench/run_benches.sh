@@ -182,7 +182,11 @@ if [[ "${#WRITTEN_JSONS[@]}" -gt 0 ]]; then
     [[ -z "${alt}" ]] && continue
     matched=0
     for json in "${WRITTEN_JSONS[@]}"; do
-      if grep -E -- '"name": "' "${json}" | grep -E -q -- "${alt}"; then
+      # The second grep reads the whole stream (no -q): exiting at its
+      # first match would kill the first grep with SIGPIPE, and pipefail
+      # would report that as no match.
+      if grep -E -- '"name": "' "${json}" \
+          | grep -E -- "${alt}" > /dev/null; then
         matched=1
         break
       fi

@@ -165,16 +165,6 @@ void absorb_set(SweepPartial& partial, std::uint64_t index,
       std::max(partial.max_edge_hops, delivery.max_edge_hops);
 }
 
-// The smallest block of unrelated sets worth the any-set packed kernel;
-// smaller blocks run evaluate() set by set. From bench_srg_kernels'
-// random-block rows (planner torus(12,12), f = 5): at every lane width
-// from 128 to 512, a 64-set block costs about what 64 bitset evaluations
-// do, a 96-set block about three quarters, and a full 512-set block about
-// a fifth. Blocks never exceed the lane width, so a 64-lane scratch
-// (which only tests and benches pin) evaluates every set on its own. Gray
-// blocks keep their stored masks and are always packed.
-constexpr std::size_t kMinAnySetBlock = 96;
-
 // One chunk of a unit: sets [lo, hi) of the global index space, made from
 // their indices and evaluated on a scratch of the chunk's own, one block
 // of up to lane_width() sets at a time.
@@ -215,23 +205,18 @@ SweepPartial sweep_chunk(const RoutingTable& table, const SrgIndex& index,
       }
       sets = made;
     }
-    const bool packed = gray || cnt >= kMinAnySetBlock;
     if (gray) {
       scratch.evaluate_gray_block(*e, cnt, res);
-    } else if (packed) {
-      scratch.evaluate_block(sets, res);
+    } else {
+      scratch.evaluate_sets(sets, res);
     }
     for (std::size_t i = 0; i < cnt; ++i) {
       const std::vector<Node>* faults = sets.empty() ? nullptr : &sets[i];
-      if (!packed) {
-        res[i] = scratch.evaluate(*faults);
-      } else if (deliver) {
-        scratch.set_faults(*faults);
-      }
       DeliveryStats delivery;
       if (deliver) {
-        // Delivery walks the routes against the set's fault stamps, so a
-        // packed set needs no strike.
+        // Delivery walks the routes against the set's fault stamps alone,
+        // so no set needs a strike.
+        scratch.set_faults(*faults);
         Rng rng = Rng::stream(unit.seed, r + i);
         delivery = measure_delivery(
             table, scratch, static_cast<std::size_t>(unit.delivery_pairs), rng);

@@ -22,12 +22,13 @@
 // A chunk evaluates its sets block by block, up to the lane width at a
 // time, on the packed kernel: Gray units as blocks of Gray-adjacent sets
 // (SrgScratch::evaluate_gray_block), explicit and sampled units as blocks
-// of unrelated sets (SrgScratch::evaluate_block). Only a block of
-// unrelated sets too small to profit (fewer than 96 sets: a chunk's short
-// tail, a serve request's 20-set sweep) is evaluated set by set with
-// SrgScratch::evaluate (bitset rows, struck sparsely through the faults'
-// routes). Delivery stamps each set's faults (set_faults) and walks its
-// routes against them, so it never needs a strike of its own.
+// of unrelated sets through SrgScratch::evaluate_sets, the block policy
+// shared with the adversary searchers: a block too small to profit (fewer
+// than kMinAnySetBlock sets: a chunk's short tail, a serve request's
+// 20-set sweep) is evaluated set by set with SrgScratch::evaluate (bitset
+// rows, struck sparsely through the faults' routes). Delivery stamps each
+// set's faults (set_faults) and walks its routes against them, so it
+// never needs a strike of its own.
 //
 // Unbounded streams (FaultSetSource, e.g. the CLI's `sweep --stdin`) are
 // cut into explicit-set units of one window each as they are read, so

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <utility>
 
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
@@ -90,10 +89,19 @@ AdvPartial chunked_rank_scan(std::uint64_t begin, std::uint64_t end,
 }  // namespace
 
 FaultEvaluatorFactory srg_evaluator_factory(const SrgIndex& index) {
-  return [&index]() {
-    auto scratch = std::make_shared<SrgScratch>(index);
-    return [scratch](const std::vector<Node>& faults) {
-      return scratch->surviving_diameter(faults);
+  struct State {
+    explicit State(const SrgIndex& ix) : scratch(ix) {}
+    SrgScratch scratch;
+    std::vector<SrgScratch::Result> res;
+  };
+  return [&index]() -> FaultEvaluator {
+    auto state = std::make_shared<State>(index);
+    return [state](std::span<const std::vector<Node>> sets, std::uint32_t* d) {
+      state->res.resize(sets.size());
+      state->scratch.evaluate_sets(sets, state->res.data());
+      for (std::size_t i = 0; i < sets.size(); ++i) {
+        d[i] = state->res[i].diameter;
+      }
     };
   };
 }
@@ -166,24 +174,39 @@ AdvPartial sampled_worst_faults(std::size_t n, std::size_t f,
                                 ExecutorStats* executor) {
   FTR_EXPECTS(f <= n);
   FTR_EXPECTS(begin_index <= end_index);
+  // One chunk per worker, in whole lane blocks: samples cost alike, and a
+  // one-thread window (every serve request) fills its blocks with all of
+  // its samples.
+  const std::uint64_t threads = exec.resolved_threads();
+  const auto grain = static_cast<std::size_t>(
+      lane_aligned((end_index - begin_index + threads - 1) / threads));
   return chunked_rank_scan(
-      begin_index, end_index, exec, 0, executor,
+      begin_index, end_index, exec, grain, executor,
       [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
           const auto& aborted) {
         (void)aborted;  // sampling never early-stops
         const FaultEvaluator eval = make_eval();
-        for (std::uint64_t i = begin; i < end; ++i) {
-          // Sample i is a pure function of (seed, i): thread-count-proof
-          // AND partition-proof.
-          Rng rng = Rng::stream(seed, i);
-          const auto sample = rng.sample(n, f);
-          std::vector<Node> faults(sample.begin(), sample.end());
-          const std::uint32_t d = eval(faults);
-          ++p.evaluations;
-          if (!p.any || d > p.d) {
-            p.any = true;
-            p.d = d;
-            p.faults = std::move(faults);
+        std::vector<std::vector<Node>> sets;
+        std::uint32_t d[kMaxLaneWidth];
+        for (std::uint64_t at = begin; at < end; at += kMaxLaneWidth) {
+          const auto cnt = static_cast<std::size_t>(
+              std::min<std::uint64_t>(kMaxLaneWidth, end - at));
+          sets.resize(cnt);
+          for (std::size_t i = 0; i < cnt; ++i) {
+            // Sample i is a pure function of (seed, i): thread-count-proof
+            // AND partition-proof.
+            Rng rng = Rng::stream(seed, at + i);
+            const auto sample = rng.sample(n, f);
+            sets[i].assign(sample.begin(), sample.end());
+          }
+          eval(sets, d);
+          for (std::size_t i = 0; i < cnt; ++i) {
+            ++p.evaluations;
+            if (!p.any || d[i] > p.d) {
+              p.any = true;
+              p.d = d[i];
+              p.faults = sets[i];
+            }
           }
         }
       });
@@ -191,41 +214,89 @@ AdvPartial sampled_worst_faults(std::size_t n, std::size_t f,
 
 namespace {
 
-// One hill-climbing run from `start`; returns the local optimum.
-std::pair<std::vector<Node>, std::uint32_t> climb(
-    std::size_t n, const FaultEvaluator& eval, std::vector<Node> current,
-    std::size_t max_steps, Rng& rng, std::uint64_t& evaluations) {
-  std::uint32_t best = eval(current);
-  ++evaluations;
-  for (std::size_t step = 0; step < max_steps; ++step) {
-    bool improved = false;
-    // Try swaps in a random order; accept the first strict improvement.
-    const auto slot_order = rng.permutation(current.size());
-    for (std::size_t si : slot_order) {
-      const Node old = current[si];
-      const auto cand_order = rng.permutation(n);
-      for (std::size_t cand : cand_order) {
-        const Node nv = static_cast<Node>(cand);
-        if (std::find(current.begin(), current.end(), nv) != current.end())
-          continue;
-        current[si] = nv;
-        const std::uint32_t d = eval(current);
-        ++evaluations;
-        if (d > best) {
-          best = d;
-          improved = true;
-          break;
-        }
-        current[si] = old;
-        // Cap the inner scan: full n per slot is wasteful on big graphs.
-        if (evaluations % 64 == 0 && cand > n / 2) break;
+// One restart's first-improvement climb, advanced one step per lockstep
+// round: the state the serial climb carries between steps, plus the plan
+// of the step in flight.
+struct Climb {
+  std::vector<Node> current;
+  std::uint32_t best = 0;
+  Rng rng;
+  std::uint64_t evaluations = 0;
+  std::size_t steps = 0;
+  bool live = true;
+  // The planned step: its candidates are the round's sets [first, first +
+  // count); slot k's run ends at slot_end[k], and slot_rng[k] is the Rng
+  // right after slot k's candidate order was drawn.
+  std::size_t first = 0;
+  std::size_t count = 0;
+  std::vector<std::size_t> slot_end;
+  std::vector<Rng> slot_rng;
+};
+
+// Plans c's next step as the serial scan would run it if no swap improved:
+// the slots in a fresh random order, each slot's non-members in a fresh
+// random order, a slot cut short when the evaluation counter hits a
+// multiple of 64 past candidate n / 2. Appends the candidate sets to
+// sets[used...].
+void plan_step(std::size_t n, Climb& c, std::vector<std::vector<Node>>& sets,
+               std::size_t& used) {
+  c.first = used;
+  c.count = 0;
+  c.slot_end.clear();
+  c.slot_rng.clear();
+  Rng rng = c.rng;
+  const auto slot_order = rng.permutation(c.current.size());
+  for (std::size_t si : slot_order) {
+    const auto cand_order = rng.permutation(n);
+    for (std::size_t cand : cand_order) {
+      const Node nv = static_cast<Node>(cand);
+      if (std::find(c.current.begin(), c.current.end(), nv) !=
+          c.current.end()) {
+        continue;
       }
-      if (improved) break;
+      ++c.count;
+      if (used == sets.size()) sets.emplace_back();
+      sets[used] = c.current;
+      sets[used][si] = nv;
+      ++used;
+      // Cap the inner scan: full n per slot is wasteful on big graphs.
+      if ((c.evaluations + c.count) % 64 == 0 && cand > n / 2) break;
     }
-    if (!improved) break;
-    if (best == kUnreachable) break;  // cannot get worse than disconnected
+    c.slot_end.push_back(c.count);
+    c.slot_rng.push_back(rng);
   }
-  return {std::move(current), best};
+}
+
+// Applies the evaluated plan: the first improving candidate becomes the
+// climb's state, as if the serial scan had stopped there.
+void resolve_step(Climb& c, std::size_t max_steps,
+                  const std::vector<std::vector<Node>>& sets,
+                  const std::uint32_t* d) {
+  for (std::size_t i = 0; i < c.count; ++i) {
+    if (d[c.first + i] <= c.best) continue;
+    std::size_t slot = 0;
+    while (c.slot_end[slot] <= i) ++slot;
+    c.current = sets[c.first + i];
+    c.best = d[c.first + i];
+    c.evaluations += i + 1;
+    c.rng = c.slot_rng[slot];
+    ++c.steps;
+    // Cannot get worse than disconnected.
+    c.live = c.steps < max_steps && c.best != kUnreachable;
+    return;
+  }
+  c.evaluations += c.count;
+  c.live = false;
+}
+
+// The first restart at kUnreachable stops the search, so the restarts after
+// it are never counted: stop climbing them.
+void drop_after_first_unreachable(std::vector<Climb>& climbs) {
+  bool dropping = false;
+  for (Climb& c : climbs) {
+    if (dropping) c.live = false;
+    dropping = dropping || c.best == kUnreachable;
+  }
 }
 
 }  // namespace
@@ -241,35 +312,71 @@ AdvPartial hillclimb_worst_faults(std::size_t n, std::size_t f,
                                   ExecutorStats* executor) {
   FTR_EXPECTS(f <= n);
   FTR_EXPECTS(begin_restart <= end_restart);
-  // One restart per chunk: climbs dominate the cost and balance poorly, so
-  // the finest grain gives the scheduler the most room.
+  // An even share of the restarts per worker: a chunk's climbs share each
+  // round's evaluator call, so the more of them, the fuller its blocks.
+  const std::uint64_t threads = exec.resolved_threads();
+  const auto grain = static_cast<std::size_t>(std::max<std::uint64_t>(
+      1, (end_restart - begin_restart + threads - 1) / threads));
   return chunked_rank_scan(
-      begin_restart, end_restart, exec, 1, executor,
+      begin_restart, end_restart, exec, grain, executor,
       [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
           const auto& aborted) {
         const FaultEvaluator eval = make_eval();
-        for (std::uint64_t restart = begin; restart < end; ++restart) {
-          if (aborted()) return;
-          Rng rng = Rng::stream(seed, restart);
-          std::vector<Node> start;
+        const auto restarts = static_cast<std::size_t>(end - begin);
+        std::vector<Climb> climbs(restarts);
+        std::vector<std::vector<Node>> sets(restarts);
+        std::vector<std::uint32_t> d(restarts);
+        // Round 0 evaluates every restart's start.
+        for (std::size_t k = 0; k < restarts; ++k) {
+          const std::uint64_t restart = begin + k;
+          Climb& c = climbs[k];
+          c.rng = Rng::stream(seed, restart);
           if (restart < seeds.size()) {
-            start = seeds[static_cast<std::size_t>(restart)];
+            c.current = seeds[static_cast<std::size_t>(restart)];
           } else {
-            const auto sample = rng.sample(n, f);
-            start.assign(sample.begin(), sample.end());
+            const auto sample = c.rng.sample(n, f);
+            c.current.assign(sample.begin(), sample.end());
           }
-          FTR_EXPECTS(start.size() == f);
-          std::uint64_t evaluations = 0;
-          auto [faults, d] =
-              climb(n, eval, std::move(start), max_steps, rng, evaluations);
-          p.evaluations += evaluations;
-          if (!p.any || d > p.d) {
+          FTR_EXPECTS(c.current.size() == f);
+          sets[k] = c.current;
+        }
+        eval(sets, d.data());
+        for (std::size_t k = 0; k < restarts; ++k) {
+          climbs[k].best = d[k];
+          climbs[k].evaluations = 1;
+          climbs[k].live = max_steps > 0;
+        }
+        drop_after_first_unreachable(climbs);
+        // One step of every live climb per round, all through one call.
+        for (;;) {
+          if (aborted()) return;
+          std::size_t used = 0;
+          bool any_live = false;
+          for (Climb& c : climbs) {
+            if (!c.live) continue;
+            any_live = true;
+            plan_step(n, c, sets, used);
+          }
+          if (!any_live) break;
+          if (used > 0) {
+            d.resize(used);
+            eval(std::span<const std::vector<Node>>(sets.data(), used),
+                 d.data());
+          }
+          for (Climb& c : climbs) {
+            if (c.live) resolve_step(c, max_steps, sets, d.data());
+          }
+          drop_after_first_unreachable(climbs);
+        }
+        // Fold in restart order with the serial stop rule.
+        for (const Climb& c : climbs) {
+          p.evaluations += c.evaluations;
+          if (!p.any || c.best > p.d) {
             p.any = true;
-            p.d = d;
-            p.faults = std::move(faults);
+            p.d = c.best;
+            p.faults = c.current;
           }
-          // Cannot get worse than disconnected: the search stops here.
-          if (d == kUnreachable) {
+          if (c.best == kUnreachable) {
             p.stopped = true;
             return;
           }

@@ -19,11 +19,30 @@
 // The sampled and hill-climbing searchers are generic over an evaluator
 // factory, so they work for single-route tables, multiroute tables, and
 // synthetic landscapes alike; execute_adv_unit runs any adversary UnitSpec
-// against an SrgIndex.
+// against an SrgIndex. Both hand their sets to the evaluator in batches, so
+// the canonical evaluator (srg_evaluator_factory) runs them as packed lane
+// blocks (SrgScratch::evaluate_sets):
+//
+//  * the sampled searcher draws a chunk's samples and evaluates them in
+//    batches of up to kMaxLaneWidth; a one-thread window is one chunk;
+//  * the hill-climber runs a chunk's restarts in lockstep rounds. Each
+//    round, every live climb plans its whole next step — the candidates
+//    the serial first-improvement scan would try if none improved, with a
+//    copy of its Rng after each slot's draw — and all plans go through
+//    one evaluator call. Each climb then takes the first candidate that
+//    improves, counts the candidates up to it, and restores the Rng copy
+//    taken after that candidate's slot; with no improvement it counts
+//    them all and ends. This is exact, not an approximation: until the
+//    first improvement the serial scan's current set, its member skip,
+//    its Rng draws and its scan cap (which reads only the evaluation
+//    counter) never depend on a diameter, so the plan's prefix IS the
+//    serial scan. The candidates past the first improvement are evaluated
+//    speculatively, never counted and never read.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/exec_policy.hpp"
@@ -34,15 +53,21 @@
 
 namespace ftr {
 
-/// Maps a fault set to the diameter of the surviving route graph.
-using FaultEvaluator = std::function<std::uint32_t(const std::vector<Node>&)>;
+/// Maps a batch of fault sets to the diameters of their surviving route
+/// graphs: d[i] for sets[i], i < sets.size(). The result for a set must
+/// not depend on the other sets of its batch or on how a search batches
+/// its sets, since the searchers pick batches by thread count and by the
+/// lockstep schedule above.
+using FaultEvaluator = std::function<void(
+    std::span<const std::vector<Node>> sets, std::uint32_t* d)>;
 
 /// Mints a fresh evaluator for one worker chunk. Each returned evaluator is
 /// used from exactly one thread at a time, so it may own mutable scratch.
 using FaultEvaluatorFactory = std::function<FaultEvaluator()>;
 
 /// The canonical factory: one SrgScratch per evaluator over the shared
-/// `index`, which must outlive every evaluator minted.
+/// `index`, which must outlive every evaluator minted. Each batch runs
+/// through SrgScratch::evaluate_sets.
 FaultEvaluatorFactory srg_evaluator_factory(const SrgIndex& index);
 
 /// A mergeable fragment of an adversary search over one ordered window of
@@ -83,7 +108,8 @@ AdvPartial exhaustive_worst_faults_gray(const SrgIndex& index, std::size_t f,
                                         ExecutorStats* executor = nullptr);
 
 /// Uniform random sampling over sample indices [begin_index, end_index);
-/// sample i is always drawn from Rng::stream(seed, i).
+/// sample i is always drawn from Rng::stream(seed, i). One chunk per
+/// worker, in whole lane blocks.
 AdvPartial sampled_worst_faults(std::size_t n, std::size_t f,
                                 const FaultEvaluatorFactory& make_eval,
                                 std::uint64_t seed, std::uint64_t begin_index,
@@ -95,8 +121,10 @@ AdvPartial sampled_worst_faults(std::size_t n, std::size_t f,
 /// i starts from seeds[i] when i < seeds.size() (informed starts, e.g. the
 /// busiest nodes), otherwise from a uniform sample, and climbs with
 /// Rng::stream(seed, i) — repeatedly swapping one fault for one non-fault,
-/// keeping strict improvements, until no swap helps or `max_steps` runs
-/// out. A restart reaching kUnreachable stops the search.
+/// keeping the first strict improvement of each step, until no swap helps
+/// or `max_steps` runs out. A restart reaching kUnreachable stops the
+/// search: later restarts are never counted. Each worker chunk climbs its
+/// share of the restarts in lockstep (see the top of this file).
 AdvPartial hillclimb_worst_faults(std::size_t n, std::size_t f,
                                   const FaultEvaluatorFactory& make_eval,
                                   std::uint64_t seed,

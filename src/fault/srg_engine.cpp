@@ -659,6 +659,21 @@ void SrgScratch::evaluate_block(std::span<const std::vector<Node>> sets,
   run_packed_block(count, survivors, /*gray=*/false, out);
 }
 
+void SrgScratch::evaluate_sets(std::span<const std::vector<Node>> sets,
+                               Result* out) {
+  const std::size_t lanes = lane_width();
+  for (std::size_t at = 0; at < sets.size(); at += lanes) {
+    const auto block = sets.subspan(at, std::min(lanes, sets.size() - at));
+    if (block.size() >= kMinAnySetBlock) {
+      evaluate_block(block, out + at);
+    } else {
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        out[at + i] = evaluate(block[i]);
+      }
+    }
+  }
+}
+
 std::uint32_t SrgScratch::componentwise_diameter(
     std::span<const Node> faults, std::span<const std::uint32_t> comp) {
   FTR_EXPECTS(comp.size() == index_->n_);

@@ -52,10 +52,12 @@
 // — no option does: evaluate() strikes one fault set and runs the bitset
 // BFS, and the packed kernel runs a block of up to lane_width() sets at
 // once — Gray-adjacent sets through evaluate_gray_block(), any sets
-// through evaluate_block(). Sweeps (analysis/fault_sweep.hpp) hand every
-// block of sets to the packed kernel and fall back to evaluate() set by set
-// only for blocks of unrelated sets too small to profit; exhaustive
-// checks and the adversary's scans run Gray blocks.
+// through evaluate_block(). evaluate_sets() is the one policy for any
+// number of unrelated sets: it cuts them into lane blocks and runs a block
+// packed when it holds at least kMinAnySetBlock sets, else set by set
+// through evaluate(). Sweeps (analysis/fault_sweep.hpp) and the sampled
+// and hill-climbing adversaries (fault/adversary.hpp) evaluate through
+// it; exhaustive sweeps and checks run Gray blocks.
 //
 // Semantics match fault/surviving.cpp exactly: an arc x -> y survives iff
 // some route rho(x, y) avoids every fault (endpoints included), and the
@@ -113,6 +115,17 @@
 #include "routing/route_table.hpp"
 
 namespace ftr {
+
+/// The smallest block of unrelated sets SrgScratch::evaluate_sets() hands
+/// to the any-set packed kernel; smaller blocks run evaluate() set by set.
+/// From bench_srg_kernels' random-block rows (planner torus(12,12),
+/// f = 5): at every lane width from 128 to 512, a 64-set block costs about
+/// what 64 bitset evaluations do, a 96-set block about three quarters, and
+/// a full 512-set block about a fifth. Blocks never exceed the lane width,
+/// so a 64-lane scratch (which only tests and benches pin) evaluates every
+/// set on its own. Gray blocks keep their stored masks and are always
+/// packed.
+inline constexpr std::size_t kMinAnySetBlock = 96;
 
 /// Immutable preprocessing of one routing table: flattened routes, the
 /// node -> routes inverted index and the fault-free route graph as bitset
@@ -310,6 +323,15 @@ class SrgScratch {
   /// (duplicates are tolerated). Stores no per-route or per-pair masks, and
   /// like evaluate_gray_block() leaves the epoch-stamped state alone.
   void evaluate_block(std::span<const std::vector<Node>> sets, Result* out);
+
+  /// Evaluates any number of unrelated fault sets: out[i] is exactly what
+  /// evaluate() would return on sets[i]. The sets are cut into blocks of
+  /// lane_width() in order; a block of at least kMinAnySetBlock sets runs
+  /// through evaluate_block(), a shorter one (the tail, or every block of
+  /// a 64-lane scratch) through evaluate() set by set. The current fault
+  /// set of last_survivors()/route_path() is therefore unspecified
+  /// afterwards: delivery callers stamp each set with set_faults().
+  void evaluate_sets(std::span<const std::vector<Node>> sets, Result* out);
 
   /// Zeroes every stamp array and restarts both epoch counters. Evaluation
   /// results never depend on it (the wrap paths below do the same lazily);

@@ -50,9 +50,12 @@ struct ToleranceCheckOptions {
   /// Extra seed sets (e.g. concentrator-targeted) for the hill-climber.
   std::vector<std::vector<Node>> seeds;
   /// How each unit executes (see common/exec_policy.hpp): threads fan the
-  /// fault sets across workers. The exhaustive Gray scan always runs
-  /// packed and the sampled / hill-climbing evaluators on the bitset
-  /// kernel. The report is identical for any value of any of it.
+  /// fault sets across workers. The exhaustive Gray scan runs packed Gray
+  /// blocks; the sampled and hill-climbing searchers hand their sets to
+  /// SrgScratch::evaluate_sets in batches (a chunk's samples, a lockstep
+  /// round of climb steps), which runs packed any-set blocks and evaluates
+  /// only short batches set by set. The report is identical for any value
+  /// of any of it.
   ExecPolicy exec;
   /// Runs the planned units; empty = in-process (execute_adv_unit over the
   /// check's index). `check --workers N` passes DistSweepPool::run_adv.

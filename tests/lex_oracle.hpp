@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/combinatorics.hpp"
-#include "fault/adversary.hpp"
+#include "adversary_oracle.hpp"
 #include "fault/surviving.hpp"
 
 namespace ftr {
@@ -23,7 +23,7 @@ struct LexOracleResult {
 /// `stop_above`, if nonzero, ends the scan after the first set whose
 /// diameter exceeds it.
 inline LexOracleResult lex_worst_faults(std::size_t n, std::size_t f,
-                                        const FaultEvaluator& eval,
+                                        const SetEvaluator& eval,
                                         std::uint32_t stop_above = 0) {
   LexOracleResult result;
   std::vector<Node> faults(f);

@@ -4,18 +4,21 @@
 
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
+#include "core/planner.hpp"
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
+#include "adversary_oracle.hpp"
 #include "lex_oracle.hpp"
 #include "routing/kernel.hpp"
+#include "routing/multirouting.hpp"
 #include "routing/route_table.hpp"
 
 namespace ftr {
 namespace {
 
 // A synthetic evaluator with a known worst case: diameter = sum of faults.
-FaultEvaluator sum_eval() {
+SetEvaluator sum_eval() {
   return [](const std::vector<Node>& faults) {
     std::uint32_t s = 0;
     for (Node f : faults) s += f;
@@ -23,9 +26,7 @@ FaultEvaluator sum_eval() {
   };
 }
 
-FaultEvaluatorFactory sum_factory() {
-  return [] { return sum_eval(); };
-}
+FaultEvaluatorFactory sum_factory() { return batch_factory(sum_eval()); }
 
 TEST(Adversary, GrayMatchesLexOracleOnRealRouting) {
   const auto gg = cycle_graph(10);
@@ -116,6 +117,240 @@ TEST(Adversary, WindowsFoldLikeOneSearch) {
     EXPECT_EQ(c.faults, whole_c.faults);
     EXPECT_EQ(c.evaluations, whole_c.evaluations);
   }
+}
+
+// --- batched searchers vs the serial oracles ---------------------------------
+
+constexpr unsigned kThreads[] = {1, 2, 8};
+constexpr unsigned kLaneWidths[] = {64, 128, 256, 512};
+
+// srg_evaluator_factory's evaluator with the scratch pinned to `lanes`.
+FaultEvaluatorFactory pinned_factory(const SrgIndex& index, unsigned lanes) {
+  return [&index, lanes]() -> FaultEvaluator {
+    auto scratch = std::make_shared<SrgScratch>(index);
+    scratch->set_lane_width(lanes);
+    auto res = std::make_shared<std::vector<SrgScratch::Result>>();
+    return [scratch, res](std::span<const std::vector<Node>> sets,
+                          std::uint32_t* d) {
+      res->resize(sets.size());
+      scratch->evaluate_sets(sets, res->data());
+      for (std::size_t i = 0; i < sets.size(); ++i) d[i] = (*res)[i].diameter;
+    };
+  };
+}
+
+void expect_same(const AdvPartial& got, const AdvPartial& want,
+                 const std::string& what) {
+  EXPECT_EQ(got.d, want.d) << what;
+  EXPECT_EQ(got.faults, want.faults) << what;
+  EXPECT_EQ(got.evaluations, want.evaluations) << what;
+  EXPECT_EQ(got.stopped, want.stopped) << what;
+  EXPECT_EQ(got.any, want.any) << what;
+}
+
+AdvPartial fold(const AdvPartial& a, const AdvPartial& b) {
+  AdvPartial acc;
+  merge_adversary_partials(acc, a);
+  merge_adversary_partials(acc, b);
+  return acc;
+}
+
+struct AdvTable {
+  std::string name;
+  std::shared_ptr<const SrgIndex> index;
+  std::size_t f;
+};
+
+AdvTable planned_table(const std::string& name, const GeneratedGraph& gg,
+                       std::size_t f) {
+  Rng rng(42);
+  const auto planned =
+      build_planned_routing(gg.graph, gg.known_connectivity, rng);
+  return {name + " (" + construction_name(planned.plan.construction) + ")",
+          std::make_shared<const SrgIndex>(planned.table), f};
+}
+
+// The issue's certify table (serve's torus(8,8)), hypercube(5) on both
+// sides of disconnection, CCC(4), a multirouting and a kernel table.
+std::vector<AdvTable> differential_tables() {
+  std::vector<AdvTable> tables;
+  tables.push_back(planned_table("torus(8,8)", torus_graph(8, 8), 3));
+  tables.push_back(planned_table("hypercube(5)", hypercube(5), 4));
+  tables.push_back(planned_table("hypercube(5)", hypercube(5), 5));
+  tables.push_back(planned_table("CCC(4)", cube_connected_cycles(4), 2));
+  const auto t5 = torus_graph(5, 5);
+  tables.push_back({"full multirouting torus(5,5)",
+                    std::make_shared<const SrgIndex>(
+                        build_full_multirouting(t5.graph, 3)),
+                    3});
+  const auto t6 = torus_graph(6, 6);
+  tables.push_back({"kernel torus(6,6)",
+                    std::make_shared<const SrgIndex>(
+                        build_kernel_routing(t6.graph, 3).table),
+                    3});
+  return tables;
+}
+
+// Every AdvPartial field of both searchers equals the serial oracle's, on
+// whole windows and on split windows folded in order, at every thread
+// count and pinned lane width; the library's own factory and
+// execute_adv_unit agree too.
+TEST(Adversary, BatchedSearchersMatchSerialOracleOnRealTables) {
+  bool saw_stop = false;
+  for (const AdvTable& t : differential_tables()) {
+    const SrgIndex& index = *t.index;
+    const std::size_t n = index.num_nodes();
+    const SetEvaluator serial = srg_set_evaluator(index);
+    // Climb seeds longer than the restart window: [0, 4) uses 4 of them.
+    std::vector<std::vector<Node>> seeds;
+    for (std::size_t k = 0; k < 5; ++k) {
+      std::vector<Node> s;
+      for (std::size_t i = 0; i < t.f; ++i) {
+        s.push_back(static_cast<Node>((k * 7 + i * 3) % n));
+      }
+      std::sort(s.begin(), s.end());
+      s.erase(std::unique(s.begin(), s.end()), s.end());
+      if (s.size() == t.f) seeds.push_back(std::move(s));
+    }
+    const auto want_s = sampled_oracle(n, t.f, serial, 11, 0, 200);
+    const auto want_s_lo = sampled_oracle(n, t.f, serial, 11, 0, 77);
+    const auto want_s_hi = sampled_oracle(n, t.f, serial, 11, 77, 200);
+    const auto want_c = hillclimb_oracle(n, t.f, serial, 12, 0, 6, 24, seeds);
+    const auto want_c_lo = hillclimb_oracle(n, t.f, serial, 12, 0, 4, 24, seeds);
+    const auto want_c_hi = hillclimb_oracle(n, t.f, serial, 12, 4, 6, 24, seeds);
+    saw_stop = saw_stop || want_c.stopped;
+    expect_same(fold(want_s_lo, want_s_hi), want_s, t.name + " oracle split");
+    expect_same(fold(want_c_lo, want_c_hi), want_c, t.name + " oracle split");
+
+    for (const unsigned threads : kThreads) {
+      const ExecPolicy exec{.threads = threads};
+      for (const unsigned lanes : kLaneWidths) {
+        const std::string what = t.name + " f=" + std::to_string(t.f) +
+                                 " threads=" + std::to_string(threads) +
+                                 " lanes=" + std::to_string(lanes);
+        const auto make = pinned_factory(index, lanes);
+        expect_same(sampled_worst_faults(n, t.f, make, 11, 0, 200, exec),
+                    want_s, what + " sampled");
+        expect_same(sampled_worst_faults(n, t.f, make, 11, 77, 200, exec),
+                    want_s_hi, what + " sampled [77, 200)");
+        expect_same(
+            hillclimb_worst_faults(n, t.f, make, 12, 0, 6, 24, seeds, exec),
+            want_c, what + " climb");
+        const auto lo =
+            hillclimb_worst_faults(n, t.f, make, 12, 0, 4, 24, seeds, exec);
+        expect_same(lo, want_c_lo, what + " climb [0, 4)");
+        const auto hi =
+            hillclimb_worst_faults(n, t.f, make, 12, 4, 6, 24, seeds, exec);
+        expect_same(hi, want_c_hi, what + " climb [4, 6)");
+        expect_same(fold(lo, hi), want_c, what + " climb folded");
+      }
+      UnitSpec unit;
+      unit.f = static_cast<std::uint32_t>(t.f);
+      unit.exec = exec;
+      unit.kind = UnitKind::kAdvSampled;
+      unit.seed = 11;
+      unit.end = 200;
+      expect_same(execute_adv_unit(index, unit), want_s,
+                  t.name + " sampled unit");
+      unit.kind = UnitKind::kAdvClimb;
+      unit.seed = 12;
+      unit.end = 6;
+      unit.max_steps = 24;
+      unit.climb_seeds = seeds;
+      expect_same(execute_adv_unit(index, unit), want_c,
+                  t.name + " climb unit");
+    }
+  }
+  // hypercube(5) at f = 5 disconnects: the stop path ran.
+  EXPECT_TRUE(saw_stop);
+}
+
+// The toy landscapes below each pin one path of the lockstep climber
+// against the oracle at every thread count.
+void expect_climb_matches(std::size_t n, std::size_t f,
+                          const SetEvaluator& eval, std::uint64_t seed,
+                          std::uint64_t begin, std::uint64_t end,
+                          std::size_t max_steps,
+                          const std::vector<std::vector<Node>>& seeds,
+                          const std::string& name) {
+  const auto want =
+      hillclimb_oracle(n, f, eval, seed, begin, end, max_steps, seeds);
+  for (const unsigned threads : kThreads) {
+    expect_same(hillclimb_worst_faults(n, f, batch_factory(eval), seed, begin,
+                                       end, max_steps, seeds,
+                                       ExecPolicy{.threads = threads}),
+                want, name + " threads=" + std::to_string(threads));
+  }
+}
+
+TEST(Adversary, LockstepClimbImprovesInALaterSlot) {
+  // From {0, 11}, only swapping out 0 improves: whenever the step scans
+  // 11's slot first, the improvement lands in the second slot and the Rng
+  // must resume right after that slot's draw.
+  const SetEvaluator eval = [](const std::vector<Node>& faults) {
+    std::uint32_t s = 0;
+    for (Node v : faults) s += v == 11 ? 100 : v;
+    return s;
+  };
+  const std::vector<std::vector<Node>> seeds(16, {0, 11});
+  bool later_slot = false;
+  for (std::uint64_t i = 0; i < seeds.size(); ++i) {
+    later_slot = later_slot || Rng::stream(21, i).permutation(2)[0] == 1;
+  }
+  ASSERT_TRUE(later_slot);
+  expect_climb_matches(12, 2, eval, 21, 0, 16, 5, seeds, "later slot");
+}
+
+TEST(Adversary, LockstepClimbStopsAtMaxSteps) {
+  // The sum landscape always has an improving swap until {37, 38, 39}, so
+  // two steps end every climb short of it.
+  const auto want = hillclimb_oracle(40, 3, sum_eval(), 22, 0, 5, 2);
+  EXPECT_LT(want.d, 37u + 38u + 39u);
+  expect_climb_matches(40, 3, sum_eval(), 22, 0, 5, 2, {}, "max_steps=2");
+  expect_climb_matches(40, 3, sum_eval(), 22, 0, 5, 0, {}, "max_steps=0");
+  const auto none = hillclimb_worst_faults(40, 3, sum_factory(), 22, 0, 5, 0);
+  EXPECT_EQ(none.evaluations, 5u);  // the starts alone
+}
+
+TEST(Adversary, LockstepClimbStopsAtTheFirstDisconnectedRestart) {
+  // A flat landscape, disconnected only at {14, 15}: restarts 0 and 1 are
+  // one swap away from nothing better, restart 2 reaches it in one swap,
+  // so the search stops mid-window and restarts 3..7 are never counted.
+  const SetEvaluator eval = [](const std::vector<Node>& faults) {
+    const bool a = std::find(faults.begin(), faults.end(), 14) != faults.end();
+    const bool b = std::find(faults.begin(), faults.end(), 15) != faults.end();
+    return a && b ? kUnreachable : 1u;
+  };
+  const std::vector<std::vector<Node>> seeds = {{0, 1}, {2, 3}, {3, 14}};
+  const auto want = hillclimb_oracle(16, 2, eval, 23, 0, 8, 6, seeds);
+  ASSERT_TRUE(want.stopped);
+  EXPECT_EQ(want.d, kUnreachable);
+  EXPECT_EQ(want.faults, (std::vector<Node>{15, 14}));
+  const auto first_two = hillclimb_oracle(16, 2, eval, 23, 0, 2, 6, seeds);
+  EXPECT_FALSE(first_two.stopped);
+  EXPECT_GT(want.evaluations, first_two.evaluations);
+  expect_climb_matches(16, 2, eval, 23, 0, 8, 6, seeds, "stop at restart 2");
+  // A start that is already disconnected still scans one step, counted.
+  const std::vector<std::vector<Node>> dead_start = {{0, 1}, {14, 15}};
+  expect_climb_matches(16, 2, eval, 23, 0, 8, 6, dead_start, "dead start");
+  for (std::uint64_t cut = 1; cut < 8; ++cut) {
+    AdvPartial c;
+    merge_adversary_partials(c, hillclimb_worst_faults(
+                                    16, 2, batch_factory(eval), 23, 0, cut, 6,
+                                    seeds, ExecPolicy{.threads = 2}));
+    merge_adversary_partials(c, hillclimb_worst_faults(
+                                    16, 2, batch_factory(eval), 23, cut, 8, 6,
+                                    seeds, ExecPolicy{.threads = 2}));
+    expect_same(c, want, "cut " + std::to_string(cut));
+  }
+}
+
+TEST(Adversary, LockstepClimbWithMoreSeedsThanRestarts) {
+  std::vector<std::vector<Node>> seeds;
+  for (Node v = 0; v < 10; ++v) seeds.push_back({v, Node(v + 10)});
+  expect_climb_matches(30, 2, sum_eval(), 24, 0, 4, 8, seeds, "[0, 4)");
+  expect_climb_matches(30, 2, sum_eval(), 24, 3, 7, 8, seeds, "[3, 7)");
+  expect_climb_matches(30, 2, sum_eval(), 24, 8, 13, 8, seeds, "[8, 13)");
 }
 
 TEST(Adversary, ExecuteAdvUnitRejectsSweepUnits) {

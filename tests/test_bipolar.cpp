@@ -147,11 +147,8 @@ TEST(Bipolar, SparseRandomGraphEndToEnd) {
     if (kappa < 3) continue;
     const std::uint32_t t = kappa - 1;
     const auto br = build_bipolar_unidirectional(gg.graph, t, *w);
-    const FaultEvaluatorFactory make_eval = [&]() -> FaultEvaluator {
-      return [&](const std::vector<Node>& f) {
-        return surviving_diameter(br.table, f);
-      };
-    };
+    const SrgIndex index(br.table);
+    const FaultEvaluatorFactory make_eval = srg_evaluator_factory(index);
     const auto res = sampled_worst_faults(60, t, make_eval, /*seed=*/77, 0,
                                           /*samples=*/150);
     EXPECT_LE(res.d, 4u);

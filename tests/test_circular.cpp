@@ -86,11 +86,8 @@ TEST(Circular, Theorem10TorusT3Exhaustive) {
 TEST(Circular, Theorem10TorusT3Adversarial) {
   const auto gg = torus_graph(5, 5);
   const auto cr = build_circular_routing(gg.graph, 3, nset(gg.graph, 5));
-  const FaultEvaluatorFactory make_eval = [&]() -> FaultEvaluator {
-    return [&](const std::vector<Node>& f) {
-      return surviving_diameter(cr.table, f);
-    };
-  };
+  const SrgIndex index(cr.table);
+  const FaultEvaluatorFactory make_eval = srg_evaluator_factory(index);
   const auto res = hillclimb_worst_faults(25, 3, make_eval, /*seed=*/7,
                                           0, /*restarts=*/6, 24);
   EXPECT_LE(res.d, 6u);

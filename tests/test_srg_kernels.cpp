@@ -872,6 +872,39 @@ TEST(SrgKernels, AnySetBlockFewSurvivorLaneDoesNotGateTheBlock) {
   }
 }
 
+// evaluate_sets cuts any number of sets into lane blocks, packs the blocks
+// of at least kMinAnySetBlock sets and runs the rest set by set; either
+// way each set gets exactly evaluate()'s Result. Counts straddle the
+// threshold and the lane width at every pinned width.
+TEST(SrgKernels, EvaluateSetsMatchesEvaluateAtEveryCount) {
+  const auto gg = torus_graph(6, 6);
+  const SrgIndex index(build_kernel_routing(gg.graph, 3).table);
+  const auto sets = mixed_sets(36, 5, 1200, 91);
+  SrgScratch bitset(index);
+  std::vector<SrgScratch::Result> expect;
+  for (const auto& set : sets) expect.push_back(bitset.evaluate(set));
+  for (const unsigned width : kExplicitWidths) {
+    SrgScratch scratch(index);
+    scratch.set_lane_width(width);
+    for (const std::size_t count :
+         {std::size_t{0}, std::size_t{1}, kMinAnySetBlock - 1,
+          kMinAnySetBlock, std::size_t{width}, width + kMinAnySetBlock - 1,
+          width + kMinAnySetBlock, 2 * std::size_t{width} + 1,
+          sets.size()}) {
+      std::vector<SrgScratch::Result> out(count);
+      scratch.evaluate_sets(
+          std::span<const std::vector<Node>>(sets).first(count), out.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        SCOPED_TRACE("width=" + std::to_string(width) + " count=" +
+                     std::to_string(count) + " set=" + std::to_string(i));
+        EXPECT_EQ(expect[i].diameter, out[i].diameter);
+        EXPECT_EQ(expect[i].survivors, out[i].survivors);
+        EXPECT_EQ(expect[i].arcs, out[i].arcs);
+      }
+    }
+  }
+}
+
 // Out-of-range ids are contract violations, as for evaluate(), and leave
 // the scratch clean for the next block; so do empty and oversized blocks.
 TEST(SrgKernels, AnySetBlockRejectsBadInputCleanly) {

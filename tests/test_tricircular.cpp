@@ -71,11 +71,8 @@ TEST(TriCircular, Theorem13TorusT3Adversarial) {
   const auto gg = torus_graph(13, 13);
   const auto tr = build_tricircular_routing(gg.graph, 3, nset(gg.graph, 27),
                                             TriCircularVariant::kFull);
-  const FaultEvaluatorFactory make_eval = [&]() -> FaultEvaluator {
-    return [&](const std::vector<Node>& f) {
-      return surviving_diameter(tr.table, f);
-    };
-  };
+  const SrgIndex index(tr.table);
+  const FaultEvaluatorFactory make_eval = srg_evaluator_factory(index);
   const auto sampled =
       sampled_worst_faults(169, 3, make_eval, /*seed=*/17, 0, /*samples=*/60);
   EXPECT_LE(sampled.d, 4u);
@@ -97,11 +94,8 @@ TEST(TriCircular, Remark14TorusT3Sampled) {
   const auto gg = torus_graph(10, 10);  // t = 3: compact K = 15, packing ~20
   const auto tr = build_tricircular_routing(gg.graph, 3, nset(gg.graph, 15),
                                             TriCircularVariant::kCompact);
-  const FaultEvaluatorFactory make_eval = [&]() -> FaultEvaluator {
-    return [&](const std::vector<Node>& f) {
-      return surviving_diameter(tr.table, f);
-    };
-  };
+  const SrgIndex index(tr.table);
+  const FaultEvaluatorFactory make_eval = srg_evaluator_factory(index);
   const auto res =
       sampled_worst_faults(100, 3, make_eval, /*seed=*/23, 0, /*samples=*/60);
   EXPECT_LE(res.d, 5u);

@@ -281,6 +281,40 @@ for w in 0 1 4; do
   cmp "${GOLD}/check_f4.golden" "${WORK}/check4.${w}.out"
 done
 
+# The adversarial path: C(32, 4) and C(32, 5) are past the exhaustive
+# budget, so check and certify run 200 samples plus the route-load-seeded
+# hill-climbs. At f = 4 the claim holds; at f = 5 a climb disconnects the
+# table, which stops the search (check exits 1: VIOLATED). Samples fill
+# packed lane blocks and climbs step in lockstep, so every --threads and
+# --workers must print the golden bytes.
+echo "== adversarial check and certify across --threads and --workers"
+"${CLI}" gen hypercube 5 > "${WORK}/q5.ftg"
+"${CLI}" build --seed 42 < "${WORK}/q5.ftg" > "${WORK}/q5.ftt" 2> /dev/null
+printf 'table q5 graph=%s routes=%s\n' "${WORK}/q5.ftg" "${WORK}/q5.ftt" \
+  > "${WORK}/tables.q5.txt"
+printf 'certify q5 f=4 claimed=6 seed=3\ncertify q5 f=5 claimed=6 seed=4\n' \
+  > "${WORK}/requests.q5.txt"
+for t in 1 4; do
+  for w in 0 2; do
+    : > "${WORK}/adv.out"
+    for f in 4 5; do
+      rc=0
+      "${CLI}" check "${WORK}/q5.ftg" "${WORK}/q5.ftt" --faults "${f}" \
+        --claimed 6 --threads "${t}" --workers "${w}" \
+        >> "${WORK}/adv.out" 2> /dev/null || rc=$?
+      if [[ "${rc}" -ne $(( f == 5 ? 1 : 0 )) ]]; then
+        echo "error: adversarial f=${f} check (--threads ${t}" \
+          "--workers ${w}) exited ${rc}" >&2
+        exit 1
+      fi
+    done
+    "${CLI}" serve --tables "${WORK}/tables.q5.txt" \
+      --requests "${WORK}/requests.q5.txt" --threads "${t}" \
+      >> "${WORK}/adv.out" 2> /dev/null
+    cmp "${GOLD}/check_adversarial.golden" "${WORK}/adv.out"
+  done
+done
+
 # Exhaustive sweeps with delivery evaluate one Gray-ordered set at a time;
 # spread over threads they must still print the golden bytes.
 echo "== exhaustive delivery sweep across --threads"
