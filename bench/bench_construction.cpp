@@ -131,6 +131,36 @@ void bench_tree_routing_single(benchmark::State& state) {
 }
 BENCHMARK(bench_tree_routing_single)->Arg(6)->Arg(10)->Arg(16);
 
+// The planner end to end with connectivity unknown, as serve's build-on-miss
+// path runs it: profile (node connectivity), plan, and build — hundreds to
+// thousands of Menger flows per table, one per Lemma 2 tree routing. Serial.
+// The name carries "construction" so run_benches.sh's default filter picks
+// it up for BENCH_construction.json.
+GeneratedGraph planner_bench_graph(std::int64_t which) {
+  switch (which) {
+    case 0:
+      return torus_graph(8, 8);
+    case 1:
+      return torus_graph(12, 12);
+    case 2:
+      return hypercube(7);
+    default:
+      return cube_connected_cycles(4);
+  }
+}
+
+void bench_construction_planner_build(benchmark::State& state) {
+  const auto gg = planner_bench_graph(state.range(0));
+  for (auto _ : state) {
+    Rng rng(1);
+    benchmark::DoNotOptimize(
+        build_planned_routing(gg.graph, std::nullopt, rng).table.num_routes());
+  }
+  state.SetLabel(gg.name);
+}
+BENCHMARK(bench_construction_planner_build)->DenseRange(0, 3)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -10,7 +10,8 @@
 # Defaults: build-dir = ./build, out-dir = repo root. Pass a filter via
 # BENCH_FILTER to restrict which google-benchmark cases run (default runs
 # the surviving-diameter/fault-sweep/registry throughput benches, which are
-# the PR acceptance metric; set BENCH_FILTER=. to run everything). Each
+# the PR acceptance metric, and the planner build; set BENCH_FILTER=. to run
+# everything). Each
 # JSON's context block records host_cores next to google-benchmark's own
 # num_cpus, plus max_resident_bytes — the peak RSS of the bench process
 # (getrusage ru_maxrss of the child) — so memory-sensitive baselines like
@@ -25,7 +26,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-.}"
-FILTER="${BENCH_FILTER:-surviving_diameter|fault_sweep|componentwise_sweep|srg_kernels|table_registry|parallel_executor|dist_sweep}"
+FILTER="${BENCH_FILTER:-surviving_diameter|fault_sweep|componentwise_sweep|srg_kernels|table_registry|parallel_executor|dist_sweep|construction}"
 HOST_CORES="$(nproc 2>/dev/null || echo 1)"
 mkdir -p "${OUT_DIR}"
 
@@ -111,7 +112,7 @@ with open(path, "w") as f:
 PY
 }
 
-BENCHES=(bench_recovery bench_comparison bench_srg_kernels bench_table_registry bench_parallel_executor bench_dist_sweep)
+BENCHES=(bench_recovery bench_comparison bench_srg_kernels bench_table_registry bench_parallel_executor bench_dist_sweep bench_construction)
 WRITTEN_JSONS=()
 
 for bench in "${BENCHES[@]}"; do

@@ -7,6 +7,7 @@
 #include "common/contracts.hpp"
 #include "graph/bfs.hpp"
 #include "graph/maxflow.hpp"
+#include "graph/node_marks.hpp"
 
 namespace ftr {
 
@@ -18,6 +19,14 @@ constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 std::uint32_t in_node(Node v) { return 2 * v; }
 std::uint32_t out_node(Node v) { return 2 * v + 1; }
 
+// Every Menger query runs on this thread's one network: reset() keeps its
+// buffers, so a warm thread computes flow after flow without allocating.
+FlowNetwork& reset_network(std::size_t num_nodes) {
+  thread_local FlowNetwork net;
+  net.reset(num_nodes);
+  return net;
+}
+
 // Builds the standard vertex-split network for internally-disjoint x-y
 // paths. x and y get infinite self-capacity; every other node capacity 1.
 // Edge arcs carry infinite capacity so that every minimum cut crosses only
@@ -25,9 +34,9 @@ std::uint32_t out_node(Node v) { return 2 * v + 1; }
 // an edge arc still never exceeds 1: the adjacent split arcs bottleneck it.)
 // If skip_direct_edge, the {x,y} edge (if any) is omitted so the caller can
 // count the direct edge separately.
-FlowNetwork build_split_network(const Graph& g, Node x, Node y,
-                                bool skip_direct_edge) {
-  FlowNetwork net(2 * g.num_nodes());
+FlowNetwork& build_split_network(const Graph& g, Node x, Node y,
+                                 bool skip_direct_edge) {
+  FlowNetwork& net = reset_network(2 * g.num_nodes());
   for (Node v = 0; v < g.num_nodes(); ++v) {
     const std::int64_t cap = (v == x || v == y) ? kInf : 1;
     net.add_edge(in_node(v), out_node(v), cap);
@@ -38,6 +47,15 @@ FlowNetwork build_split_network(const Graph& g, Node x, Node y,
     net.add_edge(out_node(v), in_node(u), kInf);
   });
   return net;
+}
+
+// Internally node-disjoint x-y paths other than the direct edge, up to
+// `limit` (exact below it; see max_flow on why callers taking a minimum may
+// pass the best value so far).
+std::uint32_t split_flow(const Graph& g, Node x, Node y, std::int64_t limit) {
+  FlowNetwork& net = build_split_network(g, x, y, /*skip_direct_edge=*/true);
+  return static_cast<std::uint32_t>(
+      net.max_flow(out_node(x), in_node(y), limit));
 }
 
 bool is_complete(const Graph& g) {
@@ -53,7 +71,7 @@ Path extract_unit_path(FlowNetwork& net, Node x, std::uint32_t sink) {
   std::uint32_t cur = out_node(x);
   while (cur != sink) {
     bool advanced = false;
-    for (std::size_t id : net.out_edges(cur)) {
+    for (const std::uint32_t id : net.out_edges(cur)) {
       if ((id & 1) != 0) continue;  // reverse edges never carry forward flow
       if (net.flow_on(id) < 1) continue;
       net.consume_unit(id);
@@ -68,7 +86,7 @@ Path extract_unit_path(FlowNetwork& net, Node x, std::uint32_t sink) {
     const Node v = static_cast<Node>(cur / 2);
     path.push_back(v);
     bool hopped = false;
-    for (std::size_t id : net.out_edges(cur)) {
+    for (const std::uint32_t id : net.out_edges(cur)) {
       if ((id & 1) != 0) continue;
       const std::uint32_t nxt = net.edge_to(id);
       if (net.flow_on(id) >= 1) {
@@ -90,9 +108,7 @@ std::uint32_t local_node_connectivity(const Graph& g, Node x, Node y) {
   FTR_EXPECTS(g.valid_node(x) && g.valid_node(y));
   FTR_EXPECTS(x != y);
   const bool direct = g.has_edge(x, y);
-  FlowNetwork net = build_split_network(g, x, y, /*skip_direct_edge=*/true);
-  const std::int64_t flow = net.max_flow(out_node(x), in_node(y));
-  return static_cast<std::uint32_t>(flow) + (direct ? 1 : 0);
+  return split_flow(g, x, y, FlowNetwork::kNoLimit) + (direct ? 1 : 0);
 }
 
 std::uint32_t node_connectivity(const Graph& g) {
@@ -103,7 +119,8 @@ std::uint32_t node_connectivity(const Graph& g) {
 
   // Esfahanian–Hakimi: with v a minimum-degree vertex, kappa is attained by
   // a flow between v and a non-neighbor, or between two non-adjacent
-  // neighbors of v.
+  // neighbors of v. Every pair is non-adjacent, so its local connectivity
+  // is its split flow, and no flow needs to count past the best so far.
   Node v = 0;
   for (Node u = 1; u < n; ++u) {
     if (g.degree(u) < g.degree(v)) v = u;
@@ -111,13 +128,13 @@ std::uint32_t node_connectivity(const Graph& g) {
   auto best = static_cast<std::uint32_t>(g.degree(v));
   for (Node u = 0; u < n; ++u) {
     if (u == v || g.has_edge(u, v)) continue;
-    best = std::min(best, local_node_connectivity(g, v, u));
+    best = std::min(best, split_flow(g, v, u, best));
   }
   const auto nbrs = g.neighbors(v);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
       if (g.has_edge(nbrs[i], nbrs[j])) continue;
-      best = std::min(best, local_node_connectivity(g, nbrs[i], nbrs[j]));
+      best = std::min(best, split_flow(g, nbrs[i], nbrs[j], best));
     }
   }
   return best;
@@ -128,7 +145,7 @@ std::vector<Node> min_vertex_cut_between(const Graph& g, Node x, Node y) {
   FTR_EXPECTS(x != y);
   FTR_EXPECTS_MSG(!g.has_edge(x, y),
                   "no vertex cut separates adjacent nodes " << x << "," << y);
-  FlowNetwork net = build_split_network(g, x, y, /*skip_direct_edge=*/false);
+  FlowNetwork& net = build_split_network(g, x, y, /*skip_direct_edge=*/false);
   net.max_flow(out_node(x), in_node(y));
   const auto reach = net.residual_reachable(out_node(x));
   std::vector<Node> cut;
@@ -152,8 +169,9 @@ std::vector<Node> min_vertex_cut(const Graph& g) {
   }
   std::uint32_t best = kUnreachable;
   std::pair<Node, Node> argmin{0, 0};
+  // Every pair is non-adjacent; a flow that reaches `best` cannot win.
   auto consider = [&](Node a, Node b) {
-    const std::uint32_t k = local_node_connectivity(g, a, b);
+    const std::uint32_t k = split_flow(g, a, b, best);
     if (k < best) {
       best = k;
       argmin = {a, b};
@@ -188,7 +206,7 @@ std::vector<Path> disjoint_paths(const Graph& g, Node x, Node y,
     --remaining;
   }
   if (remaining == 0) return paths;
-  FlowNetwork net = build_split_network(g, x, y, /*skip_direct_edge=*/true);
+  FlowNetwork& net = build_split_network(g, x, y, /*skip_direct_edge=*/true);
   const std::int64_t flow =
       net.max_flow(out_node(x), in_node(y),
                    remaining == kUnreachable ? FlowNetwork::kNoLimit
@@ -206,10 +224,21 @@ std::vector<Path> disjoint_paths_to_set(const Graph& g, Node x,
                                         const std::vector<Node>& target_set,
                                         const std::vector<Node>& avoid) {
   FTR_EXPECTS(g.valid_node(x));
-  std::unordered_set<Node> m_set(target_set.begin(), target_set.end());
-  std::unordered_set<Node> avoid_set(avoid.begin(), avoid.end());
-  FTR_EXPECTS_MSG(!m_set.count(x), "source " << x << " lies inside target set");
-  FTR_EXPECTS_MSG(!avoid_set.count(x), "source " << x << " is in the avoid set");
+  constexpr std::uint8_t kTarget = 1, kAvoid = 2, kSeeded = 4;
+  thread_local NodeMarks marks;
+  marks.begin(g.num_nodes());
+  for (Node m : target_set) {
+    FTR_EXPECTS(g.valid_node(m));
+    marks.set(m, kTarget);
+  }
+  for (Node v : avoid) {
+    FTR_EXPECTS(g.valid_node(v));
+    marks.set(v, kAvoid);
+  }
+  FTR_EXPECTS_MSG(!marks.has(x, kTarget),
+                  "source " << x << " lies inside target set");
+  FTR_EXPECTS_MSG(!marks.has(x, kAvoid),
+                  "source " << x << " is in the avoid set");
 
   std::vector<Path> paths;
 
@@ -217,11 +246,10 @@ std::vector<Path> disjoint_paths_to_set(const Graph& g, Node x,
   // edge into the target set, the route to that target is the edge itself.
   // Including all such edges first is never suboptimal (each uses only the
   // target node, which can carry at most one path anyway).
-  std::unordered_set<Node> seeded;
   for (Node m : g.neighbors(x)) {
-    if (m_set.count(m) && !avoid_set.count(m)) {
+    if (marks.has(m, kTarget) && !marks.has(m, kAvoid)) {
       paths.push_back(Path{x, m});
-      seeded.insert(m);
+      marks.set(m, kSeeded);
     }
   }
 
@@ -230,13 +258,11 @@ std::vector<Path> disjoint_paths_to_set(const Graph& g, Node x,
   // "stop at the first occurrence of a node from M".
   const auto n = static_cast<std::uint32_t>(g.num_nodes());
   const std::uint32_t sink = 2 * n;
-  FlowNetwork net(2 * n + 1);
-  auto blocked = [&](Node v) {
-    return avoid_set.count(v) || seeded.count(v) != 0;
-  };
+  FlowNetwork& net = reset_network(2 * n + 1);
+  auto blocked = [&](Node v) { return marks.has(v, kAvoid | kSeeded); };
   for (Node v = 0; v < n; ++v) {
     if (blocked(v)) continue;
-    if (m_set.count(v)) {
+    if (marks.has(v, kTarget)) {
       net.add_edge(in_node(v), sink, 1);
     } else if (v == x) {
       net.add_edge(in_node(v), out_node(v), kInf);
@@ -246,8 +272,8 @@ std::vector<Path> disjoint_paths_to_set(const Graph& g, Node x,
   }
   g.for_each_edge([&](Node u, Node v) {
     if (blocked(u) || blocked(v)) return;
-    const bool u_target = m_set.count(u) != 0;
-    const bool v_target = m_set.count(v) != 0;
+    const bool u_target = marks.has(u, kTarget);
+    const bool v_target = marks.has(v, kTarget);
     if (u_target && v_target) return;  // never traversed
     if (!u_target) net.add_edge(out_node(u), in_node(v), 1);
     if (!v_target) net.add_edge(out_node(v), in_node(u), 1);
@@ -257,7 +283,7 @@ std::vector<Path> disjoint_paths_to_set(const Graph& g, Node x,
     Path p = extract_unit_path(net, x, sink);
     FTR_ASSERT_MSG(p.size() >= 2, "set path must leave the source");
     FTR_ASSERT(g.is_simple_path(p));
-    FTR_ASSERT(m_set.count(p.back()));
+    FTR_ASSERT(marks.has(p.back(), kTarget));
     paths.push_back(std::move(p));
   }
   return paths;

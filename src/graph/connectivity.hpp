@@ -49,7 +49,8 @@ std::vector<Path> disjoint_paths(const Graph& g, Node x, Node y,
 /// Any direct edge from x to a node of M is always used as a length-1 path
 /// (this realizes the direct-edge rule in the paper's tree routing
 /// definition and is never suboptimal). `avoid` nodes are treated as deleted.
-/// x must not be in M. Paths are returned direct-edge paths first.
+/// x must not be in M or `avoid`, and both must hold only nodes of g. Paths
+/// are returned direct-edge paths first.
 std::vector<Path> disjoint_paths_to_set(const Graph& g, Node x,
                                         const std::vector<Node>& target_set,
                                         const std::vector<Node>& avoid = {});

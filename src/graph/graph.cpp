@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/contracts.hpp"
+#include "graph/node_marks.hpp"
 
 namespace ftr {
 
@@ -87,11 +88,13 @@ Graph Graph::without_nodes(const std::vector<Node>& removed) const {
 
 bool Graph::is_simple_path(PathView path) const {
   if (path.null() || path.empty()) return false;
-  std::unordered_set<Node> seen;
-  seen.reserve(path.size() * 2);
+  constexpr std::uint8_t kSeen = 1;
+  thread_local NodeMarks marks;
+  marks.begin(num_nodes());
   for (std::size_t i = 0; i < path.size(); ++i) {
     if (path[i] >= num_nodes()) return false;
-    if (!seen.insert(path[i]).second) return false;
+    if (marks.has(path[i], kSeen)) return false;
+    marks.set(path[i], kSeen);
     if (i > 0 && !has_edge(path[i - 1], path[i])) return false;
   }
   return true;

@@ -1,10 +1,10 @@
 #include "routing/tree_routing.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/contracts.hpp"
 #include "graph/connectivity.hpp"
+#include "graph/node_marks.hpp"
 
 namespace ftr {
 
@@ -40,28 +40,33 @@ TreeRouting build_tree_routing(const Graph& g, Node x,
 
 bool validate_tree_routing(const Graph& g, const TreeRouting& tr,
                            const std::vector<Node>& target_set) {
-  const std::unordered_set<Node> m_set(target_set.begin(), target_set.end());
-  if (m_set.count(tr.source)) return false;
+  constexpr std::uint8_t kTarget = 1, kEndpoint = 2, kInternal = 4;
+  thread_local NodeMarks marks;
+  marks.begin(g.num_nodes());
+  for (Node m : target_set) {
+    if (g.valid_node(m)) marks.set(m, kTarget);  // others match no path node
+  }
+  if (g.valid_node(tr.source) && marks.has(tr.source, kTarget)) return false;
 
-  std::unordered_set<Node> used_endpoints;
-  std::unordered_set<Node> used_internal;
   for (const Path& p : tr.paths) {
     if (p.size() < 2) return false;
     if (p.front() != tr.source) return false;
     if (!g.is_simple_path(p)) return false;
-    if (!m_set.count(p.back())) return false;
-    if (!used_endpoints.insert(p.back()).second) return false;  // dup target
+    if (!marks.has(p.back(), kTarget)) return false;
+    if (marks.has(p.back(), kEndpoint)) return false;  // dup target
+    marks.set(p.back(), kEndpoint);
     for (std::size_t i = 1; i + 1 < p.size(); ++i) {
-      if (m_set.count(p[i])) return false;  // must stop at first M node
-      if (!used_internal.insert(p[i]).second) return false;  // not disjoint
+      if (marks.has(p[i], kTarget)) return false;  // must stop at first M node
+      if (marks.has(p[i], kInternal)) return false;  // not disjoint
+      marks.set(p[i], kInternal);
     }
     // Direct-edge rule: a chosen endpoint adjacent to x is reached by the
     // edge itself.
     if (g.has_edge(tr.source, p.back()) && p.size() != 2) return false;
   }
   // Endpoints must not appear as internal nodes of other paths.
-  for (Node e : used_endpoints) {
-    if (used_internal.count(e)) return false;
+  for (const Path& p : tr.paths) {
+    if (marks.has(p.back(), kInternal)) return false;
   }
   return true;
 }

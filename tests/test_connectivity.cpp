@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
+#include "flow_oracle.hpp"
 
 namespace ftr {
 namespace {
@@ -227,6 +228,74 @@ TEST(NodeConnectivity, RandomGraphsCrossCheckedAgainstCutSize) {
     const auto cut = min_vertex_cut(gg.graph);
     EXPECT_EQ(cut.size(), k);
     EXPECT_TRUE(is_separating_set(gg.graph, cut));
+  }
+}
+
+// Differential check against tests/flow_oracle.hpp: the reusable CSR
+// network, the sink-level BFS cutoff, the limited connectivity flows and
+// the stamp marks must reproduce the original engine's outputs exactly —
+// the same paths in the same order, the same cuts, the same counts.
+std::vector<GeneratedGraph> differential_graphs() {
+  std::vector<GeneratedGraph> out = {
+      torus_graph(5, 6),        hypercube(4),         cube_connected_cycles(3),
+      petersen_graph(),         dodecahedron(),       wrapped_butterfly(3),
+      de_bruijn(4),             cycle_graph(12),      grid_graph(3, 5),
+      complete_bipartite(3, 5), star_graph(5),        complete_graph(5),
+  };
+  Rng rng(77);
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(gnp_connected(18 + 4 * i, 0.2, rng));
+  }
+  for (int i = 0; i < 3; ++i) out.push_back(random_regular(20, 3 + i, rng));
+  return out;
+}
+
+std::vector<Node> random_subset(Rng& rng, std::size_t n, double p, Node skip) {
+  std::vector<Node> out;
+  for (Node v = 0; v < n; ++v) {
+    if (v != skip && rng.uniform() < p) out.push_back(v);
+  }
+  return out;
+}
+
+TEST(MengerDifferential, MatchesOriginalEngineOnEveryQuery) {
+  Rng rng(2025);
+  for (const auto& gg : differential_graphs()) {
+    const Graph& g = gg.graph;
+    const auto n = static_cast<Node>(g.num_nodes());
+    SCOPED_TRACE(gg.name);
+    EXPECT_EQ(node_connectivity(g), flow_oracle::node_connectivity(g));
+    for (int q = 0; q < 24; ++q) {
+      const Node x = static_cast<Node>(rng.below(n));
+      const Node y = static_cast<Node>((x + 1 + rng.below(n - 1)) % n);
+      SCOPED_TRACE(::testing::Message() << "x=" << x << " y=" << y);
+      EXPECT_EQ(local_node_connectivity(g, x, y),
+                flow_oracle::local_node_connectivity(g, x, y));
+      EXPECT_EQ(disjoint_paths(g, x, y), flow_oracle::disjoint_paths(g, x, y));
+      const auto want = static_cast<std::uint32_t>(rng.below(4));
+      EXPECT_EQ(disjoint_paths(g, x, y, want),
+                flow_oracle::disjoint_paths(g, x, y, want));
+      if (!g.has_edge(x, y)) {
+        EXPECT_EQ(min_vertex_cut_between(g, x, y),
+                  flow_oracle::min_vertex_cut_between(g, x, y));
+      }
+      // Target sets: a neighbor shell (the shape Lemma 2's tree routings
+      // use) and a random subset; `avoid` drawn independently, so it may
+      // overlap the targets and x's neighbors.
+      std::vector<Node> shell;
+      for (Node v : g.neighbors(y)) {
+        if (v != x) shell.push_back(v);
+      }
+      const std::vector<Node> targets[] = {shell,
+                                           random_subset(rng, n, 0.3, x)};
+      for (const auto& m : targets) {
+        EXPECT_EQ(disjoint_paths_to_set(g, x, m),
+                  flow_oracle::disjoint_paths_to_set(g, x, m));
+        const auto avoid = random_subset(rng, n, 0.15, x);
+        EXPECT_EQ(disjoint_paths_to_set(g, x, m, avoid),
+                  flow_oracle::disjoint_paths_to_set(g, x, m, avoid));
+      }
+    }
   }
 }
 

@@ -120,6 +120,29 @@ TEST(TreeRouting, ValidatorRejectsSourceInTargetSet) {
   EXPECT_FALSE(validate_tree_routing(gg.graph, tr, {1, 2}));
 }
 
+TEST(TreeRouting, ValidatorRejectsTwoPathsThroughOneNode) {
+  // 3x3 grid, nodes row-major; 0 is adjacent to neither 2 nor 8.
+  const auto gg = grid_graph(3, 3);
+  TreeRouting tr;
+  tr.source = 0;
+  tr.paths = {{0, 1, 2}, {0, 1, 4, 5, 8}};  // both pass through 1
+  EXPECT_FALSE(validate_tree_routing(gg.graph, tr, {2, 8}));
+  // The validator's marks start clean on every call: the disjoint version
+  // passes right after the rejection.
+  tr.paths = {{0, 1, 2}, {0, 3, 6, 7, 8}};
+  EXPECT_TRUE(validate_tree_routing(gg.graph, tr, {2, 8}));
+}
+
+TEST(TreeRouting, ValidatorRejectsPathThroughTargetSet) {
+  const auto gg = grid_graph(3, 3);
+  TreeRouting tr;
+  tr.source = 0;
+  tr.paths = {{0, 1, 4, 5, 8}};  // 4 is in M: the path must stop there
+  EXPECT_FALSE(validate_tree_routing(gg.graph, tr, {4, 8}));
+  tr.paths = {{0, 1, 4}, {0, 3, 6, 7, 8}};
+  EXPECT_TRUE(validate_tree_routing(gg.graph, tr, {4, 8}));
+}
+
 TEST(TreeRouting, InstallPopulatesTable) {
   const auto gg = hypercube(3);
   const std::vector<Node> m = {3, 5, 6};
