@@ -1,9 +1,7 @@
-// Experiment E24: SRG evaluation at memory speed. The three evaluation
+// Experiment E24: SRG evaluation at memory speed. The two evaluation
 // kernels (fault/srg_engine.hpp) on the exhaustive Gray certification
 // workload — the scan behind check_tolerance and the CLI's
 // `sweep --exhaustive`:
-//   * scalar — stamped-queue BFS over the per-set rebuilt arc CSR (the
-//     differential oracle, SrgScratch::set_scalar_oracle);
 //   * bitset — word-packed frontier/visited bitmaps with a direction-
 //     optimizing top-down/bottom-up switch (every single-set evaluation);
 //   * packed — Gray-adjacent fault sets evaluated lane-parallel in
@@ -16,13 +14,15 @@
 // SrgScratch directly so every kernel and every width can be timed on the
 // same Gray walk. The headline metrics live in BENCH_srg_kernels.json:
 // bench_srg_kernels_exhaustive/kernel:2/lanes:64 (packed, one-word blocks)
-// must show >= 5x the items_per_second of /kernel:0/lanes:0 (scalar) on the
-// exhaustive f=2 kernel/torus scan, and the widest supported lane count
-// must beat lanes:64. All kernels and widths produce bit-identical results
-// (tests/test_srg_kernels pins that); only throughput may differ.
+// must show >= 3x the items_per_second of /kernel:1/lanes:0 (bitset) on
+// the exhaustive f=2 kernel/torus scan, and the widest supported lane
+// count must beat lanes:64. Both kernels produce bit-identical results at
+// every width (tests/test_srg_kernels checks each against the one-shot
+// surviving graph); only throughput may differ. Kernel ids stay 1 (bitset)
+// and 2 (packed), so recorded rows keep their names.
 // bench_srg_kernels_stream_torus12 times the single-set path on the e2e
-// stream_sweep shape (planner torus(12,12), 4-6 faults per set), scalar vs
-// bitset. bench_srg_kernels_random_block times unrelated random sets
+// stream_sweep shape (planner torus(12,12), 4-6 faults per set).
+// bench_srg_kernels_random_block times unrelated random sets
 // through the any-set packed kernel (SrgScratch::evaluate_block) against
 // the bitset path, on the planner torus(12,12) and torus(10,10) tables at
 // f = 4, 5, 6 and every lane width: packed must reach >= 3x bitset at 512
@@ -53,15 +53,13 @@ namespace {
 
 using namespace ftr;
 
-// Benchmark argument "kernel": 0 = scalar, 1 = bitset, 2 = packed.
-constexpr std::int64_t kScalar = 0;
+// Benchmark argument "kernel": 1 = bitset, 2 = packed.
 constexpr std::int64_t kBitset = 1;
 constexpr std::int64_t kPacked = 2;
 
-// "scalar" / "bitset" / "packed512"; lanes only matters for packed, where
-// 0 (auto) is annotated with the width it resolved to on this host.
+// "bitset" / "packed512"; lanes only matters for packed, where 0 (auto) is
+// annotated with the width it resolved to on this host.
 std::string kernel_lanes_label(std::int64_t kernel, unsigned lanes) {
-  if (kernel == kScalar) return "scalar";
   if (kernel == kBitset) return "bitset";
   return "packed" + std::to_string(resolve_lane_width(lanes));
 }
@@ -73,8 +71,8 @@ struct ScanTally {
 };
 
 // One single-threaded exhaustive Gray walk over the f-subsets: packed lane
-// blocks at `lanes` (0 = auto), or one full-rebuild evaluate() per set on
-// the scalar oracle or the bitset kernel.
+// blocks at `lanes` (0 = auto), or one evaluate() per set on the bitset
+// kernel.
 ScanTally gray_scan(const SrgIndex& index, std::size_t f, std::int64_t kernel,
                     unsigned lanes) {
   SrgScratch scratch(index);
@@ -99,7 +97,6 @@ ScanTally gray_scan(const SrgIndex& index, std::size_t f, std::int64_t kernel,
     }
     return tally;
   }
-  scratch.set_scalar_oracle(kernel == kScalar);
   std::vector<Node> faults;
   for (std::uint64_t r = 0; r < total; ++r) {
     faults.assign(e.current().begin(), e.current().end());
@@ -115,10 +112,9 @@ ScanTally gray_scan(const SrgIndex& index, std::size_t f, std::int64_t kernel,
 void table_kernel_throughput() {
   std::cout << "-- Exhaustive Gray scan throughput by kernel --\n";
   const unsigned auto_width = resolve_lane_width(0);
-  Table table({"graph", "f", "sets", "scalar sets/s", "bitset sets/s",
-               "packed64 sets/s",
+  Table table({"graph", "f", "sets", "bitset sets/s", "packed64 sets/s",
                "packed" + std::to_string(auto_width) + " sets/s",
-               "bitset/scalar", "packed/scalar"});
+               "packed/bitset"});
   using clock = std::chrono::steady_clock;
   struct Entry {
     std::string graph;
@@ -140,10 +136,10 @@ void table_kernel_throughput() {
     const SrgIndex index(e.rt);
     for (std::size_t f : {2u, 3u}) {
       const auto count = binomial(e.g.num_nodes(), f);
-      // scalar, bitset, packed at 64 lanes, packed at the auto width.
-      constexpr int kConfigs = 4;
-      const std::int64_t kernels[kConfigs] = {kScalar, kBitset, kPacked, kPacked};
-      const unsigned widths[kConfigs] = {0, 0, 64, 0};
+      // bitset, packed at 64 lanes, packed at the auto width.
+      constexpr int kConfigs = 3;
+      const std::int64_t kernels[kConfigs] = {kBitset, kPacked, kPacked};
+      const unsigned widths[kConfigs] = {0, 64, 0};
       double rate[kConfigs] = {};
       ScanTally tally[kConfigs];
       for (int k = 0; k < kConfigs; ++k) {
@@ -159,13 +155,12 @@ void table_kernel_throughput() {
       }
       table.add_row({e.graph, Table::cell(f), Table::cell(count),
                      Table::cell(rate[0], 0), Table::cell(rate[1], 0),
-                     Table::cell(rate[2], 0), Table::cell(rate[3], 0),
-                     Table::cell(rate[1] / rate[0], 1),
-                     Table::cell(rate[3] / rate[0], 1)});
+                     Table::cell(rate[2], 0),
+                     Table::cell(rate[2] / rate[0], 1)});
     }
   }
   table.print(std::cout);
-  std::cout << "(same scans, same answers — the ratio columns are pure"
+  std::cout << "(same scans, same answers — the ratio column is pure"
             << " kernel speedup; timings here are one-shot, the registered"
             << " benchmarks below are the recorded numbers)\n\n";
 }
@@ -173,7 +168,7 @@ void table_kernel_throughput() {
 // THE acceptance benchmark: exhaustive f=2 scan of the kernel/torus table,
 // one registered case per kernel, plus one per packed lane width (lanes:0
 // is the auto pick). items_per_second is fault-sets/sec;
-// /kernel:2/lanes:64 vs /kernel:0/lanes:0 (scalar) is the >= 5x claim, and
+// /kernel:2/lanes:64 vs /kernel:1/lanes:0 (bitset) is the >= 3x claim, and
 // the wider-lane cases vs lanes:64 are the width-scaling record.
 void bench_srg_kernels_exhaustive(benchmark::State& state) {
   const auto gg = torus_graph(6, 6);
@@ -191,7 +186,6 @@ void bench_srg_kernels_exhaustive(benchmark::State& state) {
 }
 BENCHMARK(bench_srg_kernels_exhaustive)
     ->ArgNames({"kernel", "lanes"})
-    ->Args({0, 0})
     ->Args({1, 0})
     ->Args({2, 64})
     ->Args({2, 128})
@@ -217,7 +211,6 @@ void bench_srg_kernels_exhaustive_f3(benchmark::State& state) {
 }
 BENCHMARK(bench_srg_kernels_exhaustive_f3)
     ->ArgNames({"kernel", "lanes"})
-    ->Args({0, 0})
     ->Args({1, 0})
     ->Args({2, 64})
     ->Args({2, 128})
@@ -225,16 +218,15 @@ BENCHMARK(bench_srg_kernels_exhaustive_f3)
     ->Args({2, 512})
     ->Args({2, 0});
 
-// Streamed (non-Gray) sweeps cannot use the packed kernel; what they get
-// is the bitset BFS. Scalar vs bitset on the sampled stream the CLI's
-// default `sweep` runs.
+// One evaluate() per set on the bitset kernel, over the sampled stream the
+// CLI's default `sweep` runs (sweeps hand short chunks to it; long ones go
+// through any-set packed blocks, timed by the random_block rows).
 void bench_srg_kernels_stream(benchmark::State& state) {
   const auto gg = torus_graph(6, 6);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
   constexpr std::uint64_t kSets = 512;
   SrgScratch scratch(index);
-  scratch.set_scalar_oracle(state.range(0) == kScalar);
   std::vector<Node> faults;
   for (auto _ : state) {
     SampledStreamSource source(gg.graph.num_nodes(), 3, kSets, 7);
@@ -246,13 +238,12 @@ void bench_srg_kernels_stream(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kSets));
   state.SetLabel(kernel_lanes_label(state.range(0), 0));
 }
-BENCHMARK(bench_srg_kernels_stream)->ArgName("kernel")->Arg(0)->Arg(1);
+BENCHMARK(bench_srg_kernels_stream)->ArgName("kernel")->Arg(kBitset);
 
 // The e2e `stream_sweep` shape: a planner-built torus(12,12) (planner seed
 // 42, as the CLI builds it) and random sets of 4, 5 and 6 faults,
 // interleaved. The bitset path strikes sparsely (base rows minus the pairs
-// killed through the faults' routes); the scalar oracle still scans every
-// route per set.
+// killed through the faults' routes).
 void bench_srg_kernels_stream_torus12(benchmark::State& state) {
   const auto gg = torus_graph(12, 12);
   Rng plan_rng(42);
@@ -267,7 +258,6 @@ void bench_srg_kernels_stream_torus12(benchmark::State& state) {
   }
   std::shuffle(sets.begin(), sets.end(), rng);
   SrgScratch scratch(index);
-  scratch.set_scalar_oracle(state.range(0) == kScalar);
   for (auto _ : state) {
     for (const auto& faults : sets) {
       benchmark::DoNotOptimize(scratch.evaluate(faults));
@@ -277,7 +267,9 @@ void bench_srg_kernels_stream_torus12(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * sets.size()));
   state.SetLabel(kernel_lanes_label(state.range(0), 0));
 }
-BENCHMARK(bench_srg_kernels_stream_torus12)->ArgName("kernel")->Arg(0)->Arg(1);
+BENCHMARK(bench_srg_kernels_stream_torus12)
+    ->ArgName("kernel")
+    ->Arg(kBitset);
 
 // Random fault sets for the any-set block rows: `f` faults each, from a
 // fixed seed, on the planner-built torus(side, side) the e2e workloads use
@@ -362,13 +354,12 @@ void random_block_args(benchmark::internal::Benchmark* b) {
 BENCHMARK(bench_srg_kernels_random_block)->Apply(random_block_args);
 
 // Single-set evaluation latency (the serving layer's per-request shape):
-// one evaluate() against reused scratch, scalar vs bitset.
+// one bitset evaluate() against reused scratch.
 void bench_srg_kernels_single_set(benchmark::State& state) {
   const auto gg = torus_graph(6, 6);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
   SrgScratch scratch(index);
-  scratch.set_scalar_oracle(state.range(0) == kScalar);
   Rng rng(9);
   const auto sets = random_fault_sets(gg.graph.num_nodes(), 3, 64, rng);
   std::size_t i = 0;
@@ -378,7 +369,7 @@ void bench_srg_kernels_single_set(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel(kernel_lanes_label(state.range(0), 0));
 }
-BENCHMARK(bench_srg_kernels_single_set)->ArgName("kernel")->Arg(0)->Arg(1);
+BENCHMARK(bench_srg_kernels_single_set)->ArgName("kernel")->Arg(kBitset);
 
 // check_tolerance's adversarial path, which runs when C(n, f) is past the
 // exhaustive budget: 200 uniform samples in lane blocks plus six

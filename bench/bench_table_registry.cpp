@@ -137,11 +137,11 @@ void BM_table_registry_acquire_miss(benchmark::State& state) {
 BENCHMARK(BM_table_registry_acquire_miss)->UseRealTime();
 
 // --- cold-acquire datapoints: what a binary snapshot is worth ---------------
-// Same topology and planner materials three ways: rebuild via the planner
-// on every miss (the file-spec cold path snapshots exist to replace), load
-// a binary snapshot with a bulk read, and load it zero-copy via mmap. All
-// three run under a byte budget of 1 so every acquire is a miss; the
-// ratio planner_rebuild : snapshot_* is the tentpole's headline number.
+// Same topology and planner materials two ways: rebuild via the planner on
+// every miss (the file-spec cold path snapshots exist to replace), and load
+// a binary snapshot zero-copy via mmap. Both run under a byte budget of 1
+// so every acquire is a miss; the ratio planner_rebuild : snapshot_mmap is
+// what a snapshot is worth.
 
 struct SnapshotBenchFiles {
   std::string graph_path;
@@ -198,18 +198,9 @@ void BM_table_registry_cold_planner_rebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_table_registry_cold_planner_rebuild)->UseRealTime();
 
-void BM_table_registry_cold_snapshot_bulk(benchmark::State& state) {
-  TableSpec spec;
-  spec.snapshot_file = snapshot_bench_files().snap_path;
-  spec.snapshot_mode = SnapshotLoadMode::kBulkRead;
-  run_cold_acquire(state, spec);
-}
-BENCHMARK(BM_table_registry_cold_snapshot_bulk)->UseRealTime();
-
 void BM_table_registry_cold_snapshot_mmap(benchmark::State& state) {
   TableSpec spec;
   spec.snapshot_file = snapshot_bench_files().snap_path;
-  spec.snapshot_mode = SnapshotLoadMode::kMmap;
   run_cold_acquire(state, spec);
 }
 BENCHMARK(BM_table_registry_cold_snapshot_mmap)->UseRealTime();

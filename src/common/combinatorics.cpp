@@ -28,30 +28,6 @@ std::uint64_t checked_binomial(std::uint64_t n, std::uint64_t k) {
   return total;
 }
 
-SubsetEnumerator::SubsetEnumerator(std::size_t n, std::size_t k)
-    : n_(n), k_(k), cur_(k), valid_(k <= n) {
-  for (std::size_t i = 0; i < k; ++i) cur_[i] = i;
-}
-
-void SubsetEnumerator::advance() {
-  FTR_EXPECTS(valid_);
-  if (k_ == 0) {
-    valid_ = false;  // the single empty subset has been consumed
-    return;
-  }
-  // Find the rightmost element that can still be incremented.
-  std::size_t i = k_;
-  while (i > 0) {
-    --i;
-    if (cur_[i] != i + n_ - k_) {
-      ++cur_[i];
-      for (std::size_t j = i + 1; j < k_; ++j) cur_[j] = cur_[j - 1] + 1;
-      return;
-    }
-  }
-  valid_ = false;
-}
-
 namespace {
 
 // s[0..k) is a sorted subset prefix; true iff it equals {0,...,k-1} (the
@@ -192,29 +168,6 @@ bool GraySubsetEnumerator::advance() {
     }
   }
   FTR_ASSERT_MSG(found_out && found_in, "revolving door moved != 1 element");
-  return true;
-}
-
-bool for_each_subset(std::size_t n, std::size_t k,
-                     const std::function<bool(const std::vector<std::size_t>&)>& fn) {
-  SubsetEnumerator e(n, k);
-  while (e.valid()) {
-    if (!fn(e.current())) return false;
-    e.advance();
-  }
-  return true;
-}
-
-bool for_each_subset_of(const std::vector<std::size_t>& universe, std::size_t k,
-                        const std::function<bool(const std::vector<std::size_t>&)>& fn) {
-  SubsetEnumerator e(universe.size(), k);
-  std::vector<std::size_t> mapped(k);
-  while (e.valid()) {
-    const auto& idx = e.current();
-    for (std::size_t i = 0; i < k; ++i) mapped[i] = universe[idx[i]];
-    if (!fn(mapped)) return false;
-    e.advance();
-  }
   return true;
 }
 

@@ -1,10 +1,10 @@
-// Small combinatorics toolkit: k-subset enumeration (used by the exhaustive
-// fault-set verifier) and binomial coefficients with overflow saturation
-// (used to budget exhaustive vs. sampled verification).
+// Small combinatorics toolkit: revolving-door k-subset enumeration (the
+// order of every exhaustive fault-set sweep and search) and binomial
+// coefficients with overflow saturation (used to budget exhaustive vs.
+// sampled verification).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace ftr {
@@ -16,31 +16,6 @@ std::uint64_t binomial(std::uint64_t n, std::uint64_t k);
 /// C(n, k) for a task space that is about to be enumerated by u64 rank:
 /// throws ContractViolation when binomial(n, k) saturates.
 std::uint64_t checked_binomial(std::uint64_t n, std::uint64_t k);
-
-/// Iterator-style enumeration of all k-subsets of {0,...,n-1} in
-/// lexicographic order. Usage:
-///
-///   SubsetEnumerator e(n, k);
-///   while (e.valid()) { use(e.current()); e.advance(); }
-///
-/// Enumerating k = 0 yields exactly one (empty) subset.
-class SubsetEnumerator {
- public:
-  SubsetEnumerator(std::size_t n, std::size_t k);
-
-  bool valid() const { return valid_; }
-  const std::vector<std::size_t>& current() const { return cur_; }
-  void advance();
-
-  /// Total number of subsets this enumerator will produce.
-  std::uint64_t count() const { return binomial(n_, k_); }
-
- private:
-  std::size_t n_;
-  std::size_t k_;
-  std::vector<std::size_t> cur_;
-  bool valid_;
-};
 
 /// One step of a revolving-door enumeration: element `out` left the subset
 /// and element `in` entered it. The first subset of an enumeration has no
@@ -113,15 +88,5 @@ std::vector<std::size_t> gray_subset_at_rank(std::size_t n, std::size_t k,
 /// (sorted ascending) within the enumeration of its |subset|-subsets. The
 /// rank depends only on the subset, not on n.
 std::uint64_t gray_subset_rank(const std::vector<std::size_t>& subset);
-
-/// Calls `fn` for every k-subset of {0,...,n-1}; stops early if `fn` returns
-/// false. Returns true iff the enumeration ran to completion.
-bool for_each_subset(std::size_t n, std::size_t k,
-                     const std::function<bool(const std::vector<std::size_t>&)>& fn);
-
-/// Calls `fn` for every k-subset of the given universe (arbitrary values),
-/// stopping early on false. Returns true iff enumeration completed.
-bool for_each_subset_of(const std::vector<std::size_t>& universe, std::size_t k,
-                        const std::function<bool(const std::vector<std::size_t>&)>& fn);
 
 }  // namespace ftr

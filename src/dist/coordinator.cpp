@@ -57,9 +57,8 @@ void DistSweepPool::child_main(int in_fd, int out_fd, unsigned index) {
   try {
     const TableSnapshot snap =
         snapshot_path_.empty()
-            ? load_table_snapshot_fd(payload_fd_, SnapshotLoadMode::kMmap,
-                                     "<snapshot payload fd>")
-            : load_table_snapshot_file(snapshot_path_, SnapshotLoadMode::kMmap);
+            ? load_table_snapshot_fd(payload_fd_, "<snapshot payload fd>")
+            : load_table_snapshot_file(snapshot_path_);
     code = run_worker_loop(in_fd, out_fd, snap, index);
   } catch (const std::exception& e) {
     // A worker that cannot even load the table reports why before dying;

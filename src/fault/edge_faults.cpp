@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/contracts.hpp"
-#include "graph/bfs.hpp"
 
 namespace ftr {
 
@@ -51,13 +50,6 @@ Digraph surviving_graph_with_edge_faults(
     r.add_arc(x, y);
   });
   return r;
-}
-
-std::uint32_t surviving_diameter_with_edge_faults(
-    const RoutingTable& table, const std::vector<Node>& node_faults,
-    const std::vector<EdgeFault>& edge_faults) {
-  return diameter(
-      surviving_graph_with_edge_faults(table, node_faults, edge_faults));
 }
 
 std::vector<Node> reduce_edge_faults_to_nodes(

@@ -38,11 +38,6 @@ Digraph surviving_graph_with_edge_faults(const RoutingTable& table,
                                          const std::vector<Node>& node_faults,
                                          const std::vector<EdgeFault>& edge_faults);
 
-/// diam of the above; kUnreachable when some ordered pair is cut off.
-std::uint32_t surviving_diameter_with_edge_faults(
-    const RoutingTable& table, const std::vector<Node>& node_faults,
-    const std::vector<EdgeFault>& edge_faults);
-
 /// The paper's reduction: every edge fault is charged to one endpoint,
 /// producing a pure node-fault set of size |node_faults| + |edge_faults|
 /// (or less when charges coincide). The chosen endpoint is the one with the

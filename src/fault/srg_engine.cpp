@@ -1,7 +1,6 @@
 #include "fault/srg_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 
 #include "common/contracts.hpp"
@@ -169,7 +168,6 @@ SrgScratch::SrgScratch(const SrgIndex& index) : index_(&index) {
   // The per-route and per-pair strike state is sized by the first strike(),
   // so a scratch that only runs packed blocks and delivery never holds it.
   fault_stamp_.assign(n, 0);
-  seen_stamp_.assign(n, 0);
   dist_.assign(n, 0);
   queue_.reserve(n);
   parent_.assign(n, 0);
@@ -183,17 +181,13 @@ void SrgScratch::reset() {
   std::fill(fault_stamp_.begin(), fault_stamp_.end(), 0);
   std::fill(route_stamp_.begin(), route_stamp_.end(), 0);
   std::fill(pair_stamp_.begin(), pair_stamp_.end(), 0);
-  std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
   epoch_ = 0;
-  bfs_epoch_ = 0;
   bits_valid_ = false;
-  oracle_csr_valid_ = false;
 }
 
 void SrgScratch::set_epochs_for_testing(std::uint32_t epoch) {
   reset();
   epoch_ = epoch;
-  bfs_epoch_ = epoch;
 }
 
 void SrgScratch::next_epoch() {
@@ -207,8 +201,7 @@ void SrgScratch::next_epoch() {
     std::fill(pair_stamp_.begin(), pair_stamp_.end(), 0);
     epoch_ = 1;
   }
-  bits_valid_ = false;  // both views of this set are rebuilt on demand
-  oracle_csr_valid_ = false;
+  bits_valid_ = false;  // this set's rows are rebuilt on demand
 }
 
 void SrgScratch::set_faults(std::span<const Node> faults) {
@@ -252,64 +245,6 @@ std::uint32_t SrgScratch::strike(std::span<const Node> faults) {
     }
   }
   return survivors;
-}
-
-void SrgScratch::ensure_oracle_csr() {
-  if (oracle_csr_valid_) return;
-  const SrgIndex& ix = *index_;
-  const std::size_t n = ix.n_;
-  arc_off_.resize(n + 1);
-  arc_cursor_.resize(n);
-  oracle_pair_seen_.assign(ix.num_pairs_, 0);
-
-  // Collect surviving arcs, one per ordered pair with a live route.
-  arcs_.clear();
-  const std::size_t num_routes = ix.route_src_.size();
-  for (std::uint32_t r = 0; r < num_routes; ++r) {
-    if (route_stamp_[r] == epoch_) continue;
-    const std::uint32_t pid = ix.route_pair_[r];
-    if (oracle_pair_seen_[pid] != 0) continue;
-    oracle_pair_seen_[pid] = 1;
-    arcs_.emplace_back(ix.route_src_[r], ix.route_dst_[r]);
-  }
-
-  // Counting sort by source into the oracle CSR.
-  std::fill(arc_off_.begin(), arc_off_.end(), 0);
-  for (const auto& [src, dst] : arcs_) ++arc_off_[src + 1];
-  for (std::size_t i = 1; i <= n; ++i) arc_off_[i] += arc_off_[i - 1];
-  arc_tgt_.resize(arcs_.size());
-  std::copy(arc_off_.begin(), arc_off_.end() - 1, arc_cursor_.begin());
-  for (const auto& [src, dst] : arcs_) arc_tgt_[arc_cursor_[src]++] = dst;
-  oracle_csr_valid_ = true;
-}
-
-std::uint32_t SrgScratch::bfs_from(Node s, std::uint32_t* reached_out) {
-  ++bfs_epoch_;
-  if (bfs_epoch_ == 0) {  // same wraparound discipline as strike()
-    std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-    bfs_epoch_ = 1;
-  }
-  queue_.clear();
-  queue_.push_back(s);
-  seen_stamp_[s] = bfs_epoch_;
-  dist_[s] = 0;
-  std::uint32_t reached = 1;
-  std::uint32_t ecc = 0;
-  for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
-    const Node u = queue_[qi];
-    const std::uint32_t du = dist_[u];
-    for (std::uint32_t i = arc_off_[u]; i < arc_off_[u + 1]; ++i) {
-      const Node v = arc_tgt_[i];
-      if (seen_stamp_[v] == bfs_epoch_) continue;
-      seen_stamp_[v] = bfs_epoch_;
-      dist_[v] = du + 1;
-      ecc = du + 1;
-      ++reached;
-      queue_.push_back(v);
-    }
-  }
-  if (reached_out != nullptr) *reached_out = reached;
-  return ecc;
 }
 
 void SrgScratch::ensure_bits() {
@@ -429,23 +364,15 @@ SrgScratch::Result SrgScratch::evaluate(std::span<const Node> faults) {
   const std::uint32_t survivors = strike(faults);
   Result res;
   res.survivors = survivors;
-  const bool bitset = !scalar_oracle_;
-  if (bitset) {
-    res.arcs = static_cast<std::uint32_t>(index_->num_pairs_ -
-                                          dead_pairs_.size());
-  } else {
-    ensure_oracle_csr();
-    res.arcs = static_cast<std::uint32_t>(arcs_.size());
-  }
+  res.arcs =
+      static_cast<std::uint32_t>(index_->num_pairs_ - dead_pairs_.size());
   if (survivors <= 1) return res;  // diameter 0 by convention
-  if (bitset) ensure_bits();
+  ensure_bits();
   std::uint32_t diam = 0;
   for (Node s = 0; s < index_->n_; ++s) {
     if (fault_stamp_[s] == epoch_) continue;
     std::uint32_t reached = 0;
-    const std::uint32_t ecc = bitset
-                                  ? bfs_from_bits(survivors, s, &reached, false)
-                                  : bfs_from(s, &reached);
+    const std::uint32_t ecc = bfs_from_bits(survivors, s, &reached, false);
     if (reached < survivors) {
       res.diameter = kUnreachable;
       return res;
@@ -679,32 +606,18 @@ std::uint32_t SrgScratch::componentwise_diameter(
   FTR_EXPECTS(comp.size() == index_->n_);
   const std::uint32_t survivors = strike(faults);
   if (survivors <= 1) return 0;
+  // A BFS from every survivor: reachability answered from the visited
+  // bitmap, distances from the per-level dist_ fill.
+  ensure_bits();
   std::uint32_t worst = 0;
-  if (!scalar_oracle_) {
-    // Same per-source scan, reachability answered from the visited bitmap
-    // and distances from the per-level dist_ fill (BFS levels are unique,
-    // so dist_ is kernel-invariant).
-    ensure_bits();
-    for (Node s = 0; s < index_->n_; ++s) {
-      if (fault_stamp_[s] == epoch_) continue;
-      bfs_from_bits(survivors, s, nullptr, /*fill_dist=*/true);
-      for (Node t = 0; t < index_->n_; ++t) {
-        if (t == s || fault_stamp_[t] == epoch_ || comp[t] != comp[s]) continue;
-        if ((visited_bits_[t >> 6] & (std::uint64_t{1} << (t & 63))) == 0) {
-          return kUnreachable;
-        }
-        worst = std::max(worst, dist_[t]);
-      }
-    }
-    return worst;
-  }
-  ensure_oracle_csr();
   for (Node s = 0; s < index_->n_; ++s) {
     if (fault_stamp_[s] == epoch_) continue;
-    bfs_from(s, nullptr);
+    bfs_from_bits(survivors, s, nullptr, /*fill_dist=*/true);
     for (Node t = 0; t < index_->n_; ++t) {
       if (t == s || fault_stamp_[t] == epoch_ || comp[t] != comp[s]) continue;
-      if (seen_stamp_[t] != bfs_epoch_) return kUnreachable;
+      if ((visited_bits_[t >> 6] & (std::uint64_t{1} << (t & 63))) == 0) {
+        return kUnreachable;
+      }
       worst = std::max(worst, dist_[t]);
     }
   }

@@ -43,10 +43,7 @@
 //  * the bitset view copies the base rows and clears the dead pairs' bits,
 //    and BFS runs over it allocation-free after the first evaluation.
 // A set costs O(sum over faults of routes-through-fault + n * ceil(n/64))
-// instead of O(all routes). Only the scalar oracle (below) still scans
-// every route: it builds its own arc CSR lazily from the kill stamps, so it
-// shares no pair bookkeeping, base rows or dead list with the path it
-// checks.
+// instead of O(all routes).
 //
 // There are two evaluation paths, and the caller's shape picks between them
 // — no option does: evaluate() strikes one fault set and runs the bitset
@@ -66,7 +63,7 @@
 //
 // EVALUATION KERNELS. The diameter BFS dominates every evaluation (the
 // surviving route graph is near-complete — one arc per ordered pair with a
-// live route — so each BFS touches ~n^2 arcs). SrgScratch runs it three
+// live route — so each BFS touches ~n^2 arcs). SrgScratch runs it two
 // ways:
 //
 //  * bitset — evaluate()/componentwise_diameter(): the struck set's
@@ -92,15 +89,15 @@
 //    dispatched at runtime to a portable, AVX2, or AVX-512 instantiation
 //    (fault/srg_packed.hpp). Lanes are consumed in rank order, so neither
 //    the width nor the chosen instantiation is observable in any result.
-//  * scalar — the original stamped-queue BFS over an arc CSR rebuilt from a
-//    full pass over the route list (per-pair dedup, counting sort by
-//    source), enabled per scratch by set_scalar_oracle(). Nothing in the
-//    library selects it; it is the differential oracle the other two are
-//    tested against, and its CSR is never allocated unless it runs.
 //
-// All kernels produce bit-identical Results for every fault set — pinned by
-// the differential suite in tests/test_srg_kernels.cpp — so the kernel,
-// like thread count and batch size, never leaks into any output.
+// The reference for both is fault/surviving.hpp: surviving_graph() builds
+// R(G, rho)/F as a Digraph straight from the paper's definition, and
+// surviving_diameter() runs BFS over it. It shares no strike, base rows or
+// index with this layer, so the differential suite in
+// tests/test_srg_kernels.cpp checks every Result field (diameter against
+// its diameter, survivors against num_present(), arcs against num_arcs())
+// of both kernels against it. The kernel, like thread count and batch
+// size, therefore never leaks into any output.
 #pragma once
 
 #include <cstdint>
@@ -231,12 +228,6 @@ class SrgScratch {
   const SrgIndex& index() const { return *index_; }
   std::size_t num_nodes() const { return index_->num_nodes(); }
 
-  /// Oracle hook for the differential tests and kernel benches: runs
-  /// evaluate()/componentwise_diameter() on the scalar stamped-queue BFS
-  /// over a full-scan arc CSR instead of the bitset kernel (Result::arcs is
-  /// then that CSR's size). Takes effect immediately.
-  void set_scalar_oracle(bool enabled) { scalar_oracle_ = enabled; }
-
   /// Pins the packed lane width (64/128/256/512) for the tests and benches
   /// that cover every LaneBlock<W> instantiation; 0 (the default) resolves
   /// at first use via ftr::resolve_lane_width(0), the widest width the CPU
@@ -333,20 +324,20 @@ class SrgScratch {
   /// afterwards: delivery callers stamp each set with set_faults().
   void evaluate_sets(std::span<const std::vector<Node>> sets, Result* out);
 
-  /// Zeroes every stamp array and restarts both epoch counters. Evaluation
-  /// results never depend on it (the wrap paths below do the same lazily);
+  /// Zeroes every stamp array and restarts the epoch counter. Evaluation
+  /// results never depend on it (the wrap path below does the same lazily);
   /// exposed so long-lived servers can re-zero scratch at a quiet moment
   /// instead of inside a request.
   void reset();
 
-  /// Test hook for the 2^32 epoch wraparound: plants both counters just
+  /// Test hook for the 2^32 epoch wraparound: plants the counter just
   /// below `epoch` so a handful of evaluations crosses the wrap. Stamps are
   /// re-zeroed, so behavior stays exactly as after reset().
   void set_epochs_for_testing(std::uint32_t epoch);
 
  private:
   // Starts a fault set: bumps epoch_ (re-zeroing the stamps on wrap) and
-  // invalidates both views of the previous set.
+  // invalidates the previous set's bitset rows.
   void next_epoch();
   // Stamps the faults and the routes through them, and lists the pairs
   // whose last route died (dead_pairs_). Touches only routes through the
@@ -358,17 +349,8 @@ class SrgScratch {
   bool pair_survives(std::uint32_t pid) const;
   bool arc_survives(Node u, Node v) const;
 
-  // The scalar oracle's input: one full pass over the route list collects
-  // the surviving arcs (one per pair with a route not stamped killed) into
-  // the arc CSR. Lazy and invalidated by every strike.
-  void ensure_oracle_csr();
-  // BFS from s over the oracle CSR; returns the eccentricity among reached
-  // survivors and leaves dist/seen stamps for this bfs_epoch_.
-  std::uint32_t bfs_from(Node s, std::uint32_t* reached_out);
-
   // Builds the struck set's succ/pred/alive bitmaps: the index's base rows
-  // with the dead pairs' bits cleared. Lazy, so the scalar oracle never
-  // pays for it.
+  // with the dead pairs' bits cleared. Lazy, once per strike.
   void ensure_bits();
   // Direction-optimizing bitset BFS over the succ/pred/alive bitmaps
   // ensure_bits() built. Returns the eccentricity among reached survivors,
@@ -390,7 +372,6 @@ class SrgScratch {
                         bool gray, Result* out);
 
   const SrgIndex* index_;
-  bool scalar_oracle_ = false;
 
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> fault_stamp_;
@@ -399,18 +380,8 @@ class SrgScratch {
   std::vector<std::uint32_t> pair_live_;   // its live routes, if touched
   std::vector<std::uint32_t> dead_pairs_;  // pairs with no live route left
 
-  // Scalar-oracle state (lazy; empty unless the oracle has run).
-  bool oracle_csr_valid_ = false;
-  std::vector<std::uint8_t> oracle_pair_seen_;
-  std::vector<std::pair<Node, Node>> arcs_;
-  std::vector<std::uint32_t> arc_off_;     // oracle CSR offsets (n + 1)
-  std::vector<std::uint32_t> arc_cursor_;
-  std::vector<Node> arc_tgt_;
-
-  std::uint32_t bfs_epoch_ = 0;
-  std::vector<std::uint32_t> seen_stamp_;
-  std::vector<std::uint32_t> dist_;
-  std::vector<Node> queue_;
+  std::vector<std::uint32_t> dist_;  // componentwise_diameter()'s levels
+  std::vector<Node> queue_;          // route_path()'s BFS queue
 
   // Delivery buffers (last_survivors() / route_path()).
   std::vector<Node> survivor_list_;

@@ -8,8 +8,8 @@
 // visited/frontier masks), and every phase runs the same statements over
 // W-word blocks held in vector registers (lane_block.hpp). Lanes are
 // still consumed in rank order, so results, per-lane evaluation counts,
-// and early-stop behavior are bit-identical to the scalar oracle at every
-// width and under every ISA.
+// and early-stop behavior are bit-identical to per-set evaluation at
+// every width and under every ISA.
 //
 // No phase loops over lanes per pair or per BFS level; the two per-lane
 // outputs are accumulated as lane masks and read out once per block:
@@ -182,8 +182,8 @@ void run_block_impl(const PackedCtx& ctx, std::size_t count,
 
   // (d) Lane-parallel BFS: one LaneBlock of lanes per node. A lane
   // drops out of `active` once some source fails to reach every
-  // survivor in it (its diameter is then kUnreachable, matching the
-  // scalar early return). Level k's newly reached lanes are kept in
+  // survivor in it (its diameter is then kUnreachable, matching
+  // evaluate()'s early return). Level k's newly reached lanes are kept in
   // level_grew[k]; once a source's `ok` lanes are known they are ORed
   // into diam_ge[k], the lanes whose diameter is at least k.
   if (survivors >= 2) {

@@ -394,7 +394,7 @@ struct RawSection {
   std::uint64_t checksum = 0;
 };
 
-// Header + directory validation shared by both load paths and the directory
+// Header + directory validation shared by both loaders and the directory
 // introspection entry point. Validation order is deliberate: magic /
 // version / endianness first, then structural header fields, then PER-ENTRY
 // tag and bounds checks (so a corrupted section length is reported as that
@@ -477,10 +477,10 @@ std::vector<RawSection> validate_container(const std::string& path,
   return sections;
 }
 
-// Section payload -> FlatArray: an owned copy on the bulk path (no owner
-// handle), an alias into the mapping on the zero-copy path. Payload offsets
-// are 16-byte aligned and both backing stores are at-least-16-aligned, so
-// the aliased pointer is always suitably aligned for T.
+// Section payload -> FlatArray: an alias into the mapping, which `owner`
+// keeps alive (an empty section is an empty owned array). Payload offsets
+// are 16-byte aligned and the mapping is page-aligned, so the aliased
+// pointer is always suitably aligned for T.
 template <typename T>
 FlatArray<T> take_array(const std::string& path, const RawSection& s,
                         const std::shared_ptr<const void>& owner) {
@@ -491,14 +491,12 @@ FlatArray<T> take_array(const std::string& path, const RawSection& s,
                                << sizeof(T));
   const std::size_t count = s.length / sizeof(T);
   const T* src = reinterpret_cast<const T*>(s.data);
-  if (!owner || count == 0) {
-    return FlatArray<T>(std::vector<T>(src, src + count));
-  }
+  if (count == 0) return FlatArray<T>();
   return FlatArray<T>::aliased(src, count, owner);
 }
 
 // Bounds / monotonicity / id-range validation of everything the sections
-// claim, run on BOTH load paths before any loaded structure escapes. The
+// claim, run on every load before any loaded structure escapes. The
 // checksums catch storage corruption; these checks keep a crafted or buggy
 // file from producing out-of-bounds indexing (or a non-terminating hash
 // probe) at serve time. Cost is one linear pass per array — still far from
@@ -864,30 +862,15 @@ void save_table_snapshot_file(const TableSnapshot& snapshot,
   write_file_exact(path, bytes.data(), bytes.size());
 }
 
-const char* snapshot_load_mode_name(SnapshotLoadMode mode) {
-  return mode == SnapshotLoadMode::kBulkRead ? "bulk" : "mmap";
-}
-
 namespace {
 
-// EINTR-safe whole-file read (pipe_io): a signal landing mid-read can no
-// longer truncate the buffer into a checksum failure.
-std::vector<unsigned char> read_whole_file(const std::string& path) {
-  return read_file_exact(path);
-}
-
-}  // namespace
-
-namespace {
-
-// The shared back half of both load paths: validate the container at
-// `base`/`size`, then build the structures. `map` is the shared-ownership
-// handle on the mmap path (aliased arrays keep it alive) and null on the
-// bulk path (every array copies out of the caller's buffer).
+// The shared back half of both loaders: validate the mapped container,
+// then build the structures. The aliased arrays share ownership of `map`,
+// which keeps it alive.
 TableSnapshot parse_snapshot(const std::string& path,
-                             const unsigned char* base, std::uint64_t size,
-                             std::shared_ptr<const MappedFile> map,
-                             SnapshotLoadMode mode) {
+                             std::shared_ptr<const MappedFile> map) {
+  const auto* base = reinterpret_cast<const unsigned char*>(map->data());
+  const std::uint64_t size = map->size();
   const std::vector<RawSection> secs =
       validate_container(path, base, size, /*verify_payload_checksums=*/true);
   FTR_EXPECTS_MSG(secs.size() == kNumSections,
@@ -914,8 +897,7 @@ TableSnapshot parse_snapshot(const std::string& path,
   SnapshotMeta meta;
   std::memcpy(&meta, meta_sec.data, sizeof(meta));
 
-  const std::shared_ptr<const void> owner =
-      mode == SnapshotLoadMode::kMmap ? map : nullptr;
+  const std::shared_ptr<const void> owner = std::move(map);
   auto goff = take_array<std::uint32_t>(path, sec("goff"), owner);
   auto gtgt = take_array<Node>(path, sec("gtgt"), owner);
   auto arena = take_array<Node>(path, sec("tarena"), owner);
@@ -969,38 +951,14 @@ TableSnapshot parse_snapshot(const std::string& path,
 
 }  // namespace
 
-TableSnapshot load_table_snapshot_file(const std::string& path,
-                                       SnapshotLoadMode mode) {
+TableSnapshot load_table_snapshot_file(const std::string& path) {
   expect_little_endian_host();
-  if (mode == SnapshotLoadMode::kMmap) {
-    auto map = MappedFile::open(path);
-    const auto* base = reinterpret_cast<const unsigned char*>(map->data());
-    const std::uint64_t size = map->size();
-    return parse_snapshot(path, base, size, std::move(map), mode);
-  }
-  const std::vector<unsigned char> buf = read_whole_file(path);
-  return parse_snapshot(path, buf.data(), buf.size(), nullptr, mode);
+  return parse_snapshot(path, MappedFile::open(path));
 }
 
-TableSnapshot load_table_snapshot_fd(int fd, SnapshotLoadMode mode,
-                                     const std::string& name) {
+TableSnapshot load_table_snapshot_fd(int fd, const std::string& name) {
   expect_little_endian_host();
-  if (mode == SnapshotLoadMode::kMmap) {
-    auto map = MappedFile::from_fd(fd, name);
-    const auto* base = reinterpret_cast<const unsigned char*>(map->data());
-    const std::uint64_t size = map->size();
-    return parse_snapshot(name, base, size, std::move(map), mode);
-  }
-  // pread only: forked workers share ONE file description, so the shared
-  // seek offset must never move.
-  std::vector<unsigned char> buf(static_cast<std::size_t>(fd_size(fd)));
-  if (!buf.empty()) {
-    const IoStatus st = pread_exact(fd, buf.data(), buf.size(), 0);
-    FTR_EXPECTS_MSG(st == IoStatus::kOk,
-                    "short read from snapshot '" << name << "' ("
-                                                 << io_status_name(st) << ")");
-  }
-  return parse_snapshot(name, buf.data(), buf.size(), nullptr, mode);
+  return parse_snapshot(name, MappedFile::from_fd(fd, name));
 }
 
 bool is_snapshot_file(const std::string& path) {
@@ -1017,7 +975,7 @@ std::uint64_t ftr_checksum64(const void* data, std::uint64_t n) {
 }
 
 SnapshotInfo read_snapshot_directory(const std::string& path) {
-  const std::vector<unsigned char> buf = read_whole_file(path);
+  const std::vector<unsigned char> buf = read_file_exact(path);
   const std::vector<RawSection> secs = validate_container(
       path, buf.data(), buf.size(), /*verify_payload_checksums=*/false);
   SnapshotInfo info;

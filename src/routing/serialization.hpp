@@ -7,8 +7,8 @@
 //  * the versioned, checksummed BINARY SNAPSHOT — a complete ServedTable
 //    payload ({Graph CSR, RoutingTable arena + flat index, SrgIndex
 //    preprocessing, Plan, route-load ranking}) in one sectioned container
-//    that a serving replica loads at memory speed (bulk read) or aliases
-//    in place (zero-copy mmap) instead of re-running the planner.
+//    that a serving replica maps and aliases in place (zero-copy mmap)
+//    instead of re-running the planner.
 //
 // Text format (line-oriented; '#' starts a comment that runs to the end of
 // its line):
@@ -38,8 +38,8 @@
 // exactly v1 files and rejects anything newer with a ContractViolation
 // naming the file. Every load validates the directory and per-section
 // checksums plus the structural invariants (offsets monotone, ids in
-// range) before any loaded state escapes, on BOTH load paths; a corrupted
-// file never yields a partially-valid table.
+// range) before any loaded state escapes; a corrupted file never yields a
+// partially-valid table.
 #pragma once
 
 #include <cstdint>
@@ -112,36 +112,24 @@ void save_table_snapshot_file(const TableSnapshot& snapshot,
 /// sweep coordinator writes into an unlinked temp file for forked workers.
 std::string table_snapshot_to_string(const TableSnapshot& snapshot);
 
-enum class SnapshotLoadMode : std::uint8_t {
-  /// Validate checksums, then copy every section into owning vectors — the
-  /// portable oracle; the file can be deleted afterwards.
-  kBulkRead,
-  /// Validate checksums against the mapping, then alias the flat arrays in
-  /// place: no copies, and the mapping stays alive (shared ownership) for
-  /// as long as any loaded structure does. memory_bytes() of the loaded
-  /// structures reports the mapped extent, so byte-accounted caches charge
-  /// mapped tables like resident ones.
-  kMmap,
-};
-
-const char* snapshot_load_mode_name(SnapshotLoadMode mode);
-
-/// Loads a snapshot file. Throws ContractViolation naming the file (and the
+/// Loads a snapshot file by mapping it: checksums are validated against
+/// the mapping, then the flat arrays are aliased in place — no copies, and
+/// the mapping stays alive (shared ownership) for as long as any loaded
+/// structure does. memory_bytes() of the loaded structures reports the
+/// mapped extent, so byte-accounted caches charge mapped tables like
+/// resident ones. Throws ContractViolation naming the file (and the
 /// offending section, where one exists) on wrong magic, future format
 /// version, truncation, checksum mismatch, or structural corruption —
-/// partially-valid state never escapes. Both modes return bit-identical
-/// structures; only storage ownership differs.
-TableSnapshot load_table_snapshot_file(
-    const std::string& path, SnapshotLoadMode mode = SnapshotLoadMode::kMmap);
+/// partially-valid state never escapes.
+TableSnapshot load_table_snapshot_file(const std::string& path);
 
 /// Loads a snapshot from an already-open descriptor (e.g. an unlinked temp
-/// file inherited by a forked worker — no pathname exists). Never consumes,
-/// closes, or seeks `fd`: both modes read positionally (mmap / pread), so
+/// file inherited by a forked worker — no pathname exists), mapped like
+/// load_table_snapshot_file(). Never consumes, closes, or seeks `fd`, so
 /// any number of forked processes can load from ONE shared file description
 /// without offset races. `name` labels error messages.
-TableSnapshot load_table_snapshot_fd(
-    int fd, SnapshotLoadMode mode = SnapshotLoadMode::kMmap,
-    const std::string& name = "<snapshot fd>");
+TableSnapshot load_table_snapshot_fd(int fd,
+                                     const std::string& name = "<snapshot fd>");
 
 /// True if the file starts with the snapshot magic — the sniff the CLI uses
 /// to accept a snapshot anywhere a graph/table file is read.

@@ -100,8 +100,7 @@ TableHandle TableRegistry::materialize_locked(const std::string& name,
     // The snapshot carries the whole precomputed payload — the load (which
     // validates checksums and structure, throwing before any state escapes)
     // replaces the planner/SrgIndex work below.
-    TableSnapshot snap = load_table_snapshot_file(
-        provider.spec.snapshot_file, provider.spec.snapshot_mode);
+    TableSnapshot snap = load_table_snapshot_file(provider.spec.snapshot_file);
     entry->graph = std::move(snap.graph);
     entry->table = std::move(snap.table);
     entry->index = std::move(snap.index);

@@ -20,10 +20,9 @@
 //  * snapshot-on-miss: a spec may instead name a binary snapshot
 //    (snapshot=<file> in the manifest) — the complete precomputed payload,
 //    SrgIndex and route-load ranking included — which materializes by
-//    loading (zero-copy mmap; TableSpec::snapshot_mode can pick the bulk
-//    read), bumping stats().snapshot_loads instead of builds. Served
-//    responses are bit-identical to the build-on-miss path for the same
-//    materials; only the cold-acquire cost changes;
+//    mapping it (zero-copy mmap), bumping stats().snapshot_loads instead
+//    of builds. Served responses are bit-identical to the build-on-miss
+//    path for the same materials; only the cold-acquire cost changes;
 //  * residency is byte-accounted against max_resident_bytes (0 = unlimited)
 //    using the memory_bytes() probes of Graph / RoutingTable / SrgIndex, and
 //    evicted in LRU order — acquire() touches, eviction walks from the cold
@@ -96,8 +95,6 @@ struct TableSpec {
   std::uint64_t build_seed = 42;
   /// Binary snapshot to materialize from (exclusive with the fields above).
   std::string snapshot_file;
-  /// How to load snapshot_file: zero-copy mmap (default) or bulk read.
-  SnapshotLoadMode snapshot_mode = SnapshotLoadMode::kMmap;
 };
 
 struct TableRegistryOptions {

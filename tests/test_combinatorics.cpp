@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "lex_oracle.hpp"
 
 namespace ftr {
 namespace {
@@ -238,18 +239,6 @@ TEST(GraySubsetEnumerator, DegenerateShapes) {
 
   EXPECT_FALSE(GraySubsetEnumerator(2, 3).valid());
   EXPECT_EQ(GraySubsetEnumerator(30, 3).count(), binomial(30, 3));
-}
-
-TEST(ForEachSubsetOf, MapsUniverseValues) {
-  const std::vector<std::size_t> universe = {10, 20, 30};
-  std::set<std::vector<std::size_t>> seen;
-  for_each_subset_of(universe, 2, [&](const std::vector<std::size_t>& s) {
-    seen.insert(s);
-    return true;
-  });
-  const std::set<std::vector<std::size_t>> expected = {
-      {10, 20}, {10, 30}, {20, 30}};
-  EXPECT_EQ(seen, expected);
 }
 
 }  // namespace

@@ -5,11 +5,11 @@
 //  * streaming a source == materializing the same sets == running the
 //    equivalent sampled or explicit unit, for any thread count and any
 //    batch size;
-//  * sweep_exhaustive_gray (packed lane blocks, or one set at a time under
-//    a forced kernel or delivery) is bit-identical — histograms, verdicts,
-//    worst witness, delivery — to pushing an ExhaustiveGraySource through
-//    the generic engine, on kernel / circular / tri-circular tables,
-//    kernels {auto, bitset, scalar}, threads {1, 2, 8}, f in {1, 2, 3};
+//  * sweep_exhaustive_gray (packed lane blocks, with or without delivery)
+//    is bit-identical — histograms, verdicts, worst witness, delivery — to
+//    pushing an ExhaustiveGraySource through the generic engine, on
+//    kernel / circular / tri-circular tables, threads {1, 2, 8}, f in
+//    {1, 2, 3};
 //  * the line-delimited istream feed reproduces the materialized sweep.
 #include "analysis/fault_sweep.hpp"
 

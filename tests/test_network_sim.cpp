@@ -13,6 +13,7 @@
 #include "fault/srg_engine.hpp"
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
+#include "graph/bfs.hpp"
 #include "routing/hypercube_routing.hpp"
 #include "routing/kernel.hpp"
 #include "routing/route_table.hpp"
@@ -48,20 +49,24 @@ enum class Prime { kEvaluate, kSetFaults };
 
 // Every ordered survivor pair's route_path equals the Digraph oracle's BFS
 // path on the one-shot surviving graph, and measure_delivery equals the
-// oracle measure for every sample size (same draws, same totals). Returns
-// the longest path found, in arcs.
+// oracle measure for every sample size (same draws, same totals); an
+// evaluate() prime must also report that graph's diameter, survivors and
+// arcs. Returns the longest path found, in arcs.
 std::size_t expect_matches_oracle(const RoutingTable& table,
                                   SrgScratch& scratch,
                                   const std::vector<Node>& faults,
                                   const std::string& what,
                                   Prime prime = Prime::kEvaluate) {
+  const Digraph surviving = surviving_graph(table, faults);
   if (prime == Prime::kEvaluate) {
-    scratch.evaluate(faults);
+    const auto res = scratch.evaluate(faults);
+    EXPECT_EQ(res.diameter, diameter(surviving)) << what;
+    EXPECT_EQ(res.survivors, surviving.num_present()) << what;
+    EXPECT_EQ(res.arcs, surviving.num_arcs()) << what;
   } else {
     scratch.set_faults(faults);
   }
   std::size_t longest = 0;
-  const Digraph surviving = surviving_graph(table, faults);
   const auto nodes = surviving.present_nodes();
   const auto survivors = scratch.last_survivors();
   const std::vector<Node> listed(survivors.begin(), survivors.end());
@@ -92,19 +97,17 @@ void run_differential(const RoutingTable& table,
                       const std::string& name) {
   const SrgIndex index(table);
   const std::size_t n = table.num_nodes();
-  for (const bool scalar : {false, true}) {
+  {
     SrgScratch scratch(index);
-    scratch.set_scalar_oracle(scalar);
-    const std::string kernel = scalar ? " scalar" : " bitset";
     Rng rng(77);
     for (std::size_t f = 0; f <= 4; ++f) {
       for (const auto& faults : random_fault_sets(n, f, 3, rng)) {
         expect_matches_oracle(table, scratch, faults,
-                              name + kernel + " f=" + std::to_string(f));
+                              name + " f=" + std::to_string(f));
       }
     }
     for (const auto& faults : extra_sets) {
-      expect_matches_oracle(table, scratch, faults, name + kernel + " extra");
+      expect_matches_oracle(table, scratch, faults, name + " extra");
     }
   }
   // Stamps alone, on a scratch that never strikes: the same paths and
@@ -275,8 +278,8 @@ TEST(NetworkSimDifferential, HypercubeBitFixing) {
                    "bit-fixing Q5 bi");
 }
 
-// BFS over successor lists in ROUTE-INSERTION order (what the scratch CSR
-// holds) — the order route_path must not follow.
+// BFS over successor lists in ROUTE-INSERTION order (the table's own
+// order) — the order route_path must not follow.
 std::vector<Node> insertion_order_path(const RoutingTable& t, Node s, Node u) {
   std::vector<std::vector<Node>> succ(t.num_nodes());
   t.for_each_view([&](Node x, Node y, PathView) { succ[x].push_back(y); });
@@ -297,10 +300,11 @@ std::vector<Node> insertion_order_path(const RoutingTable& t, Node s, Node u) {
 }
 
 TEST(NetworkSimDifferential, SuccessorOrderIsAscendingNotInsertion) {
-  // Routes installed in descending (x, y) order, so every scratch CSR row
-  // is descending. From 0, BFS in ascending order reaches 3 through 1 (the
-  // two-edge route 1 -> 4 -> 3); in insertion order it would go through 2
-  // (the direct edge 2 -> 3), with a different edge-hop total.
+  // Routes installed in descending (x, y) order, so every successor list
+  // in insertion order is descending. From 0, BFS in ascending order
+  // reaches 3 through 1 (the two-edge route 1 -> 4 -> 3); in insertion
+  // order it would go through 2 (the direct edge 2 -> 3), with a different
+  // edge-hop total.
   RoutingTable t(5, RoutingMode::kUnidirectional);
   t.set_route({2, 3});
   t.set_route({1, 4, 3});
@@ -310,19 +314,17 @@ TEST(NetworkSimDifferential, SuccessorOrderIsAscendingNotInsertion) {
 
   const SrgIndex index(t);
   SrgScratch scratch(index);
-  for (const bool scalar : {false, true}) {
-    scratch.set_scalar_oracle(scalar);
-    scratch.evaluate(std::vector<Node>{});
-    const auto path = scratch.route_path(0, 3);
-    EXPECT_EQ(std::vector<Node>(path.begin(), path.end()),
-              (std::vector<Node>{0, 1, 3}));
-    Rng rng(1);
-    const auto stats = measure_delivery(t, scratch, 0, rng);
-    // 0->1 (1), 0->2 (1), 0->3 via 1 (1 + 2), 1->3 (2), 2->3 (1).
-    EXPECT_EQ(stats.delivered, 5u);
-    EXPECT_EQ(stats.edge_hops_total, 8u);
-    EXPECT_EQ(stats.max_edge_hops, 3u);
-  }
+  const auto res = scratch.evaluate(std::vector<Node>{});
+  EXPECT_EQ(res.arcs, 4u);
+  const auto path = scratch.route_path(0, 3);
+  EXPECT_EQ(std::vector<Node>(path.begin(), path.end()),
+            (std::vector<Node>{0, 1, 3}));
+  Rng rng(1);
+  const auto stats = measure_delivery(t, scratch, 0, rng);
+  // 0->1 (1), 0->2 (1), 0->3 via 1 (1 + 2), 1->3 (2), 2->3 (1).
+  EXPECT_EQ(stats.delivered, 5u);
+  EXPECT_EQ(stats.edge_hops_total, 8u);
+  EXPECT_EQ(stats.max_edge_hops, 3u);
   run_differential(t, {}, "descending hand-built");
 }
 

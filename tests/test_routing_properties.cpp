@@ -12,9 +12,9 @@
 #include "analysis/neighborhood.hpp"
 #include "analysis/properties.hpp"
 #include "analysis/two_trees.hpp"
-#include "common/combinatorics.hpp"
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
+#include "lex_oracle.hpp"
 #include "routing/bipolar.hpp"
 #include "routing/circular.hpp"
 #include "routing/tricircular.hpp"

@@ -1,9 +1,9 @@
-// Binary table snapshots: round-trip fidelity on both load paths (bulk
-// read and zero-copy mmap), the full negative-path matrix (truncation,
-// bit flips, wrong magic, future version, section-length overflow — every
-// failure a ContractViolation naming the file and, where one exists, the
-// offending section), registry snapshot-on-miss, and the serve
-// differential (snapshot-backed output bit-identical to build-on-miss).
+// Binary table snapshots: round-trip fidelity of the zero-copy mmap load
+// path, the full negative-path matrix (truncation, bit flips, wrong magic,
+// future version, section-length overflow — every failure a
+// ContractViolation naming the file and, where one exists, the offending
+// section), registry snapshot-on-miss, and the serve differential
+// (snapshot-backed output bit-identical to build-on-miss).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,9 @@
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
 #include "fault/srg_engine.hpp"
+#include "fault/surviving.hpp"
 #include "gen/generators.hpp"
+#include "graph/bfs.hpp"
 #include "graph/graph_io.hpp"
 #include "routing/kernel.hpp"
 #include "routing/serialization.hpp"
@@ -91,19 +93,11 @@ void expect_round_trip(const TableSnapshot& orig, const TableSnapshot& got) {
   expect_index_equivalent(*orig.index, *got.index);
 }
 
-TEST(Snapshot, RoundTripBulkRead) {
-  const auto orig = test_snapshot();
-  const std::string path = temp_path("roundtrip_bulk.snap");
-  save_table_snapshot_file(orig, path);
-  const auto got = load_table_snapshot_file(path, SnapshotLoadMode::kBulkRead);
-  expect_round_trip(orig, got);
-}
-
 TEST(Snapshot, RoundTripMmap) {
   const auto orig = test_snapshot();
   const std::string path = temp_path("roundtrip_mmap.snap");
   save_table_snapshot_file(orig, path);
-  const auto got = load_table_snapshot_file(path, SnapshotLoadMode::kMmap);
+  const auto got = load_table_snapshot_file(path);
   expect_round_trip(orig, got);
   // The mapped structures account real bytes, so byte-budgeted caches
   // charge mapped tables like resident ones.
@@ -117,7 +111,7 @@ TEST(Snapshot, MmapTableSurvivesFileOutliving) {
   // result keep it alive with no load-scope lifetime coupling.
   const std::string path = write_test_snapshot("mmap_lifetime.snap");
   RoutingTable table = [&] {
-    auto snap = load_table_snapshot_file(path, SnapshotLoadMode::kMmap);
+    auto snap = load_table_snapshot_file(path);
     return std::move(snap.table);  // snapshot (and its owner handle) dies
   }();
   bool found = false;
@@ -181,20 +175,16 @@ void truncate_file(const std::string& path, std::uint64_t keep) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// Both load modes must reject the file with a message naming it and
-// containing `expect`.
+// The load must reject the file with a message naming it and containing
+// `expect`.
 void expect_load_rejects(const std::string& path, const std::string& expect) {
-  for (const auto mode :
-       {SnapshotLoadMode::kBulkRead, SnapshotLoadMode::kMmap}) {
-    try {
-      (void)load_table_snapshot_file(path, mode);
-      FAIL() << "load (" << snapshot_load_mode_name(mode)
-             << ") accepted a corrupted snapshot";
-    } catch (const ContractViolation& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find(path), std::string::npos) << msg;
-      EXPECT_NE(msg.find(expect), std::string::npos) << msg;
-    }
+  try {
+    (void)load_table_snapshot_file(path);
+    FAIL() << "load accepted a corrupted snapshot";
+  } catch (const ContractViolation& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find(expect), std::string::npos) << msg;
   }
 }
 
@@ -348,10 +338,10 @@ TEST(Snapshot, RejectsPairDisagreeingWithItsRoute) {
   expect_load_rejects(path, "route 7 endpoints disagree with pair 7");
 }
 
-// The fault-free succ/pred rows are not stored either: on both load paths a
-// loaded index derives them identical to the table-built one, evaluates
-// every set of up to 3 faults exactly as it does (and as the scalar
-// oracle does), and charges them in memory_bytes(). The sparse table makes
+// The fault-free succ/pred rows are not stored either: a loaded index
+// derives them identical to the table-built one, evaluates every set of up
+// to 3 faults exactly as it does (and as the original table's one-shot
+// surviving graph says), and charges them in memory_bytes(). The sparse table makes
 // the rows (2 * 640 * 10 words) outweigh every other array, so a count
 // that left them out would fall short.
 TEST(Snapshot, LoadedIndexDerivesBaseRowsAndMatchesEvaluate) {
@@ -367,106 +357,98 @@ TEST(Snapshot, LoadedIndexDerivesBaseRowsAndMatchesEvaluate) {
   save_table_snapshot_file(sparse_orig, sparse_path);
   const std::size_t row_bytes = 2 * 640 * 10 * sizeof(std::uint64_t);
   EXPECT_GE(sparse_orig.index->memory_bytes(), row_bytes);
-  for (const auto mode :
-       {SnapshotLoadMode::kBulkRead, SnapshotLoadMode::kMmap}) {
-    SCOPED_TRACE(snapshot_load_mode_name(mode));
-    const TableSnapshot got = load_table_snapshot_file(path, mode);
-    const SrgIndex& a = *orig.index;
-    const SrgIndex& b = *got.index;
-    ASSERT_EQ(a.num_nodes(), b.num_nodes());
-    ASSERT_EQ(a.row_words(), b.row_words());
-    std::size_t bits = 0;
-    for (Node v = 0; v < a.num_nodes(); ++v) {
-      const auto sa = a.succ_row(v);
-      const auto sb = b.succ_row(v);
-      const auto pa = a.pred_row(v);
-      const auto pb = b.pred_row(v);
-      EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin(), sb.end()))
-          << "succ row " << v;
-      EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
-          << "pred row " << v;
-      std::size_t in_bits = 0;
-      for (std::uint64_t w : pb) in_bits += std::popcount(w);
-      EXPECT_EQ(in_bits, b.pairs_into(v).size()) << "node " << v;
-      for (std::uint64_t w : sb) bits += std::popcount(w);
-    }
-    EXPECT_EQ(bits, b.num_pairs());
-
-    SrgScratch sa(a), sb(b), oracle(b);
-    oracle.set_scalar_oracle(true);
-    for (std::size_t f = 0; f <= 3; ++f) {
-      GraySubsetEnumerator e(a.num_nodes(), f);
-      for (bool more = e.valid(); more; more = e.advance()) {
-        const std::vector<Node> faults(e.current().begin(),
-                                       e.current().end());
-        const auto ra = sa.evaluate(faults);
-        const auto rb = sb.evaluate(faults);
-        const auto ro = oracle.evaluate(faults);
-        EXPECT_EQ(ra.diameter, rb.diameter);
-        EXPECT_EQ(ra.survivors, rb.survivors);
-        EXPECT_EQ(ra.arcs, rb.arcs);
-        EXPECT_EQ(ro.diameter, rb.diameter);
-        EXPECT_EQ(ro.arcs, rb.arcs);
-      }
-    }
-
-    const TableSnapshot sparse_got = load_table_snapshot_file(sparse_path, mode);
-    EXPECT_EQ(sparse_got.index->row_words(), 10u);
-    EXPECT_GE(sparse_got.index->memory_bytes(), row_bytes);
+  const TableSnapshot got = load_table_snapshot_file(path);
+  const SrgIndex& a = *orig.index;
+  const SrgIndex& b = *got.index;
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.row_words(), b.row_words());
+  std::size_t bits = 0;
+  for (Node v = 0; v < a.num_nodes(); ++v) {
+    const auto sa = a.succ_row(v);
+    const auto sb = b.succ_row(v);
+    const auto pa = a.pred_row(v);
+    const auto pb = b.pred_row(v);
+    EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin(), sb.end()))
+        << "succ row " << v;
+    EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
+        << "pred row " << v;
+    std::size_t in_bits = 0;
+    for (std::uint64_t w : pb) in_bits += std::popcount(w);
+    EXPECT_EQ(in_bits, b.pairs_into(v).size()) << "node " << v;
+    for (std::uint64_t w : sb) bits += std::popcount(w);
   }
+  EXPECT_EQ(bits, b.num_pairs());
+
+  SrgScratch sa(a), sb(b);
+  for (std::size_t f = 0; f <= 3; ++f) {
+    GraySubsetEnumerator e(a.num_nodes(), f);
+    for (bool more = e.valid(); more; more = e.advance()) {
+      const std::vector<Node> faults(e.current().begin(),
+                                     e.current().end());
+      const auto ra = sa.evaluate(faults);
+      const auto rb = sb.evaluate(faults);
+      const Digraph ro = surviving_graph(orig.table, faults);
+      EXPECT_EQ(ra.diameter, rb.diameter);
+      EXPECT_EQ(ra.survivors, rb.survivors);
+      EXPECT_EQ(ra.arcs, rb.arcs);
+      EXPECT_EQ(diameter(ro), rb.diameter);
+      EXPECT_EQ(ro.num_present(), rb.survivors);
+      EXPECT_EQ(ro.num_arcs(), rb.arcs);
+    }
+  }
+
+  const TableSnapshot sparse_got = load_table_snapshot_file(sparse_path);
+  EXPECT_EQ(sparse_got.index->row_words(), 10u);
+  EXPECT_GE(sparse_got.index->memory_bytes(), row_bytes);
 }
 
-// The in-pair index is not stored: a loaded index derives it, on both load
-// paths, identical to the table-built one, and the packed kernel (which
+// The in-pair index is not stored: a loaded index derives it identical to
+// the table-built one, and the packed kernel (which
 // walks it bottom-up) agrees with the table-built index at every width.
 TEST(Snapshot, LoadedIndexDerivesInPairsAndMatchesPacked) {
   const TableSnapshot orig = test_snapshot();
   const std::string path = temp_path("in_pairs.snap");
   save_table_snapshot_file(orig, path);
-  for (const auto mode :
-       {SnapshotLoadMode::kBulkRead, SnapshotLoadMode::kMmap}) {
-    SCOPED_TRACE(snapshot_load_mode_name(mode));
-    const TableSnapshot got = load_table_snapshot_file(path, mode);
-    const SrgIndex& a = *orig.index;
-    const SrgIndex& b = *got.index;
-    ASSERT_EQ(a.num_nodes(), b.num_nodes());
-    std::size_t listed = 0;
-    for (Node v = 0; v < a.num_nodes(); ++v) {
-      const auto pa = a.pairs_into(v);
-      const auto pb = b.pairs_into(v);
-      EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
-          << "node " << v;
-      listed += pb.size();
-    }
-    EXPECT_EQ(listed, b.num_pairs());
-    const std::size_t n = a.num_nodes();
-    for (const unsigned width : {64u, 128u, 256u, 512u}) {
-      SrgScratch sa(a);
-      SrgScratch sb(b);
-      sa.set_lane_width(width);
-      sb.set_lane_width(width);
-      GraySubsetEnumerator ea(n, 3);
-      GraySubsetEnumerator eb(n, 3);
-      const std::uint64_t total = ea.count();  // C(16, 3) = 560
-      SrgScratch::Result ra[512];
-      SrgScratch::Result rb[512];
-      for (std::uint64_t rank = 0; rank < total;) {
-        const auto cnt =
-            static_cast<std::size_t>(std::min<std::uint64_t>(width, total - rank));
-        sa.evaluate_gray_block(ea, cnt, ra);
-        sb.evaluate_gray_block(eb, cnt, rb);
-        for (std::size_t i = 0; i < cnt; ++i) {
-          SCOPED_TRACE("width=" + std::to_string(width) +
-                       " rank=" + std::to_string(rank + i));
-          EXPECT_EQ(ra[i].diameter, rb[i].diameter);
-          EXPECT_EQ(ra[i].survivors, rb[i].survivors);
-          EXPECT_EQ(ra[i].arcs, rb[i].arcs);
-        }
-        rank += cnt;
-        if (rank < total) {
-          ASSERT_TRUE(ea.advance());
-          ASSERT_TRUE(eb.advance());
-        }
+  const TableSnapshot got = load_table_snapshot_file(path);
+  const SrgIndex& a = *orig.index;
+  const SrgIndex& b = *got.index;
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  std::size_t listed = 0;
+  for (Node v = 0; v < a.num_nodes(); ++v) {
+    const auto pa = a.pairs_into(v);
+    const auto pb = b.pairs_into(v);
+    EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
+        << "node " << v;
+    listed += pb.size();
+  }
+  EXPECT_EQ(listed, b.num_pairs());
+  const std::size_t n = a.num_nodes();
+  for (const unsigned width : {64u, 128u, 256u, 512u}) {
+    SrgScratch sa(a);
+    SrgScratch sb(b);
+    sa.set_lane_width(width);
+    sb.set_lane_width(width);
+    GraySubsetEnumerator ea(n, 3);
+    GraySubsetEnumerator eb(n, 3);
+    const std::uint64_t total = ea.count();  // C(16, 3) = 560
+    SrgScratch::Result ra[512];
+    SrgScratch::Result rb[512];
+    for (std::uint64_t rank = 0; rank < total;) {
+      const auto cnt =
+          static_cast<std::size_t>(std::min<std::uint64_t>(width, total - rank));
+      sa.evaluate_gray_block(ea, cnt, ra);
+      sb.evaluate_gray_block(eb, cnt, rb);
+      for (std::size_t i = 0; i < cnt; ++i) {
+        SCOPED_TRACE("width=" + std::to_string(width) +
+                     " rank=" + std::to_string(rank + i));
+        EXPECT_EQ(ra[i].diameter, rb[i].diameter);
+        EXPECT_EQ(ra[i].survivors, rb[i].survivors);
+        EXPECT_EQ(ra[i].arcs, rb[i].arcs);
+      }
+      rank += cnt;
+      if (rank < total) {
+        ASSERT_TRUE(ea.advance());
+        ASSERT_TRUE(eb.advance());
       }
     }
   }
@@ -564,8 +546,8 @@ TEST(Snapshot, CorruptSnapshotNeverPoisonsRegistry) {
 
 // The tentpole's correctness bar: served responses are a pure function of
 // the table's CONTENTS — a snapshot-backed table answers every request
-// byte-identically to the build-on-miss table it was dumped from, on both
-// load paths and at any thread count.
+// byte-identically to the build-on-miss table it was dumped from, at any
+// thread count.
 TEST(Snapshot, ServeOutputBitIdenticalToBuildOnMiss) {
   const auto gg = torus_graph(4, 4);
   auto built = build_kernel_routing(gg.graph, 2);
@@ -607,15 +589,11 @@ TEST(Snapshot, ServeOutputBitIdenticalToBuildOnMiss) {
   const std::string oracle = serve_with(build_spec, 1);
   ASSERT_FALSE(oracle.empty());
 
-  for (const auto mode :
-       {SnapshotLoadMode::kBulkRead, SnapshotLoadMode::kMmap}) {
-    TableSpec snap_spec;
-    snap_spec.snapshot_file = snap_path;
-    snap_spec.snapshot_mode = mode;
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(serve_with(snap_spec, threads), oracle)
-          << snapshot_load_mode_name(mode) << " threads=" << threads;
-    }
+  TableSpec snap_spec;
+  snap_spec.snapshot_file = snap_path;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    EXPECT_EQ(serve_with(snap_spec, threads), oracle)
+        << "threads=" << threads;
   }
 }
 

@@ -1,26 +1,30 @@
 // Differential suite for the SRG evaluation kernels (fault/srg_engine.hpp):
-// scalar (the oracle, SrgScratch::set_scalar_oracle), bitset (word-packed
-// BFS, every single-set evaluation), and packed (Gray-adjacent fault sets
-// evaluated lane-parallel in width-parameterized blocks of 64/128/256/512
-// lanes, every exhaustive scan). The library picks the kernel and the lane
-// width itself, so the contract is tested two ways:
+// bitset (word-packed BFS, every single-set evaluation) and packed (fault
+// sets evaluated lane-parallel in width-parameterized blocks of
+// 64/128/256/512 lanes, every exhaustive scan and long streamed chunk).
+// The oracle is the one-shot surviving graph (tests/srg_oracle.hpp): a
+// Digraph built from every route of the table, sharing no strike, base
+// rows or index with either kernel; each Result field is checked against
+// it (diameter, survivors = num_present(), arcs = num_arcs()). The library
+// picks the kernel and the lane width itself, so the contract is tested
+// three ways:
 //  * every consumer — exhaustive Gray sweeps, streamed sweeps, the
 //    adversary's Gray scan, tolerance checks, componentwise recovery —
-//    must match a serial scalar-oracle loop over the same fault sets, at
-//    every thread count in {1, 2, 8} and for every source kind, including
+//    must match a serial oracle loop over the same fault sets, at every
+//    thread count in {1, 2, 8} and for every source kind, including
 //    evaluation counts, early-stop points, and the reported witnesses;
 //  * the packed block kernel, pinned per scratch to each lane width
 //    (SrgScratch::set_lane_width) and to each block implementation the CPU
 //    runs (portable/AVX2/AVX-512, SrgScratch::set_block_lookup_for_testing),
-//    must match the scalar oracle lane for lane on every construction
-//    table, for full and partial blocks, on tables chosen to drive its BFS
-//    both top-down and bottom-up, and at the extremes of its bit-sliced
+//    must match the oracle lane for lane on every construction table, for
+//    full and partial blocks, on tables chosen to drive its BFS both
+//    top-down and bottom-up, and at the extremes of its bit-sliced
 //    dead-pair counter (0 to num_pairs) and per-level diameter masks (BFS
 //    depths past 150 levels);
 //  * the sparse strike behind every single-set evaluation (base rows minus
-//    the pairs whose every route died) must match the oracle's full route
-//    scan on planner, kernel and multiroute tables, with the oracle
-//    switched on and off on one scratch and across the epoch wrap.
+//    the pairs whose every route died) must match the oracle on planner,
+//    kernel and multiroute tables, interleaved with single-lane packed
+//    blocks on one scratch and across the epoch wrap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,7 +44,6 @@
 #include "core/planner.hpp"
 #include "fault/adversary.hpp"
 #include "fault/fault_gen.hpp"
-#include "fault/surviving.hpp"
 #include "fault/tolerance_check.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
@@ -51,6 +54,7 @@
 #include "routing/route_table.hpp"
 #include "routing/tricircular.hpp"
 #include "sim/recovery.hpp"
+#include "srg_oracle.hpp"
 
 namespace ftr {
 namespace {
@@ -116,15 +120,13 @@ std::vector<std::vector<Node>> drain(FaultSetSource& source) {
   return sets;
 }
 
-// The sweep aggregates a serial scalar-oracle loop over `sets` produces:
+// The sweep aggregates a serial oracle loop over `sets` produces:
 // histogram, disconnect count, and the first set attaining the maximum.
-FaultSweepSummary oracle_summary(const SrgIndex& index,
+FaultSweepSummary oracle_summary(const SrgOracle& oracle,
                                  const std::vector<std::vector<Node>>& sets) {
-  SrgScratch scalar(index);
-  scalar.set_scalar_oracle(true);
   FaultSweepSummary out;
   for (std::size_t i = 0; i < sets.size(); ++i) {
-    const std::uint32_t d = scalar.surviving_diameter(sets[i]);
+    const std::uint32_t d = oracle.surviving_diameter(sets[i]);
     ++out.total_sets;
     if (d == kUnreachable) {
       ++out.disconnected;
@@ -155,15 +157,13 @@ void expect_same_evaluations(const FaultSweepSummary& oracle,
   EXPECT_EQ(oracle.worst_faults, got.worst_faults);
 }
 
-// The serial scalar-oracle Gray scan: first maximum in Gray order, with the
-// early stop counting the stopping set.
-AdvPartial oracle_gray_scan(const SrgIndex& index, std::size_t f,
+// The serial oracle Gray scan: first maximum in Gray order, with the early
+// stop counting the stopping set.
+AdvPartial oracle_gray_scan(const SrgOracle& oracle, std::size_t f,
                             std::uint32_t stop_above = 0) {
-  SrgScratch scalar(index);
-  scalar.set_scalar_oracle(true);
   AdvPartial out;
-  for (const auto& set : gray_sets(index.num_nodes(), f)) {
-    const std::uint32_t d = scalar.surviving_diameter(set);
+  for (const auto& set : gray_sets(oracle.num_nodes(), f)) {
+    const std::uint32_t d = oracle.surviving_diameter(set);
     ++out.evaluations;
     if (!out.any || d > out.d) {
       out.any = true;
@@ -178,11 +178,12 @@ AdvPartial oracle_gray_scan(const SrgIndex& index, std::size_t f,
   return out;
 }
 
-TEST(SrgKernels, ExhaustiveGrayMatchesScalarOracle) {
+TEST(SrgKernels, ExhaustiveGrayMatchesOracle) {
   for (const auto& entry : construction_tables()) {
     const SrgIndex index(entry.table);
     const std::size_t n = entry.g.num_nodes();
-    const auto oracle = oracle_summary(index, gray_sets(n, entry.f));
+    const auto oracle =
+        oracle_summary(SrgOracle(entry.table), gray_sets(n, entry.f));
     ASSERT_EQ(oracle.total_sets, binomial(n, entry.f));
     for (unsigned threads : kThreadCounts) {
       FaultSweepOptions opts;
@@ -207,7 +208,7 @@ TEST(SrgKernels, ExhaustiveGrayBatchSizeInvariant) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
-  const auto oracle = oracle_summary(index, gray_sets(25, 2));
+  const auto oracle = oracle_summary(SrgOracle(kr.table), gray_sets(25, 2));
   for (const std::size_t batch : {1u, 7u, 64u, 301u}) {
     FaultSweepOptions opts;
     opts.exec.threads = 2;
@@ -226,7 +227,7 @@ TEST(SrgKernels, ExhaustiveGrayDeliveryMatchesGenericEngine) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
-  const auto oracle = oracle_summary(index, gray_sets(25, 2));
+  const auto oracle = oracle_summary(SrgOracle(kr.table), gray_sets(25, 2));
   FaultSweepOptions base_opts;
   base_opts.delivery_pairs = 4;
   base_opts.seed = 99;
@@ -247,14 +248,15 @@ TEST(SrgKernels, ExhaustiveGrayDeliveryMatchesGenericEngine) {
   }
 }
 
-TEST(SrgKernels, SampledStreamMatchesScalarOracle) {
+TEST(SrgKernels, SampledStreamMatchesOracle) {
   for (const auto& entry : construction_tables()) {
     const SrgIndex index(entry.table);
     const std::size_t n = entry.g.num_nodes();
     // 400 sets: chunks long enough for any-set lane blocks, whose
     // delivery reads the fault stamps alone.
     SampledStreamSource oracle_source(n, entry.f + 1, 400, 4242);
-    const auto oracle = oracle_summary(index, drain(oracle_source));
+    const auto oracle =
+        oracle_summary(SrgOracle(entry.table), drain(oracle_source));
     for (unsigned threads : kThreadCounts) {
       FaultSweepOptions opts;
       opts.exec.threads = threads;
@@ -268,7 +270,7 @@ TEST(SrgKernels, SampledStreamMatchesScalarOracle) {
   }
 }
 
-TEST(SrgKernels, StdinSourceMatchesScalarOracle) {
+TEST(SrgKernels, StdinSourceMatchesOracle) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
@@ -283,7 +285,7 @@ TEST(SrgKernels, StdinSourceMatchesScalarOracle) {
 
   std::istringstream oracle_in(feed);
   IstreamFaultSetSource oracle_source(oracle_in, gg.graph.num_nodes());
-  const auto oracle = oracle_summary(index, drain(oracle_source));
+  const auto oracle = oracle_summary(SrgOracle(kr.table), drain(oracle_source));
   ASSERT_EQ(oracle.total_sets, 5u);
 
   for (unsigned threads : kThreadCounts) {
@@ -297,11 +299,11 @@ TEST(SrgKernels, StdinSourceMatchesScalarOracle) {
   }
 }
 
-TEST(SrgKernels, AdversaryGrayScanMatchesScalarOracle) {
+TEST(SrgKernels, AdversaryGrayScanMatchesOracle) {
   for (const auto& entry : construction_tables()) {
     const SrgIndex index(entry.table);
     const std::uint64_t total = binomial(entry.table.num_nodes(), entry.f);
-    const auto oracle = oracle_gray_scan(index, entry.f);
+    const auto oracle = oracle_gray_scan(SrgOracle(entry.table), entry.f);
     for (unsigned threads : kThreadCounts) {
       const auto got = exhaustive_worst_faults_gray(
           index, entry.f, 0, total, ExecPolicy{.threads = threads});
@@ -318,7 +320,7 @@ TEST(SrgKernels, AdversaryGrayScanMatchesScalarOracle) {
 // packed scan consumes its lanes in rank order and counts each set before
 // testing the threshold — a 512-lane block may hold the witness in lane 3
 // and must not charge the other 509 lanes it already computed.
-TEST(SrgKernels, AdversaryGrayEarlyStopMatchesScalarOracle) {
+TEST(SrgKernels, AdversaryGrayEarlyStopMatchesOracle) {
   // Cycle with edge routes only: two adjacent faults leave a long path
   // (finite d up to 9), two non-adjacent ones split the ring (kUnreachable)
   // — either way the scan hits a set exceeding 6 and must stop there.
@@ -327,7 +329,7 @@ TEST(SrgKernels, AdversaryGrayEarlyStopMatchesScalarOracle) {
   install_edge_routes(t, gg.graph);
   const SrgIndex index(t);
   const std::uint64_t total = binomial(12, 2);
-  const auto oracle = oracle_gray_scan(index, 2, /*stop_above=*/6);
+  const auto oracle = oracle_gray_scan(SrgOracle(t), 2, /*stop_above=*/6);
   ASSERT_GT(oracle.d, 6u);
   ASSERT_LT(oracle.evaluations, total);  // the stop actually fired
   for (unsigned threads : kThreadCounts) {
@@ -343,17 +345,15 @@ TEST(SrgKernels, AdversaryGrayEarlyStopMatchesScalarOracle) {
   }
 }
 
-TEST(SrgKernels, ToleranceCheckMatchesScalarOracle) {
+TEST(SrgKernels, ToleranceCheckMatchesOracle) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
-  const SrgIndex index(kr.table);
-  SrgScratch scalar(index);
-  scalar.set_scalar_oracle(true);
+  const SrgOracle reference(kr.table);
 
   // The exhaustive Gray scan (f = 2 fits the budget): verdict, witness and
   // set count are the oracle's...
   {
-    const auto oracle = oracle_gray_scan(index, 2);
+    const auto oracle = oracle_gray_scan(reference, 2);
     for (unsigned threads : kThreadCounts) {
       ToleranceCheckOptions opts;
       opts.exec.threads = threads;
@@ -378,7 +378,7 @@ TEST(SrgKernels, ToleranceCheckMatchesScalarOracle) {
     Rng base_rng(7);
     const auto base = check_tolerance(kr.table, 2, 10, base_rng, base_opts);
     EXPECT_FALSE(base.exhaustive);
-    EXPECT_EQ(scalar.surviving_diameter(base.worst_faults),
+    EXPECT_EQ(reference.surviving_diameter(base.worst_faults),
               base.worst_diameter);
     for (unsigned threads : kThreadCounts) {
       ToleranceCheckOptions opts = base_opts;
@@ -396,41 +396,56 @@ TEST(SrgKernels, SingleSetBitsetMatchesOneShotOracle) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
-  SrgScratch scalar(index), bitset(index);
-  scalar.set_scalar_oracle(true);
+  const SrgOracle oracle(kr.table);
+  SrgScratch bitset(index);
 
   Rng rng(31);
   for (std::size_t f : {0u, 1u, 3u, 6u, 12u, 22u}) {
     const auto sets = random_fault_sets(gg.graph.num_nodes(), f, 6, rng);
     for (const auto& faults : sets) {
-      const auto a = scalar.evaluate(faults);
+      const auto a = oracle.evaluate(faults);
       const auto b = bitset.evaluate(faults);
       EXPECT_EQ(a.diameter, b.diameter) << "f=" << f;
       EXPECT_EQ(a.survivors, b.survivors);
       EXPECT_EQ(a.arcs, b.arcs);
-      EXPECT_EQ(b.diameter, surviving_diameter(kr.table, faults));
     }
   }
   // Duplicate fault ids collapse identically on both paths.
   const std::vector<Node> dup{2, 2, 5};
-  EXPECT_EQ(scalar.surviving_diameter(dup), bitset.surviving_diameter(dup));
+  EXPECT_EQ(oracle.surviving_diameter(dup), bitset.surviving_diameter(dup));
 }
 
-TEST(SrgKernels, ComponentwiseSweepMatchesScalarOracle) {
+// The open-problem-3 metric from the oracle: survivors and components of
+// G - F, and the worst same-component distance in the surviving graph.
+ComponentwiseDiameter oracle_componentwise(const Graph& g,
+                                           const SrgOracle& oracle,
+                                           const std::vector<Node>& faults) {
+  const auto comp = connected_components(g.without_nodes(faults));
+  const Digraph r = oracle.graph(faults);
+  std::vector<std::uint32_t> ids;
+  for (Node v : r.present_nodes()) ids.push_back(comp[v]);
+  std::sort(ids.begin(), ids.end());
+  ComponentwiseDiameter out;
+  out.survivors = r.num_present();
+  out.num_components = static_cast<std::size_t>(
+      std::unique(ids.begin(), ids.end()) - ids.begin());
+  out.worst = oracle.componentwise_diameter(faults, comp);
+  return out;
+}
+
+TEST(SrgKernels, ComponentwiseSweepMatchesOracle) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
   Rng rng(515);
   const auto sets = random_fault_sets(gg.graph.num_nodes(), 5, 12, rng);
-  SrgScratch scalar(index);
-  scalar.set_scalar_oracle(true);
+  const SrgOracle oracle(kr.table);
   for (unsigned threads : kThreadCounts) {
     const auto got =
         componentwise_sweep(gg.graph, index, sets, ExecPolicy{.threads = threads});
     ASSERT_EQ(sets.size(), got.size());
     for (std::size_t i = 0; i < sets.size(); ++i) {
-      const auto expect =
-          componentwise_surviving_diameter(gg.graph, scalar, sets[i]);
+      const auto expect = oracle_componentwise(gg.graph, oracle, sets[i]);
       SCOPED_TRACE("threads=" + std::to_string(threads) + " set " +
                    std::to_string(i));
       EXPECT_EQ(expect.worst, got[i].worst);
@@ -479,22 +494,23 @@ std::vector<BlockImpl> runnable_block_impls() {
 }
 
 // Walks the first `max_sets` f-subsets (all of them by default) of the
-// index's nodes in Gray order through the packed kernel, under every
+// table's nodes in Gray order through the packed kernel, under every
 // runnable block implementation and pinned to each width, in blocks of
 // `width` sets (the shape the exhaustive scans use) and of width / 2 + 3
 // (every block partial, with a partly filled last word), and checks each
-// lane against the scalar oracle's evaluation of the same set. Returns the
+// lane against the oracle's evaluation of the same set. Returns the
 // oracle's results.
+template <typename Table>
 std::vector<SrgScratch::Result> expect_packed_matches_oracle(
-    const SrgIndex& index, std::size_t f, const std::string& name,
+    const Table& table, std::size_t f, const std::string& name,
     std::size_t max_sets = SIZE_MAX) {
+  const SrgIndex index(table);
   const std::size_t n = index.num_nodes();
   auto sets = gray_sets(n, f);
   if (sets.size() > max_sets) sets.resize(max_sets);
-  SrgScratch scalar(index);
-  scalar.set_scalar_oracle(true);
+  const SrgOracle oracle(table);
   std::vector<SrgScratch::Result> expect;
-  for (const auto& set : sets) expect.push_back(scalar.evaluate(set));
+  for (const auto& set : sets) expect.push_back(oracle.evaluate(set));
   for (const BlockImpl& impl : runnable_block_impls()) {
     for (const unsigned width : kExplicitWidths) {
       for (const std::size_t block : {std::size_t{width},
@@ -545,8 +561,7 @@ TEST(SrgKernels, BlockLookupPinIsHonoredAndReset) {
   RoutingTable t(10, RoutingMode::kBidirectional);
   install_edge_routes(t, gg.graph);
   const SrgIndex index(t);
-  SrgScratch oracle(index);
-  oracle.set_scalar_oracle(true);
+  const SrgOracle oracle(t);
   const auto first = gray_subset_at_rank(10, 2, 0);
   const auto want =
       oracle.evaluate(std::vector<Node>(first.begin(), first.end()));
@@ -576,16 +591,16 @@ TEST(SrgKernels, BlockLookupPinIsHonoredAndReset) {
 }
 
 // Every construction table, walked through its whole Gray enumeration at
-// each pinned width, matches the scalar oracle set for set.
-TEST(SrgKernels, PackedBlocksMatchScalarOracleAtEveryWidth) {
+// each pinned width, matches the oracle set for set.
+TEST(SrgKernels, PackedBlocksMatchOracleAtEveryWidth) {
   for (const auto& entry : construction_tables()) {
-    expect_packed_matches_oracle(SrgIndex(entry.table), entry.f, entry.name);
+    expect_packed_matches_oracle(entry.table, entry.f, entry.name);
   }
 }
 
 // The packed BFS picks top-down or bottom-up per level from the frontier's
 // density; these tables drive both directions against the oracle.
-TEST(SrgKernels, PackedBfsDirectionsMatchScalarOracle) {
+TEST(SrgKernels, PackedBfsDirectionsMatchOracle) {
   {
     // Edge routes only: R/F = G - F, so from each source the frontier is
     // two nodes wide for ~20 levels (top-down) before the few unreached
@@ -594,15 +609,14 @@ TEST(SrgKernels, PackedBfsDirectionsMatchScalarOracle) {
     const auto gg = cycle_graph(48);
     RoutingTable t(48, RoutingMode::kBidirectional);
     install_edge_routes(t, gg.graph);
-    expect_packed_matches_oracle(SrgIndex(t), 2, "edge-only/cycle48");
+    expect_packed_matches_oracle(t, 2, "edge-only/cycle48");
   }
   {
     // Four disjoint routes per pair: a pair dies only when every one of its
     // routes is hit, which five faults sometimes manage.
     const auto gg = hypercube(4);
-    expect_packed_matches_oracle(
-        SrgIndex(build_full_multirouting(gg.graph, 3)), 5,
-        "full-multirouting/hypercube4");
+    expect_packed_matches_oracle(build_full_multirouting(gg.graph, 3), 5,
+                                 "full-multirouting/hypercube4");
   }
   {
     // Unidirectional bit-fixing: rho(x, y) and rho(y, x) differ, so a
@@ -610,18 +624,16 @@ TEST(SrgKernels, PackedBfsDirectionsMatchScalarOracle) {
     // pairs by their interior nodes, so bottom-up levels must honor the
     // pair dead masks, not just the endpoints' fault lanes.
     const auto gg = hypercube(4);
-    expect_packed_matches_oracle(
-        SrgIndex(build_bitfixing_unidirectional(gg.graph, 4)), 4,
-        "bitfixing-unidirectional/hypercube4");
+    expect_packed_matches_oracle(build_bitfixing_unidirectional(gg.graph, 4),
+                                 4, "bitfixing-unidirectional/hypercube4");
   }
   {
     // Two survivors (connected or not), one survivor, none.
     const auto gg = cycle_graph(5);
     RoutingTable t(5, RoutingMode::kBidirectional);
     install_edge_routes(t, gg.graph);
-    const SrgIndex index(t);
     for (const std::size_t f : {3u, 4u, 5u}) {
-      expect_packed_matches_oracle(index, f, "edge-only/cycle5");
+      expect_packed_matches_oracle(t, f, "edge-only/cycle5");
     }
   }
 }
@@ -637,8 +649,7 @@ TEST(SrgKernels, PackedBlockMatchesPerSetEvaluate) {
   RoutingTable t(12, RoutingMode::kBidirectional);
   install_edge_routes(t, gg.graph);
   const SrgIndex index(t);
-  SrgScratch rebuild(index);
-  rebuild.set_scalar_oracle(true);
+  const SrgOracle rebuild(t);
 
   constexpr std::size_t kBlockSizes[] = {1,   7,   33,  64,  65,  127,
                                          128, 129, 255, 256, 311, 512};
@@ -768,16 +779,17 @@ std::vector<std::vector<Node>> mixed_sets(std::size_t n, std::size_t max_f,
 // evaluate_block on `sets`, under every runnable block implementation and
 // pinned to each width, in blocks of `width` sets and of width / 2 + 3
 // (partial blocks with a partly filled last word), must match per-set
-// evaluate() and the scalar oracle lane for lane.
-void expect_any_set_blocks_match(const SrgIndex& index,
+// evaluate() and the oracle lane for lane.
+template <typename Table>
+void expect_any_set_blocks_match(const Table& table,
                                  const std::vector<std::vector<Node>>& sets,
                                  const std::string& name) {
-  SrgScratch scalar(index);
-  scalar.set_scalar_oracle(true);
+  const SrgIndex index(table);
+  const SrgOracle oracle(table);
   SrgScratch bitset(index);
   std::vector<SrgScratch::Result> expect;
   for (const auto& set : sets) {
-    expect.push_back(scalar.evaluate(set));
+    expect.push_back(oracle.evaluate(set));
     const auto got = bitset.evaluate(set);
     ASSERT_EQ(expect.back().diameter, got.diameter) << name;
     ASSERT_EQ(expect.back().survivors, got.survivors) << name;
@@ -815,24 +827,24 @@ void expect_any_set_blocks_match(const SrgIndex& index,
 TEST(SrgKernels, AnySetBlocksMatchEvaluateAndOracle) {
   std::uint64_t seed = 71;
   for (const auto& entry : construction_tables()) {
-    const SrgIndex index(entry.table);
     expect_any_set_blocks_match(
-        index, mixed_sets(index.num_nodes(), entry.f + 3, 700, ++seed),
+        entry.table,
+        mixed_sets(entry.table.num_nodes(), entry.f + 3, 700, ++seed),
         entry.name);
   }
   const auto q4 = hypercube(4);
-  expect_any_set_blocks_match(
-      SrgIndex(build_full_multirouting(q4.graph, 3)),
-      mixed_sets(16, 6, 300, ++seed), "full-multirouting/hypercube4");
-  expect_any_set_blocks_match(
-      SrgIndex(build_bitfixing_unidirectional(q4.graph, 4)),
-      mixed_sets(16, 5, 300, ++seed), "bitfixing-unidirectional/hypercube4");
+  expect_any_set_blocks_match(build_full_multirouting(q4.graph, 3),
+                              mixed_sets(16, 6, 300, ++seed),
+                              "full-multirouting/hypercube4");
+  expect_any_set_blocks_match(build_bitfixing_unidirectional(q4.graph, 4),
+                              mixed_sets(16, 5, 300, ++seed),
+                              "bitfixing-unidirectional/hypercube4");
   // Edge routes on a ring: two faults split it, so most lanes disconnect
   // while their neighbours in the block stay connected.
   const auto ring = cycle_graph(48);
   RoutingTable t(48, RoutingMode::kBidirectional);
   install_edge_routes(t, ring.graph);
-  expect_any_set_blocks_match(SrgIndex(t), mixed_sets(48, 3, 300, ++seed),
+  expect_any_set_blocks_match(t, mixed_sets(48, 3, 300, ++seed),
                               "edge-only/cycle48");
 }
 
@@ -840,7 +852,8 @@ TEST(SrgKernels, AnySetBlocksMatchEvaluateAndOracle) {
 // need the BFS: the kernel's survivors gate must not skip the block.
 TEST(SrgKernels, AnySetBlockFewSurvivorLaneDoesNotGateTheBlock) {
   const auto gg = torus_graph(4, 4);
-  const SrgIndex index(build_kernel_routing(gg.graph, 3).table);
+  const auto kr = build_kernel_routing(gg.graph, 3);
+  const SrgIndex index(kr.table);
   std::vector<Node> all_but_one;
   for (Node v = 1; v < 16; ++v) all_but_one.push_back(v);
   std::vector<Node> all = all_but_one;
@@ -848,8 +861,7 @@ TEST(SrgKernels, AnySetBlockFewSurvivorLaneDoesNotGateTheBlock) {
   all.push_back(3);  // a duplicate too
   const std::vector<std::vector<Node>> sets = {
       all_but_one, {}, {5}, all, {2, 2, 9}};
-  SrgScratch oracle(index);
-  oracle.set_scalar_oracle(true);
+  const SrgOracle oracle(kr.table);
   for (const unsigned width : kExplicitWidths) {
     SrgScratch packed(index);
     packed.set_lane_width(width);
@@ -909,7 +921,8 @@ TEST(SrgKernels, EvaluateSetsMatchesEvaluateAtEveryCount) {
 // the scratch clean for the next block; so do empty and oversized blocks.
 TEST(SrgKernels, AnySetBlockRejectsBadInputCleanly) {
   const auto gg = torus_graph(4, 4);
-  const SrgIndex index(build_kernel_routing(gg.graph, 3).table);
+  const auto kr = build_kernel_routing(gg.graph, 3);
+  const SrgIndex index(kr.table);
   SrgScratch packed(index);
   packed.set_lane_width(64);
   SrgScratch::Result out[kMaxLaneWidth];
@@ -920,8 +933,7 @@ TEST(SrgKernels, AnySetBlockRejectsBadInputCleanly) {
   EXPECT_THROW(packed.evaluate_block(too_many, out), ContractViolation);
   const std::vector<std::vector<Node>> good = {{1, 2}, {3}};
   packed.evaluate_block(good, out);
-  SrgScratch oracle(index);
-  oracle.set_scalar_oracle(true);
+  const SrgOracle oracle(kr.table);
   for (std::size_t i = 0; i < good.size(); ++i) {
     EXPECT_EQ(oracle.evaluate(good[i]).diameter, out[i].diameter);
     EXPECT_EQ(oracle.evaluate(good[i]).arcs, out[i].arcs);
@@ -986,7 +998,7 @@ TEST(SrgKernels, PackedCountersAndLevelMasksAtTheirExtremes) {
     ASSERT_EQ(index.num_pairs(), 132u);
     for (const std::size_t f : {1u, 2u}) {
       const auto expect =
-          expect_packed_matches_oracle(index, f, "dead-pair-spread");
+          expect_packed_matches_oracle(t, f, "dead-pair-spread");
       const auto counts = dead_pair_counts(index, expect);
       EXPECT_EQ(counts.front(), 0u);
       EXPECT_EQ(counts.back(), 132u);
@@ -1005,12 +1017,11 @@ TEST(SrgKernels, PackedCountersAndLevelMasksAtTheirExtremes) {
     const auto gg = cycle_graph(160);
     RoutingTable t(160, RoutingMode::kBidirectional);
     install_edge_routes(t, gg.graph);
-    const SrgIndex index(t);
     EXPECT_EQ(max_finite_diameter(
-                  expect_packed_matches_oracle(index, 1, "edge-only/cycle160")),
+                  expect_packed_matches_oracle(t, 1, "edge-only/cycle160")),
               158u);
     EXPECT_EQ(max_finite_diameter(expect_packed_matches_oracle(
-                  index, 2, "edge-only/cycle160", 600)),
+                  t, 2, "edge-only/cycle160", 600)),
               157u);
   }
 }
@@ -1018,7 +1029,7 @@ TEST(SrgKernels, PackedCountersAndLevelMasksAtTheirExtremes) {
 // --- sparse strike -----------------------------------------------------------
 //
 // evaluate() derives a set's surviving route graph from the routes through
-// its faults; the scalar oracle still scans every route. Both must agree on
+// its faults; the oracle builds it from every route. Both must agree on
 // every Result field for every table shape and fault-set shape.
 
 void expect_same_result(const SrgScratch::Result& want,
@@ -1078,38 +1089,49 @@ std::size_t partially_struck_pairs(const MultiRouteTable& table,
   return partial;
 }
 
-// Every set through a bitset scratch, and through one scratch whose oracle
-// is switched on for two sets and off for the next two, against a
-// dedicated oracle scratch.
+// Set i through one scratch: a single-lane packed block when `packed`
+// says so, else evaluate(). The packed block leaves the strike state
+// alone, so the next evaluate() must still rebuild everything it reads.
+SrgScratch::Result evaluate_one(SrgScratch& scratch,
+                                const std::vector<Node>& set, bool packed) {
+  if (!packed) return scratch.evaluate(set);
+  SrgScratch::Result out[1];
+  scratch.evaluate_block(std::span<const std::vector<Node>>(&set, 1), out);
+  return out[0];
+}
+
+// Every set through a bitset scratch, and through one scratch that runs
+// two sets as packed blocks and the next two through evaluate(), against
+// the oracle.
+template <typename Table>
 void expect_sparse_strike_matches_oracle(
-    const SrgIndex& index, const std::vector<std::vector<Node>>& sets,
+    const Table& table, const std::vector<std::vector<Node>>& sets,
     const std::string& name) {
-  SrgScratch oracle(index), bitset(index), toggled(index);
-  oracle.set_scalar_oracle(true);
+  const SrgIndex index(table);
+  const SrgOracle oracle(table);
+  SrgScratch bitset(index), toggled(index);
   for (std::size_t i = 0; i < sets.size(); ++i) {
     SCOPED_TRACE(name + " set " + std::to_string(i));
     const auto want = oracle.evaluate(sets[i]);
     expect_same_result(want, bitset.evaluate(sets[i]));
-    toggled.set_scalar_oracle((i / 2) % 2 == 0);
-    expect_same_result(want, toggled.evaluate(sets[i]));
+    expect_same_result(want,
+                       evaluate_one(toggled, sets[i], (i / 2) % 2 == 0));
   }
 }
 
-TEST(SrgKernels, SparseStrikeMatchesScalarOracle) {
+TEST(SrgKernels, SparseStrikeMatchesOracle) {
   Rng rng(808);
   {
     // Planner-built torus, as the streamed e2e sweep runs it; 81 nodes
     // give two-word rows with a partial last word.
     const auto gg = torus_graph(9, 9);
     const auto planned = build_planned_routing(gg.graph, std::nullopt, rng);
-    const SrgIndex index(planned.table);
-    expect_sparse_strike_matches_oracle(index, strike_sets(81, 1),
+    expect_sparse_strike_matches_oracle(planned.table, strike_sets(81, 1),
                                         "planner/torus9");
   }
   for (const auto& entry : construction_tables()) {
-    const SrgIndex index(entry.table);
     expect_sparse_strike_matches_oracle(
-        index, strike_sets(entry.g.num_nodes(), 2), entry.name);
+        entry.table, strike_sets(entry.g.num_nodes(), 2), entry.name);
   }
   {
     // Four disjoint routes per pair: most struck pairs keep a route.
@@ -1119,7 +1141,7 @@ TEST(SrgKernels, SparseStrikeMatchesScalarOracle) {
     std::size_t partial = 0;
     for (const auto& set : sets) partial += partially_struck_pairs(table, set);
     ASSERT_GT(partial, 0u);
-    expect_sparse_strike_matches_oracle(SrgIndex(table), sets,
+    expect_sparse_strike_matches_oracle(table, sets,
                                         "full-multirouting/hypercube4");
   }
 }
@@ -1132,8 +1154,8 @@ TEST(SrgKernels, SparseStrikeKillsMultiroutePairWithItsLastRoute) {
   table.add_route({0, 5, 4, 3});
   table.add_route({1, 2});
   const SrgIndex index(table);
-  SrgScratch oracle(index), bitset(index);
-  oracle.set_scalar_oracle(true);
+  const SrgOracle oracle(table);
+  SrgScratch bitset(index);
   const std::vector<std::pair<std::vector<Node>, std::uint32_t>> cases = {
       {{}, 2}, {{5}, 2}, {{1}, 1}, {{4}, 2}, {{5, 2}, 0}, {{4, 5}, 2}};
   for (const auto& [faults, arcs] : cases) {
@@ -1143,38 +1165,39 @@ TEST(SrgKernels, SparseStrikeKillsMultiroutePairWithItsLastRoute) {
   }
 }
 
-// The oracle switched per set on one scratch while the strike epoch wraps:
-// the oracle's arc CSR and the bitset view are both rebuilt for every set.
-TEST(SrgKernels, SparseStrikeOracleToggleAcrossEpochWrap) {
+// Packed blocks and evaluate() interleaved per set on one scratch while the
+// strike epoch wraps: the bitset view is rebuilt for every struck set.
+TEST(SrgKernels, SparseStrikePackedToggleAcrossEpochWrap) {
   const auto gg = hypercube(4);
-  const SrgIndex index(build_full_multirouting(gg.graph, 3));
+  const MultiRouteTable table = build_full_multirouting(gg.graph, 3);
+  const SrgIndex index(table);
   const auto sets = strike_sets(16, 4);
   std::vector<SrgScratch::Result> want;
-  {
-    SrgScratch oracle(index);
-    oracle.set_scalar_oracle(true);
-    for (const auto& set : sets) want.push_back(oracle.evaluate(set));
-  }
+  const SrgOracle oracle(table);
+  for (const auto& set : sets) want.push_back(oracle.evaluate(set));
   for (const std::size_t run : {1u, 2u, 3u}) {
     SrgScratch scratch(index);
-    scratch.set_epochs_for_testing(~std::uint32_t{0} - 5);  // wraps at set 5
+    // Wraps at the sixth evaluate(), within the first dozen sets.
+    scratch.set_epochs_for_testing(~std::uint32_t{0} - 5);
     for (std::size_t i = 0; i < sets.size(); ++i) {
       SCOPED_TRACE("run " + std::to_string(run) + " set " + std::to_string(i));
-      scratch.set_scalar_oracle((i / run) % 2 == 0);
-      expect_same_result(want[i], scratch.evaluate(sets[i]));
+      expect_same_result(want[i],
+                         evaluate_one(scratch, sets[i], (i / run) % 2 == 0));
     }
   }
 }
 
-// componentwise_diameter and delivery read the same struck set: both
-// kernels agree on it after sparse strikes, interleaved with evaluate().
-TEST(SrgKernels, SparseStrikeComponentwiseMatchesScalarOracle) {
+// componentwise_diameter reads the same struck set as evaluate(): the
+// bitset kernel agrees with the oracle on it after sparse strikes,
+// interleaved with evaluate().
+TEST(SrgKernels, SparseStrikeComponentwiseMatchesOracle) {
   const auto gg = hypercube(4);
-  const SrgIndex index(build_full_multirouting(gg.graph, 3));
+  const MultiRouteTable table = build_full_multirouting(gg.graph, 3);
+  const SrgIndex index(table);
   std::vector<std::uint32_t> comp(16);
   for (Node v = 0; v < 16; ++v) comp[v] = v % 3;
-  SrgScratch oracle(index), bitset(index);
-  oracle.set_scalar_oracle(true);
+  const SrgOracle oracle(table);
+  SrgScratch bitset(index);
   for (const auto& set : strike_sets(16, 5)) {
     expect_same_result(oracle.evaluate(set), bitset.evaluate(set));
     EXPECT_EQ(oracle.componentwise_diameter(set, comp),
