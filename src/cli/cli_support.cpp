@@ -182,6 +182,19 @@ GraphTableArgs load_graph_table_args(const std::string& graph_path,
   return {load_graph_arg(graph_path), load_table_arg(table_path)};
 }
 
+TableSnapshot load_snapshot_args(const std::string& graph_path,
+                                 const std::string& table_path) {
+  if (graph_path == table_path && is_snapshot_file(graph_path)) {
+    TableSnapshot snap = load_table_snapshot_file(graph_path);
+    snap.table.validate(snap.graph);
+    return snap;
+  }
+  Graph graph = load_graph_arg(graph_path);
+  RoutingTable table = load_table_arg(table_path);
+  table.validate(graph);
+  return make_table_snapshot(std::move(graph), std::move(table));
+}
+
 DistPoolOptions dist_pool_options(const ParsedArgs& a, unsigned workers) {
   DistPoolOptions popts;
   popts.workers = workers;

@@ -26,6 +26,7 @@
 #include "dist/coordinator.hpp"
 #include "graph/graph.hpp"
 #include "routing/route_table.hpp"
+#include "routing/serialization.hpp"
 
 namespace ftr::cli {
 
@@ -108,6 +109,14 @@ struct GraphTableArgs {
 };
 GraphTableArgs load_graph_table_args(const std::string& graph_path,
                                      const std::string& table_path);
+
+/// The <graph>/<table> arguments as a validated TableSnapshot, for the
+/// verbs that evaluate on its index in process and hand it to
+/// DistSweepPool under --workers: a snapshot passed as both arguments is
+/// loaded (index and ranking included), text inputs go through
+/// make_table_snapshot.
+TableSnapshot load_snapshot_args(const std::string& graph_path,
+                                 const std::string& table_path);
 
 /// Shared --workers plumbing for check/sweep: the verb's resolved
 /// ExecPolicy becomes the per-worker policy (exec.threads = threads inside

@@ -50,9 +50,8 @@ const VerbSpec& spec() {
 
 int cmd_check(const std::vector<std::string>& args) {
   return run_verb(spec(), args, [](const ParsedArgs& a) {
-    auto [g, table] =
-        load_graph_table_args(a.positional.at(0), a.positional.at(1));
-    table.validate(g);
+    const TableSnapshot snap =
+        load_snapshot_args(a.positional.at(0), a.positional.at(1));
     const auto f = a.u32("--faults", 1);
     const auto claimed = a.u32("--claimed", 6);
     Rng rng(a.u64("--seed", 7));
@@ -61,16 +60,14 @@ int cmd_check(const std::vector<std::string>& args) {
     const auto workers = a.u32("--workers", 0);
     ToleranceReport report;
     if (workers > 0) {
-      const std::string snap_path =
-          dist_snapshot_path(a.positional.at(0), a.positional.at(1));
-      const TableSnapshot snap =
-          make_table_snapshot(std::move(g), std::move(table));
-      DistSweepPool pool(snap, snap_path, dist_pool_options(a, workers));
+      DistSweepPool pool(
+          snap, dist_snapshot_path(a.positional.at(0), a.positional.at(1)),
+          dist_pool_options(a, workers));
       opts.runner = [&pool](const UnitSpec& u) { return pool.run_adv(u); };
       report = check_tolerance(snap.table, snap.index, f, claimed, rng, opts);
       print_dist_stats(pool.stats());
     } else {
-      report = check_tolerance(table, f, claimed, rng, opts);
+      report = check_tolerance(snap.table, snap.index, f, claimed, rng, opts);
     }
     std::cout << report.summary() << '\n';
     if (!report.worst_faults.empty()) {

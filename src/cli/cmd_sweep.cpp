@@ -66,9 +66,8 @@ const VerbSpec& spec() {
 
 int cmd_sweep(const std::vector<std::string>& args) {
   return run_verb(spec(), args, [](const ParsedArgs& a) {
-    auto [g, table] =
-        load_graph_table_args(a.positional.at(0), a.positional.at(1));
-    table.validate(g);
+    const TableSnapshot snap =
+        load_snapshot_args(a.positional.at(0), a.positional.at(1));
     const auto f = static_cast<std::size_t>(a.u64("--faults", 1));
     const auto sets = a.u64("--sets", 1000);
     const std::uint64_t seed = a.u64("--seed", 7);
@@ -111,7 +110,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
     // A bounded sweep is one whole-space unit; a --stdin feed is cut into
     // explicit-set units as it is read. Set i of a sampled sweep is a pure
     // function of (seed, i), so no sweep materializes its sets.
-    const std::size_t n = g.num_nodes();
+    const std::size_t n = snap.graph.num_nodes();
     const UnitSpec unit =
         exhaustive
             ? sweep_unit(UnitKind::kSweepGray, f, checked_binomial(n, f), opts)
@@ -123,11 +122,9 @@ int cmd_sweep(const std::vector<std::string>& args) {
       // the same global-index discipline as the in-process executor, so
       // stdout below is bit-identical to --workers 0 for any W and unit
       // size.
-      const std::string snap_path =
-          dist_snapshot_path(a.positional.at(0), a.positional.at(1));
-      const TableSnapshot snap =
-          make_table_snapshot(std::move(g), std::move(table));
-      DistSweepPool pool(snap, snap_path, dist_pool_options(a, workers));
+      DistSweepPool pool(
+          snap, dist_snapshot_path(a.positional.at(0), a.positional.at(1)),
+          dist_pool_options(a, workers));
       const auto t0 = std::chrono::steady_clock::now();
       summary = summarize_sweep_partial(from_stdin
                                             ? pool.sweep_source(source, opts)
@@ -142,10 +139,10 @@ int cmd_sweep(const std::vector<std::string>& args) {
               : 0.0;
       print_dist_stats(pool.stats());
     } else {
-      const SrgIndex index(table);
-      summary = from_stdin
-                    ? sweep_fault_source(table, index, source, opts)
-                    : sweep_unit_summary(table, index, unit, opts.on_progress);
+      summary = from_stdin ? sweep_fault_source(snap.table, *snap.index,
+                                                source, opts)
+                           : sweep_unit_summary(snap.table, *snap.index, unit,
+                                                opts.on_progress);
     }
 
     Table t({"metric", "value"});

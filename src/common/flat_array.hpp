@@ -1,7 +1,7 @@
-// FlatArray<T>: a contiguous POD array that either OWNS its storage (a
-// std::vector, the normal case for structures built in process) or ALIASES a
-// read-only region owned by someone else (a mmap'd snapshot file), behind
-// one vector-ish interface.
+// FlatArray<T>: a contiguous POD array behind one vector-ish interface.
+// Its bytes live either in a std::vector the array shares with its copies
+// (the normal case for structures built in process) or in a read-only
+// region owned by someone else (a mmap'd snapshot file).
 //
 // This is the span/owner seam the binary-snapshot loader needs: Graph,
 // RoutingTable, and SrgIndex keep their hot arrays in FlatArrays, so the
@@ -10,23 +10,30 @@
 // no per-access branch (the data pointer is cached and kept in sync by the
 // mutating calls).
 //
-// Mutation is detach-on-write: any mutating call on an aliased array first
-// copies the aliased bytes into an owned vector (ensure_owned), so a
-// snapshot-backed RoutingTable that someone calls set_route() on silently
-// becomes a private copy instead of scribbling on (or faulting over) the
-// mapping. The shared owner handle keeps the mapped region alive for as
-// long as any array aliases it — structures loaded from one file can be
-// moved around independently without lifetime coordination.
+// Copies share: copying a FlatArray copies two shared handles, never the
+// elements, which is how an SrgIndex holds its table's routes without a
+// second copy of them. Mutation is detach-on-write: any mutating call on an
+// array whose bytes are aliased, or shared with another copy, first copies
+// them into a vector of its own, so a write through one copy never shows
+// through another, and a snapshot-backed RoutingTable that someone calls
+// set_route() on silently becomes a private copy instead of scribbling on
+// (or faulting over) the mapping. The shared handles keep the bytes alive
+// for as long as any copy reads them — structures loaded from one file, or
+// an index and the table it was built from, can be moved around and
+// destroyed independently without lifetime coordination.
 //
 // memory_bytes() is what byte-accounted caches charge: allocator footprint
-// (capacity) when owned, mapped footprint (size) when aliased — a mapped
-// table still occupies address space and page cache, so the registry budget
-// accounts it like resident heap.
+// (capacity) when vector-backed, mapped footprint (size) when aliased — a
+// mapped table still occupies address space and page cache, so the registry
+// budget accounts it like resident heap. Copies each report the shared
+// bytes; a structure that shares an array with another leaves it out of
+// its own count (SrgIndex::memory_bytes()).
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace ftr {
@@ -39,55 +46,26 @@ class FlatArray {
 
  public:
   FlatArray() = default;
-  explicit FlatArray(std::vector<T> v) : vec_(std::move(v)) { refresh(); }
-
-  // Value semantics with the cached data pointer re-anchored: a copied
-  // owned array must point at ITS vector's buffer, not the source's.
-  // Aliased arrays copy the alias (both share the owner).
-  FlatArray(const FlatArray& other)
-      : vec_(other.vec_), owner_(other.owner_) {
-    if (owner_) {
-      data_ = other.data_;
-      size_ = other.size_;
-    } else {
-      refresh();
-    }
+  explicit FlatArray(std::vector<T> v)
+      : vec_(std::make_shared<std::vector<T>>(std::move(v))) {
+    refresh();
   }
+
+  // Copies share the bytes (see the top of this header); a moved-from array
+  // is empty.
+  FlatArray(const FlatArray&) = default;
+  FlatArray& operator=(const FlatArray&) = default;
   FlatArray(FlatArray&& other) noexcept
       : vec_(std::move(other.vec_)),
-        data_(other.data_),
-        size_(other.size_),
-        owner_(std::move(other.owner_)) {
-    if (!owner_) refresh();  // moved vector keeps its buffer, but be exact
-    other.vec_.clear();
-    other.owner_.reset();
-    other.refresh();
-  }
-  FlatArray& operator=(const FlatArray& other) {
-    if (this == &other) return *this;
-    vec_ = other.vec_;
-    owner_ = other.owner_;
-    if (owner_) {
-      data_ = other.data_;
-      size_ = other.size_;
-    } else {
-      refresh();
-    }
-    return *this;
-  }
+        mapping_(std::move(other.mapping_)),
+        data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
   FlatArray& operator=(FlatArray&& other) noexcept {
     if (this == &other) return *this;
     vec_ = std::move(other.vec_);
-    owner_ = std::move(other.owner_);
-    if (owner_) {
-      data_ = other.data_;
-      size_ = other.size_;
-    } else {
-      refresh();
-    }
-    other.vec_.clear();
-    other.owner_.reset();
-    other.refresh();
+    mapping_ = std::move(other.mapping_);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
     return *this;
   }
 
@@ -96,14 +74,14 @@ class FlatArray {
   static FlatArray aliased(const T* data, std::size_t size,
                            std::shared_ptr<const void> owner) {
     FlatArray a;
-    a.owner_ = std::move(owner);
+    a.mapping_ = std::move(owner);
     a.data_ = data;
     a.size_ = size;
     return a;
   }
 
   /// True while the array aliases external storage (no mutation yet).
-  bool aliased_view() const { return owner_ != nullptr; }
+  bool aliased_view() const { return mapping_ != nullptr; }
 
   const T* data() const { return data_; }
   std::size_t size() const { return size_; }
@@ -113,48 +91,26 @@ class FlatArray {
   const T& operator[](std::size_t i) const { return data_[i]; }
   const T& back() const { return data_[size_ - 1]; }
 
-  /// Mutable access detaches from an aliased region (copy-on-write).
-  T& operator[](std::size_t i) {
-    ensure_owned();
-    return vec_[i];
-  }
-
+  // Mutation detaches from aliased or shared bytes. Element reads stay on
+  // the const accessors above even through a non-const array, so a read
+  // never copies.
+  void set(std::size_t i, const T& v) { own()[i] = v; }
   void push_back(const T& v) {
-    ensure_owned();
-    vec_.push_back(v);
-    refresh();
-  }
-  void reserve(std::size_t n) {
-    ensure_owned();
-    vec_.reserve(n);
-    refresh();
-  }
-  void resize(std::size_t n) {
-    ensure_owned();
-    vec_.resize(n);
-    refresh();
-  }
-  void assign(std::size_t n, const T& v) {
-    owner_.reset();
-    vec_.assign(n, v);
+    own().push_back(v);
     refresh();
   }
   template <typename It>
   void append(It first, It last) {
-    ensure_owned();
-    vec_.insert(vec_.end(), first, last);
-    refresh();
-  }
-  void clear() {
-    owner_.reset();
-    vec_.clear();
+    std::vector<T>& v = own();
+    v.insert(v.end(), first, last);
     refresh();
   }
 
-  /// Bytes charged to byte-accounted caches: allocator capacity when owned,
-  /// mapped extent when aliased (address space + page cache are real).
+  /// Bytes charged to byte-accounted caches: allocator capacity when
+  /// vector-backed, mapped extent when aliased (address space + page cache
+  /// are real).
   std::size_t memory_bytes() const {
-    return (owner_ ? size_ : vec_.capacity()) * sizeof(T);
+    return (vec_ ? vec_->capacity() : size_) * sizeof(T);
   }
 
   friend bool operator==(const FlatArray& a, const FlatArray& b) {
@@ -167,20 +123,24 @@ class FlatArray {
 
  private:
   void refresh() {
-    data_ = vec_.data();
-    size_ = vec_.size();
+    data_ = vec_->data();
+    size_ = vec_->size();
   }
-  void ensure_owned() {
-    if (!owner_) return;
-    vec_.assign(data_, data_ + size_);
-    owner_.reset();
-    refresh();
+  // The vector this array alone holds, copying the bytes into a new one
+  // first when they are aliased, shared with another copy, or absent.
+  std::vector<T>& own() {
+    if (!vec_ || vec_.use_count() != 1) {
+      vec_ = std::make_shared<std::vector<T>>(data_, data_ + size_);
+      mapping_.reset();
+      refresh();
+    }
+    return *vec_;
   }
 
-  std::vector<T> vec_;
-  const T* data_ = nullptr;  // always valid: vec_.data() or the alias
+  std::shared_ptr<std::vector<T>> vec_;    // null while aliased or empty
+  std::shared_ptr<const void> mapping_;    // the aliased region's owner
+  const T* data_ = nullptr;  // always valid: vec_->data() or the alias
   std::size_t size_ = 0;
-  std::shared_ptr<const void> owner_;
 };
 
 }  // namespace ftr

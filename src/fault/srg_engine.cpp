@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "common/contracts.hpp"
 #include "common/cpu_features.hpp"
@@ -15,84 +16,94 @@ constexpr std::size_t kLaneBits = 64;
 std::size_t bit_words(std::size_t n) { return (n + kLaneBits - 1) / kLaneBits; }
 }  // namespace
 
-SrgIndex::SrgIndex(const RoutingTable& table) : n_(table.num_nodes()) {
-  route_nodes_.reserve(table.arena_size());
-  route_off_.reserve(table.num_routes() + 1);
-  route_off_.push_back(0);
-  // Every entry of a single-route table is its own ordered pair.
-  table.for_each_view([this](Node x, Node y, PathView path) {
-    route_src_.push_back(x);
-    route_dst_.push_back(y);
-    route_pair_.push_back(static_cast<std::uint32_t>(num_pairs_++));
-    pair_src_.push_back(x);
-    pair_dst_.push_back(y);
-    route_nodes_.append(path.begin(), path.end());
-    route_off_.push_back(static_cast<std::uint32_t>(route_nodes_.size()));
-  });
-  finalize_routes();
+SrgIndex::SrgIndex(const RoutingTable& table) {
+  share_routes(table);
+  build_node_routes();
+  finalize();
 }
 
 SrgIndex::SrgIndex(const MultiRouteTable& table) : n_(table.num_nodes()) {
-  route_nodes_.reserve(table.arena_size());
-  route_off_.reserve(table.total_routes() + 1);
-  route_off_.push_back(0);
-  table.for_each_pair_view([this](Node x, Node y,
-                                  const MultiRouteTable::RouteRange& routes) {
-    const auto pair_id = static_cast<std::uint32_t>(num_pairs_++);
-    pair_src_.push_back(x);
-    pair_dst_.push_back(y);
+  std::vector<Node> nodes;
+  nodes.reserve(table.arena_size());
+  std::vector<std::uint32_t> off{0};
+  off.reserve(table.total_routes() + 1);
+  std::vector<Node> src;
+  std::vector<Node> dst;
+  std::vector<std::uint32_t> route_pair;
+  route_pair.reserve(table.total_routes());
+  table.for_each_pair_view([&](Node x, Node y,
+                               const MultiRouteTable::RouteRange& routes) {
+    const auto pair_id = static_cast<std::uint32_t>(src.size());
+    src.push_back(x);
+    dst.push_back(y);
     for (PathView path : routes) {
-      route_src_.push_back(x);
-      route_dst_.push_back(y);
-      route_pair_.push_back(pair_id);
-      route_nodes_.append(path.begin(), path.end());
-      route_off_.push_back(static_cast<std::uint32_t>(route_nodes_.size()));
+      route_pair.push_back(pair_id);
+      nodes.insert(nodes.end(), path.begin(), path.end());
+      off.push_back(static_cast<std::uint32_t>(nodes.size()));
     }
   });
-  finalize_routes();
+  route_nodes_ = FlatArray<Node>(std::move(nodes));
+  route_off_ = FlatArray<std::uint32_t>(std::move(off));
+  pair_src_ = FlatArray<Node>(std::move(src));
+  pair_dst_ = FlatArray<Node>(std::move(dst));
+  route_pair_ = FlatArray<std::uint32_t>(std::move(route_pair));
+  build_node_routes();
+  finalize();
 }
 
-void SrgIndex::finalize_routes() {
-  const std::size_t num_routes = route_src_.size();
-  pair_route_count_.assign(num_pairs_, 0);
-  for (std::uint32_t pid : route_pair_) ++pair_route_count_[pid];
+void SrgIndex::share_routes(const RoutingTable& table) {
+  n_ = table.num_nodes();
+  shares_routes_ = true;
+  route_nodes_ = table.arena_;
+  route_off_ = table.route_off_;
+  pair_src_ = table.pair_src_;
+  pair_dst_ = table.pair_dst_;
+  // Every route of a single-route table is its own ordered pair.
+  std::vector<std::uint32_t> route_pair(table.num_routes());
+  std::iota(route_pair.begin(), route_pair.end(), 0u);
+  route_pair_ = FlatArray<std::uint32_t>(std::move(route_pair));
+}
+
+void SrgIndex::build_node_routes() {
   // Inverted index: node -> ids of routes whose path contains it (endpoints
   // included, so an endpoint fault kills the route like any interior fault).
-  node_route_off_.assign(n_ + 1, 0);
-  for (Node v : route_nodes_) ++node_route_off_[v + 1];
-  for (std::size_t i = 1; i <= n_; ++i) {
-    node_route_off_[i] += node_route_off_[i - 1];
+  std::vector<std::uint32_t> off(n_ + 1, 0);
+  for (Node v : route_nodes_) ++off[v + 1];
+  for (std::size_t i = 1; i <= n_; ++i) off[i] += off[i - 1];
+  std::vector<std::uint32_t> ids(route_nodes_.size());
+  std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
+  for (std::uint32_t r = 0; r < num_routes(); ++r) {
+    for (Node v : route(r)) ids[cursor[v]++] = r;
   }
-  node_route_ids_.resize(route_nodes_.size());
-  std::vector<std::uint32_t> cursor(node_route_off_.begin(),
-                                    node_route_off_.end() - 1);
-  for (std::uint32_t r = 0; r < num_routes; ++r) {
-    for (std::uint32_t i = route_off_[r]; i < route_off_[r + 1]; ++i) {
-      node_route_ids_[cursor[route_nodes_[i]]++] = r;
-    }
-  }
+  node_route_off_ = FlatArray<std::uint32_t>(std::move(off));
+  node_route_ids_ = FlatArray<std::uint32_t>(std::move(ids));
+}
 
-  // Packed-kernel support: pair -> contiguous route-id range. Both table
-  // constructors emit a pair's routes back to back, which the kill-mask AND
-  // in evaluate_gray_block() relies on — assert rather than assume.
-  pair_route_off_.assign(num_pairs_ + 1, 0);
-  for (std::size_t p = 0; p < num_pairs_; ++p) {
-    pair_route_off_[p + 1] = pair_route_off_[p] + pair_route_count_[p];
-  }
-  for (std::uint32_t r = 0; r < num_routes; ++r) {
+void SrgIndex::finalize() {
+  // Pair -> contiguous route-id range. Both table constructors emit a
+  // pair's routes back to back, which the kill-mask AND in
+  // evaluate_gray_block() relies on — assert rather than assume.
+  const std::size_t num_pairs = pair_src_.size();
+  std::vector<std::uint32_t> pair_off(num_pairs + 1, 0);
+  for (std::uint32_t pid : route_pair_) ++pair_off[pid + 1];
+  for (std::size_t p = 1; p <= num_pairs; ++p) pair_off[p] += pair_off[p - 1];
+  for (std::uint32_t r = 0; r < num_routes(); ++r) {
     const std::uint32_t pid = route_pair_[r];
-    FTR_ASSERT(r >= pair_route_off_[pid] && r < pair_route_off_[pid + 1]);
+    FTR_ASSERT(r >= pair_off[pid] && r < pair_off[pid + 1]);
   }
+  pair_route_off_ = FlatArray<std::uint32_t>(std::move(pair_off));
   // Ordered pairs grouped by source node (counting sort): the adjacency the
   // lane-parallel BFS walks.
-  src_pair_off_.assign(n_ + 1, 0);
-  for (Node s : pair_src_) ++src_pair_off_[s + 1];
-  for (std::size_t i = 1; i <= n_; ++i) src_pair_off_[i] += src_pair_off_[i - 1];
-  src_pair_ids_.resize(num_pairs_);
-  cursor.assign(src_pair_off_.begin(), src_pair_off_.end() - 1);
-  for (std::uint32_t pid = 0; pid < num_pairs_; ++pid) {
-    src_pair_ids_[cursor[pair_src_[pid]]++] = pid;
+  std::vector<std::uint32_t> src_off(n_ + 1, 0);
+  for (Node s : pair_src_) ++src_off[s + 1];
+  for (std::size_t i = 1; i <= n_; ++i) src_off[i] += src_off[i - 1];
+  std::vector<std::uint32_t> src_ids(num_pairs);
+  std::vector<std::uint32_t> cursor(src_off.begin(), src_off.end() - 1);
+  for (std::uint32_t pid = 0; pid < num_pairs; ++pid) {
+    src_ids[cursor[pair_src_[pid]]++] = pid;
   }
+  src_pair_off_ = FlatArray<std::uint32_t>(std::move(src_off));
+  src_pair_ids_ = FlatArray<std::uint32_t>(std::move(src_ids));
   build_dst_pairs();
   build_base_rows();
 }
@@ -104,9 +115,10 @@ void SrgIndex::build_dst_pairs() {
   // the likeliest to be live, so each target lists its in-pairs by their
   // shortest route (fewest nodes first, then by id): a stable counting sort
   // by length, then a stable one by target.
-  std::vector<std::uint32_t> len(num_pairs_);
+  const std::size_t num_pairs = pair_src_.size();
+  std::vector<std::uint32_t> len(num_pairs);
   std::uint32_t max_len = 0;
-  for (std::uint32_t pid = 0; pid < num_pairs_; ++pid) {
+  for (std::uint32_t pid = 0; pid < num_pairs; ++pid) {
     std::uint32_t best = UINT32_MAX;
     for (std::uint32_t r = pair_route_off_[pid]; r < pair_route_off_[pid + 1];
          ++r) {
@@ -118,25 +130,25 @@ void SrgIndex::build_dst_pairs() {
   std::vector<std::uint32_t> cursor(std::size_t{max_len} + 2, 0);
   for (std::uint32_t l : len) ++cursor[l + 1];
   for (std::size_t i = 1; i < cursor.size(); ++i) cursor[i] += cursor[i - 1];
-  std::vector<std::uint32_t> by_len(num_pairs_);
-  for (std::uint32_t pid = 0; pid < num_pairs_; ++pid) {
+  std::vector<std::uint32_t> by_len(num_pairs);
+  for (std::uint32_t pid = 0; pid < num_pairs; ++pid) {
     by_len[cursor[len[pid]]++] = pid;
   }
-  dst_pair_off_.assign(n_ + 1, 0);
-  for (Node t : pair_dst_) ++dst_pair_off_[t + 1];
-  for (std::size_t i = 1; i <= n_; ++i) dst_pair_off_[i] += dst_pair_off_[i - 1];
-  dst_pair_ids_.resize(num_pairs_);
-  cursor.assign(dst_pair_off_.begin(), dst_pair_off_.end() - 1);
-  for (std::uint32_t pid : by_len) {
-    dst_pair_ids_[cursor[pair_dst_[pid]]++] = pid;
-  }
+  std::vector<std::uint32_t> dst_off(n_ + 1, 0);
+  for (Node t : pair_dst_) ++dst_off[t + 1];
+  for (std::size_t i = 1; i <= n_; ++i) dst_off[i] += dst_off[i - 1];
+  std::vector<std::uint32_t> dst_ids(num_pairs);
+  cursor.assign(dst_off.begin(), dst_off.end() - 1);
+  for (std::uint32_t pid : by_len) dst_ids[cursor[pair_dst_[pid]]++] = pid;
+  dst_pair_off_ = FlatArray<std::uint32_t>(std::move(dst_off));
+  dst_pair_ids_ = FlatArray<std::uint32_t>(std::move(dst_ids));
 }
 
 void SrgIndex::build_base_rows() {
   row_words_ = bit_words(n_);
   std::vector<std::uint64_t> succ(n_ * row_words_, 0);
   std::vector<std::uint64_t> pred(n_ * row_words_, 0);
-  for (std::uint32_t pid = 0; pid < num_pairs_; ++pid) {
+  for (std::uint32_t pid = 0; pid < num_pairs(); ++pid) {
     const Node s = pair_src_[pid];
     const Node t = pair_dst_[pid];
     std::uint64_t& sw = succ[s * row_words_ + (t >> 6)];
@@ -152,15 +164,17 @@ void SrgIndex::build_base_rows() {
 
 std::size_t SrgIndex::memory_bytes() const {
   // Allocator capacity when owned, mapped extent when snapshot-backed.
-  return route_nodes_.memory_bytes() + route_off_.memory_bytes() +
-         route_src_.memory_bytes() + route_dst_.memory_bytes() +
-         route_pair_.memory_bytes() + pair_src_.memory_bytes() +
-         pair_dst_.memory_bytes() + pair_route_count_.memory_bytes() +
-         node_route_off_.memory_bytes() + node_route_ids_.memory_bytes() +
-         pair_route_off_.memory_bytes() + src_pair_off_.memory_bytes() +
-         src_pair_ids_.memory_bytes() + dst_pair_off_.memory_bytes() +
-         dst_pair_ids_.memory_bytes() + base_succ_.memory_bytes() +
-         base_pred_.memory_bytes();
+  std::size_t bytes =
+      route_pair_.memory_bytes() + node_route_off_.memory_bytes() +
+      node_route_ids_.memory_bytes() + pair_route_off_.memory_bytes() +
+      src_pair_off_.memory_bytes() + src_pair_ids_.memory_bytes() +
+      dst_pair_off_.memory_bytes() + dst_pair_ids_.memory_bytes() +
+      base_succ_.memory_bytes() + base_pred_.memory_bytes();
+  if (!shares_routes_) {
+    bytes += route_nodes_.memory_bytes() + route_off_.memory_bytes() +
+             pair_src_.memory_bytes() + pair_dst_.memory_bytes();
+  }
+  return bytes;
 }
 
 SrgScratch::SrgScratch(const SrgIndex& index) : index_(&index) {
@@ -215,11 +229,11 @@ void SrgScratch::set_faults(std::span<const Node> faults) {
 
 std::uint32_t SrgScratch::strike(std::span<const Node> faults) {
   const SrgIndex& ix = *index_;
-  if (route_stamp_.size() != ix.route_src_.size()) {
-    route_stamp_.assign(ix.route_src_.size(), 0);
-    pair_stamp_.assign(ix.num_pairs_, 0);
-    pair_live_.assign(ix.num_pairs_, 0);
-    dead_pairs_.reserve(ix.num_pairs_);
+  if (route_stamp_.size() != ix.num_routes()) {
+    route_stamp_.assign(ix.num_routes(), 0);
+    pair_stamp_.assign(ix.num_pairs(), 0);
+    pair_live_.assign(ix.num_pairs(), 0);
+    dead_pairs_.reserve(ix.num_pairs());
   }
   next_epoch();
   dead_pairs_.clear();
@@ -239,7 +253,7 @@ std::uint32_t SrgScratch::strike(std::span<const Node> faults) {
       const std::uint32_t pid = ix.route_pair_[r];
       if (pair_stamp_[pid] != epoch_) {
         pair_stamp_[pid] = epoch_;
-        pair_live_[pid] = ix.pair_route_count_[pid];
+        pair_live_[pid] = ix.pair_route_off_[pid + 1] - ix.pair_route_off_[pid];
       }
       if (--pair_live_[pid] == 0) dead_pairs_.push_back(pid);
     }
@@ -365,7 +379,7 @@ SrgScratch::Result SrgScratch::evaluate(std::span<const Node> faults) {
   Result res;
   res.survivors = survivors;
   res.arcs =
-      static_cast<std::uint32_t>(index_->num_pairs_ - dead_pairs_.size());
+      static_cast<std::uint32_t>(index_->num_pairs() - dead_pairs_.size());
   if (survivors <= 1) return res;  // diameter 0 by convention
   ensure_bits();
   std::uint32_t diam = 0;
@@ -442,11 +456,11 @@ void SrgScratch::ensure_packed_state(bool gray) {
   }
   if (gray && !pk_gray_ready_) {
     // Stored route/pair masks: only Gray blocks read them.
-    route_kill_mask_.assign(ix.route_src_.size() * w, 0);
-    pair_dead_mask_.assign(ix.num_pairs_ * w, 0);
-    pair_dirty_.assign(ix.num_pairs_, 0);
-    pk_dirty_routes_.assign(ix.route_src_.size(), 0);
-    pk_dirty_pairs_.assign(ix.num_pairs_, 0);
+    route_kill_mask_.assign(ix.num_routes() * w, 0);
+    pair_dead_mask_.assign(ix.num_pairs() * w, 0);
+    pair_dirty_.assign(ix.num_pairs(), 0);
+    pk_dirty_routes_.assign(ix.num_routes(), 0);
+    pk_dirty_pairs_.assign(ix.num_pairs(), 0);
     pk_gray_ready_ = true;
   }
 }
@@ -479,7 +493,7 @@ void SrgScratch::run_packed_block(std::size_t count,
   const SrgIndex& ix = *index_;
   packed::PackedCtx ctx;
   ctx.n = ix.n_;
-  ctx.num_pairs = ix.num_pairs_;
+  ctx.num_pairs = ix.num_pairs();
   ctx.node_route_off = ix.node_route_off_.data();
   ctx.node_route_ids = ix.node_route_ids_.data();
   ctx.route_pair = ix.route_pair_.data();
@@ -520,7 +534,7 @@ void SrgScratch::run_packed_block(std::size_t count,
   for (std::size_t lane = 0; lane < count; ++lane) {
     out[lane].survivors = survivors[lane];
     out[lane].arcs =
-        static_cast<std::uint32_t>(ix.num_pairs_) - pk_dead_pairs_[lane];
+        static_cast<std::uint32_t>(ix.num_pairs()) - pk_dead_pairs_[lane];
     const bool disconnected =
         ((pk_disconnected_[lane / kLaneBits] >> (lane % kLaneBits)) & 1) != 0;
     out[lane].diameter = survivors[lane] <= 1 ? 0
@@ -638,9 +652,8 @@ bool SrgScratch::pair_survives(std::uint32_t pid) const {
   const SrgIndex& ix = *index_;
   for (std::uint32_t r = ix.pair_route_off_[pid];
        r < ix.pair_route_off_[pid + 1]; ++r) {
-    const Node* first = ix.route_nodes_.data() + ix.route_off_[r];
-    const Node* last = ix.route_nodes_.data() + ix.route_off_[r + 1];
-    if (std::none_of(first, last,
+    const PathView path = ix.route(r);
+    if (std::none_of(path.begin(), path.end(),
                      [&](Node v) { return fault_stamp_[v] == epoch_; })) {
       return true;
     }

@@ -11,9 +11,12 @@
 //
 // The split matters for the parallel sweep layer:
 //
-//  * SrgIndex is the immutable preprocessing — the route arena flattened
-//    into per-route node ranges, a node -> routes inverted index, and the
-//    fault-free route graph as bitset rows. It is read-only after
+//  * SrgIndex is the immutable preprocessing — the routes as per-route
+//    node ranges, a node -> routes inverted index, and the fault-free route
+//    graph as bitset rows. Built from a RoutingTable, it shares the table's
+//    route arrays (arena, route offsets, pair endpoints) instead of copying
+//    them: FlatArray copies share their bytes, and a later set_route() on
+//    the table detaches the table, never the index. It is read-only after
 //    construction, so ONE index serves any number of concurrent workers.
 //  * SrgScratch is the per-thread mutable state — the epoch-stamped fault
 //    and kill stamps, the dead-pair list, the struck set's bitset rows,
@@ -124,20 +127,30 @@ namespace ftr {
 /// packed.
 inline constexpr std::size_t kMinAnySetBlock = 96;
 
-/// Immutable preprocessing of one routing table: flattened routes, the
-/// node -> routes inverted index and the fault-free route graph as bitset
-/// rows. Thread-safe to share by const reference
-/// across any number of SrgScratch workers.
+/// Immutable preprocessing of one routing table: its routes, the node ->
+/// routes inverted index and the fault-free route graph as bitset rows.
+/// Thread-safe to share by const reference across any number of SrgScratch
+/// workers.
 class SrgIndex {
  public:
+  /// Shares the table's route arrays; the index stays valid (and its
+  /// results unchanged) after the table is modified or destroyed.
   explicit SrgIndex(const RoutingTable& table);
   explicit SrgIndex(const MultiRouteTable& table);
 
   std::size_t num_nodes() const { return n_; }
   /// Directed routes preprocessed (multiroute tables count every parallel
   /// route; ordered pairs may share one arc).
-  std::size_t num_routes() const { return route_src_.size(); }
-  std::size_t num_pairs() const { return num_pairs_; }
+  std::size_t num_routes() const { return route_pair_.size(); }
+  std::size_t num_pairs() const { return pair_src_.size(); }
+
+  /// The nodes of route `r` (< num_routes()). Routes of one ordered pair
+  /// have consecutive ids; a single-route table's route r is its r-th
+  /// route in insertion order.
+  PathView route(std::uint32_t r) const {
+    return {route_nodes_.data() + route_off_[r],
+            route_off_[r + 1] - route_off_[r]};
+  }
 
   /// Ids of the ordered pairs whose target is `v`, by their shortest
   /// route (fewest nodes first, then ascending id): the in-adjacency the
@@ -159,8 +172,11 @@ class SrgIndex {
     return {base_pred_.data() + std::size_t{v} * row_words_, row_words_};
   }
 
-  /// Heap footprint of the preprocessing arrays (capacities), for
-  /// byte-accounted caches like the serving layer's table registry.
+  /// Footprint of the preprocessing arrays (capacities when owned, mapped
+  /// extent when snapshot-backed), for byte-accounted caches like the
+  /// serving layer's table registry. An index built from a RoutingTable
+  /// (or loaded with one from a snapshot) leaves out the route arrays it
+  /// shares with that table, which charges them.
   std::size_t memory_bytes() const;
 
  private:
@@ -169,41 +185,39 @@ class SrgIndex {
 
   SrgIndex() = default;  // snapshot loads fill the arrays directly
 
-  void finalize_routes();
-  // Groups the ordered pairs by target node (dst_pair_*) from pair_dst_,
-  // shortest route first within a target. Table builds call it from
-  // finalize_routes(); snapshot loads call it on the validated arrays,
-  // since the grouping is derived, not stored.
+  // Shares the table's route arrays and numbers one pair per route.
+  void share_routes(const RoutingTable& table);
+  // The node -> routes inverted index, O(arena); snapshots store it.
+  void build_node_routes();
+  // Everything else, derived from the route arrays in O(pairs + n *
+  // row_words_): pair_route_off_, the pairs by source and by target, and
+  // the base rows. Table builds and snapshot loads both end here, so no
+  // derived array is stored in a snapshot. Rejects a pair listed twice.
+  void finalize();
   void build_dst_pairs();
-  // Sets one succ/pred bit per ordered pair (base_succ_/base_pred_). Derived
-  // like dst_pair_*: from finalize_routes() on table builds and next to
-  // build_dst_pairs() on snapshot loads. Rejects a pair listed twice.
   void build_base_rows();
 
-  // All flat arrays: owned vectors when built from a table, aliases into a
-  // mapped snapshot on the zero-copy load path (the index never mutates
-  // after construction either way).
+  // All flat arrays: owned vectors (or shares of the table's) when built
+  // from a table, aliases into a mapped snapshot on the zero-copy load
+  // path; the index never mutates after construction either way.
   std::size_t n_ = 0;
-  FlatArray<Node> route_nodes_;           // all route nodes, back to back
-  FlatArray<std::uint32_t> route_off_;    // per route, offset into nodes
-  FlatArray<Node> route_src_;
-  FlatArray<Node> route_dst_;
-  FlatArray<std::uint32_t> route_pair_;   // route -> ordered-pair id
-  std::size_t num_pairs_ = 0;
-  FlatArray<Node> pair_src_;              // ordered-pair id -> endpoints
+  bool shares_routes_ = false;  // the next four arrays are the table's
+  FlatArray<Node> route_nodes_;         // all route nodes, back to back
+  FlatArray<std::uint32_t> route_off_;  // num_routes() + 1 node offsets
+  FlatArray<Node> pair_src_;            // ordered-pair id -> endpoints
   FlatArray<Node> pair_dst_;
-  FlatArray<std::uint32_t> pair_route_count_;  // routes per ordered pair
+  FlatArray<std::uint32_t> route_pair_;      // route -> ordered-pair id
   FlatArray<std::uint32_t> node_route_off_;  // node -> routes through it
   FlatArray<std::uint32_t> node_route_ids_;
 
-  // Packed-kernel support. Routes of one ordered pair occupy a contiguous
-  // route-id range (both table constructors emit them that way; finalize
-  // asserts it), so a pair's routes are [pair_route_off_[p],
-  // pair_route_off_[p + 1]). src_pair_* lists the ordered pairs by source
-  // node and dst_pair_* by target node — the out- and in-adjacency the
-  // lane-parallel BFS walks top-down and bottom-up, since in packed mode
-  // "arc" and "pair with a live route" coincide. dst_pair_* is never
-  // stored in a snapshot: build_dst_pairs() derives it on load.
+  // Routes of one ordered pair occupy a contiguous route-id range (both
+  // table constructors emit them that way; finalize() asserts it), so pair
+  // p's routes are [pair_route_off_[p], pair_route_off_[p + 1]) and its
+  // route count is the difference. Packed-kernel support: src_pair_* lists
+  // the ordered pairs by source node and dst_pair_* by target node — the
+  // out- and in-adjacency the lane-parallel BFS walks top-down and
+  // bottom-up, since in packed mode "arc" and "pair with a live route"
+  // coincide.
   FlatArray<std::uint32_t> pair_route_off_;  // pair -> first route id
   FlatArray<std::uint32_t> src_pair_off_;    // node -> pairs sourced at it
   FlatArray<std::uint32_t> src_pair_ids_;
@@ -211,8 +225,7 @@ class SrgIndex {
   FlatArray<std::uint32_t> dst_pair_ids_;
 
   // Fault-free successor/predecessor rows, n * row_words_ words each; the
-  // bitset kernel starts every struck set from a copy. Never stored in a
-  // snapshot.
+  // bitset kernel starts every struck set from a copy.
   std::size_t row_words_ = 0;
   FlatArray<std::uint64_t> base_succ_;
   FlatArray<std::uint64_t> base_pred_;

@@ -15,59 +15,57 @@ RoutingTable::RoutingTable(std::size_t num_nodes, RoutingMode mode)
   FTR_EXPECTS(num_nodes >= 2);
 }
 
-std::uint32_t RoutingTable::find(std::uint64_t k) const {
-  if (slots_.empty()) return kNoEntry;
+std::uint32_t RoutingTable::find(Node x, Node y) const {
+  if (slots_.empty()) return kNoRoute;
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash_pair_key(k) & mask;
-  while (slots_[i] != kNoEntry) {
-    if (entries_[slots_[i]].key == k) return slots_[i];
-    i = (i + 1) & mask;
+  std::size_t i = hash_pair_key(key(x, y)) & mask;
+  for (std::uint32_t r; (r = slots_[i]) != kNoRoute; i = (i + 1) & mask) {
+    if (pair_src_[r] == x && pair_dst_[r] == y) return r;
   }
-  return kNoEntry;
+  return kNoRoute;
 }
 
 void RoutingTable::grow_slots() {
   const std::size_t cap = std::max<std::size_t>(16, slots_.size() * 2);
-  slots_.assign(cap, kNoEntry);
+  std::vector<std::uint32_t> slots(cap, kNoRoute);
   const std::size_t mask = cap - 1;
-  for (std::uint32_t idx = 0; idx < entries_.size(); ++idx) {
-    std::size_t i = hash_pair_key(entries_[idx].key) & mask;
-    while (slots_[i] != kNoEntry) i = (i + 1) & mask;
-    slots_[i] = idx;
+  for (std::uint32_t r = 0; r < num_routes(); ++r) {
+    std::size_t i = hash_pair_key(key(pair_src_[r], pair_dst_[r])) & mask;
+    while (slots[i] != kNoRoute) i = (i + 1) & mask;
+    slots[i] = r;
   }
+  slots_ = FlatArray<std::uint32_t>(std::move(slots));
 }
 
-void RoutingTable::insert_entry(std::uint64_t k, std::uint32_t offset,
-                                std::uint32_t len) {
-  // Keep load factor <= 1/2.
-  if ((entries_.size() + 1) * 2 > slots_.size()) grow_slots();
-  entries_.push_back(Entry{k, offset, len});
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash_pair_key(k) & mask;
-  while (slots_[i] != kNoEntry) i = (i + 1) & mask;
-  slots_[i] = static_cast<std::uint32_t>(entries_.size() - 1);
-}
-
-void RoutingTable::assign(std::uint64_t k, const Path& p, bool rev) {
-  const std::uint32_t idx = find(k);
-  if (idx != kNoEntry) {
-    FTR_EXPECTS_MSG(equals_path(view_of(entries_[idx]), p, rev),
+void RoutingTable::assign(Node x, Node y, const Path& p, bool rev) {
+  const std::uint32_t found = find(x, y);
+  if (found != kNoRoute) {
+    FTR_EXPECTS_MSG(equals_path(view_of(found), p, rev),
                     "conflicting route for pair ("
-                        << (rev ? p.back() : p.front()) << ","
-                        << (rev ? p.front() : p.back()) << "): existing "
-                        << path_to_string(view_of(entries_[idx]))
-                        << " vs new "
+                        << x << "," << y << "): existing "
+                        << path_to_string(view_of(found)) << " vs new "
                         << (rev ? path_to_string(Path(p.rbegin(), p.rend()))
                                 : path_to_string(p)));
     return;
   }
-  const auto offset = static_cast<std::uint32_t>(arena_.size());
   if (rev) {
     arena_.append(p.rbegin(), p.rend());
   } else {
     arena_.append(p.begin(), p.end());
   }
-  insert_entry(k, offset, static_cast<std::uint32_t>(p.size()));
+  if (route_off_.empty()) route_off_.push_back(0);  // a moved-from table
+  route_off_.push_back(static_cast<std::uint32_t>(arena_.size()));
+  pair_src_.push_back(x);
+  pair_dst_.push_back(y);
+  // Keep load factor <= 1/2.
+  if (num_routes() * 2 > slots_.size()) {
+    grow_slots();
+    return;
+  }
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = hash_pair_key(key(x, y)) & mask;
+  while (slots_[i] != kNoRoute) i = (i + 1) & mask;
+  slots_.set(i, static_cast<std::uint32_t>(num_routes() - 1));
 }
 
 void RoutingTable::set_route(const Path& path) {
@@ -76,8 +74,8 @@ void RoutingTable::set_route(const Path& path) {
   const Node y = path.back();
   FTR_EXPECTS(x < n_ && y < n_ && x != y);
 
-  assign(key(x, y), path, /*rev=*/false);
-  if (mode_ == RoutingMode::kBidirectional) assign(key(y, x), path, /*rev=*/true);
+  assign(x, y, path, /*rev=*/false);
+  if (mode_ == RoutingMode::kBidirectional) assign(y, x, path, /*rev=*/true);
 }
 
 bool RoutingTable::set_route_if_absent(const Path& path) {
@@ -85,8 +83,8 @@ bool RoutingTable::set_route_if_absent(const Path& path) {
   const Node x = path.front();
   const Node y = path.back();
   FTR_EXPECTS(x < n_ && y < n_ && x != y);
-  if (find(key(x, y)) != kNoEntry) return false;
-  if (mode_ == RoutingMode::kBidirectional && find(key(y, x)) != kNoEntry)
+  if (find(x, y) != kNoRoute) return false;
+  if (mode_ == RoutingMode::kBidirectional && find(y, x) != kNoRoute)
     return false;
   set_route(path);
   return true;
@@ -94,33 +92,30 @@ bool RoutingTable::set_route_if_absent(const Path& path) {
 
 PathView RoutingTable::route(Node x, Node y) const {
   FTR_EXPECTS(x < n_ && y < n_);
-  const std::uint32_t idx = find(key(x, y));
-  return idx == kNoEntry ? PathView{} : view_of(entries_[idx]);
+  const std::uint32_t r = find(x, y);
+  return r == kNoRoute ? PathView{} : view_of(r);
 }
 
 void RoutingTable::for_each(
     const std::function<void(Node, Node, const Path&)>& fn) const {
-  for (const Entry& e : entries_) {
-    const PathView v = view_of(e);
-    fn(static_cast<Node>(e.key / n_), static_cast<Node>(e.key % n_),
-       v.to_path());
+  for (std::uint32_t r = 0; r < num_routes(); ++r) {
+    fn(pair_src_[r], pair_dst_[r], view_of(r).to_path());
   }
 }
 
 void RoutingTable::for_each_view(
     const std::function<void(Node, Node, PathView)>& fn) const {
-  for (const Entry& e : entries_) {
-    fn(static_cast<Node>(e.key / n_), static_cast<Node>(e.key % n_),
-       view_of(e));
+  for (std::uint32_t r = 0; r < num_routes(); ++r) {
+    fn(pair_src_[r], pair_dst_[r], view_of(r));
   }
 }
 
 void RoutingTable::validate(const Graph& g) const {
   FTR_EXPECTS(g.num_nodes() == n_);
-  for (const Entry& e : entries_) {
-    const Node x = static_cast<Node>(e.key / n_);
-    const Node y = static_cast<Node>(e.key % n_);
-    const PathView path = view_of(e);
+  for (std::uint32_t r = 0; r < num_routes(); ++r) {
+    const Node x = pair_src_[r];
+    const Node y = pair_dst_[r];
+    const PathView path = view_of(r);
     FTR_ASSERT_MSG(path.front() == x && path.back() == y,
                    "route keyed (" << x << "," << y << ") holds path "
                                    << path_to_string(path));
@@ -142,17 +137,17 @@ void RoutingTable::validate(const Graph& g) const {
 
 RoutingTable::Stats RoutingTable::stats() const {
   Stats s;
-  s.ordered_pairs = entries_.size();
+  s.ordered_pairs = num_routes();
   std::size_t total_hops = 0;
-  for (const Entry& e : entries_) {
-    const std::size_t hops = e.len - 1;
+  for (std::uint32_t r = 0; r < num_routes(); ++r) {
+    const std::size_t hops = view_of(r).hops();
     s.max_hops = std::max(s.max_hops, hops);
     total_hops += hops;
   }
-  s.avg_hops = entries_.empty()
+  s.avg_hops = s.ordered_pairs == 0
                    ? 0.0
                    : static_cast<double>(total_hops) /
-                         static_cast<double>(entries_.size());
+                         static_cast<double>(s.ordered_pairs);
   return s;
 }
 

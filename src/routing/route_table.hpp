@@ -15,11 +15,14 @@
 // paper's "the reader may confirm there is at most one route between each
 // pair" remarks into machine-checked invariants.
 //
-// Storage: routes live in a single contiguous Node arena; the pair index is
-// a flat open-addressed hash table of (key, offset, length) entries kept in
-// insertion order. One heap block for all path data instead of one vector
-// per route — the difference between thrashing and streaming when the
-// surviving-route-graph engine replays thousands of fault sets.
+// Storage: flat arrays in insertion order — every route's nodes back to
+// back in one arena, its offset into the arena, and its pair's endpoints —
+// plus an open-addressed hash index over them for the lookups constructions
+// make while they build. One heap block for all path data instead of one
+// vector per route — the difference between thrashing and streaming when
+// the surviving-route-graph engine replays thousands of fault sets. These
+// are the arrays the SRG kernels read: an SrgIndex built from the table
+// shares them rather than copying them (fault/srg_engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -64,7 +67,7 @@ class RoutingTable {
   bool has_route(Node x, Node y) const { return !route(x, y).null(); }
 
   /// Number of defined ordered pairs (a bidirectional assignment counts 2).
-  std::size_t num_routes() const { return entries_.size(); }
+  std::size_t num_routes() const { return pair_src_.size(); }
 
   /// Iterates all defined ordered pairs as (x, y, path) in insertion order.
   /// Materializes a Path per call — use for_each_view on hot paths. The
@@ -96,44 +99,43 @@ class RoutingTable {
   /// this to size its preprocessing buffers in one shot.
   std::size_t arena_size() const { return arena_.size(); }
 
-  /// Footprint of the arena, entry list, and slot index — allocator
-  /// capacity when owned, mapped extent when snapshot-backed — for
-  /// byte-accounted caches like the serving layer's table registry.
+  /// Footprint of the route arrays and slot index — allocator capacity
+  /// when owned, mapped extent when snapshot-backed — for byte-accounted
+  /// caches like the serving layer's table registry.
   std::size_t memory_bytes() const {
-    return arena_.memory_bytes() + entries_.memory_bytes() +
+    return arena_.memory_bytes() + route_off_.memory_bytes() +
+           pair_src_.memory_bytes() + pair_dst_.memory_bytes() +
            slots_.memory_bytes();
   }
 
  private:
-  struct Entry {
-    std::uint64_t key;
-    std::uint32_t offset;
-    std::uint32_t len;
-  };
-  static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+  static constexpr std::uint32_t kNoRoute = 0xffffffffu;
 
-  std::uint64_t key(Node x, Node y) const {
-    return static_cast<std::uint64_t>(x) * n_ + y;
-  }
-  std::uint32_t find(std::uint64_t k) const;
-  void insert_entry(std::uint64_t k, std::uint32_t offset, std::uint32_t len);
+  std::uint64_t key(Node x, Node y) const { return std::uint64_t{x} * n_ + y; }
+  std::uint32_t find(Node x, Node y) const;
   void grow_slots();
-  // Compares/installs one direction; `rev` stores the path reversed.
-  void assign(std::uint64_t k, const Path& p, bool rev);
-  PathView view_of(const Entry& e) const {
-    return {arena_.data() + e.offset, e.len};
+  // Compares/installs the route x -> y; `rev` stores the path reversed.
+  void assign(Node x, Node y, const Path& p, bool rev);
+  PathView view_of(std::uint32_t r) const {
+    return {arena_.data() + route_off_[r], route_off_[r + 1] - route_off_[r]};
   }
 
+  friend class SrgIndex;         // shares the route arrays
   friend struct SnapshotAccess;  // binary snapshot save/load (serialization)
 
   std::size_t n_;
   RoutingMode mode_;
+  // Routes in insertion order; route r is the ordered pair (pair_src_[r],
+  // pair_dst_[r]) with nodes arena_[route_off_[r] .. route_off_[r + 1]),
+  // so route_off_ always holds num_routes() + 1 offsets.
   // Owned vectors normally; aliases into a mapped snapshot on the zero-copy
-  // load path. Mutation (set_route on a snapshot-backed table) detaches to
-  // a private owned copy — see common/flat_array.hpp.
-  FlatArray<Node> arena_;            // all route nodes, back to back
-  FlatArray<Entry> entries_;         // insertion order
-  FlatArray<std::uint32_t> slots_;   // open-addressed index into entries_
+  // load path. Copies (an SrgIndex's among them) share the bytes, and
+  // mutation detaches to a private copy — see common/flat_array.hpp.
+  FlatArray<Node> arena_;               // all route nodes, back to back
+  FlatArray<std::uint32_t> route_off_{std::vector<std::uint32_t>{0}};
+  FlatArray<Node> pair_src_;
+  FlatArray<Node> pair_dst_;
+  FlatArray<std::uint32_t> slots_;      // open-addressed index of routes
 };
 
 /// Installs a direct-edge route for every edge of g (Components KERNEL 2,

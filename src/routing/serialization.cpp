@@ -15,6 +15,7 @@
 #include "common/parse.hpp"
 #include "common/pipe_io.hpp"
 #include "fault/fault_gen.hpp"
+#include "routing/pair_hash.hpp"
 
 namespace ftr {
 
@@ -180,8 +181,6 @@ MultiRouteTable multi_route_table_from_string(const std::string& text) {
 // can place FlatArrays (owned or mapped aliases) directly into them without
 // widening any public API.
 struct SnapshotAccess {
-  using Entry = RoutingTable::Entry;
-
   static const FlatArray<std::uint32_t>& graph_offsets(const Graph& g) {
     return g.offsets_;
   }
@@ -200,83 +199,52 @@ struct SnapshotAccess {
   static const FlatArray<Node>& table_arena(const RoutingTable& t) {
     return t.arena_;
   }
-  static const FlatArray<Entry>& table_entries(const RoutingTable& t) {
-    return t.entries_;
+  static const FlatArray<std::uint32_t>& table_route_off(
+      const RoutingTable& t) {
+    return t.route_off_;
+  }
+  static const FlatArray<Node>& table_pair_src(const RoutingTable& t) {
+    return t.pair_src_;
+  }
+  static const FlatArray<Node>& table_pair_dst(const RoutingTable& t) {
+    return t.pair_dst_;
   }
   static const FlatArray<std::uint32_t>& table_slots(const RoutingTable& t) {
     return t.slots_;
   }
-  static constexpr std::uint32_t no_entry() { return RoutingTable::kNoEntry; }
+  static constexpr std::uint32_t no_route() { return RoutingTable::kNoRoute; }
   static RoutingTable make_table(std::size_t n, RoutingMode mode,
                                  FlatArray<Node> arena,
-                                 FlatArray<Entry> entries,
+                                 FlatArray<std::uint32_t> route_off,
+                                 FlatArray<Node> pair_src,
+                                 FlatArray<Node> pair_dst,
                                  FlatArray<std::uint32_t> slots) {
     RoutingTable t;
     t.n_ = n;
     t.mode_ = mode;
     t.arena_ = std::move(arena);
-    t.entries_ = std::move(entries);
+    t.route_off_ = std::move(route_off);
+    t.pair_src_ = std::move(pair_src);
+    t.pair_dst_ = std::move(pair_dst);
     t.slots_ = std::move(slots);
     return t;
   }
-
-  static const SrgIndex& index(const SrgIndex& ix) { return ix; }
+  // The index over a loaded table: shares its route arrays like
+  // SrgIndex(table), takes the stored node -> routes lists, and derives
+  // the rest through the constructor's finalize().
   static std::shared_ptr<const SrgIndex> make_index(
-      std::size_t n, std::size_t num_pairs, FlatArray<Node> route_nodes,
-      FlatArray<std::uint32_t> route_off, FlatArray<Node> route_src,
-      FlatArray<Node> route_dst, FlatArray<std::uint32_t> route_pair,
-      FlatArray<Node> pair_src, FlatArray<Node> pair_dst,
-      FlatArray<std::uint32_t> pair_route_count,
-      FlatArray<std::uint32_t> node_route_off,
-      FlatArray<std::uint32_t> node_route_ids,
-      FlatArray<std::uint32_t> pair_route_off,
-      FlatArray<std::uint32_t> src_pair_off,
-      FlatArray<std::uint32_t> src_pair_ids) {
+      const RoutingTable& table, FlatArray<std::uint32_t> node_route_off,
+      FlatArray<std::uint32_t> node_route_ids) {
     std::shared_ptr<SrgIndex> ix(new SrgIndex());
-    ix->n_ = n;
-    ix->num_pairs_ = num_pairs;
-    ix->route_nodes_ = std::move(route_nodes);
-    ix->route_off_ = std::move(route_off);
-    ix->route_src_ = std::move(route_src);
-    ix->route_dst_ = std::move(route_dst);
-    ix->route_pair_ = std::move(route_pair);
-    ix->pair_src_ = std::move(pair_src);
-    ix->pair_dst_ = std::move(pair_dst);
-    ix->pair_route_count_ = std::move(pair_route_count);
+    ix->share_routes(table);
     ix->node_route_off_ = std::move(node_route_off);
     ix->node_route_ids_ = std::move(node_route_ids);
-    ix->pair_route_off_ = std::move(pair_route_off);
-    ix->src_pair_off_ = std::move(src_pair_off);
-    ix->src_pair_ids_ = std::move(src_pair_ids);
-    ix->build_dst_pairs();
-    ix->build_base_rows();
+    ix->finalize();
     return ix;
   }
-
-  static const FlatArray<Node>& srg_route_nodes(const SrgIndex& ix) {
-    return ix.route_nodes_;
-  }
-  static const FlatArray<std::uint32_t>& srg_route_off(const SrgIndex& ix) {
-    return ix.route_off_;
-  }
-  static const FlatArray<Node>& srg_route_src(const SrgIndex& ix) {
-    return ix.route_src_;
-  }
-  static const FlatArray<Node>& srg_route_dst(const SrgIndex& ix) {
-    return ix.route_dst_;
-  }
-  static const FlatArray<std::uint32_t>& srg_route_pair(const SrgIndex& ix) {
-    return ix.route_pair_;
-  }
-  static const FlatArray<Node>& srg_pair_src(const SrgIndex& ix) {
-    return ix.pair_src_;
-  }
-  static const FlatArray<Node>& srg_pair_dst(const SrgIndex& ix) {
-    return ix.pair_dst_;
-  }
-  static const FlatArray<std::uint32_t>& srg_pair_route_count(
-      const SrgIndex& ix) {
-    return ix.pair_route_count_;
+  static bool index_shares_table(const SrgIndex& ix, const RoutingTable& t) {
+    return ix.shares_routes_ && ix.route_nodes_.data() == t.arena_.data() &&
+           ix.num_routes() == t.num_routes();
   }
   static const FlatArray<std::uint32_t>& srg_node_route_off(
       const SrgIndex& ix) {
@@ -286,30 +254,12 @@ struct SnapshotAccess {
       const SrgIndex& ix) {
     return ix.node_route_ids_;
   }
-  static const FlatArray<std::uint32_t>& srg_pair_route_off(
-      const SrgIndex& ix) {
-    return ix.pair_route_off_;
-  }
-  static const FlatArray<std::uint32_t>& srg_src_pair_off(const SrgIndex& ix) {
-    return ix.src_pair_off_;
-  }
-  static const FlatArray<std::uint32_t>& srg_src_pair_ids(const SrgIndex& ix) {
-    return ix.src_pair_ids_;
-  }
 };
 
 namespace {
 
-using TableEntry = SnapshotAccess::Entry;
-
-// The entry section is the Entry structs verbatim; the on-disk format is
-// pinned to this exact layout.
-static_assert(sizeof(TableEntry) == 16, "snapshot format pins Entry layout");
-static_assert(std::is_trivially_copyable_v<TableEntry>);
-static_assert(std::is_standard_layout_v<TableEntry>);
-
 constexpr char kSnapMagic[8] = {'F', 'T', 'R', 'S', 'N', 'A', 'P', '\0'};
-constexpr std::uint32_t kSnapVersion = 1;
+constexpr std::uint32_t kSnapVersion = 2;
 constexpr std::uint32_t kSnapEndianTag = 0x01020304u;
 constexpr std::uint64_t kHeaderBytes = 48;
 constexpr std::uint64_t kDirEntryBytes = 32;
@@ -330,17 +280,17 @@ struct SnapshotMeta {
   std::uint32_t plan_construction;
   std::uint32_t plan_guaranteed_diameter;
   std::uint32_t plan_tolerated_faults;
-  std::uint64_t srg_num_nodes;
-  std::uint64_t srg_num_pairs;
 };
-static_assert(sizeof(SnapshotMeta) == 56, "meta block layout is pinned");
+static_assert(sizeof(SnapshotMeta) == 40, "meta block layout is pinned");
 static_assert(std::is_trivially_copyable_v<SnapshotMeta>);
 
-// Canonical section order. A v1 file contains exactly these, in this order.
+// Canonical section order. A v2 file contains exactly these, in this order:
+// each array once. The SrgIndex shares the table's route arrays, so only
+// its node -> routes lists (O(arena) to rebuild) are stored; its O(pairs)
+// arrays and base rows are derived on load by the constructor's code.
 constexpr const char* kSectionOrder[] = {
-    "meta",   "plan",   "goff",   "gtgt",   "tarena", "tentry", "tslots",
-    "snodes", "soff",   "ssrc",   "sdst",   "srpair", "spsrc",  "spdst",
-    "sprcnt", "snroff", "snrids", "sproff", "sspoff", "sspids", "rank"};
+    "meta",   "plan",   "goff",   "gtgt",   "tarena", "troff",
+    "tpsrc",  "tpdst",  "tslots", "snroff", "snrids", "rank"};
 constexpr std::size_t kNumSections = std::size(kSectionOrder);
 
 // FNV-1a folded over 64-bit little-endian words (zero-padded tail, length
@@ -508,26 +458,17 @@ FlatArray<T> take_array(const std::string& path, const RawSection& s,
 void validate_structure(
     const std::string& path, const SnapshotMeta& meta,
     const FlatArray<std::uint32_t>& goff, const FlatArray<Node>& gtgt,
-    const FlatArray<Node>& arena, const FlatArray<TableEntry>& entries,
-    const FlatArray<std::uint32_t>& slots, const FlatArray<Node>& snodes,
-    const FlatArray<std::uint32_t>& soff, const FlatArray<Node>& ssrc,
-    const FlatArray<Node>& sdst, const FlatArray<std::uint32_t>& srpair,
-    const FlatArray<Node>& spsrc, const FlatArray<Node>& spdst,
-    const FlatArray<std::uint32_t>& sprcnt,
+    const FlatArray<Node>& arena, const FlatArray<std::uint32_t>& troff,
+    const FlatArray<Node>& tpsrc, const FlatArray<Node>& tpdst,
+    const FlatArray<std::uint32_t>& slots,
     const FlatArray<std::uint32_t>& snroff,
-    const FlatArray<std::uint32_t>& snrids,
-    const FlatArray<std::uint32_t>& sproff,
-    const FlatArray<std::uint32_t>& sspoff,
-    const FlatArray<std::uint32_t>& sspids, const FlatArray<Node>& rank) {
+    const FlatArray<std::uint32_t>& snrids, const FlatArray<Node>& rank) {
   const std::uint64_t n = meta.table_num_nodes;
   FTR_SNAP_CHECK(n >= 2 && n <= kMaxNodes, "meta",
                  "implausible node count " << n);
   FTR_SNAP_CHECK(meta.graph_num_nodes == n, "meta",
                  "graph covers " << meta.graph_num_nodes
                                  << " nodes but the table covers " << n);
-  FTR_SNAP_CHECK(meta.srg_num_nodes == n, "meta",
-                 "SRG index covers " << meta.srg_num_nodes
-                                     << " nodes but the table covers " << n);
   FTR_SNAP_CHECK(meta.table_mode <= 1, "meta",
                  "unknown routing mode " << meta.table_mode);
   FTR_SNAP_CHECK(
@@ -555,97 +496,85 @@ void validate_structure(
                    "target " << gtgt[i] << " out of range at index " << i);
   }
 
-  // Routing table.
+  // Routing table: route r is the ordered pair (tpsrc[r], tpdst[r]), with
+  // nodes tarena[troff[r] .. troff[r + 1]).
   for (std::size_t i = 0; i < arena.size(); ++i) {
     FTR_SNAP_CHECK(arena[i] < n, "tarena",
                    "node " << arena[i] << " out of range at index " << i);
   }
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const TableEntry& e = entries[i];
-    FTR_SNAP_CHECK(e.key < n * n, "tentry",
-                   "entry " << i << " keys a pair outside the node universe");
-    const Node x = static_cast<Node>(e.key / n);
-    const Node y = static_cast<Node>(e.key % n);
-    FTR_SNAP_CHECK(x != y, "tentry", "entry " << i << " routes a node to "
-                                              << "itself");
-    FTR_SNAP_CHECK(e.len >= 2, "tentry",
-                   "entry " << i << " holds a route of " << e.len
-                            << " node(s); routes need at least 2");
-    FTR_SNAP_CHECK(std::uint64_t{e.offset} + e.len <= arena.size(), "tentry",
-                   "entry " << i << " overruns the route arena");
-    FTR_SNAP_CHECK(arena[e.offset] == x && arena[e.offset + e.len - 1] == y,
-                   "tentry",
-                   "entry " << i << " path endpoints disagree with its key");
+  const std::size_t routes = tpsrc.size();
+  FTR_SNAP_CHECK(troff.size() == routes + 1, "troff",
+                 "expected " << routes + 1 << " route offsets, found "
+                             << troff.size());
+  FTR_SNAP_CHECK(troff[0] == 0, "troff", "first route offset is not 0");
+  for (std::size_t r = 0; r < routes; ++r) {
+    FTR_SNAP_CHECK(troff[r] <= troff[r + 1], "troff",
+                   "route offsets not monotone at route " << r);
+    FTR_SNAP_CHECK(troff[r + 1] - troff[r] >= 2, "troff",
+                   "route " << r << " spans fewer than 2 nodes");
   }
-  if (entries.empty()) {
-    // An empty table may carry an empty slot index.
-  } else {
+  FTR_SNAP_CHECK(troff.back() == arena.size(), "troff",
+                 "route offsets end at " << troff.back()
+                                         << " but 'tarena' holds "
+                                         << arena.size() << " nodes");
+  FTR_SNAP_CHECK(tpdst.size() == routes, "tpdst",
+                 "expected " << routes << " pair targets, found "
+                             << tpdst.size());
+  for (std::size_t r = 0; r < routes; ++r) {
+    const Node x = tpsrc[r];
+    const Node y = tpdst[r];
+    FTR_SNAP_CHECK(x < n, "tpsrc", "source out of range at route " << r);
+    FTR_SNAP_CHECK(y < n, "tpdst", "destination out of range at route " << r);
+    // The sparse strike takes a pair's arc from the fault-free rows and
+    // kills it through its route, so the route must join the pair's ends.
+    FTR_SNAP_CHECK(arena[troff[r]] == x && arena[troff[r + 1] - 1] == y,
+                   "tpsrc",
+                   "route " << r << " runs " << arena[troff[r]] << " -> "
+                            << arena[troff[r + 1] - 1] << " but its pair is "
+                            << x << " -> " << y);
+    FTR_SNAP_CHECK(x != y, "tpsrc",
+                   "route " << r << " routes a node to itself");
+  }
+  if (routes != 0) {  // an empty table may carry an empty slot index
     FTR_SNAP_CHECK(!slots.empty() && (slots.size() & (slots.size() - 1)) == 0,
                    "tslots", "slot count " << slots.size()
                                            << " is not a power of two");
-    FTR_SNAP_CHECK(entries.size() * 2 <= slots.size(), "tslots",
-                   "load factor above 1/2 (" << entries.size()
-                                             << " entries in "
+    FTR_SNAP_CHECK(routes * 2 <= slots.size(), "tslots",
+                   "load factor above 1/2 (" << routes << " routes in "
                                              << slots.size() << " slots)");
   }
   std::size_t used_slots = 0;
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == SnapshotAccess::no_entry()) continue;
+    if (slots[i] == SnapshotAccess::no_route()) continue;
     ++used_slots;
-    FTR_SNAP_CHECK(slots[i] < entries.size(), "tslots",
-                   "slot " << i << " points past the entry list");
+    FTR_SNAP_CHECK(slots[i] < routes, "tslots",
+                   "slot " << i << " points past the route list");
   }
-  FTR_SNAP_CHECK(used_slots == entries.size(), "tslots",
-                 "slot index holds " << used_slots << " entries, entry list "
-                                     << entries.size());
+  FTR_SNAP_CHECK(used_slots == routes, "tslots",
+                 "slot index holds " << used_slots << " routes, the table "
+                                     << routes);
+  // Each route must be the first its pair's probe finds (the probe ends:
+  // at least half the slots are empty). A route the probe misses is not
+  // indexed, and one found after an earlier route of the same pair means
+  // the pair is listed twice.
+  const std::size_t mask = slots.size() - 1;
+  for (std::uint32_t r = 0; r < routes; ++r) {
+    const Node x = tpsrc[r];
+    const Node y = tpdst[r];
+    std::size_t i = detail::hash_pair_key(std::uint64_t{x} * n + y) & mask;
+    while (slots[i] != SnapshotAccess::no_route() &&
+           (tpsrc[slots[i]] != x || tpdst[slots[i]] != y)) {
+      i = (i + 1) & mask;
+    }
+    FTR_SNAP_CHECK(slots[i] != SnapshotAccess::no_route(), "tslots",
+                   "route " << r << " is missing from the slot index");
+    FTR_SNAP_CHECK(slots[i] == r, "tpsrc",
+                   "ordered pair " << x << " -> " << y
+                                   << " listed twice (routes " << slots[i]
+                                   << " and " << r << ")");
+  }
 
-  // SRG index.
-  const std::uint64_t pairs = meta.srg_num_pairs;
-  const std::size_t routes = ssrc.size();
-  FTR_SNAP_CHECK(pairs <= n * n, "meta", "implausible pair count " << pairs);
-  FTR_SNAP_CHECK(soff.size() == routes + 1, "soff",
-                 "expected " << routes + 1 << " route offsets, found "
-                             << soff.size());
-  FTR_SNAP_CHECK(soff[0] == 0, "soff", "first route offset is not 0");
-  for (std::size_t r = 0; r < routes; ++r) {
-    FTR_SNAP_CHECK(soff[r] <= soff[r + 1], "soff",
-                   "route offsets not monotone at route " << r);
-    FTR_SNAP_CHECK(soff[r + 1] - soff[r] >= 2, "soff",
-                   "route " << r << " spans fewer than 2 nodes");
-  }
-  FTR_SNAP_CHECK(soff.back() == snodes.size(), "soff",
-                 "route offsets end at " << soff.back()
-                                         << " but 'snodes' holds "
-                                         << snodes.size() << " nodes");
-  for (std::size_t i = 0; i < snodes.size(); ++i) {
-    FTR_SNAP_CHECK(snodes[i] < n, "snodes",
-                   "node " << snodes[i] << " out of range at index " << i);
-  }
-  FTR_SNAP_CHECK(sdst.size() == routes, "sdst",
-                 "expected " << routes << " destinations, found "
-                             << sdst.size());
-  FTR_SNAP_CHECK(srpair.size() == routes, "srpair",
-                 "expected " << routes << " pair ids, found "
-                             << srpair.size());
-  for (std::size_t r = 0; r < routes; ++r) {
-    FTR_SNAP_CHECK(ssrc[r] < n, "ssrc", "source out of range at route " << r);
-    FTR_SNAP_CHECK(sdst[r] < n, "sdst",
-                   "destination out of range at route " << r);
-    FTR_SNAP_CHECK(srpair[r] < pairs, "srpair",
-                   "pair id out of range at route " << r);
-    FTR_SNAP_CHECK(
-        snodes[soff[r]] == ssrc[r] && snodes[soff[r + 1] - 1] == sdst[r],
-        "snodes", "route " << r << " endpoints disagree with ssrc/sdst");
-  }
-  FTR_SNAP_CHECK(spsrc.size() == pairs && spdst.size() == pairs &&
-                     sprcnt.size() == pairs,
-                 "spsrc", "pair arrays disagree with the pair count "
-                              << pairs);
-  for (std::size_t p = 0; p < pairs; ++p) {
-    FTR_SNAP_CHECK(spsrc[p] < n, "spsrc", "source out of range at pair " << p);
-    FTR_SNAP_CHECK(spdst[p] < n, "spdst",
-                   "destination out of range at pair " << p);
-  }
+  // SRG index: the node -> routes lists, one listing per arena node.
   FTR_SNAP_CHECK(snroff.size() == n + 1, "snroff",
                  "expected " << n + 1 << " node offsets, found "
                              << snroff.size());
@@ -658,57 +587,13 @@ void validate_structure(
                  "node offsets end at " << snroff.back()
                                         << " but 'snrids' holds "
                                         << snrids.size() << " route ids");
+  FTR_SNAP_CHECK(snrids.size() == arena.size(), "snrids",
+                 "expected one listing per route node (" << arena.size()
+                                                         << "), found "
+                                                         << snrids.size());
   for (std::size_t i = 0; i < snrids.size(); ++i) {
     FTR_SNAP_CHECK(snrids[i] < routes, "snrids",
                    "route id out of range at index " << i);
-  }
-  // Pair -> contiguous route range (the packed kernel's licence).
-  FTR_SNAP_CHECK(sproff.size() == pairs + 1, "sproff",
-                 "expected " << pairs + 1 << " pair offsets, found "
-                             << sproff.size());
-  FTR_SNAP_CHECK(sproff[0] == 0, "sproff", "first pair offset is not 0");
-  for (std::size_t p = 0; p < pairs; ++p) {
-    FTR_SNAP_CHECK(sproff[p] <= sproff[p + 1], "sproff",
-                   "pair offsets not monotone at pair " << p);
-    FTR_SNAP_CHECK(sproff[p + 1] - sproff[p] == sprcnt[p], "sprcnt",
-                   "route count disagrees with 'sproff' at pair " << p);
-    // The sparse strike kills a pair with its last route and takes the
-    // pair's bit from the fault-free rows, so each pair needs a route, and
-    // every route its pair's endpoints.
-    FTR_SNAP_CHECK(sprcnt[p] >= 1, "sprcnt", "pair " << p << " has no route");
-    for (std::uint32_t r = sproff[p]; r < sproff[p + 1]; ++r) {
-      FTR_SNAP_CHECK(srpair[r] == p, "sproff",
-                     "route " << r << " is outside its pair's range");
-      FTR_SNAP_CHECK(ssrc[r] == spsrc[p] && sdst[r] == spdst[p], "spsrc",
-                     "route " << r << " endpoints disagree with pair " << p);
-    }
-  }
-  FTR_SNAP_CHECK(sproff.back() == routes, "sproff",
-                 "pair offsets end at " << sproff.back() << " but there are "
-                                        << routes << " routes");
-  FTR_SNAP_CHECK(sspoff.size() == n + 1, "sspoff",
-                 "expected " << n + 1 << " source offsets, found "
-                             << sspoff.size());
-  FTR_SNAP_CHECK(sspoff[0] == 0, "sspoff", "first source offset is not 0");
-  for (std::size_t i = 0; i + 1 < sspoff.size(); ++i) {
-    FTR_SNAP_CHECK(sspoff[i] <= sspoff[i + 1], "sspoff",
-                   "source offsets not monotone at node " << i);
-  }
-  FTR_SNAP_CHECK(sspoff.back() == sspids.size(), "sspoff",
-                 "source offsets end at " << sspoff.back()
-                                          << " but 'sspids' holds "
-                                          << sspids.size() << " pair ids");
-  FTR_SNAP_CHECK(sspids.size() == pairs, "sspids",
-                 "expected one listing per pair (" << pairs << "), found "
-                                                   << sspids.size());
-  for (std::size_t u = 0; u + 1 < sspoff.size(); ++u) {
-    for (std::uint32_t i = sspoff[u]; i < sspoff[u + 1]; ++i) {
-      FTR_SNAP_CHECK(sspids[i] < pairs, "sspids",
-                     "pair id out of range at index " << i);
-      FTR_SNAP_CHECK(spsrc[sspids[i]] == u, "sspids",
-                     "pair " << sspids[i] << " listed under node " << u
-                             << " but sourced elsewhere");
-    }
   }
 
   // Route-load ranking.
@@ -746,9 +631,12 @@ void save_table_snapshot(const TableSnapshot& snapshot, std::ostream& os) {
   const Graph& g = snapshot.graph;
   const RoutingTable& t = snapshot.table;
   const SrgIndex& ix = *snapshot.index;
-  FTR_EXPECTS_MSG(
-      g.num_nodes() == t.num_nodes() && ix.num_nodes() == t.num_nodes(),
-      "snapshot materials disagree on the node count");
+  FTR_EXPECTS_MSG(g.num_nodes() == t.num_nodes(),
+                  "snapshot materials disagree on the node count");
+  // Only the index's node -> routes lists are written; its routes are the
+  // table's, so it must be the index built from (or loaded with) `t`.
+  FTR_EXPECTS_MSG(SnapshotAccess::index_shares_table(ix, t),
+                  "snapshot index was not built from the snapshot's table");
   FTR_EXPECTS_MSG(snapshot.route_load_ranking.size() == t.num_nodes(),
                   "route-load ranking must rank every node");
 
@@ -761,8 +649,6 @@ void save_table_snapshot(const TableSnapshot& snapshot, std::ostream& os) {
       static_cast<std::uint32_t>(snapshot.plan.construction);
   meta.plan_guaranteed_diameter = snapshot.plan.guaranteed_diameter;
   meta.plan_tolerated_faults = snapshot.plan.tolerated_faults;
-  meta.srg_num_nodes = ix.num_nodes();
-  meta.srg_num_pairs = ix.num_pairs();
 
   struct SectionOut {
     const char* tag;
@@ -784,21 +670,12 @@ void save_table_snapshot(const TableSnapshot& snapshot, std::ostream& os) {
   add_arr("goff", SnapshotAccess::graph_offsets(g));
   add_arr("gtgt", SnapshotAccess::graph_targets(g));
   add_arr("tarena", SnapshotAccess::table_arena(t));
-  add_arr("tentry", SnapshotAccess::table_entries(t));
+  add_arr("troff", SnapshotAccess::table_route_off(t));
+  add_arr("tpsrc", SnapshotAccess::table_pair_src(t));
+  add_arr("tpdst", SnapshotAccess::table_pair_dst(t));
   add_arr("tslots", SnapshotAccess::table_slots(t));
-  add_arr("snodes", SnapshotAccess::srg_route_nodes(ix));
-  add_arr("soff", SnapshotAccess::srg_route_off(ix));
-  add_arr("ssrc", SnapshotAccess::srg_route_src(ix));
-  add_arr("sdst", SnapshotAccess::srg_route_dst(ix));
-  add_arr("srpair", SnapshotAccess::srg_route_pair(ix));
-  add_arr("spsrc", SnapshotAccess::srg_pair_src(ix));
-  add_arr("spdst", SnapshotAccess::srg_pair_dst(ix));
-  add_arr("sprcnt", SnapshotAccess::srg_pair_route_count(ix));
   add_arr("snroff", SnapshotAccess::srg_node_route_off(ix));
   add_arr("snrids", SnapshotAccess::srg_node_route_ids(ix));
-  add_arr("sproff", SnapshotAccess::srg_pair_route_off(ix));
-  add_arr("sspoff", SnapshotAccess::srg_src_pair_off(ix));
-  add_arr("sspids", SnapshotAccess::srg_src_pair_ids(ix));
   add_arr("rank", snapshot.route_load_ranking);
   FTR_ASSERT(sections.size() == kNumSections);
 
@@ -901,26 +778,16 @@ TableSnapshot parse_snapshot(const std::string& path,
   auto goff = take_array<std::uint32_t>(path, sec("goff"), owner);
   auto gtgt = take_array<Node>(path, sec("gtgt"), owner);
   auto arena = take_array<Node>(path, sec("tarena"), owner);
-  auto entries = take_array<TableEntry>(path, sec("tentry"), owner);
+  auto troff = take_array<std::uint32_t>(path, sec("troff"), owner);
+  auto tpsrc = take_array<Node>(path, sec("tpsrc"), owner);
+  auto tpdst = take_array<Node>(path, sec("tpdst"), owner);
   auto slots = take_array<std::uint32_t>(path, sec("tslots"), owner);
-  auto snodes = take_array<Node>(path, sec("snodes"), owner);
-  auto soff = take_array<std::uint32_t>(path, sec("soff"), owner);
-  auto ssrc = take_array<Node>(path, sec("ssrc"), owner);
-  auto sdst = take_array<Node>(path, sec("sdst"), owner);
-  auto srpair = take_array<std::uint32_t>(path, sec("srpair"), owner);
-  auto spsrc = take_array<Node>(path, sec("spsrc"), owner);
-  auto spdst = take_array<Node>(path, sec("spdst"), owner);
-  auto sprcnt = take_array<std::uint32_t>(path, sec("sprcnt"), owner);
   auto snroff = take_array<std::uint32_t>(path, sec("snroff"), owner);
   auto snrids = take_array<std::uint32_t>(path, sec("snrids"), owner);
-  auto sproff = take_array<std::uint32_t>(path, sec("sproff"), owner);
-  auto sspoff = take_array<std::uint32_t>(path, sec("sspoff"), owner);
-  auto sspids = take_array<std::uint32_t>(path, sec("sspids"), owner);
   auto rank = take_array<Node>(path, sec("rank"), owner);
 
-  validate_structure(path, meta, goff, gtgt, arena, entries, slots, snodes,
-                     soff, ssrc, sdst, srpair, spsrc, spdst, sprcnt, snroff,
-                     snrids, sproff, sspoff, sspids, rank);
+  validate_structure(path, meta, goff, gtgt, arena, troff, tpsrc, tpdst,
+                     slots, snroff, snrids, rank);
 
   TableSnapshot snap;
   snap.graph = SnapshotAccess::make_graph(
@@ -929,14 +796,9 @@ TableSnapshot parse_snapshot(const std::string& path,
   snap.table = SnapshotAccess::make_table(
       static_cast<std::size_t>(meta.table_num_nodes),
       static_cast<RoutingMode>(meta.table_mode), std::move(arena),
-      std::move(entries), std::move(slots));
-  snap.index = SnapshotAccess::make_index(
-      static_cast<std::size_t>(meta.srg_num_nodes),
-      static_cast<std::size_t>(meta.srg_num_pairs), std::move(snodes),
-      std::move(soff), std::move(ssrc), std::move(sdst), std::move(srpair),
-      std::move(spsrc), std::move(spdst), std::move(sprcnt),
-      std::move(snroff), std::move(snrids), std::move(sproff),
-      std::move(sspoff), std::move(sspids));
+      std::move(troff), std::move(tpsrc), std::move(tpdst), std::move(slots));
+  snap.index = SnapshotAccess::make_index(snap.table, std::move(snroff),
+                                          std::move(snrids));
   snap.plan.construction =
       static_cast<Construction>(meta.plan_construction);
   snap.plan.guaranteed_diameter = meta.plan_guaranteed_diameter;

@@ -5,10 +5,10 @@
 //  * the stable TEXT formats below (human-readable, diff-able, the
 //    portability oracle), and
 //  * the versioned, checksummed BINARY SNAPSHOT — a complete ServedTable
-//    payload ({Graph CSR, RoutingTable arena + flat index, SrgIndex
-//    preprocessing, Plan, route-load ranking}) in one sectioned container
-//    that a serving replica maps and aliases in place (zero-copy mmap)
-//    instead of re-running the planner.
+//    payload ({Graph CSR, RoutingTable route arrays + hash index, SrgIndex
+//    node -> routes lists, Plan, route-load ranking}) in one sectioned
+//    container that a serving replica maps and aliases in place (zero-copy
+//    mmap) instead of re-running the planner.
 //
 // Text format (line-oriented; '#' starts a comment that runs to the end of
 // its line):
@@ -32,14 +32,27 @@
 //   directory — one {tag[8], offset, length, checksum} entry per section;
 //              payload offsets are 16-byte aligned so a mmap'd file can be
 //              aliased in place by any section's element type
-//   sections — the flat POD arrays of every structure, one section each,
-//              plus a fixed-width meta block and the plan rationale text
-// Versioning policy: accept-same, refuse-forward — a v1 reader loads
-// exactly v1 files and rejects anything newer with a ContractViolation
-// naming the file. Every load validates the directory and per-section
-// checksums plus the structural invariants (offsets monotone, ids in
-// range) before any loaded state escapes; a corrupted file never yields a
-// partially-valid table.
+//   sections — each flat POD array once, plus a fixed-width meta block and
+//              the plan rationale text. v2 holds exactly these 12, in order:
+//                meta plan            scalars, plan rationale
+//                goff gtgt            graph CSR
+//                tarena troff         route nodes, per-route offsets
+//                tpsrc tpdst          per-route pair endpoints
+//                tslots               the table's hash index
+//                snroff snrids        SrgIndex node -> routes lists
+//                rank                 route-load ranking
+//              The loaded SrgIndex shares the table's route arrays, as one
+//              built from the table does; its O(pairs) arrays and base rows
+//              are derived on load by the constructor's code from the
+//              validated table arrays, so none of them is stored.
+// Versioning policy: accept-same, refuse-other — a v2 reader loads exactly
+// v2 files and rejects any other version (older ones included: snapshots
+// are build artifacts, regenerated with `ftroute snapshot`) with a
+// ContractViolation naming the file. Every load validates the directory
+// and per-section checksums plus the structural invariants (offsets
+// monotone, ids in range, every route indexed once) before any loaded or
+// derived state exists; a corrupted file never yields a partially-valid
+// table.
 #pragma once
 
 #include <cstdint>

@@ -1,16 +1,21 @@
 // Arena-specific coverage for the flat RoutingTable / MultiRouteTable
 // storage: view stability, conflict discipline at scale, insertion-order
-// iteration, and serialization round-trips on non-trivial tables. The
+// iteration, and serialization round-trips on non-trivial tables — plus the
+// FlatArray sharing and detach-on-write rules that storage rests on. The
 // behavioral basics (mirroring, no-op reassignment, stats) live in
 // test_route_table.cpp; here we stress the arena against a reference
 // implementation and through realistic construction workloads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/flat_array.hpp"
 #include "common/rng.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
@@ -20,6 +25,83 @@
 
 namespace ftr {
 namespace {
+
+using U32Array = FlatArray<std::uint32_t>;
+
+TEST(FlatArray, CopySharesItsBytes) {
+  const U32Array a(std::vector<std::uint32_t>{1, 2, 3});
+  const U32Array b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(b.data(), a.data());
+  EXPECT_EQ(b, a);
+  U32Array c;
+  c = a;
+  EXPECT_EQ(c.data(), a.data());
+}
+
+TEST(FlatArray, WriteDetachesOnlyTheWrittenCopy) {
+  U32Array a(std::vector<std::uint32_t>{1, 2, 3});
+  const std::uint32_t* shared = a.data();
+  U32Array b = a;
+  b.set(0, 9);  // through the copy
+  EXPECT_NE(b.data(), shared);
+  EXPECT_EQ(a.data(), shared);
+  EXPECT_EQ(a, U32Array(std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(b, U32Array(std::vector<std::uint32_t>{9, 2, 3}));
+
+  const U32Array c = a;
+  a.push_back(4);  // through the original
+  EXPECT_NE(a.data(), shared);
+  EXPECT_EQ(c.data(), shared);
+  EXPECT_EQ(c, U32Array(std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(a, U32Array(std::vector<std::uint32_t>{1, 2, 3, 4}));
+
+  // An array alone with its bytes writes them in place.
+  const std::uint32_t* own = b.data();
+  b.set(1, 8);
+  EXPECT_EQ(b.data(), own);
+  EXPECT_EQ(b, U32Array(std::vector<std::uint32_t>{9, 8, 3}));
+}
+
+TEST(FlatArray, AliasedCopyKeepsTheMappingAlive) {
+  // The owner handle stands in for a mapped snapshot file.
+  auto region = std::make_shared<const std::vector<std::uint32_t>>(
+      std::vector<std::uint32_t>{5, 6, 7});
+  const std::weak_ptr<const std::vector<std::uint32_t>> watch = region;
+  const std::uint32_t* bytes = region->data();
+  const std::size_t size = region->size();
+  U32Array copy;
+  {
+    const U32Array original = U32Array::aliased(bytes, size, std::move(region));
+    copy = original;
+  }
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(copy.aliased_view());
+  EXPECT_EQ(copy.data(), bytes);
+  EXPECT_EQ(copy, U32Array(std::vector<std::uint32_t>{5, 6, 7}));
+  // Writing detaches the copy, which was the mapping's last holder.
+  copy.set(0, 1);
+  EXPECT_FALSE(copy.aliased_view());
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(copy, U32Array(std::vector<std::uint32_t>{1, 6, 7}));
+}
+
+TEST(FlatArray, MovedFromArrayIsEmpty) {
+  U32Array a(std::vector<std::uint32_t>{1, 2});
+  const std::uint32_t* bytes = a.data();
+  U32Array b = std::move(a);
+  EXPECT_EQ(b.data(), bytes);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(a.memory_bytes(), 0u);
+  U32Array c;
+  c = std::move(b);
+  EXPECT_EQ(c.data(), bytes);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.data(), nullptr);
+  // A moved-from array is usable again.
+  b.push_back(3);
+  EXPECT_EQ(b, U32Array(std::vector<std::uint32_t>{3}));
+}
 
 TEST(RouteArena, ViewsStayValidAcrossLookups) {
   RoutingTable t(6, RoutingMode::kBidirectional);

@@ -130,11 +130,17 @@ TEST(Snapshot, MmapTableSurvivesFileOutliving) {
 TEST(Snapshot, DirectoryIntrospection) {
   const std::string path = write_test_snapshot("introspect.snap");
   const auto info = read_snapshot_directory(path);
-  EXPECT_EQ(info.version, 1u);
+  EXPECT_EQ(info.version, 2u);
   std::ifstream f(path, std::ios::binary | std::ios::ate);
   EXPECT_EQ(info.file_size, static_cast<std::uint64_t>(f.tellg()));
-  ASSERT_GE(info.sections.size(), 3u);
-  EXPECT_EQ(info.sections.front().tag, "meta");
+  // v2 stores each array once: the table's route arrays and the index's
+  // node -> routes lists, nothing the loader can derive.
+  const std::vector<std::string> expected = {
+      "meta",  "plan",  "goff",   "gtgt",   "tarena", "troff",
+      "tpsrc", "tpdst", "tslots", "snroff", "snrids", "rank"};
+  std::vector<std::string> tags;
+  for (const auto& s : info.sections) tags.push_back(s.tag);
+  EXPECT_EQ(tags, expected);
   for (const auto& s : info.sections) {
     EXPECT_EQ(s.offset % 16, 0u) << s.tag;
     EXPECT_LE(s.offset + s.length, info.file_size) << s.tag;
@@ -204,8 +210,17 @@ TEST(Snapshot, RejectsNonSnapshotFile) {
 
 TEST(Snapshot, RejectsFutureFormatVersion) {
   const std::string path = write_test_snapshot("future_version.snap");
-  patch_file(path, 8, 2);  // version field: u32 at byte 8
-  expect_load_rejects(path, "format version 2 unsupported");
+  patch_file(path, 8, 3);  // version field: u32 at byte 8
+  expect_load_rejects(path, "format version 3 unsupported");
+}
+
+// v1 files stored the routes up to three times; they are build artifacts,
+// so a v2 reader refuses them rather than converting.
+TEST(Snapshot, RejectsV1FormatVersion) {
+  const std::string path = write_test_snapshot("v1_version.snap");
+  patch_file(path, 8, 1);
+  expect_load_rejects(path,
+                      "format version 1 unsupported (this build reads v2)");
 }
 
 TEST(Snapshot, RejectsTruncationBelowHeader) {
@@ -320,22 +335,92 @@ TEST(Snapshot, RejectsStructuralCorruptionUnderValidChecksums) {
   expect_load_rejects(path, "section 'goff'");
 }
 
-// The pair-by-target grouping is derived on load from 'spdst', indexed by
+// The pair-by-target grouping is derived on load from 'tpdst', indexed by
 // its entries; an out-of-range target must stop at the validator, before
 // any derivation reads it.
 TEST(Snapshot, RejectsOutOfRangePairTargetBeforeDerivingInPairs) {
-  const std::string path = write_test_snapshot("crafted_spdst.snap");
-  poison_u32_under_valid_checksums(path, "spdst", 4 * 7);
-  expect_load_rejects(path, "section 'spdst': destination out of range");
+  const std::string path = write_test_snapshot("crafted_tpdst.snap");
+  poison_u32_under_valid_checksums(path, "tpdst", 4 * 7);
+  expect_load_rejects(path, "section 'tpdst': destination out of range");
 }
 
 // The sparse strike takes a pair's arc from the fault-free rows and kills it
 // through its routes; a pair whose route ends elsewhere would keep an arc
 // its faults should remove, so the validator rejects it.
 TEST(Snapshot, RejectsPairDisagreeingWithItsRoute) {
-  const std::string path = write_test_snapshot("crafted_spsrc.snap");
-  poison_u32_under_valid_checksums(path, "spsrc", 4 * 7, /*flip=*/1u);
-  expect_load_rejects(path, "route 7 endpoints disagree with pair 7");
+  const std::string path = write_test_snapshot("crafted_tpsrc.snap");
+  poison_u32_under_valid_checksums(path, "tpsrc", 4 * 7, /*flip=*/1u);
+  expect_load_rejects(path, "section 'tpsrc': route 7 runs");
+}
+
+TEST(Snapshot, RejectsRouteOffsetsNotStartingAtZero) {
+  const std::string path = write_test_snapshot("crafted_troff0.snap");
+  poison_u32_under_valid_checksums(path, "troff", 0);
+  expect_load_rejects(path, "section 'troff': first route offset is not 0");
+}
+
+TEST(Snapshot, RejectsNonMonotoneRouteOffsets) {
+  const std::string path = write_test_snapshot("crafted_troff_mono.snap");
+  poison_u32_under_valid_checksums(path, "troff", 4 * 5);
+  expect_load_rejects(path,
+                      "section 'troff': route offsets not monotone at route 5");
+}
+
+TEST(Snapshot, RejectsRouteOffsetsPastTheArena) {
+  const std::string path = write_test_snapshot("crafted_troff_end.snap");
+  const auto info = read_snapshot_directory(path);
+  std::uint64_t troff_bytes = 0;
+  for (const auto& s : info.sections) {
+    if (s.tag == "troff") troff_bytes = s.length;
+  }
+  ASSERT_GE(troff_bytes, 8u);
+  // The last offset, past every node: still monotone, but off the arena.
+  poison_u32_under_valid_checksums(path, "troff", troff_bytes - 4);
+  expect_load_rejects(path,
+                      "section 'troff': route offsets end at 4294967295");
+}
+
+// Route 1 rewritten, path and pair, to repeat route 0's pair: every array
+// stays in range and every route joins its pair's ends, so only the slot
+// walk can see the repeat.
+TEST(Snapshot, RejectsPairListedTwice) {
+  const auto cycle = cycle_graph(4);
+  RoutingTable table(4, RoutingMode::kUnidirectional);
+  table.set_route({0, 1});
+  table.set_route({0, 3});
+  const std::string path = temp_path("crafted_twice.snap");
+  save_table_snapshot_file(make_table_snapshot(cycle.graph, table), path);
+  poison_u32_under_valid_checksums(path, "tpdst", 4 * 1, /*flip=*/3u ^ 1u);
+  poison_u32_under_valid_checksums(path, "tarena", 4 * 3, /*flip=*/3u ^ 1u);
+  expect_load_rejects(path, "section 'tpsrc': ordered pair 0 -> 1 listed "
+                            "twice (routes 0 and 1)");
+}
+
+TEST(Snapshot, RejectsOutOfRangeSlot) {
+  const std::string path = write_test_snapshot("crafted_tslots.snap");
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::uint64_t at = 0;
+  for (const auto& s : read_snapshot_directory(path).sections) {
+    if (s.tag != "tslots") continue;
+    // The first occupied slot.
+    for (std::uint32_t word = 0xffffffffu; word == 0xffffffffu; at += 4) {
+      ASSERT_LT(at, s.length);
+      std::memcpy(&word, bytes.data() + s.offset + at, 4);
+    }
+    at -= 4;
+  }
+  poison_u32_under_valid_checksums(path, "tslots", at, /*flip=*/0x40000000u);
+  expect_load_rejects(path, "section 'tslots': slot " + std::to_string(at / 4) +
+                                " points past the route list");
+}
+
+TEST(Snapshot, RejectsOutOfRangeNodeRouteId) {
+  const std::string path = write_test_snapshot("crafted_snrids.snap");
+  poison_u32_under_valid_checksums(path, "snrids", 4 * 3);
+  expect_load_rejects(path,
+                      "section 'snrids': route id out of range at index 3");
 }
 
 // The fault-free succ/pred rows are not stored either: a loaded index

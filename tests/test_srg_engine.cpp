@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/neighborhood.hpp"
+#include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "core/planner.hpp"
@@ -231,6 +233,65 @@ TEST(SrgEngine, SharedIndexServesManyScratches) {
               surviving_diameter(kr.table, sets[i]))
         << "set " << i;
   }
+}
+
+// An index built from a RoutingTable reads the table's own route bytes,
+// not a copy, and keeps them: a later set_route() detaches the table, and
+// destroying the table leaves the index's results unchanged.
+TEST(SrgEngine, IndexSharesTheTableRoutesAndOutlivesTheTable) {
+  const auto cycle = cycle_graph(8);
+  auto table = std::make_unique<RoutingTable>(8, RoutingMode::kBidirectional);
+  install_edge_routes(*table, cycle.graph);
+  table->set_route({0, 1, 2});
+  table->set_route({3, 4, 5, 6});
+  const SrgIndex index(*table);
+  std::uint32_t r = 0;
+  table->for_each_view([&](Node, Node, PathView path) {
+    EXPECT_EQ(index.route(r).data(), path.data()) << "route " << r;
+    EXPECT_EQ(index.route(r).size(), path.size()) << "route " << r;
+    ++r;
+  });
+  EXPECT_EQ(r, index.num_routes());
+
+  const auto results = [&index] {
+    std::vector<SrgScratch::Result> out;
+    SrgScratch scratch(index);
+    for (std::size_t f = 0; f <= 2; ++f) {
+      GraySubsetEnumerator e(index.num_nodes(), f);
+      for (bool more = e.valid(); more; more = e.advance()) {
+        const std::vector<Node> faults(e.current().begin(),
+                                       e.current().end());
+        out.push_back(scratch.evaluate(faults));
+      }
+    }
+    return out;
+  };
+  const auto expect_same = [](const std::vector<SrgScratch::Result>& a,
+                              const std::vector<SrgScratch::Result>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].diameter, b[i].diameter) << "set " << i;
+      EXPECT_EQ(a[i].survivors, b[i].survivors) << "set " << i;
+      EXPECT_EQ(a[i].arcs, b[i].arcs) << "set " << i;
+    }
+  };
+  const auto before = results();
+  const std::size_t routes = index.num_routes();
+  const PathView first = index.route(0);
+  const Path first_nodes = first.to_path();
+
+  table->set_route({0, 7, 6});  // a new pair: the table detaches
+  EXPECT_EQ(table->num_routes(), routes + 2);
+  EXPECT_NE(table->route(first_nodes.front(), first_nodes.back()).data(),
+            first.data());
+  EXPECT_EQ(index.num_routes(), routes);
+  EXPECT_EQ(index.route(0).data(), first.data());
+  EXPECT_EQ(index.route(0), first_nodes);
+  expect_same(before, results());
+
+  table.reset();
+  EXPECT_EQ(index.route(0), first_nodes);
+  expect_same(before, results());
 }
 
 TEST(SrgEngine, EpochWraparound) {

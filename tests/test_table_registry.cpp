@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "fault/srg_engine.hpp"
 #include "gen/generators.hpp"
 #include "graph/graph_io.hpp"
 #include "routing/kernel.hpp"
@@ -224,6 +225,64 @@ TEST(TableRegistry, FileSpecBuildsViaPlannerOnMiss) {
   registry.define("bad", bad);
   EXPECT_THROW(registry.acquire("bad"), ContractViolation);
   EXPECT_TRUE(registry.resident("planned"));
+}
+
+// Bytes of the arrays an index built from (or loaded with) a RoutingTable
+// holds beyond the table's route arrays: the node -> routes lists, route
+// -> pair ids, pair route offsets, the pairs by source and by target, and
+// the two base-row bitsets. Each is sized exactly once built.
+std::size_t index_only_bytes(const ServedTable& e) {
+  const SrgIndex& ix = *e.index;
+  const std::size_t n = ix.num_nodes();
+  const std::size_t words = (n + 1) + e.table.arena_size() +
+                            ix.num_routes() + (ix.num_pairs() + 1) +
+                            2 * ((n + 1) + ix.num_pairs());
+  return words * sizeof(std::uint32_t) +
+         2 * n * ix.row_words() * sizeof(std::uint64_t);
+}
+
+// An entry is charged each of its arrays once: the index shares the
+// table's routes, so its route nodes, offsets and pair endpoints count
+// with the table and not again with the index.
+TEST(TableRegistry, ChargesSharedArraysOnce) {
+  const std::string dir = testing::TempDir();
+  const std::string graph_path = dir + "/ftr_registry_charge.ftg";
+  const std::string snap_path = dir + "/ftr_registry_charge.snap";
+  const auto gg = torus_graph(5, 5);
+  {
+    std::ofstream out(graph_path);
+    save_graph(gg.graph, out);
+  }
+  TableRegistry registry;
+  TableSpec planned;
+  planned.graph_file = graph_path;
+  planned.build_seed = 7;
+  registry.define("planned", planned);
+  const auto built = registry.acquire("planned");
+  EXPECT_EQ(built->memory_bytes,
+            built->graph.memory_bytes() + built->table.memory_bytes() +
+                index_only_bytes(*built) +
+                built->route_load_ranking.capacity() * sizeof(Node));
+  EXPECT_EQ(built->index->memory_bytes(), index_only_bytes(*built));
+
+  // Loaded from a snapshot, every stored array is an alias charged at its
+  // section's length, and only the derived ones add to that.
+  save_table_snapshot_file(
+      make_table_snapshot(built->graph, built->table, built->plan),
+      snap_path);
+  TableSpec snap;
+  snap.snapshot_file = snap_path;
+  registry.define("snap", snap);
+  const auto loaded = registry.acquire("snap");
+  std::size_t stored = 0;
+  for (const auto& s : read_snapshot_directory(snap_path).sections) {
+    if (s.tag != "meta" && s.tag != "plan") stored += s.length;
+  }
+  const std::size_t derived = index_only_bytes(*loaded) -
+                              (loaded->graph.num_nodes() + 1 +
+                               loaded->table.arena_size()) *
+                                  sizeof(std::uint32_t);
+  EXPECT_EQ(loaded->memory_bytes, stored + derived);
 }
 
 TEST(TableRegistry, ManifestParsesAndRejectsWithLineNumbers) {
