@@ -57,9 +57,9 @@ void table_costs() {
     const auto mult = build_mult_routing(gg.graph, t);
     table.add_row({gg.name, Table::cell(gg.graph.num_nodes()), Table::cell(t),
                    Table::cell(kernel.table.num_routes()),
-                   Table::cell(mult.table.total_routes()),
-                   Table::cell(kern.table.total_routes()),
-                   Table::cell(full.total_routes())});
+                   Table::cell(mult.table.num_routes()),
+                   Table::cell(kern.table.num_routes()),
+                   Table::cell(full.num_routes())});
   }
   table.print(std::cout);
   std::cout << "\n";
@@ -69,7 +69,7 @@ void bench_build_full_multirouting(benchmark::State& state) {
   const auto gg = torus_graph(state.range(0), state.range(0));
   for (auto _ : state) {
     auto t = build_full_multirouting(gg.graph, 3);
-    benchmark::DoNotOptimize(t.total_routes());
+    benchmark::DoNotOptimize(t.num_routes());
   }
   state.SetLabel(gg.name);
 }
@@ -79,7 +79,7 @@ void bench_build_mult_routing(benchmark::State& state) {
   const auto gg = torus_graph(state.range(0), state.range(0));
   for (auto _ : state) {
     auto t = build_mult_routing(gg.graph, 3);
-    benchmark::DoNotOptimize(t.table.total_routes());
+    benchmark::DoNotOptimize(t.table.num_routes());
   }
   state.SetLabel(gg.name);
 }

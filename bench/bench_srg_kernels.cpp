@@ -385,16 +385,17 @@ void bench_srg_kernels_certify(benchmark::State& state) {
   Rng plan_rng(42);
   const auto planned =
       build_planned_routing(gg.graph, gg.known_connectivity, plan_rng);
-  const auto index = std::make_shared<const SrgIndex>(planned.table);
+  const SrgIndex index(planned.table);
   ToleranceCheckOptions options;
   options.exec.threads = 1;
+  options = with_route_load_seeds(nodes_by_route_load(planned.table), f,
+                                  options);
   std::uint64_t seed = 0;
   std::int64_t items = 0;
   for (auto _ : state) {
     Rng rng(++seed);
-    const auto report = check_tolerance(planned.table, index, f,
-                                        planned.plan.guaranteed_diameter,
-                                        rng, options);
+    const auto report = check_tolerance(
+        index, f, planned.plan.guaranteed_diameter, rng(), options);
     benchmark::DoNotOptimize(report.worst_diameter);
     items += static_cast<std::int64_t>(report.fault_sets_checked);
   }

@@ -43,35 +43,16 @@ Table tolerance_table() {
                 "method", "verdict"});
 }
 
-namespace {
-
-template <typename Routing>
-void add_row_impl(Table& table, const std::string& graph_name,
-                  const std::string& construction, std::uint32_t t,
-                  std::uint32_t f, std::uint32_t claimed,
-                  const Routing& routing, std::uint64_t seed) {
+void add_tolerance_row(Table& table, const std::string& graph_name,
+                       const std::string& construction, std::uint32_t t,
+                       std::uint32_t f, std::uint32_t claimed,
+                       const RoutingTable& routing, std::uint64_t seed) {
   Rng rng(seed);
   const auto report =
       check_tolerance(routing, f, claimed, rng, standard_options());
   table.add_row({graph_name, construction, Table::cell(t), Table::cell(f),
                  Table::cell(claimed), fmt_diameter(report.worst_diameter),
                  fmt_method(report), report.holds ? "HOLDS" : "VIOLATED"});
-}
-
-}  // namespace
-
-void add_tolerance_row(Table& table, const std::string& graph_name,
-                       const std::string& construction, std::uint32_t t,
-                       std::uint32_t f, std::uint32_t claimed,
-                       const RoutingTable& routing, std::uint64_t seed) {
-  add_row_impl(table, graph_name, construction, t, f, claimed, routing, seed);
-}
-
-void add_tolerance_row(Table& table, const std::string& graph_name,
-                       const std::string& construction, std::uint32_t t,
-                       std::uint32_t f, std::uint32_t claimed,
-                       const MultiRouteTable& routing, std::uint64_t seed) {
-  add_row_impl(table, graph_name, construction, t, f, claimed, routing, seed);
 }
 
 int run_registered_benchmarks(int argc, char** argv) {

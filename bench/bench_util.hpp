@@ -13,7 +13,6 @@
 #include "common/table.hpp"
 #include "fault/tolerance_check.hpp"
 #include "graph/graph.hpp"
-#include "routing/multi_route_table.hpp"
 #include "routing/route_table.hpp"
 
 namespace ftr::bench {
@@ -32,18 +31,13 @@ std::string fmt_method(const ToleranceReport& r);
 /// budget, then sampling + hill-climbing.
 ToleranceCheckOptions standard_options();
 
-/// Runs the tolerance check for a single-route table and appends a table
-/// row: {graph, construction, t, f, claimed, measured, method, verdict}.
+/// Runs the tolerance check for a routing or multirouting and appends a
+/// table row: {graph, construction, t, f, claimed, measured, method,
+/// verdict}.
 void add_tolerance_row(Table& table, const std::string& graph_name,
                        const std::string& construction, std::uint32_t t,
                        std::uint32_t f, std::uint32_t claimed,
                        const RoutingTable& routing, std::uint64_t seed);
-
-/// Multiroute variant of add_tolerance_row.
-void add_tolerance_row(Table& table, const std::string& graph_name,
-                       const std::string& construction, std::uint32_t t,
-                       std::uint32_t f, std::uint32_t claimed,
-                       const MultiRouteTable& routing, std::uint64_t seed);
 
 /// The canonical tolerance table header used by most benches.
 Table tolerance_table();

@@ -64,10 +64,14 @@ int cmd_check(const std::vector<std::string>& args) {
           snap, dist_snapshot_path(a.positional.at(0), a.positional.at(1)),
           dist_pool_options(a, workers));
       opts.runner = [&pool](const UnitSpec& u) { return pool.run_adv(u); };
-      report = check_tolerance(snap.table, snap.index, f, claimed, rng, opts);
+      report = check_tolerance(
+          *snap.index, f, claimed, rng(),
+          with_route_load_seeds(snap.route_load_ranking, f, opts));
       print_dist_stats(pool.stats());
     } else {
-      report = check_tolerance(snap.table, snap.index, f, claimed, rng, opts);
+      report = check_tolerance(
+          *snap.index, f, claimed, rng(),
+          with_route_load_seeds(snap.route_load_ranking, f, opts));
     }
     std::cout << report.summary() << '\n';
     if (!report.worst_faults.empty()) {

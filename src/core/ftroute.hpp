@@ -46,7 +46,6 @@
 #include "routing/circular.hpp"
 #include "routing/hypercube_routing.hpp"
 #include "routing/kernel.hpp"
-#include "routing/multi_route_table.hpp"
 #include "routing/multirouting.hpp"
 #include "routing/route_table.hpp"
 #include "routing/serialization.hpp"

@@ -4,6 +4,7 @@
 
 #include "analysis/neighborhood.hpp"
 #include "common/contracts.hpp"
+#include "fault/fault_gen.hpp"
 #include "routing/bipolar.hpp"
 #include "routing/circular.hpp"
 #include "routing/kernel.hpp"
@@ -125,10 +126,11 @@ CertifiedRouting build_certified_routing(
   // One preprocessing serves the certification sweep AND whoever consumes
   // the certified table afterwards (the registry's build-on-miss path).
   out.index = std::make_shared<const SrgIndex>(out.routing.table);
-  out.certificate =
-      check_tolerance(out.routing.table, out.index,
-                      out.routing.plan.tolerated_faults,
-                      out.routing.plan.guaranteed_diameter, rng, check_options);
+  const std::uint32_t f = out.routing.plan.tolerated_faults;
+  out.certificate = check_tolerance(
+      *out.index, f, out.routing.plan.guaranteed_diameter, rng(),
+      with_route_load_seeds(nodes_by_route_load(out.routing.table), f,
+                            check_options));
   return out;
 }
 

@@ -17,38 +17,43 @@ std::size_t bit_words(std::size_t n) { return (n + kLaneBits - 1) / kLaneBits; }
 }  // namespace
 
 SrgIndex::SrgIndex(const RoutingTable& table) {
-  share_routes(table);
+  if (table.num_pairs() == table.num_routes()) {
+    share_routes(table);
+  } else {
+    group_routes(table);
+  }
   build_node_routes();
   finalize();
 }
 
-SrgIndex::SrgIndex(const MultiRouteTable& table) : n_(table.num_nodes()) {
+void SrgIndex::group_routes(const RoutingTable& table) {
+  // The table stores parallel routes in insertion order; copy them in its
+  // pair-major iteration order so each pair's routes get consecutive ids.
+  n_ = table.num_nodes();
   std::vector<Node> nodes;
   nodes.reserve(table.arena_size());
   std::vector<std::uint32_t> off{0};
-  off.reserve(table.total_routes() + 1);
+  off.reserve(table.num_routes() + 1);
   std::vector<Node> src;
   std::vector<Node> dst;
+  src.reserve(table.num_pairs());
+  dst.reserve(table.num_pairs());
   std::vector<std::uint32_t> route_pair;
-  route_pair.reserve(table.total_routes());
-  table.for_each_pair_view([&](Node x, Node y,
-                               const MultiRouteTable::RouteRange& routes) {
-    const auto pair_id = static_cast<std::uint32_t>(src.size());
-    src.push_back(x);
-    dst.push_back(y);
-    for (PathView path : routes) {
-      route_pair.push_back(pair_id);
-      nodes.insert(nodes.end(), path.begin(), path.end());
-      off.push_back(static_cast<std::uint32_t>(nodes.size()));
+  route_pair.reserve(table.num_routes());
+  table.for_each_view([&](Node x, Node y, PathView path) {
+    if (src.empty() || src.back() != x || dst.back() != y) {
+      src.push_back(x);
+      dst.push_back(y);
     }
+    route_pair.push_back(static_cast<std::uint32_t>(src.size() - 1));
+    nodes.insert(nodes.end(), path.begin(), path.end());
+    off.push_back(static_cast<std::uint32_t>(nodes.size()));
   });
   route_nodes_ = FlatArray<Node>(std::move(nodes));
   route_off_ = FlatArray<std::uint32_t>(std::move(off));
   pair_src_ = FlatArray<Node>(std::move(src));
   pair_dst_ = FlatArray<Node>(std::move(dst));
   route_pair_ = FlatArray<std::uint32_t>(std::move(route_pair));
-  build_node_routes();
-  finalize();
 }
 
 void SrgIndex::share_routes(const RoutingTable& table) {
@@ -80,8 +85,8 @@ void SrgIndex::build_node_routes() {
 }
 
 void SrgIndex::finalize() {
-  // Pair -> contiguous route-id range. Both table constructors emit a
-  // pair's routes back to back, which the kill-mask AND in
+  // Pair -> contiguous route-id range. share_routes() and group_routes()
+  // both emit a pair's routes back to back, which the kill-mask AND in
   // evaluate_gray_block() relies on — assert rather than assume.
   const std::size_t num_pairs = pair_src_.size();
   std::vector<std::uint32_t> pair_off(num_pairs + 1, 0);

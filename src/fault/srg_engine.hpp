@@ -13,10 +13,12 @@
 //
 //  * SrgIndex is the immutable preprocessing — the routes as per-route
 //    node ranges, a node -> routes inverted index, and the fault-free route
-//    graph as bitset rows. Built from a RoutingTable, it shares the table's
-//    route arrays (arena, route offsets, pair endpoints) instead of copying
-//    them: FlatArray copies share their bytes, and a later set_route() on
-//    the table detaches the table, never the index. It is read-only after
+//    graph as bitset rows. Built from a table with one route per pair, it
+//    shares the table's route arrays (arena, route offsets, pair endpoints)
+//    instead of copying them: FlatArray copies share their bytes, and a
+//    later set_route() on the table detaches the table, never the index.
+//    A table with parallel routes is copied pair-major instead, so that
+//    each pair's routes get consecutive ids. It is read-only after
 //    construction, so ONE index serves any number of concurrent workers.
 //  * SrgScratch is the per-thread mutable state — the epoch-stamped fault
 //    and kill stamps, the dead-pair list, the struck set's bitset rows,
@@ -111,7 +113,6 @@
 #include "common/flat_array.hpp"
 #include "fault/srg_packed.hpp"
 #include "graph/graph.hpp"
-#include "routing/multi_route_table.hpp"
 #include "routing/route_table.hpp"
 
 namespace ftr {
@@ -133,10 +134,10 @@ inline constexpr std::size_t kMinAnySetBlock = 96;
 /// workers.
 class SrgIndex {
  public:
-  /// Shares the table's route arrays; the index stays valid (and its
-  /// results unchanged) after the table is modified or destroyed.
+  /// Shares the table's route arrays when it holds one route per pair,
+  /// else copies its routes pair-major; either way the index stays valid
+  /// (and its results unchanged) after the table is modified or destroyed.
   explicit SrgIndex(const RoutingTable& table);
-  explicit SrgIndex(const MultiRouteTable& table);
 
   std::size_t num_nodes() const { return n_; }
   /// Directed routes preprocessed (multiroute tables count every parallel
@@ -144,9 +145,11 @@ class SrgIndex {
   std::size_t num_routes() const { return route_pair_.size(); }
   std::size_t num_pairs() const { return pair_src_.size(); }
 
-  /// The nodes of route `r` (< num_routes()). Routes of one ordered pair
-  /// have consecutive ids; a single-route table's route r is its r-th
-  /// route in insertion order.
+  /// The nodes of route `r` (< num_routes()). Route ids follow the table's
+  /// pair-major iteration order (RoutingTable::for_each_view), so routes of
+  /// one ordered pair have consecutive ids, and pair ids follow the order
+  /// of the pairs' first routes; in a table with one route per pair, route
+  /// r is its r-th route in insertion order.
   PathView route(std::uint32_t r) const {
     return {route_nodes_.data() + route_off_[r],
             route_off_[r + 1] - route_off_[r]};
@@ -174,9 +177,9 @@ class SrgIndex {
 
   /// Footprint of the preprocessing arrays (capacities when owned, mapped
   /// extent when snapshot-backed), for byte-accounted caches like the
-  /// serving layer's table registry. An index built from a RoutingTable
-  /// (or loaded with one from a snapshot) leaves out the route arrays it
-  /// shares with that table, which charges them.
+  /// serving layer's table registry. An index that shares its table's
+  /// route arrays (built from a table with one route per pair, or loaded
+  /// with one from a snapshot) leaves them out; the table charges them.
   std::size_t memory_bytes() const;
 
  private:
@@ -187,6 +190,8 @@ class SrgIndex {
 
   // Shares the table's route arrays and numbers one pair per route.
   void share_routes(const RoutingTable& table);
+  // Copies the routes of a table with parallel routes pair-major.
+  void group_routes(const RoutingTable& table);
   // The node -> routes inverted index, O(arena); snapshots store it.
   void build_node_routes();
   // Everything else, derived from the route arrays in O(pairs + n *
@@ -211,7 +216,8 @@ class SrgIndex {
   FlatArray<std::uint32_t> node_route_ids_;
 
   // Routes of one ordered pair occupy a contiguous route-id range (both
-  // table constructors emit them that way; finalize() asserts it), so pair
+  // share_routes() and group_routes() emit them that way; finalize()
+  // asserts it), so pair
   // p's routes are [pair_route_off_[p], pair_route_off_[p + 1]) and its
   // route count is the difference. Packed-kernel support: src_pair_* lists
   // the ordered pairs by source node and dst_pair_* by target node — the

@@ -33,6 +33,8 @@ Digraph surviving_graph(const RoutingTable& table,
   for (Node v = 0; v < n; ++v) {
     if (faulty[v]) r.remove_node(v);
   }
+  // add_arc ignores an arc already present, so a pair's arc stands once
+  // any of its routes survives.
   table.for_each_view([&](Node x, Node y, PathView path) {
     if (!faulty[x] && !faulty[y] && path_survives(path, faulty)) {
       r.add_arc(x, y);
@@ -41,33 +43,7 @@ Digraph surviving_graph(const RoutingTable& table,
   return r;
 }
 
-Digraph surviving_graph(const MultiRouteTable& table,
-                        const std::vector<Node>& faults) {
-  const std::size_t n = table.num_nodes();
-  const auto faulty = fault_flags(n, faults);
-  Digraph r(n);
-  for (Node v = 0; v < n; ++v) {
-    if (faulty[v]) r.remove_node(v);
-  }
-  table.for_each_pair_view(
-      [&](Node x, Node y, const MultiRouteTable::RouteRange& routes) {
-        if (faulty[x] || faulty[y]) return;
-        for (PathView p : routes) {
-          if (path_survives(p, faulty)) {
-            r.add_arc(x, y);
-            return;
-          }
-        }
-      });
-  return r;
-}
-
 std::uint32_t surviving_diameter(const RoutingTable& table,
-                                 const std::vector<Node>& faults) {
-  return diameter(surviving_graph(table, faults));
-}
-
-std::uint32_t surviving_diameter(const MultiRouteTable& table,
                                  const std::vector<Node>& faults) {
   return diameter(surviving_graph(table, faults));
 }

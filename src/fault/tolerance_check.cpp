@@ -1,7 +1,6 @@
 #include "fault/tolerance_check.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -78,56 +77,22 @@ ToleranceReport check_tolerance(const SrgIndex& index, std::uint32_t f,
   return report;
 }
 
-namespace {
-
-// Route-load-targeted hill-climber seeds: knocking out the busiest nodes
-// first is the natural informed attack. Applied for single-route tables
-// only (matching the historical behavior of the table-level overloads).
-ToleranceCheckOptions with_route_load_seeds(const RoutingTable& table,
+ToleranceCheckOptions with_route_load_seeds(std::span<const Node> ranking,
                                             std::uint32_t f,
-                                            const ToleranceCheckOptions& options) {
-  ToleranceCheckOptions opts = options;
-  if (opts.seeds.empty() && f > 0 && f <= table.num_nodes()) {
-    const auto ranked = nodes_by_route_load(table);
-    std::vector<Node> top(ranked.begin(), ranked.begin() + f);
-    opts.seeds.push_back(std::move(top));
+                                            ToleranceCheckOptions options) {
+  if (options.seeds.empty() && f > 0 && f <= ranking.size()) {
+    options.seeds.emplace_back(ranking.begin(), ranking.begin() + f);
   }
-  return opts;
-}
-
-}  // namespace
-
-ToleranceReport check_tolerance(const RoutingTable& table,
-                                const std::shared_ptr<const SrgIndex>& index,
-                                std::uint32_t f, std::uint32_t claimed_bound,
-                                Rng& rng, const ToleranceCheckOptions& options) {
-  FTR_EXPECTS(index != nullptr);
-  FTR_EXPECTS(index->num_nodes() == table.num_nodes());
-  return check_tolerance(*index, f, claimed_bound, rng(),
-                         with_route_load_seeds(table, f, options));
-}
-
-ToleranceReport check_tolerance(const MultiRouteTable& table,
-                                const std::shared_ptr<const SrgIndex>& index,
-                                std::uint32_t f, std::uint32_t claimed_bound,
-                                Rng& rng, const ToleranceCheckOptions& options) {
-  FTR_EXPECTS(index != nullptr);
-  FTR_EXPECTS(index->num_nodes() == table.num_nodes());
-  return check_tolerance(*index, f, claimed_bound, rng(), options);
+  return options;
 }
 
 ToleranceReport check_tolerance(const RoutingTable& table, std::uint32_t f,
                                 std::uint32_t claimed_bound, Rng& rng,
                                 const ToleranceCheckOptions& options) {
-  return check_tolerance(table, std::make_shared<const SrgIndex>(table), f,
-                         claimed_bound, rng, options);
-}
-
-ToleranceReport check_tolerance(const MultiRouteTable& table, std::uint32_t f,
-                                std::uint32_t claimed_bound, Rng& rng,
-                                const ToleranceCheckOptions& options) {
-  return check_tolerance(table, std::make_shared<const SrgIndex>(table), f,
-                         claimed_bound, rng, options);
+  const SrgIndex index(table);
+  return check_tolerance(
+      index, f, claimed_bound, rng(),
+      with_route_load_seeds(nodes_by_route_load(table), f, options));
 }
 
 }  // namespace ftr

@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +22,6 @@
 #include "common/rng.hpp"
 #include "fault/adversary.hpp"
 #include "graph/graph.hpp"
-#include "routing/multi_route_table.hpp"
 #include "routing/route_table.hpp"
 
 namespace ftr {
@@ -62,40 +61,30 @@ struct ToleranceCheckOptions {
   AdvUnitRunner runner;
 };
 
-/// Worst-case check for exactly f faults (the paper's bounds are monotone
-/// in f for the exhaustive case; sweep callers vary f explicitly).
-ToleranceReport check_tolerance(const RoutingTable& table, std::uint32_t f,
-                                std::uint32_t claimed_bound, Rng& rng,
-                                const ToleranceCheckOptions& options = {});
-
-ToleranceReport check_tolerance(const MultiRouteTable& table, std::uint32_t f,
-                                std::uint32_t claimed_bound, Rng& rng,
-                                const ToleranceCheckOptions& options = {});
-
-/// Index-handle forms: run the same check against a PREBUILT shared
-/// preprocessing instead of constructing an SrgIndex per call. This is what
-/// the serving layer's table registry hands out, so repeated checks against
-/// the same table pay the preprocessing once. `index` must have been built
-/// from `table`; the report is bit-identical to the table-only overloads
-/// (which now delegate here after building a fresh index).
-ToleranceReport check_tolerance(const RoutingTable& table,
-                                const std::shared_ptr<const SrgIndex>& index,
-                                std::uint32_t f, std::uint32_t claimed_bound,
-                                Rng& rng,
-                                const ToleranceCheckOptions& options = {});
-
-ToleranceReport check_tolerance(const MultiRouteTable& table,
-                                const std::shared_ptr<const SrgIndex>& index,
-                                std::uint32_t f, std::uint32_t claimed_bound,
-                                Rng& rng,
-                                const ToleranceCheckOptions& options = {});
+/// Route-load-targeted hill-climber seed: `options` plus the top f nodes
+/// of `ranking` (busiest first, fault/fault_gen.hpp nodes_by_route_load)
+/// as its one seed set, when it carries no seeds of its own and 0 < f <=
+/// ranking.size(). Knocking out the busiest nodes first is the natural
+/// informed attack.
+ToleranceCheckOptions with_route_load_seeds(std::span<const Node> ranking,
+                                            std::uint32_t f,
+                                            ToleranceCheckOptions options);
 
 /// The decision tree itself, over a prebuilt index with an explicit search
-/// seed. The table-level overloads add route-load hill-climber seeds and
-/// draw `seed` from their Rng, then delegate here.
+/// seed. Callers that hold a shared index and its route-load ranking (a
+/// loaded snapshot, a registry entry, a certified build) call this with
+/// with_route_load_seeds(), so repeated checks pay the preprocessing once.
 ToleranceReport check_tolerance(const SrgIndex& index, std::uint32_t f,
                                 std::uint32_t claimed_bound,
                                 std::uint64_t seed,
+                                const ToleranceCheckOptions& options = {});
+
+/// Worst-case check for exactly f faults (the paper's bounds are monotone
+/// in f for the exhaustive case; sweep callers vary f explicitly). Builds
+/// the table's index and route-load ranking, draws `seed` from `rng` and
+/// delegates to the index form.
+ToleranceReport check_tolerance(const RoutingTable& table, std::uint32_t f,
+                                std::uint32_t claimed_bound, Rng& rng,
                                 const ToleranceCheckOptions& options = {});
 
 }  // namespace ftr

@@ -98,7 +98,7 @@ BipolarRouting build_bipolar_unidirectional(const Graph& g, std::uint32_t t,
   install_member_to_shell_routings(table, g, t, s.m2, s.gamma2);
 
   // Component B-POL 5: mirror every one-directional route. Snapshot first;
-  // set_route_if_absent keeps already-defined directions intact.
+  // try_set_route keeps already-defined directions intact.
   std::vector<Path> to_mirror;
   table.for_each_view([&](Node x, Node y, PathView path) {
     if (!table.has_route(y, x)) {
@@ -106,7 +106,7 @@ BipolarRouting build_bipolar_unidirectional(const Graph& g, std::uint32_t t,
       to_mirror.emplace_back(path.rbegin(), path.rend());
     }
   });
-  for (const Path& p : to_mirror) table.set_route_if_absent(p);
+  for (const Path& p : to_mirror) table.try_set_route(p);
 
   return BipolarRouting{std::move(table), roots, std::move(s.m1),
                         std::move(s.m2), t};

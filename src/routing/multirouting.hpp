@@ -13,6 +13,8 @@
 //        MULT 3: direct edge routes.
 //      The paper sketches this as "similar to the bipolar routing"; the
 //      measured diameter (<= 4 in all our runs) is reported by E13.
+// Each scheme returns a bidirectional RoutingTable whose per-pair cap is
+// its route budget (t+1, t+1 and 2), so the budget is a checked invariant.
 #pragma once
 
 #include <cstdint>
@@ -20,15 +22,15 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "routing/multi_route_table.hpp"
+#include "routing/route_table.hpp"
 
 namespace ftr {
 
 /// Scheme (1): t+1 disjoint routes between every pair. Requires kappa >= t+1.
-MultiRouteTable build_full_multirouting(const Graph& g, std::uint32_t t);
+RoutingTable build_full_multirouting(const Graph& g, std::uint32_t t);
 
 struct ConcentratorMultirouting {
-  MultiRouteTable table;
+  RoutingTable table;
   std::vector<Node> m;
   std::uint32_t t = 0;
 };

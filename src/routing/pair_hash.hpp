@@ -1,6 +1,7 @@
-// Internal helpers shared by the arena-backed route tables: the hash for
-// dense (x, y) pair keys and the stored-vs-candidate path comparison used
-// by the conflict/duplicate discipline. Not part of the public API.
+// Internal helpers of the arena-backed route table and its snapshot
+// validator: the hash for dense (x, y) pair keys and the stored-vs-candidate
+// path comparison used by the duplicate/cap discipline. Not part of the
+// public API.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +19,10 @@ inline std::uint64_t hash_pair_key(std::uint64_t k) {
   return k ^ (k >> 31);
 }
 
-// True if the arena-stored route equals `p` (reversed when `rev`).
-inline bool equals_path(PathView stored, const Path& p, bool rev) {
+// True if the arena-stored route equals `p` (reversed when `rev`); `p` is a
+// Path or a PathView.
+template <typename P>
+bool equals_path(PathView stored, const P& p, bool rev) {
   if (stored.size() != p.size()) return false;
   const std::size_t len = p.size();
   for (std::size_t i = 0; i < len; ++i) {

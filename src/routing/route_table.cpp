@@ -10,25 +10,36 @@ namespace ftr {
 using detail::equals_path;
 using detail::hash_pair_key;
 
-RoutingTable::RoutingTable(std::size_t num_nodes, RoutingMode mode)
-    : n_(num_nodes), mode_(mode) {
+RoutingTable::RoutingTable(std::size_t num_nodes, RoutingMode mode,
+                           std::size_t max_routes_per_pair)
+    : n_(num_nodes), mode_(mode), cap_(max_routes_per_pair) {
   FTR_EXPECTS(num_nodes >= 2);
 }
 
-std::uint32_t RoutingTable::find(Node x, Node y) const {
-  if (slots_.empty()) return kNoRoute;
+template <typename Visit>
+void RoutingTable::probe(Node x, Node y, Visit visit) const {
+  if (slots_.empty()) return;
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = hash_pair_key(key(x, y)) & mask;
   for (std::uint32_t r; (r = slots_[i]) != kNoRoute; i = (i + 1) & mask) {
-    if (pair_src_[r] == x && pair_dst_[r] == y) return r;
+    if (pair_src_[r] == x && pair_dst_[r] == y && !visit(r)) return;
   }
-  return kNoRoute;
+}
+
+std::uint32_t RoutingTable::find(Node x, Node y) const {
+  std::uint32_t first = kNoRoute;
+  probe(x, y, [&first](std::uint32_t r) {
+    first = r;
+    return false;
+  });
+  return first;
 }
 
 void RoutingTable::grow_slots() {
   const std::size_t cap = std::max<std::size_t>(16, slots_.size() * 2);
   std::vector<std::uint32_t> slots(cap, kNoRoute);
   const std::size_t mask = cap - 1;
+  // Route-id order keeps each pair's routes in insertion order on its run.
   for (std::uint32_t r = 0; r < num_routes(); ++r) {
     std::size_t i = hash_pair_key(key(pair_src_[r], pair_dst_[r])) & mask;
     while (slots[i] != kNoRoute) i = (i + 1) & mask;
@@ -37,26 +48,35 @@ void RoutingTable::grow_slots() {
   slots_ = FlatArray<std::uint32_t>(std::move(slots));
 }
 
-void RoutingTable::assign(Node x, Node y, const Path& p, bool rev) {
-  const std::uint32_t found = find(x, y);
-  if (found != kNoRoute) {
-    FTR_EXPECTS_MSG(equals_path(view_of(found), p, rev),
-                    "conflicting route for pair ("
-                        << x << "," << y << "): existing "
-                        << path_to_string(view_of(found)) << " vs new "
-                        << (rev ? path_to_string(Path(p.rbegin(), p.rend()))
-                                : path_to_string(p)));
-    return;
-  }
+RoutingTable::Fit RoutingTable::fit(Node x, Node y, const Path& p,
+                                    bool rev) const {
+  std::size_t held = 0;
+  bool same = false;
+  probe(x, y, [&](std::uint32_t r) {
+    ++held;
+    same = equals_path(view_of(r), p, rev);
+    return !same;
+  });
+  if (same) return Fit::kHeld;
+  if (held == 0) return Fit::kNewPair;
+  return cap_ != 0 && held >= cap_ ? Fit::kFull : Fit::kRoom;
+}
+
+void RoutingTable::append(Node x, Node y, const Path& p, bool rev,
+                          bool new_pair) {
   if (rev) {
     arena_.append(p.rbegin(), p.rend());
   } else {
     arena_.append(p.begin(), p.end());
   }
-  if (route_off_.empty()) route_off_.push_back(0);  // a moved-from table
+  if (route_off_.empty()) {  // a moved-from table
+    route_off_.push_back(0);
+    num_pairs_ = 0;
+  }
   route_off_.push_back(static_cast<std::uint32_t>(arena_.size()));
   pair_src_.push_back(x);
   pair_dst_.push_back(y);
+  if (new_pair) ++num_pairs_;
   // Keep load factor <= 1/2.
   if (num_routes() * 2 > slots_.size()) {
     grow_slots();
@@ -68,25 +88,47 @@ void RoutingTable::assign(Node x, Node y, const Path& p, bool rev) {
   slots_.set(i, static_cast<std::uint32_t>(num_routes() - 1));
 }
 
-void RoutingTable::set_route(const Path& path) {
+void RoutingTable::check_endpoints(const Path& path) const {
   FTR_EXPECTS_MSG(path.size() >= 2, "a route needs at least two nodes");
-  const Node x = path.front();
-  const Node y = path.back();
-  FTR_EXPECTS(x < n_ && y < n_ && x != y);
-
-  assign(x, y, path, /*rev=*/false);
-  if (mode_ == RoutingMode::kBidirectional) assign(y, x, path, /*rev=*/true);
+  FTR_EXPECTS(path.front() < n_ && path.back() < n_ &&
+              path.front() != path.back());
 }
 
-bool RoutingTable::set_route_if_absent(const Path& path) {
-  FTR_EXPECTS_MSG(path.size() >= 2, "a route needs at least two nodes");
+void RoutingTable::set_route(const Path& path) {
+  check_endpoints(path);
+  auto add = [&](Node x, Node y, bool rev) {
+    const Fit f = fit(x, y, path, rev);
+    if (f == Fit::kHeld) return;
+    FTR_EXPECTS_MSG(f != Fit::kFull,
+                    "conflicting route for pair ("
+                        << x << "," << y << "): it holds its cap of " << cap_
+                        << " route(s), first "
+                        << path_to_string(view_of(find(x, y))) << ", new "
+                        << (rev ? path_to_string(Path(path.rbegin(),
+                                                      path.rend()))
+                                : path_to_string(path)));
+    append(x, y, path, rev, f == Fit::kNewPair);
+  };
+  add(path.front(), path.back(), /*rev=*/false);
+  if (mode_ == RoutingMode::kBidirectional) {
+    add(path.back(), path.front(), /*rev=*/true);
+  }
+}
+
+bool RoutingTable::try_set_route(const Path& path) {
+  check_endpoints(path);
   const Node x = path.front();
   const Node y = path.back();
-  FTR_EXPECTS(x < n_ && y < n_ && x != y);
-  if (find(x, y) != kNoRoute) return false;
-  if (mode_ == RoutingMode::kBidirectional && find(y, x) != kNoRoute)
-    return false;
-  set_route(path);
+  const bool bidirectional = mode_ == RoutingMode::kBidirectional;
+  const Fit fwd = fit(x, y, path, /*rev=*/false);
+  const Fit bwd = bidirectional ? fit(y, x, path, /*rev=*/true) : Fit::kHeld;
+  if (fwd == Fit::kFull || bwd == Fit::kFull) return false;
+  if (fwd != Fit::kHeld) {
+    append(x, y, path, /*rev=*/false, fwd == Fit::kNewPair);
+  }
+  if (bwd != Fit::kHeld) {
+    append(y, x, path, /*rev=*/true, bwd == Fit::kNewPair);
+  }
   return true;
 }
 
@@ -96,17 +138,38 @@ PathView RoutingTable::route(Node x, Node y) const {
   return r == kNoRoute ? PathView{} : view_of(r);
 }
 
+std::vector<PathView> RoutingTable::routes(Node x, Node y) const {
+  FTR_EXPECTS(x < n_ && y < n_);
+  std::vector<PathView> out;
+  probe(x, y, [&](std::uint32_t r) {
+    out.push_back(view_of(r));
+    return true;
+  });
+  return out;
+}
+
 void RoutingTable::for_each(
     const std::function<void(Node, Node, const Path&)>& fn) const {
-  for (std::uint32_t r = 0; r < num_routes(); ++r) {
-    fn(pair_src_[r], pair_dst_[r], view_of(r).to_path());
-  }
+  for_each_view(
+      [&fn](Node x, Node y, PathView path) { fn(x, y, path.to_path()); });
 }
 
 void RoutingTable::for_each_view(
     const std::function<void(Node, Node, PathView)>& fn) const {
+  const bool one_per_pair = num_pairs_ == num_routes();
   for (std::uint32_t r = 0; r < num_routes(); ++r) {
-    fn(pair_src_[r], pair_dst_[r], view_of(r));
+    const Node x = pair_src_[r];
+    const Node y = pair_dst_[r];
+    if (one_per_pair) {
+      fn(x, y, view_of(r));
+      continue;
+    }
+    // A pair's routes are visited together, from its first route.
+    if (find(x, y) != r) continue;
+    probe(x, y, [&](std::uint32_t q) {
+      fn(x, y, view_of(q));
+      return true;
+    });
   }
 }
 
@@ -121,14 +184,26 @@ void RoutingTable::validate(const Graph& g) const {
                                    << path_to_string(path));
     FTR_ASSERT_MSG(g.is_simple_path(path),
                    "route " << path_to_string(path) << " is not a simple path");
+    if (cap_ != 0 && num_pairs_ != num_routes()) {
+      std::size_t held = 0;
+      probe(x, y, [&held](std::uint32_t) {
+        ++held;
+        return true;
+      });
+      FTR_ASSERT_MSG(held <= cap_, "pair (" << x << "," << y << ") holds "
+                                            << held << " routes, over the cap of "
+                                            << cap_);
+    }
     if (mode_ == RoutingMode::kBidirectional) {
-      const PathView back = route(y, x);
-      FTR_ASSERT_MSG(!back.null(), "bidirectional table missing reverse of ("
+      std::size_t reverse = 0;
+      bool mirrored = false;
+      probe(y, x, [&](std::uint32_t q) {
+        ++reverse;
+        mirrored = equals_path(view_of(q), path, /*rev=*/true);
+        return !mirrored;
+      });
+      FTR_ASSERT_MSG(reverse != 0, "bidirectional table missing reverse of ("
                                        << x << "," << y << ")");
-      bool mirrored = back.size() == path.size();
-      for (std::size_t i = 0; mirrored && i < path.size(); ++i) {
-        mirrored = back[i] == path[path.size() - 1 - i];
-      }
       FTR_ASSERT_MSG(mirrored, "bidirectional routes for ("
                                    << x << "," << y << ") are not mirrored");
     }
@@ -137,17 +212,16 @@ void RoutingTable::validate(const Graph& g) const {
 
 RoutingTable::Stats RoutingTable::stats() const {
   Stats s;
-  s.ordered_pairs = num_routes();
+  s.ordered_pairs = num_pairs();
   std::size_t total_hops = 0;
   for (std::uint32_t r = 0; r < num_routes(); ++r) {
     const std::size_t hops = view_of(r).hops();
     s.max_hops = std::max(s.max_hops, hops);
     total_hops += hops;
   }
-  s.avg_hops = s.ordered_pairs == 0
-                   ? 0.0
-                   : static_cast<double>(total_hops) /
-                         static_cast<double>(s.ordered_pairs);
+  s.avg_hops = num_routes() == 0 ? 0.0
+                                 : static_cast<double>(total_hops) /
+                                       static_cast<double>(num_routes());
   return s;
 }
 

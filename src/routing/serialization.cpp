@@ -20,18 +20,21 @@
 namespace ftr {
 
 void save_routing_table(const RoutingTable& table, std::ostream& os) {
-  os << "ftroute-table v1 " << table.num_nodes() << ' '
-     << (table.mode() == RoutingMode::kBidirectional ? "bidirectional"
-                                                     : "unidirectional")
-     << '\n';
-  table.for_each([&](Node x, Node y, const Path& path) {
-    // Bidirectional tables store mirrored pairs; emit each path once.
-    if (table.mode() == RoutingMode::kBidirectional && x > y) return;
+  const bool bidirectional = table.mode() == RoutingMode::kBidirectional;
+  if (table.max_routes_per_pair() == 1) {
+    os << "ftroute-table v1 " << table.num_nodes();
+  } else {
+    os << "ftroute-multitable v1 " << table.num_nodes() << ' '
+       << table.max_routes_per_pair();
+  }
+  os << ' ' << (bidirectional ? "bidirectional" : "unidirectional") << '\n';
+  table.for_each_view([&](Node x, Node y, PathView path) {
+    // Bidirectional tables store mirrored pairs; emit each path once, from
+    // the pair with the smaller source.
+    if (bidirectional && x > y) return;
     os << "route";
     for (Node v : path) os << ' ' << v;
     os << '\n';
-    (void)x;
-    (void)y;
   });
   os << "end\n";
 }
@@ -50,22 +53,24 @@ void save_routing_table_file(const RoutingTable& table,
 
 namespace {
 
-// A text table header: `<magic> v1 <n> [<cap>] <mode>`, the cap only in
-// multitables. n is bounded before the caller sizes a table by it.
+// A text table header: `ftroute-table v1 <n> <mode>` (cap 1) or
+// `ftroute-multitable v1 <n> <cap> <mode>`. n is bounded before the caller
+// sizes a table by it.
 struct TextTableHeader {
   std::size_t n = 0;
-  std::size_t cap = 0;
+  std::size_t cap = 1;
   bool bidirectional = true;
 };
 
-TextTableHeader read_table_header(std::istream& is, std::size_t& line_no,
-                                  std::string_view magic, bool has_cap) {
+TextTableHeader read_table_header(std::istream& is, std::size_t& line_no) {
   std::string line;
   FTR_EXPECTS_MSG(next_data_line(is, line, line_no),
-                  "missing '" << magic << "' header");
+                  "missing 'ftroute-table' header");
   const auto tok = split_tokens(line);
-  const std::size_t want = has_cap ? 5 : 4;
-  FTR_EXPECTS_MSG(tok.size() == want && tok[0] == magic && tok[1] == "v1",
+  const bool has_cap = !tok.empty() && tok[0] == "ftroute-multitable";
+  FTR_EXPECTS_MSG(tok.size() == (has_cap ? 5u : 4u) &&
+                      (has_cap || tok[0] == "ftroute-table") &&
+                      tok[1] == "v1",
                   "line " << line_no << ": bad header line: '" << line << "'");
   TextTableHeader h;
   h.n = static_cast<std::size_t>(
@@ -121,9 +126,11 @@ void read_route_lines(std::istream& is, std::size_t n, std::size_t& line_no,
 
 RoutingTable load_routing_table(std::istream& is) {
   std::size_t line_no = 0;
-  const auto h = read_table_header(is, line_no, "ftroute-table", false);
-  RoutingTable table(h.n, h.bidirectional ? RoutingMode::kBidirectional
-                                          : RoutingMode::kUnidirectional);
+  const auto h = read_table_header(is, line_no);
+  RoutingTable table(h.n,
+                     h.bidirectional ? RoutingMode::kBidirectional
+                                     : RoutingMode::kUnidirectional,
+                     h.cap);
   read_route_lines(is, h.n, line_no,
                    [&](const Path& path) { table.set_route(path); });
   return table;
@@ -132,46 +139,6 @@ RoutingTable load_routing_table(std::istream& is) {
 RoutingTable routing_table_from_string(const std::string& text) {
   std::istringstream is(text);
   return load_routing_table(is);
-}
-
-void save_multi_route_table(const MultiRouteTable& table, std::ostream& os) {
-  os << "ftroute-multitable v1 " << table.num_nodes() << ' '
-     << table.max_routes_per_pair() << ' '
-     << (table.bidirectional() ? "bidirectional" : "unidirectional") << '\n';
-  table.for_each_pair([&](Node x, Node y, const std::vector<Path>& routes) {
-    // Bidirectional tables mirror every path; emit each once from the
-    // smaller source (palindromic-endpoint duplicates cannot occur since
-    // x != y always).
-    if (table.bidirectional() && x > y) return;
-    (void)x;
-    (void)y;
-    for (const Path& p : routes) {
-      os << "route";
-      for (Node v : p) os << ' ' << v;
-      os << '\n';
-    }
-  });
-  os << "end\n";
-}
-
-std::string multi_route_table_to_string(const MultiRouteTable& table) {
-  std::ostringstream os;
-  save_multi_route_table(table, os);
-  return os.str();
-}
-
-MultiRouteTable load_multi_route_table(std::istream& is) {
-  std::size_t line_no = 0;
-  const auto h = read_table_header(is, line_no, "ftroute-multitable", true);
-  MultiRouteTable table(h.n, h.cap, h.bidirectional);
-  read_route_lines(is, h.n, line_no,
-                   [&](const Path& path) { table.add_route(path); });
-  return table;
-}
-
-MultiRouteTable multi_route_table_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load_multi_route_table(is);
 }
 
 // --- binary table snapshots --------------------------------------------------
@@ -227,6 +194,7 @@ struct SnapshotAccess {
     t.pair_src_ = std::move(pair_src);
     t.pair_dst_ = std::move(pair_dst);
     t.slots_ = std::move(slots);
+    t.num_pairs_ = t.num_routes();  // the validator refuses a repeated pair
     return t;
   }
   // The index over a loaded table: shares its route arrays like
@@ -615,6 +583,16 @@ TableSnapshot make_table_snapshot(Graph graph, RoutingTable table,
                   "snapshot materials disagree: graph covers "
                       << graph.num_nodes() << " nodes, table covers "
                       << table.num_nodes());
+  if (table.num_pairs() != table.num_routes()) {
+    // The format stores one route per pair and no cap; name the first pair
+    // that holds more.
+    table.for_each_view([&table](Node x, Node y, PathView) {
+      const std::size_t held = table.routes(x, y).size();
+      FTR_EXPECTS_MSG(held == 1, "cannot snapshot a multirouting: pair ("
+                                     << x << "," << y << ") holds " << held
+                                     << " routes");
+    });
+  }
   TableSnapshot snap;
   snap.index = std::make_shared<const SrgIndex>(table);
   snap.route_load_ranking = nodes_by_route_load(table);

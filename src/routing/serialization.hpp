@@ -11,17 +11,17 @@
 //    mmap) instead of re-running the planner.
 //
 // Text format (line-oriented; '#' starts a comment that runs to the end of
-// its line):
+// its line), one saver and one loader with two headers:
 //   ftroute-table v1 <num_nodes> <bidirectional|unidirectional>
-//   route <n0> <n1> ... <nk>          # one per stored ordered pair
-//   end
-// Bidirectional tables serialize each unordered pair once (the direction
-// with the smaller source first); load reconstructs the mirror.
-// Multiroute tables use the analogous format with header
 //   ftroute-multitable v1 <num_nodes> <cap> <bidirectional|unidirectional>
-// and the same route lines (each stored path emitted once; bidirectional
-// tables emit the direction whose source is smaller, ties by the path).
-// Loaders are strict: data after `end`, extra header tokens, a node count
+//   route <n0> <n1> ... <nk>          # one per stored route
+//   end
+// A table with the default cap of one route per pair is written with the
+// first header, any other cap (0 = none) with the second; the loader reads
+// either. Routes are written in the table's pair-major order, and
+// bidirectional tables write each path once (from the pair with the
+// smaller source); load reconstructs the mirror.
+// The loader is strict: data after `end`, extra header tokens, a node count
 // above kMaxNodes, non-numeric junk inside a route line, routes with fewer
 // than 2 nodes, and lines longer than kMaxLineBytes are all rejected loudly,
 // naming the line.
@@ -64,7 +64,6 @@
 #include "core/planner.hpp"
 #include "fault/srg_engine.hpp"
 #include "graph/graph.hpp"
-#include "routing/multi_route_table.hpp"
 #include "routing/route_table.hpp"
 
 namespace ftr {
@@ -75,7 +74,7 @@ namespace ftr {
 /// sections use.
 std::uint64_t ftr_checksum64(const void* data, std::uint64_t n);
 
-/// Writes the table to a stream in the v1 text format.
+/// Writes the table to a stream in the v1 text format (either header).
 void save_routing_table(const RoutingTable& table, std::ostream& os);
 
 /// Full-write file form (pipe_io::write_file_exact underneath): a partial
@@ -87,17 +86,12 @@ void save_routing_table_file(const RoutingTable& table,
 /// Serializes to a string (convenience over save_routing_table).
 std::string routing_table_to_string(const RoutingTable& table);
 
-/// Parses a v1 text table. Throws ContractViolation on malformed input
-/// (see the strictness list above).
+/// Parses a v1 text table of either header; the multitable header's cap
+/// becomes the table's. Throws ContractViolation on malformed input (see
+/// the strictness list above).
 RoutingTable load_routing_table(std::istream& is);
 
 RoutingTable routing_table_from_string(const std::string& text);
-
-/// Multiroute variants of the above.
-void save_multi_route_table(const MultiRouteTable& table, std::ostream& os);
-std::string multi_route_table_to_string(const MultiRouteTable& table);
-MultiRouteTable load_multi_route_table(std::istream& is);
-MultiRouteTable multi_route_table_from_string(const std::string& text);
 
 // --- binary table snapshots --------------------------------------------------
 
@@ -112,7 +106,8 @@ struct TableSnapshot {
 };
 
 /// Derives the precomputed members (SrgIndex, route-load ranking) from the
-/// materials. graph/table node counts must match; `plan` is stored as-is.
+/// materials. graph/table node counts must match, and the table must hold
+/// one route per pair (the format has no cap); `plan` is stored as-is.
 TableSnapshot make_table_snapshot(Graph graph, RoutingTable table,
                                   Plan plan = {});
 

@@ -242,17 +242,12 @@ std::string execute_request(const ServeRequest& request,
       // workers from spawning nested pools.)
       ToleranceCheckOptions opts;
       opts.exec.threads = 1;
-      // Pre-seed the hill-climber from the entry's cached route-load
-      // ranking — the same top-f set check_tolerance would otherwise
-      // re-rank the whole table to derive, once per request.
-      if (f > 0 && f <= table.route_load_ranking.size()) {
-        opts.seeds.push_back(std::vector<Node>(
-            table.route_load_ranking.begin(),
-            table.route_load_ranking.begin() + f));
-      }
+      // The hill-climber's seed comes from the entry's cached route-load
+      // ranking, and the check runs on its shared index.
       Rng rng(request.seed);
-      const auto report =
-          check_tolerance(table.table, table.index, f, claimed, rng, opts);
+      const auto report = check_tolerance(
+          *table.index, f, claimed, rng(),
+          with_route_load_seeds(table.route_load_ranking, f, opts));
       os << ' ' << report.summary() << " worst=" << join_nodes(report.worst_faults);
       break;
     }

@@ -17,30 +17,24 @@
 #include "fault/surviving.hpp"
 #include "graph/bfs.hpp"
 #include "graph/digraph.hpp"
-#include "routing/multi_route_table.hpp"
 #include "routing/route_table.hpp"
 
 namespace ftr {
 
-/// Evaluates fault sets against one table (single- or multiroute) through
-/// its one-shot surviving graph. Holds a reference: the table must outlive
-/// the oracle.
+/// Evaluates fault sets against one table (routing or multirouting)
+/// through its one-shot surviving graph. Holds a reference: the table must
+/// outlive the oracle.
 class SrgOracle {
  public:
-  explicit SrgOracle(const RoutingTable& table) : single_(&table) {}
-  explicit SrgOracle(const MultiRouteTable& table) : multi_(&table) {}
+  explicit SrgOracle(const RoutingTable& table) : table_(&table) {}
   explicit SrgOracle(RoutingTable&&) = delete;
-  explicit SrgOracle(MultiRouteTable&&) = delete;
 
-  std::size_t num_nodes() const {
-    return single_ != nullptr ? single_->num_nodes() : multi_->num_nodes();
-  }
+  std::size_t num_nodes() const { return table_->num_nodes(); }
 
   /// R(G, rho)/F for `faults` (duplicates tolerated).
   Digraph graph(std::span<const Node> faults) const {
-    const std::vector<Node> f(faults.begin(), faults.end());
-    return single_ != nullptr ? surviving_graph(*single_, f)
-                              : surviving_graph(*multi_, f);
+    return surviving_graph(*table_,
+                           std::vector<Node>(faults.begin(), faults.end()));
   }
 
   /// What SrgScratch::evaluate() must return: the surviving graph's
@@ -79,8 +73,7 @@ class SrgOracle {
   }
 
  private:
-  const RoutingTable* single_ = nullptr;
-  const MultiRouteTable* multi_ = nullptr;
+  const RoutingTable* table_;
 };
 
 }  // namespace ftr

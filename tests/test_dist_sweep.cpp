@@ -378,9 +378,11 @@ TEST(DistCheck, PoolRunnerMatchesInProcessOnEveryPath) {
         ToleranceCheckOptions dopts = opts;
         dopts.runner = [&pool](const UnitSpec& u) { return pool.run_adv(u); };
         Rng rng(6);
-        expect_report_equal(check_tolerance(rig.snap.table, rig.snap.index,
-                                            path.f, 6, rng, dopts),
-                            want);
+        expect_report_equal(
+            check_tolerance(*rig.snap.index, path.f, 6, rng(),
+                            with_route_load_seeds(rig.snap.route_load_ranking,
+                                                  path.f, dopts)),
+            want);
         EXPECT_GE(pool.stats().units_completed, 1u);
         EXPECT_EQ(pool.stats().units_inline, 0u);
       }

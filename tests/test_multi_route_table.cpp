@@ -1,4 +1,7 @@
-#include "routing/multi_route_table.hpp"
+// A RoutingTable with a per-pair cap above 1: Section 6's multiroutings.
+// Cap, duplicate, no-cap, try-add, mirroring, unidirectional and validate
+// behavior; the cap-1 basics live in test_route_table.cpp.
+#include "routing/route_table.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,92 +11,146 @@
 namespace ftr {
 namespace {
 
-TEST(MultiRouteTable, AddAndQuery) {
-  MultiRouteTable t(5, 3);
-  t.add_route({0, 1, 2});
-  t.add_route({0, 3, 2});
+constexpr RoutingMode kBi = RoutingMode::kBidirectional;
+constexpr RoutingMode kUni = RoutingMode::kUnidirectional;
+
+TEST(MultiRoute, AddAndQuery) {
+  RoutingTable t(5, kBi, 3);
+  t.set_route({0, 1, 2});
+  t.set_route({0, 3, 2});
   EXPECT_EQ(t.routes(0, 2).size(), 2u);
   EXPECT_EQ(t.routes(2, 0).size(), 2u);  // bidirectional mirror
   EXPECT_EQ(t.routes(0, 1).size(), 0u);
+  EXPECT_EQ(t.max_routes_per_pair(), 3u);
 }
 
-TEST(MultiRouteTable, DuplicateIgnored) {
-  MultiRouteTable t(5, 3);
-  t.add_route({0, 1, 2});
-  t.add_route({0, 1, 2});
+TEST(MultiRoute, RouteIsTheFirstInserted) {
+  RoutingTable t(5, kBi, 3);
+  t.set_route({0, 1, 2});
+  t.set_route({0, 3, 2});
+  EXPECT_EQ(t.route(0, 2), (Path{0, 1, 2}));
+  EXPECT_EQ(t.route(2, 0), (Path{2, 1, 0}));
+  const auto routes = t.routes(0, 2);
+  ASSERT_EQ(routes.size(), 2u);
+  EXPECT_EQ(routes[0], (Path{0, 1, 2}));
+  EXPECT_EQ(routes[1], (Path{0, 3, 2}));
+}
+
+TEST(MultiRoute, DuplicateIgnored) {
+  RoutingTable t(5, kBi, 3);
+  t.set_route({0, 1, 2});
+  t.set_route({0, 1, 2});
+  t.set_route({2, 1, 0});  // the mirror is the same route
   EXPECT_EQ(t.routes(0, 2).size(), 1u);
+  EXPECT_EQ(t.num_routes(), 2u);
 }
 
-TEST(MultiRouteTable, CapEnforced) {
-  MultiRouteTable t(6, 2);
-  t.add_route({0, 1, 5});
-  t.add_route({0, 2, 5});
-  EXPECT_THROW(t.add_route({0, 3, 5}), ContractViolation);
+TEST(MultiRoute, CapEnforced) {
+  RoutingTable t(6, kBi, 2);
+  t.set_route({0, 1, 5});
+  t.set_route({0, 2, 5});
+  EXPECT_THROW(t.set_route({0, 3, 5}), ContractViolation);
 }
 
-TEST(MultiRouteTable, UnlimitedWhenCapZero) {
-  MultiRouteTable t(8, 0);
+TEST(MultiRoute, UnlimitedWhenCapZero) {
+  RoutingTable t(8, kBi, 0);
   for (Node mid = 1; mid < 7; ++mid) {
-    t.add_route({0, mid, 7});
+    t.set_route({0, mid, 7});
   }
   EXPECT_EQ(t.routes(0, 7).size(), 6u);
 }
 
-TEST(MultiRouteTable, TryAddRouteDropsAtCap) {
-  MultiRouteTable t(6, 2);
-  EXPECT_TRUE(t.try_add_route({0, 1, 5}));
-  EXPECT_TRUE(t.try_add_route({0, 2, 5}));
-  EXPECT_FALSE(t.try_add_route({0, 3, 5}));
+TEST(MultiRoute, TrySetRouteDropsAtCap) {
+  RoutingTable t(6, kBi, 2);
+  EXPECT_TRUE(t.try_set_route({0, 1, 5}));
+  EXPECT_TRUE(t.try_set_route({0, 2, 5}));
+  EXPECT_FALSE(t.try_set_route({0, 3, 5}));
   EXPECT_EQ(t.routes(0, 5).size(), 2u);
 }
 
-TEST(MultiRouteTable, TryAddRouteDuplicateReportsSuccess) {
-  MultiRouteTable t(6, 2);
-  EXPECT_TRUE(t.try_add_route({0, 1, 5}));
-  EXPECT_TRUE(t.try_add_route({0, 1, 5}));
+TEST(MultiRoute, TrySetRouteDuplicateReportsSuccess) {
+  RoutingTable t(6, kBi, 2);
+  EXPECT_TRUE(t.try_set_route({0, 1, 5}));
+  EXPECT_TRUE(t.try_set_route({0, 1, 5}));
   EXPECT_EQ(t.routes(0, 5).size(), 1u);
 }
 
-TEST(MultiRouteTable, UnidirectionalDoesNotMirror) {
-  MultiRouteTable t(5, 2, /*bidirectional=*/false);
-  t.add_route({0, 1, 2});
+TEST(MultiRoute, UnidirectionalDoesNotMirror) {
+  RoutingTable t(5, kUni, 2);
+  t.set_route({0, 1, 2});
   EXPECT_EQ(t.routes(0, 2).size(), 1u);
   EXPECT_EQ(t.routes(2, 0).size(), 0u);
 }
 
-TEST(MultiRouteTable, TotalsAndPairCounts) {
-  MultiRouteTable t(5, 3);
-  t.add_route({0, 1, 2});
-  t.add_route({0, 3, 2});
-  t.add_route({1, 2});
-  EXPECT_EQ(t.num_routed_pairs(), 4u);  // (0,2),(2,0),(1,2),(2,1)
-  EXPECT_EQ(t.total_routes(), 6u);
+TEST(MultiRoute, TotalsAndPairCounts) {
+  RoutingTable t(5, kBi, 3);
+  t.set_route({0, 1, 2});
+  t.set_route({0, 3, 2});
+  t.set_route({1, 2});
+  EXPECT_EQ(t.num_pairs(), 4u);  // (0,2),(2,0),(1,2),(2,1)
+  EXPECT_EQ(t.num_routes(), 6u);
 }
 
-TEST(MultiRouteTable, ValidateChecksPaths) {
+TEST(MultiRoute, IteratesPairMajor) {
+  // Routes interleave across pairs in insertion order; iteration groups
+  // each pair's routes, pairs in order of their first route.
+  RoutingTable t(6, kUni, 0);
+  t.set_route({0, 1, 5});
+  t.set_route({1, 2});
+  t.set_route({0, 2, 5});
+  t.set_route({1, 3, 2});
+  t.set_route({0, 3, 5});
+  std::vector<Path> seen;
+  t.for_each([&](Node x, Node y, const Path& p) {
+    EXPECT_EQ(p.front(), x);
+    EXPECT_EQ(p.back(), y);
+    seen.push_back(p);
+  });
+  const std::vector<Path> want = {
+      {0, 1, 5}, {0, 2, 5}, {0, 3, 5}, {1, 2}, {1, 3, 2}};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(MultiRoute, ValidateChecksPaths) {
   const auto gg = cycle_graph(5);
-  MultiRouteTable t(5, 2);
-  t.add_route({0, 1, 2});
+  RoutingTable t(5, kBi, 2);
+  t.set_route({0, 1, 2});
   EXPECT_NO_THROW(t.validate(gg.graph));
-  t.add_route({0, 2});  // not an edge in C5
+  t.set_route({0, 2});  // not an edge in C5
   EXPECT_THROW(t.validate(gg.graph), ContractViolation);
 }
 
-TEST(MultiRouteTable, MirrorStaysInSyncUnderTryAdd) {
-  MultiRouteTable t(6, 2);
-  EXPECT_TRUE(t.try_add_route({0, 1, 5}));
+TEST(MultiRoute, BidirectionalMirrorsEveryRoute) {
+  const auto gg = cycle_graph(6);
+  RoutingTable t(6, kBi, 2);
+  t.set_route({0, 1, 2, 3});
+  t.set_route({3, 4, 5, 0});  // added from the other end
+  const auto fwd = t.routes(0, 3);
+  const auto back = t.routes(3, 0);
+  ASSERT_EQ(fwd.size(), 2u);
+  ASSERT_EQ(back.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(back[i].to_path(), Path(fwd[i].rbegin(), fwd[i].rend()));
+  }
+  EXPECT_NO_THROW(t.validate(gg.graph));
+}
+
+TEST(MultiRoute, MirrorStaysInSyncUnderTryAdd) {
+  RoutingTable t(6, kBi, 2);
+  EXPECT_TRUE(t.try_set_route({0, 1, 5}));
   // Make the reverse direction full via another insertion order.
-  EXPECT_TRUE(t.try_add_route({5, 2, 0}));
+  EXPECT_TRUE(t.try_set_route({5, 2, 0}));
   // Both buckets now hold 2; a third distinct path must be rejected.
-  EXPECT_FALSE(t.try_add_route({0, 3, 5}));
+  EXPECT_FALSE(t.try_set_route({0, 3, 5}));
   EXPECT_EQ(t.routes(0, 5).size(), 2u);
   EXPECT_EQ(t.routes(5, 0).size(), 2u);
 }
 
-TEST(MultiRouteTable, RejectsDegenerate) {
-  MultiRouteTable t(4, 2);
-  EXPECT_THROW(t.add_route({2}), ContractViolation);
-  EXPECT_THROW(t.add_route({0, 7}), ContractViolation);
+TEST(MultiRoute, RejectsDegenerate) {
+  RoutingTable t(4, kBi, 2);
+  EXPECT_THROW(t.set_route({2}), ContractViolation);
+  EXPECT_THROW(t.set_route({0, 7}), ContractViolation);
+  EXPECT_THROW(t.try_set_route({2}), ContractViolation);
 }
 
 }  // namespace

@@ -115,7 +115,7 @@ TEST(Multirouting, SchemesTradeRoutesForDiameter) {
   const auto d_mult = lex_worst_diameter(mult.table, 2);
   EXPECT_LE(d_full, d_kern);
   EXPECT_LE(d_kern, d_mult);
-  EXPECT_GT(full.total_routes(), kern.table.total_routes());
+  EXPECT_GT(full.num_routes(), kern.table.num_routes());
 }
 
 }  // namespace

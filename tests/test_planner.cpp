@@ -101,7 +101,9 @@ TEST(Planner, ConstructionNamesAreStable) {
 }
 
 // ---- Pinned tables. ---------------------------------------------------------
-// FNV-1a over every (x, y, route nodes) in insertion order. The expected
+// FNV-1a over every pair's (x, y) followed by its routes' nodes, in the
+// table's pair-major order (for one route per pair: every (x, y, route
+// nodes) in insertion order). The expected
 // values were recorded with the planner as of commit 4f1b5a5, before the
 // Menger engine moved to a reusable CSR network with a sink-level BFS cutoff
 // and stamp marks; that rewrite promises byte-identical tables, and so must
@@ -119,24 +121,19 @@ struct Fnv1a {
 
 std::uint64_t table_hash(const RoutingTable& table) {
   Fnv1a f;
+  bool first = true;
+  Node px = 0;
+  Node py = 0;
   table.for_each_view([&](Node x, Node y, PathView p) {
-    f.add(x);
-    f.add(y);
+    if (first || x != px || y != py) {  // the pair's first route
+      f.add(x);
+      f.add(y);
+    }
+    first = false;
+    px = x;
+    py = y;
     for (Node v : p) f.add(v);
   });
-  return f.h;
-}
-
-std::uint64_t table_hash(const MultiRouteTable& table) {
-  Fnv1a f;
-  table.for_each_pair_view(
-      [&](Node x, Node y, const MultiRouteTable::RouteRange& routes) {
-        f.add(x);
-        f.add(y);
-        for (PathView p : routes) {
-          for (Node v : p) f.add(v);
-        }
-      });
   return f.h;
 }
 

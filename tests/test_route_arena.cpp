@@ -1,12 +1,13 @@
-// Arena-specific coverage for the flat RoutingTable / MultiRouteTable
-// storage: view stability, conflict discipline at scale, insertion-order
-// iteration, and serialization round-trips on non-trivial tables — plus the
+// Arena-specific coverage for the flat RoutingTable storage (one route per
+// pair and capped multiroutes): view stability, conflict discipline at
+// scale, iteration order, and serialization round-trips on non-trivial tables — plus the
 // FlatArray sharing and detach-on-write rules that storage rests on. The
 // behavioral basics (mirroring, no-op reassignment, stats) live in
 // test_route_table.cpp; here we stress the arena against a reference
 // implementation and through realistic construction workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -195,34 +196,83 @@ TEST(RouteArena, SerializationRoundTripOnKernelRouting) {
   EXPECT_DOUBLE_EQ(s1.avg_hops, s2.avg_hops);
 }
 
-TEST(MultiRouteArena, RoutesViewMatchesMaterialized) {
-  MultiRouteTable t(8, 3, /*bidirectional=*/true);
-  t.add_route({0, 1, 5});
-  t.add_route({0, 2, 5});
-  t.add_route({0, 3, 5});
-  const auto materialized = t.routes(0, 5);
-  ASSERT_EQ(materialized.size(), 3u);
+TEST(MultiRouteArena, RoutesMatchIteration) {
+  RoutingTable t(8, RoutingMode::kBidirectional, 3);
+  t.set_route({0, 1, 5});
+  t.set_route({0, 2, 5});
+  t.set_route({0, 3, 5});
+  const auto routes = t.routes(0, 5);
+  ASSERT_EQ(routes.size(), 3u);
   std::size_t i = 0;
-  for (PathView v : t.routes_view(0, 5)) {
-    EXPECT_EQ(v, materialized[i++]);
-  }
+  t.for_each_view([&](Node x, Node y, PathView v) {
+    if (x == 0 && y == 5) {
+      EXPECT_EQ(v, routes[i++]);
+    }
+  });
   EXPECT_EQ(i, 3u);
-  EXPECT_EQ(t.num_routes(0, 5), 3u);
-  EXPECT_EQ(t.num_routes(5, 0), 3u);
-  EXPECT_EQ(t.num_routes(1, 2), 0u);
-  EXPECT_TRUE(t.routes_view(1, 2).empty());
+  EXPECT_EQ(t.routes(5, 0).size(), 3u);
+  EXPECT_TRUE(t.routes(1, 2).empty());
+  EXPECT_EQ(t.route(0, 5), routes[0]);
 }
 
 TEST(MultiRouteArena, CapAndDuplicateDisciplinePreserved) {
-  MultiRouteTable t(8, 2, /*bidirectional=*/true);
-  t.add_route({0, 1, 5});
-  t.add_route({0, 1, 5});  // duplicate: ignored
-  EXPECT_EQ(t.num_routes(0, 5), 1u);
-  t.add_route({0, 2, 5});
-  EXPECT_THROW(t.add_route({0, 3, 5}), ContractViolation);
-  EXPECT_FALSE(t.try_add_route({0, 4, 5}));
-  EXPECT_TRUE(t.try_add_route({0, 2, 5}));  // duplicate reports success
-  EXPECT_EQ(t.total_routes(), 4u);          // 2 routes x 2 directions
+  RoutingTable t(8, RoutingMode::kBidirectional, 2);
+  t.set_route({0, 1, 5});
+  t.set_route({0, 1, 5});  // duplicate: ignored
+  EXPECT_EQ(t.routes(0, 5).size(), 1u);
+  t.set_route({0, 2, 5});
+  EXPECT_THROW(t.set_route({0, 3, 5}), ContractViolation);
+  EXPECT_FALSE(t.try_set_route({0, 4, 5}));
+  EXPECT_TRUE(t.try_set_route({0, 2, 5}));  // duplicate reports success
+  EXPECT_EQ(t.num_routes(), 4u);            // 2 routes x 2 directions
+  EXPECT_EQ(t.num_pairs(), 2u);
+}
+
+TEST(MultiRouteArena, DifferentialAgainstReferenceMultimap) {
+  // Parallel routes through enough inserts to force several rehashes: each
+  // pair keeps its routes in insertion order on its probe run, against a
+  // std::map reference model, and iteration is pair-major.
+  const std::size_t n = 48;
+  const std::size_t cap = 3;
+  RoutingTable t(n, RoutingMode::kUnidirectional, cap);
+  std::map<std::pair<Node, Node>, std::vector<Path>> ref;
+  std::vector<std::pair<Node, Node>> first_seen;
+  Rng rng(2025);
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const Node x = static_cast<Node>(rng.below(n));
+    Node y = static_cast<Node>(rng.below(n));
+    while (y == x) y = static_cast<Node>(rng.below(n));
+    const Node mid = static_cast<Node>(rng.below(4));  // few distinct paths
+    Path p{x, y};
+    if (mid != x && mid != y) p = Path{x, mid, y};
+    auto& held = ref[{x, y}];
+    const bool dup = std::find(held.begin(), held.end(), p) != held.end();
+    if (!dup && held.size() == cap) {
+      EXPECT_THROW(t.set_route(p), ContractViolation);
+      continue;
+    }
+    t.set_route(p);
+    if (!dup) {
+      if (held.empty()) first_seen.emplace_back(x, y);
+      held.push_back(p);
+    }
+  }
+  std::size_t total = 0;
+  for (const auto& [pair, paths] : ref) {
+    const auto got = t.routes(pair.first, pair.second);
+    ASSERT_EQ(got.size(), paths.size());
+    for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], paths[i]);
+    total += paths.size();
+  }
+  EXPECT_EQ(t.num_routes(), total);
+  EXPECT_EQ(t.num_pairs(), first_seen.size());
+  std::vector<Path> want;
+  for (const auto& pair : first_seen) {
+    for (const Path& p : ref[pair]) want.push_back(p);
+  }
+  std::vector<Path> seen;
+  t.for_each([&](Node, Node, const Path& p) { seen.push_back(p); });
+  EXPECT_EQ(seen, want);
 }
 
 }  // namespace

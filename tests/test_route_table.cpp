@@ -48,27 +48,33 @@ TEST(RoutingTable, ConflictingReassignmentThrows) {
   EXPECT_THROW(t.set_route({0, 3, 2}), ContractViolation);
 }
 
-TEST(RoutingTable, MiserlyByConstruction) {
-  // The map holds one path per ordered pair — assigning twice keeps one.
+TEST(RoutingTable, MiserlyByDefault) {
+  // The default cap is one path per ordered pair.
   RoutingTable t(4, RoutingMode::kUnidirectional);
   t.set_route({0, 1});
   t.set_route({0, 1, 2});
   t.set_route({0, 1, 2, 3});
   EXPECT_EQ(t.num_routes(), 3u);  // pairs (0,1), (0,2), (0,3)
+  EXPECT_EQ(t.num_pairs(), 3u);
+  EXPECT_EQ(t.max_routes_per_pair(), 1u);
 }
 
-TEST(RoutingTable, SetIfAbsent) {
+TEST(RoutingTable, TrySetRoute) {
   RoutingTable t(4, RoutingMode::kUnidirectional);
-  EXPECT_TRUE(t.set_route_if_absent({0, 1, 2}));
-  EXPECT_FALSE(t.set_route_if_absent({0, 3, 2}));  // pair taken
+  EXPECT_TRUE(t.try_set_route({0, 1, 2}));
+  EXPECT_FALSE(t.try_set_route({0, 3, 2}));  // pair taken
   EXPECT_EQ(*t.route(0, 2), (Path{0, 1, 2}));
-  EXPECT_TRUE(t.set_route_if_absent({2, 3, 0}));  // reverse was free
+  EXPECT_TRUE(t.try_set_route({2, 3, 0}));  // reverse was free
+  EXPECT_TRUE(t.try_set_route({0, 1, 2}));  // already held
+  EXPECT_EQ(t.num_routes(), 2u);
 }
 
-TEST(RoutingTable, SetIfAbsentBidirectionalChecksBoth) {
+TEST(RoutingTable, TrySetRouteBidirectionalChecksBoth) {
   RoutingTable t(4, RoutingMode::kBidirectional);
   t.set_route({0, 1, 2});
-  EXPECT_FALSE(t.set_route_if_absent({2, 3, 0}));  // reverse already defined
+  EXPECT_FALSE(t.try_set_route({2, 3, 0}));  // reverse already defined
+  EXPECT_EQ(*t.route(0, 2), (Path{0, 1, 2}));
+  EXPECT_EQ(t.num_routes(), 2u);
 }
 
 TEST(RoutingTable, RejectsDegeneratePaths) {

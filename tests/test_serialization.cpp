@@ -109,26 +109,38 @@ TEST(Serialization, RejectsMissingEnd) {
 }
 
 TEST(MultiSerialization, RoundTrip) {
-  MultiRouteTable t(6, 3);
-  t.add_route({0, 1, 5});
-  t.add_route({0, 2, 5});
-  t.add_route({3, 4});
-  const auto loaded =
-      multi_route_table_from_string(multi_route_table_to_string(t));
+  RoutingTable t(6, RoutingMode::kBidirectional, 3);
+  t.set_route({0, 1, 5});
+  t.set_route({0, 2, 5});
+  t.set_route({3, 4});
+  const std::string text = routing_table_to_string(t);
+  EXPECT_EQ(text.find("ftroute-multitable v1 6 3 bidirectional\n"), 0u);
+  const auto loaded = routing_table_from_string(text);
   EXPECT_EQ(loaded.num_nodes(), 6u);
   EXPECT_EQ(loaded.max_routes_per_pair(), 3u);
-  EXPECT_TRUE(loaded.bidirectional());
+  EXPECT_EQ(loaded.mode(), RoutingMode::kBidirectional);
   EXPECT_EQ(loaded.routes(0, 5).size(), 2u);
   EXPECT_EQ(loaded.routes(5, 0).size(), 2u);
   EXPECT_EQ(loaded.routes(3, 4).size(), 1u);
-  EXPECT_EQ(loaded.total_routes(), t.total_routes());
+  EXPECT_EQ(loaded.num_routes(), t.num_routes());
+  EXPECT_EQ(routing_table_to_string(loaded), text);
+}
+
+TEST(MultiSerialization, CapOneWritesTheTableHeader) {
+  RoutingTable t(4, RoutingMode::kBidirectional, 1);
+  t.set_route({0, 1});
+  EXPECT_EQ(routing_table_to_string(t),
+            "ftroute-table v1 4 bidirectional\nroute 0 1\nend\n");
+  const auto loaded = routing_table_from_string(
+      "ftroute-multitable v1 4 1 bidirectional\nroute 0 1\nend\n");
+  EXPECT_EQ(loaded.max_routes_per_pair(), 1u);
+  EXPECT_EQ(routing_table_to_string(loaded), routing_table_to_string(t));
 }
 
 TEST(MultiSerialization, RoundTripPreservesSurvivingBehavior) {
   const auto gg = petersen_graph();
   const auto table = build_full_multirouting(gg.graph, 2);
-  const auto loaded =
-      multi_route_table_from_string(multi_route_table_to_string(table));
+  const auto loaded = routing_table_from_string(routing_table_to_string(table));
   Rng rng(4);
   for (int trial = 0; trial < 8; ++trial) {
     const auto sample = rng.sample(10, 2);
@@ -139,28 +151,45 @@ TEST(MultiSerialization, RoundTripPreservesSurvivingBehavior) {
 }
 
 TEST(MultiSerialization, UnidirectionalRoundTrip) {
-  MultiRouteTable t(5, 2, /*bidirectional=*/false);
-  t.add_route({0, 1, 2});
-  const auto loaded =
-      multi_route_table_from_string(multi_route_table_to_string(t));
-  EXPECT_FALSE(loaded.bidirectional());
+  RoutingTable t(5, RoutingMode::kUnidirectional, 2);
+  t.set_route({0, 1, 2});
+  const auto loaded = routing_table_from_string(routing_table_to_string(t));
+  EXPECT_EQ(loaded.mode(), RoutingMode::kUnidirectional);
   EXPECT_EQ(loaded.routes(0, 2).size(), 1u);
   EXPECT_EQ(loaded.routes(2, 0).size(), 0u);
 }
 
 TEST(MultiSerialization, UnlimitedCapSurvivesRoundTrip) {
-  MultiRouteTable t(4, 0);
-  t.add_route({0, 1});
-  const auto loaded =
-      multi_route_table_from_string(multi_route_table_to_string(t));
+  RoutingTable t(4, RoutingMode::kBidirectional, 0);
+  t.set_route({0, 1});
+  const auto loaded = routing_table_from_string(routing_table_to_string(t));
   EXPECT_EQ(loaded.max_routes_per_pair(), 0u);
 }
 
+TEST(MultiSerialization, LoadEnforcesTheCap) {
+  EXPECT_THROW(routing_table_from_string(
+                   "ftroute-multitable v1 6 2 bidirectional\n"
+                   "route 0 1 5\nroute 0 2 5\nroute 0 3 5\nend\n"),
+               ContractViolation);
+}
+
 TEST(MultiSerialization, RejectsBadHeader) {
-  EXPECT_THROW(
-      multi_route_table_from_string("ftroute-table v1 4 bidirectional\nend\n"),
-      ContractViolation);
-  EXPECT_THROW(multi_route_table_from_string(""), ContractViolation);
+  // Each malformed header of either kind is refused.
+  for (const char* header : {
+           "ftroute-table v1 4 2 bidirectional",       // a cap in a table
+           "ftroute-multitable v1 4 bidirectional",    // a multitable's cap missing
+           "ftroute-multitable v2 4 2 bidirectional",  // wrong version
+           "ftroute-multitable v1 4 two bidirectional",
+           "ftroute-multitable v1 4 -2 bidirectional",
+           "ftroute-multitable v1 4 2 sideways",
+           "ftroute-multitable v1 1 2 bidirectional",  // fewer than 2 nodes
+           "ftroute-tables v1 4 bidirectional",
+       }) {
+    EXPECT_THROW(routing_table_from_string(std::string(header) + "\nend\n"),
+                 ContractViolation)
+        << header;
+  }
+  EXPECT_THROW(routing_table_from_string(""), ContractViolation);
 }
 
 // --- strictness regressions: damaged files fail loudly ----------------------
@@ -214,28 +243,27 @@ TEST(Serialization, RejectsTrailingGarbageInHeader) {
 
 TEST(MultiSerialization, RejectsGarbageTokenInRouteLine) {
   EXPECT_THROW(
-      multi_route_table_from_string("ftroute-multitable v1 4 2 bidirectional\n"
-                                    "route 0 1 frog\nend\n"),
+      routing_table_from_string("ftroute-multitable v1 4 2 bidirectional\n"
+                                "route 0 1 frog\nend\n"),
       ContractViolation);
   EXPECT_THROW(
-      multi_route_table_from_string("ftroute-multitable v1 4 2 bidirectional\n"
-                                    "route 0 1 99999999999999999999999999\n"
-                                    "end\n"),
+      routing_table_from_string("ftroute-multitable v1 4 2 bidirectional\n"
+                                "route 0 1 99999999999999999999999999\n"
+                                "end\n"),
       ContractViolation);
 }
 
 TEST(MultiSerialization, RejectsTrailingGarbage) {
   EXPECT_THROW(
-      multi_route_table_from_string("ftroute-multitable v1 4 2 bidirectional\n"
-                                    "route 0 1\nend\nroute 2 3\n"),
+      routing_table_from_string("ftroute-multitable v1 4 2 bidirectional\n"
+                                "route 0 1\nend\nroute 2 3\n"),
       ContractViolation);
-  EXPECT_THROW(
-      multi_route_table_from_string(
-          "ftroute-multitable v1 4 2 bidirectional extra\nend\n"),
-      ContractViolation);
+  EXPECT_THROW(routing_table_from_string(
+                   "ftroute-multitable v1 4 2 bidirectional extra\nend\n"),
+               ContractViolation);
   EXPECT_NO_THROW(
-      multi_route_table_from_string("ftroute-multitable v1 4 2 bidirectional\n"
-                                    "route 0 1\nend\n# comment\n"));
+      routing_table_from_string("ftroute-multitable v1 4 2 bidirectional\n"
+                                "route 0 1\nend\n# comment\n"));
 }
 
 // Both table headers bound the node count (the snapshot validator's
@@ -244,7 +272,7 @@ TEST(Serialization, RejectsHugeNodeCount) {
   EXPECT_THROW(routing_table_from_string(
                    "ftroute-table v1 99999999999 bidirectional\nend\n"),
                ContractViolation);
-  EXPECT_THROW(multi_route_table_from_string(
+  EXPECT_THROW(routing_table_from_string(
                    "ftroute-multitable v1 99999999999 2 bidirectional\nend\n"),
                ContractViolation);
   EXPECT_THROW(routing_table_from_string("ftroute-table v1 -4 bidirectional\n"
@@ -269,7 +297,7 @@ TEST(Serialization, RejectsOverlongLineNamingIt) {
                                     "route 0 1" + pad + "\nend\n");
   });
   expect_line_3([&] {
-    (void)multi_route_table_from_string(
+    (void)routing_table_from_string(
         "# big\nftroute-multitable v1 4 2 bidirectional\nroute 0 1" + pad +
         "\nend\n");
   });

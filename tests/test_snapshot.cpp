@@ -396,6 +396,26 @@ TEST(Snapshot, RejectsPairListedTwice) {
                             "twice (routes 0 and 1)");
 }
 
+// The format stores one route per pair and no cap, so the writer refuses
+// a multirouting, naming a pair that holds two routes; one route per pair
+// snapshots at any cap.
+TEST(Snapshot, MakeRefusesParallelRoutesNamingThePair) {
+  const auto cycle = cycle_graph(6);
+  RoutingTable table(6, RoutingMode::kUnidirectional, 2);
+  table.set_route({0, 1});
+  table.set_route({0, 1, 2, 3});
+  EXPECT_NO_THROW(make_table_snapshot(cycle.graph, table));
+  table.set_route({0, 5, 4, 3});
+  try {
+    (void)make_table_snapshot(cycle.graph, table);
+    FAIL() << "a multirouting was snapshotted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("pair (0,3) holds 2 routes"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Snapshot, RejectsOutOfRangeSlot) {
   const std::string path = write_test_snapshot("crafted_tslots.snap");
   std::ifstream in(path, std::ios::binary);

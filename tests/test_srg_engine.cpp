@@ -77,11 +77,11 @@ TEST(SrgEngine, MatchesOneShotOnKernelRouting) {
 TEST(SrgEngine, MatchesOneShotOnMultirouting) {
   const auto gg = cube_connected_cycles(3);
   Rng rng(7);
-  const MultiRouteTable table = build_full_multirouting(gg.graph, 2);
+  const RoutingTable table = build_full_multirouting(gg.graph, 2);
   const SrgIndex index(table);
   SrgScratch scratch(index);
-  EXPECT_EQ(index.num_pairs(), table.num_routed_pairs());
-  EXPECT_EQ(index.num_routes(), table.total_routes());
+  EXPECT_EQ(index.num_pairs(), table.num_pairs());
+  EXPECT_EQ(index.num_routes(), table.num_routes());
 
   for (std::size_t f : {0u, 2u, 4u}) {
     const auto sets = random_fault_sets(gg.graph.num_nodes(), f, 6, rng);
@@ -99,7 +99,7 @@ TEST(SrgEngine, MatchesOneShotOnMultirouting) {
 // between (every set must start from the fault-free rows again).
 TEST(SrgEngine, SparseStrikeDeliveryOnMultirouting) {
   const auto gg = hypercube(4);
-  const MultiRouteTable table = build_full_multirouting(gg.graph, 3);
+  const RoutingTable table = build_full_multirouting(gg.graph, 3);
   const SrgIndex index(table);
   SrgScratch scratch(index);
   Rng rng(61);
@@ -292,6 +292,57 @@ TEST(SrgEngine, IndexSharesTheTableRoutesAndOutlivesTheTable) {
   table.reset();
   EXPECT_EQ(index.route(0), first_nodes);
   expect_same(before, results());
+}
+
+// A table with parallel routes is copied pair-major: pairs in order of
+// their first route, each pair's routes in insertion order, as consecutive
+// route ids. FNV-1a over each pair's endpoints followed by its routes'
+// nodes, read from the index; the expected values were recorded with the
+// index built from the separate multiroute table class of commit 8513635,
+// and every witness depends on this order.
+struct LayoutHash {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint32_t w) {
+    for (int i = 0; i < 4; ++i) {
+      h ^= (w >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+std::uint64_t index_layout_hash(const SrgIndex& index) {
+  LayoutHash f;
+  std::size_t pairs = 0;
+  for (std::uint32_t r = 0; r < index.num_routes(); ++r) {
+    const PathView p = index.route(r);
+    if (r == 0 || index.route(r - 1).front() != p.front() ||
+        index.route(r - 1).back() != p.back()) {
+      ++pairs;  // the pair's first route
+      f.add(p.front());
+      f.add(p.back());
+    }
+    for (Node v : p) f.add(v);
+  }
+  EXPECT_EQ(pairs, index.num_pairs());
+  return f.h;
+}
+
+TEST(SrgEngine, MultiTableIndexLayoutIsPinned) {
+  {
+    const auto gg = petersen_graph();
+    const RoutingTable table = build_full_multirouting(gg.graph, 2);
+    EXPECT_EQ(index_layout_hash(SrgIndex(table)), 0xb1aa97380b353275ull);
+  }
+  {
+    const auto gg = cube_connected_cycles(3);
+    const auto mr = build_kernel_multirouting(gg.graph, 2);
+    EXPECT_EQ(index_layout_hash(SrgIndex(mr.table)), 0xcde688a79a589ba5ull);
+  }
+  {
+    const auto gg = torus_graph(4, 4);
+    const auto mr = build_mult_routing(gg.graph, 3);
+    EXPECT_EQ(index_layout_hash(SrgIndex(mr.table)), 0x0d117347a1dfd615ull);
+  }
 }
 
 TEST(SrgEngine, EpochWraparound) {

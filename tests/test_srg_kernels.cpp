@@ -1070,22 +1070,22 @@ std::vector<std::vector<Node>> strike_sets(std::size_t n, std::uint64_t seed) {
 
 // Ordered pairs of `table` that `faults` strike on some but not all of
 // their routes — the case a multiroute pair must survive.
-std::size_t partially_struck_pairs(const MultiRouteTable& table,
+std::size_t partially_struck_pairs(const RoutingTable& table,
                                    const std::vector<Node>& faults) {
   std::size_t partial = 0;
-  table.for_each_pair_view(
-      [&](Node, Node, const MultiRouteTable::RouteRange& routes) {
-        std::size_t hit = 0;
-        for (PathView path : routes) {
-          const bool struck = std::any_of(
-              path.begin(), path.end(), [&](Node v) {
-                return std::find(faults.begin(), faults.end(), v) !=
-                       faults.end();
-              });
-          if (struck) ++hit;
-        }
-        if (hit > 0 && hit < routes.size()) ++partial;
-      });
+  table.for_each_view([&](Node x, Node y, PathView first) {
+    const auto routes = table.routes(x, y);
+    if (first.data() != routes.front().data()) return;  // each pair once
+    std::size_t hit = 0;
+    for (PathView path : routes) {
+      const bool struck =
+          std::any_of(path.begin(), path.end(), [&](Node v) {
+            return std::find(faults.begin(), faults.end(), v) != faults.end();
+          });
+      if (struck) ++hit;
+    }
+    if (hit > 0 && hit < routes.size()) ++partial;
+  });
   return partial;
 }
 
@@ -1136,7 +1136,7 @@ TEST(SrgKernels, SparseStrikeMatchesOracle) {
   {
     // Four disjoint routes per pair: most struck pairs keep a route.
     const auto gg = hypercube(4);
-    const MultiRouteTable table = build_full_multirouting(gg.graph, 3);
+    const RoutingTable table = build_full_multirouting(gg.graph, 3);
     const auto sets = strike_sets(16, 3);
     std::size_t partial = 0;
     for (const auto& set : sets) partial += partially_struck_pairs(table, set);
@@ -1149,10 +1149,10 @@ TEST(SrgKernels, SparseStrikeMatchesOracle) {
 // One pair, two routes: the pair survives either route's death and dies
 // only with both; the arc count says so exactly.
 TEST(SrgKernels, SparseStrikeKillsMultiroutePairWithItsLastRoute) {
-  MultiRouteTable table(6, 2, /*bidirectional=*/false);
-  table.add_route({0, 1, 2, 3});
-  table.add_route({0, 5, 4, 3});
-  table.add_route({1, 2});
+  RoutingTable table(6, RoutingMode::kUnidirectional, 2);
+  table.set_route({0, 1, 2, 3});
+  table.set_route({0, 5, 4, 3});
+  table.set_route({1, 2});
   const SrgIndex index(table);
   const SrgOracle oracle(table);
   SrgScratch bitset(index);
@@ -1169,7 +1169,7 @@ TEST(SrgKernels, SparseStrikeKillsMultiroutePairWithItsLastRoute) {
 // strike epoch wraps: the bitset view is rebuilt for every struck set.
 TEST(SrgKernels, SparseStrikePackedToggleAcrossEpochWrap) {
   const auto gg = hypercube(4);
-  const MultiRouteTable table = build_full_multirouting(gg.graph, 3);
+  const RoutingTable table = build_full_multirouting(gg.graph, 3);
   const SrgIndex index(table);
   const auto sets = strike_sets(16, 4);
   std::vector<SrgScratch::Result> want;
@@ -1192,7 +1192,7 @@ TEST(SrgKernels, SparseStrikePackedToggleAcrossEpochWrap) {
 // interleaved with evaluate().
 TEST(SrgKernels, SparseStrikeComponentwiseMatchesOracle) {
   const auto gg = hypercube(4);
-  const MultiRouteTable table = build_full_multirouting(gg.graph, 3);
+  const RoutingTable table = build_full_multirouting(gg.graph, 3);
   const SrgIndex index(table);
   std::vector<std::uint32_t> comp(16);
   for (Node v = 0; v < 16; ++v) comp[v] = v % 3;

@@ -62,9 +62,9 @@ TEST(Surviving, OutOfRangeFaultRejected) {
 }
 
 TEST(Surviving, MultiRouteAnySurvivorKeepsArc) {
-  MultiRouteTable t(5, 2);
-  t.add_route({0, 1, 4});
-  t.add_route({0, 2, 4});
+  RoutingTable t(5, RoutingMode::kBidirectional, 2);
+  t.set_route({0, 1, 4});
+  t.set_route({0, 2, 4});
   EXPECT_TRUE(surviving_graph(t, {1}).has_arc(0, 4));
   EXPECT_TRUE(surviving_graph(t, {2}).has_arc(0, 4));
   EXPECT_FALSE(surviving_graph(t, {1, 2}).has_arc(0, 4));

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "common/combinatorics.hpp"
+#include "core/planner.hpp"
+#include "fault/fault_gen.hpp"
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
 #include "routing/kernel.hpp"
 #include "routing/multirouting.hpp"
+#include "routing/serialization.hpp"
 #include "lex_oracle.hpp"
 
 namespace ftr {
@@ -49,7 +52,7 @@ TEST(ToleranceCheck, DetectsViolationOfFalseClaim) {
             report.worst_diameter);
 }
 
-TEST(ToleranceCheck, MultiRouteOverload) {
+TEST(ToleranceCheck, Multirouting) {
   const auto gg = petersen_graph();
   const auto table = build_full_multirouting(gg.graph, 2);
   Rng rng(4);
@@ -116,6 +119,55 @@ TEST(ToleranceCheck, RunnerReceivesThePlannedUnits) {
       EXPECT_EQ(seen[1].climb_seeds, opts.seeds);
     }
     for (const UnitSpec& u : seen) EXPECT_EQ(u.begin, 0u);
+  }
+}
+
+TEST(ToleranceCheck, RouteLoadSeedIsTheTopFOfTheRanking) {
+  const std::vector<Node> ranking = {4, 2, 0, 1, 3};
+  const auto seeded = with_route_load_seeds(ranking, 2, {});
+  EXPECT_EQ(seeded.seeds, (std::vector<std::vector<Node>>{{4, 2}}));
+  EXPECT_TRUE(with_route_load_seeds(ranking, 0, {}).seeds.empty());
+  EXPECT_TRUE(with_route_load_seeds(ranking, 6, {}).seeds.empty());
+  ToleranceCheckOptions own;
+  own.seeds = {{1, 3}};
+  EXPECT_EQ(with_route_load_seeds(ranking, 2, own).seeds, own.seeds);
+}
+
+// check, serve and build --certify run the index form on a shared index
+// with the hill-climber seeded from a ranking they already hold. On the
+// adversarial path, where that seed matters, the report must equal the
+// table-level check's (which ranks the table itself), for any thread
+// count.
+TEST(ToleranceCheck, SnapshotRankedCheckMatchesTableCheck) {
+  struct Case {
+    GeneratedGraph (*make)();
+    std::uint32_t f;
+  };
+  for (const Case c : {Case{[] { return torus_graph(8, 8); }, 3},
+                       Case{[] { return hypercube(5); }, 4}}) {
+    const auto gg = c.make();
+    Rng plan_rng(42);
+    auto planned = build_planned_routing(gg.graph, std::nullopt, plan_rng);
+    const RoutingTable table = planned.table;
+    const std::uint32_t claimed = planned.plan.guaranteed_diameter;
+    const TableSnapshot snap = make_table_snapshot(
+        gg.graph, std::move(planned.table), planned.plan);
+    EXPECT_EQ(snap.route_load_ranking, nodes_by_route_load(table));
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(gg.name + " f=" + std::to_string(c.f) +
+                   " threads=" + std::to_string(threads));
+      ToleranceCheckOptions opts;
+      opts.exec.threads = threads;
+      Rng want_rng(11);
+      const auto want = check_tolerance(table, c.f, claimed, want_rng, opts);
+      ASSERT_FALSE(want.exhaustive);
+      Rng rng(11);
+      const auto got = check_tolerance(
+          *snap.index, c.f, claimed, rng(),
+          with_route_load_seeds(snap.route_load_ranking, c.f, opts));
+      EXPECT_EQ(got.summary(), want.summary());
+      EXPECT_EQ(got.worst_faults, want.worst_faults);
+    }
   }
 }
 
