@@ -108,7 +108,7 @@ void table_delivery_cost() {
     SrgScratch scratch(index);
     scratch.evaluate(faults);
     auto srng = rng.split();
-    const auto stats = measure_delivery(e.table, scratch, 400, srng);
+    const auto stats = measure_delivery(scratch, 400, srng);
     table.add_row({e.graph, e.construction, Table::cell(e.t),
                    Table::cell(stats.avg_route_hops, 2),
                    Table::cell(stats.max_route_hops),

@@ -1,7 +1,8 @@
 // Adversarial audit: given a routing, search for the worst fault set an
 // attacker who knows the route tables could pick, and compare it to the
-// theorem bound. Demonstrates the fault/adversary toolkit on two
-// constructions with very different failure anatomies.
+// theorem bound. Demonstrates the check's two adversarial units (uniform
+// sampling and the informed hill-climber) on three constructions with very
+// different failure anatomies.
 //
 //   $ ./example_adversarial_audit
 #include <iostream>
@@ -12,32 +13,41 @@ namespace {
 
 void audit(const std::string& label, const ftr::RoutingTable& table,
            std::uint32_t f, std::uint32_t claimed) {
-  // One scratch per evaluator over a shared preprocessing of the table.
+  // One shared preprocessing of the table; the units below build their
+  // own scratches over it.
   const ftr::SrgIndex index(table);
-  const auto make_eval = ftr::srg_evaluator_factory(index);
 
   // Informed seed: the f busiest nodes by route load.
   const auto ranked = ftr::nodes_by_route_load(table);
   std::vector<ftr::Node> top(ranked.begin(), ranked.begin() + f);
 
   // 300 uniform samples, then 6 climbs (the first from the informed seed)
-  // of up to 32 steps each; both draw from streams of seed 99.
-  const auto random =
-      ftr::sampled_worst_faults(table.num_nodes(), f, make_eval, 99, 0, 300);
-  const auto informed = ftr::hillclimb_worst_faults(
-      table.num_nodes(), f, make_eval, 99, 0, 6, 32, {top});
+  // of up to 32 steps each; both draw from streams of seed 99. Each is one
+  // work unit, run by the executor behind every sweep and check.
+  ftr::UnitSpec unit;
+  unit.f = f;
+  unit.seed = 99;
+  unit.kind = ftr::UnitKind::kSweepSampled;
+  unit.end = 300;
+  const auto random = ftr::execute_unit(index, unit);
+  unit.kind = ftr::UnitKind::kAdvClimb;
+  unit.end = 6;
+  unit.max_steps = 32;
+  unit.climb_seeds = {top};
+  const auto informed = ftr::execute_unit(index, unit);
 
   std::cout << label << " (f = " << f << ", theorem bound " << claimed
             << "):\n"
-            << "  random sampling worst:  " << random.d << " ("
-            << random.evaluations << " sets)\n"
-            << "  informed adversary:     " << informed.d << " ("
-            << informed.evaluations << " sets), faults {";
-  for (std::size_t i = 0; i < informed.faults.size(); ++i) {
-    std::cout << (i ? "," : "") << informed.faults[i];
+            << "  random sampling worst:  " << random.worst_diameter << " ("
+            << random.sets << " sets)\n"
+            << "  informed adversary:     " << informed.worst_diameter << " ("
+            << informed.sets << " sets), faults {";
+  for (std::size_t i = 0; i < informed.worst_faults.size(); ++i) {
+    std::cout << (i ? "," : "") << informed.worst_faults[i];
   }
   std::cout << "}\n  verdict: "
-            << (std::max(random.d, informed.d) <= claimed
+            << (std::max(random.worst_diameter, informed.worst_diameter) <=
+                        claimed
                     ? "within the theorem bound"
                     : "BOUND VIOLATED (library bug)")
             << "\n\n";

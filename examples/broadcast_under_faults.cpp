@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   ftr::SrgScratch scratch(index);
   scratch.evaluate({});
   auto srng = rng.split();
-  const auto healthy = ftr::measure_delivery(routing.table, scratch, 500, srng);
+  const auto healthy = ftr::measure_delivery(scratch, 500, srng);
   std::cout << "healthy: avg " << healthy.avg_route_hops
             << " route traversals per message (avg " << healthy.avg_edge_hops
             << " link hops)\n";
@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
   // Degraded-mode delivery cost.
   scratch.evaluate(faults);
   auto drng = rng.split();
-  const auto degraded =
-      ftr::measure_delivery(routing.table, scratch, 500, drng);
+  const auto degraded = ftr::measure_delivery(scratch, 500, drng);
   std::cout << "\ndegraded: avg " << degraded.avg_route_hops
             << " route traversals (max " << degraded.max_route_hops
             << ", guarantee 6), delivered " << degraded.delivered << "/"

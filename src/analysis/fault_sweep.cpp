@@ -12,6 +12,7 @@
 #include "common/parallel.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
+#include "fault/adversary.hpp"
 #include "graph/bfs.hpp"
 
 namespace ftr {
@@ -67,34 +68,7 @@ bool IstreamFaultSetSource::next(std::vector<Node>& out) {
   return false;
 }
 
-// --- merge authority ---------------------------------------------------------
-
-void merge_sweep_partials(SweepPartial& into, const SweepPartial& next) {
-  into.sets += next.sets;
-  if (next.diameter_histogram.size() > into.diameter_histogram.size()) {
-    into.diameter_histogram.resize(next.diameter_histogram.size(), 0);
-  }
-  for (std::size_t d = 0; d < next.diameter_histogram.size(); ++d) {
-    into.diameter_histogram[d] += next.diameter_histogram[d];
-  }
-  into.disconnected += next.disconnected;
-  // `next` covers later indices, so on equal diameters the incumbent (the
-  // earlier index) must survive: strictly greater replaces. kUnreachable
-  // compares greater than every finite diameter, so disconnection needs no
-  // special casing.
-  if (next.have_worst &&
-      (!into.have_worst || next.worst_diameter > into.worst_diameter)) {
-    into.worst_diameter = next.worst_diameter;
-    into.worst_index = next.worst_index;
-    into.worst_faults = next.worst_faults;
-    into.have_worst = true;
-  }
-  into.pairs_sampled += next.pairs_sampled;
-  into.delivered += next.delivered;
-  into.route_hops_total += next.route_hops_total;
-  into.max_route_hops = std::max(into.max_route_hops, next.max_route_hops);
-  into.max_edge_hops = std::max(into.max_edge_hops, next.max_edge_hops);
-}
+// --- summaries ---------------------------------------------------------------
 
 FaultSweepSummary summarize_sweep_partial(const SweepPartial& partial) {
   FaultSweepSummary summary;
@@ -168,9 +142,8 @@ void absorb_set(SweepPartial& partial, std::uint64_t index,
 // One chunk of a unit: sets [lo, hi) of the global index space, made from
 // their indices and evaluated on a scratch of the chunk's own, one block
 // of up to lane_width() sets at a time.
-SweepPartial sweep_chunk(const RoutingTable& table, const SrgIndex& index,
-                         const UnitSpec& unit, std::uint64_t lo,
-                         std::uint64_t hi) {
+SweepPartial sweep_chunk(const SrgIndex& index, const UnitSpec& unit,
+                         std::uint64_t lo, std::uint64_t hi) {
   SweepPartial part;
   SrgScratch scratch(index);
   const std::size_t n = index.num_nodes();
@@ -219,7 +192,7 @@ SweepPartial sweep_chunk(const RoutingTable& table, const SrgIndex& index,
         scratch.set_faults(*faults);
         Rng rng = Rng::stream(unit.seed, r + i);
         delivery = measure_delivery(
-            table, scratch, static_cast<std::size_t>(unit.delivery_pairs), rng);
+            scratch, static_cast<std::size_t>(unit.delivery_pairs), rng);
       }
       absorb_set(part, r + i, res[i].diameter, delivery, faults);
     }
@@ -280,16 +253,17 @@ std::uint64_t unit_grain(const UnitSpec& unit) {
 
 }  // namespace
 
-SweepPartial execute_sweep_unit(const RoutingTable& table,
-                                const SrgIndex& index, const UnitSpec& unit,
-                                const SweepProgressFn& on_progress,
-                                ExecutorStats* executor_out) {
-  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
-  FTR_EXPECTS_MSG(unit_is_sweep(unit.kind),
-                  "unit kind " << unit_kind_name(unit.kind)
-                               << " is not a sweep");
+SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
+                          const SweepProgressFn& on_progress,
+                          ExecutorStats* executor_out) {
   FTR_EXPECTS(unit.begin <= unit.end);
   const std::size_t n = index.num_nodes();
+  if (unit.kind == UnitKind::kAdvClimb) {
+    return hillclimb_worst_faults(
+        n, unit.f, srg_evaluator_factory(index), unit.seed, unit.begin,
+        unit.end, static_cast<std::size_t>(unit.max_steps), unit.climb_seeds,
+        unit.exec, executor_out);
+  }
   if (unit.kind == UnitKind::kSweepExplicit) {
     FTR_EXPECTS_MSG(unit.sets.size() == unit.end - unit.begin,
                     "explicit sweep unit [" << unit.begin << ", " << unit.end
@@ -315,7 +289,7 @@ SweepPartial execute_sweep_unit(const RoutingTable& table,
     parallel_for_chunks(
         count, workers, grain,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          chunks[chunk] = sweep_chunk(table, index, unit, lo + begin, lo + end);
+          chunks[chunk] = sweep_chunk(index, unit, lo + begin, lo + end);
         },
         &window_stats);
     executor.accumulate(window_stats);
@@ -333,14 +307,13 @@ SweepPartial execute_sweep_unit(const RoutingTable& table,
   return partial;
 }
 
-FaultSweepSummary sweep_unit_summary(const RoutingTable& table,
-                                     const SrgIndex& index,
+FaultSweepSummary sweep_unit_summary(const SrgIndex& index,
                                      const UnitSpec& unit,
                                      const SweepProgressFn& on_progress) {
   const auto t0 = Clock::now();
   ExecutorStats executor;
   const SweepPartial partial =
-      execute_sweep_unit(table, index, unit, on_progress, &executor);
+      execute_unit(index, unit, on_progress, &executor);
   return finish_summary(partial, unit.exec.resolved_threads(), executor, t0);
 }
 
@@ -370,15 +343,17 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
                                          std::uint64_t end_rank,
                                          const FaultSweepOptions& options,
                                          ExecutorStats* executor) {
+  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
   UnitSpec unit = sweep_unit(UnitKind::kSweepGray, f, end_rank, options);
   unit.begin = begin_rank;
-  return execute_sweep_unit(table, index, unit, options.on_progress, executor);
+  return execute_unit(index, unit, options.on_progress, executor);
 }
 
 FaultSweepSummary sweep_fault_source(const RoutingTable& table,
                                      const SrgIndex& index,
                                      FaultSetSource& source,
                                      const FaultSweepOptions& options) {
+  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
   const auto t0 = Clock::now();
   const UnitSpec base = sweep_unit(UnitKind::kSweepExplicit, 0, 0, options);
   const SweepUnitFeed feed = explicit_unit_feed(
@@ -387,8 +362,7 @@ FaultSweepSummary sweep_fault_source(const RoutingTable& table,
   ExecutorStats executor;
   ProgressEmitter progress(options.exec.progress_every, options.on_progress);
   while (const auto unit = feed()) {
-    merge_sweep_partials(partial,
-                         execute_sweep_unit(table, index, *unit, {}, &executor));
+    merge_sweep_partials(partial, execute_unit(index, *unit, {}, &executor));
     progress.maybe_emit(partial, executor);
   }
   return finish_summary(partial, options.exec.resolved_threads(), executor, t0);
@@ -397,9 +371,10 @@ FaultSweepSummary sweep_fault_source(const RoutingTable& table,
 FaultSweepSummary sweep_exhaustive_gray(const RoutingTable& table,
                                         const SrgIndex& index, std::size_t f,
                                         const FaultSweepOptions& options) {
+  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
   FTR_EXPECTS(f <= index.num_nodes());
   return sweep_unit_summary(
-      table, index,
+      index,
       sweep_unit(UnitKind::kSweepGray, f,
                  checked_binomial(index.num_nodes(), f), options),
       options.on_progress);

@@ -6,24 +6,27 @@
 // the distributed workers, and the scenario benches.
 //
 // Every sweep runs as work units (fault/work_unit.hpp) through ONE loop,
-// execute_sweep_unit. A unit names a GLOBAL window [begin, end) of set
-// indices and where its sets come from: Gray subset ranks, counter-seeded
-// samples (set i is Rng::stream(seed, i)), or literal sets it carries. The
-// executor walks the window in windows of grain x threads items (grain =
-// the policy's batch size, rounded up to whole packed lane blocks for Gray
-// units); each window fans out over the threads, and each chunk builds its
-// own SrgScratch, makes its own sets from their global indices, and folds
-// them into a chunk SweepPartial. The chunks merge in
-// index order with merge_sweep_partials — the same merge the distributed
-// coordinator uses — so a sweep's output is bit-identical for any thread
-// count, batch size, unit split, or worker count. Delivery sampling for
-// set i draws from Rng::stream(seed, i), never from a shared generator.
+// execute_unit, which runs the tolerance check's units too: the check's
+// exhaustive and sampled units are sweep units, and its hill-climbing unit
+// goes to fault/adversary.hpp. A sweep unit names a GLOBAL window
+// [begin, end) of set indices and where its sets come from: Gray subset
+// ranks, counter-seeded samples (set i is Rng::stream(seed, i)), or
+// literal sets it carries. The executor walks the window in windows of
+// grain x threads items (grain = the policy's batch size, rounded up to
+// whole packed lane blocks for Gray units); each window fans out over the
+// threads, and each chunk builds its own SrgScratch, makes its own sets
+// from their global indices, and folds them into a chunk SweepPartial. The
+// chunks merge in index order with merge_sweep_partials — the same merge
+// the check and the distributed coordinator use — so a sweep's output is
+// bit-identical for any thread count, batch size, unit split, or worker
+// count. Delivery sampling for set i draws from Rng::stream(seed, i),
+// never from a shared generator.
 //
 // A chunk evaluates its sets block by block, up to the lane width at a
 // time, on the packed kernel: Gray units as blocks of Gray-adjacent sets
 // (SrgScratch::evaluate_gray_block), explicit and sampled units as blocks
 // of unrelated sets through SrgScratch::evaluate_sets, the block policy
-// shared with the adversary searchers: a block too small to profit (fewer
+// shared with the hill-climber: a block too small to profit (fewer
 // than kMinAnySetBlock sets: a chunk's short tail, a serve request's
 // 20-set sweep) is evaluated set by set with SrgScratch::evaluate (bitset
 // rows, struck sparsely through the faults' routes). Delivery stamps each
@@ -198,41 +201,6 @@ struct FaultSweepSummary {
   ExecutorStats executor;
 };
 
-/// A mergeable fragment of a sweep: everything FaultSweepSummary aggregates,
-/// folded over one contiguous index range of the sweep. This is the single
-/// merge authority — the executor's chunks, the streaming feed, and the
-/// distributed coordinator all combine ranges with merge_sweep_partials.
-///
-/// Every field is exact (integer hop totals, not means), which makes the
-/// merge strictly associative: any partition of the sweep into contiguous
-/// ranges — chunks, windows, units, worker processes — folds to
-/// bit-identical aggregates. worst_index is the GLOBAL index of the worst
-/// witness.
-struct SweepPartial {
-  std::uint64_t sets = 0;
-  std::vector<std::uint64_t> diameter_histogram;
-  std::uint64_t disconnected = 0;
-
-  bool have_worst = false;
-  std::uint32_t worst_diameter = 0;
-  std::uint64_t worst_index = 0;
-  std::vector<Node> worst_faults;
-
-  std::uint64_t pairs_sampled = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t route_hops_total = 0;  // exact; the mean is derived once
-  std::uint32_t max_route_hops = 0;
-  std::uint64_t max_edge_hops = 0;
-};
-
-/// Merges `next` into `into`. PRECONDITION: `next` covers input indices
-/// strictly after everything already folded into `into` — the worst-witness
-/// tie-break ("earlier index wins on equal diameter") is encoded as
-/// "strictly greater replaces", which is only correct for index-ordered
-/// merging. Under that discipline the operation is associative, so any
-/// contiguous partition of a sweep folds to the same result.
-void merge_sweep_partials(SweepPartial& into, const SweepPartial& next);
-
 /// Expands a fully merged partial into the deterministic fields of a
 /// summary (total_sets, histogram, worst witness, delivery aggregates; the
 /// mean is computed here, once, from the exact totals). Telemetry fields
@@ -244,24 +212,25 @@ FaultSweepSummary summarize_sweep_partial(const SweepPartial& partial);
 UnitSpec sweep_unit(UnitKind kind, std::size_t f, std::uint64_t count,
                     const FaultSweepOptions& options);
 
-/// THE sweep loop: evaluates every set of `unit`'s global window and
-/// returns the partial for it — a pure function of (table, unit's sets,
-/// delivery_pairs, seed), whatever the unit's ExecPolicy says. A
+/// THE unit executor: runs every set (or restart) of `unit`'s global
+/// window and returns the partial for it — a pure function of (index,
+/// unit's sets, delivery_pairs, seed), whatever the unit's ExecPolicy says.
+/// Sweep kinds walk the window as described at the top of this file; a
+/// kAdvClimb unit runs hillclimb_worst_faults (fault/adversary.hpp). A
 /// kSweepExplicit unit must carry exactly end - begin sets
 /// (ContractViolation otherwise); a kSweepGray window must lie inside
-/// [0, C(n, f)). `on_progress` fires between windows at the unit's
-/// exec.progress_every cadence; executor telemetry accumulates into
+/// [0, C(n, f)). `on_progress` fires between a sweep's windows at the
+/// unit's exec.progress_every cadence; executor telemetry accumulates into
 /// *executor when given. Worker processes, the coordinator's inline
-/// fallback, serve, the CLI, and every wrapper below call it.
-SweepPartial execute_sweep_unit(const RoutingTable& table,
-                                const SrgIndex& index, const UnitSpec& unit,
-                                const SweepProgressFn& on_progress = {},
-                                ExecutorStats* executor = nullptr);
+/// fallback, the tolerance check, serve, the CLI, and every wrapper below
+/// call it.
+SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
+                          const SweepProgressFn& on_progress = {},
+                          ExecutorStats* executor = nullptr);
 
-/// execute_sweep_unit plus the summary's telemetry (threads, wall time,
-/// rate, executor counters).
-FaultSweepSummary sweep_unit_summary(const RoutingTable& table,
-                                     const SrgIndex& index,
+/// execute_unit plus the summary's telemetry (threads, wall time, rate,
+/// executor counters).
+FaultSweepSummary sweep_unit_summary(const SrgIndex& index,
                                      const UnitSpec& unit,
                                      const SweepProgressFn& on_progress = {});
 
@@ -276,6 +245,9 @@ using SweepUnitFeed = std::function<std::optional<UnitSpec>()>;
 SweepUnitFeed explicit_unit_feed(FaultSetSource& source, const UnitSpec& base,
                                  std::uint64_t step);
 
+/// The wrappers below take the table only to check it against the index
+/// (same node count); every set is evaluated on the index.
+///
 /// Exhaustive Gray sweep restricted to revolving-door ranks
 /// [begin_rank, end_rank): one kSweepGray unit. The partial's worst_faults
 /// is unranked from the winning global rank.

@@ -114,7 +114,8 @@ GraphTableArgs load_graph_table_args(const std::string& graph_path,
 /// verbs that evaluate on its index in process and hand it to
 /// DistSweepPool under --workers: a snapshot passed as both arguments is
 /// loaded (index and ranking included), text inputs go through
-/// make_table_snapshot.
+/// make_table_snapshot (a multirouting's text included; only --workers,
+/// which writes the snapshot out, refuses one).
 TableSnapshot load_snapshot_args(const std::string& graph_path,
                                  const std::string& table_path);
 

@@ -63,7 +63,7 @@ int cmd_check(const std::vector<std::string>& args) {
       DistSweepPool pool(
           snap, dist_snapshot_path(a.positional.at(0), a.positional.at(1)),
           dist_pool_options(a, workers));
-      opts.runner = [&pool](const UnitSpec& u) { return pool.run_adv(u); };
+      opts.runner = [&pool](const UnitSpec& u) { return pool.run(u); };
       report = check_tolerance(
           *snap.index, f, claimed, rng(),
           with_route_load_seeds(snap.route_load_ranking, f, opts));

@@ -128,7 +128,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
       const auto t0 = std::chrono::steady_clock::now();
       summary = summarize_sweep_partial(from_stdin
                                             ? pool.sweep_source(source, opts)
-                                            : pool.run_sweep(unit));
+                                            : pool.run(unit));
       summary.threads_used = opts.exec.threads;
       summary.seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
@@ -141,7 +141,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
     } else {
       summary = from_stdin ? sweep_fault_source(snap.table, *snap.index,
                                                 source, opts)
-                           : sweep_unit_summary(snap.table, *snap.index, unit,
+                           : sweep_unit_summary(*snap.index, unit,
                                                 opts.on_progress);
     }
 

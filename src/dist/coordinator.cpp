@@ -176,16 +176,11 @@ std::uint64_t DistSweepPool::auto_unit_items(std::uint64_t total,
       std::clamp<std::uint64_t>((total + slots - 1) / slots, 1, 65536);
   // Gray-rank units run packed blocks: whole blocks only, so that no unit
   // but the last ends in a partial one.
-  const bool gray = kind == UnitKind::kSweepGray || kind == UnitKind::kAdvGray;
-  return gray ? lane_aligned(per) : per;
+  return kind == UnitKind::kSweepGray ? lane_aligned(per) : per;
 }
 
-void DistSweepPool::run(const UnitFeed& feed, bool adversary,
-                        std::vector<std::optional<SweepPartial>>& sweeps,
-                        std::vector<std::optional<AdvPartial>>& advs) {
-  sweeps.clear();
-  advs.clear();
-
+SweepPartial DistSweepPool::fold(const UnitFeed& feed) {
+  std::vector<std::optional<SweepPartial>> results;
   std::uint64_t next_id = 0;
   bool feed_done = false;
   // Unit id of the first early-stopped slice: units past it are not needed
@@ -202,17 +197,11 @@ void DistSweepPool::run(const UnitFeed& feed, bool adversary,
     return !stop_bound.has_value() || id < *stop_bound;
   };
 
-  auto store_sweep = [&](std::uint64_t id, SweepPartial&& p) {
-    if (sweeps.size() <= id) sweeps.resize(id + 1);
-    if (!sweeps[id].has_value()) sweeps[id] = std::move(p);
-  };
-  auto store_adv = [&](std::uint64_t id, AdvPartial&& p) {
-    if (advs.size() <= id) advs.resize(id + 1);
-    if (!advs[id].has_value()) {
-      if (p.stopped) {
-        stop_bound = std::min(stop_bound.value_or(id), id);
-      }
-      advs[id] = std::move(p);
+  auto store = [&](std::uint64_t id, SweepPartial&& p) {
+    if (results.size() <= id) results.resize(id + 1);
+    if (!results[id].has_value()) {
+      if (p.stopped) stop_bound = std::min(stop_bound.value_or(id), id);
+      results[id] = std::move(p);
     }
   };
 
@@ -234,12 +223,7 @@ void DistSweepPool::run(const UnitFeed& feed, bool adversary,
   };
 
   auto run_inline = [&](const UnitSpec& unit) {
-    if (unit_is_sweep(unit.kind)) {
-      store_sweep(unit.unit_id, execute_sweep_unit(snapshot_->table,
-                                                   *snapshot_->index, unit));
-    } else {
-      store_adv(unit.unit_id, execute_adv_unit(*snapshot_->index, unit));
-    }
+    store(unit.unit_id, execute_unit(*snapshot_->index, unit));
     ++stats_.units_inline;
   };
 
@@ -337,35 +321,21 @@ void DistSweepPool::run(const UnitFeed& feed, bool adversary,
 
   auto handle_frame = [&](Worker& w, WireFrame&& frame) {
     switch (frame.type) {
-      case FrameType::kSweepResult:
-      case FrameType::kAdvResult: {
+      case FrameType::kSweepResult: {
         FTR_EXPECTS_MSG(w.busy && w.unit.has_value(),
                         "worker " << w.index << " sent an unsolicited result");
-        FTR_EXPECTS_MSG((frame.type == FrameType::kAdvResult) == adversary,
-                        "worker " << w.index
-                                  << " answered with the wrong result kind");
-        const auto now = Clock::now();
+        auto [id, partial] = decode_sweep_result(frame.payload);
+        FTR_EXPECTS_MSG(id == w.unit->unit_id,
+                        "worker " << w.index << " answered unit " << id
+                                  << " while unit " << w.unit->unit_id
+                                  << " was in flight");
         auto& pw = stats_.per_worker[w.index];
         ++pw.units;
+        pw.items += w.unit->end - w.unit->begin;
         pw.busy_seconds +=
-            std::chrono::duration<double>(now - w.dispatched_at).count();
-        if (frame.type == FrameType::kSweepResult) {
-          auto [id, partial] = decode_sweep_result(frame.payload);
-          FTR_EXPECTS_MSG(id == w.unit->unit_id,
-                          "worker " << w.index << " answered unit " << id
-                                    << " while unit " << w.unit->unit_id
-                                    << " was in flight");
-          pw.items += partial.sets;
-          store_sweep(id, std::move(partial));
-        } else {
-          auto [id, partial] = decode_adv_result(frame.payload);
-          FTR_EXPECTS_MSG(id == w.unit->unit_id,
-                          "worker " << w.index << " answered unit " << id
-                                    << " while unit " << w.unit->unit_id
-                                    << " was in flight");
-          pw.items += w.unit->end - w.unit->begin;
-          store_adv(id, std::move(partial));
-        }
+            std::chrono::duration<double>(Clock::now() - w.dispatched_at)
+                .count();
+        store(id, std::move(partial));
         ++stats_.units_completed;
         release_unit(w);
         return;
@@ -473,29 +443,12 @@ void DistSweepPool::run(const UnitFeed& feed, bool adversary,
       }
     }
   }
-}
 
-SweepPartial DistSweepPool::fold_sweeps(const UnitFeed& feed) {
-  std::vector<std::optional<SweepPartial>> sweeps;
-  std::vector<std::optional<AdvPartial>> advs;
-  run(feed, /*adversary=*/false, sweeps, advs);
   SweepPartial total;
-  for (auto& s : sweeps) {
-    FTR_EXPECTS_MSG(s.has_value(), "distributed sweep lost a unit");
-    merge_sweep_partials(total, *s);
-  }
-  return total;
-}
-
-AdvPartial DistSweepPool::fold_advs(const UnitFeed& feed) {
-  std::vector<std::optional<SweepPartial>> sweeps;
-  std::vector<std::optional<AdvPartial>> advs;
-  run(feed, /*adversary=*/true, sweeps, advs);
-  AdvPartial total;
-  for (auto& a : advs) {
+  for (auto& r : results) {
     if (total.stopped) break;  // later units were never needed
-    FTR_EXPECTS_MSG(a.has_value(), "distributed search lost a unit");
-    merge_adversary_partials(total, *a);
+    FTR_EXPECTS_MSG(r.has_value(), "distributed run lost a unit");
+    merge_sweep_partials(total, *r);
   }
   return total;
 }
@@ -536,17 +489,13 @@ DistSweepPool::UnitFeed DistSweepPool::split(const UnitSpec& whole) const {
   };
 }
 
-SweepPartial DistSweepPool::run_sweep(const UnitSpec& whole) {
-  return fold_sweeps(split(whole));
-}
-
-AdvPartial DistSweepPool::run_adv(const UnitSpec& whole) {
-  return fold_advs(split(whole));
+SweepPartial DistSweepPool::run(const UnitSpec& whole) {
+  return fold(split(whole));
 }
 
 SweepPartial DistSweepPool::sweep_exhaustive(
     std::size_t f, const FaultSweepOptions& sweep_options) {
-  return run_sweep(sweep_unit(
+  return run(sweep_unit(
       UnitKind::kSweepGray, f,
       checked_binomial(snapshot_->table.num_nodes(), f), sweep_options));
 }
@@ -557,7 +506,7 @@ SweepPartial DistSweepPool::sweep_source(
   const std::uint64_t step =
       known.has_value() ? auto_unit_items(*known, UnitKind::kSweepExplicit)
                         : (options_.unit_items > 0 ? options_.unit_items : 4096);
-  return fold_sweeps(explicit_unit_feed(
+  return fold(explicit_unit_feed(
       source,
       pool_unit(sweep_unit(UnitKind::kSweepExplicit, 0, 0, sweep_options)),
       step));

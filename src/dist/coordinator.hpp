@@ -1,23 +1,23 @@
 // The coordinator side of the distributed sweep layer: forks a pool of
 // worker processes (pipe pair each, single host), splits a whole-space
 // UnitSpec (fault/work_unit.hpp) into windows, fans them over the workers,
-// and folds the returned partials in unit order with exactly the merge
-// authorities the in-process paths use (merge_sweep_partials /
-// merge_adversary_partials). Because units carry GLOBAL indices and the
-// merges are associative under the index-order discipline, the merged
-// result — every aggregate, the worst witness, the evaluation count, the
-// early-stop point — is bit-identical to the in-process computation for ANY
-// worker count and ANY unit size. A distributed check is the ordinary
-// check_tolerance decision tree with run_adv as its unit runner.
+// and folds the returned partials in unit order with merge_sweep_partials,
+// the merge the in-process paths use. Because units carry GLOBAL indices
+// and the merge is associative under the index-order discipline, the
+// merged result — every aggregate, the worst witness, the evaluation
+// count, the early-stop point — is bit-identical to the in-process
+// computation for ANY worker count and ANY unit size. A distributed check
+// is the ordinary check_tolerance decision tree with run() as its unit
+// runner.
 //
 // Robustness: a worker that dies mid-unit has its window requeued for the
 // survivors (or executed inline by the coordinator when none remain); a
 // worker that hangs past the per-unit timeout is SIGKILLed and its unit runs
 // inline — so a unit is re-dispatched, never lost and never double-counted
-// (results are keyed and stored once per unit id). Early-stopping searches
-// stop dispatching units past the first stopped one but let in-flight units
-// finish, so the pipes are drained between calls and the pool can be
-// reused.
+// (results are keyed and stored once per unit id). A hill-climb that stops
+// early stops the dispatch of units past the first stopped one but lets
+// in-flight units finish, so the pipes are drained between calls and the
+// pool can be reused.
 //
 // Table acquisition is snapshot-fed: workers load the binary snapshot
 // AFTER the fork — from the original file when the CLI input was already a
@@ -37,7 +37,6 @@
 
 #include "analysis/fault_sweep.hpp"
 #include "dist/wire.hpp"
-#include "fault/adversary.hpp"
 #include "routing/serialization.hpp"
 
 namespace ftr {
@@ -101,14 +100,12 @@ class DistSweepPool {
 
   /// Splits `whole`'s window [begin, end) into auto_unit_items-sized units
   /// (threads/batch are the pool's per-worker knobs), runs them over the
-  /// workers, and folds the partials in order. Sweeps never stop early and summarize via
-  /// summarize_sweep_partial exactly like the in-process engine; adversary
-  /// searches stop dispatching past the first stopped unit, and evaluation
-  /// counts match the in-process scans.
-  SweepPartial run_sweep(const UnitSpec& whole);
-  AdvPartial run_adv(const UnitSpec& whole);
+  /// workers through execute_unit, and folds the partials in order —
+  /// exactly what execute_unit returns in process, for any unit kind. A
+  /// hill-climb stops dispatching past the first stopped unit.
+  SweepPartial run(const UnitSpec& whole);
 
-  /// run_sweep over every Gray rank of the f-subsets.
+  /// run() over every Gray rank of the f-subsets.
   SweepPartial sweep_exhaustive(std::size_t f,
                                 const FaultSweepOptions& sweep_options);
   /// Consumes `source` on the coordinator, re-chunking it into explicit-set
@@ -131,14 +128,9 @@ class DistSweepPool {
   using UnitFeed = SweepUnitFeed;
 
   /// The event loop: pulls units from `feed` (which assigns no ids — the
-  /// pool numbers them 0..k in generation order), dispatches, recovers, and
-  /// stores results. Exactly one of the output vectors fills, positionally
-  /// by unit id.
-  void run(const UnitFeed& feed, bool adversary,
-           std::vector<std::optional<SweepPartial>>& sweeps,
-           std::vector<std::optional<AdvPartial>>& advs);
-  SweepPartial fold_sweeps(const UnitFeed& feed);
-  AdvPartial fold_advs(const UnitFeed& feed);
+  /// pool numbers them 0..k in generation order), dispatches, recovers,
+  /// stores each result by unit id, and folds them in id order.
+  SweepPartial fold(const UnitFeed& feed);
   UnitSpec pool_unit(UnitSpec unit) const;
   UnitFeed split(const UnitSpec& whole) const;
 

@@ -93,8 +93,6 @@ class ByteReader {
       case UnitKind::kSweepGray:
       case UnitKind::kSweepSampled:
       case UnitKind::kSweepExplicit:
-      case UnitKind::kAdvGray:
-      case UnitKind::kAdvSampled:
       case UnitKind::kAdvClimb:
         return kind;
     }
@@ -161,6 +159,13 @@ Header parse_header(const unsigned char* h) {
   FTR_EXPECTS_MSG(out.len <= kMaxPayload,
                   "wire frame claims " << out.len
                                        << " payload bytes (corrupt length)");
+  switch (static_cast<FrameType>(out.type)) {
+    case FrameType::kUnit:
+    case FrameType::kSweepResult:
+    case FrameType::kError:
+      return out;
+  }
+  FTR_EXPECTS_MSG(false, "wire frame has unknown type " << out.type);
   return out;
 }
 
@@ -222,7 +227,6 @@ std::vector<unsigned char> encode_unit(const UnitSpec& unit) {
   w.u64(unit.seed);
   w.u64(unit.delivery_pairs);
   w.u64(unit.max_steps);
-  w.u32(unit.stop_above);
   w.exec_policy(unit.exec);
   w.node_lists(unit.sets);
   w.node_lists(unit.climb_seeds);
@@ -243,7 +247,6 @@ UnitSpec decode_unit(const std::vector<unsigned char>& payload) {
   u.seed = r.u64();
   u.delivery_pairs = r.u64();
   u.max_steps = r.u64();
-  u.stop_above = r.u32();
   u.exec = r.exec_policy();
   u.sets = r.node_lists();
   u.climb_seeds = r.node_lists();
@@ -268,6 +271,7 @@ std::vector<unsigned char> encode_sweep_result(std::uint64_t unit_id,
   w.u64(p.route_hops_total);
   w.u32(p.max_route_hops);
   w.u64(p.max_edge_hops);
+  w.u8(p.stopped ? 1 : 0);
   return w.take();
 }
 
@@ -292,32 +296,7 @@ std::pair<std::uint64_t, SweepPartial> decode_sweep_result(
   p.route_hops_total = r.u64();
   p.max_route_hops = r.u32();
   p.max_edge_hops = r.u64();
-  r.expect_end();
-  return {unit_id, std::move(p)};
-}
-
-std::vector<unsigned char> encode_adv_result(std::uint64_t unit_id,
-                                             const AdvPartial& p) {
-  ByteWriter w;
-  w.u64(unit_id);
-  w.u32(p.d);
-  w.u8(p.any ? 1 : 0);
-  w.u8(p.stopped ? 1 : 0);
-  w.nodes(p.faults);
-  w.u64(p.evaluations);
-  return w.take();
-}
-
-std::pair<std::uint64_t, AdvPartial> decode_adv_result(
-    const std::vector<unsigned char>& payload) {
-  ByteReader r(payload.data(), payload.size());
-  const std::uint64_t unit_id = r.u64();
-  AdvPartial p;
-  p.d = r.u32();
-  p.any = r.u8() != 0;
   p.stopped = r.u8() != 0;
-  p.faults = r.nodes();
-  p.evaluations = r.u64();
   r.expect_end();
   return {unit_id, std::move(p)};
 }

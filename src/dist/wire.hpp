@@ -12,11 +12,13 @@
 // worker surfaces as a loud error or a closed stream, never as data.
 //
 // The protocol is deliberately tiny: the coordinator sends kUnit frames
-// (one UnitSpec each, see fault/work_unit.hpp), a worker answers every unit with exactly one
-// kSweepResult/kAdvResult frame (the unit_id leads the payload so the
+// (one UnitSpec each, see fault/work_unit.hpp), a worker answers every unit
+// — sweep or hill-climb alike — with exactly one kSweepResult frame
+// carrying its SweepPartial (the unit_id leads the payload so the
 // coordinator can merge out-of-order completions in unit order), or a
 // kError frame carrying the exception text. Closing the unit pipe is the
-// shutdown signal.
+// shutdown signal. Frame types 4 (the retired adversary result) and any
+// other unknown type are rejected with the header.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,6 @@
 
 #include "analysis/fault_sweep.hpp"
 #include "common/pipe_io.hpp"
-#include "fault/adversary.hpp"
 #include "fault/work_unit.hpp"
 #include "graph/graph.hpp"
 
@@ -35,7 +36,6 @@ namespace ftr {
 enum class FrameType : std::uint32_t {
   kUnit = 2,
   kSweepResult = 3,
-  kAdvResult = 4,
   kError = 6,
 };
 
@@ -50,8 +50,8 @@ std::vector<unsigned char> pack_frame(FrameType type,
 
 /// Pops one complete frame off the front of `buf` (as filled by
 /// read_available). Returns false when the buffered bytes do not yet hold a
-/// whole frame; throws ContractViolation on bad magic, an absurd length, or
-/// a checksum mismatch.
+/// whole frame; throws ContractViolation on bad magic, an unknown frame
+/// type, an absurd length, or a checksum mismatch.
 bool pop_frame(std::vector<unsigned char>& buf, WireFrame& out);
 
 /// Blocking read of one frame (the worker side). kClosed on clean EOF
@@ -70,11 +70,6 @@ UnitSpec decode_unit(const std::vector<unsigned char>& payload);
 std::vector<unsigned char> encode_sweep_result(std::uint64_t unit_id,
                                                const SweepPartial& partial);
 std::pair<std::uint64_t, SweepPartial> decode_sweep_result(
-    const std::vector<unsigned char>& payload);
-
-std::vector<unsigned char> encode_adv_result(std::uint64_t unit_id,
-                                             const AdvPartial& partial);
-std::pair<std::uint64_t, AdvPartial> decode_adv_result(
     const std::vector<unsigned char>& payload);
 
 std::vector<unsigned char> encode_error(std::uint64_t unit_id,

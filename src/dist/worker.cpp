@@ -55,19 +55,9 @@ int run_worker_loop(int in_fd, int out_fd, const TableSnapshot& snapshot,
         if (fail.mode == WorkerFailSpec::Mode::kExit) return 7;
         for (;;) ::pause();  // until the coordinator's watchdog SIGKILLs us
       }
-      std::vector<unsigned char> reply;
-      if (unit_is_sweep(unit.kind)) {
-        reply = pack_frame(
-            FrameType::kSweepResult,
-            encode_sweep_result(
-                unit_id, execute_sweep_unit(snapshot.table, *snapshot.index,
-                                            unit)));
-      } else {
-        reply = pack_frame(
-            FrameType::kAdvResult,
-            encode_adv_result(unit_id,
-                              execute_adv_unit(*snapshot.index, unit)));
-      }
+      const auto reply = pack_frame(
+          FrameType::kSweepResult,
+          encode_sweep_result(unit_id, execute_unit(*snapshot.index, unit)));
       if (write_exact(out_fd, reply.data(), reply.size()) != IoStatus::kOk) {
         return 5;
       }

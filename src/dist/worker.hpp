@@ -4,11 +4,10 @@
 // one result frame. Workers never touch stdout; the coordinator owns all
 // user-visible output.
 //
-// execute_sweep_unit (analysis/fault_sweep.hpp) and execute_adv_unit
-// (fault/adversary.hpp) are the single execution authorities: worker
-// processes and the coordinator's inline fallback (dead/hung worker, zero
-// live workers) both call them, so a re-executed unit cannot produce a
-// different partial than the worker would have.
+// execute_unit (analysis/fault_sweep.hpp) is the single execution
+// authority: worker processes and the coordinator's inline fallback
+// (dead/hung worker, zero live workers) both call it, so a re-executed
+// unit cannot produce a different partial than the worker would have.
 #pragma once
 
 #include <cstdint>

@@ -4,89 +4,12 @@
 #include <atomic>
 #include <memory>
 
-#include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
-#include "common/cpu_features.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "graph/bfs.hpp"
 
 namespace ftr {
-
-void merge_adversary_partials(AdvPartial& into, const AdvPartial& next) {
-  // Once a slice has stopped, everything after it in task order is work the
-  // serial scan never did: discard it whole, evaluations included.
-  if (into.stopped) return;
-  into.evaluations += next.evaluations;
-  if (next.any && (!into.any || next.d > into.d)) {
-    into.d = next.d;
-    into.faults = next.faults;
-    into.any = true;
-  }
-  into.stopped = next.stopped;
-}
-
-namespace {
-
-// Lock-free "minimum chunk that stopped": later chunks use it to skip work
-// that the ordered merge would discard anyway.
-void note_stop(std::atomic<std::size_t>& first_stop, std::size_t chunk) {
-  std::size_t cur = first_stop.load(std::memory_order_relaxed);
-  while (chunk < cur && !first_stop.compare_exchange_weak(
-                            cur, chunk, std::memory_order_relaxed)) {
-  }
-}
-
-// The rank-chunked scaffolding shared by every searcher: chunk the global
-// window [begin, end) (`grain` tasks per chunk, 0 = auto), run
-// `scan(partial, chunk_begin, chunk_end, aborted)` per chunk with GLOBAL
-// indices (the scan sets partial.stopped when it early-stops), skip or
-// mid-chunk-abort chunks past the first stopped one, and fold the chunk
-// partials in rank order via merge_adversary_partials — the same merge the
-// distributed coordinator applies across worker units, so inner chunking
-// and outer unit boundaries are interchangeable.
-template <typename ChunkScan>
-AdvPartial chunked_rank_scan(std::uint64_t begin, std::uint64_t end,
-                             const ExecPolicy& policy, std::size_t grain,
-                             ExecutorStats* executor, const ChunkScan& scan) {
-  const unsigned threads = policy.resolved_threads();
-  const auto count = static_cast<std::size_t>(end - begin);
-  if (grain == 0) grain = sweep_grain(count, threads);
-  const std::size_t chunks = num_chunks(count, grain);
-  std::vector<AdvPartial> partials(chunks);
-  std::atomic<std::size_t> first_stop{chunks};
-
-  ExecutorStats stats;
-  parallel_for_chunks(
-      count, threads, grain,
-      [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end) {
-        // A chunk past an already-stopped one will be discarded by the
-        // ordered merge, so skipping — or, via `aborted`, bailing out
-        // mid-scan once a LOWER chunk stops — is a pure optimization. The
-        // per-rank poll matters under the work-stealing executor: workers
-        // start deep in their own partitions rather than in ascending
-        // chunk order, so without it a low-rank stop would be discovered
-        // only after every in-flight high chunk ground to completion.
-        const auto aborted = [&] {
-          return chunk > first_stop.load(std::memory_order_relaxed);
-        };
-        if (aborted()) return;
-        AdvPartial& p = partials[chunk];
-        scan(p, begin + c_begin, begin + c_end, aborted);
-        if (p.stopped) note_stop(first_stop, chunk);
-      },
-      &stats);
-  if (executor != nullptr) executor->accumulate(stats);
-
-  AdvPartial acc;
-  for (const auto& p : partials) {
-    merge_adversary_partials(acc, p);
-    if (acc.stopped) break;
-  }
-  return acc;
-}
-
-}  // namespace
 
 FaultEvaluatorFactory srg_evaluator_factory(const SrgIndex& index) {
   struct State {
@@ -104,112 +27,6 @@ FaultEvaluatorFactory srg_evaluator_factory(const SrgIndex& index) {
       }
     };
   };
-}
-
-AdvPartial exhaustive_worst_faults_gray(const SrgIndex& index, std::size_t f,
-                                        std::uint64_t begin_rank,
-                                        std::uint64_t end_rank,
-                                        const ExecPolicy& exec,
-                                        std::uint32_t stop_above,
-                                        ExecutorStats* executor) {
-  const std::size_t n = index.num_nodes();
-  FTR_EXPECTS(f <= n);
-  const std::uint64_t total = checked_binomial(n, f);
-  FTR_EXPECTS(begin_rank <= end_rank && end_rank <= total);
-  // Up to lane_width() Gray-adjacent sets per bit-parallel pass. The lanes
-  // of each block are consumed in rank order, so the running best, the
-  // evaluation count, and the early-stop point are exactly the serial
-  // scan's — whatever the block width; the witness is unranked from the
-  // winning rank at chunk end (sorted ascending, like the enumerator's
-  // current()). aborted() is polled per block instead of per rank — a pure
-  // optimization either way, since the ordered merge discards aborted
-  // partials. The auto grain rounds up to a multiple of the widest lane
-  // width, so only the window's last chunk ends in a partial block.
-  const auto grain = static_cast<std::size_t>(lane_aligned(sweep_grain(
-      static_cast<std::size_t>(end_rank - begin_rank), exec.threads)));
-  return chunked_rank_scan(
-      begin_rank, end_rank, exec, grain, executor,
-      [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
-          const auto& aborted) {
-        SrgScratch scratch(index);
-        const std::uint64_t lanes = scratch.lane_width();
-        GraySubsetEnumerator e(n, f, begin);
-        SrgScratch::Result res[kMaxLaneWidth];
-        std::uint64_t best_rank = begin;
-        std::uint64_t r = begin;
-        while (r < end) {
-          if (aborted()) return;
-          const auto cnt = static_cast<std::size_t>(
-              std::min<std::uint64_t>(lanes, end - r));
-          scratch.evaluate_gray_block(e, cnt, res);
-          for (std::size_t i = 0; i < cnt; ++i) {
-            const std::uint32_t d = res[i].diameter;
-            ++p.evaluations;
-            if (!p.any || d > p.d) {
-              p.any = true;
-              p.d = d;
-              best_rank = r + i;
-            }
-            if (stop_above != 0 && d > stop_above) {
-              p.stopped = true;
-              break;
-            }
-          }
-          if (p.stopped) break;
-          r += cnt;
-          if (r < end) e.advance();
-        }
-        if (p.any) {
-          const auto worst = gray_subset_at_rank(n, f, best_rank);
-          p.faults.assign(worst.begin(), worst.end());
-        }
-      });
-}
-
-AdvPartial sampled_worst_faults(std::size_t n, std::size_t f,
-                                const FaultEvaluatorFactory& make_eval,
-                                std::uint64_t seed, std::uint64_t begin_index,
-                                std::uint64_t end_index,
-                                const ExecPolicy& exec,
-                                ExecutorStats* executor) {
-  FTR_EXPECTS(f <= n);
-  FTR_EXPECTS(begin_index <= end_index);
-  // One chunk per worker, in whole lane blocks: samples cost alike, and a
-  // one-thread window (every serve request) fills its blocks with all of
-  // its samples.
-  const std::uint64_t threads = exec.resolved_threads();
-  const auto grain = static_cast<std::size_t>(
-      lane_aligned((end_index - begin_index + threads - 1) / threads));
-  return chunked_rank_scan(
-      begin_index, end_index, exec, grain, executor,
-      [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
-          const auto& aborted) {
-        (void)aborted;  // sampling never early-stops
-        const FaultEvaluator eval = make_eval();
-        std::vector<std::vector<Node>> sets;
-        std::uint32_t d[kMaxLaneWidth];
-        for (std::uint64_t at = begin; at < end; at += kMaxLaneWidth) {
-          const auto cnt = static_cast<std::size_t>(
-              std::min<std::uint64_t>(kMaxLaneWidth, end - at));
-          sets.resize(cnt);
-          for (std::size_t i = 0; i < cnt; ++i) {
-            // Sample i is a pure function of (seed, i): thread-count-proof
-            // AND partition-proof.
-            Rng rng = Rng::stream(seed, at + i);
-            const auto sample = rng.sample(n, f);
-            sets[i].assign(sample.begin(), sample.end());
-          }
-          eval(sets, d);
-          for (std::size_t i = 0; i < cnt; ++i) {
-            ++p.evaluations;
-            if (!p.any || d[i] > p.d) {
-              p.any = true;
-              p.d = d[i];
-              p.faults = sets[i];
-            }
-          }
-        }
-      });
 }
 
 namespace {
@@ -299,111 +116,126 @@ void drop_after_first_unreachable(std::vector<Climb>& climbs) {
   }
 }
 
+// Climbs restarts [begin, end) of one chunk in lockstep and folds them into
+// `p` in restart order with the serial stop rule. Polls `aborted` once per
+// round and returns with `p` untouched when it fires.
+template <typename Aborted>
+void climb_chunk(std::size_t n, std::size_t f, const FaultEvaluator& eval,
+                 std::uint64_t seed, std::uint64_t begin, std::uint64_t end,
+                 std::size_t max_steps,
+                 const std::vector<std::vector<Node>>& seeds,
+                 const Aborted& aborted, SweepPartial& p) {
+  const auto restarts = static_cast<std::size_t>(end - begin);
+  std::vector<Climb> climbs(restarts);
+  std::vector<std::vector<Node>> sets(restarts);
+  std::vector<std::uint32_t> d(restarts);
+  // Round 0 evaluates every restart's start.
+  for (std::size_t k = 0; k < restarts; ++k) {
+    const std::uint64_t restart = begin + k;
+    Climb& c = climbs[k];
+    c.rng = Rng::stream(seed, restart);
+    if (restart < seeds.size()) {
+      c.current = seeds[static_cast<std::size_t>(restart)];
+    } else {
+      const auto sample = c.rng.sample(n, f);
+      c.current.assign(sample.begin(), sample.end());
+    }
+    FTR_EXPECTS(c.current.size() == f);
+    sets[k] = c.current;
+  }
+  eval(sets, d.data());
+  for (std::size_t k = 0; k < restarts; ++k) {
+    climbs[k].best = d[k];
+    climbs[k].evaluations = 1;
+    climbs[k].live = max_steps > 0;
+  }
+  drop_after_first_unreachable(climbs);
+  // One step of every live climb per round, all through one call.
+  for (;;) {
+    if (aborted()) return;
+    std::size_t used = 0;
+    bool any_live = false;
+    for (Climb& c : climbs) {
+      if (!c.live) continue;
+      any_live = true;
+      plan_step(n, c, sets, used);
+    }
+    if (!any_live) break;
+    if (used > 0) {
+      d.resize(used);
+      eval(std::span<const std::vector<Node>>(sets.data(), used), d.data());
+    }
+    for (Climb& c : climbs) {
+      if (c.live) resolve_step(c, max_steps, sets, d.data());
+    }
+    drop_after_first_unreachable(climbs);
+  }
+  for (std::size_t k = 0; k < restarts; ++k) {
+    const Climb& c = climbs[k];
+    p.sets += c.evaluations;
+    if (!p.have_worst || c.best > p.worst_diameter) {
+      p.have_worst = true;
+      p.worst_diameter = c.best;
+      p.worst_index = begin + k;
+      p.worst_faults = c.current;
+    }
+    if (c.best == kUnreachable) {
+      p.stopped = true;
+      return;
+    }
+  }
+}
+
 }  // namespace
 
-AdvPartial hillclimb_worst_faults(std::size_t n, std::size_t f,
-                                  const FaultEvaluatorFactory& make_eval,
-                                  std::uint64_t seed,
-                                  std::uint64_t begin_restart,
-                                  std::uint64_t end_restart,
-                                  std::size_t max_steps,
-                                  const std::vector<std::vector<Node>>& seeds,
-                                  const ExecPolicy& exec,
-                                  ExecutorStats* executor) {
+SweepPartial hillclimb_worst_faults(std::size_t n, std::size_t f,
+                                    const FaultEvaluatorFactory& make_eval,
+                                    std::uint64_t seed,
+                                    std::uint64_t begin_restart,
+                                    std::uint64_t end_restart,
+                                    std::size_t max_steps,
+                                    const std::vector<std::vector<Node>>& seeds,
+                                    const ExecPolicy& exec,
+                                    ExecutorStats* executor) {
   FTR_EXPECTS(f <= n);
   FTR_EXPECTS(begin_restart <= end_restart);
   // An even share of the restarts per worker: a chunk's climbs share each
   // round's evaluator call, so the more of them, the fuller its blocks.
-  const std::uint64_t threads = exec.resolved_threads();
-  const auto grain = static_cast<std::size_t>(std::max<std::uint64_t>(
-      1, (end_restart - begin_restart + threads - 1) / threads));
-  return chunked_rank_scan(
-      begin_restart, end_restart, exec, grain, executor,
-      [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
-          const auto& aborted) {
-        const FaultEvaluator eval = make_eval();
-        const auto restarts = static_cast<std::size_t>(end - begin);
-        std::vector<Climb> climbs(restarts);
-        std::vector<std::vector<Node>> sets(restarts);
-        std::vector<std::uint32_t> d(restarts);
-        // Round 0 evaluates every restart's start.
-        for (std::size_t k = 0; k < restarts; ++k) {
-          const std::uint64_t restart = begin + k;
-          Climb& c = climbs[k];
-          c.rng = Rng::stream(seed, restart);
-          if (restart < seeds.size()) {
-            c.current = seeds[static_cast<std::size_t>(restart)];
-          } else {
-            const auto sample = c.rng.sample(n, f);
-            c.current.assign(sample.begin(), sample.end());
-          }
-          FTR_EXPECTS(c.current.size() == f);
-          sets[k] = c.current;
+  const unsigned threads = exec.resolved_threads();
+  const auto count = static_cast<std::size_t>(end_restart - begin_restart);
+  const std::size_t grain =
+      std::max<std::size_t>(1, (count + threads - 1) / threads);
+  const std::size_t chunks = num_chunks(count, grain);
+  std::vector<SweepPartial> partials(chunks);
+  // The lowest chunk that stopped. The ordered merge discards every chunk
+  // past it, so skipping those — or abandoning one mid-climb once a lower
+  // chunk stops — is a pure optimization. The per-round poll matters under
+  // the work-stealing executor: workers start deep in their own
+  // partitions rather than in ascending chunk order.
+  std::atomic<std::size_t> first_stop{chunks};
+  ExecutorStats stats;
+  parallel_for_chunks(
+      count, threads, grain,
+      [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end) {
+        const auto aborted = [&] {
+          return chunk > first_stop.load(std::memory_order_relaxed);
+        };
+        if (aborted()) return;
+        SweepPartial& p = partials[chunk];
+        climb_chunk(n, f, make_eval(), seed, begin_restart + c_begin,
+                    begin_restart + c_end, max_steps, seeds, aborted, p);
+        if (!p.stopped) return;
+        std::size_t cur = first_stop.load(std::memory_order_relaxed);
+        while (chunk < cur && !first_stop.compare_exchange_weak(
+                                  cur, chunk, std::memory_order_relaxed)) {
         }
-        eval(sets, d.data());
-        for (std::size_t k = 0; k < restarts; ++k) {
-          climbs[k].best = d[k];
-          climbs[k].evaluations = 1;
-          climbs[k].live = max_steps > 0;
-        }
-        drop_after_first_unreachable(climbs);
-        // One step of every live climb per round, all through one call.
-        for (;;) {
-          if (aborted()) return;
-          std::size_t used = 0;
-          bool any_live = false;
-          for (Climb& c : climbs) {
-            if (!c.live) continue;
-            any_live = true;
-            plan_step(n, c, sets, used);
-          }
-          if (!any_live) break;
-          if (used > 0) {
-            d.resize(used);
-            eval(std::span<const std::vector<Node>>(sets.data(), used),
-                 d.data());
-          }
-          for (Climb& c : climbs) {
-            if (c.live) resolve_step(c, max_steps, sets, d.data());
-          }
-          drop_after_first_unreachable(climbs);
-        }
-        // Fold in restart order with the serial stop rule.
-        for (const Climb& c : climbs) {
-          p.evaluations += c.evaluations;
-          if (!p.any || c.best > p.d) {
-            p.any = true;
-            p.d = c.best;
-            p.faults = c.current;
-          }
-          if (c.best == kUnreachable) {
-            p.stopped = true;
-            return;
-          }
-        }
-      });
-}
+      },
+      &stats);
+  if (executor != nullptr) executor->accumulate(stats);
 
-AdvPartial execute_adv_unit(const SrgIndex& index, const UnitSpec& unit) {
-  const std::size_t n = index.num_nodes();
-  switch (unit.kind) {
-    case UnitKind::kAdvGray:
-      return exhaustive_worst_faults_gray(index, unit.f, unit.begin, unit.end,
-                                          unit.exec, unit.stop_above);
-    case UnitKind::kAdvSampled:
-      return sampled_worst_faults(
-          n, unit.f, srg_evaluator_factory(index), unit.seed,
-          unit.begin, unit.end, unit.exec);
-    case UnitKind::kAdvClimb:
-      return hillclimb_worst_faults(
-          n, unit.f, srg_evaluator_factory(index), unit.seed,
-          unit.begin, unit.end, static_cast<std::size_t>(unit.max_steps),
-          unit.climb_seeds, unit.exec);
-    default:
-      FTR_EXPECTS_MSG(false, "unit kind " << unit_kind_name(unit.kind)
-                                          << " is not an adversary search");
-  }
-  return {};
+  SweepPartial acc;
+  for (const auto& p : partials) merge_sweep_partials(acc, p);
+  return acc;
 }
 
 }  // namespace ftr

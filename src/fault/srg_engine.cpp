@@ -190,6 +190,7 @@ SrgScratch::SrgScratch(const SrgIndex& index) : index_(&index) {
   dist_.assign(n, 0);
   queue_.reserve(n);
   parent_.assign(n, 0);
+  parent_route_.assign(n, 0);
   words_ = index.row_words_;
   visited_bits_.assign(words_, 0);
   frontier_bits_.assign(words_, 0);
@@ -653,30 +654,30 @@ std::span<const Node> SrgScratch::last_survivors() {
   return survivor_list_;
 }
 
-bool SrgScratch::pair_survives(std::uint32_t pid) const {
+std::uint32_t SrgScratch::live_route(std::uint32_t pid) const {
   const SrgIndex& ix = *index_;
   for (std::uint32_t r = ix.pair_route_off_[pid];
        r < ix.pair_route_off_[pid + 1]; ++r) {
     const PathView path = ix.route(r);
     if (std::none_of(path.begin(), path.end(),
                      [&](Node v) { return fault_stamp_[v] == epoch_; })) {
-      return true;
+      return r;
     }
   }
-  return false;
+  return kNoLiveRoute;
 }
 
-bool SrgScratch::arc_survives(Node u, Node v) const {
+std::uint32_t SrgScratch::arc_route(Node u, Node v) const {
   const SrgIndex& ix = *index_;
   if ((ix.succ_row(u)[v >> 6] & (std::uint64_t{1} << (v & 63))) == 0) {
-    return false;  // no route u -> v at all
+    return kNoLiveRoute;  // no route u -> v at all
   }
   // The base row lists exactly the ordered pairs, so the scan finds it.
   const std::uint32_t end = ix.src_pair_off_[u + 1];
   std::uint32_t k = ix.src_pair_off_[u];
   while (k < end && ix.pair_dst_[ix.src_pair_ids_[k]] != v) ++k;
   FTR_ASSERT(k < end);
-  return pair_survives(ix.src_pair_ids_[k]);
+  return live_route(ix.src_pair_ids_[k]);
 }
 
 std::span<const Node> SrgScratch::route_path(Node s, Node t) {
@@ -689,6 +690,7 @@ std::span<const Node> SrgScratch::route_path(Node s, Node t) {
                   "route_path endpoints " << s << " -> " << t
                                           << " must both survive");
   path_.clear();
+  path_routes_.clear();
   if (s == t) {
     path_.push_back(s);
     return path_;
@@ -696,8 +698,9 @@ std::span<const Node> SrgScratch::route_path(Node s, Node t) {
   // Shortcuts for the BFS below. One arc: the direct pair. Two arcs: the
   // BFS dequeues s's live successors in ascending order, so t's parent is
   // the lowest u with both s -> u and u -> t live.
-  if (arc_survives(s, t)) {
+  if (const std::uint32_t r = arc_route(s, t); r != kNoLiveRoute) {
     path_.assign({s, t});
+    path_routes_.push_back(r);
     return path_;
   }
   const std::size_t W = words_;
@@ -706,11 +709,14 @@ std::span<const Node> SrgScratch::route_path(Node s, Node t) {
   for (std::size_t w = 0; w < W; ++w) {
     for (std::uint64_t m = from_s[w] & into_t[w]; m != 0; m &= m - 1) {
       const auto u = static_cast<Node>(w * kLaneBits + std::countr_zero(m));
-      if (fault_stamp_[u] != epoch_ && arc_survives(s, u) &&
-          arc_survives(u, t)) {
-        path_.assign({s, u, t});
-        return path_;
-      }
+      if (fault_stamp_[u] == epoch_) continue;
+      const std::uint32_t r1 = arc_route(s, u);
+      if (r1 == kNoLiveRoute) continue;
+      const std::uint32_t r2 = arc_route(u, t);
+      if (r2 == kNoLiveRoute) continue;
+      path_.assign({s, u, t});
+      path_routes_.assign({r1, r2});
+      return path_;
     }
   }
   // FIFO BFS. Each dequeued node's live successors are gathered from its
@@ -727,9 +733,11 @@ std::span<const Node> SrgScratch::route_path(Node s, Node t) {
       const std::uint32_t pid = ix.src_pair_ids_[k];
       const Node v = ix.pair_dst_[pid];
       const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-      if ((visited_bits_[v >> 6] & bit) == 0 && pair_survives(pid)) {
-        next_bits_[v >> 6] |= bit;
-      }
+      if ((visited_bits_[v >> 6] & bit) != 0) continue;
+      const std::uint32_t r = live_route(pid);
+      if (r == kNoLiveRoute) continue;
+      next_bits_[v >> 6] |= bit;
+      parent_route_[v] = r;
     }
     for (std::size_t w = 0; w < W; ++w) {
       std::uint64_t fresh = next_bits_[w];
@@ -740,9 +748,13 @@ std::span<const Node> SrgScratch::route_path(Node s, Node t) {
         fresh &= fresh - 1;
         parent_[v] = u;
         if (v == t) {
-          for (Node x = t; x != s; x = parent_[x]) path_.push_back(x);
+          for (Node x = t; x != s; x = parent_[x]) {
+            path_.push_back(x);
+            path_routes_.push_back(parent_route_[x]);
+          }
           path_.push_back(s);
           std::reverse(path_.begin(), path_.end());
+          std::reverse(path_routes_.begin(), path_routes_.end());
           return path_;
         }
         queue_.push_back(v);

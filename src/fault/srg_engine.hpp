@@ -32,7 +32,8 @@
 // the current set's fault stamps: set_faults() stamps them without
 // striking (evaluate() stamps them too), and last_survivors() and
 // route_path() answer from them, testing each arc route_path walks for a
-// route that avoids every stamped fault. A set whose diameter came from a
+// route that avoids every stamped fault and keeping the first such route
+// of each arc it takes (path_routes()). A set whose diameter came from a
 // packed block is therefore never struck or turned into bitset rows, and
 // no per-set Digraph is ever materialized.
 //
@@ -57,9 +58,10 @@
 // through evaluate_block(). evaluate_sets() is the one policy for any
 // number of unrelated sets: it cuts them into lane blocks and runs a block
 // packed when it holds at least kMinAnySetBlock sets, else set by set
-// through evaluate(). Sweeps (analysis/fault_sweep.hpp) and the sampled
-// and hill-climbing adversaries (fault/adversary.hpp) evaluate through
-// it; exhaustive sweeps and checks run Gray blocks.
+// through evaluate(). Sampled and explicit sweeps (analysis/fault_sweep.hpp,
+// the check's sampled unit included) and the hill-climber
+// (fault/adversary.hpp) evaluate through it; exhaustive sweeps and checks
+// run Gray blocks.
 //
 // Semantics match fault/surviving.cpp exactly: an arc x -> y survives iff
 // some route rho(x, y) avoids every fault (endpoints included), and the
@@ -315,6 +317,11 @@ class SrgScratch {
   /// Allocation-free after warm-up.
   std::span<const Node> route_path(Node s, Node t);
 
+  /// The routes the last route_path() took, one per arc in path order:
+  /// each is the first route of its pair, in the pair's route order, that
+  /// avoids every stamped fault (index route ids; empty when no path).
+  std::span<const std::uint32_t> path_routes() const { return path_routes_; }
+
   // --- packed wide-lane Gray mode ------------------------------------------
 
   /// Evaluates `count` (1..lane_width()) CONSECUTIVE revolving-door fault
@@ -363,10 +370,12 @@ class SrgScratch {
   // faults; sizes the route/pair stamps on first use. Returns the number
   // of survivors.
   std::uint32_t strike(std::span<const Node> faults);
-  // Delivery's arc test against the fault stamps alone: whether some route
-  // of pair `pid` (of the ordered pair u -> v) avoids every stamped fault.
-  bool pair_survives(std::uint32_t pid) const;
-  bool arc_survives(Node u, Node v) const;
+  // Delivery's arc test against the fault stamps alone: the first route of
+  // pair `pid` (of the ordered pair u -> v) that avoids every stamped
+  // fault, or kNoLiveRoute.
+  static constexpr std::uint32_t kNoLiveRoute = ~std::uint32_t{0};
+  std::uint32_t live_route(std::uint32_t pid) const;
+  std::uint32_t arc_route(Node u, Node v) const;
 
   // Builds the struck set's succ/pred/alive bitmaps: the index's base rows
   // with the dead pairs' bits cleared. Lazy, once per strike.
@@ -405,7 +414,9 @@ class SrgScratch {
   // Delivery buffers (last_survivors() / route_path()).
   std::vector<Node> survivor_list_;
   std::vector<Node> parent_;
+  std::vector<std::uint32_t> parent_route_;  // the route parent_[v] -> v
   std::vector<Node> path_;
+  std::vector<std::uint32_t> path_routes_;
 
   // Bitset-kernel state. words_ = ceil(n / 64); succ/pred rows are n *
   // words_ bitmaps, copied from the index's base rows lazily per strike.

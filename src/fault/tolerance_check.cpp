@@ -4,10 +4,10 @@
 #include <sstream>
 #include <utility>
 
+#include "analysis/fault_sweep.hpp"
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
 #include "fault/fault_gen.hpp"
-#include "fault/srg_engine.hpp"
 #include "graph/bfs.hpp"
 
 namespace ftr {
@@ -40,13 +40,13 @@ ToleranceReport check_tolerance(const SrgIndex& index, std::uint32_t f,
   unit.exec = options.exec;
   std::vector<UnitSpec> plan;
   if (exhaustive) {
-    unit.kind = UnitKind::kAdvGray;
+    unit.kind = UnitKind::kSweepGray;
     unit.end = total;
     plan.push_back(unit);
   } else {
     // Independent stream roots for the two search phases, both derived from
     // the one seed so the whole report is a pure function of it.
-    unit.kind = UnitKind::kAdvSampled;
+    unit.kind = UnitKind::kSweepSampled;
     unit.seed = Rng::stream(seed, 1)();
     unit.end = options.samples;
     plan.push_back(unit);
@@ -59,19 +59,18 @@ ToleranceReport check_tolerance(const SrgIndex& index, std::uint32_t f,
     plan.push_back(std::move(unit));
   }
 
-  AdvPartial worst;
+  SweepPartial worst;
   for (const UnitSpec& u : plan) {
-    merge_adversary_partials(worst, options.runner
-                                        ? options.runner(u)
-                                        : execute_adv_unit(index, u));
+    merge_sweep_partials(worst, options.runner ? options.runner(u)
+                                               : execute_unit(index, u));
   }
 
   ToleranceReport report;
   report.claimed_bound = claimed_bound;
   report.faults = f;
-  report.worst_diameter = worst.d;
-  report.worst_faults = std::move(worst.faults);
-  report.fault_sets_checked = worst.evaluations;
+  report.worst_diameter = worst.worst_diameter;
+  report.worst_faults = std::move(worst.worst_faults);
+  report.fault_sets_checked = worst.sets;
   report.exhaustive = exhaustive;
   report.holds = report.worst_diameter <= claimed_bound;
   return report;

@@ -4,23 +4,26 @@
 // reports claimed vs. measured.
 //
 // One decision tree answers every check: when C(n, f) fits the exhaustive
-// budget it plans one kAdvGray unit over the whole Gray rank space (ground
-// truth; the witness is the first worst set in Gray order), otherwise a
-// kAdvSampled unit plus a route-load-seeded kAdvClimb unit (an adversarial
-// lower bound). The units run through ToleranceCheckOptions::runner — in
-// process by default, or split over a worker pool — and fold with
-// merge_adversary_partials. The report (verdict, witness, evaluation count)
-// is bit-identical for any runner, thread count, or lane width.
+// budget it plans one kSweepGray unit over the whole Gray rank space
+// (ground truth; the witness is the first worst set in Gray order),
+// otherwise a kSweepSampled unit without delivery plus a route-load-seeded
+// kAdvClimb unit (an adversarial lower bound). The check is a client of the
+// sweep executor: the units run through ToleranceCheckOptions::runner —
+// execute_unit in process by default, or split over a worker pool — and
+// fold with merge_sweep_partials. The report (verdict, witness, evaluation
+// count) is bit-identical for any runner, thread count, or lane width.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/exec_policy.hpp"
 #include "common/rng.hpp"
-#include "fault/adversary.hpp"
+#include "fault/srg_engine.hpp"
+#include "fault/work_unit.hpp"
 #include "graph/graph.hpp"
 #include "routing/route_table.hpp"
 
@@ -49,16 +52,16 @@ struct ToleranceCheckOptions {
   /// Extra seed sets (e.g. concentrator-targeted) for the hill-climber.
   std::vector<std::vector<Node>> seeds;
   /// How each unit executes (see common/exec_policy.hpp): threads fan the
-  /// fault sets across workers. The exhaustive Gray scan runs packed Gray
-  /// blocks; the sampled and hill-climbing searchers hand their sets to
+  /// fault sets across workers. The exhaustive unit runs packed Gray
+  /// blocks; the sampled unit and the hill-climber hand their sets to
   /// SrgScratch::evaluate_sets in batches (a chunk's samples, a lockstep
   /// round of climb steps), which runs packed any-set blocks and evaluates
   /// only short batches set by set. The report is identical for any value
   /// of any of it.
   ExecPolicy exec;
-  /// Runs the planned units; empty = in-process (execute_adv_unit over the
-  /// check's index). `check --workers N` passes DistSweepPool::run_adv.
-  AdvUnitRunner runner;
+  /// Runs the planned units; empty = in-process (execute_unit over the
+  /// check's index). `check --workers N` passes DistSweepPool::run.
+  std::function<SweepPartial(const UnitSpec&)> runner;
 };
 
 /// Route-load-targeted hill-climber seed: `options` plus the top f nodes

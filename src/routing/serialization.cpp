@@ -583,16 +583,6 @@ TableSnapshot make_table_snapshot(Graph graph, RoutingTable table,
                   "snapshot materials disagree: graph covers "
                       << graph.num_nodes() << " nodes, table covers "
                       << table.num_nodes());
-  if (table.num_pairs() != table.num_routes()) {
-    // The format stores one route per pair and no cap; name the first pair
-    // that holds more.
-    table.for_each_view([&table](Node x, Node y, PathView) {
-      const std::size_t held = table.routes(x, y).size();
-      FTR_EXPECTS_MSG(held == 1, "cannot snapshot a multirouting: pair ("
-                                     << x << "," << y << ") holds " << held
-                                     << " routes");
-    });
-  }
   TableSnapshot snap;
   snap.index = std::make_shared<const SrgIndex>(table);
   snap.route_load_ranking = nodes_by_route_load(table);
@@ -611,6 +601,16 @@ void save_table_snapshot(const TableSnapshot& snapshot, std::ostream& os) {
   const SrgIndex& ix = *snapshot.index;
   FTR_EXPECTS_MSG(g.num_nodes() == t.num_nodes(),
                   "snapshot materials disagree on the node count");
+  if (t.num_pairs() != t.num_routes()) {
+    // The format stores one route per pair and no cap; name the first pair
+    // that holds more.
+    t.for_each_view([&t](Node x, Node y, PathView) {
+      const std::size_t held = t.routes(x, y).size();
+      FTR_EXPECTS_MSG(held == 1, "cannot snapshot a multirouting: pair ("
+                                     << x << "," << y << ") holds " << held
+                                     << " routes");
+    });
+  }
   // Only the index's node -> routes lists are written; its routes are the
   // table's, so it must be the index built from (or loaded with) `t`.
   FTR_EXPECTS_MSG(SnapshotAccess::index_shares_table(ix, t),

@@ -106,12 +106,15 @@ struct TableSnapshot {
 };
 
 /// Derives the precomputed members (SrgIndex, route-load ranking) from the
-/// materials. graph/table node counts must match, and the table must hold
-/// one route per pair (the format has no cap); `plan` is stored as-is.
+/// materials, for any table (a multirouting included); graph/table node
+/// counts must match. `plan` is stored as-is.
 TableSnapshot make_table_snapshot(Graph graph, RoutingTable table,
                                   Plan plan = {});
 
 /// Writes the sectioned binary container. The stream must be binary-mode.
+/// The table must hold one route per pair (the format has no cap): a
+/// multirouting is refused with a ContractViolation naming a pair that
+/// holds more.
 void save_table_snapshot(const TableSnapshot& snapshot, std::ostream& os);
 void save_table_snapshot_file(const TableSnapshot& snapshot,
                               const std::string& path);

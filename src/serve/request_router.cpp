@@ -271,11 +271,11 @@ std::string execute_request(const ServeRequest& request,
       opts.seed = request.seed;
       opts.delivery_pairs = request.pairs;
       const FaultSweepSummary summary =
-          summarize_sweep_partial(execute_sweep_unit(
-              table.table, *table.index,
-              sweep_unit(request.exhaustive ? UnitKind::kSweepGray
-                                            : UnitKind::kSweepSampled,
-                         request.faults, total, opts)));
+          summarize_sweep_partial(execute_unit(
+              *table.index, sweep_unit(request.exhaustive
+                                           ? UnitKind::kSweepGray
+                                           : UnitKind::kSweepSampled,
+                                       request.faults, total, opts)));
       os << " sets=" << summary.total_sets
          << " worst=" << fmt_diameter(summary.worst_diameter)
          << " worst_index=" << summary.worst_index
@@ -306,7 +306,7 @@ std::string execute_request(const ServeRequest& request,
       const auto res = scratch->evaluate(request.fault_list);
       Rng rng(request.seed);
       const auto delivery =
-          measure_delivery(table.table, *scratch, request.pairs, rng);
+          measure_delivery(*scratch, request.pairs, rng);
       os << " faults=" << join_nodes(request.fault_list)
          << " diameter=" << fmt_diameter(res.diameter)
          << " survivors=" << res.survivors << " arcs=" << res.arcs

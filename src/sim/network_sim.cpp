@@ -2,13 +2,12 @@
 
 #include <algorithm>
 
-#include "common/contracts.hpp"
 
 namespace ftr {
 
-DeliveryStats measure_delivery(const RoutingTable& table, SrgScratch& scratch,
-                               std::size_t sample_pairs, Rng& rng) {
-  FTR_EXPECTS(scratch.num_nodes() == table.num_nodes());
+DeliveryStats measure_delivery(SrgScratch& scratch, std::size_t sample_pairs,
+                               Rng& rng) {
+  const SrgIndex& index = scratch.index();
   const std::span<const Node> nodes = scratch.last_survivors();
   DeliveryStats stats;
   if (nodes.size() < 2) return stats;
@@ -22,10 +21,8 @@ DeliveryStats measure_delivery(const RoutingTable& table, SrgScratch& scratch,
     if (path.empty()) return;
     const auto route_hops = static_cast<std::uint32_t>(path.size() - 1);
     std::uint64_t edge_hops = 0;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const PathView leg = table.route(path[i], path[i + 1]);
-      FTR_ASSERT_MSG(!leg.null(), "surviving arc without a route");
-      edge_hops += leg.hops();
+    for (const std::uint32_t r : scratch.path_routes()) {
+      edge_hops += index.route(r).hops();
     }
     ++stats.delivered;
     total_route_hops += route_hops;

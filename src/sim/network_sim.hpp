@@ -9,6 +9,9 @@
 // set_faults() or an evaluation): messages follow SrgScratch::route_path,
 // which tests each arc it walks against the set's fault stamps, so
 // measuring a set needs no strike, no bitset rows and no per-set graph.
+// Each arc's edge hops are those of the route the message actually takes
+// (SrgScratch::path_routes): on a multirouting, the pair's first route
+// that avoids the faults, not merely its first route.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +19,6 @@
 #include "common/rng.hpp"
 #include "fault/srg_engine.hpp"
 #include "graph/graph.hpp"
-#include "routing/route_table.hpp"
 
 namespace ftr {
 
@@ -38,11 +40,9 @@ struct DeliveryStats {
 /// Samples ordered pairs of survivors of the set `scratch` holds (its last
 /// set_faults() or evaluation) and routes a message from source to target
 /// through that set's surviving route graph (fewest route traversals,
-/// SrgScratch::route_path; edge hops accumulated along the realized route
-/// sequence).
-/// `sample_pairs` = 0 measures all ordered pairs. The scratch must come
-/// from an index over `table`.
-DeliveryStats measure_delivery(const RoutingTable& table, SrgScratch& scratch,
-                               std::size_t sample_pairs, Rng& rng);
+/// SrgScratch::route_path; edge hops summed over the live routes it took).
+/// `sample_pairs` = 0 measures all ordered pairs.
+DeliveryStats measure_delivery(SrgScratch& scratch, std::size_t sample_pairs,
+                               Rng& rng);
 
 }  // namespace ftr

@@ -1,10 +1,10 @@
-// Test oracles for the sampled and hill-climbing adversaries: the plain
-// serial searchers, one evaluator call per fault set. Sample i is drawn
-// from Rng::stream(seed, i); restart i climbs with Rng::stream(seed, i)
-// from seeds[i] or a uniform sample, one first-improvement swap per step.
-// They share no code with the library's batched searchers (sampled lane
-// blocks, lockstep speculative climbs), which is what makes them useful
-// oracles: every AdvPartial field must match.
+// Test oracles for the check's two adversarial units: the plain serial
+// searchers, one evaluator call per fault set. Sample i is drawn from
+// Rng::stream(seed, i); restart i climbs with Rng::stream(seed, i) from
+// seeds[i] or a uniform sample, one first-improvement swap per step. They
+// share no code with the library's batched paths (a kSweepSampled unit's
+// lane blocks, the lockstep speculative climbs), which is what makes them
+// useful oracles: every SweepPartial field they fill must match.
 //
 // Also the adapter that turns a per-set evaluator (the toy landscapes, the
 // one-shot surviving_diameter) into the library's batch FaultEvaluator.
@@ -20,6 +20,7 @@
 
 #include "common/rng.hpp"
 #include "fault/adversary.hpp"
+#include "fault/work_unit.hpp"
 #include "fault/srg_engine.hpp"
 #include "graph/bfs.hpp"
 
@@ -47,21 +48,31 @@ inline SetEvaluator srg_set_evaluator(const SrgIndex& index) {
   };
 }
 
-/// Serial sampling over sample indices [begin, end).
-inline AdvPartial sampled_oracle(std::size_t n, std::size_t f,
-                                 const SetEvaluator& eval, std::uint64_t seed,
-                                 std::uint64_t begin, std::uint64_t end) {
-  AdvPartial p;
+/// Serial sampling over sample indices [begin, end): what a kSweepSampled
+/// unit without delivery returns, histogram included.
+inline SweepPartial sampled_oracle(std::size_t n, std::size_t f,
+                                   const SetEvaluator& eval, std::uint64_t seed,
+                                   std::uint64_t begin, std::uint64_t end) {
+  SweepPartial p;
   for (std::uint64_t i = begin; i < end; ++i) {
     Rng rng = Rng::stream(seed, i);
     const auto sample = rng.sample(n, f);
     std::vector<Node> faults(sample.begin(), sample.end());
     const std::uint32_t d = eval(faults);
-    ++p.evaluations;
-    if (!p.any || d > p.d) {
-      p.any = true;
-      p.d = d;
-      p.faults = std::move(faults);
+    ++p.sets;
+    if (d == kUnreachable) {
+      ++p.disconnected;
+    } else {
+      if (d >= p.diameter_histogram.size()) {
+        p.diameter_histogram.resize(d + 1, 0);
+      }
+      ++p.diameter_histogram[d];
+    }
+    if (!p.have_worst || d > p.worst_diameter) {
+      p.have_worst = true;
+      p.worst_diameter = d;
+      p.worst_index = i;
+      p.worst_faults = std::move(faults);
     }
   }
   return p;
@@ -105,12 +116,13 @@ inline std::pair<std::vector<Node>, std::uint32_t> climb(
 }
 
 /// Serial hill-climbing over restart indices [begin, end); a restart
-/// reaching kUnreachable stops the search.
-inline AdvPartial hillclimb_oracle(
+/// reaching kUnreachable stops the search. `sets` counts evaluations and
+/// worst_index is the winning restart.
+inline SweepPartial hillclimb_oracle(
     std::size_t n, std::size_t f, const SetEvaluator& eval, std::uint64_t seed,
     std::uint64_t begin, std::uint64_t end, std::size_t max_steps,
     const std::vector<std::vector<Node>>& seeds = {}) {
-  AdvPartial p;
+  SweepPartial p;
   for (std::uint64_t restart = begin; restart < end; ++restart) {
     Rng rng = Rng::stream(seed, restart);
     std::vector<Node> start;
@@ -123,11 +135,12 @@ inline AdvPartial hillclimb_oracle(
     std::uint64_t evaluations = 0;
     auto [faults, d] =
         climb(n, eval, std::move(start), max_steps, rng, evaluations);
-    p.evaluations += evaluations;
-    if (!p.any || d > p.d) {
-      p.any = true;
-      p.d = d;
-      p.faults = std::move(faults);
+    p.sets += evaluations;
+    if (!p.have_worst || d > p.worst_diameter) {
+      p.have_worst = true;
+      p.worst_diameter = d;
+      p.worst_index = restart;
+      p.worst_faults = std::move(faults);
     }
     if (d == kUnreachable) {
       p.stopped = true;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/fault_sweep.hpp"
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
 #include "core/planner.hpp"
@@ -28,29 +29,53 @@ SetEvaluator sum_eval() {
 
 FaultEvaluatorFactory sum_factory() { return batch_factory(sum_eval()); }
 
-TEST(Adversary, GrayMatchesLexOracleOnRealRouting) {
+// The check's sampled unit: no delivery, sets from Rng::stream(seed, i).
+UnitSpec sampled_unit(std::size_t f, std::uint64_t seed, std::uint64_t begin,
+                      std::uint64_t end, const ExecPolicy& exec = {}) {
+  UnitSpec unit;
+  unit.kind = UnitKind::kSweepSampled;
+  unit.f = static_cast<std::uint32_t>(f);
+  unit.seed = seed;
+  unit.begin = begin;
+  unit.end = end;
+  unit.exec = exec;
+  return unit;
+}
+
+// The check's exhaustive unit is a Gray sweep unit over every rank.
+TEST(Adversary, GrayUnitMatchesLexOracleOnRealRouting) {
   const auto gg = cycle_graph(10);
   const auto kr = build_kernel_routing(gg.graph, 1);
   const SrgIndex index(kr.table);
   const auto lex = lex_worst_faults(10, 2, [&](const std::vector<Node>& f) {
     return surviving_diameter(kr.table, f);
   });
-  const auto gray = exhaustive_worst_faults_gray(index, 2, 0, binomial(10, 2));
-  EXPECT_EQ(gray.d, lex.worst_diameter);
-  EXPECT_EQ(gray.evaluations, lex.evaluations);
+  UnitSpec unit;
+  unit.kind = UnitKind::kSweepGray;
+  unit.f = 2;
+  unit.end = binomial(10, 2);
+  const SweepPartial gray = execute_unit(index, unit);
+  EXPECT_EQ(gray.worst_diameter, lex.worst_diameter);
+  EXPECT_EQ(gray.sets, lex.evaluations);
   EXPECT_FALSE(gray.stopped);
   // The Gray witness may differ from the lexicographic one, but it must
   // attain the maximum.
-  EXPECT_EQ(surviving_diameter(kr.table, gray.faults), gray.d);
+  EXPECT_EQ(surviving_diameter(kr.table, gray.worst_faults),
+            gray.worst_diameter);
 }
 
-TEST(Adversary, SampledStaysBelowExhaustive) {
-  const auto ex = lex_worst_faults(8, 2, sum_eval());
-  const auto sa = sampled_worst_faults(8, 2, sum_factory(), /*seed=*/1, 0, 20);
-  EXPECT_LE(sa.d, ex.worst_diameter);
-  EXPECT_EQ(sa.evaluations, 20u);
+TEST(Adversary, SampledUnitStaysBelowExhaustive) {
+  const auto gg = cycle_graph(10);
+  const auto kr = build_kernel_routing(gg.graph, 1);
+  const SrgIndex index(kr.table);
+  const auto ex = lex_worst_faults(10, 2, [&](const std::vector<Node>& f) {
+    return surviving_diameter(kr.table, f);
+  });
+  const SweepPartial sa = execute_unit(index, sampled_unit(2, 1, 0, 20));
+  EXPECT_LE(sa.worst_diameter, ex.worst_diameter);
+  EXPECT_EQ(sa.sets, 20u);
   // Re-evaluating the witness reproduces the reported diameter.
-  EXPECT_EQ(sum_eval()(sa.faults), sa.d);
+  EXPECT_EQ(surviving_diameter(kr.table, sa.worst_faults), sa.worst_diameter);
 }
 
 TEST(Adversary, HillclimbFindsSyntheticOptimum) {
@@ -58,24 +83,26 @@ TEST(Adversary, HillclimbFindsSyntheticOptimum) {
   // global optimum {n-2, n-1}.
   const auto r =
       hillclimb_worst_faults(12, 2, sum_factory(), /*seed=*/2, 0, 4, 50);
-  EXPECT_EQ(r.d, 10u + 11u);
-  EXPECT_EQ(sum_eval()(r.faults), r.d);
+  EXPECT_EQ(r.worst_diameter, 10u + 11u);
+  EXPECT_EQ(sum_eval()(r.worst_faults), r.worst_diameter);
 }
 
 TEST(Adversary, HillclimbUsesSeeds) {
   // Seed directly at the optimum: zero steps needed.
   const auto r = hillclimb_worst_faults(12, 2, sum_factory(), /*seed=*/3, 0,
                                         1, 0, {{10u, 11u}});
-  EXPECT_EQ(r.d, 21u);
-  EXPECT_EQ(r.evaluations, 1u);
+  EXPECT_EQ(r.worst_diameter, 21u);
+  EXPECT_EQ(r.sets, 1u);
+  EXPECT_EQ(r.worst_index, 0u);
+  EXPECT_TRUE(r.diameter_histogram.empty());
 }
 
 TEST(Adversary, HillclimbZeroFaults) {
   const auto r = hillclimb_worst_faults(5, 0, sum_factory(), /*seed=*/4, 0, 1,
                                         8);
-  EXPECT_EQ(r.d, 0u);
-  EXPECT_EQ(r.evaluations, 1u);
-  EXPECT_TRUE(r.faults.empty());
+  EXPECT_EQ(r.worst_diameter, 0u);
+  EXPECT_EQ(r.sets, 1u);
+  EXPECT_TRUE(r.worst_faults.empty());
 }
 
 TEST(Adversary, HillclimbMatchesExhaustiveOnRealRouting) {
@@ -89,33 +116,37 @@ TEST(Adversary, HillclimbMatchesExhaustiveOnRealRouting) {
   });
   const auto hc = hillclimb_worst_faults(10, 1, srg_evaluator_factory(index),
                                          /*seed=*/5, 0, 4, 20);
-  EXPECT_EQ(hc.d, ex.worst_diameter);
+  EXPECT_EQ(hc.worst_diameter, ex.worst_diameter);
 }
 
 // Windows folded in order equal the whole-space search: the property the
 // check decision tree and the worker pool both rely on.
 TEST(Adversary, WindowsFoldLikeOneSearch) {
-  const auto whole_s = sampled_worst_faults(20, 3, sum_factory(), 9, 0, 50);
+  const auto gg = torus_graph(4, 5);
+  const auto kr = build_kernel_routing(gg.graph, 3);
+  const SrgIndex index(kr.table);
+  const auto whole_s = execute_unit(index, sampled_unit(3, 9, 0, 50));
   const auto whole_c = hillclimb_worst_faults(20, 3, sum_factory(), 9, 0, 6, 4);
   for (const std::uint64_t cut : {1u, 17u, 49u}) {
-    AdvPartial s;
-    merge_adversary_partials(s, sampled_worst_faults(20, 3, sum_factory(), 9,
-                                                     0, cut));
-    merge_adversary_partials(s, sampled_worst_faults(20, 3, sum_factory(), 9,
-                                                     cut, 50));
-    EXPECT_EQ(s.d, whole_s.d);
-    EXPECT_EQ(s.faults, whole_s.faults);
-    EXPECT_EQ(s.evaluations, whole_s.evaluations);
+    SweepPartial s;
+    merge_sweep_partials(s, execute_unit(index, sampled_unit(3, 9, 0, cut)));
+    merge_sweep_partials(s, execute_unit(index, sampled_unit(3, 9, cut, 50)));
+    EXPECT_EQ(s.worst_diameter, whole_s.worst_diameter);
+    EXPECT_EQ(s.worst_index, whole_s.worst_index);
+    EXPECT_EQ(s.worst_faults, whole_s.worst_faults);
+    EXPECT_EQ(s.sets, whole_s.sets);
+    EXPECT_EQ(s.diameter_histogram, whole_s.diameter_histogram);
   }
   for (const std::uint64_t cut : {1u, 3u, 5u}) {
-    AdvPartial c;
-    merge_adversary_partials(c, hillclimb_worst_faults(20, 3, sum_factory(), 9,
-                                                       0, cut, 4));
-    merge_adversary_partials(c, hillclimb_worst_faults(20, 3, sum_factory(), 9,
-                                                       cut, 6, 4));
-    EXPECT_EQ(c.d, whole_c.d);
-    EXPECT_EQ(c.faults, whole_c.faults);
-    EXPECT_EQ(c.evaluations, whole_c.evaluations);
+    SweepPartial c;
+    merge_sweep_partials(c, hillclimb_worst_faults(20, 3, sum_factory(), 9, 0,
+                                                   cut, 4));
+    merge_sweep_partials(c, hillclimb_worst_faults(20, 3, sum_factory(), 9,
+                                                   cut, 6, 4));
+    EXPECT_EQ(c.worst_diameter, whole_c.worst_diameter);
+    EXPECT_EQ(c.worst_index, whole_c.worst_index);
+    EXPECT_EQ(c.worst_faults, whole_c.worst_faults);
+    EXPECT_EQ(c.sets, whole_c.sets);
   }
 }
 
@@ -139,19 +170,22 @@ FaultEvaluatorFactory pinned_factory(const SrgIndex& index, unsigned lanes) {
   };
 }
 
-void expect_same(const AdvPartial& got, const AdvPartial& want,
+void expect_same(const SweepPartial& got, const SweepPartial& want,
                  const std::string& what) {
-  EXPECT_EQ(got.d, want.d) << what;
-  EXPECT_EQ(got.faults, want.faults) << what;
-  EXPECT_EQ(got.evaluations, want.evaluations) << what;
+  EXPECT_EQ(got.sets, want.sets) << what;
+  EXPECT_EQ(got.diameter_histogram, want.diameter_histogram) << what;
+  EXPECT_EQ(got.disconnected, want.disconnected) << what;
+  EXPECT_EQ(got.have_worst, want.have_worst) << what;
+  EXPECT_EQ(got.worst_diameter, want.worst_diameter) << what;
+  EXPECT_EQ(got.worst_index, want.worst_index) << what;
+  EXPECT_EQ(got.worst_faults, want.worst_faults) << what;
   EXPECT_EQ(got.stopped, want.stopped) << what;
-  EXPECT_EQ(got.any, want.any) << what;
 }
 
-AdvPartial fold(const AdvPartial& a, const AdvPartial& b) {
-  AdvPartial acc;
-  merge_adversary_partials(acc, a);
-  merge_adversary_partials(acc, b);
+SweepPartial fold(const SweepPartial& a, const SweepPartial& b) {
+  SweepPartial acc;
+  merge_sweep_partials(acc, a);
+  merge_sweep_partials(acc, b);
   return acc;
 }
 
@@ -191,11 +225,12 @@ std::vector<AdvTable> differential_tables() {
   return tables;
 }
 
-// Every AdvPartial field of both searchers equals the serial oracle's, on
-// whole windows and on split windows folded in order, at every thread
-// count and pinned lane width; the library's own factory and
-// execute_adv_unit agree too.
-TEST(Adversary, BatchedSearchersMatchSerialOracleOnRealTables) {
+// Every partial field of the check's sampled unit and of the climb equals
+// the serial oracle's, on whole windows and on split windows folded in
+// order, at every thread count; the sampled unit across batch sizes, and
+// the climb at every pinned lane width, with the library's own factory
+// (through execute_unit) agreeing too.
+TEST(Adversary, SampledUnitAndClimbMatchSerialOracleOnRealTables) {
   bool saw_stop = false;
   for (const AdvTable& t : differential_tables()) {
     const SrgIndex& index = *t.index;
@@ -223,16 +258,24 @@ TEST(Adversary, BatchedSearchersMatchSerialOracleOnRealTables) {
     expect_same(fold(want_c_lo, want_c_hi), want_c, t.name + " oracle split");
 
     for (const unsigned threads : kThreads) {
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{96},
+                                      std::size_t{1024}}) {
+        const ExecPolicy exec{.threads = threads, .batch_size = batch};
+        const std::string what = t.name + " f=" + std::to_string(t.f) +
+                                 " threads=" + std::to_string(threads) +
+                                 " batch=" + std::to_string(batch);
+        expect_same(execute_unit(index, sampled_unit(t.f, 11, 0, 200, exec)),
+                    want_s, what + " sampled");
+        expect_same(
+            execute_unit(index, sampled_unit(t.f, 11, 77, 200, exec)),
+            want_s_hi, what + " sampled [77, 200)");
+      }
       const ExecPolicy exec{.threads = threads};
       for (const unsigned lanes : kLaneWidths) {
         const std::string what = t.name + " f=" + std::to_string(t.f) +
                                  " threads=" + std::to_string(threads) +
                                  " lanes=" + std::to_string(lanes);
         const auto make = pinned_factory(index, lanes);
-        expect_same(sampled_worst_faults(n, t.f, make, 11, 0, 200, exec),
-                    want_s, what + " sampled");
-        expect_same(sampled_worst_faults(n, t.f, make, 11, 77, 200, exec),
-                    want_s_hi, what + " sampled [77, 200)");
         expect_same(
             hillclimb_worst_faults(n, t.f, make, 12, 0, 6, 24, seeds, exec),
             want_c, what + " climb");
@@ -245,20 +288,14 @@ TEST(Adversary, BatchedSearchersMatchSerialOracleOnRealTables) {
         expect_same(fold(lo, hi), want_c, what + " climb folded");
       }
       UnitSpec unit;
+      unit.kind = UnitKind::kAdvClimb;
       unit.f = static_cast<std::uint32_t>(t.f);
       unit.exec = exec;
-      unit.kind = UnitKind::kAdvSampled;
-      unit.seed = 11;
-      unit.end = 200;
-      expect_same(execute_adv_unit(index, unit), want_s,
-                  t.name + " sampled unit");
-      unit.kind = UnitKind::kAdvClimb;
       unit.seed = 12;
       unit.end = 6;
       unit.max_steps = 24;
       unit.climb_seeds = seeds;
-      expect_same(execute_adv_unit(index, unit), want_c,
-                  t.name + " climb unit");
+      expect_same(execute_unit(index, unit), want_c, t.name + " climb unit");
     }
   }
   // hypercube(5) at f = 5 disconnects: the stop path ran.
@@ -305,11 +342,11 @@ TEST(Adversary, LockstepClimbStopsAtMaxSteps) {
   // The sum landscape always has an improving swap until {37, 38, 39}, so
   // two steps end every climb short of it.
   const auto want = hillclimb_oracle(40, 3, sum_eval(), 22, 0, 5, 2);
-  EXPECT_LT(want.d, 37u + 38u + 39u);
+  EXPECT_LT(want.worst_diameter, 37u + 38u + 39u);
   expect_climb_matches(40, 3, sum_eval(), 22, 0, 5, 2, {}, "max_steps=2");
   expect_climb_matches(40, 3, sum_eval(), 22, 0, 5, 0, {}, "max_steps=0");
   const auto none = hillclimb_worst_faults(40, 3, sum_factory(), 22, 0, 5, 0);
-  EXPECT_EQ(none.evaluations, 5u);  // the starts alone
+  EXPECT_EQ(none.sets, 5u);  // the starts alone
 }
 
 TEST(Adversary, LockstepClimbStopsAtTheFirstDisconnectedRestart) {
@@ -324,23 +361,24 @@ TEST(Adversary, LockstepClimbStopsAtTheFirstDisconnectedRestart) {
   const std::vector<std::vector<Node>> seeds = {{0, 1}, {2, 3}, {3, 14}};
   const auto want = hillclimb_oracle(16, 2, eval, 23, 0, 8, 6, seeds);
   ASSERT_TRUE(want.stopped);
-  EXPECT_EQ(want.d, kUnreachable);
-  EXPECT_EQ(want.faults, (std::vector<Node>{15, 14}));
+  EXPECT_EQ(want.worst_diameter, kUnreachable);
+  EXPECT_EQ(want.worst_faults, (std::vector<Node>{15, 14}));
+  EXPECT_EQ(want.worst_index, 2u);
   const auto first_two = hillclimb_oracle(16, 2, eval, 23, 0, 2, 6, seeds);
   EXPECT_FALSE(first_two.stopped);
-  EXPECT_GT(want.evaluations, first_two.evaluations);
+  EXPECT_GT(want.sets, first_two.sets);
   expect_climb_matches(16, 2, eval, 23, 0, 8, 6, seeds, "stop at restart 2");
   // A start that is already disconnected still scans one step, counted.
   const std::vector<std::vector<Node>> dead_start = {{0, 1}, {14, 15}};
   expect_climb_matches(16, 2, eval, 23, 0, 8, 6, dead_start, "dead start");
   for (std::uint64_t cut = 1; cut < 8; ++cut) {
-    AdvPartial c;
-    merge_adversary_partials(c, hillclimb_worst_faults(
-                                    16, 2, batch_factory(eval), 23, 0, cut, 6,
-                                    seeds, ExecPolicy{.threads = 2}));
-    merge_adversary_partials(c, hillclimb_worst_faults(
-                                    16, 2, batch_factory(eval), 23, cut, 8, 6,
-                                    seeds, ExecPolicy{.threads = 2}));
+    SweepPartial c;
+    merge_sweep_partials(c, hillclimb_worst_faults(
+                                16, 2, batch_factory(eval), 23, 0, cut, 6,
+                                seeds, ExecPolicy{.threads = 2}));
+    merge_sweep_partials(c, hillclimb_worst_faults(
+                                16, 2, batch_factory(eval), 23, cut, 8, 6,
+                                seeds, ExecPolicy{.threads = 2}));
     expect_same(c, want, "cut " + std::to_string(cut));
   }
 }
@@ -353,7 +391,8 @@ TEST(Adversary, LockstepClimbWithMoreSeedsThanRestarts) {
   expect_climb_matches(30, 2, sum_eval(), 24, 8, 13, 8, seeds, "[8, 13)");
 }
 
-TEST(Adversary, ExecuteAdvUnitRejectsSweepUnits) {
+// One executor runs every unit kind the check plans.
+TEST(Adversary, ExecuteUnitRunsEveryCheckUnitKind) {
   const auto gg = cycle_graph(6);
   const auto kr = build_kernel_routing(gg.graph, 1);
   const SrgIndex index(kr.table);
@@ -361,9 +400,14 @@ TEST(Adversary, ExecuteAdvUnitRejectsSweepUnits) {
   unit.kind = UnitKind::kSweepGray;
   unit.f = 1;
   unit.end = 6;
-  EXPECT_THROW(execute_adv_unit(index, unit), ContractViolation);
-  unit.kind = UnitKind::kAdvGray;
-  EXPECT_EQ(execute_adv_unit(index, unit).evaluations, 6u);
+  EXPECT_EQ(execute_unit(index, unit).sets, 6u);
+  unit.kind = UnitKind::kSweepSampled;
+  unit.end = 9;
+  EXPECT_EQ(execute_unit(index, unit).sets, 9u);
+  unit.kind = UnitKind::kAdvClimb;
+  unit.end = 2;
+  unit.max_steps = 0;
+  EXPECT_EQ(execute_unit(index, unit).sets, 2u);  // the starts alone
 }
 
 }  // namespace

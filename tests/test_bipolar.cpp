@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/fault_sweep.hpp"
 #include "analysis/two_trees.hpp"
 #include "common/contracts.hpp"
-#include "fault/adversary.hpp"
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
@@ -148,10 +148,12 @@ TEST(Bipolar, SparseRandomGraphEndToEnd) {
     const std::uint32_t t = kappa - 1;
     const auto br = build_bipolar_unidirectional(gg.graph, t, *w);
     const SrgIndex index(br.table);
-    const FaultEvaluatorFactory make_eval = srg_evaluator_factory(index);
-    const auto res = sampled_worst_faults(60, t, make_eval, /*seed=*/77, 0,
-                                          /*samples=*/150);
-    EXPECT_LE(res.d, 4u);
+    UnitSpec unit;
+    unit.kind = UnitKind::kSweepSampled;
+    unit.f = t;
+    unit.seed = 77;
+    unit.end = 150;  // samples
+    EXPECT_LE(execute_unit(index, unit).worst_diameter, 4u);
     return;  // one successful sample suffices
   }
   GTEST_SKIP() << "no 3-connected two-trees cubic sample found";

@@ -14,7 +14,9 @@
 #include "common/contracts.hpp"
 #include "dist/wire.hpp"
 #include "dist/worker.hpp"
+#include "fault/tolerance_check.hpp"
 #include "gen/generators.hpp"
+#include "graph/bfs.hpp"
 #include "routing/kernel.hpp"
 #include "routing/serialization.hpp"
 
@@ -82,7 +84,6 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   u.seed = 0xdeadbeefcafe;
   u.delivery_pairs = 5;
   u.max_steps = 13;
-  u.stop_above = 4;
   u.exec.batch_size = 77;
   u.exec.threads = 2;
   u.sets = {{1, 2, 3}, {4, 5}};
@@ -96,7 +97,6 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   EXPECT_EQ(d.seed, u.seed);
   EXPECT_EQ(d.delivery_pairs, u.delivery_pairs);
   EXPECT_EQ(d.max_steps, u.max_steps);
-  EXPECT_EQ(d.stop_above, u.stop_above);
   EXPECT_EQ(d.exec.batch_size, u.exec.batch_size);
   EXPECT_EQ(d.exec.threads, u.exec.threads);
   EXPECT_EQ(d.sets, u.sets);
@@ -115,6 +115,7 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   sp.route_hops_total = 123;
   sp.max_route_hops = 7;
   sp.max_edge_hops = 15;
+  sp.stopped = true;
   const auto [sid, sd] = decode_sweep_result(encode_sweep_result(42, sp));
   EXPECT_EQ(sid, 42u);
   EXPECT_EQ(sd.sets, sp.sets);
@@ -126,20 +127,9 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   EXPECT_EQ(sd.worst_faults, sp.worst_faults);
   EXPECT_EQ(sd.route_hops_total, sp.route_hops_total);
   EXPECT_EQ(sd.max_edge_hops, sp.max_edge_hops);
-
-  AdvPartial ap;
-  ap.d = 5;
-  ap.faults = {1, 9};
-  ap.evaluations = 1000;
-  ap.any = true;
-  ap.stopped = true;
-  const auto [aid, ad] = decode_adv_result(encode_adv_result(3, ap));
-  EXPECT_EQ(aid, 3u);
-  EXPECT_EQ(ad.d, ap.d);
-  EXPECT_EQ(ad.faults, ap.faults);
-  EXPECT_EQ(ad.evaluations, ap.evaluations);
-  EXPECT_EQ(ad.any, ap.any);
-  EXPECT_EQ(ad.stopped, ap.stopped);
+  EXPECT_EQ(sd.stopped, sp.stopped);
+  sp.stopped = false;
+  EXPECT_FALSE(decode_sweep_result(encode_sweep_result(42, sp)).second.stopped);
 
   const auto [eid, msg] = decode_error(encode_error(~std::uint64_t{0}, "boom"));
   EXPECT_EQ(eid, ~std::uint64_t{0});
@@ -187,14 +177,20 @@ TEST(DistWire, HugeListCountsAreRejectedBeforeAllocation) {
   }
 }
 
-// Unit kinds are checked at decode time. 5 was the retired lexicographic
-// scan; a frame still carrying it must be refused, as must any kind the
-// enum never had.
+// Unit kinds and frame types are checked at decode time. Unit kinds 4, 5
+// and 6 were the retired adversary scans (Gray, lexicographic, sampled)
+// and frame type 4 their result; a frame still carrying one must be
+// refused, as must any kind or type the enums never had.
 TEST(DistWire, UnknownUnitKindsAreRejected) {
-  for (const std::uint32_t kind : {5u, 0u, 8u, 0xffffffffu}) {
+  for (const std::uint32_t kind : {4u, 5u, 6u, 0u, 8u, 0xffffffffu}) {
     auto payload = encode_unit(UnitSpec{});
     for (int i = 0; i < 4; ++i) payload[i] = (kind >> (8 * i)) & 0xff;
     EXPECT_THROW(decode_unit(payload), ContractViolation) << "kind " << kind;
+  }
+  for (const std::uint32_t type : {4u, 0u, 1u, 5u, 7u, 0xffffffffu}) {
+    auto buf = pack_frame(static_cast<FrameType>(type), encode_error(0, "x"));
+    WireFrame frame;
+    EXPECT_THROW(pop_frame(buf, frame), ContractViolation) << "type " << type;
   }
 }
 
@@ -269,7 +265,7 @@ TEST(DistSweep, SampledSweepWithDeliveryMatchesInProcess) {
   for (const unsigned workers : {1u, 3u}) {
     DistSweepPool pool(rig.snap, "", rig.pool_options(workers, 13));
     const auto got = summarize_sweep_partial(
-        pool.run_sweep(sweep_unit(UnitKind::kSweepSampled, 2, 60, opts)));
+        pool.run(sweep_unit(UnitKind::kSweepSampled, 2, 60, opts)));
     expect_summary_equal(got, want);
   }
 }
@@ -317,20 +313,18 @@ TEST(DistSweep, ExplicitUnitSweepsExactlyItsWindow) {
     std::vector<Node> s;
     while (src.next(s)) whole.sets.push_back(s);
   }
-  const auto want = summarize_sweep_partial(
-      execute_sweep_unit(rig.kr.table, *rig.snap.index, whole));
+  const auto want =
+      summarize_sweep_partial(execute_unit(*rig.snap.index, whole));
   EXPECT_EQ(want.total_sets, 10u);
   DistSweepPool pool(rig.snap, "", rig.pool_options(2, 3));
-  expect_summary_equal(summarize_sweep_partial(pool.run_sweep(whole)), want);
+  expect_summary_equal(summarize_sweep_partial(pool.run(whole)), want);
 
   UnitSpec bad = whole;
   bad.end = 3;
-  EXPECT_THROW(execute_sweep_unit(rig.kr.table, *rig.snap.index, bad),
-               ContractViolation);
+  EXPECT_THROW(execute_unit(*rig.snap.index, bad), ContractViolation);
   bad = whole;
   bad.sets.pop_back();
-  EXPECT_THROW(execute_sweep_unit(rig.kr.table, *rig.snap.index, bad),
-               ContractViolation);
+  EXPECT_THROW(execute_unit(*rig.snap.index, bad), ContractViolation);
 }
 
 TEST(DistSweep, SnapshotFileFedWorkersMatchPayloadFedWorkers) {
@@ -376,7 +370,7 @@ TEST(DistCheck, PoolRunnerMatchesInProcessOnEveryPath) {
                      " unit_items=" + std::to_string(unit_items));
         DistSweepPool pool(rig.snap, "", rig.pool_options(workers, unit_items));
         ToleranceCheckOptions dopts = opts;
-        dopts.runner = [&pool](const UnitSpec& u) { return pool.run_adv(u); };
+        dopts.runner = [&pool](const UnitSpec& u) { return pool.run(u); };
         Rng rng(6);
         expect_report_equal(
             check_tolerance(*rig.snap.index, path.f, 6, rng(),
@@ -390,27 +384,41 @@ TEST(DistCheck, PoolRunnerMatchesInProcessOnEveryPath) {
   }
 }
 
-TEST(DistAdv, GrayEarlyStopMatchesInProcessEvaluationForEvaluation) {
+// A hill-climb stops at its first disconnecting restart, and the folded
+// result must not count any restart past it. Here that restart lies past
+// the first unit at every unit size, so units after the stopped one are
+// dispatched (up to four at once) and must be discarded: the set count,
+// the witness and the stop must equal the in-process climb's.
+TEST(DistClimb, EarlyStopMatchesInProcessEvaluationForEvaluation) {
   const Rig rig;
-  // stop_above = 1 trips on the first set whose surviving diameter exceeds
-  // 1, so most of the rank space is never evaluated; the distributed scan
-  // must stop at the same global rank with the same count.
+  const auto ring = rig.gg.graph.neighbors(0);
   UnitSpec whole;
-  whole.kind = UnitKind::kAdvGray;
-  whole.f = 2;
-  whole.end = binomial(rig.gg.graph.num_nodes(), 2);
-  whole.stop_above = 1;
-  const AdvPartial want = execute_adv_unit(*rig.snap.index, whole);
+  whole.kind = UnitKind::kAdvClimb;
+  whole.f = 4;
+  whole.seed = 5;
+  whole.end = 9;
+  whole.max_steps = 1;
+  // Four starts whose one-step climbs stay connected, then node 0's
+  // neighbors (node 0 can route nowhere), then more restarts the stop must
+  // discard.
+  whole.climb_seeds = {{0, 5, 10, 15}, {1, 6, 11, 12}, {2, 7, 8, 13},
+                       {3, 4, 9, 14}, {ring.begin(), ring.end()}};
+  const SweepPartial want = execute_unit(*rig.snap.index, whole);
   ASSERT_TRUE(want.stopped);
-  for (const unsigned workers : {1u, 3u}) {
-    for (const std::uint64_t unit_items : {std::uint64_t{1}, std::uint64_t{5},
-                                           std::uint64_t{0}}) {
+  ASSERT_EQ(want.worst_diameter, kUnreachable);
+  ASSERT_GE(want.worst_index, 3u);
+  for (const unsigned workers : {1u, 4u}) {
+    for (const std::uint64_t unit_items : {std::uint64_t{1}, std::uint64_t{2},
+                                           std::uint64_t{3}}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " unit_items=" + std::to_string(unit_items));
       DistSweepPool pool(rig.snap, "", rig.pool_options(workers, unit_items));
-      const AdvPartial p = pool.run_adv(whole);
-      EXPECT_EQ(p.d, want.d);
-      EXPECT_EQ(p.faults, want.faults);
-      EXPECT_EQ(p.evaluations, want.evaluations);
-      EXPECT_TRUE(p.stopped);
+      const SweepPartial got = pool.run(whole);
+      EXPECT_EQ(got.sets, want.sets);
+      EXPECT_EQ(got.worst_diameter, want.worst_diameter);
+      EXPECT_EQ(got.worst_index, want.worst_index);
+      EXPECT_EQ(got.worst_faults, want.worst_faults);
+      EXPECT_TRUE(got.stopped);
     }
   }
 }

@@ -23,7 +23,6 @@
 #include "analysis/neighborhood.hpp"
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
-#include "fault/adversary.hpp"
 #include "fault/fault_gen.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
@@ -275,7 +274,7 @@ TEST(FaultStream, StreamingMatchesMaterializedAcrossThreadsAndBatches) {
         UnitSpec unit = sweep_unit(kind, kFaults, kSets, opts);
         if (is_explicit) unit.sets = sets;
         expect_same_aggregates(
-            summarize_sweep_partial(execute_sweep_unit(kr.table, index, unit)),
+            summarize_sweep_partial(execute_unit(index, unit)),
             materialized);
       }
     }
@@ -397,7 +396,20 @@ TEST(FaultStream, GraySweepWorstWitnessIsConsistent) {
             summary.worst_index);
 }
 
-// --- the Gray exhaustive adversary ------------------------------------------
+// --- the check's exhaustive unit ---------------------------------------------
+
+// The Gray sweep unit over every rank, as check_tolerance plans it.
+SweepPartial gray_unit(const SrgIndex& index, std::size_t f,
+                       std::uint64_t begin, std::uint64_t end,
+                       const ExecPolicy& exec = {}) {
+  UnitSpec unit;
+  unit.kind = UnitKind::kSweepGray;
+  unit.f = static_cast<std::uint32_t>(f);
+  unit.begin = begin;
+  unit.end = end;
+  unit.exec = exec;
+  return execute_unit(index, unit);
+}
 
 TEST(AdversaryGray, MatchesLexicographicGroundTruth) {
   const auto gg = torus_graph(5, 5);
@@ -410,55 +422,29 @@ TEST(AdversaryGray, MatchesLexicographicGroundTruth) {
     return scratch.surviving_diameter(f);
   });
 
-  AdvPartial base;
+  SweepPartial base;
   bool have_base = false;
   for (unsigned threads : kThreadCounts) {
-    const auto gray = exhaustive_worst_faults_gray(
-        index, 2, 0, total, ExecPolicy{.threads = threads});
+    const auto gray =
+        gray_unit(index, 2, 0, total, ExecPolicy{.threads = threads});
     // Same ground truth (the max over all sets) and the same coverage...
-    EXPECT_EQ(gray.d, serial.worst_diameter);
-    EXPECT_EQ(gray.evaluations, serial.evaluations);
+    EXPECT_EQ(gray.worst_diameter, serial.worst_diameter);
+    EXPECT_EQ(gray.sets, serial.evaluations);
     EXPECT_FALSE(gray.stopped);
     // ...the witness may be a different set (gray vs lex order), but must
     // attain the max.
     SrgScratch scratch(index);
-    EXPECT_EQ(scratch.surviving_diameter(gray.faults), gray.d);
+    EXPECT_EQ(scratch.surviving_diameter(gray.worst_faults),
+              gray.worst_diameter);
     // And the gray path itself is thread-count-invariant.
     if (!have_base) {
       base = gray;
       have_base = true;
       continue;
     }
-    EXPECT_EQ(gray.faults, base.faults);
-    EXPECT_EQ(gray.d, base.d);
-    EXPECT_EQ(gray.evaluations, base.evaluations);
-  }
-}
-
-TEST(AdversaryGray, EarlyStopIsThreadInvariant) {
-  const auto gg = torus_graph(5, 5);
-  const auto kr = build_kernel_routing(gg.graph, 3);
-  const SrgIndex index(kr.table);
-  // Any diameter > 2 stops the scan; the kernel table has such sets at
-  // f = 3, so the scan aborts early and must do so identically for any
-  // thread count.
-  AdvPartial base;
-  bool have_base = false;
-  for (unsigned threads : kThreadCounts) {
-    const auto r = exhaustive_worst_faults_gray(
-        index, 3, 0, binomial(25, 3), ExecPolicy{.threads = threads},
-        /*stop_above=*/2);
-    if (!have_base) {
-      base = r;
-      have_base = true;
-      EXPECT_TRUE(r.stopped);  // it really did abort
-      EXPECT_GT(r.d, 2u);
-      continue;
-    }
-    EXPECT_EQ(r.faults, base.faults);
-    EXPECT_EQ(r.d, base.d);
-    EXPECT_EQ(r.evaluations, base.evaluations);
-    EXPECT_EQ(r.stopped, base.stopped);
+    EXPECT_EQ(gray.worst_faults, base.worst_faults);
+    EXPECT_EQ(gray.worst_diameter, base.worst_diameter);
+    EXPECT_EQ(gray.sets, base.sets);
   }
 }
 
@@ -467,16 +453,16 @@ TEST(AdversaryGray, DegenerateBudgets) {
   const auto kr = build_kernel_routing(gg.graph, 1);
   const SrgIndex index(kr.table);
   // f = 0: exactly one (empty) evaluation.
-  const auto none = exhaustive_worst_faults_gray(index, 0, 0, 1);
-  EXPECT_EQ(none.evaluations, 1u);
+  const auto none = gray_unit(index, 0, 0, 1);
+  EXPECT_EQ(none.sets, 1u);
   EXPECT_FALSE(none.stopped);
-  EXPECT_TRUE(none.faults.empty());
+  EXPECT_TRUE(none.worst_faults.empty());
   // f = n: the single everyone-faulty set has diameter 0 by convention.
-  const auto all = exhaustive_worst_faults_gray(index, 8, 0, 1);
-  EXPECT_EQ(all.evaluations, 1u);
-  EXPECT_EQ(all.d, 0u);
+  const auto all = gray_unit(index, 8, 0, 1);
+  EXPECT_EQ(all.sets, 1u);
+  EXPECT_EQ(all.worst_diameter, 0u);
   // An empty window evaluates nothing.
-  EXPECT_EQ(exhaustive_worst_faults_gray(index, 2, 5, 5).evaluations, 0u);
+  EXPECT_EQ(gray_unit(index, 2, 5, 5).sets, 0u);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "analysis/neighborhood.hpp"
 #include "common/combinatorics.hpp"
 #include "core/planner.hpp"
-#include "fault/adversary.hpp"
 #include "fault/fault_gen.hpp"
 #include "fault/surviving.hpp"
 #include "fault/tolerance_check.hpp"
@@ -195,49 +194,55 @@ TEST(ToleranceCheck, ReportThreadInvariant) {
   }
 }
 
-TEST(Adversary, ParallelGrayScanMatchesLexOracle) {
+TEST(Adversary, ParallelCheckGrayUnitMatchesLexOracle) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const auto serial = lex_worst_faults(25, 2, [&](const std::vector<Node>& f) {
     return surviving_diameter(kr.table, f);
   });
   const SrgIndex index(kr.table);
-  const AdvPartial base = exhaustive_worst_faults_gray(
-      index, 2, 0, binomial(25, 2), ExecPolicy{.threads = 1});
-  EXPECT_EQ(base.d, serial.worst_diameter);
-  EXPECT_EQ(base.evaluations, serial.evaluations);
+  const auto base = check_tolerance(index, 2, 6, /*seed=*/1);
+  ASSERT_TRUE(base.exhaustive);
+  EXPECT_EQ(base.worst_diameter, serial.worst_diameter);
+  EXPECT_EQ(base.fault_sets_checked, serial.evaluations);
   for (unsigned threads : kThreadCounts) {
-    const auto par = exhaustive_worst_faults_gray(
-        index, 2, 0, binomial(25, 2), ExecPolicy{.threads = threads});
-    EXPECT_EQ(par.d, base.d);
-    EXPECT_EQ(par.faults, base.faults);
-    EXPECT_EQ(par.evaluations, base.evaluations);
-    EXPECT_FALSE(par.stopped);
+    ToleranceCheckOptions opts;
+    opts.exec.threads = threads;
+    const auto par = check_tolerance(index, 2, 6, /*seed=*/1, opts);
+    EXPECT_EQ(par.worst_diameter, base.worst_diameter);
+    EXPECT_EQ(par.worst_faults, base.worst_faults);
+    EXPECT_EQ(par.fault_sets_checked, base.fault_sets_checked);
   }
 }
 
-TEST(Adversary, SampledAndHillclimbThreadInvariant) {
+TEST(Adversary, SampledAndClimbUnitsThreadInvariant) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
-  const FaultEvaluatorFactory factory = srg_evaluator_factory(index);
-  const auto sampled_base = sampled_worst_faults(25, 3, factory, 77, 0, 50,
-                                                 ExecPolicy{.threads = 1});
-  const auto climbed_base = hillclimb_worst_faults(
-      25, 3, factory, 77, 0, 4, 8, {{0, 1, 2}}, ExecPolicy{.threads = 1});
-  EXPECT_EQ(sampled_base.evaluations, 50u);
+  UnitSpec sampled;
+  sampled.kind = UnitKind::kSweepSampled;
+  sampled.f = 3;
+  sampled.seed = 77;
+  sampled.end = 50;
+  UnitSpec climb = sampled;
+  climb.kind = UnitKind::kAdvClimb;
+  climb.end = 4;
+  climb.max_steps = 8;
+  climb.climb_seeds = {{0, 1, 2}};
+  const auto sampled_base = execute_unit(index, sampled);
+  const auto climbed_base = execute_unit(index, climb);
+  EXPECT_EQ(sampled_base.sets, 50u);
   for (unsigned threads : kThreadCounts) {
-    const auto s = sampled_worst_faults(25, 3, factory, 77, 0, 50,
-                                        ExecPolicy{.threads = threads});
-    EXPECT_EQ(s.d, sampled_base.d);
-    EXPECT_EQ(s.faults, sampled_base.faults);
-    EXPECT_EQ(s.evaluations, sampled_base.evaluations);
-    const auto h = hillclimb_worst_faults(25, 3, factory, 77, 0, 4, 8,
-                                          {{0, 1, 2}},
-                                          ExecPolicy{.threads = threads});
-    EXPECT_EQ(h.d, climbed_base.d);
-    EXPECT_EQ(h.faults, climbed_base.faults);
-    EXPECT_EQ(h.evaluations, climbed_base.evaluations);
+    sampled.exec.threads = threads;
+    climb.exec.threads = threads;
+    const auto s = execute_unit(index, sampled);
+    EXPECT_EQ(s.worst_diameter, sampled_base.worst_diameter);
+    EXPECT_EQ(s.worst_faults, sampled_base.worst_faults);
+    EXPECT_EQ(s.sets, sampled_base.sets);
+    const auto h = execute_unit(index, climb);
+    EXPECT_EQ(h.worst_diameter, climbed_base.worst_diameter);
+    EXPECT_EQ(h.worst_faults, climbed_base.worst_faults);
+    EXPECT_EQ(h.sets, climbed_base.sets);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "graph/bfs.hpp"
 #include "routing/hypercube_routing.hpp"
 #include "routing/kernel.hpp"
+#include "routing/multirouting.hpp"
 #include "routing/route_table.hpp"
 
 namespace ftr {
@@ -26,7 +27,7 @@ DeliveryStats deliver(const RoutingTable& t, const std::vector<Node>& faults,
   const SrgIndex index(t);
   SrgScratch scratch(index);
   scratch.evaluate(faults);
-  return measure_delivery(t, scratch, sample_pairs, rng);
+  return measure_delivery(scratch, sample_pairs, rng);
 }
 
 void expect_same_stats(const DeliveryStats& a, const DeliveryStats& b,
@@ -84,7 +85,7 @@ std::size_t expect_matches_oracle(const RoutingTable& table,
   for (const std::size_t pairs : {0u, 1u, 7u}) {
     Rng a(1000 + pairs);
     Rng b(1000 + pairs);
-    const auto got = measure_delivery(table, scratch, pairs, a);
+    const auto got = measure_delivery(scratch, pairs, a);
     const auto want = oracle_measure_delivery(table, faults, pairs, b);
     expect_same_stats(got, want, what + " pairs=" + std::to_string(pairs));
     EXPECT_EQ(a(), b()) << what << " (same number of draws)";
@@ -278,6 +279,91 @@ TEST(NetworkSimDifferential, HypercubeBitFixing) {
                    "bit-fixing Q5 bi");
 }
 
+// On a multirouting a pair's first route can be dead while a later one
+// carries the arc: delivery must count the hops of the route the message
+// takes (the pair's first live route), not the first route's. Checks every
+// survivor pair of every set against the oracle and route by route against
+// first_live_route; returns how many legs took a live route whose hop
+// count differs from that of the pair's dead first route.
+std::size_t expect_live_routes(const RoutingTable& table,
+                               const std::vector<std::vector<Node>>& sets,
+                               const std::string& name) {
+  const SrgIndex index(table);
+  SrgScratch scratch(index);
+  std::size_t dead_first_differs = 0;
+  for (const auto& faults : sets) {
+    std::string what = name + " faults {";
+    for (Node v : faults) {
+      what += ' ';
+      what += std::to_string(v);
+    }
+    what += " }";
+    expect_matches_oracle(table, scratch, faults, what);
+    const auto dead = [&](PathView route) {
+      return std::any_of(route.begin(), route.end(), [&](Node v) {
+        return std::find(faults.begin(), faults.end(), v) != faults.end();
+      });
+    };
+    for (Node s : scratch.last_survivors()) {
+      for (Node t : scratch.last_survivors()) {
+        if (s == t) continue;
+        const auto path = scratch.route_path(s, t);
+        const auto taken = scratch.path_routes();
+        EXPECT_EQ(taken.size() + 1, std::max<std::size_t>(path.size(), 1))
+            << what;
+        if (taken.size() + 1 != path.size()) continue;
+        for (std::size_t i = 0; i < taken.size(); ++i) {
+          const PathView route = index.route(taken[i]);
+          const PathView live =
+              first_live_route(table, path[i], path[i + 1], faults);
+          EXPECT_EQ(std::vector<Node>(route.begin(), route.end()),
+                    std::vector<Node>(live.begin(), live.end()))
+              << what;
+          const PathView first = table.route(path[i], path[i + 1]);
+          if (dead(first) && first.hops() != live.hops()) {
+            ++dead_first_differs;
+          }
+        }
+      }
+    }
+  }
+  return dead_first_differs;
+}
+
+// Petersen's full multirouting at t = 2, every 2-set: every surviving pair
+// keeps a direct arc, often over a later route.
+TEST(NetworkSimDifferential, MultiroutingCountsTheLiveRoute) {
+  const auto gg = petersen_graph();
+  const RoutingTable table = build_full_multirouting(gg.graph, 2);
+  ASSERT_GT(table.num_routes(), table.num_pairs());
+  std::vector<std::vector<Node>> sets;
+  for (Node a = 0; a < 10; ++a) {
+    for (Node b = a + 1; b < 10; ++b) sets.push_back({a, b});
+  }
+  EXPECT_GT(expect_live_routes(table, sets, "full multirouting Petersen"),
+            0u);
+}
+
+// A ring whose skip pairs (i, i + 2) hold the short route first and the
+// long way round second: one fault kills a short route, so paths of two
+// and more arcs ride a second route.
+TEST(NetworkSimDifferential, MultiroutingLiveRouteOnLongerPaths) {
+  constexpr Node kN = 9;
+  RoutingTable table(kN, RoutingMode::kUnidirectional, 2);
+  for (Node i = 0; i < kN; ++i) {
+    table.set_route({i, (i + 1) % kN});
+    table.set_route({(i + 1) % kN, i});
+    table.set_route({i, (i + 1) % kN, (i + 2) % kN});
+    Path around{i};
+    for (Node k = 1; k <= kN - 2; ++k) around.push_back((i + kN - k) % kN);
+    table.set_route(around);
+  }
+  ASSERT_GT(table.num_routes(), table.num_pairs());
+  std::vector<std::vector<Node>> sets = {{}};
+  for (Node a = 0; a < kN; ++a) sets.push_back({a});
+  EXPECT_GT(expect_live_routes(table, sets, "skip ring"), 0u);
+}
+
 // BFS over successor lists in ROUTE-INSERTION order (the table's own
 // order) — the order route_path must not follow.
 std::vector<Node> insertion_order_path(const RoutingTable& t, Node s, Node u) {
@@ -320,7 +406,7 @@ TEST(NetworkSimDifferential, SuccessorOrderIsAscendingNotInsertion) {
   EXPECT_EQ(std::vector<Node>(path.begin(), path.end()),
             (std::vector<Node>{0, 1, 3}));
   Rng rng(1);
-  const auto stats = measure_delivery(t, scratch, 0, rng);
+  const auto stats = measure_delivery(scratch, 0, rng);
   // 0->1 (1), 0->2 (1), 0->3 via 1 (1 + 2), 1->3 (2), 2->3 (1).
   EXPECT_EQ(stats.delivered, 5u);
   EXPECT_EQ(stats.edge_hops_total, 8u);

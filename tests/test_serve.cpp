@@ -184,7 +184,7 @@ TEST(Serve, DifferentialAgainstSingleTablePaths) {
     const std::vector<Node> faults = {3, 7};
     const auto res = scratch.evaluate(faults);
     Rng rng(11);
-    const auto d = measure_delivery(ker.table, scratch, 5, rng);
+    const auto d = measure_delivery(scratch, 5, rng);
     std::ostringstream os;
     os << "#2 delivery ker faults=3,7 diameter=" << fmt_diameter(res.diameter)
        << " survivors=" << res.survivors << " arcs=" << res.arcs

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -16,14 +17,17 @@
 #include <string>
 #include <vector>
 
+#include "cli/cli_support.hpp"
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
 #include "fault/srg_engine.hpp"
 #include "fault/surviving.hpp"
+#include "fault/tolerance_check.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
 #include "graph/graph_io.hpp"
 #include "routing/kernel.hpp"
+#include "routing/multirouting.hpp"
 #include "routing/serialization.hpp"
 #include "serve/request_router.hpp"
 #include "serve/table_registry.hpp"
@@ -398,22 +402,58 @@ TEST(Snapshot, RejectsPairListedTwice) {
 
 // The format stores one route per pair and no cap, so the writer refuses
 // a multirouting, naming a pair that holds two routes; one route per pair
-// snapshots at any cap.
-TEST(Snapshot, MakeRefusesParallelRoutesNamingThePair) {
+// snapshots at any cap. make_table_snapshot itself takes any table, so an
+// in-process caller can evaluate a multirouting on its index.
+TEST(Snapshot, SaveRefusesParallelRoutesNamingThePair) {
   const auto cycle = cycle_graph(6);
   RoutingTable table(6, RoutingMode::kUnidirectional, 2);
   table.set_route({0, 1});
   table.set_route({0, 1, 2, 3});
-  EXPECT_NO_THROW(make_table_snapshot(cycle.graph, table));
+  EXPECT_NO_THROW(
+      table_snapshot_to_string(make_table_snapshot(cycle.graph, table)));
   table.set_route({0, 5, 4, 3});
+  const TableSnapshot multi = make_table_snapshot(cycle.graph, table);
+  EXPECT_EQ(multi.index->num_routes(), 3u);
   try {
-    (void)make_table_snapshot(cycle.graph, table);
+    (void)table_snapshot_to_string(multi);
     FAIL() << "a multirouting was snapshotted";
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("pair (0,3) holds 2 routes"),
               std::string::npos)
         << e.what();
   }
+}
+
+// `check` and `sweep` read text inputs through load_snapshot_args: a
+// multirouting's text loads and checks exactly like the table in process,
+// on both branches of the decision tree.
+TEST(Snapshot, LoadSnapshotArgsChecksAMultitableText) {
+  const auto gg = petersen_graph();
+  const RoutingTable table = build_full_multirouting(gg.graph, 2);
+  ASSERT_GT(table.num_routes(), table.num_pairs());
+  const std::string graph_path = temp_path("multi_args.ftg");
+  const std::string table_path = temp_path("multi_args.ftt");
+  {
+    std::ofstream g(graph_path);
+    save_graph(gg.graph, g);
+  }
+  save_routing_table_file(table, table_path);
+  const TableSnapshot snap = cli::load_snapshot_args(graph_path, table_path);
+  for (const std::uint64_t budget : {std::uint64_t{20000}, std::uint64_t{1}}) {
+    ToleranceCheckOptions opts;
+    opts.exhaustive_budget = budget;
+    Rng rng(7);
+    const auto want = check_tolerance(table, 2, 3, rng, opts);
+    const auto got = check_tolerance(
+        *snap.index, 2, 3, Rng(7)(),
+        with_route_load_seeds(snap.route_load_ranking, 2, opts));
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    EXPECT_EQ(got.exhaustive, budget > 1);
+    EXPECT_EQ(got.summary(), want.summary());
+    EXPECT_EQ(got.worst_faults, want.worst_faults);
+  }
+  std::remove(graph_path.c_str());
+  std::remove(table_path.c_str());
 }
 
 TEST(Snapshot, RejectsOutOfRangeSlot) {

@@ -42,7 +42,6 @@
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
 #include "core/planner.hpp"
-#include "fault/adversary.hpp"
 #include "fault/fault_gen.hpp"
 #include "fault/tolerance_check.hpp"
 #include "gen/generators.hpp"
@@ -157,23 +156,20 @@ void expect_same_evaluations(const FaultSweepSummary& oracle,
   EXPECT_EQ(oracle.worst_faults, got.worst_faults);
 }
 
-// The serial oracle Gray scan: first maximum in Gray order, with the early
-// stop counting the stopping set.
-AdvPartial oracle_gray_scan(const SrgOracle& oracle, std::size_t f,
-                            std::uint32_t stop_above = 0) {
-  AdvPartial out;
+// The serial oracle Gray scan: the first maximum in Gray order.
+SweepPartial oracle_gray_scan(const SrgOracle& oracle, std::size_t f) {
+  SweepPartial out;
+  std::uint64_t rank = 0;
   for (const auto& set : gray_sets(oracle.num_nodes(), f)) {
     const std::uint32_t d = oracle.surviving_diameter(set);
-    ++out.evaluations;
-    if (!out.any || d > out.d) {
-      out.any = true;
-      out.d = d;
-      out.faults = set;
+    ++out.sets;
+    if (!out.have_worst || d > out.worst_diameter) {
+      out.have_worst = true;
+      out.worst_diameter = d;
+      out.worst_index = rank;
+      out.worst_faults = set;
     }
-    if (stop_above != 0 && d > stop_above) {
-      out.stopped = true;
-      break;
-    }
+    ++rank;
   }
   return out;
 }
@@ -299,49 +295,24 @@ TEST(SrgKernels, StdinSourceMatchesOracle) {
   }
 }
 
-TEST(SrgKernels, AdversaryGrayScanMatchesOracle) {
+// The check's exhaustive unit (one Gray sweep unit, no delivery) reports
+// the oracle's first maximum in Gray order and its set count.
+TEST(SrgKernels, CheckGrayUnitMatchesOracle) {
   for (const auto& entry : construction_tables()) {
     const SrgIndex index(entry.table);
-    const std::uint64_t total = binomial(entry.table.num_nodes(), entry.f);
     const auto oracle = oracle_gray_scan(SrgOracle(entry.table), entry.f);
     for (unsigned threads : kThreadCounts) {
-      const auto got = exhaustive_worst_faults_gray(
-          index, entry.f, 0, total, ExecPolicy{.threads = threads});
+      ToleranceCheckOptions opts;
+      opts.exec.threads = threads;
+      const auto got =
+          check_tolerance(index, static_cast<std::uint32_t>(entry.f),
+                          /*claimed_bound=*/6, /*seed=*/1, opts);
       SCOPED_TRACE(entry.name + " threads=" + std::to_string(threads));
-      EXPECT_EQ(oracle.d, got.d);
-      EXPECT_EQ(oracle.faults, got.faults);
-      EXPECT_EQ(oracle.evaluations, got.evaluations);
-      EXPECT_FALSE(got.stopped);
+      ASSERT_TRUE(got.exhaustive);
+      EXPECT_EQ(oracle.worst_diameter, got.worst_diameter);
+      EXPECT_EQ(oracle.worst_faults, got.worst_faults);
+      EXPECT_EQ(oracle.sets, got.fault_sets_checked);
     }
-  }
-}
-
-// Early stop must abort after the SAME evaluation as the serial oracle: the
-// packed scan consumes its lanes in rank order and counts each set before
-// testing the threshold — a 512-lane block may hold the witness in lane 3
-// and must not charge the other 509 lanes it already computed.
-TEST(SrgKernels, AdversaryGrayEarlyStopMatchesOracle) {
-  // Cycle with edge routes only: two adjacent faults leave a long path
-  // (finite d up to 9), two non-adjacent ones split the ring (kUnreachable)
-  // — either way the scan hits a set exceeding 6 and must stop there.
-  const auto gg = cycle_graph(12);
-  RoutingTable t(12, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
-  const SrgIndex index(t);
-  const std::uint64_t total = binomial(12, 2);
-  const auto oracle = oracle_gray_scan(SrgOracle(t), 2, /*stop_above=*/6);
-  ASSERT_GT(oracle.d, 6u);
-  ASSERT_LT(oracle.evaluations, total);  // the stop actually fired
-  for (unsigned threads : kThreadCounts) {
-    const auto got =
-        exhaustive_worst_faults_gray(index, 2, 0, total,
-                                     ExecPolicy{.threads = threads},
-                                     /*stop_above=*/6);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(oracle.d, got.d);
-    EXPECT_EQ(oracle.faults, got.faults);
-    EXPECT_EQ(oracle.evaluations, got.evaluations);
-    EXPECT_TRUE(got.stopped);
   }
 }
 
@@ -361,10 +332,10 @@ TEST(SrgKernels, ToleranceCheckMatchesOracle) {
       const auto got = check_tolerance(kr.table, 2, 10, rng, opts);
       SCOPED_TRACE("threads=" + std::to_string(threads));
       EXPECT_TRUE(got.exhaustive);
-      EXPECT_EQ(got.worst_diameter, oracle.d);
-      EXPECT_EQ(got.worst_faults, oracle.faults);
-      EXPECT_EQ(got.fault_sets_checked, oracle.evaluations);
-      EXPECT_EQ(got.holds, oracle.d <= 10);
+      EXPECT_EQ(got.worst_diameter, oracle.worst_diameter);
+      EXPECT_EQ(got.worst_faults, oracle.worst_faults);
+      EXPECT_EQ(got.fault_sets_checked, oracle.sets);
+      EXPECT_EQ(got.holds, oracle.worst_diameter <= 10);
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/fault_sweep.hpp"
 #include "common/combinatorics.hpp"
 #include "core/planner.hpp"
 #include "fault/fault_gen.hpp"
@@ -82,8 +83,8 @@ TEST(ToleranceCheck, ZeroFaultCase) {
 }
 
 // The decision tree plans whole-space units and folds whatever the runner
-// returns: one kAdvGray unit when C(n, f) fits the budget, otherwise a
-// kAdvSampled unit plus a kAdvClimb unit.
+// returns: one kSweepGray unit when C(n, f) fits the budget, otherwise a
+// kSweepSampled unit without delivery plus a kAdvClimb unit.
 TEST(ToleranceCheck, RunnerReceivesThePlannedUnits) {
   const auto gg = cycle_graph(12);
   const auto kr = build_kernel_routing(gg.graph, 1);
@@ -100,7 +101,7 @@ TEST(ToleranceCheck, RunnerReceivesThePlannedUnits) {
     std::vector<UnitSpec> seen;
     opts.runner = [&](const UnitSpec& unit) {
       seen.push_back(unit);
-      return execute_adv_unit(index, unit);
+      return execute_unit(index, unit);
     };
     const auto got = check_tolerance(index, 2, 4, 99, opts);
     EXPECT_EQ(got.summary(), want.summary());
@@ -108,12 +109,14 @@ TEST(ToleranceCheck, RunnerReceivesThePlannedUnits) {
     EXPECT_EQ(got.exhaustive, exhaustive);
     if (exhaustive) {
       ASSERT_EQ(seen.size(), 1u);
-      EXPECT_EQ(seen[0].kind, UnitKind::kAdvGray);
+      EXPECT_EQ(seen[0].kind, UnitKind::kSweepGray);
       EXPECT_EQ(seen[0].end, binomial(12, 2));
     } else {
       ASSERT_EQ(seen.size(), 2u);
-      EXPECT_EQ(seen[0].kind, UnitKind::kAdvSampled);
+      EXPECT_EQ(seen[0].kind, UnitKind::kSweepSampled);
       EXPECT_EQ(seen[0].end, 30u);
+      EXPECT_EQ(seen[0].delivery_pairs, 0u);
+      EXPECT_EQ(seen[0].seed, Rng::stream(99, 1)());
       EXPECT_EQ(seen[1].kind, UnitKind::kAdvClimb);
       EXPECT_EQ(seen[1].end, 4u);  // informed seeds extend the restarts
       EXPECT_EQ(seen[1].climb_seeds, opts.seeds);

@@ -4,10 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/fault_sweep.hpp"
 #include "analysis/neighborhood.hpp"
 #include "analysis/properties.hpp"
 #include "common/contracts.hpp"
-#include "fault/adversary.hpp"
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
 #include "lex_oracle.hpp"
@@ -72,13 +72,17 @@ TEST(TriCircular, Theorem13TorusT3Adversarial) {
   const auto tr = build_tricircular_routing(gg.graph, 3, nset(gg.graph, 27),
                                             TriCircularVariant::kFull);
   const SrgIndex index(tr.table);
-  const FaultEvaluatorFactory make_eval = srg_evaluator_factory(index);
-  const auto sampled =
-      sampled_worst_faults(169, 3, make_eval, /*seed=*/17, 0, /*samples=*/60);
-  EXPECT_LE(sampled.d, 4u);
-  const auto climbed = hillclimb_worst_faults(169, 3, make_eval, /*seed=*/18,
-                                              0, /*restarts=*/3, 10);
-  EXPECT_LE(climbed.d, 4u);
+  UnitSpec unit;
+  unit.kind = UnitKind::kSweepSampled;
+  unit.f = 3;
+  unit.seed = 17;
+  unit.end = 60;  // samples
+  EXPECT_LE(execute_unit(index, unit).worst_diameter, 4u);
+  unit.kind = UnitKind::kAdvClimb;
+  unit.seed = 18;
+  unit.end = 3;  // restarts
+  unit.max_steps = 10;
+  EXPECT_LE(execute_unit(index, unit).worst_diameter, 4u);
 }
 
 // ---- Remark 14: (5, t) with the compact concentrator. ----
@@ -95,10 +99,12 @@ TEST(TriCircular, Remark14TorusT3Sampled) {
   const auto tr = build_tricircular_routing(gg.graph, 3, nset(gg.graph, 15),
                                             TriCircularVariant::kCompact);
   const SrgIndex index(tr.table);
-  const FaultEvaluatorFactory make_eval = srg_evaluator_factory(index);
-  const auto res =
-      sampled_worst_faults(100, 3, make_eval, /*seed=*/23, 0, /*samples=*/60);
-  EXPECT_LE(res.d, 5u);
+  UnitSpec unit;
+  unit.kind = UnitKind::kSweepSampled;
+  unit.f = 3;
+  unit.seed = 23;
+  unit.end = 60;  // samples
+  EXPECT_LE(execute_unit(index, unit).worst_diameter, 5u);
 }
 
 TEST(TriCircular, FullBeatsCompactOnBound) {
