@@ -253,27 +253,39 @@ std::uint64_t unit_grain(const UnitSpec& unit) {
 
 }  // namespace
 
+void check_unit(const UnitSpec& unit, std::size_t n) {
+  const char* kind = unit_kind_name(unit.kind);
+  FTR_EXPECTS_MSG(unit.begin <= unit.end,
+                  kind << " unit: inverted window [" << unit.begin << ", "
+                       << unit.end << ")");
+  if (unit.kind == UnitKind::kSweepExplicit) {
+    FTR_EXPECTS_MSG(unit.sets.size() == unit.end - unit.begin,
+                    kind << " unit [" << unit.begin << ", " << unit.end
+                         << ") carries " << unit.sets.size() << " sets");
+    return;
+  }
+  FTR_EXPECTS_MSG(unit.f <= n, kind << " unit: " << unit.f
+                                    << " faults exceed the " << n
+                                    << " nodes");
+  if (unit.kind == UnitKind::kSweepGray) {
+    FTR_EXPECTS_MSG(unit.end <= checked_binomial(n, unit.f),
+                    kind << " unit: window end " << unit.end
+                         << " exceeds C(" << n << ", " << unit.f << ")");
+  }
+}
+
 SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
                           const SweepProgressFn& on_progress,
                           ExecutorStats* executor_out) {
-  FTR_EXPECTS(unit.begin <= unit.end);
   const std::size_t n = index.num_nodes();
+  check_unit(unit, n);
   if (unit.kind == UnitKind::kAdvClimb) {
     return hillclimb_worst_faults(
         n, unit.f, srg_evaluator_factory(index), unit.seed, unit.begin,
         unit.end, static_cast<std::size_t>(unit.max_steps), unit.climb_seeds,
         unit.exec, executor_out);
   }
-  if (unit.kind == UnitKind::kSweepExplicit) {
-    FTR_EXPECTS_MSG(unit.sets.size() == unit.end - unit.begin,
-                    "explicit sweep unit [" << unit.begin << ", " << unit.end
-                                            << ") carries " << unit.sets.size()
-                                            << " sets");
-  } else {
-    FTR_EXPECTS(unit.f <= n);
-  }
   const bool gray = unit.kind == UnitKind::kSweepGray;
-  if (gray) FTR_EXPECTS(unit.end <= checked_binomial(n, unit.f));
 
   const unsigned workers = unit.exec.resolved_threads();
   const std::uint64_t grain = unit_grain(unit);

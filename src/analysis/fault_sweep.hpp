@@ -212,18 +212,25 @@ FaultSweepSummary summarize_sweep_partial(const SweepPartial& partial);
 UnitSpec sweep_unit(UnitKind kind, std::size_t f, std::uint64_t count,
                     const FaultSweepOptions& options);
 
+/// Throws ContractViolation, with a message naming the unit kind, unless
+/// `unit` can run over `n` nodes: its window must not be inverted, a
+/// kSweepExplicit unit must carry exactly end - begin sets, every other
+/// kind needs f <= n, and a kSweepGray window must lie inside
+/// [0, C(n, f)). execute_unit runs it on every unit, and DistSweepPool::run
+/// on the whole unit before splitting it (so a window that splits into no
+/// units is refused all the same).
+void check_unit(const UnitSpec& unit, std::size_t n);
+
 /// THE unit executor: runs every set (or restart) of `unit`'s global
 /// window and returns the partial for it — a pure function of (index,
 /// unit's sets, delivery_pairs, seed), whatever the unit's ExecPolicy says.
 /// Sweep kinds walk the window as described at the top of this file; a
-/// kAdvClimb unit runs hillclimb_worst_faults (fault/adversary.hpp). A
-/// kSweepExplicit unit must carry exactly end - begin sets
-/// (ContractViolation otherwise); a kSweepGray window must lie inside
-/// [0, C(n, f)). `on_progress` fires between a sweep's windows at the
-/// unit's exec.progress_every cadence; executor telemetry accumulates into
-/// *executor when given. Worker processes, the coordinator's inline
-/// fallback, the tolerance check, serve, the CLI, and every wrapper below
-/// call it.
+/// kAdvClimb unit runs hillclimb_worst_faults (fault/adversary.hpp). The
+/// unit must pass check_unit. `on_progress` fires between a sweep's
+/// windows at the unit's exec.progress_every cadence; executor telemetry
+/// accumulates into *executor when given. Worker processes, the
+/// coordinator's inline fallback, the tolerance check, serve, the CLI, and
+/// every wrapper below call it.
 SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
                           const SweepProgressFn& on_progress = {},
                           ExecutorStats* executor = nullptr);

@@ -21,7 +21,7 @@ const VerbSpec& spec() {
       .positional = "",
       .summary =
           "write the versioned, checksummed binary table snapshot (graph +\n"
-          "  table + SRG preprocessing + plan + route-load ranking)",
+          "  routes + plan; the SRG index and ranking are derived on load)",
       .flags =
           {
               {"--graph", "FILE", "graph file (text or snapshot; required)"},

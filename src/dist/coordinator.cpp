@@ -168,15 +168,15 @@ unsigned DistSweepPool::live_workers() const {
   return live;
 }
 
-std::uint64_t DistSweepPool::auto_unit_items(std::uint64_t total,
-                                             UnitKind kind) const {
+std::uint64_t DistSweepPool::auto_unit_items(std::uint64_t total) const {
   if (options_.unit_items > 0) return options_.unit_items;
   const std::uint64_t slots = std::uint64_t{options_.workers} * 8;
   const std::uint64_t per =
       std::clamp<std::uint64_t>((total + slots - 1) / slots, 1, 65536);
-  // Gray-rank units run packed blocks: whole blocks only, so that no unit
+  // Every kind runs packed blocks (Gray blocks, any-set blocks of samples
+  // or literal sets, lockstep climbs): whole blocks only, so that no unit
   // but the last ends in a partial one.
-  return kind == UnitKind::kSweepGray ? lane_aligned(per) : per;
+  return lane_aligned(per);
 }
 
 SweepPartial DistSweepPool::fold(const UnitFeed& feed) {
@@ -462,9 +462,8 @@ UnitSpec DistSweepPool::pool_unit(UnitSpec unit) const {
 }
 
 DistSweepPool::UnitFeed DistSweepPool::split(const UnitSpec& whole) const {
-  FTR_EXPECTS(whole.begin <= whole.end);
   const std::uint64_t step =
-      auto_unit_items(whole.end - whole.begin, whole.kind);
+      auto_unit_items(whole.end - whole.begin);
   // Explicit-set units carry only their own slice of the literal sets.
   UnitSpec unit = pool_unit(whole);
   std::vector<std::vector<Node>> sets = std::move(unit.sets);
@@ -490,6 +489,7 @@ DistSweepPool::UnitFeed DistSweepPool::split(const UnitSpec& whole) const {
 }
 
 SweepPartial DistSweepPool::run(const UnitSpec& whole) {
+  check_unit(whole, snapshot_->table.num_nodes());
   return fold(split(whole));
 }
 
@@ -504,7 +504,7 @@ SweepPartial DistSweepPool::sweep_source(
     FaultSetSource& source, const FaultSweepOptions& sweep_options) {
   const auto known = source.size();
   const std::uint64_t step =
-      known.has_value() ? auto_unit_items(*known, UnitKind::kSweepExplicit)
+      known.has_value() ? auto_unit_items(*known)
                         : (options_.unit_items > 0 ? options_.unit_items : 4096);
   return fold(explicit_unit_feed(
       source,

@@ -47,9 +47,9 @@ struct DistPoolOptions {
   unsigned workers = 1;
   /// Task items (subset ranks, sample indices, restart indices, literal
   /// sets) per unit; 0 = auto (~8 units per worker over the task space,
-  /// clamped to [1, 65536] and, for Gray-rank units, rounded up to a
-  /// multiple of kMaxLaneWidth so each unit is whole packed blocks; streams
-  /// of unknown length use 4096).
+  /// clamped to [1, 65536] and rounded up to a multiple of kMaxLaneWidth,
+  /// so that every unit kind runs whole packed blocks and a window under
+  /// 512 items stays one unit; streams of unknown length use 4096).
   std::uint64_t unit_items = 0;
   /// How units execute INSIDE each worker process (the process x thread
   /// hierarchy): exec.threads is the per-worker thread count, and the batch
@@ -123,7 +123,7 @@ class DistSweepPool {
   void spawn_workers();
   /// Items per unit over a window of `total` items: unit_items when set
   /// (taken literally), else the auto rule in DistPoolOptions::unit_items.
-  std::uint64_t auto_unit_items(std::uint64_t total, UnitKind kind) const;
+  std::uint64_t auto_unit_items(std::uint64_t total) const;
 
   using UnitFeed = SweepUnitFeed;
 

@@ -168,7 +168,7 @@ void SrgIndex::build_base_rows() {
 }
 
 std::size_t SrgIndex::memory_bytes() const {
-  // Allocator capacity when owned, mapped extent when snapshot-backed.
+  // The shared route arrays are the table's to charge.
   std::size_t bytes =
       route_pair_.memory_bytes() + node_route_off_.memory_bytes() +
       node_route_ids_.memory_bytes() + pair_route_off_.memory_bytes() +

@@ -177,36 +177,35 @@ class SrgIndex {
     return {base_pred_.data() + std::size_t{v} * row_words_, row_words_};
   }
 
-  /// Footprint of the preprocessing arrays (capacities when owned, mapped
-  /// extent when snapshot-backed), for byte-accounted caches like the
-  /// serving layer's table registry. An index that shares its table's
-  /// route arrays (built from a table with one route per pair, or loaded
-  /// with one from a snapshot) leaves them out; the table charges them.
+  /// Footprint of the preprocessing arrays (their capacities), for
+  /// byte-accounted caches like the serving layer's table registry. An
+  /// index that shares its table's route arrays (built from a table with
+  /// one route per pair) leaves them out; the table charges them.
   std::size_t memory_bytes() const;
+
+  /// Array-by-array equality (a loaded snapshot's index against the one
+  /// built in memory).
+  friend bool operator==(const SrgIndex&, const SrgIndex&) = default;
 
  private:
   friend class SrgScratch;
-  friend struct SnapshotAccess;  // binary snapshot save/load (serialization)
-
-  SrgIndex() = default;  // snapshot loads fill the arrays directly
 
   // Shares the table's route arrays and numbers one pair per route.
   void share_routes(const RoutingTable& table);
   // Copies the routes of a table with parallel routes pair-major.
   void group_routes(const RoutingTable& table);
-  // The node -> routes inverted index, O(arena); snapshots store it.
+  // The node -> routes inverted index, O(arena).
   void build_node_routes();
   // Everything else, derived from the route arrays in O(pairs + n *
   // row_words_): pair_route_off_, the pairs by source and by target, and
-  // the base rows. Table builds and snapshot loads both end here, so no
-  // derived array is stored in a snapshot. Rejects a pair listed twice.
+  // the base rows. Rejects a pair listed twice.
   void finalize();
   void build_dst_pairs();
   void build_base_rows();
 
-  // All flat arrays: owned vectors (or shares of the table's) when built
-  // from a table, aliases into a mapped snapshot on the zero-copy load
-  // path; the index never mutates after construction either way.
+  // All flat arrays: owned vectors, or shares of the table's route arrays
+  // (which alias a mapped snapshot when the table was loaded from one);
+  // the index never mutates after construction.
   std::size_t n_ = 0;
   bool shares_routes_ = false;  // the next four arrays are the table's
   FlatArray<Node> route_nodes_;         // all route nodes, back to back

@@ -1,14 +1,36 @@
 #include "routing/route_table.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "common/contracts.hpp"
-#include "routing/pair_hash.hpp"
 
 namespace ftr {
 
-using detail::equals_path;
-using detail::hash_pair_key;
+namespace {
+
+// splitmix64 finalizer — a solid avalanche for the dense pair keys.
+std::uint64_t hash_pair_key(std::uint64_t k) {
+  k += 0x9e3779b97f4a7c15ull;
+  k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ull;
+  k = (k ^ (k >> 27)) * 0x94d049bb133111ebull;
+  return k ^ (k >> 31);
+}
+
+// True if the arena-stored route equals `p` (reversed when `rev`); `p` is a
+// Path or a PathView.
+template <typename P>
+bool equals_path(PathView stored, const P& p, bool rev) {
+  if (stored.size() != p.size()) return false;
+  const std::size_t len = p.size();
+  for (std::size_t i = 0; i < len; ++i) {
+    if (stored[i] != (rev ? p[len - 1 - i] : p[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 RoutingTable::RoutingTable(std::size_t num_nodes, RoutingMode mode,
                            std::size_t max_routes_per_pair)
@@ -35,10 +57,30 @@ std::uint32_t RoutingTable::find(Node x, Node y) const {
   return first;
 }
 
-void RoutingTable::grow_slots() {
-  const std::size_t cap = std::max<std::size_t>(16, slots_.size() * 2);
-  std::vector<std::uint32_t> slots(cap, kNoRoute);
-  const std::size_t mask = cap - 1;
+RoutingTable::RoutingTable(std::size_t num_nodes, RoutingMode mode,
+                           FlatArray<Node> arena,
+                           FlatArray<std::uint32_t> route_off)
+    : n_(num_nodes),
+      mode_(mode),
+      arena_(std::move(arena)),
+      route_off_(std::move(route_off)) {
+  std::vector<Node> src(route_off_.size() - 1);
+  std::vector<Node> dst(src.size());
+  for (std::size_t r = 0; r < src.size(); ++r) {
+    src[r] = arena_[route_off_[r]];
+    dst[r] = arena_[route_off_[r + 1] - 1];
+  }
+  pair_src_ = FlatArray<Node>(std::move(src));
+  pair_dst_ = FlatArray<Node>(std::move(dst));
+  num_pairs_ = num_routes();
+  rebuild_slots();
+}
+
+void RoutingTable::rebuild_slots() {
+  const std::size_t count =
+      std::bit_ceil(std::max<std::size_t>(16, num_routes() * 2));
+  std::vector<std::uint32_t> slots(count, kNoRoute);
+  const std::size_t mask = count - 1;
   // Route-id order keeps each pair's routes in insertion order on its run.
   for (std::uint32_t r = 0; r < num_routes(); ++r) {
     std::size_t i = hash_pair_key(key(pair_src_[r], pair_dst_[r])) & mask;
@@ -79,7 +121,7 @@ void RoutingTable::append(Node x, Node y, const Path& p, bool rev,
   if (new_pair) ++num_pairs_;
   // Keep load factor <= 1/2.
   if (num_routes() * 2 > slots_.size()) {
-    grow_slots();
+    rebuild_slots();
     return;
   }
   const std::size_t mask = slots_.size() - 1;

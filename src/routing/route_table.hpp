@@ -150,10 +150,18 @@ class RoutingTable {
   Fit fit(Node x, Node y, const Path& p, bool rev) const;
   // Appends `p` (reversed when `rev`) as a route of x -> y.
   void append(Node x, Node y, const Path& p, bool rev, bool new_pair);
-  void grow_slots();
+  // Rebuilds slots_ over every route at the count appending reaches: the
+  // smallest power of two >= max(16, 2 * num_routes()).
+  void rebuild_slots();
   PathView view_of(std::uint32_t r) const {
     return {arena_.data() + route_off_[r], route_off_[r + 1] - route_off_[r]};
   }
+
+  // The table over stored routes, one per pair (a snapshot load): each
+  // route's pair is its first and last node, and the slot index is
+  // rebuilt. A repeated pair is refused by the SrgIndex built over it.
+  RoutingTable(std::size_t num_nodes, RoutingMode mode, FlatArray<Node> arena,
+               FlatArray<std::uint32_t> route_off);
 
   friend class SrgIndex;         // shares the route arrays
   friend struct SnapshotAccess;  // binary snapshot save/load (serialization)
@@ -165,9 +173,10 @@ class RoutingTable {
   // Routes in insertion order; route r is the ordered pair (pair_src_[r],
   // pair_dst_[r]) with nodes arena_[route_off_[r] .. route_off_[r + 1]),
   // so route_off_ always holds num_routes() + 1 offsets.
-  // Owned vectors normally; aliases into a mapped snapshot on the zero-copy
-  // load path. Copies (an SrgIndex's among them) share the bytes, and
-  // mutation detaches to a private copy — see common/flat_array.hpp.
+  // Owned vectors, except that a snapshot load aliases arena_ and
+  // route_off_ into the mapped file. Copies (an SrgIndex's among them)
+  // share the bytes, and mutation detaches to a private copy — see
+  // common/flat_array.hpp.
   FlatArray<Node> arena_;               // all route nodes, back to back
   FlatArray<std::uint32_t> route_off_{std::vector<std::uint32_t>{0}};
   FlatArray<Node> pair_src_;

@@ -15,7 +15,6 @@
 #include "common/parse.hpp"
 #include "common/pipe_io.hpp"
 #include "fault/fault_gen.hpp"
-#include "routing/pair_hash.hpp"
 
 namespace ftr {
 
@@ -144,9 +143,9 @@ RoutingTable routing_table_from_string(const std::string& text) {
 // --- binary table snapshots --------------------------------------------------
 
 // Private-member bridge between the snapshot container and the structures it
-// persists. Befriended by Graph, RoutingTable, and SrgIndex so the loader
-// can place FlatArrays (owned or mapped aliases) directly into them without
-// widening any public API.
+// persists. Befriended by Graph and RoutingTable so the loader can place
+// FlatArrays (owned or mapped aliases) directly into them without widening
+// any public API.
 struct SnapshotAccess {
   static const FlatArray<std::uint32_t>& graph_offsets(const Graph& g) {
     return g.offsets_;
@@ -170,64 +169,17 @@ struct SnapshotAccess {
       const RoutingTable& t) {
     return t.route_off_;
   }
-  static const FlatArray<Node>& table_pair_src(const RoutingTable& t) {
-    return t.pair_src_;
-  }
-  static const FlatArray<Node>& table_pair_dst(const RoutingTable& t) {
-    return t.pair_dst_;
-  }
-  static const FlatArray<std::uint32_t>& table_slots(const RoutingTable& t) {
-    return t.slots_;
-  }
-  static constexpr std::uint32_t no_route() { return RoutingTable::kNoRoute; }
   static RoutingTable make_table(std::size_t n, RoutingMode mode,
                                  FlatArray<Node> arena,
-                                 FlatArray<std::uint32_t> route_off,
-                                 FlatArray<Node> pair_src,
-                                 FlatArray<Node> pair_dst,
-                                 FlatArray<std::uint32_t> slots) {
-    RoutingTable t;
-    t.n_ = n;
-    t.mode_ = mode;
-    t.arena_ = std::move(arena);
-    t.route_off_ = std::move(route_off);
-    t.pair_src_ = std::move(pair_src);
-    t.pair_dst_ = std::move(pair_dst);
-    t.slots_ = std::move(slots);
-    t.num_pairs_ = t.num_routes();  // the validator refuses a repeated pair
-    return t;
-  }
-  // The index over a loaded table: shares its route arrays like
-  // SrgIndex(table), takes the stored node -> routes lists, and derives
-  // the rest through the constructor's finalize().
-  static std::shared_ptr<const SrgIndex> make_index(
-      const RoutingTable& table, FlatArray<std::uint32_t> node_route_off,
-      FlatArray<std::uint32_t> node_route_ids) {
-    std::shared_ptr<SrgIndex> ix(new SrgIndex());
-    ix->share_routes(table);
-    ix->node_route_off_ = std::move(node_route_off);
-    ix->node_route_ids_ = std::move(node_route_ids);
-    ix->finalize();
-    return ix;
-  }
-  static bool index_shares_table(const SrgIndex& ix, const RoutingTable& t) {
-    return ix.shares_routes_ && ix.route_nodes_.data() == t.arena_.data() &&
-           ix.num_routes() == t.num_routes();
-  }
-  static const FlatArray<std::uint32_t>& srg_node_route_off(
-      const SrgIndex& ix) {
-    return ix.node_route_off_;
-  }
-  static const FlatArray<std::uint32_t>& srg_node_route_ids(
-      const SrgIndex& ix) {
-    return ix.node_route_ids_;
+                                 FlatArray<std::uint32_t> route_off) {
+    return RoutingTable(n, mode, std::move(arena), std::move(route_off));
   }
 };
 
 namespace {
 
 constexpr char kSnapMagic[8] = {'F', 'T', 'R', 'S', 'N', 'A', 'P', '\0'};
-constexpr std::uint32_t kSnapVersion = 2;
+constexpr std::uint32_t kSnapVersion = 3;
 constexpr std::uint32_t kSnapEndianTag = 0x01020304u;
 constexpr std::uint64_t kHeaderBytes = 48;
 constexpr std::uint64_t kDirEntryBytes = 32;
@@ -252,13 +204,12 @@ struct SnapshotMeta {
 static_assert(sizeof(SnapshotMeta) == 40, "meta block layout is pinned");
 static_assert(std::is_trivially_copyable_v<SnapshotMeta>);
 
-// Canonical section order. A v2 file contains exactly these, in this order:
-// each array once. The SrgIndex shares the table's route arrays, so only
-// its node -> routes lists (O(arena) to rebuild) are stored; its O(pairs)
-// arrays and base rows are derived on load by the constructor's code.
-constexpr const char* kSectionOrder[] = {
-    "meta",   "plan",   "goff",   "gtgt",   "tarena", "troff",
-    "tpsrc",  "tpdst",  "tslots", "snroff", "snrids", "rank"};
+// Canonical section order. A v3 file contains exactly these, in this order:
+// the inputs G and rho, and the plan. Everything derived from them (each
+// route's pair, the table's slot index, the SrgIndex, the route-load
+// ranking) is rebuilt on load by make_table_snapshot.
+constexpr const char* kSectionOrder[] = {"meta",   "plan",   "goff",
+                                         "gtgt",   "tarena", "troff"};
 constexpr std::size_t kNumSections = std::size(kSectionOrder);
 
 // FNV-1a folded over 64-bit little-endian words (zero-padded tail, length
@@ -413,24 +364,20 @@ FlatArray<T> take_array(const std::string& path, const RawSection& s,
   return FlatArray<T>::aliased(src, count, owner);
 }
 
-// Bounds / monotonicity / id-range validation of everything the sections
-// claim, run on every load before any loaded structure escapes. The
-// checksums catch storage corruption; these checks keep a crafted or buggy
-// file from producing out-of-bounds indexing (or a non-terminating hash
-// probe) at serve time. Cost is one linear pass per array — still far from
-// the planner rebuild this load path replaces.
+// Bounds / monotonicity / id-range validation of the stored arrays, run on
+// every load before anything is derived from them. The checksums catch
+// storage corruption; these checks keep a crafted or buggy file from
+// producing out-of-bounds indexing in the derivations or at serve time.
+// Cost is one linear pass per array.
 #define FTR_SNAP_CHECK(cond, tag, msg)                                   \
   FTR_EXPECTS_MSG(cond, "snapshot '" << path << "' section '" << (tag)  \
                                      << "': " << msg)
 
-void validate_structure(
-    const std::string& path, const SnapshotMeta& meta,
-    const FlatArray<std::uint32_t>& goff, const FlatArray<Node>& gtgt,
-    const FlatArray<Node>& arena, const FlatArray<std::uint32_t>& troff,
-    const FlatArray<Node>& tpsrc, const FlatArray<Node>& tpdst,
-    const FlatArray<std::uint32_t>& slots,
-    const FlatArray<std::uint32_t>& snroff,
-    const FlatArray<std::uint32_t>& snrids, const FlatArray<Node>& rank) {
+void validate_structure(const std::string& path, const SnapshotMeta& meta,
+                        const FlatArray<std::uint32_t>& goff,
+                        const FlatArray<Node>& gtgt,
+                        const FlatArray<Node>& arena,
+                        const FlatArray<std::uint32_t>& troff) {
   const std::uint64_t n = meta.table_num_nodes;
   FTR_SNAP_CHECK(n >= 2 && n <= kMaxNodes, "meta",
                  "implausible node count " << n);
@@ -464,17 +411,15 @@ void validate_structure(
                    "target " << gtgt[i] << " out of range at index " << i);
   }
 
-  // Routing table: route r is the ordered pair (tpsrc[r], tpdst[r]), with
-  // nodes tarena[troff[r] .. troff[r + 1]).
+  // Routing table: route r has nodes tarena[troff[r] .. troff[r + 1]), and
+  // its pair is its first and last node.
   for (std::size_t i = 0; i < arena.size(); ++i) {
     FTR_SNAP_CHECK(arena[i] < n, "tarena",
                    "node " << arena[i] << " out of range at index " << i);
   }
-  const std::size_t routes = tpsrc.size();
-  FTR_SNAP_CHECK(troff.size() == routes + 1, "troff",
-                 "expected " << routes + 1 << " route offsets, found "
-                             << troff.size());
-  FTR_SNAP_CHECK(troff[0] == 0, "troff", "first route offset is not 0");
+  FTR_SNAP_CHECK(!troff.empty() && troff[0] == 0, "troff",
+                 "first route offset is not 0");
+  const std::size_t routes = troff.size() - 1;
   for (std::size_t r = 0; r < routes; ++r) {
     FTR_SNAP_CHECK(troff[r] <= troff[r + 1], "troff",
                    "route offsets not monotone at route " << r);
@@ -485,91 +430,10 @@ void validate_structure(
                  "route offsets end at " << troff.back()
                                          << " but 'tarena' holds "
                                          << arena.size() << " nodes");
-  FTR_SNAP_CHECK(tpdst.size() == routes, "tpdst",
-                 "expected " << routes << " pair targets, found "
-                             << tpdst.size());
   for (std::size_t r = 0; r < routes; ++r) {
-    const Node x = tpsrc[r];
-    const Node y = tpdst[r];
-    FTR_SNAP_CHECK(x < n, "tpsrc", "source out of range at route " << r);
-    FTR_SNAP_CHECK(y < n, "tpdst", "destination out of range at route " << r);
-    // The sparse strike takes a pair's arc from the fault-free rows and
-    // kills it through its route, so the route must join the pair's ends.
-    FTR_SNAP_CHECK(arena[troff[r]] == x && arena[troff[r + 1] - 1] == y,
-                   "tpsrc",
-                   "route " << r << " runs " << arena[troff[r]] << " -> "
-                            << arena[troff[r + 1] - 1] << " but its pair is "
-                            << x << " -> " << y);
-    FTR_SNAP_CHECK(x != y, "tpsrc",
-                   "route " << r << " routes a node to itself");
-  }
-  if (routes != 0) {  // an empty table may carry an empty slot index
-    FTR_SNAP_CHECK(!slots.empty() && (slots.size() & (slots.size() - 1)) == 0,
-                   "tslots", "slot count " << slots.size()
-                                           << " is not a power of two");
-    FTR_SNAP_CHECK(routes * 2 <= slots.size(), "tslots",
-                   "load factor above 1/2 (" << routes << " routes in "
-                                             << slots.size() << " slots)");
-  }
-  std::size_t used_slots = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == SnapshotAccess::no_route()) continue;
-    ++used_slots;
-    FTR_SNAP_CHECK(slots[i] < routes, "tslots",
-                   "slot " << i << " points past the route list");
-  }
-  FTR_SNAP_CHECK(used_slots == routes, "tslots",
-                 "slot index holds " << used_slots << " routes, the table "
-                                     << routes);
-  // Each route must be the first its pair's probe finds (the probe ends:
-  // at least half the slots are empty). A route the probe misses is not
-  // indexed, and one found after an earlier route of the same pair means
-  // the pair is listed twice.
-  const std::size_t mask = slots.size() - 1;
-  for (std::uint32_t r = 0; r < routes; ++r) {
-    const Node x = tpsrc[r];
-    const Node y = tpdst[r];
-    std::size_t i = detail::hash_pair_key(std::uint64_t{x} * n + y) & mask;
-    while (slots[i] != SnapshotAccess::no_route() &&
-           (tpsrc[slots[i]] != x || tpdst[slots[i]] != y)) {
-      i = (i + 1) & mask;
-    }
-    FTR_SNAP_CHECK(slots[i] != SnapshotAccess::no_route(), "tslots",
-                   "route " << r << " is missing from the slot index");
-    FTR_SNAP_CHECK(slots[i] == r, "tpsrc",
-                   "ordered pair " << x << " -> " << y
-                                   << " listed twice (routes " << slots[i]
-                                   << " and " << r << ")");
-  }
-
-  // SRG index: the node -> routes lists, one listing per arena node.
-  FTR_SNAP_CHECK(snroff.size() == n + 1, "snroff",
-                 "expected " << n + 1 << " node offsets, found "
-                             << snroff.size());
-  FTR_SNAP_CHECK(snroff[0] == 0, "snroff", "first node offset is not 0");
-  for (std::size_t i = 0; i + 1 < snroff.size(); ++i) {
-    FTR_SNAP_CHECK(snroff[i] <= snroff[i + 1], "snroff",
-                   "node offsets not monotone at node " << i);
-  }
-  FTR_SNAP_CHECK(snroff.back() == snrids.size(), "snroff",
-                 "node offsets end at " << snroff.back()
-                                        << " but 'snrids' holds "
-                                        << snrids.size() << " route ids");
-  FTR_SNAP_CHECK(snrids.size() == arena.size(), "snrids",
-                 "expected one listing per route node (" << arena.size()
-                                                         << "), found "
-                                                         << snrids.size());
-  for (std::size_t i = 0; i < snrids.size(); ++i) {
-    FTR_SNAP_CHECK(snrids[i] < routes, "snrids",
-                   "route id out of range at index " << i);
-  }
-
-  // Route-load ranking.
-  FTR_SNAP_CHECK(rank.size() == n, "rank",
-                 "expected " << n << " ranked nodes, found " << rank.size());
-  for (std::size_t i = 0; i < rank.size(); ++i) {
-    FTR_SNAP_CHECK(rank[i] < n, "rank",
-                   "node " << rank[i] << " out of range at index " << i);
+    FTR_SNAP_CHECK(arena[troff[r]] != arena[troff[r + 1] - 1], "tarena",
+                   "route " << r << " routes node " << arena[troff[r]]
+                            << " to itself");
   }
 }
 
@@ -594,11 +458,8 @@ TableSnapshot make_table_snapshot(Graph graph, RoutingTable table,
 
 void save_table_snapshot(const TableSnapshot& snapshot, std::ostream& os) {
   expect_little_endian_host();
-  FTR_EXPECTS_MSG(snapshot.index != nullptr,
-                  "snapshot has no SrgIndex (use make_table_snapshot)");
   const Graph& g = snapshot.graph;
   const RoutingTable& t = snapshot.table;
-  const SrgIndex& ix = *snapshot.index;
   FTR_EXPECTS_MSG(g.num_nodes() == t.num_nodes(),
                   "snapshot materials disagree on the node count");
   if (t.num_pairs() != t.num_routes()) {
@@ -611,12 +472,6 @@ void save_table_snapshot(const TableSnapshot& snapshot, std::ostream& os) {
                                      << " routes");
     });
   }
-  // Only the index's node -> routes lists are written; its routes are the
-  // table's, so it must be the index built from (or loaded with) `t`.
-  FTR_EXPECTS_MSG(SnapshotAccess::index_shares_table(ix, t),
-                  "snapshot index was not built from the snapshot's table");
-  FTR_EXPECTS_MSG(snapshot.route_load_ranking.size() == t.num_nodes(),
-                  "route-load ranking must rank every node");
 
   SnapshotMeta meta{};
   meta.graph_num_nodes = g.num_nodes();
@@ -649,12 +504,6 @@ void save_table_snapshot(const TableSnapshot& snapshot, std::ostream& os) {
   add_arr("gtgt", SnapshotAccess::graph_targets(g));
   add_arr("tarena", SnapshotAccess::table_arena(t));
   add_arr("troff", SnapshotAccess::table_route_off(t));
-  add_arr("tpsrc", SnapshotAccess::table_pair_src(t));
-  add_arr("tpdst", SnapshotAccess::table_pair_dst(t));
-  add_arr("tslots", SnapshotAccess::table_slots(t));
-  add_arr("snroff", SnapshotAccess::srg_node_route_off(ix));
-  add_arr("snrids", SnapshotAccess::srg_node_route_ids(ix));
-  add_arr("rank", snapshot.route_load_ranking);
   FTR_ASSERT(sections.size() == kNumSections);
 
   const std::uint64_t dir_bytes = sections.size() * kDirEntryBytes;
@@ -757,36 +606,30 @@ TableSnapshot parse_snapshot(const std::string& path,
   auto gtgt = take_array<Node>(path, sec("gtgt"), owner);
   auto arena = take_array<Node>(path, sec("tarena"), owner);
   auto troff = take_array<std::uint32_t>(path, sec("troff"), owner);
-  auto tpsrc = take_array<Node>(path, sec("tpsrc"), owner);
-  auto tpdst = take_array<Node>(path, sec("tpdst"), owner);
-  auto slots = take_array<std::uint32_t>(path, sec("tslots"), owner);
-  auto snroff = take_array<std::uint32_t>(path, sec("snroff"), owner);
-  auto snrids = take_array<std::uint32_t>(path, sec("snrids"), owner);
-  auto rank = take_array<Node>(path, sec("rank"), owner);
+  validate_structure(path, meta, goff, gtgt, arena, troff);
 
-  validate_structure(path, meta, goff, gtgt, arena, troff, tpsrc, tpdst,
-                     slots, snroff, snrids, rank);
-
-  TableSnapshot snap;
-  snap.graph = SnapshotAccess::make_graph(
-      std::move(goff), std::move(gtgt),
-      static_cast<std::size_t>(meta.graph_num_edges));
-  snap.table = SnapshotAccess::make_table(
-      static_cast<std::size_t>(meta.table_num_nodes),
-      static_cast<RoutingMode>(meta.table_mode), std::move(arena),
-      std::move(troff), std::move(tpsrc), std::move(tpdst), std::move(slots));
-  snap.index = SnapshotAccess::make_index(snap.table, std::move(snroff),
-                                          std::move(snrids));
-  snap.plan.construction =
-      static_cast<Construction>(meta.plan_construction);
-  snap.plan.guaranteed_diameter = meta.plan_guaranteed_diameter;
-  snap.plan.tolerated_faults = meta.plan_tolerated_faults;
+  Plan plan;
+  plan.construction = static_cast<Construction>(meta.plan_construction);
+  plan.guaranteed_diameter = meta.plan_guaranteed_diameter;
+  plan.tolerated_faults = meta.plan_tolerated_faults;
   const RawSection& plan_sec = sec("plan");
-  snap.plan.rationale.assign(
-      reinterpret_cast<const char*>(plan_sec.data),
-      static_cast<std::size_t>(plan_sec.length));
-  snap.route_load_ranking.assign(rank.begin(), rank.end());
-  return snap;
+  plan.rationale.assign(reinterpret_cast<const char*>(plan_sec.data),
+                        static_cast<std::size_t>(plan_sec.length));
+  try {
+    // Derives what in-memory tables derive; SrgIndex refuses a pair that
+    // two routes join.
+    return make_table_snapshot(
+        SnapshotAccess::make_graph(
+            std::move(goff), std::move(gtgt),
+            static_cast<std::size_t>(meta.graph_num_edges)),
+        SnapshotAccess::make_table(
+            static_cast<std::size_t>(meta.table_num_nodes),
+            static_cast<RoutingMode>(meta.table_mode), std::move(arena),
+            std::move(troff)),
+        std::move(plan));
+  } catch (const ContractViolation& e) {
+    throw ContractViolation("snapshot '" + path + "': " + e.what());
+  }
 }
 
 }  // namespace

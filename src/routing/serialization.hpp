@@ -4,11 +4,11 @@
 //
 //  * the stable TEXT formats below (human-readable, diff-able, the
 //    portability oracle), and
-//  * the versioned, checksummed BINARY SNAPSHOT — a complete ServedTable
-//    payload ({Graph CSR, RoutingTable route arrays + hash index, SrgIndex
-//    node -> routes lists, Plan, route-load ranking}) in one sectioned
-//    container that a serving replica maps and aliases in place (zero-copy
-//    mmap) instead of re-running the planner.
+//  * the versioned, checksummed BINARY SNAPSHOT — the inputs a serving
+//    replica needs ({Graph CSR, RoutingTable route arrays, Plan}) in one
+//    sectioned container that it maps and aliases in place (zero-copy
+//    mmap) instead of re-running the planner; the rest of a TableSnapshot
+//    is derived on load.
 //
 // Text format (line-oriented; '#' starts a comment that runs to the end of
 // its line), one saver and one loader with two headers:
@@ -33,25 +33,28 @@
 //              payload offsets are 16-byte aligned so a mmap'd file can be
 //              aliased in place by any section's element type
 //   sections — each flat POD array once, plus a fixed-width meta block and
-//              the plan rationale text. v2 holds exactly these 12, in order:
+//              the plan rationale text. v3 holds exactly these 6, in order:
 //                meta plan            scalars, plan rationale
 //                goff gtgt            graph CSR
 //                tarena troff         route nodes, per-route offsets
-//                tpsrc tpdst          per-route pair endpoints
-//                tslots               the table's hash index
-//                snroff snrids        SrgIndex node -> routes lists
-//                rank                 route-load ranking
-//              The loaded SrgIndex shares the table's route arrays, as one
-//              built from the table does; its O(pairs) arrays and base rows
-//              are derived on load by the constructor's code from the
-//              validated table arrays, so none of them is stored.
-// Versioning policy: accept-same, refuse-other — a v2 reader loads exactly
-// v2 files and rejects any other version (older ones included: snapshots
+//              That is G and rho, nothing derived: 256,676 B for the
+//              planner torus(10,10) (seed 42). A load derives each
+//              route's pair from its first and last node, rebuilds the
+//              table's slot index, and returns make_table_snapshot(graph,
+//              table, plan), which builds the SrgIndex (sharing the
+//              mapped route arrays) and the route-load ranking exactly as
+//              for an in-memory table. Saving a loaded snapshot writes the
+//              same bytes.
+// Versioning policy: accept-same, refuse-other — a v3 reader loads exactly
+// v3 files and rejects any other version (older ones included: snapshots
 // are build artifacts, regenerated with `ftroute snapshot`) with a
 // ContractViolation naming the file. Every load validates the directory
-// and per-section checksums plus the structural invariants (offsets
-// monotone, ids in range, every route indexed once) before any loaded or
-// derived state exists; a corrupted file never yields a partially-valid
+// and per-section checksums, then the structure — the graph CSR (offsets
+// from 0, monotone, ending at the target count; targets in range), route
+// nodes in range, route offsets (from 0, monotone, >= 2 nodes per route,
+// ending at the arena size), and no route from a node to itself — before
+// anything is derived; a pair that two routes join is refused while the
+// SrgIndex is built. A corrupted file never yields a partially-valid
 // table.
 #pragma once
 
@@ -95,8 +98,9 @@ RoutingTable routing_table_from_string(const std::string& text);
 
 // --- binary table snapshots --------------------------------------------------
 
-/// Everything a ServedTable holds except its name/generation: the payload a
-/// snapshot file carries, so a registry cold miss is a load, not a rebuild.
+/// A table with everything the evaluators precompute from it; a
+/// registry entry (ServedTable) is one plus its name and accounting. Every
+/// TableSnapshot comes from make_table_snapshot, the loaders included.
 struct TableSnapshot {
   Graph graph;
   RoutingTable table;
@@ -107,14 +111,15 @@ struct TableSnapshot {
 
 /// Derives the precomputed members (SrgIndex, route-load ranking) from the
 /// materials, for any table (a multirouting included); graph/table node
-/// counts must match. `plan` is stored as-is.
+/// counts must match. `plan` is stored as-is. The snapshot loaders end
+/// here too, so a loaded snapshot equals the one built in memory.
 TableSnapshot make_table_snapshot(Graph graph, RoutingTable table,
                                   Plan plan = {});
 
-/// Writes the sectioned binary container. The stream must be binary-mode.
-/// The table must hold one route per pair (the format has no cap): a
-/// multirouting is refused with a ContractViolation naming a pair that
-/// holds more.
+/// Writes the sectioned binary container: the graph, the table's route
+/// arrays and the plan. The stream must be binary-mode. The table must
+/// hold one route per pair (the format has no cap): a multirouting is
+/// refused with a ContractViolation naming a pair that holds more.
 void save_table_snapshot(const TableSnapshot& snapshot, std::ostream& os);
 void save_table_snapshot_file(const TableSnapshot& snapshot,
                               const std::string& path);
@@ -124,14 +129,15 @@ void save_table_snapshot_file(const TableSnapshot& snapshot,
 std::string table_snapshot_to_string(const TableSnapshot& snapshot);
 
 /// Loads a snapshot file by mapping it: checksums are validated against
-/// the mapping, then the flat arrays are aliased in place — no copies, and
-/// the mapping stays alive (shared ownership) for as long as any loaded
-/// structure does. memory_bytes() of the loaded structures reports the
-/// mapped extent, so byte-accounted caches charge mapped tables like
-/// resident ones. Throws ContractViolation naming the file (and the
-/// offending section, where one exists) on wrong magic, future format
-/// version, truncation, checksum mismatch, or structural corruption —
-/// partially-valid state never escapes.
+/// the mapping, then the stored arrays are aliased in place — no copies,
+/// and the mapping stays alive (shared ownership) for as long as any
+/// loaded structure does — and the rest is derived (make_table_snapshot).
+/// memory_bytes() of an aliased array reports its mapped extent, so
+/// byte-accounted caches charge mapped tables like resident ones. Throws
+/// ContractViolation naming the file (and the offending section, where one
+/// exists) on wrong magic, other format version, truncation, checksum
+/// mismatch, or structural corruption — partially-valid state never
+/// escapes.
 TableSnapshot load_table_snapshot_file(const std::string& path);
 
 /// Loads a snapshot from an already-open descriptor (e.g. an unlinked temp

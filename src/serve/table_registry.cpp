@@ -8,7 +8,7 @@
 
 #include "common/contracts.hpp"
 #include "common/parse.hpp"
-#include "fault/fault_gen.hpp"
+#include "common/rng.hpp"
 #include "graph/graph_io.hpp"
 #include "routing/serialization.hpp"
 
@@ -89,45 +89,39 @@ TableHandle TableRegistry::acquire(const std::string& name) {
 TableHandle TableRegistry::materialize_locked(const std::string& name,
                                               Provider& provider) {
   auto entry = std::make_shared<ServedTable>();
-  entry->name = name;
   const bool from_snapshot =
       !provider.prebuilt && !provider.spec.snapshot_file.empty();
+  TableSnapshot& snap = *entry;
   if (provider.prebuilt) {
-    entry->graph = *provider.graph;
-    entry->table = *provider.table;
-    entry->plan = provider.plan;
+    snap = make_table_snapshot(*provider.graph, *provider.table,
+                               provider.plan);
   } else if (from_snapshot) {
-    // The snapshot carries the whole precomputed payload — the load (which
-    // validates checksums and structure, throwing before any state escapes)
-    // replaces the planner/SrgIndex work below.
-    TableSnapshot snap = load_table_snapshot_file(provider.spec.snapshot_file);
-    entry->graph = std::move(snap.graph);
-    entry->table = std::move(snap.table);
-    entry->index = std::move(snap.index);
-    entry->plan = std::move(snap.plan);
-    entry->route_load_ranking = std::move(snap.route_load_ranking);
+    // The load validates checksums and structure, throwing before any
+    // state escapes, then derives what make_table_snapshot derives.
+    snap = load_table_snapshot_file(provider.spec.snapshot_file);
   } else {
     std::ifstream gf(provider.spec.graph_file);
     FTR_EXPECTS_MSG(gf, "table '" << name << "': cannot open graph file '"
                                   << provider.spec.graph_file << "'");
-    entry->graph = load_graph(gf);
+    Graph graph = load_graph(gf);
+    RoutingTable table;
+    Plan plan;
     if (!provider.spec.table_file.empty()) {
       std::ifstream tf(provider.spec.table_file);
       FTR_EXPECTS_MSG(tf, "table '" << name << "': cannot open table file '"
                                     << provider.spec.table_file << "'");
-      entry->table = load_routing_table(tf);
-      entry->table.validate(entry->graph);
+      table = load_routing_table(tf);
+      table.validate(graph);
     } else {
       Rng rng(provider.spec.build_seed);
-      auto planned = build_planned_routing(entry->graph, std::nullopt, rng);
-      entry->table = std::move(planned.table);
-      entry->plan = planned.plan;
+      auto planned = build_planned_routing(graph, std::nullopt, rng);
+      table = std::move(planned.table);
+      plan = std::move(planned.plan);
     }
+    snap = make_table_snapshot(std::move(graph), std::move(table),
+                               std::move(plan));
   }
-  if (!from_snapshot) {
-    entry->index = std::make_shared<const SrgIndex>(entry->table);
-    entry->route_load_ranking = nodes_by_route_load(entry->table);
-  }
+  entry->name = name;
   entry->memory_bytes = entry->graph.memory_bytes() +
                         entry->table.memory_bytes() +
                         entry->index->memory_bytes() +

@@ -14,15 +14,15 @@
 //  * build-on-miss: a name is DEFINED up front (by manifest spec or by
 //    prebuilt materials) and MATERIALIZED lazily on first acquire — file
 //    specs load the graph, then load the routing table or build one via the
-//    planner, then construct the SrgIndex; every such materialization bumps
-//    stats().builds, which is the preprocessing-count probe the warm-vs-cold
-//    bench and tests assert on;
+//    planner, then make_table_snapshot derives the SrgIndex and ranking;
+//    every such materialization bumps stats().builds, which is the
+//    preprocessing-count probe the warm-vs-cold bench and tests assert on;
 //  * snapshot-on-miss: a spec may instead name a binary snapshot
-//    (snapshot=<file> in the manifest) — the complete precomputed payload,
-//    SrgIndex and route-load ranking included — which materializes by
-//    mapping it (zero-copy mmap), bumping stats().snapshot_loads instead
-//    of builds. Served responses are bit-identical to the build-on-miss
-//    path for the same materials; only the cold-acquire cost changes;
+//    (snapshot=<file> in the manifest) — the graph, the routes and the
+//    plan — which materializes by mapping it (zero-copy mmap) and deriving
+//    the rest as a build does, bumping stats().snapshot_loads instead of
+//    builds. Served responses are bit-identical to the build-on-miss path
+//    for the same materials; only the cold-acquire cost changes;
 //  * residency is byte-accounted against max_resident_bytes (0 = unlimited)
 //    using the memory_bytes() probes of Graph / RoutingTable / SrgIndex, and
 //    evicted in LRU order — acquire() touches, eviction walks from the cold
@@ -57,24 +57,17 @@
 
 namespace ftr {
 
-/// One resident table: everything a request needs, immutable once built.
-struct ServedTable {
+/// One resident table: everything a request needs (the graph, the table,
+/// its SrgIndex, the plan and the route-load ranking — see TableSnapshot),
+/// immutable once built. The plan carries the planner's claimed (d, f) for
+/// `certify` requests when the table was built on miss;
+/// guaranteed_diameter == 0 for file-loaded tables, whose claims the
+/// planner never saw.
+struct ServedTable : TableSnapshot {
   std::string name;
   /// Per-name materialization counter (1 for the first build, +1 per
   /// rebuild after eviction). Never reused within a registry.
   std::uint64_t generation = 0;
-  Graph graph;
-  RoutingTable table;
-  std::shared_ptr<const SrgIndex> index;
-  /// Planner metadata when the table was built on miss (claimed (d, f) for
-  /// `certify` requests); guaranteed_diameter == 0 for file-loaded tables,
-  /// whose claims the planner never saw.
-  Plan plan;
-  /// Nodes sorted by route load (busiest first) — the adversarial checks'
-  /// informed hill-climber seed. A pure function of the table, so it is
-  /// computed once at materialization like the SrgIndex: N check requests
-  /// against a warm entry must not pay N route-load rankings.
-  std::vector<Node> route_load_ranking;
   /// Bytes charged against the registry budget for this entry.
   std::size_t memory_bytes = 0;
 };
@@ -85,8 +78,7 @@ using TableHandle = std::shared_ptr<const ServedTable>;
 /// File-backed recipe for materializing a table on miss. Exactly one of
 /// graph_file / snapshot_file must be set: the first materializes by
 /// loading/building (text graph + optional text routes, planner otherwise),
-/// the second by loading a binary snapshot (which already carries the
-/// graph, table, SrgIndex, plan, and ranking).
+/// the second by loading a binary snapshot (the graph, table and plan).
 struct TableSpec {
   std::string graph_file;
   /// Empty = build the routing via the planner instead of loading one.
@@ -106,7 +98,8 @@ struct TableRegistryOptions {
 struct TableRegistryStats {
   std::uint64_t hits = 0;        // acquire() found the entry resident
   std::uint64_t misses = 0;      // acquire() had to materialize
-  std::uint64_t builds = 0;      // materializations that constructed SrgIndex
+  std::uint64_t builds = 0;      // materializations from a graph/table
+                                 // file or prebuilt materials
   std::uint64_t snapshot_loads = 0;  // materializations from a binary snapshot
   std::uint64_t evictions = 0;   // entries dropped for the byte budget
   std::size_t resident_bytes = 0;

@@ -12,6 +12,8 @@
 
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
+#include "core/planner.hpp"
 #include "dist/wire.hpp"
 #include "dist/worker.hpp"
 #include "fault/tolerance_check.hpp"
@@ -327,6 +329,30 @@ TEST(DistSweep, ExplicitUnitSweepsExactlyItsWindow) {
   EXPECT_THROW(execute_unit(*rig.snap.index, bad), ContractViolation);
 }
 
+// A unit with more faults than nodes is refused with a message, by the
+// pool as in process, even when its window splits into no units at all
+// (an exhaustive sweep's C(16, 20) = 0 ranks, or 0 sampled sets).
+TEST(DistSweep, UnitWithMoreFaultsThanNodesIsRefused) {
+  const Rig rig;
+  const FaultSweepOptions opts;
+  DistSweepPool pool(rig.snap, "", rig.pool_options(2, 0));
+  for (const UnitKind kind : {UnitKind::kSweepGray, UnitKind::kSweepSampled}) {
+    SCOPED_TRACE(unit_kind_name(kind));
+    const UnitSpec unit = sweep_unit(kind, 20, 0, opts);
+    EXPECT_THROW(execute_unit(*rig.snap.index, unit), ContractViolation);
+    try {
+      (void)pool.run(unit);
+      FAIL() << "the pool ran a 20-fault unit over 16 nodes";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("20 faults exceed the 16 nodes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(pool.sweep_exhaustive(20, opts), ContractViolation);
+  EXPECT_EQ(pool.stats().units_dispatched, 0u);
+}
+
 TEST(DistSweep, SnapshotFileFedWorkersMatchPayloadFedWorkers) {
   const Rig rig;
   const std::string path = ::testing::TempDir() + "dist_sweep_rig.snap";
@@ -382,6 +408,32 @@ TEST(DistCheck, PoolRunnerMatchesInProcessOnEveryPath) {
       }
     }
   }
+}
+
+// Past the exhaustive budget (C(32, 4) = 35,960 > 20,000) a check plans a
+// 200-set sampled unit and a 6-restart climb unit. Auto-sized units of
+// every kind are whole 512-item lane blocks, so each stays one unit and
+// runs packed, and the report equals the in-process one.
+TEST(DistCheck, AutoUnitsAreWholeLaneBlocksOfEveryKind) {
+  const auto gg = hypercube(5);
+  Rng plan_rng(42);
+  auto planned = build_planned_routing(gg.graph, std::nullopt, plan_rng);
+  const TableSnapshot snap =
+      make_table_snapshot(gg.graph, std::move(planned.table), planned.plan);
+  const std::uint32_t f = 4;
+  const std::uint32_t claimed = snap.plan.guaranteed_diameter;
+  const ToleranceCheckOptions opts =
+      with_route_load_seeds(snap.route_load_ranking, f, {});
+  const auto want = check_tolerance(*snap.index, f, claimed, 11, opts);
+  ASSERT_FALSE(want.exhaustive);
+  DistPoolOptions popts;
+  popts.workers = 2;
+  DistSweepPool pool(snap, "", popts);
+  ToleranceCheckOptions dopts = opts;
+  dopts.runner = [&pool](const UnitSpec& u) { return pool.run(u); };
+  expect_report_equal(check_tolerance(*snap.index, f, claimed, 11, dopts),
+                      want);
+  EXPECT_EQ(pool.stats().units_dispatched, 2u);
 }
 
 // A hill-climb stops at its first disconnecting restart, and the folded

@@ -20,6 +20,7 @@
 #include "cli/cli_support.hpp"
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 #include "fault/srg_engine.hpp"
 #include "fault/surviving.hpp"
 #include "fault/tolerance_check.hpp"
@@ -134,20 +135,80 @@ TEST(Snapshot, MmapTableSurvivesFileOutliving) {
 TEST(Snapshot, DirectoryIntrospection) {
   const std::string path = write_test_snapshot("introspect.snap");
   const auto info = read_snapshot_directory(path);
-  EXPECT_EQ(info.version, 2u);
+  EXPECT_EQ(info.version, 3u);
   std::ifstream f(path, std::ios::binary | std::ios::ate);
   EXPECT_EQ(info.file_size, static_cast<std::uint64_t>(f.tellg()));
-  // v2 stores each array once: the table's route arrays and the index's
-  // node -> routes lists, nothing the loader can derive.
-  const std::vector<std::string> expected = {
-      "meta",  "plan",  "goff",   "gtgt",   "tarena", "troff",
-      "tpsrc", "tpdst", "tslots", "snroff", "snrids", "rank"};
+  // v3 stores the inputs only: the graph, the table's routes and the
+  // plan; the loader derives everything else.
+  const std::vector<std::string> expected = {"meta", "plan",   "goff",
+                                             "gtgt", "tarena", "troff"};
   std::vector<std::string> tags;
   for (const auto& s : info.sections) tags.push_back(s.tag);
   EXPECT_EQ(tags, expected);
   for (const auto& s : info.sections) {
     EXPECT_EQ(s.offset % 16, 0u) << s.tag;
     EXPECT_LE(s.offset + s.length, info.file_size) << s.tag;
+  }
+}
+
+// The planner's torus(10,10) table at seed 42 — what `ftroute gen torus 10
+// 10 | ftroute snapshot --seed 42` writes.
+TableSnapshot planner_torus_snapshot() {
+  const auto gg = torus_graph(10, 10);
+  Rng rng(42);
+  auto planned = build_planned_routing(gg.graph, std::nullopt, rng);
+  return make_table_snapshot(gg.graph, std::move(planned.table),
+                             std::move(planned.plan));
+}
+
+TableSnapshot unidirectional_snapshot() {
+  const auto cycle = cycle_graph(6);
+  RoutingTable table(6, RoutingMode::kUnidirectional);
+  table.set_route({0, 1, 2});
+  table.set_route({2, 1, 0, 5});
+  table.set_route({3, 4});
+  return make_table_snapshot(cycle.graph, std::move(table));
+}
+
+// A file holds only the inputs, and a load derives the rest as
+// make_table_snapshot does, so saving a loaded snapshot writes the same
+// bytes.
+TEST(Snapshot, ResaveIsByteIdentical) {
+  const TableSnapshot planned = planner_torus_snapshot();
+  const std::string planned_bytes = table_snapshot_to_string(planned);
+  EXPECT_LE(planned_bytes.size(), 260000u);
+  for (const TableSnapshot& snap : {planned, unidirectional_snapshot()}) {
+    const std::string path = temp_path("resave.snap");
+    save_table_snapshot_file(snap, path);
+    EXPECT_EQ(table_snapshot_to_string(load_table_snapshot_file(path)),
+              table_snapshot_to_string(snap));
+  }
+}
+
+// Every TableSnapshot comes from make_table_snapshot, so a loaded one
+// equals the one built in memory: every SrgIndex array, the ranking, and
+// the route of every ordered pair.
+TEST(Snapshot, LoadedSnapshotMatchesMakeTableSnapshot) {
+  for (const TableSnapshot& made :
+       {planner_torus_snapshot(), unidirectional_snapshot(), test_snapshot()}) {
+    const std::string path = temp_path("matches_make.snap");
+    save_table_snapshot_file(made, path);
+    const TableSnapshot got = load_table_snapshot_file(path);
+    ASSERT_NE(got.index, nullptr);
+    EXPECT_TRUE(*got.index == *made.index);
+    EXPECT_EQ(got.route_load_ranking, made.route_load_ranking);
+    EXPECT_EQ(graph_text(got.graph), graph_text(made.graph));
+    EXPECT_EQ(got.table.num_pairs(), made.table.num_pairs());
+    const std::size_t n = made.table.num_nodes();
+    ASSERT_EQ(got.table.num_nodes(), n);
+    for (Node x = 0; x < n; ++x) {
+      for (Node y = 0; y < n; ++y) {
+        const PathView want = made.table.route(x, y);
+        const PathView have = got.table.route(x, y);
+        ASSERT_EQ(have.null(), want.null()) << x << " -> " << y;
+        EXPECT_EQ(have.to_path(), want.to_path()) << x << " -> " << y;
+      }
+    }
   }
 }
 
@@ -214,17 +275,17 @@ TEST(Snapshot, RejectsNonSnapshotFile) {
 
 TEST(Snapshot, RejectsFutureFormatVersion) {
   const std::string path = write_test_snapshot("future_version.snap");
-  patch_file(path, 8, 3);  // version field: u32 at byte 8
-  expect_load_rejects(path, "format version 3 unsupported");
+  patch_file(path, 8, 4);  // version field: u32 at byte 8
+  expect_load_rejects(path, "format version 4 unsupported");
 }
 
-// v1 files stored the routes up to three times; they are build artifacts,
-// so a v2 reader refuses them rather than converting.
-TEST(Snapshot, RejectsV1FormatVersion) {
-  const std::string path = write_test_snapshot("v1_version.snap");
-  patch_file(path, 8, 1);
+// v2 files also stored arrays derived from the routes; they are build
+// artifacts, so a v3 reader refuses them rather than converting.
+TEST(Snapshot, RejectsV2FormatVersion) {
+  const std::string path = write_test_snapshot("v2_version.snap");
+  patch_file(path, 8, 2);
   expect_load_rejects(path,
-                      "format version 1 unsupported (this build reads v2)");
+                      "format version 2 unsupported (this build reads v3)");
 }
 
 TEST(Snapshot, RejectsTruncationBelowHeader) {
@@ -339,24 +400,6 @@ TEST(Snapshot, RejectsStructuralCorruptionUnderValidChecksums) {
   expect_load_rejects(path, "section 'goff'");
 }
 
-// The pair-by-target grouping is derived on load from 'tpdst', indexed by
-// its entries; an out-of-range target must stop at the validator, before
-// any derivation reads it.
-TEST(Snapshot, RejectsOutOfRangePairTargetBeforeDerivingInPairs) {
-  const std::string path = write_test_snapshot("crafted_tpdst.snap");
-  poison_u32_under_valid_checksums(path, "tpdst", 4 * 7);
-  expect_load_rejects(path, "section 'tpdst': destination out of range");
-}
-
-// The sparse strike takes a pair's arc from the fault-free rows and kills it
-// through its routes; a pair whose route ends elsewhere would keep an arc
-// its faults should remove, so the validator rejects it.
-TEST(Snapshot, RejectsPairDisagreeingWithItsRoute) {
-  const std::string path = write_test_snapshot("crafted_tpsrc.snap");
-  poison_u32_under_valid_checksums(path, "tpsrc", 4 * 7, /*flip=*/1u);
-  expect_load_rejects(path, "section 'tpsrc': route 7 runs");
-}
-
 TEST(Snapshot, RejectsRouteOffsetsNotStartingAtZero) {
   const std::string path = write_test_snapshot("crafted_troff0.snap");
   poison_u32_under_valid_checksums(path, "troff", 0);
@@ -384,20 +427,34 @@ TEST(Snapshot, RejectsRouteOffsetsPastTheArena) {
                       "section 'troff': route offsets end at 4294967295");
 }
 
-// Route 1 rewritten, path and pair, to repeat route 0's pair: every array
-// stays in range and every route joins its pair's ends, so only the slot
-// walk can see the repeat.
-TEST(Snapshot, RejectsPairListedTwice) {
+// Snapshot of the unidirectional table {0 -> 1, 0 -> 3} over cycle(4): its
+// arena is 0 1 0 3, so the u32 at byte 4 * 3 is route 1's last node.
+std::string write_two_route_snapshot(const std::string& name) {
   const auto cycle = cycle_graph(4);
   RoutingTable table(4, RoutingMode::kUnidirectional);
   table.set_route({0, 1});
   table.set_route({0, 3});
-  const std::string path = temp_path("crafted_twice.snap");
+  const std::string path = temp_path(name);
   save_table_snapshot_file(make_table_snapshot(cycle.graph, table), path);
-  poison_u32_under_valid_checksums(path, "tpdst", 4 * 1, /*flip=*/3u ^ 1u);
+  return path;
+}
+
+// Route 1 rewritten to repeat route 0's pair: every node stays in range
+// and every route joins two distinct nodes, so only the SrgIndex built on
+// load can see the repeat.
+TEST(Snapshot, RejectsPairListedTwice) {
+  const std::string path = write_two_route_snapshot("crafted_twice.snap");
   poison_u32_under_valid_checksums(path, "tarena", 4 * 3, /*flip=*/3u ^ 1u);
-  expect_load_rejects(path, "section 'tpsrc': ordered pair 0 -> 1 listed "
-                            "twice (routes 0 and 1)");
+  expect_load_rejects(path, "ordered pair 0 -> 1 listed twice");
+}
+
+// A route's pair is its first and last node, so a route whose ends
+// coincide would route a node to itself.
+TEST(Snapshot, RejectsRouteWhoseEndsCoincide) {
+  const std::string path = write_two_route_snapshot("crafted_self.snap");
+  poison_u32_under_valid_checksums(path, "tarena", 4 * 3, /*flip=*/3u);
+  expect_load_rejects(path,
+                      "section 'tarena': route 1 routes node 0 to itself");
 }
 
 // The format stores one route per pair and no cap, so the writer refuses
@@ -456,34 +513,7 @@ TEST(Snapshot, LoadSnapshotArgsChecksAMultitableText) {
   std::remove(table_path.c_str());
 }
 
-TEST(Snapshot, RejectsOutOfRangeSlot) {
-  const std::string path = write_test_snapshot("crafted_tslots.snap");
-  std::ifstream in(path, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  std::uint64_t at = 0;
-  for (const auto& s : read_snapshot_directory(path).sections) {
-    if (s.tag != "tslots") continue;
-    // The first occupied slot.
-    for (std::uint32_t word = 0xffffffffu; word == 0xffffffffu; at += 4) {
-      ASSERT_LT(at, s.length);
-      std::memcpy(&word, bytes.data() + s.offset + at, 4);
-    }
-    at -= 4;
-  }
-  poison_u32_under_valid_checksums(path, "tslots", at, /*flip=*/0x40000000u);
-  expect_load_rejects(path, "section 'tslots': slot " + std::to_string(at / 4) +
-                                " points past the route list");
-}
-
-TEST(Snapshot, RejectsOutOfRangeNodeRouteId) {
-  const std::string path = write_test_snapshot("crafted_snrids.snap");
-  poison_u32_under_valid_checksums(path, "snrids", 4 * 3);
-  expect_load_rejects(path,
-                      "section 'snrids': route id out of range at index 3");
-}
-
-// The fault-free succ/pred rows are not stored either: a loaded index
+// The fault-free succ/pred rows are not stored: a loaded index
 // derives them identical to the table-built one, evaluates every set of up
 // to 3 faults exactly as it does (and as the original table's one-shot
 // surviving graph says), and charges them in memory_bytes(). The sparse table makes

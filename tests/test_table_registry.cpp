@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -265,8 +267,10 @@ TEST(TableRegistry, ChargesSharedArraysOnce) {
                 built->route_load_ranking.capacity() * sizeof(Node));
   EXPECT_EQ(built->index->memory_bytes(), index_only_bytes(*built));
 
-  // Loaded from a snapshot, every stored array is an alias charged at its
-  // section's length, and only the derived ones add to that.
+  // Loaded from a snapshot, every stored array (the graph and the route
+  // nodes and offsets) is an alias charged at its section's length, and
+  // each derived one adds its exact size: the routes' pair endpoints, the
+  // table's slot index, the index's own arrays and the ranking.
   save_table_snapshot_file(
       make_table_snapshot(built->graph, built->table, built->plan),
       snap_path);
@@ -278,10 +282,12 @@ TEST(TableRegistry, ChargesSharedArraysOnce) {
   for (const auto& s : read_snapshot_directory(snap_path).sections) {
     if (s.tag != "meta" && s.tag != "plan") stored += s.length;
   }
-  const std::size_t derived = index_only_bytes(*loaded) -
-                              (loaded->graph.num_nodes() + 1 +
-                               loaded->table.arena_size()) *
-                                  sizeof(std::uint32_t);
+  const std::size_t routes = loaded->table.num_routes();
+  const std::size_t slots =
+      std::bit_ceil(std::max<std::size_t>(16, 2 * routes));
+  const std::size_t derived =
+      (2 * routes + slots) * sizeof(std::uint32_t) + index_only_bytes(*loaded) +
+      loaded->graph.num_nodes() * sizeof(Node);
   EXPECT_EQ(loaded->memory_bytes, stored + derived);
 }
 

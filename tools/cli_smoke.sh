@@ -127,6 +127,11 @@ echo "== snapshot accepted by check/sweep"
 "${CLI}" check "${WORK}/table.snap" "${WORK}/table.snap" \
   --faults 2 --claimed 6 --seed 7 > "${WORK}/check.snap.out" 2> /dev/null
 cmp "${WORK}/check.1.out" "${WORK}/check.snap.out"
+# A snapshot stores only the graph, the routes and the plan, and a load
+# derives the rest, so re-snapshotting a loaded one writes the same bytes.
+"${CLI}" snapshot --graph "${WORK}/table.snap" --routes "${WORK}/table.snap" \
+  --out "${WORK}/resave.snap" 2> /dev/null
+cmp "${WORK}/table.snap" "${WORK}/resave.snap"
 "${CLI}" sweep "${WORK}/table.snap" "${WORK}/table.snap" \
   --stdin --threads 2 --batch 3 < "${WORK}/faults.txt" \
   > "${WORK}/sweep.snap.out" 2> /dev/null
@@ -161,6 +166,21 @@ for w in 1 4; do
     --faults 2 --claimed 6 --seed 7 --workers "${w}" \
     > "${WORK}/dcheck.${w}.out" 2> /dev/null
   cmp "${WORK}/check.1.out" "${WORK}/dcheck.${w}.out"
+done
+# More faults than nodes is an error in process and under --workers alike,
+# even though the C(16, 20) = 0 ranks split into no units.
+"${CLI}" gen torus 4 4 > "${WORK}/small.ftg"
+"${CLI}" build --seed 42 < "${WORK}/small.ftg" > "${WORK}/small.ftt" \
+  2> /dev/null
+for w in 0 2; do
+  rc=0
+  "${CLI}" sweep "${WORK}/small.ftg" "${WORK}/small.ftt" \
+    --exhaustive --faults 20 --workers "${w}" > /dev/null 2>&1 || rc=$?
+  if [[ "${rc}" -ne 1 ]]; then
+    echo "error: sweep --faults 20 on 16 nodes at --workers ${w}" \
+      "exited ${rc}, expected 1" >&2
+    exit 1
+  fi
 done
 
 # Golden stdout: byte-exact outputs pinned before the CLI/exec-policy
