@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <istream>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -140,13 +141,12 @@ void absorb_set(SweepPartial& partial, std::uint64_t index,
 }
 
 // One chunk of a unit: sets [lo, hi) of the global index space, made from
-// their indices and evaluated on a scratch of the chunk's own, one block
-// of up to lane_width() sets at a time.
-SweepPartial sweep_chunk(const SrgIndex& index, const UnitSpec& unit,
+// their indices and evaluated on `scratch`, which no other chunk uses
+// meanwhile, one block of up to lane_width() sets at a time.
+SweepPartial sweep_chunk(SrgScratch& scratch, const UnitSpec& unit,
                          std::uint64_t lo, std::uint64_t hi) {
   SweepPartial part;
-  SrgScratch scratch(index);
-  const std::size_t n = index.num_nodes();
+  const std::size_t n = scratch.num_nodes();
   const bool gray = unit.kind == UnitKind::kSweepGray;
   const bool deliver = unit.delivery_pairs > 0;
   std::optional<GraySubsetEnumerator> e;
@@ -294,6 +294,10 @@ SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
   ExecutorStats executor;
   ProgressEmitter progress(unit.exec.progress_every, on_progress);
   std::vector<SweepPartial> chunks;
+  // A window holds at most `workers` chunks, and parallel_for_chunks joins
+  // before the next window, so chunk i of every window reuses scratch i,
+  // built on first use.
+  std::vector<std::optional<SrgScratch>> scratch(workers);
   for (std::uint64_t lo = unit.begin, count = 0; lo < unit.end; lo += count) {
     count = std::min(window, unit.end - lo);
     chunks.assign(num_chunks(count, grain), SweepPartial{});
@@ -301,7 +305,9 @@ SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
     parallel_for_chunks(
         count, workers, grain,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          chunks[chunk] = sweep_chunk(index, unit, lo + begin, lo + end);
+          if (!scratch[chunk]) scratch[chunk].emplace(index);
+          chunks[chunk] =
+              sweep_chunk(*scratch[chunk], unit, lo + begin, lo + end);
         },
         &window_stats);
     executor.accumulate(window_stats);

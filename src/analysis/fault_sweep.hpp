@@ -14,8 +14,10 @@
 // literal sets it carries. The executor walks the window in windows of
 // grain x threads items (grain = the policy's batch size, rounded up to
 // whole packed lane blocks for Gray units); each window fans out over the
-// threads, and each chunk builds its own SrgScratch, makes its own sets
-// from their global indices, and folds them into a chunk SweepPartial. The
+// threads, and chunk i of a window evaluates on the unit's i-th SrgScratch
+// (built on first use and reused by every later window, since a window's
+// chunks never share one), makes its own sets from their global indices,
+// and folds them into a chunk SweepPartial. The
 // chunks merge in index order with merge_sweep_partials — the same merge
 // the check and the distributed coordinator use — so a sweep's output is
 // bit-identical for any thread count, batch size, unit split, or worker

@@ -157,7 +157,7 @@ std::string executor_stats_str(const ExecutorStats& e) {
 
 Graph load_graph_arg(const std::string& path) {
   if (is_snapshot_file(path)) {
-    return std::move(load_table_snapshot_file(path).graph);
+    return std::move(load_snapshot_inputs_file(path).graph);
   }
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open graph file '" + path + "'");
@@ -166,7 +166,7 @@ Graph load_graph_arg(const std::string& path) {
 
 RoutingTable load_table_arg(const std::string& path) {
   if (is_snapshot_file(path)) {
-    return std::move(load_table_snapshot_file(path).table);
+    return std::move(load_snapshot_inputs_file(path).table);
   }
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open table file '" + path + "'");
@@ -176,8 +176,8 @@ RoutingTable load_table_arg(const std::string& path) {
 GraphTableArgs load_graph_table_args(const std::string& graph_path,
                                      const std::string& table_path) {
   if (graph_path == table_path && is_snapshot_file(graph_path)) {
-    TableSnapshot snap = load_table_snapshot_file(graph_path);
-    return {std::move(snap.graph), std::move(snap.table)};
+    SnapshotInputs in = load_snapshot_inputs_file(graph_path);
+    return {std::move(in.graph), std::move(in.table)};
   }
   return {load_graph_arg(graph_path), load_table_arg(table_path)};
 }

@@ -54,22 +54,20 @@ int cmd_snapshot(const std::vector<std::string>& args) {
     if (!routes_path.empty() && a.has("--seed")) {
       throw UsageError("--routes and --seed are mutually exclusive");
     }
-    Graph g = load_graph_arg(graph_path);
-    RoutingTable table;
-    Plan plan;
-    if (!routes_path.empty()) {
-      table = load_table_arg(routes_path);
-    } else {
-      Rng rng(a.u64("--seed", 42));
-      auto planned = build_planned_routing(g, std::nullopt, rng);
-      table = std::move(planned.table);
-      plan = std::move(planned.plan);
-    }
     // Validate once at snapshot time — the whole point is that loads never
     // pay this again (they only re-check checksums and structural bounds).
-    table.validate(g);
-    const TableSnapshot snap =
-        make_table_snapshot(std::move(g), std::move(table), std::move(plan));
+    // A snapshot given as both inputs is loaded once, plan included.
+    TableSnapshot snap;
+    if (!routes_path.empty()) {
+      snap = load_snapshot_args(graph_path, routes_path);
+    } else {
+      Graph g = load_graph_arg(graph_path);
+      Rng rng(a.u64("--seed", 42));
+      auto planned = build_planned_routing(g, std::nullopt, rng);
+      planned.table.validate(g);
+      snap = make_table_snapshot(std::move(g), std::move(planned.table),
+                                 std::move(planned.plan));
+    }
     save_table_snapshot_file(snap, out_path);
     const auto info = read_snapshot_directory(out_path);
     std::cerr << "snapshot " << out_path << ": " << snap.table.num_nodes()

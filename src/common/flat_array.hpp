@@ -1,26 +1,22 @@
-// FlatArray<T>: a contiguous POD array behind one vector-ish interface.
-// Its bytes live either in a std::vector the array shares with its copies
-// (the normal case for structures built in process) or in a read-only
-// region owned by someone else (a mmap'd snapshot file).
+// FlatArray<T>: a contiguous, read-only POD array. Its bytes live either in
+// a std::vector the array shares with its copies (structures built in
+// process) or in a read-only region owned by someone else (a mmap'd
+// snapshot file). Nothing writes an array once it is made: structures are
+// assembled in plain vectors (GraphBuilder, RouteTableBuilder) and handed
+// over whole.
 //
 // This is the span/owner seam the binary-snapshot loader needs: Graph,
 // RoutingTable, and SrgIndex keep their hot arrays in FlatArrays, so the
 // zero-copy load path can point them straight into a mapped file while every
 // reader — including the SRG kernels — sees plain `data()[i]` indexing with
-// no per-access branch (the data pointer is cached and kept in sync by the
-// mutating calls).
+// no per-access branch.
 //
 // Copies share: copying a FlatArray copies two shared handles, never the
-// elements, which is how an SrgIndex holds its table's routes without a
-// second copy of them. Mutation is detach-on-write: any mutating call on an
-// array whose bytes are aliased, or shared with another copy, first copies
-// them into a vector of its own, so a write through one copy never shows
-// through another, and a snapshot-backed RoutingTable that someone calls
-// set_route() on silently becomes a private copy instead of scribbling on
-// (or faulting over) the mapping. The shared handles keep the bytes alive
-// for as long as any copy reads them — structures loaded from one file, or
-// an index and the table it was built from, can be moved around and
-// destroyed independently without lifetime coordination.
+// elements, which is how an SrgIndex holds its table's arrays without a
+// second copy of them. The shared handles keep the bytes alive for as long
+// as any copy reads them — structures loaded from one file, or an index and
+// the table it was built from, can be moved around and destroyed
+// independently without lifetime coordination.
 //
 // memory_bytes() is what byte-accounted caches charge: allocator footprint
 // (capacity) when vector-backed, mapped footprint (size) when aliased — a
@@ -47,9 +43,9 @@ class FlatArray {
  public:
   FlatArray() = default;
   explicit FlatArray(std::vector<T> v)
-      : vec_(std::make_shared<std::vector<T>>(std::move(v))) {
-    refresh();
-  }
+      : vec_(std::make_shared<const std::vector<T>>(std::move(v))),
+        data_(vec_->data()),
+        size_(vec_->size()) {}
 
   // Copies share the bytes (see the top of this header); a moved-from array
   // is empty.
@@ -80,7 +76,7 @@ class FlatArray {
     return a;
   }
 
-  /// True while the array aliases external storage (no mutation yet).
+  /// True when the array aliases external storage.
   bool aliased_view() const { return mapping_ != nullptr; }
 
   const T* data() const { return data_; }
@@ -90,21 +86,6 @@ class FlatArray {
   const T* end() const { return data_ + size_; }
   const T& operator[](std::size_t i) const { return data_[i]; }
   const T& back() const { return data_[size_ - 1]; }
-
-  // Mutation detaches from aliased or shared bytes. Element reads stay on
-  // the const accessors above even through a non-const array, so a read
-  // never copies.
-  void set(std::size_t i, const T& v) { own()[i] = v; }
-  void push_back(const T& v) {
-    own().push_back(v);
-    refresh();
-  }
-  template <typename It>
-  void append(It first, It last) {
-    std::vector<T>& v = own();
-    v.insert(v.end(), first, last);
-    refresh();
-  }
 
   /// Bytes charged to byte-accounted caches: allocator capacity when
   /// vector-backed, mapped extent when aliased (address space + page cache
@@ -122,22 +103,7 @@ class FlatArray {
   }
 
  private:
-  void refresh() {
-    data_ = vec_->data();
-    size_ = vec_->size();
-  }
-  // The vector this array alone holds, copying the bytes into a new one
-  // first when they are aliased, shared with another copy, or absent.
-  std::vector<T>& own() {
-    if (!vec_ || vec_.use_count() != 1) {
-      vec_ = std::make_shared<std::vector<T>>(data_, data_ + size_);
-      mapping_.reset();
-      refresh();
-    }
-    return *vec_;
-  }
-
-  std::shared_ptr<std::vector<T>> vec_;    // null while aliased or empty
+  std::shared_ptr<const std::vector<T>> vec_;  // null if aliased or empty
   std::shared_ptr<const void> mapping_;    // the aliased region's owner
   const T* data_ = nullptr;  // always valid: vec_->data() or the alias
   std::size_t size_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 
 #include "common/contracts.hpp"
 #include "common/cpu_features.hpp"
@@ -16,57 +15,24 @@ constexpr std::size_t kLaneBits = 64;
 std::size_t bit_words(std::size_t n) { return (n + kLaneBits - 1) / kLaneBits; }
 }  // namespace
 
-SrgIndex::SrgIndex(const RoutingTable& table) {
-  if (table.num_pairs() == table.num_routes()) {
-    share_routes(table);
-  } else {
-    group_routes(table);
-  }
-  build_node_routes();
-  finalize();
-}
-
-void SrgIndex::group_routes(const RoutingTable& table) {
-  // The table stores parallel routes in insertion order; copy them in its
-  // pair-major iteration order so each pair's routes get consecutive ids.
-  n_ = table.num_nodes();
-  std::vector<Node> nodes;
-  nodes.reserve(table.arena_size());
-  std::vector<std::uint32_t> off{0};
-  off.reserve(table.num_routes() + 1);
-  std::vector<Node> src;
-  std::vector<Node> dst;
-  src.reserve(table.num_pairs());
-  dst.reserve(table.num_pairs());
-  std::vector<std::uint32_t> route_pair;
-  route_pair.reserve(table.num_routes());
-  table.for_each_view([&](Node x, Node y, PathView path) {
-    if (src.empty() || src.back() != x || dst.back() != y) {
-      src.push_back(x);
-      dst.push_back(y);
-    }
-    route_pair.push_back(static_cast<std::uint32_t>(src.size() - 1));
-    nodes.insert(nodes.end(), path.begin(), path.end());
-    off.push_back(static_cast<std::uint32_t>(nodes.size()));
-  });
-  route_nodes_ = FlatArray<Node>(std::move(nodes));
-  route_off_ = FlatArray<std::uint32_t>(std::move(off));
-  pair_src_ = FlatArray<Node>(std::move(src));
-  pair_dst_ = FlatArray<Node>(std::move(dst));
-  route_pair_ = FlatArray<std::uint32_t>(std::move(route_pair));
-}
-
-void SrgIndex::share_routes(const RoutingTable& table) {
-  n_ = table.num_nodes();
-  shares_routes_ = true;
-  route_nodes_ = table.arena_;
-  route_off_ = table.route_off_;
-  pair_src_ = table.pair_src_;
-  pair_dst_ = table.pair_dst_;
-  // Every route of a single-route table is its own ordered pair.
+SrgIndex::SrgIndex(const RoutingTable& table)
+    : n_(table.num_nodes()),
+      route_nodes_(table.arena_),
+      route_off_(table.route_off_),
+      pair_src_(table.pair_src_),
+      pair_dst_(table.pair_dst_),
+      pair_route_off_(table.pair_route_off_),
+      src_pair_off_(table.src_pair_off_),
+      src_pair_ids_(table.src_pair_ids_) {
   std::vector<std::uint32_t> route_pair(table.num_routes());
-  std::iota(route_pair.begin(), route_pair.end(), 0u);
+  for (std::uint32_t pid = 0; pid < num_pairs(); ++pid) {
+    std::fill(route_pair.begin() + pair_route_off_[pid],
+              route_pair.begin() + pair_route_off_[pid + 1], pid);
+  }
   route_pair_ = FlatArray<std::uint32_t>(std::move(route_pair));
+  build_node_routes();
+  build_dst_pairs();
+  build_base_rows();
 }
 
 void SrgIndex::build_node_routes() {
@@ -82,35 +48,6 @@ void SrgIndex::build_node_routes() {
   }
   node_route_off_ = FlatArray<std::uint32_t>(std::move(off));
   node_route_ids_ = FlatArray<std::uint32_t>(std::move(ids));
-}
-
-void SrgIndex::finalize() {
-  // Pair -> contiguous route-id range. share_routes() and group_routes()
-  // both emit a pair's routes back to back, which the kill-mask AND in
-  // evaluate_gray_block() relies on — assert rather than assume.
-  const std::size_t num_pairs = pair_src_.size();
-  std::vector<std::uint32_t> pair_off(num_pairs + 1, 0);
-  for (std::uint32_t pid : route_pair_) ++pair_off[pid + 1];
-  for (std::size_t p = 1; p <= num_pairs; ++p) pair_off[p] += pair_off[p - 1];
-  for (std::uint32_t r = 0; r < num_routes(); ++r) {
-    const std::uint32_t pid = route_pair_[r];
-    FTR_ASSERT(r >= pair_off[pid] && r < pair_off[pid + 1]);
-  }
-  pair_route_off_ = FlatArray<std::uint32_t>(std::move(pair_off));
-  // Ordered pairs grouped by source node (counting sort): the adjacency the
-  // lane-parallel BFS walks.
-  std::vector<std::uint32_t> src_off(n_ + 1, 0);
-  for (Node s : pair_src_) ++src_off[s + 1];
-  for (std::size_t i = 1; i <= n_; ++i) src_off[i] += src_off[i - 1];
-  std::vector<std::uint32_t> src_ids(num_pairs);
-  std::vector<std::uint32_t> cursor(src_off.begin(), src_off.end() - 1);
-  for (std::uint32_t pid = 0; pid < num_pairs; ++pid) {
-    src_ids[cursor[pair_src_[pid]]++] = pid;
-  }
-  src_pair_off_ = FlatArray<std::uint32_t>(std::move(src_off));
-  src_pair_ids_ = FlatArray<std::uint32_t>(std::move(src_ids));
-  build_dst_pairs();
-  build_base_rows();
 }
 
 void SrgIndex::build_dst_pairs() {
@@ -156,11 +93,7 @@ void SrgIndex::build_base_rows() {
   for (std::uint32_t pid = 0; pid < num_pairs(); ++pid) {
     const Node s = pair_src_[pid];
     const Node t = pair_dst_[pid];
-    std::uint64_t& sw = succ[s * row_words_ + (t >> 6)];
-    const std::uint64_t tbit = std::uint64_t{1} << (t & 63);
-    FTR_EXPECTS_MSG((sw & tbit) == 0,
-                    "ordered pair " << s << " -> " << t << " listed twice");
-    sw |= tbit;
+    succ[s * row_words_ + (t >> 6)] |= std::uint64_t{1} << (t & 63);
     pred[t * row_words_ + (s >> 6)] |= std::uint64_t{1} << (s & 63);
   }
   base_succ_ = FlatArray<std::uint64_t>(std::move(succ));
@@ -168,18 +101,10 @@ void SrgIndex::build_base_rows() {
 }
 
 std::size_t SrgIndex::memory_bytes() const {
-  // The shared route arrays are the table's to charge.
-  std::size_t bytes =
-      route_pair_.memory_bytes() + node_route_off_.memory_bytes() +
-      node_route_ids_.memory_bytes() + pair_route_off_.memory_bytes() +
-      src_pair_off_.memory_bytes() + src_pair_ids_.memory_bytes() +
-      dst_pair_off_.memory_bytes() + dst_pair_ids_.memory_bytes() +
-      base_succ_.memory_bytes() + base_pred_.memory_bytes();
-  if (!shares_routes_) {
-    bytes += route_nodes_.memory_bytes() + route_off_.memory_bytes() +
-             pair_src_.memory_bytes() + pair_dst_.memory_bytes();
-  }
-  return bytes;
+  return route_pair_.memory_bytes() + node_route_off_.memory_bytes() +
+         node_route_ids_.memory_bytes() + dst_pair_off_.memory_bytes() +
+         dst_pair_ids_.memory_bytes() + base_succ_.memory_bytes() +
+         base_pred_.memory_bytes();
 }
 
 SrgScratch::SrgScratch(const SrgIndex& index) : index_(&index) {
@@ -669,15 +594,14 @@ std::uint32_t SrgScratch::live_route(std::uint32_t pid) const {
 
 std::uint32_t SrgScratch::arc_route(Node u, Node v) const {
   const SrgIndex& ix = *index_;
-  if ((ix.succ_row(u)[v >> 6] & (std::uint64_t{1} << (v & 63))) == 0) {
-    return kNoLiveRoute;  // no route u -> v at all
-  }
-  // The base row lists exactly the ordered pairs, so the scan finds it.
-  const std::uint32_t end = ix.src_pair_off_[u + 1];
-  std::uint32_t k = ix.src_pair_off_[u];
-  while (k < end && ix.pair_dst_[ix.src_pair_ids_[k]] != v) ++k;
-  FTR_ASSERT(k < end);
-  return live_route(ix.src_pair_ids_[k]);
+  // u's pairs are sorted by target.
+  const std::uint32_t* first = ix.src_pair_ids_.data() + ix.src_pair_off_[u];
+  const std::uint32_t* last = ix.src_pair_ids_.data() + ix.src_pair_off_[u + 1];
+  const std::uint32_t* it = std::lower_bound(
+      first, last, v,
+      [&ix](std::uint32_t pid, Node t) { return ix.pair_dst_[pid] < t; });
+  if (it == last || ix.pair_dst_[*it] != v) return kNoLiveRoute;
+  return live_route(*it);
 }
 
 std::span<const Node> SrgScratch::route_path(Node s, Node t) {

@@ -13,13 +13,11 @@
 //
 //  * SrgIndex is the immutable preprocessing — the routes as per-route
 //    node ranges, a node -> routes inverted index, and the fault-free route
-//    graph as bitset rows. Built from a table with one route per pair, it
-//    shares the table's route arrays (arena, route offsets, pair endpoints)
-//    instead of copying them: FlatArray copies share their bytes, and a
-//    later set_route() on the table detaches the table, never the index.
-//    A table with parallel routes is copied pair-major instead, so that
-//    each pair's routes get consecutive ids. It is read-only after
-//    construction, so ONE index serves any number of concurrent workers.
+//    graph as bitset rows. It shares the table's arrays whole (arena, route
+//    offsets, pair endpoints and route ranges, the pairs by source) instead
+//    of copying them: FlatArray copies share their bytes, and a table is
+//    frozen once built. It is read-only after construction, so ONE index
+//    serves any number of concurrent workers.
 //  * SrgScratch is the per-thread mutable state — the epoch-stamped fault
 //    and kill stamps, the dead-pair list, the struck set's bitset rows,
 //    the packed lane blocks, and the BFS queues. Each sweep worker owns
@@ -136,9 +134,8 @@ inline constexpr std::size_t kMinAnySetBlock = 96;
 /// workers.
 class SrgIndex {
  public:
-  /// Shares the table's route arrays when it holds one route per pair,
-  /// else copies its routes pair-major; either way the index stays valid
-  /// (and its results unchanged) after the table is modified or destroyed.
+  /// Shares the table's arrays and derives the rest; the index stays valid
+  /// (and its results unchanged) after the table is destroyed.
   explicit SrgIndex(const RoutingTable& table);
 
   std::size_t num_nodes() const { return n_; }
@@ -147,11 +144,10 @@ class SrgIndex {
   std::size_t num_routes() const { return route_pair_.size(); }
   std::size_t num_pairs() const { return pair_src_.size(); }
 
-  /// The nodes of route `r` (< num_routes()). Route ids follow the table's
-  /// pair-major iteration order (RoutingTable::for_each_view), so routes of
-  /// one ordered pair have consecutive ids, and pair ids follow the order
-  /// of the pairs' first routes; in a table with one route per pair, route
-  /// r is its r-th route in insertion order.
+  /// The nodes of route `r` (< num_routes()): the table's route r, so
+  /// routes of one ordered pair have consecutive ids, and pair ids follow
+  /// the order of the pairs' first routes; in a table with one route per
+  /// pair, route r is its r-th route in insertion order.
   PathView route(std::uint32_t r) const {
     return {route_nodes_.data() + route_off_[r],
             route_off_[r + 1] - route_off_[r]};
@@ -177,10 +173,9 @@ class SrgIndex {
     return {base_pred_.data() + std::size_t{v} * row_words_, row_words_};
   }
 
-  /// Footprint of the preprocessing arrays (their capacities), for
-  /// byte-accounted caches like the serving layer's table registry. An
-  /// index that shares its table's route arrays (built from a table with
-  /// one route per pair) leaves them out; the table charges them.
+  /// Footprint of the arrays the index derives (their capacities), for
+  /// byte-accounted caches like the serving layer's table registry. The
+  /// arrays it shares with its table are the table's to charge.
   std::size_t memory_bytes() const;
 
   /// Array-by-array equality (a loaded snapshot's index against the one
@@ -190,44 +185,32 @@ class SrgIndex {
  private:
   friend class SrgScratch;
 
-  // Shares the table's route arrays and numbers one pair per route.
-  void share_routes(const RoutingTable& table);
-  // Copies the routes of a table with parallel routes pair-major.
-  void group_routes(const RoutingTable& table);
   // The node -> routes inverted index, O(arena).
   void build_node_routes();
-  // Everything else, derived from the route arrays in O(pairs + n *
-  // row_words_): pair_route_off_, the pairs by source and by target, and
-  // the base rows. Rejects a pair listed twice.
-  void finalize();
   void build_dst_pairs();
   void build_base_rows();
 
-  // All flat arrays: owned vectors, or shares of the table's route arrays
-  // (which alias a mapped snapshot when the table was loaded from one);
-  // the index never mutates after construction.
+  // All flat arrays, never mutated after construction. The first seven are
+  // the table's own (aliasing a mapped snapshot when the table was loaded
+  // from one): route r has nodes route_nodes_[route_off_[r] ..
+  // route_off_[r + 1]); pair p is (pair_src_[p], pair_dst_[p]) with routes
+  // [pair_route_off_[p], pair_route_off_[p + 1]), so its route count is
+  // the difference; node v's pairs are src_pair_ids_[src_pair_off_[v] ..
+  // src_pair_off_[v + 1]), by ascending target. src_pair_* and dst_pair_*
+  // are the out- and in-adjacency the lane-parallel BFS walks top-down and
+  // bottom-up, since in packed mode "arc" and "pair with a live route"
+  // coincide.
   std::size_t n_ = 0;
-  bool shares_routes_ = false;  // the next four arrays are the table's
-  FlatArray<Node> route_nodes_;         // all route nodes, back to back
-  FlatArray<std::uint32_t> route_off_;  // num_routes() + 1 node offsets
-  FlatArray<Node> pair_src_;            // ordered-pair id -> endpoints
+  FlatArray<Node> route_nodes_;
+  FlatArray<std::uint32_t> route_off_;
+  FlatArray<Node> pair_src_;
   FlatArray<Node> pair_dst_;
+  FlatArray<std::uint32_t> pair_route_off_;
+  FlatArray<std::uint32_t> src_pair_off_;
+  FlatArray<std::uint32_t> src_pair_ids_;
   FlatArray<std::uint32_t> route_pair_;      // route -> ordered-pair id
   FlatArray<std::uint32_t> node_route_off_;  // node -> routes through it
   FlatArray<std::uint32_t> node_route_ids_;
-
-  // Routes of one ordered pair occupy a contiguous route-id range (both
-  // share_routes() and group_routes() emit them that way; finalize()
-  // asserts it), so pair
-  // p's routes are [pair_route_off_[p], pair_route_off_[p + 1]) and its
-  // route count is the difference. Packed-kernel support: src_pair_* lists
-  // the ordered pairs by source node and dst_pair_* by target node — the
-  // out- and in-adjacency the lane-parallel BFS walks top-down and
-  // bottom-up, since in packed mode "arc" and "pair with a live route"
-  // coincide.
-  FlatArray<std::uint32_t> pair_route_off_;  // pair -> first route id
-  FlatArray<std::uint32_t> src_pair_off_;    // node -> pairs sourced at it
-  FlatArray<std::uint32_t> src_pair_ids_;
   FlatArray<std::uint32_t> dst_pair_off_;    // node -> pairs targeting it
   FlatArray<std::uint32_t> dst_pair_ids_;
 

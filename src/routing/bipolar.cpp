@@ -56,10 +56,10 @@ BipolarSets make_sets(const Graph& g, std::uint32_t t,
 // concentrator side to every shell of that side. The shared node r (the
 // root) is adjacent to every member, so each routing re-derives the same
 // direct edge (m, r) — an allowed identical re-assignment.
-void install_member_to_shell_routings(RoutingTable& table, const Graph& g,
-                                      std::uint32_t t,
-                                      const std::vector<Node>& members,
-                                      const std::vector<std::vector<Node>>& shells) {
+void install_member_to_shell_routings(
+    RouteTableBuilder& table, const Graph& g, std::uint32_t t,
+    const std::vector<Node>& members,
+    const std::vector<std::vector<Node>>& shells) {
   for (Node m : members) {
     for (std::size_t j = 0; j < shells.size(); ++j) {
       if (members[j] == m) {
@@ -78,7 +78,7 @@ void install_member_to_shell_routings(RoutingTable& table, const Graph& g,
 BipolarRouting build_bipolar_unidirectional(const Graph& g, std::uint32_t t,
                                             const TwoTreesWitness& roots) {
   BipolarSets s = make_sets(g, t, roots);
-  RoutingTable table(g.num_nodes(), RoutingMode::kUnidirectional);
+  RouteTableBuilder table(g.num_nodes(), RoutingMode::kUnidirectional);
 
   // Component B-POL 6: direct edges, both directions.
   install_edge_routes(table, g);
@@ -108,14 +108,14 @@ BipolarRouting build_bipolar_unidirectional(const Graph& g, std::uint32_t t,
   });
   for (const Path& p : to_mirror) table.try_set_route(p);
 
-  return BipolarRouting{std::move(table), roots, std::move(s.m1),
+  return BipolarRouting{std::move(table).build(), roots, std::move(s.m1),
                         std::move(s.m2), t};
 }
 
 BipolarRouting build_bipolar_bidirectional(const Graph& g, std::uint32_t t,
                                            const TwoTreesWitness& roots) {
   BipolarSets s = make_sets(g, t, roots);
-  RoutingTable table(g.num_nodes(), RoutingMode::kBidirectional);
+  RouteTableBuilder table(g.num_nodes(), RoutingMode::kBidirectional);
 
   // Component 2B-POL 5: direct edges.
   install_edge_routes(table, g);
@@ -136,7 +136,7 @@ BipolarRouting build_bipolar_bidirectional(const Graph& g, std::uint32_t t,
   install_member_to_shell_routings(table, g, t, s.m1, s.gamma1);
   install_member_to_shell_routings(table, g, t, s.m2, s.gamma2);
 
-  return BipolarRouting{std::move(table), roots, std::move(s.m1),
+  return BipolarRouting{std::move(table).build(), roots, std::move(s.m1),
                         std::move(s.m2), t};
 }
 

@@ -37,7 +37,7 @@ CircularRouting build_circular_routing(const Graph& g, std::uint32_t t,
     for (Node v : gamma[i]) shell_of[v] = i + 1;
   }
 
-  RoutingTable table(g.num_nodes(), RoutingMode::kBidirectional);
+  RouteTableBuilder table(g.num_nodes(), RoutingMode::kBidirectional);
 
   // Component CIRC 3: direct edge routes (first, so tree-routing seeds are
   // consistent re-assignments).
@@ -67,7 +67,7 @@ CircularRouting build_circular_routing(const Graph& g, std::uint32_t t,
     }
   }
 
-  return CircularRouting{std::move(table), std::move(m), t};
+  return CircularRouting{std::move(table).build(), std::move(m), t};
 }
 
 }  // namespace ftr

@@ -33,27 +33,27 @@ RoutingTable build_bitfixing_unidirectional(const Graph& hypercube,
                                             std::size_t dim) {
   check_is_hypercube(hypercube, dim);
   const std::size_t n = hypercube.num_nodes();
-  RoutingTable table(n, RoutingMode::kUnidirectional);
+  RouteTableBuilder table(n, RoutingMode::kUnidirectional);
   for (Node x = 0; x < n; ++x) {
     for (Node y = 0; y < n; ++y) {
       if (x == y) continue;
       table.set_route(bitfix_path(x, y, dim));
     }
   }
-  return table;
+  return std::move(table).build();
 }
 
 RoutingTable build_bitfixing_bidirectional(const Graph& hypercube,
                                            std::size_t dim) {
   check_is_hypercube(hypercube, dim);
   const std::size_t n = hypercube.num_nodes();
-  RoutingTable table(n, RoutingMode::kBidirectional);
+  RouteTableBuilder table(n, RoutingMode::kBidirectional);
   for (Node x = 0; x < n; ++x) {
     for (Node y = x + 1; y < n; ++y) {
       table.set_route(bitfix_path(x, y, dim));
     }
   }
-  return table;
+  return std::move(table).build();
 }
 
 }  // namespace ftr

@@ -20,7 +20,7 @@ KernelRouting build_kernel_routing(
                                             << " cannot host width " << t + 1);
   FTR_EXPECTS_MSG(is_separating_set(g, m), "M does not separate the graph");
 
-  RoutingTable table(g.num_nodes(), RoutingMode::kBidirectional);
+  RouteTableBuilder table(g.num_nodes(), RoutingMode::kBidirectional);
 
   // Component KERNEL 2 first: the direct edge routes. Tree routings then
   // re-derive identical length-1 paths for adjacent (x, m) pairs, which the
@@ -35,7 +35,7 @@ KernelRouting build_kernel_routing(
     install_tree_routing(table, tr);
   }
 
-  return KernelRouting{std::move(table), std::move(m), t};
+  return KernelRouting{std::move(table).build(), std::move(m), t};
 }
 
 }  // namespace ftr

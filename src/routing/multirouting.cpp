@@ -9,7 +9,7 @@
 namespace ftr {
 
 RoutingTable build_full_multirouting(const Graph& g, std::uint32_t t) {
-  RoutingTable table(g.num_nodes(), RoutingMode::kBidirectional, t + 1);
+  RouteTableBuilder table(g.num_nodes(), RoutingMode::kBidirectional, t + 1);
   for (Node x = 0; x < g.num_nodes(); ++x) {
     for (Node y = x + 1; y < g.num_nodes(); ++y) {
       const auto paths = disjoint_paths(g, x, y, t + 1);
@@ -20,7 +20,7 @@ RoutingTable build_full_multirouting(const Graph& g, std::uint32_t t) {
       for (const Path& p : paths) table.set_route(p);
     }
   }
-  return table;
+  return std::move(table).build();
 }
 
 namespace {
@@ -40,7 +40,7 @@ std::vector<Node> concentrator_or_min_cut(const Graph& g, std::uint32_t t,
 ConcentratorMultirouting build_kernel_multirouting(
     const Graph& g, std::uint32_t t, std::optional<std::vector<Node>> m) {
   std::vector<Node> set = concentrator_or_min_cut(g, t, m);
-  RoutingTable table(g.num_nodes(), RoutingMode::kBidirectional, t + 1);
+  RouteTableBuilder table(g.num_nodes(), RoutingMode::kBidirectional, t + 1);
 
   // Kernel components, single-routed: direct edges and tree routings to M.
   g.for_each_edge([&table](Node u, Node v) { table.set_route(Path{u, v}); });
@@ -61,13 +61,13 @@ ConcentratorMultirouting build_kernel_multirouting(
       for (const Path& p : paths) table.set_route(p);
     }
   }
-  return ConcentratorMultirouting{std::move(table), std::move(set), t};
+  return ConcentratorMultirouting{std::move(table).build(), std::move(set), t};
 }
 
 ConcentratorMultirouting build_mult_routing(
     const Graph& g, std::uint32_t t, std::optional<std::vector<Node>> m) {
   std::vector<Node> set = concentrator_or_min_cut(g, t, m);
-  RoutingTable table(g.num_nodes(), RoutingMode::kBidirectional, 2);
+  RouteTableBuilder table(g.num_nodes(), RoutingMode::kBidirectional, 2);
 
   // Component MULT 1 first (tree routings carry the Lemma 1 guarantee and
   // must not be crowded out by the cap), then MULT 3 edges, then MULT 2.
@@ -94,7 +94,7 @@ ConcentratorMultirouting build_mult_routing(
       for (const Path& p : tr.paths) table.try_set_route(p);
     }
   }
-  return ConcentratorMultirouting{std::move(table), std::move(set), t};
+  return ConcentratorMultirouting{std::move(table).build(), std::move(set), t};
 }
 
 }  // namespace ftr

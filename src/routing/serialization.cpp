@@ -126,13 +126,13 @@ void read_route_lines(std::istream& is, std::size_t n, std::size_t& line_no,
 RoutingTable load_routing_table(std::istream& is) {
   std::size_t line_no = 0;
   const auto h = read_table_header(is, line_no);
-  RoutingTable table(h.n,
-                     h.bidirectional ? RoutingMode::kBidirectional
-                                     : RoutingMode::kUnidirectional,
-                     h.cap);
+  RouteTableBuilder table(h.n,
+                          h.bidirectional ? RoutingMode::kBidirectional
+                                          : RoutingMode::kUnidirectional,
+                          h.cap);
   read_route_lines(is, h.n, line_no,
                    [&](const Path& path) { table.set_route(path); });
-  return table;
+  return std::move(table).build();
 }
 
 RoutingTable routing_table_from_string(const std::string& text) {
@@ -172,7 +172,8 @@ struct SnapshotAccess {
   static RoutingTable make_table(std::size_t n, RoutingMode mode,
                                  FlatArray<Node> arena,
                                  FlatArray<std::uint32_t> route_off) {
-    return RoutingTable(n, mode, std::move(arena), std::move(route_off));
+    return RoutingTable(n, mode, /*cap=*/1, std::move(arena),
+                        std::move(route_off));
   }
 };
 
@@ -206,8 +207,8 @@ static_assert(std::is_trivially_copyable_v<SnapshotMeta>);
 
 // Canonical section order. A v3 file contains exactly these, in this order:
 // the inputs G and rho, and the plan. Everything derived from them (each
-// route's pair, the table's slot index, the SrgIndex, the route-load
-// ranking) is rebuilt on load by make_table_snapshot.
+// route's pair, the pairs by source, the SrgIndex, the route-load ranking)
+// is rebuilt on load.
 constexpr const char* kSectionOrder[] = {"meta",   "plan",   "goff",
                                          "gtgt",   "tarena", "troff"};
 constexpr std::size_t kNumSections = std::size(kSectionOrder);
@@ -568,11 +569,11 @@ void save_table_snapshot_file(const TableSnapshot& snapshot,
 
 namespace {
 
-// The shared back half of both loaders: validate the mapped container,
-// then build the structures. The aliased arrays share ownership of `map`,
-// which keeps it alive.
-TableSnapshot parse_snapshot(const std::string& path,
-                             std::shared_ptr<const MappedFile> map) {
+// The shared back half of every loader: validate the mapped container,
+// then build the graph and the table over it. The aliased arrays share
+// ownership of `map`, which keeps it alive.
+SnapshotInputs parse_snapshot(const std::string& path,
+                              std::shared_ptr<const MappedFile> map) {
   const auto* base = reinterpret_cast<const unsigned char*>(map->data());
   const std::uint64_t size = map->size();
   const std::vector<RawSection> secs =
@@ -616,32 +617,40 @@ TableSnapshot parse_snapshot(const std::string& path,
   plan.rationale.assign(reinterpret_cast<const char*>(plan_sec.data),
                         static_cast<std::size_t>(plan_sec.length));
   try {
-    // Derives what in-memory tables derive; SrgIndex refuses a pair that
-    // two routes join.
-    return make_table_snapshot(
-        SnapshotAccess::make_graph(
-            std::move(goff), std::move(gtgt),
-            static_cast<std::size_t>(meta.graph_num_edges)),
-        SnapshotAccess::make_table(
-            static_cast<std::size_t>(meta.table_num_nodes),
-            static_cast<RoutingMode>(meta.table_mode), std::move(arena),
-            std::move(troff)),
-        std::move(plan));
+    // Derives what built tables derive, and refuses a pair that two routes
+    // join.
+    return {SnapshotAccess::make_graph(
+                std::move(goff), std::move(gtgt),
+                static_cast<std::size_t>(meta.graph_num_edges)),
+            SnapshotAccess::make_table(
+                static_cast<std::size_t>(meta.table_num_nodes),
+                static_cast<RoutingMode>(meta.table_mode), std::move(arena),
+                std::move(troff)),
+            std::move(plan)};
   } catch (const ContractViolation& e) {
     throw ContractViolation("snapshot '" + path + "': " + e.what());
   }
 }
 
+TableSnapshot derive_snapshot(SnapshotInputs in) {
+  return make_table_snapshot(std::move(in.graph), std::move(in.table),
+                             std::move(in.plan));
+}
+
 }  // namespace
 
-TableSnapshot load_table_snapshot_file(const std::string& path) {
+SnapshotInputs load_snapshot_inputs_file(const std::string& path) {
   expect_little_endian_host();
   return parse_snapshot(path, MappedFile::open(path));
 }
 
+TableSnapshot load_table_snapshot_file(const std::string& path) {
+  return derive_snapshot(load_snapshot_inputs_file(path));
+}
+
 TableSnapshot load_table_snapshot_fd(int fd, const std::string& name) {
   expect_little_endian_host();
-  return parse_snapshot(name, MappedFile::from_fd(fd, name));
+  return derive_snapshot(parse_snapshot(name, MappedFile::from_fd(fd, name)));
 }
 
 bool is_snapshot_file(const std::string& path) {

@@ -38,13 +38,15 @@
 //                goff gtgt            graph CSR
 //                tarena troff         route nodes, per-route offsets
 //              That is G and rho, nothing derived: 256,676 B for the
-//              planner torus(10,10) (seed 42). A load derives each
-//              route's pair from its first and last node, rebuilds the
-//              table's slot index, and returns make_table_snapshot(graph,
-//              table, plan), which builds the SrgIndex (sharing the
-//              mapped route arrays) and the route-load ranking exactly as
-//              for an in-memory table. Saving a loaded snapshot writes the
-//              same bytes.
+//              planner torus(10,10) (seed 42). A load builds the table
+//              over the mapped routes, which derives each route's pair from
+//              its first and last node and each source's pairs sorted by
+//              target, exactly as RouteTableBuilder::build() does, and
+//              returns make_table_snapshot(graph, table, plan), which
+//              builds the SrgIndex (sharing the table's arrays) and the
+//              route-load ranking. load_snapshot_inputs_file() stops
+//              before make_table_snapshot. Saving a loaded snapshot writes
+//              the same bytes.
 // Versioning policy: accept-same, refuse-other — a v3 reader loads exactly
 // v3 files and rejects any other version (older ones included: snapshots
 // are build artifacts, regenerated with `ftroute snapshot`) with a
@@ -54,8 +56,7 @@
 // nodes in range, route offsets (from 0, monotone, >= 2 nodes per route,
 // ending at the arena size), and no route from a node to itself — before
 // anything is derived; a pair that two routes join is refused while the
-// SrgIndex is built. A corrupted file never yields a partially-valid
-// table.
+// table is built. A corrupted file never yields a partially-valid table.
 #pragma once
 
 #include <cstdint>
@@ -127,6 +128,16 @@ void save_table_snapshot_file(const TableSnapshot& snapshot,
 /// Serializes the container to a byte string — the fd-passed payload a
 /// sweep coordinator writes into an unlinked temp file for forked workers.
 std::string table_snapshot_to_string(const TableSnapshot& snapshot);
+
+/// A snapshot's stored inputs, validated, with the table derived from its
+/// routes and nothing else (no SrgIndex, no ranking): what a caller that
+/// keeps only the graph or only the table loads.
+struct SnapshotInputs {
+  Graph graph;
+  RoutingTable table;
+  Plan plan;
+};
+SnapshotInputs load_snapshot_inputs_file(const std::string& path);
 
 /// Loads a snapshot file by mapping it: checksums are validated against
 /// the mapping, then the stored arrays are aliased in place — no copies,

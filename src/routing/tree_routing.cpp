@@ -71,7 +71,7 @@ bool validate_tree_routing(const Graph& g, const TreeRouting& tr,
   return true;
 }
 
-void install_tree_routing(RoutingTable& table, const TreeRouting& tr) {
+void install_tree_routing(RouteTableBuilder& table, const TreeRouting& tr) {
   for (const Path& p : tr.paths) table.set_route(p);
 }
 

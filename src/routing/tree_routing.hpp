@@ -45,6 +45,6 @@ bool validate_tree_routing(const Graph& g, const TreeRouting& tr,
 
 /// Installs the tree routing's paths as routes (x -> endpoint). In a
 /// bidirectional table this also defines endpoint -> x along the mirror.
-void install_tree_routing(RoutingTable& table, const TreeRouting& tr);
+void install_tree_routing(RouteTableBuilder& table, const TreeRouting& tr);
 
 }  // namespace ftr

@@ -39,7 +39,7 @@ TriCircularRouting build_tricircular_routing(
     for (Node v : gamma[s]) shell_of[v] = s + 1;
   }
 
-  RoutingTable table(g.num_nodes(), RoutingMode::kBidirectional);
+  RouteTableBuilder table(g.num_nodes(), RoutingMode::kBidirectional);
   install_edge_routes(table, g);  // Component T-CIRC 4
 
   // Forward window within a component: t+1 for the full variant (= ceil(k/2)-1
@@ -78,7 +78,7 @@ TriCircularRouting build_tricircular_routing(
     }
   }
 
-  return TriCircularRouting{std::move(table), std::move(m), t, k, variant};
+  return TriCircularRouting{std::move(table).build(), std::move(m), t, k, variant};
 }
 
 }  // namespace ftr

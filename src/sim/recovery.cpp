@@ -80,7 +80,8 @@ RecoveryOutcome rebuild_after_faults(const Graph& g,
   const InducedSubgraph sub = surviving_subgraph(g, faults);
 
   RecoveryOutcome out;
-  out.table = RoutingTable(g.num_nodes(), RoutingMode::kBidirectional);
+  out.table =
+      RouteTableBuilder(g.num_nodes(), RoutingMode::kBidirectional).build();
   out.survivors = sub.to_original;
   out.survivors_connected = is_connected(sub.graph);
   if (!out.survivors_connected) return out;
@@ -101,7 +102,7 @@ RecoveryOutcome rebuild_after_faults(const Graph& g,
   out.plan = planned.plan;
 
   // Lift routes from subgraph ids to the original node ids.
-  RoutingTable lifted(g.num_nodes(), planned.table.mode());
+  RouteTableBuilder lifted(g.num_nodes(), planned.table.mode());
   planned.table.for_each_view([&](Node x, Node y, PathView path) {
     (void)x;
     (void)y;
@@ -111,7 +112,7 @@ RecoveryOutcome rebuild_after_faults(const Graph& g,
       lifted.set_route(orig);
     }
   });
-  out.table = std::move(lifted);
+  out.table = std::move(lifted).build();
   return out;
 }
 

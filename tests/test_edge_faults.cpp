@@ -23,9 +23,10 @@ TEST(EdgeFaults, CanonicalizesEndpoints) {
 }
 
 TEST(EdgeFaults, RouteUsingFaultyEdgeDies) {
-  RoutingTable t(4, RoutingMode::kBidirectional);
-  t.set_route({0, 1, 2});
-  t.set_route({0, 3});
+  RouteTableBuilder builder(4, RoutingMode::kBidirectional);
+  builder.set_route({0, 1, 2});
+  builder.set_route({0, 3});
+  const RoutingTable t = std::move(builder).build();
   const auto r =
       surviving_graph_with_edge_faults(t, {}, {make_edge_fault(1, 2)});
   EXPECT_FALSE(r.has_arc(0, 2));  // route traverses the dead edge
@@ -33,8 +34,9 @@ TEST(EdgeFaults, RouteUsingFaultyEdgeDies) {
 }
 
 TEST(EdgeFaults, NodesStayPresentUnderEdgeFaults) {
-  RoutingTable t(3, RoutingMode::kBidirectional);
-  t.set_route({0, 1});
+  RouteTableBuilder builder(3, RoutingMode::kBidirectional);
+  builder.set_route({0, 1});
+  const RoutingTable t = std::move(builder).build();
   const auto r =
       surviving_graph_with_edge_faults(t, {}, {make_edge_fault(0, 1)});
   EXPECT_EQ(r.num_present(), 3u);  // edge faults kill routes, not nodes
@@ -42,10 +44,11 @@ TEST(EdgeFaults, NodesStayPresentUnderEdgeFaults) {
 }
 
 TEST(EdgeFaults, MixedFaults) {
-  RoutingTable t(5, RoutingMode::kBidirectional);
-  t.set_route({0, 1, 2});  // dies to the edge fault
-  t.set_route({0, 4});     // dies to the node fault
-  t.set_route({0, 3});     // survives
+  RouteTableBuilder builder(5, RoutingMode::kBidirectional);
+  builder.set_route({0, 1, 2});  // dies to the edge fault
+  builder.set_route({0, 4});     // dies to the node fault
+  builder.set_route({0, 3});     // survives
+  const RoutingTable t = std::move(builder).build();
   const auto r = surviving_graph_with_edge_faults(t, {4},
                                                   {make_edge_fault(0, 1)});
   EXPECT_FALSE(r.present(4));

@@ -12,6 +12,7 @@
 
 #include "analysis/neighborhood.hpp"
 #include "common/combinatorics.hpp"
+#include "common/cpu_features.hpp"
 #include "core/planner.hpp"
 #include "fault/fault_gen.hpp"
 #include "fault/surviving.hpp"
@@ -22,6 +23,7 @@
 #include "routing/kernel.hpp"
 #include "routing/tricircular.hpp"
 #include "sim/recovery.hpp"
+#include "delivery_oracle.hpp"
 #include "lex_oracle.hpp"
 
 namespace ftr {
@@ -290,6 +292,116 @@ TEST(Planner, CertifiedRoutingThreadInvariant) {
     }
     EXPECT_EQ(certified.certificate.summary(), base.summary());
     EXPECT_EQ(certified.certificate.worst_faults, base.worst_faults);
+  }
+}
+
+// A unit's serial oracle: set i's diameter from the one-shot surviving
+// graph and its delivery from the Digraph oracle on Rng::stream(seed, i),
+// folded in index order.
+SweepPartial oracle_unit(const RoutingTable& table, const UnitSpec& unit,
+                         const std::vector<std::vector<Node>>& sets) {
+  SweepPartial out;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const std::uint64_t index = unit.begin + i;
+    const std::uint32_t d = surviving_diameter(table, sets[i]);
+    ++out.sets;
+    if (d == kUnreachable) {
+      ++out.disconnected;
+    } else {
+      if (d >= out.diameter_histogram.size()) {
+        out.diameter_histogram.resize(d + 1, 0);
+      }
+      ++out.diameter_histogram[d];
+    }
+    if (!out.have_worst || d > out.worst_diameter) {
+      out.have_worst = true;
+      out.worst_diameter = d;
+      out.worst_index = index;
+      out.worst_faults = sets[i];
+    }
+    Rng rng = Rng::stream(unit.seed, index);
+    const DeliveryStats del = oracle_measure_delivery(
+        table, sets[i], static_cast<std::size_t>(unit.delivery_pairs), rng);
+    out.pairs_sampled += del.pairs_sampled;
+    out.delivered += del.delivered;
+    out.route_hops_total += del.route_hops_total;
+    out.max_route_hops = std::max(out.max_route_hops, del.max_route_hops);
+    out.max_edge_hops = std::max(out.max_edge_hops, del.max_edge_hops);
+  }
+  return out;
+}
+
+// execute_unit keeps one scratch per chunk slot of a window and reuses it
+// in every later window. Each unit here spans at least 3 windows at every
+// thread count and batch size, and delivers on every set, so each scratch
+// carries fault stamps, lane state and delivery buffers from one window
+// into the next; the results must still equal the serial oracle's.
+TEST(FaultSweep, ScratchReusedAcrossWindowsMatchesOracle) {
+  const auto gg = torus_graph(6, 6);
+  const RoutingTable table = build_kernel_routing(gg.graph, 3).table;
+  const SrgIndex index(table);
+  const std::size_t n = gg.graph.num_nodes();
+
+  UnitSpec gray;
+  gray.kind = UnitKind::kSweepGray;
+  gray.f = 3;
+  gray.end = binomial(n, 3);
+  UnitSpec sampled;
+  sampled.kind = UnitKind::kSweepSampled;
+  sampled.f = 4;
+  sampled.begin = 100;
+  sampled.end = 1100;
+  UnitSpec explicit_sets;
+  explicit_sets.kind = UnitKind::kSweepExplicit;
+  explicit_sets.begin = 50;
+  Rng draw(31);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const auto set = draw.sample(n, draw.below(6));
+    explicit_sets.sets.emplace_back(set.begin(), set.end());
+  }
+  explicit_sets.end = explicit_sets.begin + explicit_sets.sets.size();
+
+  for (UnitSpec* unit : {&gray, &sampled, &explicit_sets}) {
+    unit->seed = 77;
+    unit->delivery_pairs = 3;
+    std::vector<std::vector<Node>> sets = unit->sets;
+    for (std::uint64_t i = unit->begin; sets.size() < unit->end - unit->begin;
+         ++i) {
+      if (unit->kind == UnitKind::kSweepGray) {
+        const auto set = gray_subset_at_rank(n, unit->f, i);
+        sets.emplace_back(set.begin(), set.end());
+      } else {
+        const auto set = Rng::stream(unit->seed, i).sample(n, unit->f);
+        sets.emplace_back(set.begin(), set.end());
+      }
+    }
+    const SweepPartial want = oracle_unit(table, *unit, sets);
+    ASSERT_GT(want.delivered, 0u);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      for (const std::size_t batch : {7u, 64u}) {
+        SCOPED_TRACE(std::string(unit_kind_name(unit->kind)) +
+                     " threads=" + std::to_string(threads) +
+                     " batch=" + std::to_string(batch));
+        unit->exec.threads = threads;
+        unit->exec.batch_size = batch;
+        const std::uint64_t grain = unit->kind == UnitKind::kSweepGray
+                                        ? lane_aligned(batch)
+                                        : batch;
+        ASSERT_GE(sets.size(), 2 * grain * threads + 1);  // >= 3 windows
+        const SweepPartial got = execute_unit(index, *unit);
+        EXPECT_EQ(got.sets, want.sets);
+        EXPECT_EQ(got.diameter_histogram, want.diameter_histogram);
+        EXPECT_EQ(got.disconnected, want.disconnected);
+        EXPECT_EQ(got.worst_diameter, want.worst_diameter);
+        EXPECT_EQ(got.worst_index, want.worst_index);
+        EXPECT_EQ(got.worst_faults, want.worst_faults);
+        EXPECT_EQ(got.pairs_sampled, want.pairs_sampled);
+        EXPECT_EQ(got.delivered, want.delivered);
+        EXPECT_EQ(got.route_hops_total, want.route_hops_total);
+        EXPECT_EQ(got.max_route_hops, want.max_route_hops);
+        EXPECT_EQ(got.max_edge_hops, want.max_edge_hops);
+      }
+    }
   }
 }
 

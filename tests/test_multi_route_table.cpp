@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/contracts.hpp"
 #include "gen/generators.hpp"
 
@@ -15,9 +17,10 @@ constexpr RoutingMode kBi = RoutingMode::kBidirectional;
 constexpr RoutingMode kUni = RoutingMode::kUnidirectional;
 
 TEST(MultiRoute, AddAndQuery) {
-  RoutingTable t(5, kBi, 3);
-  t.set_route({0, 1, 2});
-  t.set_route({0, 3, 2});
+  RouteTableBuilder b(5, kBi, 3);
+  b.set_route({0, 1, 2});
+  b.set_route({0, 3, 2});
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(t.routes(0, 2).size(), 2u);
   EXPECT_EQ(t.routes(2, 0).size(), 2u);  // bidirectional mirror
   EXPECT_EQ(t.routes(0, 1).size(), 0u);
@@ -25,9 +28,10 @@ TEST(MultiRoute, AddAndQuery) {
 }
 
 TEST(MultiRoute, RouteIsTheFirstInserted) {
-  RoutingTable t(5, kBi, 3);
-  t.set_route({0, 1, 2});
-  t.set_route({0, 3, 2});
+  RouteTableBuilder b(5, kBi, 3);
+  b.set_route({0, 1, 2});
+  b.set_route({0, 3, 2});
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(t.route(0, 2), (Path{0, 1, 2}));
   EXPECT_EQ(t.route(2, 0), (Path{2, 1, 0}));
   const auto routes = t.routes(0, 2);
@@ -37,69 +41,73 @@ TEST(MultiRoute, RouteIsTheFirstInserted) {
 }
 
 TEST(MultiRoute, DuplicateIgnored) {
-  RoutingTable t(5, kBi, 3);
-  t.set_route({0, 1, 2});
-  t.set_route({0, 1, 2});
-  t.set_route({2, 1, 0});  // the mirror is the same route
+  RouteTableBuilder b(5, kBi, 3);
+  b.set_route({0, 1, 2});
+  b.set_route({0, 1, 2});
+  b.set_route({2, 1, 0});  // the mirror is the same route
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(t.routes(0, 2).size(), 1u);
   EXPECT_EQ(t.num_routes(), 2u);
 }
 
 TEST(MultiRoute, CapEnforced) {
-  RoutingTable t(6, kBi, 2);
-  t.set_route({0, 1, 5});
-  t.set_route({0, 2, 5});
-  EXPECT_THROW(t.set_route({0, 3, 5}), ContractViolation);
+  RouteTableBuilder b(6, kBi, 2);
+  b.set_route({0, 1, 5});
+  b.set_route({0, 2, 5});
+  EXPECT_THROW(b.set_route({0, 3, 5}), ContractViolation);
 }
 
 TEST(MultiRoute, UnlimitedWhenCapZero) {
-  RoutingTable t(8, kBi, 0);
+  RouteTableBuilder b(8, kBi, 0);
   for (Node mid = 1; mid < 7; ++mid) {
-    t.set_route({0, mid, 7});
+    b.set_route({0, mid, 7});
   }
-  EXPECT_EQ(t.routes(0, 7).size(), 6u);
+  EXPECT_EQ(std::move(b).build().routes(0, 7).size(), 6u);
 }
 
 TEST(MultiRoute, TrySetRouteDropsAtCap) {
-  RoutingTable t(6, kBi, 2);
-  EXPECT_TRUE(t.try_set_route({0, 1, 5}));
-  EXPECT_TRUE(t.try_set_route({0, 2, 5}));
-  EXPECT_FALSE(t.try_set_route({0, 3, 5}));
-  EXPECT_EQ(t.routes(0, 5).size(), 2u);
+  RouteTableBuilder b(6, kBi, 2);
+  EXPECT_TRUE(b.try_set_route({0, 1, 5}));
+  EXPECT_TRUE(b.try_set_route({0, 2, 5}));
+  EXPECT_FALSE(b.try_set_route({0, 3, 5}));
+  EXPECT_EQ(std::move(b).build().routes(0, 5).size(), 2u);
 }
 
 TEST(MultiRoute, TrySetRouteDuplicateReportsSuccess) {
-  RoutingTable t(6, kBi, 2);
-  EXPECT_TRUE(t.try_set_route({0, 1, 5}));
-  EXPECT_TRUE(t.try_set_route({0, 1, 5}));
-  EXPECT_EQ(t.routes(0, 5).size(), 1u);
+  RouteTableBuilder b(6, kBi, 2);
+  EXPECT_TRUE(b.try_set_route({0, 1, 5}));
+  EXPECT_TRUE(b.try_set_route({0, 1, 5}));
+  EXPECT_EQ(std::move(b).build().routes(0, 5).size(), 1u);
 }
 
 TEST(MultiRoute, UnidirectionalDoesNotMirror) {
-  RoutingTable t(5, kUni, 2);
-  t.set_route({0, 1, 2});
+  RouteTableBuilder b(5, kUni, 2);
+  b.set_route({0, 1, 2});
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(t.routes(0, 2).size(), 1u);
   EXPECT_EQ(t.routes(2, 0).size(), 0u);
 }
 
 TEST(MultiRoute, TotalsAndPairCounts) {
-  RoutingTable t(5, kBi, 3);
-  t.set_route({0, 1, 2});
-  t.set_route({0, 3, 2});
-  t.set_route({1, 2});
+  RouteTableBuilder b(5, kBi, 3);
+  b.set_route({0, 1, 2});
+  b.set_route({0, 3, 2});
+  b.set_route({1, 2});
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(t.num_pairs(), 4u);  // (0,2),(2,0),(1,2),(2,1)
   EXPECT_EQ(t.num_routes(), 6u);
 }
 
 TEST(MultiRoute, IteratesPairMajor) {
-  // Routes interleave across pairs in insertion order; iteration groups
-  // each pair's routes, pairs in order of their first route.
-  RoutingTable t(6, kUni, 0);
-  t.set_route({0, 1, 5});
-  t.set_route({1, 2});
-  t.set_route({0, 2, 5});
-  t.set_route({1, 3, 2});
-  t.set_route({0, 3, 5});
+  // Routes interleave across pairs in insertion order; the built table
+  // groups each pair's routes, pairs in order of their first route.
+  RouteTableBuilder b(6, kUni, 0);
+  b.set_route({0, 1, 5});
+  b.set_route({1, 2});
+  b.set_route({0, 2, 5});
+  b.set_route({1, 3, 2});
+  b.set_route({0, 3, 5});
+  const RoutingTable t = std::move(b).build();
   std::vector<Path> seen;
   t.for_each([&](Node x, Node y, const Path& p) {
     EXPECT_EQ(p.front(), x);
@@ -113,18 +121,19 @@ TEST(MultiRoute, IteratesPairMajor) {
 
 TEST(MultiRoute, ValidateChecksPaths) {
   const auto gg = cycle_graph(5);
-  RoutingTable t(5, kBi, 2);
-  t.set_route({0, 1, 2});
-  EXPECT_NO_THROW(t.validate(gg.graph));
-  t.set_route({0, 2});  // not an edge in C5
-  EXPECT_THROW(t.validate(gg.graph), ContractViolation);
+  RouteTableBuilder b(5, kBi, 2);
+  b.set_route({0, 1, 2});
+  EXPECT_NO_THROW(RouteTableBuilder(b).build().validate(gg.graph));
+  b.set_route({0, 2});  // not an edge in C5
+  EXPECT_THROW(std::move(b).build().validate(gg.graph), ContractViolation);
 }
 
 TEST(MultiRoute, BidirectionalMirrorsEveryRoute) {
   const auto gg = cycle_graph(6);
-  RoutingTable t(6, kBi, 2);
-  t.set_route({0, 1, 2, 3});
-  t.set_route({3, 4, 5, 0});  // added from the other end
+  RouteTableBuilder b(6, kBi, 2);
+  b.set_route({0, 1, 2, 3});
+  b.set_route({3, 4, 5, 0});  // added from the other end
+  const RoutingTable t = std::move(b).build();
   const auto fwd = t.routes(0, 3);
   const auto back = t.routes(3, 0);
   ASSERT_EQ(fwd.size(), 2u);
@@ -136,21 +145,22 @@ TEST(MultiRoute, BidirectionalMirrorsEveryRoute) {
 }
 
 TEST(MultiRoute, MirrorStaysInSyncUnderTryAdd) {
-  RoutingTable t(6, kBi, 2);
-  EXPECT_TRUE(t.try_set_route({0, 1, 5}));
+  RouteTableBuilder b(6, kBi, 2);
+  EXPECT_TRUE(b.try_set_route({0, 1, 5}));
   // Make the reverse direction full via another insertion order.
-  EXPECT_TRUE(t.try_set_route({5, 2, 0}));
+  EXPECT_TRUE(b.try_set_route({5, 2, 0}));
   // Both buckets now hold 2; a third distinct path must be rejected.
-  EXPECT_FALSE(t.try_set_route({0, 3, 5}));
+  EXPECT_FALSE(b.try_set_route({0, 3, 5}));
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(t.routes(0, 5).size(), 2u);
   EXPECT_EQ(t.routes(5, 0).size(), 2u);
 }
 
 TEST(MultiRoute, RejectsDegenerate) {
-  RoutingTable t(4, kBi, 2);
-  EXPECT_THROW(t.set_route({2}), ContractViolation);
-  EXPECT_THROW(t.set_route({0, 7}), ContractViolation);
-  EXPECT_THROW(t.try_set_route({2}), ContractViolation);
+  RouteTableBuilder b(4, kBi, 2);
+  EXPECT_THROW(b.set_route({2}), ContractViolation);
+  EXPECT_THROW(b.set_route({0, 7}), ContractViolation);
+  EXPECT_THROW(b.try_set_route({2}), ContractViolation);
 }
 
 }  // namespace

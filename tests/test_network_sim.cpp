@@ -130,8 +130,9 @@ void run_differential(const RoutingTable& table,
 
 TEST(NetworkSim, AllPairsOnEdgeRouting) {
   const auto gg = cycle_graph(6);
-  RoutingTable t(6, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
+  RouteTableBuilder builder(6, RoutingMode::kBidirectional);
+  install_edge_routes(builder, gg.graph);
+  const RoutingTable t = std::move(builder).build();
   Rng rng(1);
   const auto stats = deliver(t, {}, 0, rng);
   EXPECT_EQ(stats.pairs_sampled, 30u);
@@ -143,8 +144,9 @@ TEST(NetworkSim, AllPairsOnEdgeRouting) {
 
 TEST(NetworkSim, SamplingCountsPairs) {
   const auto gg = cycle_graph(8);
-  RoutingTable t(8, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
+  RouteTableBuilder builder(8, RoutingMode::kBidirectional);
+  install_edge_routes(builder, gg.graph);
+  const RoutingTable t = std::move(builder).build();
   Rng rng(2);
   const auto stats = deliver(t, {}, 40, rng);
   EXPECT_EQ(stats.pairs_sampled, 40u);
@@ -164,9 +166,10 @@ TEST(NetworkSim, KernelRoutingDeliversUnderFaults) {
 }
 
 TEST(NetworkSim, UndeliveredCountedWhenRoutingDisconnects) {
-  RoutingTable t(4, RoutingMode::kBidirectional);
-  t.set_route({0, 1});
-  t.set_route({2, 3});
+  RouteTableBuilder builder(4, RoutingMode::kBidirectional);
+  builder.set_route({0, 1});
+  builder.set_route({2, 3});
+  const RoutingTable t = std::move(builder).build();
   Rng rng(4);
   const auto stats = deliver(t, {}, 0, rng);
   EXPECT_EQ(stats.pairs_sampled, 12u);
@@ -174,8 +177,9 @@ TEST(NetworkSim, UndeliveredCountedWhenRoutingDisconnects) {
 }
 
 TEST(NetworkSim, FewSurvivorsShortCircuit) {
-  RoutingTable t(3, RoutingMode::kBidirectional);
-  t.set_route({0, 1});
+  RouteTableBuilder builder(3, RoutingMode::kBidirectional);
+  builder.set_route({0, 1});
+  const RoutingTable t = std::move(builder).build();
   Rng rng(5);
   const auto stats = deliver(t, {0, 1}, 10, rng);
   EXPECT_EQ(stats.pairs_sampled, 0u);
@@ -192,8 +196,9 @@ TEST(NetworkSim, AveragesAreConsistent) {
 }
 
 TEST(NetworkSim, RoutePathNeedsAnEvaluationAndLiveEndpoints) {
-  RoutingTable t(3, RoutingMode::kBidirectional);
-  t.set_route({0, 1});
+  RouteTableBuilder builder(3, RoutingMode::kBidirectional);
+  builder.set_route({0, 1});
+  const RoutingTable t = std::move(builder).build();
   const SrgIndex index(t);
   SrgScratch scratch(index);
   EXPECT_THROW(scratch.route_path(0, 1), ContractViolation);
@@ -213,8 +218,9 @@ TEST(NetworkSim, RoutePathNeedsAnEvaluationAndLiveEndpoints) {
 // scratch must not leave either reading the other's set.
 TEST(NetworkSimDifferential, SetFaultsAloneMatchesOracleOnLongPaths) {
   const auto gg = cycle_graph(12);
-  RoutingTable ring(12, RoutingMode::kBidirectional);
-  install_edge_routes(ring, gg.graph);
+  RouteTableBuilder builder(12, RoutingMode::kBidirectional);
+  install_edge_routes(builder, gg.graph);
+  const RoutingTable ring = std::move(builder).build();
   const SrgIndex index(ring);
   SrgScratch scratch(index);
   std::size_t longest = 0;
@@ -349,15 +355,16 @@ TEST(NetworkSimDifferential, MultiroutingCountsTheLiveRoute) {
 // and more arcs ride a second route.
 TEST(NetworkSimDifferential, MultiroutingLiveRouteOnLongerPaths) {
   constexpr Node kN = 9;
-  RoutingTable table(kN, RoutingMode::kUnidirectional, 2);
+  RouteTableBuilder builder(kN, RoutingMode::kUnidirectional, 2);
   for (Node i = 0; i < kN; ++i) {
-    table.set_route({i, (i + 1) % kN});
-    table.set_route({(i + 1) % kN, i});
-    table.set_route({i, (i + 1) % kN, (i + 2) % kN});
+    builder.set_route({i, (i + 1) % kN});
+    builder.set_route({(i + 1) % kN, i});
+    builder.set_route({i, (i + 1) % kN, (i + 2) % kN});
     Path around{i};
     for (Node k = 1; k <= kN - 2; ++k) around.push_back((i + kN - k) % kN);
-    table.set_route(around);
+    builder.set_route(around);
   }
+  const RoutingTable table = std::move(builder).build();
   ASSERT_GT(table.num_routes(), table.num_pairs());
   std::vector<std::vector<Node>> sets = {{}};
   for (Node a = 0; a < kN; ++a) sets.push_back({a});
@@ -391,11 +398,12 @@ TEST(NetworkSimDifferential, SuccessorOrderIsAscendingNotInsertion) {
   // reaches 3 through 1 (the two-edge route 1 -> 4 -> 3); in insertion
   // order it would go through 2 (the direct edge 2 -> 3), with a different
   // edge-hop total.
-  RoutingTable t(5, RoutingMode::kUnidirectional);
-  t.set_route({2, 3});
-  t.set_route({1, 4, 3});
-  t.set_route({0, 2});
-  t.set_route({0, 1});
+  RouteTableBuilder builder(5, RoutingMode::kUnidirectional);
+  builder.set_route({2, 3});
+  builder.set_route({1, 4, 3});
+  builder.set_route({0, 2});
+  builder.set_route({0, 1});
+  const RoutingTable t = std::move(builder).build();
   ASSERT_EQ(insertion_order_path(t, 0, 3), (std::vector<Node>{0, 2, 3}));
 
   const SrgIndex index(t);

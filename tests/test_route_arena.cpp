@@ -1,28 +1,38 @@
 // Arena-specific coverage for the flat RoutingTable storage (one route per
 // pair and capped multiroutes): view stability, conflict discipline at
-// scale, iteration order, and serialization round-trips on non-trivial tables — plus the
-// FlatArray sharing and detach-on-write rules that storage rests on. The
-// behavioral basics (mirroring, no-op reassignment, stats) live in
-// test_route_table.cpp; here we stress the arena against a reference
-// implementation and through realistic construction workloads.
+// scale, the frozen table against the builder that made it, iteration
+// order, and serialization round-trips on non-trivial tables — plus the
+// FlatArray sharing rules that storage rests on. The behavioral basics
+// (mirroring, no-op reassignment, stats) live in test_route_table.cpp;
+// here we stress the arena against a reference implementation and through
+// realistic construction workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/neighborhood.hpp"
+#include "analysis/two_trees.hpp"
 #include "common/contracts.hpp"
 #include "common/flat_array.hpp"
 #include "common/rng.hpp"
+#include "core/planner.hpp"
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
+#include "routing/bipolar.hpp"
+#include "routing/circular.hpp"
 #include "routing/kernel.hpp"
+#include "routing/multirouting.hpp"
 #include "routing/route_table.hpp"
 #include "routing/serialization.hpp"
+#include "routing/tricircular.hpp"
 
 namespace ftr {
 namespace {
@@ -37,30 +47,6 @@ TEST(FlatArray, CopySharesItsBytes) {
   U32Array c;
   c = a;
   EXPECT_EQ(c.data(), a.data());
-}
-
-TEST(FlatArray, WriteDetachesOnlyTheWrittenCopy) {
-  U32Array a(std::vector<std::uint32_t>{1, 2, 3});
-  const std::uint32_t* shared = a.data();
-  U32Array b = a;
-  b.set(0, 9);  // through the copy
-  EXPECT_NE(b.data(), shared);
-  EXPECT_EQ(a.data(), shared);
-  EXPECT_EQ(a, U32Array(std::vector<std::uint32_t>{1, 2, 3}));
-  EXPECT_EQ(b, U32Array(std::vector<std::uint32_t>{9, 2, 3}));
-
-  const U32Array c = a;
-  a.push_back(4);  // through the original
-  EXPECT_NE(a.data(), shared);
-  EXPECT_EQ(c.data(), shared);
-  EXPECT_EQ(c, U32Array(std::vector<std::uint32_t>{1, 2, 3}));
-  EXPECT_EQ(a, U32Array(std::vector<std::uint32_t>{1, 2, 3, 4}));
-
-  // An array alone with its bytes writes them in place.
-  const std::uint32_t* own = b.data();
-  b.set(1, 8);
-  EXPECT_EQ(b.data(), own);
-  EXPECT_EQ(b, U32Array(std::vector<std::uint32_t>{9, 8, 3}));
 }
 
 TEST(FlatArray, AliasedCopyKeepsTheMappingAlive) {
@@ -79,11 +65,10 @@ TEST(FlatArray, AliasedCopyKeepsTheMappingAlive) {
   EXPECT_TRUE(copy.aliased_view());
   EXPECT_EQ(copy.data(), bytes);
   EXPECT_EQ(copy, U32Array(std::vector<std::uint32_t>{5, 6, 7}));
-  // Writing detaches the copy, which was the mapping's last holder.
-  copy.set(0, 1);
+  // Replacing the copy, the mapping's last holder, releases it.
+  copy = U32Array(std::vector<std::uint32_t>{1});
   EXPECT_FALSE(copy.aliased_view());
   EXPECT_TRUE(watch.expired());
-  EXPECT_EQ(copy, U32Array(std::vector<std::uint32_t>{1, 6, 7}));
 }
 
 TEST(FlatArray, MovedFromArrayIsEmpty) {
@@ -99,15 +84,16 @@ TEST(FlatArray, MovedFromArrayIsEmpty) {
   EXPECT_EQ(c.data(), bytes);
   EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
   EXPECT_EQ(b.data(), nullptr);
-  // A moved-from array is usable again.
-  b.push_back(3);
+  // A moved-from array can be assigned again.
+  b = U32Array(std::vector<std::uint32_t>{3});
   EXPECT_EQ(b, U32Array(std::vector<std::uint32_t>{3}));
 }
 
 TEST(RouteArena, ViewsStayValidAcrossLookups) {
-  RoutingTable t(6, RoutingMode::kBidirectional);
-  t.set_route({0, 1, 2});
-  t.set_route({3, 4, 5});
+  RouteTableBuilder builder(6, RoutingMode::kBidirectional);
+  builder.set_route({0, 1, 2});
+  builder.set_route({3, 4, 5});
+  const RoutingTable t = std::move(builder).build();
   const PathView a = t.route(0, 2);
   const PathView b = t.route(3, 5);
   // Lookups do not mutate; both views must still read correctly.
@@ -117,14 +103,14 @@ TEST(RouteArena, ViewsStayValidAcrossLookups) {
 }
 
 TEST(RouteArena, ArenaSizeTracksStoredNodes) {
-  RoutingTable t(6, RoutingMode::kBidirectional);
-  EXPECT_EQ(t.arena_size(), 0u);
-  t.set_route({0, 1, 2});  // stored twice (both directions)
-  EXPECT_EQ(t.arena_size(), 6u);
-  t.set_route({0, 1, 2});  // no-op, no growth
-  EXPECT_EQ(t.arena_size(), 6u);
-  t.set_route({4, 5});
-  EXPECT_EQ(t.arena_size(), 10u);
+  RouteTableBuilder b(6, RoutingMode::kBidirectional);
+  EXPECT_EQ(RouteTableBuilder(b).build().arena_size(), 0u);
+  b.set_route({0, 1, 2});  // stored twice (both directions)
+  EXPECT_EQ(RouteTableBuilder(b).build().arena_size(), 6u);
+  b.set_route({0, 1, 2});  // no-op, no growth
+  EXPECT_EQ(RouteTableBuilder(b).build().arena_size(), 6u);
+  b.set_route({4, 5});
+  EXPECT_EQ(std::move(b).build().arena_size(), 10u);
 }
 
 TEST(RouteArena, ForEachViewMatchesForEach) {
@@ -142,10 +128,11 @@ TEST(RouteArena, ForEachViewMatchesForEach) {
 }
 
 TEST(RouteArena, DifferentialAgainstReferenceMap) {
-  // Drive the open-addressed index through enough inserts to force several
-  // rehashes, mirrored against a std::map reference model.
+  // Enough inserts to fill most pairs of a 64-node table, mirrored against
+  // a std::map reference model; every ordered pair of the built table,
+  // routed or not, answers as the model does.
   const std::size_t n = 64;
-  RoutingTable t(n, RoutingMode::kUnidirectional);
+  RouteTableBuilder b(n, RoutingMode::kUnidirectional);
   std::map<std::pair<Node, Node>, Path> ref;
   Rng rng(2024);
   for (std::size_t i = 0; i < 4000; ++i) {
@@ -157,18 +144,117 @@ TEST(RouteArena, DifferentialAgainstReferenceMap) {
     if (mid != x && mid != y) p = Path{x, mid, y};
     if (ref.count({x, y})) {
       if (ref[{x, y}] == p) {
-        EXPECT_NO_THROW(t.set_route(p));
+        EXPECT_NO_THROW(b.set_route(p));
       } else {
-        EXPECT_THROW(t.set_route(p), ContractViolation);
+        EXPECT_THROW(b.set_route(p), ContractViolation);
       }
     } else {
-      t.set_route(p);
+      b.set_route(p);
       ref[{x, y}] = p;
     }
   }
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(t.num_routes(), ref.size());
-  for (const auto& [pair, path] : ref) {
-    EXPECT_EQ(t.route(pair.first, pair.second), path);
+  for (Node x = 0; x < n; ++x) {
+    for (Node y = 0; y < n; ++y) {
+      const auto it = ref.find({x, y});
+      EXPECT_EQ(t.has_route(x, y), it != ref.end());
+      if (it == ref.end()) {
+        EXPECT_EQ(t.route(x, y), nullptr);
+      } else {
+        EXPECT_EQ(t.route(x, y), it->second);
+      }
+    }
+  }
+}
+
+// Replays `table`'s routes into a builder of the same shape — in the
+// table's order, or reversed, which renumbers the pairs and reorders each
+// pair's routes — and checks the built table against the builder: route(x,
+// y) is the builder's first path of (x, y) for every ordered pair, routes()
+// its paths in insertion order, and iteration pair-major.
+void expect_build_matches_builder(const RoutingTable& table, bool reversed) {
+  std::vector<Path> replay;
+  table.for_each([&](Node, Node, const Path& p) { replay.push_back(p); });
+  if (reversed) std::reverse(replay.begin(), replay.end());
+  RouteTableBuilder b(table.num_nodes(), table.mode(),
+                      table.max_routes_per_pair());
+  for (const Path& p : replay) b.set_route(p);
+  std::map<std::pair<Node, Node>, std::vector<Path>> held;
+  std::vector<std::pair<Node, Node>> first_seen;
+  b.for_each_view([&](Node x, Node y, PathView p) {
+    auto& paths = held[{x, y}];
+    if (paths.empty()) first_seen.emplace_back(x, y);
+    paths.push_back(p.to_path());
+  });
+  const RoutingTable built = std::move(b).build();
+  EXPECT_EQ(built.num_pairs(), held.size());
+  EXPECT_EQ(built.num_routes(), table.num_routes());
+  for (Node x = 0; x < built.num_nodes(); ++x) {
+    for (Node y = 0; y < built.num_nodes(); ++y) {
+      const auto it = held.find({x, y});
+      if (it == held.end()) {
+        ASSERT_EQ(built.route(x, y), nullptr) << x << " -> " << y;
+        continue;
+      }
+      ASSERT_EQ(built.route(x, y), it->second.front()) << x << " -> " << y;
+      const auto routes = built.routes(x, y);
+      ASSERT_EQ(routes.size(), it->second.size()) << x << " -> " << y;
+      for (std::size_t i = 0; i < routes.size(); ++i) {
+        EXPECT_EQ(routes[i], it->second[i]) << x << " -> " << y;
+      }
+    }
+  }
+  std::vector<Path> want;
+  for (const auto& pair : first_seen) {
+    for (const Path& p : held[pair]) want.push_back(p);
+  }
+  std::vector<Path> seen;
+  built.for_each([&](Node, Node, const Path& p) { seen.push_back(p); });
+  EXPECT_EQ(seen, want);
+  if (!reversed) {
+    EXPECT_EQ(seen, replay);
+  }
+}
+
+TEST(RouteArena, BuiltTableAnswersAsItsBuilderOnEveryConstruction) {
+  Rng rng(7);
+  std::vector<std::pair<std::string, RoutingTable>> tables;
+  {
+    const auto gg = torus_graph(5, 5);
+    tables.emplace_back(
+        "planner/torus",
+        build_planned_routing(gg.graph, std::nullopt, rng).table);
+    tables.emplace_back("kernel/torus",
+                        build_kernel_routing(gg.graph, 3).table);
+    const auto m = neighborhood_set_of_size(gg.graph, 5, rng, 32);
+    tables.emplace_back("circular/torus",
+                        build_circular_routing(gg.graph, 3, m).table);
+  }
+  {
+    const auto gg = cycle_graph(48);
+    const auto m = neighborhood_set_of_size(gg.graph, 15, rng, 32);
+    tables.emplace_back("tricircular/cycle",
+                        build_tricircular_routing(gg.graph, 1, m).table);
+  }
+  {
+    const auto gg = cycle_graph(14);
+    const auto roots = find_two_trees(gg.graph);
+    ASSERT_TRUE(roots.has_value());
+    tables.emplace_back(
+        "bipolar-uni/cycle",
+        build_bipolar_unidirectional(gg.graph, 1, *roots).table);
+  }
+  {
+    const auto gg = petersen_graph();
+    tables.emplace_back("full-multirouting/petersen",
+                        build_full_multirouting(gg.graph, 2));
+  }
+  for (const auto& [name, table] : tables) {
+    SCOPED_TRACE(name);
+    ASSERT_GT(table.num_routes(), 0u);
+    expect_build_matches_builder(table, /*reversed=*/false);
+    expect_build_matches_builder(table, /*reversed=*/true);
   }
 }
 
@@ -197,10 +283,11 @@ TEST(RouteArena, SerializationRoundTripOnKernelRouting) {
 }
 
 TEST(MultiRouteArena, RoutesMatchIteration) {
-  RoutingTable t(8, RoutingMode::kBidirectional, 3);
-  t.set_route({0, 1, 5});
-  t.set_route({0, 2, 5});
-  t.set_route({0, 3, 5});
+  RouteTableBuilder b(8, RoutingMode::kBidirectional, 3);
+  b.set_route({0, 1, 5});
+  b.set_route({0, 2, 5});
+  b.set_route({0, 3, 5});
+  const RoutingTable t = std::move(b).build();
   const auto routes = t.routes(0, 5);
   ASSERT_EQ(routes.size(), 3u);
   std::size_t i = 0;
@@ -216,25 +303,27 @@ TEST(MultiRouteArena, RoutesMatchIteration) {
 }
 
 TEST(MultiRouteArena, CapAndDuplicateDisciplinePreserved) {
-  RoutingTable t(8, RoutingMode::kBidirectional, 2);
-  t.set_route({0, 1, 5});
-  t.set_route({0, 1, 5});  // duplicate: ignored
-  EXPECT_EQ(t.routes(0, 5).size(), 1u);
-  t.set_route({0, 2, 5});
-  EXPECT_THROW(t.set_route({0, 3, 5}), ContractViolation);
-  EXPECT_FALSE(t.try_set_route({0, 4, 5}));
-  EXPECT_TRUE(t.try_set_route({0, 2, 5}));  // duplicate reports success
+  RouteTableBuilder b(8, RoutingMode::kBidirectional, 2);
+  b.set_route({0, 1, 5});
+  b.set_route({0, 1, 5});  // duplicate: ignored
+  EXPECT_EQ(b.num_routes(), 2u);
+  b.set_route({0, 2, 5});
+  EXPECT_THROW(b.set_route({0, 3, 5}), ContractViolation);
+  EXPECT_FALSE(b.try_set_route({0, 4, 5}));
+  EXPECT_TRUE(b.try_set_route({0, 2, 5}));  // duplicate reports success
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(t.num_routes(), 4u);            // 2 routes x 2 directions
   EXPECT_EQ(t.num_pairs(), 2u);
 }
 
 TEST(MultiRouteArena, DifferentialAgainstReferenceMultimap) {
-  // Parallel routes through enough inserts to force several rehashes: each
-  // pair keeps its routes in insertion order on its probe run, against a
-  // std::map reference model, and iteration is pair-major.
+  // Parallel routes through thousands of inserts against a std::map
+  // reference model: the built table holds each pair's routes in insertion
+  // order, answers route(), routes() and has_route() for every ordered
+  // pair as the model does, and iterates pair-major.
   const std::size_t n = 48;
   const std::size_t cap = 3;
-  RoutingTable t(n, RoutingMode::kUnidirectional, cap);
+  RouteTableBuilder b(n, RoutingMode::kUnidirectional, cap);
   std::map<std::pair<Node, Node>, std::vector<Path>> ref;
   std::vector<std::pair<Node, Node>> first_seen;
   Rng rng(2025);
@@ -248,21 +337,35 @@ TEST(MultiRouteArena, DifferentialAgainstReferenceMultimap) {
     auto& held = ref[{x, y}];
     const bool dup = std::find(held.begin(), held.end(), p) != held.end();
     if (!dup && held.size() == cap) {
-      EXPECT_THROW(t.set_route(p), ContractViolation);
+      EXPECT_THROW(b.set_route(p), ContractViolation);
       continue;
     }
-    t.set_route(p);
+    b.set_route(p);
     if (!dup) {
       if (held.empty()) first_seen.emplace_back(x, y);
       held.push_back(p);
     }
   }
+  const RoutingTable t = std::move(b).build();
   std::size_t total = 0;
-  for (const auto& [pair, paths] : ref) {
-    const auto got = t.routes(pair.first, pair.second);
-    ASSERT_EQ(got.size(), paths.size());
-    for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], paths[i]);
-    total += paths.size();
+  for (Node x = 0; x < n; ++x) {
+    for (Node y = 0; y < n; ++y) {
+      const auto it = ref.find({x, y});
+      const bool routed = it != ref.end() && !it->second.empty();
+      EXPECT_EQ(t.has_route(x, y), routed);
+      const auto got = t.routes(x, y);
+      if (!routed) {
+        EXPECT_EQ(t.route(x, y), nullptr);
+        EXPECT_TRUE(got.empty());
+        continue;
+      }
+      EXPECT_EQ(t.route(x, y), it->second.front());
+      ASSERT_EQ(got.size(), it->second.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], it->second[i]);
+      }
+      total += got.size();
+    }
   }
   EXPECT_EQ(t.num_routes(), total);
   EXPECT_EQ(t.num_pairs(), first_seen.size());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/contracts.hpp"
 #include "gen/generators.hpp"
 
@@ -9,8 +11,9 @@ namespace ftr {
 namespace {
 
 TEST(RoutingTable, BidirectionalMirrorsAssignment) {
-  RoutingTable t(5, RoutingMode::kBidirectional);
-  t.set_route({0, 1, 2});
+  RouteTableBuilder b(5, RoutingMode::kBidirectional);
+  b.set_route({0, 1, 2});
+  const RoutingTable t = std::move(b).build();
   ASSERT_TRUE(t.has_route(0, 2));
   ASSERT_TRUE(t.has_route(2, 0));
   EXPECT_EQ(*t.route(0, 2), (Path{0, 1, 2}));
@@ -19,82 +22,101 @@ TEST(RoutingTable, BidirectionalMirrorsAssignment) {
 }
 
 TEST(RoutingTable, UnidirectionalIsOneWay) {
-  RoutingTable t(5, RoutingMode::kUnidirectional);
-  t.set_route({0, 1, 2});
+  RouteTableBuilder b(5, RoutingMode::kUnidirectional);
+  b.set_route({0, 1, 2});
+  const RoutingTable t = std::move(b).build();
   EXPECT_TRUE(t.has_route(0, 2));
   EXPECT_FALSE(t.has_route(2, 0));
   EXPECT_EQ(t.num_routes(), 1u);
 }
 
 TEST(RoutingTable, UnidirectionalAllowsAsymmetricPaths) {
-  RoutingTable t(5, RoutingMode::kUnidirectional);
-  t.set_route({0, 1, 2});
-  t.set_route({2, 3, 0});  // different return path: fine when unidirectional
+  RouteTableBuilder b(5, RoutingMode::kUnidirectional);
+  b.set_route({0, 1, 2});
+  b.set_route({2, 3, 0});  // different return path: fine when unidirectional
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(*t.route(0, 2), (Path{0, 1, 2}));
   EXPECT_EQ(*t.route(2, 0), (Path{2, 3, 0}));
 }
 
 TEST(RoutingTable, IdenticalReassignmentIsNoop) {
-  RoutingTable t(5, RoutingMode::kBidirectional);
-  t.set_route({0, 1, 2});
-  EXPECT_NO_THROW(t.set_route({0, 1, 2}));
-  EXPECT_NO_THROW(t.set_route({2, 1, 0}));  // the mirror is the same route
-  EXPECT_EQ(t.num_routes(), 2u);
+  RouteTableBuilder b(5, RoutingMode::kBidirectional);
+  b.set_route({0, 1, 2});
+  EXPECT_NO_THROW(b.set_route({0, 1, 2}));
+  EXPECT_NO_THROW(b.set_route({2, 1, 0}));  // the mirror is the same route
+  EXPECT_EQ(b.num_routes(), 2u);
+  EXPECT_EQ(std::move(b).build().num_routes(), 2u);
 }
 
 TEST(RoutingTable, ConflictingReassignmentThrows) {
-  RoutingTable t(5, RoutingMode::kBidirectional);
-  t.set_route({0, 1, 2});
-  EXPECT_THROW(t.set_route({0, 3, 2}), ContractViolation);
+  RouteTableBuilder b(5, RoutingMode::kBidirectional);
+  b.set_route({0, 1, 2});
+  EXPECT_THROW(b.set_route({0, 3, 2}), ContractViolation);
 }
 
 TEST(RoutingTable, MiserlyByDefault) {
   // The default cap is one path per ordered pair.
-  RoutingTable t(4, RoutingMode::kUnidirectional);
-  t.set_route({0, 1});
-  t.set_route({0, 1, 2});
-  t.set_route({0, 1, 2, 3});
+  RouteTableBuilder b(4, RoutingMode::kUnidirectional);
+  b.set_route({0, 1});
+  b.set_route({0, 1, 2});
+  b.set_route({0, 1, 2, 3});
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(t.num_routes(), 3u);  // pairs (0,1), (0,2), (0,3)
   EXPECT_EQ(t.num_pairs(), 3u);
   EXPECT_EQ(t.max_routes_per_pair(), 1u);
 }
 
 TEST(RoutingTable, TrySetRoute) {
-  RoutingTable t(4, RoutingMode::kUnidirectional);
-  EXPECT_TRUE(t.try_set_route({0, 1, 2}));
-  EXPECT_FALSE(t.try_set_route({0, 3, 2}));  // pair taken
+  RouteTableBuilder b(4, RoutingMode::kUnidirectional);
+  EXPECT_TRUE(b.try_set_route({0, 1, 2}));
+  EXPECT_FALSE(b.try_set_route({0, 3, 2}));  // pair taken
+  EXPECT_TRUE(b.try_set_route({2, 3, 0}));  // reverse was free
+  EXPECT_TRUE(b.try_set_route({0, 1, 2}));  // already held
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(*t.route(0, 2), (Path{0, 1, 2}));
-  EXPECT_TRUE(t.try_set_route({2, 3, 0}));  // reverse was free
-  EXPECT_TRUE(t.try_set_route({0, 1, 2}));  // already held
   EXPECT_EQ(t.num_routes(), 2u);
 }
 
 TEST(RoutingTable, TrySetRouteBidirectionalChecksBoth) {
-  RoutingTable t(4, RoutingMode::kBidirectional);
-  t.set_route({0, 1, 2});
-  EXPECT_FALSE(t.try_set_route({2, 3, 0}));  // reverse already defined
+  RouteTableBuilder b(4, RoutingMode::kBidirectional);
+  b.set_route({0, 1, 2});
+  EXPECT_FALSE(b.try_set_route({2, 3, 0}));  // reverse already defined
+  const RoutingTable t = std::move(b).build();
   EXPECT_EQ(*t.route(0, 2), (Path{0, 1, 2}));
   EXPECT_EQ(t.num_routes(), 2u);
 }
 
 TEST(RoutingTable, RejectsDegeneratePaths) {
-  RoutingTable t(4, RoutingMode::kBidirectional);
-  EXPECT_THROW(t.set_route({1}), ContractViolation);
-  EXPECT_THROW(t.set_route({}), ContractViolation);
-  EXPECT_THROW(t.set_route({1, 1}), ContractViolation);
-  EXPECT_THROW(t.set_route({0, 9}), ContractViolation);
+  RouteTableBuilder b(4, RoutingMode::kBidirectional);
+  EXPECT_THROW(b.set_route({1}), ContractViolation);
+  EXPECT_THROW(b.set_route({}), ContractViolation);
+  EXPECT_THROW(b.set_route({1, 1}), ContractViolation);
+  EXPECT_THROW(b.set_route({0, 9}), ContractViolation);
 }
 
 TEST(RoutingTable, RouteReturnsNullWhenMissing) {
-  RoutingTable t(4, RoutingMode::kBidirectional);
+  const RoutingTable t =
+      RouteTableBuilder(4, RoutingMode::kBidirectional).build();
   EXPECT_EQ(t.route(0, 1), nullptr);
   EXPECT_FALSE(t.has_route(0, 1));
+  EXPECT_TRUE(t.routes(0, 1).empty());
+  EXPECT_THROW(t.route(0, 4), ContractViolation);
+}
+
+TEST(RoutingTable, BuilderHasRouteTracksAdds) {
+  RouteTableBuilder b(4, RoutingMode::kUnidirectional);
+  EXPECT_FALSE(b.has_route(0, 2));
+  b.set_route({0, 1, 2});
+  EXPECT_TRUE(b.has_route(0, 2));
+  EXPECT_FALSE(b.has_route(2, 0));
+  EXPECT_THROW((void)b.has_route(0, 4), ContractViolation);
 }
 
 TEST(RoutingTable, ForEachVisitsEveryOrderedPair) {
-  RoutingTable t(5, RoutingMode::kBidirectional);
-  t.set_route({0, 1});
-  t.set_route({2, 3, 4});
+  RouteTableBuilder b(5, RoutingMode::kBidirectional);
+  b.set_route({0, 1});
+  b.set_route({2, 3, 4});
+  const RoutingTable t = std::move(b).build();
   std::size_t visits = 0;
   t.for_each([&](Node x, Node y, const Path& p) {
     ++visits;
@@ -106,27 +128,28 @@ TEST(RoutingTable, ForEachVisitsEveryOrderedPair) {
 
 TEST(RoutingTable, ValidatePassesOnConsistentTable) {
   const auto gg = cycle_graph(6);
-  RoutingTable t(6, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
-  EXPECT_NO_THROW(t.validate(gg.graph));
+  RouteTableBuilder b(6, RoutingMode::kBidirectional);
+  install_edge_routes(b, gg.graph);
+  EXPECT_NO_THROW(std::move(b).build().validate(gg.graph));
 }
 
 TEST(RoutingTable, ValidateCatchesNonPath) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  const Graph g = b.build();
-  RoutingTable t(4, RoutingMode::kUnidirectional);
-  t.set_route({0, 3});  // not an edge of g — table can't know yet
-  EXPECT_THROW(t.validate(g), ContractViolation);
+  GraphBuilder gb(4);
+  gb.add_edge(0, 1);
+  gb.add_edge(1, 2);
+  const Graph g = gb.build();
+  RouteTableBuilder b(4, RoutingMode::kUnidirectional);
+  b.set_route({0, 3});  // not an edge of g — table can't know yet
+  EXPECT_THROW(std::move(b).build().validate(g), ContractViolation);
 }
 
 TEST(RoutingTable, InstallEdgeRoutesCoversAllEdgesBothWays) {
   const auto gg = complete_graph(4);
   for (const RoutingMode mode :
        {RoutingMode::kBidirectional, RoutingMode::kUnidirectional}) {
-    RoutingTable t(4, mode);
-    install_edge_routes(t, gg.graph);
+    RouteTableBuilder b(4, mode);
+    install_edge_routes(b, gg.graph);
+    const RoutingTable t = std::move(b).build();
     for (Node u = 0; u < 4; ++u) {
       for (Node v = 0; v < 4; ++v) {
         if (u == v) continue;
@@ -138,18 +161,17 @@ TEST(RoutingTable, InstallEdgeRoutesCoversAllEdgesBothWays) {
 }
 
 TEST(RoutingTable, StatsReflectRoutes) {
-  RoutingTable t(6, RoutingMode::kUnidirectional);
-  t.set_route({0, 1});
-  t.set_route({0, 1, 2, 3});
-  const auto s = t.stats();
+  RouteTableBuilder b(6, RoutingMode::kUnidirectional);
+  b.set_route({0, 1});
+  b.set_route({0, 1, 2, 3});
+  const auto s = std::move(b).build().stats();
   EXPECT_EQ(s.ordered_pairs, 2u);
   EXPECT_EQ(s.max_hops, 3u);
   EXPECT_DOUBLE_EQ(s.avg_hops, 2.0);
 }
 
 TEST(RoutingTable, StatsEmpty) {
-  RoutingTable t(3, RoutingMode::kBidirectional);
-  const auto s = t.stats();
+  const auto s = RouteTableBuilder(3, RoutingMode::kBidirectional).build().stats();
   EXPECT_EQ(s.ordered_pairs, 0u);
   EXPECT_EQ(s.max_hops, 0u);
   EXPECT_DOUBLE_EQ(s.avg_hops, 0.0);

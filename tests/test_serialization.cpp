@@ -16,10 +16,11 @@ namespace ftr {
 namespace {
 
 TEST(Serialization, RoundTripBidirectional) {
-  RoutingTable t(6, RoutingMode::kBidirectional);
-  t.set_route({0, 1, 2});
-  t.set_route({3, 4});
-  t.set_route({5, 0});
+  RouteTableBuilder builder(6, RoutingMode::kBidirectional);
+  builder.set_route({0, 1, 2});
+  builder.set_route({3, 4});
+  builder.set_route({5, 0});
+  const RoutingTable t = std::move(builder).build();
   const auto text = routing_table_to_string(t);
   const auto loaded = routing_table_from_string(text);
   EXPECT_EQ(loaded.num_nodes(), 6u);
@@ -31,9 +32,10 @@ TEST(Serialization, RoundTripBidirectional) {
 }
 
 TEST(Serialization, RoundTripUnidirectional) {
-  RoutingTable t(5, RoutingMode::kUnidirectional);
-  t.set_route({0, 1, 2});
-  t.set_route({2, 3, 0});  // asymmetric pair
+  RouteTableBuilder builder(5, RoutingMode::kUnidirectional);
+  builder.set_route({0, 1, 2});
+  builder.set_route({2, 3, 0});  // asymmetric pair
+  const RoutingTable t = std::move(builder).build();
   const auto loaded = routing_table_from_string(routing_table_to_string(t));
   EXPECT_EQ(loaded.mode(), RoutingMode::kUnidirectional);
   EXPECT_EQ(*loaded.route(0, 2), (Path{0, 1, 2}));
@@ -59,8 +61,9 @@ TEST(Serialization, RoundTripPreservesSurvivingBehavior) {
 }
 
 TEST(Serialization, HeaderFormat) {
-  RoutingTable t(4, RoutingMode::kUnidirectional);
-  t.set_route({0, 1});
+  RouteTableBuilder builder(4, RoutingMode::kUnidirectional);
+  builder.set_route({0, 1});
+  const RoutingTable t = std::move(builder).build();
   const auto text = routing_table_to_string(t);
   EXPECT_EQ(text.find("ftroute-table v1 4 unidirectional"), 0u);
   EXPECT_NE(text.find("\nend\n"), std::string::npos);
@@ -109,10 +112,11 @@ TEST(Serialization, RejectsMissingEnd) {
 }
 
 TEST(MultiSerialization, RoundTrip) {
-  RoutingTable t(6, RoutingMode::kBidirectional, 3);
-  t.set_route({0, 1, 5});
-  t.set_route({0, 2, 5});
-  t.set_route({3, 4});
+  RouteTableBuilder builder(6, RoutingMode::kBidirectional, 3);
+  builder.set_route({0, 1, 5});
+  builder.set_route({0, 2, 5});
+  builder.set_route({3, 4});
+  const RoutingTable t = std::move(builder).build();
   const std::string text = routing_table_to_string(t);
   EXPECT_EQ(text.find("ftroute-multitable v1 6 3 bidirectional\n"), 0u);
   const auto loaded = routing_table_from_string(text);
@@ -127,8 +131,9 @@ TEST(MultiSerialization, RoundTrip) {
 }
 
 TEST(MultiSerialization, CapOneWritesTheTableHeader) {
-  RoutingTable t(4, RoutingMode::kBidirectional, 1);
-  t.set_route({0, 1});
+  RouteTableBuilder builder(4, RoutingMode::kBidirectional, 1);
+  builder.set_route({0, 1});
+  const RoutingTable t = std::move(builder).build();
   EXPECT_EQ(routing_table_to_string(t),
             "ftroute-table v1 4 bidirectional\nroute 0 1\nend\n");
   const auto loaded = routing_table_from_string(
@@ -151,8 +156,9 @@ TEST(MultiSerialization, RoundTripPreservesSurvivingBehavior) {
 }
 
 TEST(MultiSerialization, UnidirectionalRoundTrip) {
-  RoutingTable t(5, RoutingMode::kUnidirectional, 2);
-  t.set_route({0, 1, 2});
+  RouteTableBuilder builder(5, RoutingMode::kUnidirectional, 2);
+  builder.set_route({0, 1, 2});
+  const RoutingTable t = std::move(builder).build();
   const auto loaded = routing_table_from_string(routing_table_to_string(t));
   EXPECT_EQ(loaded.mode(), RoutingMode::kUnidirectional);
   EXPECT_EQ(loaded.routes(0, 2).size(), 1u);
@@ -160,8 +166,9 @@ TEST(MultiSerialization, UnidirectionalRoundTrip) {
 }
 
 TEST(MultiSerialization, UnlimitedCapSurvivesRoundTrip) {
-  RoutingTable t(4, RoutingMode::kBidirectional, 0);
-  t.set_route({0, 1});
+  RouteTableBuilder builder(4, RoutingMode::kBidirectional, 0);
+  builder.set_route({0, 1});
+  const RoutingTable t = std::move(builder).build();
   const auto loaded = routing_table_from_string(routing_table_to_string(t));
   EXPECT_EQ(loaded.max_routes_per_pair(), 0u);
 }
@@ -304,8 +311,9 @@ TEST(Serialization, RejectsOverlongLineNamingIt) {
 }
 
 TEST(Serialization, BidirectionalStoresEachPairOnce) {
-  RoutingTable t(4, RoutingMode::kBidirectional);
-  t.set_route({0, 1, 2});
+  RouteTableBuilder builder(4, RoutingMode::kBidirectional);
+  builder.set_route({0, 1, 2});
+  const RoutingTable t = std::move(builder).build();
   const auto text = routing_table_to_string(t);
   // Exactly one 'route' line despite two stored directions.
   std::size_t count = 0;

@@ -163,10 +163,11 @@ TableSnapshot planner_torus_snapshot() {
 
 TableSnapshot unidirectional_snapshot() {
   const auto cycle = cycle_graph(6);
-  RoutingTable table(6, RoutingMode::kUnidirectional);
-  table.set_route({0, 1, 2});
-  table.set_route({2, 1, 0, 5});
-  table.set_route({3, 4});
+  RouteTableBuilder builder(6, RoutingMode::kUnidirectional);
+  builder.set_route({0, 1, 2});
+  builder.set_route({2, 1, 0, 5});
+  builder.set_route({3, 4});
+  const RoutingTable table = std::move(builder).build();
   return make_table_snapshot(cycle.graph, std::move(table));
 }
 
@@ -209,6 +210,13 @@ TEST(Snapshot, LoadedSnapshotMatchesMakeTableSnapshot) {
         EXPECT_EQ(have.to_path(), want.to_path()) << x << " -> " << y;
       }
     }
+    // The inputs alone: the same graph, table and plan, nothing derived.
+    const SnapshotInputs in = load_snapshot_inputs_file(path);
+    EXPECT_EQ(graph_text(in.graph), graph_text(made.graph));
+    EXPECT_EQ(routing_table_to_string(in.table),
+              routing_table_to_string(made.table));
+    EXPECT_EQ(in.plan.rationale, made.plan.rationale);
+    EXPECT_TRUE(SrgIndex(in.table) == *made.index);
   }
 }
 
@@ -431,9 +439,10 @@ TEST(Snapshot, RejectsRouteOffsetsPastTheArena) {
 // arena is 0 1 0 3, so the u32 at byte 4 * 3 is route 1's last node.
 std::string write_two_route_snapshot(const std::string& name) {
   const auto cycle = cycle_graph(4);
-  RoutingTable table(4, RoutingMode::kUnidirectional);
-  table.set_route({0, 1});
-  table.set_route({0, 3});
+  RouteTableBuilder builder(4, RoutingMode::kUnidirectional);
+  builder.set_route({0, 1});
+  builder.set_route({0, 3});
+  const RoutingTable table = std::move(builder).build();
   const std::string path = temp_path(name);
   save_table_snapshot_file(make_table_snapshot(cycle.graph, table), path);
   return path;
@@ -463,13 +472,14 @@ TEST(Snapshot, RejectsRouteWhoseEndsCoincide) {
 // in-process caller can evaluate a multirouting on its index.
 TEST(Snapshot, SaveRefusesParallelRoutesNamingThePair) {
   const auto cycle = cycle_graph(6);
-  RoutingTable table(6, RoutingMode::kUnidirectional, 2);
-  table.set_route({0, 1});
-  table.set_route({0, 1, 2, 3});
-  EXPECT_NO_THROW(
-      table_snapshot_to_string(make_table_snapshot(cycle.graph, table)));
-  table.set_route({0, 5, 4, 3});
-  const TableSnapshot multi = make_table_snapshot(cycle.graph, table);
+  RouteTableBuilder builder(6, RoutingMode::kUnidirectional, 2);
+  builder.set_route({0, 1});
+  builder.set_route({0, 1, 2, 3});
+  EXPECT_NO_THROW(table_snapshot_to_string(
+      make_table_snapshot(cycle.graph, RouteTableBuilder(builder).build())));
+  builder.set_route({0, 5, 4, 3});
+  const TableSnapshot multi =
+      make_table_snapshot(cycle.graph, std::move(builder).build());
   EXPECT_EQ(multi.index->num_routes(), 3u);
   try {
     (void)table_snapshot_to_string(multi);
@@ -524,9 +534,10 @@ TEST(Snapshot, LoadedIndexDerivesBaseRowsAndMatchesEvaluate) {
   const std::string path = temp_path("base_rows.snap");
   save_table_snapshot_file(orig, path);
   const auto cycle = cycle_graph(640);
-  RoutingTable sparse(640, RoutingMode::kBidirectional);
-  sparse.set_route({0, 1});
-  sparse.set_route({1, 2});
+  RouteTableBuilder builder(640, RoutingMode::kBidirectional);
+  builder.set_route({0, 1});
+  builder.set_route({1, 2});
+  const RoutingTable sparse = std::move(builder).build();
   const TableSnapshot sparse_orig = make_table_snapshot(cycle.graph, sparse);
   const std::string sparse_path = temp_path("base_rows_sparse.snap");
   save_table_snapshot_file(sparse_orig, sparse_path);

@@ -430,8 +430,9 @@ TEST(SrgKernels, ComponentwiseSweepMatchesOracle) {
 // 0 re-resolves to the auto width, and re-setting re-sizes the scratch.
 TEST(SrgKernels, ScratchLaneWidthRoundTrip) {
   const auto gg = cycle_graph(10);
-  RoutingTable t(10, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
+  RouteTableBuilder builder(10, RoutingMode::kBidirectional);
+  install_edge_routes(builder, gg.graph);
+  const RoutingTable t = std::move(builder).build();
   const SrgIndex index(t);
   SrgScratch scratch(index);
   for (unsigned lanes : kExplicitWidths) {
@@ -529,8 +530,9 @@ TEST(SrgKernels, BlockLookupPinIsHonoredAndReset) {
     return packed::PackedBlockFn{nullptr};
   };
   const auto gg = cycle_graph(10);
-  RoutingTable t(10, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
+  RouteTableBuilder builder(10, RoutingMode::kBidirectional);
+  install_edge_routes(builder, gg.graph);
+  const RoutingTable t = std::move(builder).build();
   const SrgIndex index(t);
   const SrgOracle oracle(t);
   const auto first = gray_subset_at_rank(10, 2, 0);
@@ -578,8 +580,9 @@ TEST(SrgKernels, PackedBfsDirectionsMatchOracle) {
     // nodes left make it dense (bottom-up). Two non-adjacent faults split
     // the ring, so most sets disconnect.
     const auto gg = cycle_graph(48);
-    RoutingTable t(48, RoutingMode::kBidirectional);
-    install_edge_routes(t, gg.graph);
+    RouteTableBuilder builder(48, RoutingMode::kBidirectional);
+    install_edge_routes(builder, gg.graph);
+    const RoutingTable t = std::move(builder).build();
     expect_packed_matches_oracle(t, 2, "edge-only/cycle48");
   }
   {
@@ -601,8 +604,9 @@ TEST(SrgKernels, PackedBfsDirectionsMatchOracle) {
   {
     // Two survivors (connected or not), one survivor, none.
     const auto gg = cycle_graph(5);
-    RoutingTable t(5, RoutingMode::kBidirectional);
-    install_edge_routes(t, gg.graph);
+    RouteTableBuilder builder(5, RoutingMode::kBidirectional);
+    install_edge_routes(builder, gg.graph);
+    const RoutingTable t = std::move(builder).build();
     for (const std::size_t f : {3u, 4u, 5u}) {
       expect_packed_matches_oracle(t, f, "edge-only/cycle5");
     }
@@ -617,8 +621,9 @@ TEST(SrgKernels, PackedBfsDirectionsMatchOracle) {
 // disconnect bit and the early lane-drop are the subtle parts.
 TEST(SrgKernels, PackedBlockMatchesPerSetEvaluate) {
   const auto gg = cycle_graph(12);
-  RoutingTable t(12, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
+  RouteTableBuilder builder(12, RoutingMode::kBidirectional);
+  install_edge_routes(builder, gg.graph);
+  const RoutingTable t = std::move(builder).build();
   const SrgIndex index(t);
   const SrgOracle rebuild(t);
 
@@ -696,10 +701,11 @@ TEST(SrgKernels, PackedBlockTailLanesStayDead) {
 // kernel must get that from its lane masks, not from a BFS — at every
 // width.
 TEST(SrgKernels, PackedBlockFewSurvivors) {
-  RoutingTable t(3, RoutingMode::kBidirectional);
-  t.set_route({0, 1});
-  t.set_route({1, 2});
-  t.set_route({0, 1, 2});
+  RouteTableBuilder builder(3, RoutingMode::kBidirectional);
+  builder.set_route({0, 1});
+  builder.set_route({1, 2});
+  builder.set_route({0, 1, 2});
+  const RoutingTable t = std::move(builder).build();
   const SrgIndex index(t);
   SrgScratch rebuild(index);
 
@@ -813,8 +819,9 @@ TEST(SrgKernels, AnySetBlocksMatchEvaluateAndOracle) {
   // Edge routes on a ring: two faults split it, so most lanes disconnect
   // while their neighbours in the block stay connected.
   const auto ring = cycle_graph(48);
-  RoutingTable t(48, RoutingMode::kBidirectional);
-  install_edge_routes(t, ring.graph);
+  RouteTableBuilder builder(48, RoutingMode::kBidirectional);
+  install_edge_routes(builder, ring.graph);
+  const RoutingTable t = std::move(builder).build();
   expect_any_set_blocks_match(t, mixed_sets(48, 3, 300, ++seed),
                               "edge-only/cycle48");
 }
@@ -949,7 +956,7 @@ TEST(SrgKernels, PackedCountersAndLevelMasksAtTheirExtremes) {
         1,  2,  3,  4,  5,  7,  8,   9,   15,  16,  17,
         31, 32, 33, 63, 64, 65, 127, 128, 129, 131, 132};
     const std::size_t n = kTerminals + relay_counts.size() + 6;
-    RoutingTable t(n, RoutingMode::kUnidirectional);
+    RouteTableBuilder builder(n, RoutingMode::kUnidirectional);
     std::uint32_t pair = 0;
     for (Node x = 0; x < kTerminals; ++x) {
       for (Node y = 0; y < kTerminals; ++y) {
@@ -961,10 +968,11 @@ TEST(SrgKernels, PackedCountersAndLevelMasksAtTheirExtremes) {
           }
         }
         route.push_back(y);
-        t.set_route(route);
+        builder.set_route(route);
         ++pair;
       }
     }
+    const RoutingTable t = std::move(builder).build();
     const SrgIndex index(t);
     ASSERT_EQ(index.num_pairs(), 132u);
     for (const std::size_t f : {1u, 2u}) {
@@ -986,8 +994,9 @@ TEST(SrgKernels, PackedCountersAndLevelMasksAtTheirExtremes) {
     // a full 512-lane block plus partial ones — since every block holding a
     // connected lane runs all those levels from every source.
     const auto gg = cycle_graph(160);
-    RoutingTable t(160, RoutingMode::kBidirectional);
-    install_edge_routes(t, gg.graph);
+    RouteTableBuilder builder(160, RoutingMode::kBidirectional);
+    install_edge_routes(builder, gg.graph);
+    const RoutingTable t = std::move(builder).build();
     EXPECT_EQ(max_finite_diameter(
                   expect_packed_matches_oracle(t, 1, "edge-only/cycle160")),
               158u);
@@ -1120,10 +1129,11 @@ TEST(SrgKernels, SparseStrikeMatchesOracle) {
 // One pair, two routes: the pair survives either route's death and dies
 // only with both; the arc count says so exactly.
 TEST(SrgKernels, SparseStrikeKillsMultiroutePairWithItsLastRoute) {
-  RoutingTable table(6, RoutingMode::kUnidirectional, 2);
-  table.set_route({0, 1, 2, 3});
-  table.set_route({0, 5, 4, 3});
-  table.set_route({1, 2});
+  RouteTableBuilder builder(6, RoutingMode::kUnidirectional, 2);
+  builder.set_route({0, 1, 2, 3});
+  builder.set_route({0, 5, 4, 3});
+  builder.set_route({1, 2});
+  const RoutingTable table = std::move(builder).build();
   const SrgIndex index(table);
   const SrgOracle oracle(table);
   SrgScratch bitset(index);

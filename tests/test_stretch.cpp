@@ -13,8 +13,9 @@ namespace {
 
 TEST(Stretch, EdgeRoutingHasStretchOne) {
   const auto gg = cycle_graph(8);
-  RoutingTable t(8, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
+  RouteTableBuilder builder(8, RoutingMode::kBidirectional);
+  install_edge_routes(builder, gg.graph);
+  const RoutingTable t = std::move(builder).build();
   const auto s = measure_stretch(gg.graph, t);
   EXPECT_EQ(s.routes, 16u);
   EXPECT_DOUBLE_EQ(s.avg_stretch, 1.0);
@@ -33,14 +34,16 @@ TEST(Stretch, BitFixingIsShortest) {
 
 TEST(Stretch, DetouredRouteMeasured) {
   const auto gg = cycle_graph(6);
-  RoutingTable t(6, RoutingMode::kBidirectional);
-  t.set_route({0, 5, 4, 3});  // dist(0,3) = 3, this way is also 3
-  t.set_route({0, 1, 2});     // shortest
+  RouteTableBuilder builder(6, RoutingMode::kBidirectional);
+  builder.set_route({0, 5, 4, 3});  // dist(0,3) = 3, this way is also 3
+  builder.set_route({0, 1, 2});     // shortest
+  const RoutingTable t = std::move(builder).build();
   const auto s = measure_stretch(gg.graph, t);
   EXPECT_EQ(s.routes, 4u);
   EXPECT_DOUBLE_EQ(s.max_stretch, 1.0);  // both directions are shortest on C6
-  RoutingTable t2(6, RoutingMode::kBidirectional);
-  t2.set_route({0, 5, 4, 3, 2});  // dist(0,2) = 2, route hops = 4
+  RouteTableBuilder builder2(6, RoutingMode::kBidirectional);
+  builder2.set_route({0, 5, 4, 3, 2});  // dist(0,2) = 2, route hops = 4
+  const RoutingTable t2 = std::move(builder2).build();
   const auto s2 = measure_stretch(gg.graph, t2);
   EXPECT_DOUBLE_EQ(s2.max_stretch, 2.0);
   EXPECT_EQ(s2.max_detour, 2u);
@@ -72,7 +75,8 @@ TEST(Stretch, CircularRoutesReasonable) {
 
 TEST(Stretch, EmptyTable) {
   const auto gg = cycle_graph(5);
-  RoutingTable t(5, RoutingMode::kBidirectional);
+  const RoutingTable t =
+      RouteTableBuilder(5, RoutingMode::kBidirectional).build();
   const auto s = measure_stretch(gg.graph, t);
   EXPECT_EQ(s.routes, 0u);
   EXPECT_DOUBLE_EQ(s.avg_stretch, 0.0);

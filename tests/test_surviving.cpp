@@ -11,9 +11,10 @@ namespace ftr {
 namespace {
 
 TEST(Surviving, FaultyNodesAbsent) {
-  RoutingTable t(5, RoutingMode::kBidirectional);
-  t.set_route({0, 1});
-  t.set_route({1, 2});
+  RouteTableBuilder builder(5, RoutingMode::kBidirectional);
+  builder.set_route({0, 1});
+  builder.set_route({1, 2});
+  const RoutingTable t = std::move(builder).build();
   const auto r = surviving_graph(t, {1});
   EXPECT_FALSE(r.present(1));
   EXPECT_EQ(r.num_present(), 4u);
@@ -21,9 +22,10 @@ TEST(Surviving, FaultyNodesAbsent) {
 }
 
 TEST(Surviving, RouteThroughFaultDropped) {
-  RoutingTable t(4, RoutingMode::kBidirectional);
-  t.set_route({0, 1, 2});  // via node 1
-  t.set_route({0, 3});
+  RouteTableBuilder builder(4, RoutingMode::kBidirectional);
+  builder.set_route({0, 1, 2});  // via node 1
+  builder.set_route({0, 3});
+  const RoutingTable t = std::move(builder).build();
   const auto r = surviving_graph(t, {1});
   EXPECT_FALSE(r.has_arc(0, 2));
   EXPECT_TRUE(r.has_arc(0, 3));
@@ -31,55 +33,62 @@ TEST(Surviving, RouteThroughFaultDropped) {
 }
 
 TEST(Surviving, EndpointFaultDropsRoute) {
-  RoutingTable t(4, RoutingMode::kUnidirectional);
-  t.set_route({0, 1});
+  RouteTableBuilder builder(4, RoutingMode::kUnidirectional);
+  builder.set_route({0, 1});
+  const RoutingTable t = std::move(builder).build();
   const auto r = surviving_graph(t, {0});
   EXPECT_EQ(r.num_arcs(), 0u);
 }
 
 TEST(Surviving, NoFaultsKeepsEverything) {
   const auto gg = cycle_graph(6);
-  RoutingTable t(6, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
+  RouteTableBuilder builder(6, RoutingMode::kBidirectional);
+  install_edge_routes(builder, gg.graph);
+  const RoutingTable t = std::move(builder).build();
   const auto r = surviving_graph(t, {});
   EXPECT_EQ(r.num_arcs(), 2 * gg.graph.num_edges());
   EXPECT_EQ(diameter(r), diameter(gg.graph));
 }
 
 TEST(Surviving, UnidirectionalAsymmetry) {
-  RoutingTable t(4, RoutingMode::kUnidirectional);
-  t.set_route({0, 1, 2});
-  t.set_route({2, 3, 0});
+  RouteTableBuilder builder(4, RoutingMode::kUnidirectional);
+  builder.set_route({0, 1, 2});
+  builder.set_route({2, 3, 0});
+  const RoutingTable t = std::move(builder).build();
   const auto r = surviving_graph(t, {3});
   EXPECT_TRUE(r.has_arc(0, 2));   // forward path avoids 3
   EXPECT_FALSE(r.has_arc(2, 0));  // reverse path used 3
 }
 
 TEST(Surviving, OutOfRangeFaultRejected) {
-  RoutingTable t(4, RoutingMode::kBidirectional);
-  t.set_route({0, 1});
+  RouteTableBuilder builder(4, RoutingMode::kBidirectional);
+  builder.set_route({0, 1});
+  const RoutingTable t = std::move(builder).build();
   EXPECT_THROW(surviving_graph(t, {9}), ContractViolation);
 }
 
 TEST(Surviving, MultiRouteAnySurvivorKeepsArc) {
-  RoutingTable t(5, RoutingMode::kBidirectional, 2);
-  t.set_route({0, 1, 4});
-  t.set_route({0, 2, 4});
+  RouteTableBuilder builder(5, RoutingMode::kBidirectional, 2);
+  builder.set_route({0, 1, 4});
+  builder.set_route({0, 2, 4});
+  const RoutingTable t = std::move(builder).build();
   EXPECT_TRUE(surviving_graph(t, {1}).has_arc(0, 4));
   EXPECT_TRUE(surviving_graph(t, {2}).has_arc(0, 4));
   EXPECT_FALSE(surviving_graph(t, {1, 2}).has_arc(0, 4));
 }
 
 TEST(Surviving, DiameterUnreachableWhenRoutingDisconnects) {
-  RoutingTable t(4, RoutingMode::kBidirectional);
-  t.set_route({0, 1});
-  t.set_route({2, 3});
+  RouteTableBuilder builder(4, RoutingMode::kBidirectional);
+  builder.set_route({0, 1});
+  builder.set_route({2, 3});
+  const RoutingTable t = std::move(builder).build();
   EXPECT_EQ(surviving_diameter(t, {}), kUnreachable);
 }
 
 TEST(Surviving, DiameterZeroWhenOneSurvivor) {
-  RoutingTable t(3, RoutingMode::kBidirectional);
-  t.set_route({0, 1});
+  RouteTableBuilder builder(3, RoutingMode::kBidirectional);
+  builder.set_route({0, 1});
+  const RoutingTable t = std::move(builder).build();
   EXPECT_EQ(surviving_diameter(t, {0, 1}), 0u);
 }
 

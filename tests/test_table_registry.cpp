@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -230,22 +229,22 @@ TEST(TableRegistry, FileSpecBuildsViaPlannerOnMiss) {
 }
 
 // Bytes of the arrays an index built from (or loaded with) a RoutingTable
-// holds beyond the table's route arrays: the node -> routes lists, route
-// -> pair ids, pair route offsets, the pairs by source and by target, and
-// the two base-row bitsets. Each is sized exactly once built.
+// holds beyond the table's arrays: the node -> routes lists, route -> pair
+// ids, the pairs by target, and the two base-row bitsets. Each is sized
+// exactly once built.
 std::size_t index_only_bytes(const ServedTable& e) {
   const SrgIndex& ix = *e.index;
   const std::size_t n = ix.num_nodes();
   const std::size_t words = (n + 1) + e.table.arena_size() +
-                            ix.num_routes() + (ix.num_pairs() + 1) +
-                            2 * ((n + 1) + ix.num_pairs());
+                            ix.num_routes() + (n + 1) + ix.num_pairs();
   return words * sizeof(std::uint32_t) +
          2 * n * ix.row_words() * sizeof(std::uint64_t);
 }
 
 // An entry is charged each of its arrays once: the index shares the
-// table's routes, so its route nodes, offsets and pair endpoints count
-// with the table and not again with the index.
+// table's arrays, so its route nodes, offsets, pair endpoints, pair route
+// offsets and pairs by source count with the table and not again with the
+// index.
 TEST(TableRegistry, ChargesSharedArraysOnce) {
   const std::string dir = testing::TempDir();
   const std::string graph_path = dir + "/ftr_registry_charge.ftg";
@@ -269,8 +268,9 @@ TEST(TableRegistry, ChargesSharedArraysOnce) {
 
   // Loaded from a snapshot, every stored array (the graph and the route
   // nodes and offsets) is an alias charged at its section's length, and
-  // each derived one adds its exact size: the routes' pair endpoints, the
-  // table's slot index, the index's own arrays and the ranking.
+  // each derived one adds its exact size: the table's pair endpoints, pair
+  // route offsets and pairs by source, the index's own arrays and the
+  // ranking.
   save_table_snapshot_file(
       make_table_snapshot(built->graph, built->table, built->plan),
       snap_path);
@@ -282,13 +282,18 @@ TEST(TableRegistry, ChargesSharedArraysOnce) {
   for (const auto& s : read_snapshot_directory(snap_path).sections) {
     if (s.tag != "meta" && s.tag != "plan") stored += s.length;
   }
-  const std::size_t routes = loaded->table.num_routes();
-  const std::size_t slots =
-      std::bit_ceil(std::max<std::size_t>(16, 2 * routes));
-  const std::size_t derived =
-      (2 * routes + slots) * sizeof(std::uint32_t) + index_only_bytes(*loaded) +
-      loaded->graph.num_nodes() * sizeof(Node);
-  EXPECT_EQ(loaded->memory_bytes, stored + derived);
+  const std::size_t n = loaded->graph.num_nodes();
+  const std::size_t pairs = loaded->table.num_pairs();
+  EXPECT_EQ(pairs, loaded->table.num_routes());
+  const std::size_t table_derived =
+      (2 * pairs + (pairs + 1) + (n + 1) + pairs) * sizeof(std::uint32_t);
+  EXPECT_EQ(loaded->table.memory_bytes(),
+            loaded->table.arena_size() * sizeof(Node) +
+                (loaded->table.num_routes() + 1) * sizeof(std::uint32_t) +
+                table_derived);
+  EXPECT_EQ(loaded->memory_bytes, stored + table_derived +
+                                      index_only_bytes(*loaded) +
+                                      n * sizeof(Node));
 }
 
 TEST(TableRegistry, ManifestParsesAndRejectsWithLineNumbers) {

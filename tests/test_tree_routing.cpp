@@ -147,8 +147,9 @@ TEST(TreeRouting, InstallPopulatesTable) {
   const auto gg = hypercube(3);
   const std::vector<Node> m = {3, 5, 6};
   const auto tr = build_tree_routing(gg.graph, 0, m, 3);
-  RoutingTable table(8, RoutingMode::kBidirectional);
-  install_tree_routing(table, tr);
+  RouteTableBuilder builder(8, RoutingMode::kBidirectional);
+  install_tree_routing(builder, tr);
+  const RoutingTable table = std::move(builder).build();
   for (const auto& p : tr.paths) {
     EXPECT_TRUE(table.has_route(0, p.back()));
     EXPECT_TRUE(table.has_route(p.back(), 0));

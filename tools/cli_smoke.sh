@@ -429,6 +429,12 @@ printf 'table demo snapshot=%s\n' "${WORK}/planned.snap" \
 "${CLI}" serve --tables "${WORK}/tables.planned.txt" --stdin --threads 2 \
   < "${WORK}/requests.txt" > "${WORK}/serve.planned.out" 2> /dev/null
 cmp "${WORK}/serve.seed.out" "${WORK}/serve.planned.out"
+# A snapshot given as both inputs is loaded once, so its plan survives a
+# re-snapshot and the file comes back byte for byte.
+"${CLI}" snapshot --graph "${WORK}/planned.snap" \
+  --routes "${WORK}/planned.snap" --out "${WORK}/planned.resave.snap" \
+  2> /dev/null
+cmp "${WORK}/planned.snap" "${WORK}/planned.resave.snap"
 
 # A corrupted snapshot must fail loudly, naming the file — never serve.
 echo "== corrupted snapshot fails loudly"
