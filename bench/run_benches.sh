@@ -124,7 +124,7 @@ for bench in "${BENCHES[@]}"; do
   out="${OUT_DIR}/BENCH_${bench#bench_}.json"
   if [[ "${bench}" == "bench_parallel_executor" ]]; then
     # Short name for the baseline the perf trajectory tracks
-    # (the stealing executor on uniform/skewed chunk costs).
+    # (the chunk executor on uniform/skewed chunk costs).
     out="${OUT_DIR}/BENCH_parallel.json"
   elif [[ "${bench}" == "bench_dist_sweep" ]]; then
     # Short name for the multi-process fan-out overhead baseline.

@@ -294,9 +294,9 @@ SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
   ExecutorStats executor;
   ProgressEmitter progress(unit.exec.progress_every, on_progress);
   std::vector<SweepPartial> chunks;
-  // A window holds at most `workers` chunks, and parallel_for_chunks joins
-  // before the next window, so chunk i of every window reuses scratch i,
-  // built on first use.
+  // One scratch per executor worker, built on first use and reused by every
+  // later window: a worker runs its chunks one at a time on its own thread,
+  // so its scratch stays on that thread.
   std::vector<std::optional<SrgScratch>> scratch(workers);
   for (std::uint64_t lo = unit.begin, count = 0; lo < unit.end; lo += count) {
     count = std::min(window, unit.end - lo);
@@ -304,10 +304,11 @@ SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
     ExecutorStats window_stats;
     parallel_for_chunks(
         count, workers, grain,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          if (!scratch[chunk]) scratch[chunk].emplace(index);
+        [&](std::size_t chunk, std::size_t begin, std::size_t end,
+            unsigned worker) {
+          if (!scratch[worker]) scratch[worker].emplace(index);
           chunks[chunk] =
-              sweep_chunk(*scratch[chunk], unit, lo + begin, lo + end);
+              sweep_chunk(*scratch[worker], unit, lo + begin, lo + end);
         },
         &window_stats);
     executor.accumulate(window_stats);

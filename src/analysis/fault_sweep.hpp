@@ -14,10 +14,11 @@
 // literal sets it carries. The executor walks the window in windows of
 // grain x threads items (grain = the policy's batch size, rounded up to
 // whole packed lane blocks for Gray units); each window fans out over the
-// threads, and chunk i of a window evaluates on the unit's i-th SrgScratch
-// (built on first use and reused by every later window, since a window's
-// chunks never share one), makes its own sets from their global indices,
-// and folds them into a chunk SweepPartial. The
+// threads, and each chunk evaluates on the SrgScratch of the executor
+// worker that runs it (one per worker, built on first use and reused by
+// every later window, since a worker runs one chunk at a time), makes its
+// own sets from their global indices, and folds them into a chunk
+// SweepPartial. The
 // chunks merge in index order with merge_sweep_partials — the same merge
 // the check and the distributed coordinator use — so a sweep's output is
 // bit-identical for any thread count, batch size, unit split, or worker
@@ -150,7 +151,7 @@ struct FaultSweepProgress {
   std::uint32_t worst_diameter = 0;
   std::uint64_t disconnected = 0;
   double seconds = 0.0;
-  /// Work-stealing telemetry accumulated over the windows so far
+  /// Executor telemetry accumulated over the windows so far
   /// (scheduling-dependent — stderr probes only, never results).
   ExecutorStats executor;
 };
@@ -199,7 +200,7 @@ struct FaultSweepSummary {
   unsigned threads_used = 1;
   double seconds = 0.0;
   double fault_sets_per_sec = 0.0;
-  /// Work-stealing executor counters accumulated over all windows.
+  /// Executor counters accumulated over all windows.
   ExecutorStats executor;
 };
 

@@ -149,10 +149,8 @@ int run_verb(const VerbSpec& spec, const std::vector<std::string>& args,
 }
 
 std::string executor_stats_str(const ExecutorStats& e) {
-  return "local=" + std::to_string(e.chunks_local) +
-         " stolen=" + std::to_string(e.chunks_stolen) +
-         " steals=" + std::to_string(e.steals) +
-         " steal_attempts=" + std::to_string(e.steal_attempts);
+  return "workers=" + std::to_string(e.workers) +
+         " chunks=" + std::to_string(e.chunks_local);
 }
 
 Graph load_graph_arg(const std::string& path) {

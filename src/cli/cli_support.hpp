@@ -92,7 +92,7 @@ int run_verb(const VerbSpec& spec, const std::vector<std::string>& args,
 
 // ---- helpers shared across verbs ----------------------------------------
 
-/// Stderr rendering of the work-stealing probe, shared by the sweep/serve
+/// Stderr rendering of the executor probe, shared by the sweep/serve
 /// progress lines and their closing summaries (telemetry only — it never
 /// touches stdout, which stays bit-identical across execution knobs).
 std::string executor_stats_str(const ExecutorStats& e);

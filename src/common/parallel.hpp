@@ -15,22 +15,19 @@
 //    by item index, not from a shared generator whose consumption order
 //    would depend on scheduling.
 //
-// The scheduler is a work-stealing executor: the chunk ids are
-// pre-partitioned into one contiguous interval per worker (a pure function
-// of (chunks, workers) — see steal_partition), each worker drains its own
-// interval from the front, and a worker whose interval runs dry steals the
-// back half of a victim's interval, probing victims in the deterministic
-// order (w+1, w+2, ...) mod workers. Because a steal moves a contiguous
-// suffix, every deque is a single interval at all times — a mutex-guarded
-// pair of cursors, not a general-purpose deque.
+// The scheduler is one shared atomic cursor: every worker claims the next
+// unclaimed chunk id, so chunks are claimed in ascending index order and
+// each worker runs an ascending subsequence of them. The calling thread is
+// worker 0, and every chunk body is told which worker runs it, so callers
+// can keep per-worker state (SrgScratch) that stays on one thread.
 //
-// What is deterministic and what is not, under stealing:
+// What is deterministic and what is not:
 //  * deterministic: chunk boundaries (a function of (count, grain) only),
-//    the initial chunk->worker partition (a function of (chunks, workers)),
-//    and therefore any index-ordered reduce a caller performs;
-//  * NOT deterministic: which worker ultimately runs a chunk (steals depend
-//    on timing) and the ExecutorStats counters. Bodies must not rely on
-//    execution order and must write results keyed by chunk or item index.
+//    the claim order (ascending chunk ids), and therefore any index-ordered
+//    reduce a caller performs;
+//  * NOT deterministic: which worker runs a chunk (it depends on timing)
+//    and the ExecutorStats counters. Bodies must write results keyed by
+//    chunk or item index, never by worker.
 //
 // parallel_for_chunks is the only primitive; everything above it (adversary
 // searches, tolerance sweeps, recovery sweeps, the CLI `sweep` and `serve`
@@ -40,15 +37,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
 
 namespace ftr {
 
-/// Worker body for one chunk: half-open item range [begin, end), plus the
+/// Worker body for one chunk: half-open item range [begin, end), the
 /// chunk's index (chunks cover [0, count) in order, so chunk i spans items
-/// [i * grain, min((i + 1) * grain, count))).
-using ChunkBody =
-    std::function<void(std::size_t chunk, std::size_t begin, std::size_t end)>;
+/// [i * grain, min((i + 1) * grain, count))), and the id of the worker
+/// running it (0 = the calling thread; always below the worker count, and
+/// so below resolve_threads(threads)).
+using ChunkBody = std::function<void(std::size_t chunk, std::size_t begin,
+                                     std::size_t end, unsigned worker)>;
 
 /// Number of hardware threads (>= 1 even when the runtime reports 0).
 unsigned hardware_threads();
@@ -72,20 +70,6 @@ unsigned resolve_threads(unsigned requested, unsigned hardware);
 /// Chunks [0, count) for the given grain (grain 0 = one chunk per item).
 std::size_t num_chunks(std::size_t count, std::size_t grain);
 
-/// Worker count parallel_for_chunks will actually use for this shape (it
-/// never spawns more workers than there are chunks). Exposed so callers
-/// reporting execution telemetry stay in sync with the executor.
-unsigned workers_for(std::size_t count, unsigned threads, std::size_t grain);
-
-/// The initial chunk-id interval [begin, end) owned by `worker` when
-/// `chunks` chunks are split across `workers` deques: a balanced contiguous
-/// partition, pure function of its arguments (worker w gets
-/// [w*chunks/workers, (w+1)*chunks/workers)). Exposed for tests and for
-/// callers reasoning about locality; requires worker < workers.
-std::pair<std::size_t, std::size_t> steal_partition(std::size_t chunks,
-                                                    unsigned workers,
-                                                    unsigned worker);
-
 /// Execution telemetry from one parallel_for_chunks call (or a sum over
 /// several — see accumulate). Everything here is scheduling-dependent and
 /// therefore NOT deterministic; it exists for stderr probes and benches,
@@ -93,15 +77,12 @@ std::pair<std::size_t, std::size_t> steal_partition(std::size_t chunks,
 struct ExecutorStats {
   /// Workers the executor actually ran (max over calls when accumulated).
   unsigned workers = 0;
-  /// Chunks executed, split by provenance: a chunk is "local" when the
-  /// worker that ran it popped it from its initially assigned interval,
-  /// "stolen" when it was popped from an interval obtained by stealing
-  /// (re-steals included). local + stolen = chunks executed.
+  /// Every chunk run (the name is the one bench/e2e/bench_e2e.cpp reads).
   std::uint64_t chunks_local = 0;
+  /// Always 0: the cursor executor never steals. Kept only because the
+  /// end-to-end bench (bench/e2e/bench_e2e.cpp) still reads them.
   std::uint64_t chunks_stolen = 0;
-  /// Steal probes issued by idle workers, successful or not.
   std::uint64_t steal_attempts = 0;
-  /// Probes that actually transferred a range.
   std::uint64_t steals = 0;
 
   /// Folds another call's stats into this one (counters add, workers max):
@@ -111,13 +92,12 @@ struct ExecutorStats {
 
 /// Runs `body` over all chunks of [0, count) on `threads` workers (the
 /// calling thread is one of them; threads <= 1 runs inline with no spawns).
-/// Chunk boundaries depend only on (count, grain). Scheduling is the
-/// work-stealing executor described in the header comment: any chunk may
-/// run on any worker, so bodies must not rely on execution order and must
-/// write results keyed by chunk or item index. If a body throws, all
-/// unclaimed chunks — the thrower's remaining deque interval included — are
-/// abandoned and the failing exception (lowest chunk index among those that
-/// threw) is rethrown on the caller. When `stats` is non-null it is
+/// Chunk boundaries depend only on (count, grain). Workers claim chunks from
+/// the shared cursor in ascending order (see the header comment); any chunk
+/// may run on any worker, so bodies must write results keyed by chunk or
+/// item index. If a body throws, all unclaimed chunks are abandoned and the
+/// failing exception (lowest chunk index among those that threw) is
+/// rethrown on the caller. When `stats` is non-null it is
 /// overwritten with this call's execution telemetry.
 void parallel_for_chunks(std::size_t count, unsigned threads,
                          std::size_t grain, const ChunkBody& body,

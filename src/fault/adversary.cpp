@@ -209,14 +209,15 @@ SweepPartial hillclimb_worst_faults(std::size_t n, std::size_t f,
   std::vector<SweepPartial> partials(chunks);
   // The lowest chunk that stopped. The ordered merge discards every chunk
   // past it, so skipping those — or abandoning one mid-climb once a lower
-  // chunk stops — is a pure optimization. The per-round poll matters under
-  // the work-stealing executor: workers start deep in their own
-  // partitions rather than in ascending chunk order.
+  // chunk stops — is a pure optimization. Chunks are claimed in ascending
+  // order, so the chunks past a stop are already running when it lands; the
+  // per-round poll is what lets them quit early.
   std::atomic<std::size_t> first_stop{chunks};
   ExecutorStats stats;
   parallel_for_chunks(
       count, threads, grain,
-      [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end) {
+      [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end,
+          unsigned) {
         const auto aborted = [&] {
           return chunk > first_stop.load(std::memory_order_relaxed);
         };

@@ -396,7 +396,6 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
   std::vector<std::string> responses;
   std::vector<std::uint8_t> failed;
   std::vector<std::size_t> order;
-  std::vector<std::size_t> dealt;
   std::vector<const ServedTable*> table_of;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -476,24 +475,14 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
                               cost_rank(window[b], *table_of[b]);
                      });
 
-    // One request per chunk. The ranked order is dealt round-robin over the
-    // workers' initial steal intervals, so every worker starts on its share
-    // of the expensive requests and an idle worker steals the cheap tail.
-    const std::size_t m = order.size();
-    const unsigned dealt_workers = workers_for(m, workers, 1);
-    dealt.resize(m);
-    for (std::size_t round = 0, k = 0; k < m; ++round) {
-      for (unsigned w = 0; w < dealt_workers && k < m; ++w) {
-        const auto [begin, end] = steal_partition(m, dealt_workers, w);
-        if (begin + round < end) dealt[begin + round] = order[k++];
-      }
-    }
-
+    // One request per chunk, chunk k the k-th ranked request: workers claim
+    // chunks in ascending order, so a free worker always pulls the longest
+    // request still waiting.
     ExecutorStats window_stats;
     parallel_for_chunks(
-        m, workers, 1,
-        [&](std::size_t chunk, std::size_t, std::size_t) {
-          const std::size_t i = dealt[chunk];
+        order.size(), workers, 1,
+        [&](std::size_t chunk, std::size_t, std::size_t, unsigned) {
+          const std::size_t i = order[chunk];
           const ServedTable& entry = *table_of[i];
           // execute_request builds the scratch only for a delivery.
           std::optional<SrgScratch> scratch;

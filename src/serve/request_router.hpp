@@ -16,10 +16,10 @@
 //    for the duration of the window even if a later acquire evicts them;
 //  * execution runs one request per parallel_for_chunks chunk. The window
 //    is ranked longest first (certify, check, sweeps by descending set
-//    count, deliveries; ties in table-grouped order) and dealt round-robin
-//    over the workers' initial steal intervals, so every worker starts on
-//    its share of the expensive requests and idle workers steal the cheap
-//    tail. A delivery builds its SrgScratch inside its own chunk;
+//    count, deliveries; ties in table-grouped order) and chunk k is the
+//    k-th ranked request, so as workers claim chunks in ascending order a
+//    free worker always pulls the longest request still waiting. A
+//    delivery builds its SrgScratch inside its own chunk;
 //  * every response is a pure function of (request, table contents) — each
 //    request runs its kernels at threads=1 inside its worker, randomized
 //    kernels are seeded from the request, and nothing about residency or
@@ -127,7 +127,7 @@ struct ServeProgress {
   std::uint64_t requests_done = 0;
   double seconds = 0.0;
   TableRegistryStats registry;
-  /// Work-stealing telemetry accumulated over the windows so far
+  /// Executor telemetry accumulated over the windows so far
   /// (scheduling-dependent — stderr probes only, never responses).
   ExecutorStats executor;
 };
@@ -156,7 +156,7 @@ struct ServeSummary {
   unsigned threads_used = 1;
   double seconds = 0.0;
   double requests_per_sec = 0.0;
-  /// Work-stealing executor counters accumulated over all windows.
+  /// Executor counters accumulated over all windows.
   ExecutorStats executor;
 };
 

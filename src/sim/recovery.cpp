@@ -1,6 +1,7 @@
 #include "sim/recovery.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
@@ -55,17 +56,18 @@ std::vector<ComponentwiseDiameter> componentwise_sweep(
   FTR_EXPECTS(g.num_nodes() == index.num_nodes());
   const unsigned threads = policy.resolved_threads();
   std::vector<ComponentwiseDiameter> out(fault_sets.size());
+  // One scratch per worker, built on first use: its O(n + routes) setup
+  // amortizes over all the worker's chunks, and results land at their own
+  // indices, so the merge is the identity whatever the thread count.
+  std::vector<std::optional<SrgScratch>> scratch(threads);
   parallel_for_chunks(
       fault_sets.size(), threads,
       sweep_grain(fault_sets.size(), threads),
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        (void)chunk;
-        // One scratch per chunk: its O(n + routes) setup amortizes over the
-        // chunk's fault sets, and results land at their own indices, so the
-        // merge is the identity whatever the thread count.
-        SrgScratch scratch(index);
+      [&](std::size_t, std::size_t begin, std::size_t end, unsigned worker) {
+        if (!scratch[worker]) scratch[worker].emplace(index);
         for (std::size_t i = begin; i < end; ++i) {
-          out[i] = componentwise_surviving_diameter(g, scratch, fault_sets[i]);
+          out[i] = componentwise_surviving_diameter(g, *scratch[worker],
+                                                    fault_sets[i]);
         }
       },
       stats);

@@ -49,7 +49,7 @@ ComponentwiseDiameter componentwise_surviving_diameter(
 /// preprocessing, fanned across policy.threads workers (the usual ExecPolicy
 /// composition — see common/exec_policy.hpp). The result is positionally
 /// aligned with `fault_sets` and bit-identical for any policy. `stats`,
-/// when non-null, receives the executor's work-stealing telemetry
+/// when non-null, receives the executor's telemetry
 /// (scheduling-dependent — probes only).
 std::vector<ComponentwiseDiameter> componentwise_sweep(
     const Graph& g, const SrgIndex& index,

@@ -331,8 +331,8 @@ SweepPartial oracle_unit(const RoutingTable& table, const UnitSpec& unit,
   return out;
 }
 
-// execute_unit keeps one scratch per chunk slot of a window and reuses it
-// in every later window. Each unit here spans at least 3 windows at every
+// execute_unit keeps one scratch per executor worker and reuses it in
+// every later window. Each unit here spans at least 3 windows at every
 // thread count and batch size, and delivers on every set, so each scratch
 // carries fault stamps, lane state and delivery buffers from one window
 // into the next; the results must still equal the serial oracle's.

@@ -91,40 +91,16 @@ TEST(Parallel, SweepGrainTargetsEightChunksPerWorker) {
   EXPECT_EQ(num_chunks(16 * 4 - 1, sweep_grain(16 * 4 - 1, 4)), 32u);
 }
 
-TEST(Parallel, StealPartitionCoversChunksExactly) {
-  // The initial deque assignment is a pure, balanced, contiguous partition
-  // of [0, chunks): worker w's end is worker w+1's begin, the union is
-  // exact, and no interval is more than one chunk larger than another.
-  for (unsigned workers : {1u, 2u, 3u, 8u, 13u}) {
-    for (std::size_t chunks :
-         {std::size_t{workers}, std::size_t{workers} + 1, std::size_t{100},
-          std::size_t{101}}) {
-      std::size_t expected_begin = 0;
-      std::size_t min_len = chunks, max_len = 0;
-      for (unsigned w = 0; w < workers; ++w) {
-        const auto [begin, end] = steal_partition(chunks, workers, w);
-        EXPECT_EQ(begin, expected_begin);
-        EXPECT_LE(begin, end);
-        min_len = std::min(min_len, end - begin);
-        max_len = std::max(max_len, end - begin);
-        expected_begin = end;
-      }
-      EXPECT_EQ(expected_begin, chunks);
-      EXPECT_LE(max_len - min_len, 1u);
-    }
-  }
-}
-
-TEST(Parallel, StealingCoversEveryIndexOnce) {
+TEST(Parallel, CoversEveryIndexOnceAndCountsChunks) {
   // Every index exactly once, chunk boundaries a function of (count, grain)
-  // only, and every executed chunk counted as local or stolen.
+  // only, and every executed chunk counted.
   for (unsigned threads : {2u, 8u}) {
     std::vector<std::atomic<int>> hits(1000);
     for (auto& h : hits) h = 0;
     ExecutorStats stats;
     parallel_for_chunks(hits.size(), threads, 7,
                         [&](std::size_t chunk, std::size_t begin,
-                            std::size_t end) {
+                            std::size_t end, unsigned) {
                           EXPECT_EQ(begin, chunk * 7);
                           for (std::size_t i = begin; i < end; ++i) {
                             ++hits[i];
@@ -135,15 +111,18 @@ TEST(Parallel, StealingCoversEveryIndexOnce) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i;
     }
     EXPECT_EQ(stats.workers, threads);
-    EXPECT_EQ(stats.chunks_local + stats.chunks_stolen,
-              num_chunks(hits.size(), 7));
+    EXPECT_EQ(stats.chunks_local, num_chunks(hits.size(), 7));
+    EXPECT_EQ(stats.chunks_stolen, 0u);
+    EXPECT_EQ(stats.steals, 0u);
+    EXPECT_EQ(stats.steal_attempts, 0u);
   }
 }
 
 TEST(Parallel, StatsInlinePath) {
   ExecutorStats stats;
-  parallel_for_chunks(100, 1, 10,
-                      [](std::size_t, std::size_t, std::size_t) {}, &stats);
+  parallel_for_chunks(
+      100, 1, 10, [](std::size_t, std::size_t, std::size_t, unsigned) {},
+      &stats);
   EXPECT_EQ(stats.workers, 1u);
   EXPECT_EQ(stats.chunks_local, 10u);
   EXPECT_EQ(stats.chunks_stolen, 0u);
@@ -151,8 +130,9 @@ TEST(Parallel, StatsInlinePath) {
 
   // count == 0: stats are cleared, not left stale.
   stats.chunks_local = 99;
-  parallel_for_chunks(0, 8, 1, [](std::size_t, std::size_t, std::size_t) {},
-                      &stats);
+  parallel_for_chunks(
+      0, 8, 1, [](std::size_t, std::size_t, std::size_t, unsigned) {},
+      &stats);
   EXPECT_EQ(stats.chunks_local, 0u);
 }
 
@@ -161,9 +141,6 @@ TEST(Parallel, StatsAccumulate) {
   ExecutorStats a;
   a.workers = 2;
   a.chunks_local = 10;
-  a.chunks_stolen = 3;
-  a.steal_attempts = 7;
-  a.steals = 2;
   ExecutorStats b;
   b.workers = 4;
   b.chunks_local = 5;
@@ -171,34 +148,60 @@ TEST(Parallel, StatsAccumulate) {
   total.accumulate(b);
   EXPECT_EQ(total.workers, 4u);
   EXPECT_EQ(total.chunks_local, 15u);
-  EXPECT_EQ(total.chunks_stolen, 3u);
-  EXPECT_EQ(total.steal_attempts, 7u);
-  EXPECT_EQ(total.steals, 2u);
 }
 
-TEST(Parallel, SkewedWorkIsStolen) {
-  // Worker 0's first chunk blocks; its remaining interval must be drained
-  // by thieves long before the sleep expires. This also proves the
-  // stats attribution: those chunks count as stolen, not local.
+TEST(Parallel, SlowChunkDoesNotHoldBackTheRest) {
+  // Chunk 0 blocks for 200 ms; the other workers must run all 15 other
+  // chunks before it returns.
   const unsigned threads = 4;
-  const std::size_t chunks = 16;  // grain 1, worker 0 owns [0, 4)
-  ExecutorStats stats;
-  std::vector<std::atomic<int>> hits(chunks);
-  for (auto& h : hits) h = 0;
+  const std::size_t chunks = 16;
+  std::atomic<std::size_t> done_before_zero{0};
+  std::atomic<bool> zero_returned{false};
   parallel_for_chunks(chunks, threads, 1,
-                      [&](std::size_t chunk, std::size_t, std::size_t) {
-                        ++hits[chunk];
+                      [&](std::size_t chunk, std::size_t, std::size_t,
+                          unsigned) {
                         if (chunk == 0) {
                           std::this_thread::sleep_for(
                               std::chrono::milliseconds(200));
+                          zero_returned = true;
+                        } else if (!zero_returned) {
+                          ++done_before_zero;
                         }
-                      },
-                      &stats);
-  for (std::size_t i = 0; i < chunks; ++i) EXPECT_EQ(hits[i].load(), 1);
-  EXPECT_EQ(stats.chunks_local + stats.chunks_stolen, chunks);
-  EXPECT_GE(stats.chunks_stolen, 1u);
-  EXPECT_GE(stats.steals, 1u);
-  EXPECT_GE(stats.steal_attempts, stats.steals);
+                      });
+  EXPECT_EQ(done_before_zero.load(), chunks - 1);
+}
+
+TEST(Parallel, EachWorkerClaimsAscendingChunks) {
+  // Workers claim chunks from one cursor in index order, so the chunks any
+  // one worker runs are strictly ascending; worker ids stay below the
+  // worker count, and the lists together hold every chunk exactly once.
+  for (unsigned threads : {2u, 4u, 8u}) {
+    const std::size_t chunks = 200;
+    std::vector<std::vector<std::size_t>> ran(threads);
+    ExecutorStats stats;
+    parallel_for_chunks(chunks, threads, 1,
+                        [&](std::size_t chunk, std::size_t, std::size_t,
+                            unsigned worker) {
+                          ASSERT_LT(worker, threads);
+                          ran[worker].push_back(chunk);
+                        },
+                        &stats);
+    std::vector<int> seen(chunks, 0);
+    for (unsigned w = 0; w < threads; ++w) {
+      if (!ran[w].empty()) {
+        EXPECT_LT(w, stats.workers);
+      }
+      for (std::size_t k = 0; k < ran[w].size(); ++k) {
+        if (k > 0) {
+          EXPECT_LT(ran[w][k - 1], ran[w][k]) << "worker " << w;
+        }
+        ++seen[ran[w][k]];
+      }
+    }
+    for (std::size_t c = 0; c < chunks; ++c) {
+      EXPECT_EQ(seen[c], 1) << "chunk " << c;
+    }
+  }
 }
 
 TEST(Parallel, NumChunks) {
@@ -221,7 +224,7 @@ TEST(Parallel, EveryIndexExactlyOnce) {
         std::vector<std::atomic<int>> hits(count);
         parallel_for_chunks(count, threads, grain,
                             [&](std::size_t chunk, std::size_t begin,
-                                std::size_t end) {
+                                std::size_t end, unsigned) {
                               EXPECT_EQ(begin, chunk * std::max<std::size_t>(
                                                            grain, 1));
                               EXPECT_LE(end, count);
@@ -243,26 +246,29 @@ TEST(Parallel, ChunkBoundariesIndependentOfThreads) {
   const std::size_t count = 101, grain = 7;
   std::vector<std::pair<std::size_t, std::size_t>> serial(
       num_chunks(count, grain));
-  parallel_for_chunks(count, 1, grain,
-                      [&](std::size_t c, std::size_t b, std::size_t e) {
-                        serial[c] = {b, e};
-                      });
+  parallel_for_chunks(
+      count, 1, grain,
+      [&](std::size_t c, std::size_t b, std::size_t e, unsigned) {
+        serial[c] = {b, e};
+      });
   std::vector<std::pair<std::size_t, std::size_t>> parallel(
       num_chunks(count, grain));
-  parallel_for_chunks(count, 8, grain,
-                      [&](std::size_t c, std::size_t b, std::size_t e) {
-                        parallel[c] = {b, e};
-                      });
+  parallel_for_chunks(
+      count, 8, grain,
+      [&](std::size_t c, std::size_t b, std::size_t e, unsigned) {
+        parallel[c] = {b, e};
+      });
   EXPECT_EQ(serial, parallel);
 }
 
 TEST(Parallel, SumMatchesSerial) {
   const std::size_t count = 12345;
   std::vector<std::uint64_t> partial(num_chunks(count, 100), 0);
-  parallel_for_chunks(count, 8, 100,
-                      [&](std::size_t c, std::size_t b, std::size_t e) {
-                        for (std::size_t i = b; i < e; ++i) partial[c] += i;
-                      });
+  parallel_for_chunks(
+      count, 8, 100,
+      [&](std::size_t c, std::size_t b, std::size_t e, unsigned) {
+        for (std::size_t i = b; i < e; ++i) partial[c] += i;
+      });
   const auto total =
       std::accumulate(partial.begin(), partial.end(), std::uint64_t{0});
   EXPECT_EQ(total, static_cast<std::uint64_t>(count) * (count - 1) / 2);
@@ -272,7 +278,8 @@ TEST(Parallel, PropagatesException) {
   for (unsigned threads : {1u, 4u}) {
     EXPECT_THROW(
         parallel_for_chunks(100, threads, 10,
-                            [](std::size_t chunk, std::size_t, std::size_t) {
+                            [](std::size_t chunk, std::size_t, std::size_t,
+                               unsigned) {
                               if (chunk == 3) throw std::runtime_error("boom");
                             }),
         std::runtime_error);
@@ -299,7 +306,8 @@ FailureProbe run_failing(std::size_t chunks, unsigned threads,
   FailureProbe probe;
   try {
     parallel_for_chunks(chunks, threads, 1,
-                        [&](std::size_t chunk, std::size_t, std::size_t) {
+                        [&](std::size_t chunk, std::size_t, std::size_t,
+                            unsigned) {
                           executed.fetch_add(1);
                           if (pre) pre(chunk);
                           if (should_throw(chunk)) {
@@ -332,7 +340,7 @@ TEST(Parallel, RethrowsLowestFailingChunk) {
 
 TEST(Parallel, RethrowsLowestAmongConcurrentFailures) {
   // Only the back half of the chunk space throws (the front half does real
-  // work first), so failures race each other across workers and deques;
+  // work first), so failures race each other across workers;
   // the merge rule — lowest failing chunk wins — must hold regardless.
   for (int repeat = 0; repeat < 3; ++repeat) {
     const auto probe = run_failing(
@@ -346,25 +354,37 @@ TEST(Parallel, RethrowsLowestAmongConcurrentFailures) {
   }
 }
 
-TEST(Parallel, ThrowFromStolenChunkRethrowsOnCaller) {
-  // Worker 0 blocks on chunk 0 while the rest of its deque interval —
-  // including the one throwing chunk — is stolen and executed by thieves.
-  // The throw happens on a stolen chunk on a spawned thread; it must still
-  // surface on the caller with the failing chunk's index.
-  const unsigned threads = 4;
-  const std::size_t chunks = 16;  // worker 0 owns [0, 4); chunk 3 throws
-  const auto probe = run_failing(
-      chunks, threads, [](std::size_t chunk) { return chunk == 3; },
-      [](std::size_t chunk) {
-        if (chunk == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        }
-      });
-  EXPECT_EQ(probe.rethrown, 3u);
-  EXPECT_EQ(probe.threw, std::vector<std::size_t>{3});
-  // The sleeping owner cannot have run it: chunk 3 was stolen. (Stats are
-  // written even on the throwing path — that is part of the contract.)
-  EXPECT_GE(probe.stats.chunks_stolen, 1u);
+TEST(Parallel, ThrowOnSpawnedWorkerRethrowsOnCaller) {
+  // Worker 0 (the calling thread) sleeps through its chunk while the
+  // spawned workers run the rest, and the first chunk a spawned worker runs
+  // throws. The throw happens on a spawned thread; it must still surface on
+  // the caller with the failing chunk's index. (Stats are written even on
+  // the throwing path — that is part of the contract.)
+  const std::size_t chunks = 16;
+  std::atomic<bool> armed{true};
+  std::atomic<std::size_t> thrower{chunks};
+  std::size_t rethrown = chunks + 1;
+  ExecutorStats stats;
+  try {
+    parallel_for_chunks(chunks, 4, 1,
+                        [&](std::size_t chunk, std::size_t, std::size_t,
+                            unsigned worker) {
+                          if (worker == 0) {
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(200));
+                          } else if (armed.exchange(false)) {
+                            thrower = chunk;
+                            throw std::runtime_error(std::to_string(chunk));
+                          }
+                        },
+                        &stats);
+  } catch (const std::runtime_error& e) {
+    rethrown = std::stoul(e.what());
+  }
+  ASSERT_LT(thrower.load(), chunks);
+  EXPECT_EQ(rethrown, thrower.load());
+  EXPECT_EQ(stats.workers, 4u);
+  EXPECT_GE(stats.chunks_local, 1u);
 }
 
 TEST(Parallel, AbandonsClaimedRangesAfterFailure) {
