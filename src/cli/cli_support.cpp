@@ -1,13 +1,11 @@
 #include "cli/cli_support.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <limits>
 
 #include "cli/cli.hpp"
 #include "common/parse.hpp"
-#include "graph/graph_io.hpp"
 #include "routing/serialization.hpp"
 
 namespace ftr::cli {
@@ -153,44 +151,25 @@ std::string executor_stats_str(const ExecutorStats& e) {
          " chunks=" + std::to_string(e.chunks_local);
 }
 
-Graph load_graph_arg(const std::string& path) {
-  if (is_snapshot_file(path)) {
-    return std::move(load_snapshot_inputs_file(path).graph);
+TableSpec table_spec_args(const std::string& graph_path,
+                          const std::string& table_path) {
+  // An empty routes path would ask load_table_inputs for a planner build.
+  if (table_path.empty()) throw UsageError("empty <table> path");
+  TableSpec spec;
+  if (graph_path == table_path && is_snapshot_file(graph_path)) {
+    spec.snapshot_file = graph_path;
+  } else {
+    spec.graph_file = graph_path;
+    spec.table_file = table_path;
   }
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open graph file '" + path + "'");
-  return load_graph(f);
-}
-
-RoutingTable load_table_arg(const std::string& path) {
-  if (is_snapshot_file(path)) {
-    return std::move(load_snapshot_inputs_file(path).table);
-  }
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open table file '" + path + "'");
-  return load_routing_table(f);
+  return spec;
 }
 
 GraphTableArgs load_graph_table_args(const std::string& graph_path,
                                      const std::string& table_path) {
-  if (graph_path == table_path && is_snapshot_file(graph_path)) {
-    SnapshotInputs in = load_snapshot_inputs_file(graph_path);
-    return {std::move(in.graph), std::move(in.table)};
-  }
-  return {load_graph_arg(graph_path), load_table_arg(table_path)};
-}
-
-TableSnapshot load_snapshot_args(const std::string& graph_path,
-                                 const std::string& table_path) {
-  if (graph_path == table_path && is_snapshot_file(graph_path)) {
-    TableSnapshot snap = load_table_snapshot_file(graph_path);
-    snap.table.validate(snap.graph);
-    return snap;
-  }
-  Graph graph = load_graph_arg(graph_path);
-  RoutingTable table = load_table_arg(table_path);
-  table.validate(graph);
-  return make_table_snapshot(std::move(graph), std::move(table));
+  SnapshotInputs in =
+      load_table_inputs(table_spec_args(graph_path, table_path));
+  return {std::move(in.graph), std::move(in.table)};
 }
 
 DistPoolOptions dist_pool_options(const ParsedArgs& a, unsigned workers) {
@@ -205,9 +184,7 @@ DistPoolOptions dist_pool_options(const ParsedArgs& a, unsigned workers) {
 
 std::string dist_snapshot_path(const std::string& graph_path,
                                const std::string& table_path) {
-  return (graph_path == table_path && is_snapshot_file(graph_path))
-             ? graph_path
-             : std::string();
+  return table_spec_args(graph_path, table_path).snapshot_file;
 }
 
 void print_dist_stats(const DistStats& s) {

@@ -1,6 +1,7 @@
 // Shared CLI plumbing: the per-verb flag registry + strict parser, usage
-// generation, and the helpers every verb leans on (snapshot-aware file
-// loading, distributed-pool option mapping, telemetry rendering).
+// generation, and the helpers every verb leans on (mapping the
+// <graph>/<table> positionals to a TableSpec, distributed-pool option
+// mapping, telemetry rendering).
 //
 // The contract every verb gets from run_verb():
 //   * `--help` prints usage generated from the verb's registry (stdout,
@@ -97,12 +98,18 @@ int run_verb(const VerbSpec& spec, const std::vector<std::string>& args,
 /// touches stdout, which stays bit-identical across execution knobs).
 std::string executor_stats_str(const ExecutorStats& e);
 
-/// The <graph>/<table> file arguments accept either the text formats or a
-/// binary snapshot (sniffed by magic). A snapshot passed as both arguments
-/// is loaded once.
-Graph load_graph_arg(const std::string& path);
-RoutingTable load_table_arg(const std::string& path);
+/// The <graph>/<table> positionals as the spec load_table_inputs reads:
+/// the same snapshot path for both becomes snapshot_file (loaded once,
+/// plan included); otherwise each is a graph or routes file, text or
+/// snapshot (sniffed by magic). Verbs load through
+/// load_table_inputs(table_spec_args(...)), which validates the table, and
+/// check/sweep then derive the index with make_table_snapshot (a
+/// multirouting's text included; only --workers, which writes the
+/// snapshot out, refuses one).
+TableSpec table_spec_args(const std::string& graph_path,
+                          const std::string& table_path);
 
+/// load_table_inputs over table_spec_args, without the plan.
 struct GraphTableArgs {
   Graph graph;
   RoutingTable table;
@@ -110,24 +117,16 @@ struct GraphTableArgs {
 GraphTableArgs load_graph_table_args(const std::string& graph_path,
                                      const std::string& table_path);
 
-/// The <graph>/<table> arguments as a validated TableSnapshot, for the
-/// verbs that evaluate on its index in process and hand it to
-/// DistSweepPool under --workers: a snapshot passed as both arguments is
-/// loaded (index and ranking included), text inputs go through
-/// make_table_snapshot (a multirouting's text included; only --workers,
-/// which writes the snapshot out, refuses one).
-TableSnapshot load_snapshot_args(const std::string& graph_path,
-                                 const std::string& table_path);
-
 /// Shared --workers plumbing for check/sweep: the verb's resolved
 /// ExecPolicy becomes the per-worker policy (exec.threads = threads inside
 /// each forked worker). The pool's knobs never affect stdout (the
 /// bit-identity contract); they only shape scheduling.
 DistPoolOptions dist_pool_options(const ParsedArgs& a, unsigned workers);
 
-/// When the table came from a snapshot file, workers mmap that same file —
-/// zero bytes shipped; otherwise the coordinator stages the snapshot into
-/// an unlinked temp file the forked workers inherit by fd.
+/// table_spec_args(...).snapshot_file: when the table came from a snapshot
+/// file, workers mmap that same file — zero bytes shipped; otherwise (empty)
+/// the coordinator stages the snapshot into an unlinked temp file the
+/// forked workers inherit by fd.
 std::string dist_snapshot_path(const std::string& graph_path,
                                const std::string& table_path);
 

@@ -1,4 +1,5 @@
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,29 +51,24 @@ const VerbSpec& spec() {
 
 int cmd_check(const std::vector<std::string>& args) {
   return run_verb(spec(), args, [](const ParsedArgs& a) {
-    const TableSnapshot snap =
-        load_snapshot_args(a.positional.at(0), a.positional.at(1));
+    const TableSpec table = table_spec_args(a.positional.at(0),
+                                            a.positional.at(1));
+    const TableSnapshot snap = make_table_snapshot(load_table_inputs(table));
     const auto f = a.u32("--faults", 1);
     const auto claimed = a.u32("--claimed", 6);
     Rng rng(a.u64("--seed", 7));
     ToleranceCheckOptions opts;
     opts.exec = a.exec;
     const auto workers = a.u32("--workers", 0);
-    ToleranceReport report;
+    std::optional<DistSweepPool> pool;
     if (workers > 0) {
-      DistSweepPool pool(
-          snap, dist_snapshot_path(a.positional.at(0), a.positional.at(1)),
-          dist_pool_options(a, workers));
-      opts.runner = [&pool](const UnitSpec& u) { return pool.run(u); };
-      report = check_tolerance(
-          *snap.index, f, claimed, rng(),
-          with_route_load_seeds(snap.route_load_ranking, f, opts));
-      print_dist_stats(pool.stats());
-    } else {
-      report = check_tolerance(
-          *snap.index, f, claimed, rng(),
-          with_route_load_seeds(snap.route_load_ranking, f, opts));
+      pool.emplace(snap, table.snapshot_file, dist_pool_options(a, workers));
+      opts.runner = [&pool](const UnitSpec& u) { return pool->run(u); };
     }
+    const ToleranceReport report = check_tolerance(
+        *snap.index, f, claimed, rng(),
+        with_route_load_seeds(snap.route_load_ranking, f, opts));
+    if (pool) print_dist_stats(pool->stats());
     std::cout << report.summary() << '\n';
     if (!report.worst_faults.empty()) {
       std::cout << "worst fault set:";

@@ -1,13 +1,9 @@
 #include <iostream>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cli/cli.hpp"
 #include "cli/cli_support.hpp"
-#include "common/rng.hpp"
-#include "core/planner.hpp"
 #include "routing/serialization.hpp"
 
 namespace ftr::cli {
@@ -54,20 +50,14 @@ int cmd_snapshot(const std::vector<std::string>& args) {
     if (!routes_path.empty() && a.has("--seed")) {
       throw UsageError("--routes and --seed are mutually exclusive");
     }
-    // Validate once at snapshot time — the whole point is that loads never
-    // pay this again (they only re-check checksums and structural bounds).
-    // A snapshot given as both inputs is loaded once, plan included.
-    TableSnapshot snap;
+    TableSpec table;
     if (!routes_path.empty()) {
-      snap = load_snapshot_args(graph_path, routes_path);
+      table = table_spec_args(graph_path, routes_path);
     } else {
-      Graph g = load_graph_arg(graph_path);
-      Rng rng(a.u64("--seed", 42));
-      auto planned = build_planned_routing(g, std::nullopt, rng);
-      planned.table.validate(g);
-      snap = make_table_snapshot(std::move(g), std::move(planned.table),
-                                 std::move(planned.plan));
+      table.graph_file = graph_path;
+      table.build_seed = a.u64("--seed", 42);
     }
+    const TableSnapshot snap = make_table_snapshot(load_table_inputs(table));
     save_table_snapshot_file(snap, out_path);
     const auto info = read_snapshot_directory(out_path);
     std::cerr << "snapshot " << out_path << ": " << snap.table.num_nodes()

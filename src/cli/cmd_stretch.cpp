@@ -34,9 +34,9 @@ const VerbSpec& spec() {
 
 int cmd_stretch(const std::vector<std::string>& args) {
   return run_verb(spec(), args, [](const ParsedArgs& a) {
-    auto [g, table] =
-        load_graph_table_args(a.positional.at(0), a.positional.at(1));
-    const auto s = measure_stretch(g, table);
+    const SnapshotInputs in = load_table_inputs(
+        table_spec_args(a.positional.at(0), a.positional.at(1)));
+    const auto s = measure_stretch(in.graph, in.table);
     Table t({"metric", "value"});
     t.add_row({"routes", Table::cell(s.routes)});
     t.add_row({"avg stretch", Table::cell(s.avg_stretch, 3)});

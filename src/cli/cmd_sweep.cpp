@@ -66,8 +66,9 @@ const VerbSpec& spec() {
 
 int cmd_sweep(const std::vector<std::string>& args) {
   return run_verb(spec(), args, [](const ParsedArgs& a) {
-    const TableSnapshot snap =
-        load_snapshot_args(a.positional.at(0), a.positional.at(1));
+    const TableSpec table = table_spec_args(a.positional.at(0),
+                                            a.positional.at(1));
+    const TableSnapshot snap = make_table_snapshot(load_table_inputs(table));
     const auto f = static_cast<std::size_t>(a.u64("--faults", 1));
     const auto sets = a.u64("--sets", 1000);
     const std::uint64_t seed = a.u64("--seed", 7);
@@ -122,9 +123,8 @@ int cmd_sweep(const std::vector<std::string>& args) {
       // the same global-index discipline as the in-process executor, so
       // stdout below is bit-identical to --workers 0 for any W and unit
       // size.
-      DistSweepPool pool(
-          snap, dist_snapshot_path(a.positional.at(0), a.positional.at(1)),
-          dist_pool_options(a, workers));
+      DistSweepPool pool(snap, table.snapshot_file,
+                         dist_pool_options(a, workers));
       const auto t0 = std::chrono::steady_clock::now();
       summary = summarize_sweep_partial(from_stdin
                                             ? pool.sweep_source(source, opts)

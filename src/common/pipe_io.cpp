@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <stdlib.h>
 #include <sys/stat.h>
@@ -24,8 +23,6 @@ const char* io_status_name(IoStatus s) {
       return "ok";
     case IoStatus::kClosed:
       return "closed";
-    case IoStatus::kTimeout:
-      return "timeout";
     case IoStatus::kError:
       return "error";
   }
@@ -69,76 +66,6 @@ IoStatus write_exact(int fd, const void* buf, std::size_t n) {
     }
     if (errno == EINTR) continue;
     if (errno == EPIPE) return IoStatus::kClosed;
-    return IoStatus::kError;
-  }
-  return IoStatus::kOk;
-}
-
-namespace {
-
-// poll() for one direction with the remaining time until `deadline`.
-// Returns kOk when ready, kTimeout when the deadline passed, kError else.
-IoStatus poll_until(int fd, short events,
-                    std::chrono::steady_clock::time_point deadline) {
-  for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return IoStatus::kTimeout;
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-            .count();
-    // +1 so a sub-millisecond remainder still waits instead of spinning.
-    const int timeout_ms =
-        static_cast<int>(std::min<long long>(left + 1, 60'000));
-    struct pollfd pfd{fd, events, 0};
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc > 0) return IoStatus::kOk;
-    if (rc == 0) continue;  // re-check the deadline
-    if (errno == EINTR) continue;
-    return IoStatus::kError;
-  }
-}
-
-}  // namespace
-
-IoStatus read_exact_deadline(int fd, void* buf, std::size_t n,
-                             std::chrono::steady_clock::time_point deadline) {
-  auto* p = static_cast<unsigned char*>(buf);
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, p + got, n - got);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r == 0) return IoStatus::kClosed;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      const IoStatus s = poll_until(fd, POLLIN, deadline);
-      if (s != IoStatus::kOk) return s;
-      continue;
-    }
-    return IoStatus::kError;
-  }
-  return IoStatus::kOk;
-}
-
-IoStatus write_exact_deadline(int fd, const void* buf, std::size_t n,
-                              std::chrono::steady_clock::time_point deadline) {
-  const auto* p = static_cast<const unsigned char*>(buf);
-  std::size_t put = 0;
-  while (put < n) {
-    const ssize_t w = ::write(fd, p + put, n - put);
-    if (w >= 0) {
-      put += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EPIPE) return IoStatus::kClosed;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      const IoStatus s = poll_until(fd, POLLOUT, deadline);
-      if (s != IoStatus::kOk) return s;
-      continue;
-    }
     return IoStatus::kError;
   }
   return IoStatus::kOk;

@@ -1,8 +1,7 @@
 // POSIX byte-plumbing for the multi-process layer (and for every path that
 // writes a whole file): EINTR-safe full reads/writes on file descriptors,
-// deadline-bounded variants for talking to processes that may hang, whole-
-// file read/write helpers, and child-process reaping with exit-status
-// capture.
+// a nonblocking drain for the coordinator's pipe buffers, whole-file
+// read/write helpers, and child-process reaping with exit-status capture.
 //
 // Why this exists as a layer: raw read(2)/write(2) are allowed to transfer
 // fewer bytes than asked (pipe capacity, signals), and a signal landing
@@ -22,7 +21,6 @@
 // before the first write.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -34,10 +32,9 @@
 namespace ftr {
 
 /// Outcome of a descriptor transfer. kClosed covers both EOF on read and
-/// EPIPE on write — "the other side is gone"; kTimeout only occurs on the
-/// deadline variants; kError is any other errno (captured in last_errno
-/// by the frame layer's callers via errno itself).
-enum class IoStatus : std::uint8_t { kOk, kClosed, kTimeout, kError };
+/// EPIPE on write — "the other side is gone"; kError is any other errno
+/// (captured in last_errno by the frame layer's callers via errno itself).
+enum class IoStatus : std::uint8_t { kOk, kClosed, kError };
 
 const char* io_status_name(IoStatus s);
 
@@ -53,16 +50,6 @@ IoStatus read_exact(int fd, void* buf, std::size_t n);
 /// Writes exactly `n` bytes, looping over short writes and restarting on
 /// EINTR. kClosed on EPIPE.
 IoStatus write_exact(int fd, const void* buf, std::size_t n);
-
-/// Deadline-bounded variants for O_NONBLOCK descriptors: poll()s for
-/// readiness until the steady-clock deadline, then transfers; EAGAIN loops
-/// back into poll. The deadline bounds the WHOLE transfer. These are what
-/// the coordinator uses so a hung worker cannot stall it — a worker that
-/// neither reads nor writes trips kTimeout instead of blocking forever.
-IoStatus read_exact_deadline(int fd, void* buf, std::size_t n,
-                             std::chrono::steady_clock::time_point deadline);
-IoStatus write_exact_deadline(int fd, const void* buf, std::size_t n,
-                              std::chrono::steady_clock::time_point deadline);
 
 /// Sets/clears O_NONBLOCK.
 void set_nonblocking(int fd, bool nonblocking);

@@ -89,9 +89,11 @@ class DistSweepPool {
   /// the pool (it backs the inline fallback); `snapshot_path` names the
   /// snapshot file workers should mmap, or "" to have the coordinator
   /// serialize `snapshot` into an unlinked temp file the children inherit
-  /// by fd. Call from a single-threaded process state (the parallel
-  /// executor joins its threads per call, so any point between sweeps
-  /// qualifies).
+  /// by fd. Children load without RoutingTable::validate: the caller
+  /// validated `snapshot` (the CLI gets it from load_table_inputs, which
+  /// read the very file at `snapshot_path`). Call from a
+  /// single-threaded process state (the parallel executor joins its
+  /// threads per call, so any point between sweeps qualifies).
   DistSweepPool(const TableSnapshot& snapshot, std::string snapshot_path,
                 const DistPoolOptions& options);
   ~DistSweepPool();

@@ -14,7 +14,9 @@
 #include "common/mapped_file.hpp"
 #include "common/parse.hpp"
 #include "common/pipe_io.hpp"
+#include "common/rng.hpp"
 #include "fault/fault_gen.hpp"
+#include "graph/graph_io.hpp"
 
 namespace ftr {
 
@@ -632,12 +634,32 @@ SnapshotInputs parse_snapshot(const std::string& path,
   }
 }
 
-TableSnapshot derive_snapshot(SnapshotInputs in) {
-  return make_table_snapshot(std::move(in.graph), std::move(in.table),
-                             std::move(in.plan));
+// A graph or routes file given on its own: either text format or a
+// snapshot (sniffed by magic), of which only the one half is kept.
+Graph load_graph_file(const std::string& path) {
+  if (is_snapshot_file(path)) {
+    return std::move(load_snapshot_inputs_file(path).graph);
+  }
+  std::ifstream f(path);
+  if (!f) throw ContractViolation("cannot open graph file '" + path + "'");
+  return load_graph(f);
+}
+
+RoutingTable load_routes_file(const std::string& path) {
+  if (is_snapshot_file(path)) {
+    return std::move(load_snapshot_inputs_file(path).table);
+  }
+  std::ifstream f(path);
+  if (!f) throw ContractViolation("cannot open table file '" + path + "'");
+  return load_routing_table(f);
 }
 
 }  // namespace
+
+TableSnapshot make_table_snapshot(SnapshotInputs in) {
+  return make_table_snapshot(std::move(in.graph), std::move(in.table),
+                             std::move(in.plan));
+}
 
 SnapshotInputs load_snapshot_inputs_file(const std::string& path) {
   expect_little_endian_host();
@@ -645,12 +667,32 @@ SnapshotInputs load_snapshot_inputs_file(const std::string& path) {
 }
 
 TableSnapshot load_table_snapshot_file(const std::string& path) {
-  return derive_snapshot(load_snapshot_inputs_file(path));
+  return make_table_snapshot(load_snapshot_inputs_file(path));
 }
 
 TableSnapshot load_table_snapshot_fd(int fd, const std::string& name) {
   expect_little_endian_host();
-  return derive_snapshot(parse_snapshot(name, MappedFile::from_fd(fd, name)));
+  return make_table_snapshot(
+      parse_snapshot(name, MappedFile::from_fd(fd, name)));
+}
+
+SnapshotInputs load_table_inputs(const TableSpec& spec) {
+  SnapshotInputs in;
+  if (!spec.snapshot_file.empty()) {
+    in = load_snapshot_inputs_file(spec.snapshot_file);
+  } else {
+    in.graph = load_graph_file(spec.graph_file);
+    if (!spec.table_file.empty()) {
+      in.table = load_routes_file(spec.table_file);
+    } else {
+      Rng rng(spec.build_seed);
+      auto planned = build_planned_routing(in.graph, std::nullopt, rng);
+      in.table = std::move(planned.table);
+      in.plan = std::move(planned.plan);
+    }
+  }
+  in.table.validate(in.graph);
+  return in;
 }
 
 bool is_snapshot_file(const std::string& path) {

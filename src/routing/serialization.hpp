@@ -47,6 +47,12 @@
 //              route-load ranking. load_snapshot_inputs_file() stops
 //              before make_table_snapshot. Saving a loaded snapshot writes
 //              the same bytes.
+//
+// One door: load_table_inputs(TableSpec) is how every CLI verb and the
+// serving registry turn files (text or snapshot) or a planner seed into a
+// table, and the one place a table is validated against its graph
+// (RoutingTable::validate). Only the forked sweep workers load around it,
+// mapping bytes their coordinator already let through the door.
 // Versioning policy: accept-same, refuse-other — a v3 reader loads exactly
 // v3 files and rejects any other version (older ones included: snapshots
 // are build artifacts, regenerated with `ftroute snapshot`) with a
@@ -110,12 +116,22 @@ struct TableSnapshot {
   std::vector<Node> route_load_ranking;  // busiest-first hill-climber seed
 };
 
+/// A table's inputs: the graph, the table derived from its routes and
+/// nothing else (no SrgIndex, no ranking), and the plan ({0, 0} claims
+/// unless a planner built the routes or a snapshot stored them).
+struct SnapshotInputs {
+  Graph graph;
+  RoutingTable table;
+  Plan plan;
+};
+
 /// Derives the precomputed members (SrgIndex, route-load ranking) from the
 /// materials, for any table (a multirouting included); graph/table node
 /// counts must match. `plan` is stored as-is. The snapshot loaders end
 /// here too, so a loaded snapshot equals the one built in memory.
 TableSnapshot make_table_snapshot(Graph graph, RoutingTable table,
                                   Plan plan = {});
+TableSnapshot make_table_snapshot(SnapshotInputs in);
 
 /// Writes the sectioned binary container: the graph, the table's route
 /// arrays and the plan. The stream must be binary-mode. The table must
@@ -129,14 +145,33 @@ void save_table_snapshot_file(const TableSnapshot& snapshot,
 /// sweep coordinator writes into an unlinked temp file for forked workers.
 std::string table_snapshot_to_string(const TableSnapshot& snapshot);
 
-/// A snapshot's stored inputs, validated, with the table derived from its
-/// routes and nothing else (no SrgIndex, no ranking): what a caller that
-/// keeps only the graph or only the table loads.
-struct SnapshotInputs {
-  Graph graph;
-  RoutingTable table;
-  Plan plan;
+/// Where a table comes from. Exactly one of graph_file / snapshot_file is
+/// set: a snapshot holds the graph, the routes and the plan; a graph file
+/// (text or snapshot) takes its routes from table_file (text or snapshot)
+/// or, when that is empty, from the planner seeded with build_seed.
+struct TableSpec {
+  std::string graph_file;
+  /// Empty = build the routing via the planner instead of loading one.
+  std::string table_file;
+  /// Planner seed when table_file is empty.
+  std::uint64_t build_seed = 42;
+  /// Binary snapshot to materialize from (exclusive with the fields above).
+  std::string snapshot_file;
 };
+
+/// The one door through which files or a planner seed become a table: it
+/// reads or builds the inputs the spec names, then validates the table
+/// against its graph (RoutingTable::validate: every route a simple path of
+/// the graph, mirrored when bidirectional, within the cap). Every CLI verb
+/// and the serving registry acquire their tables here; callers that need
+/// the index pass the result to make_table_snapshot. Throws
+/// ContractViolation on an unreadable file, malformed input or a table
+/// that does not fit its graph, so nothing unvalidated escapes.
+SnapshotInputs load_table_inputs(const TableSpec& spec);
+
+/// A snapshot file's stored inputs (checksums and structure checked, the
+/// routes not yet validated against the graph): what load_table_inputs
+/// reads a snapshot through.
 SnapshotInputs load_snapshot_inputs_file(const std::string& path);
 
 /// Loads a snapshot file by mapping it: checksums are validated against
@@ -148,7 +183,10 @@ SnapshotInputs load_snapshot_inputs_file(const std::string& path);
 /// ContractViolation naming the file (and the offending section, where one
 /// exists) on wrong magic, other format version, truncation, checksum
 /// mismatch, or structural corruption — partially-valid state never
-/// escapes.
+/// escapes. The routes are NOT validated against the graph: these two
+/// loaders serve the forked sweep workers, which map the very bytes their
+/// coordinator already passed through load_table_inputs. Everything else
+/// loads through load_table_inputs.
 TableSnapshot load_table_snapshot_file(const std::string& path);
 
 /// Loads a snapshot from an already-open descriptor (e.g. an unlinked temp
@@ -159,8 +197,8 @@ TableSnapshot load_table_snapshot_file(const std::string& path);
 TableSnapshot load_table_snapshot_fd(int fd,
                                      const std::string& name = "<snapshot fd>");
 
-/// True if the file starts with the snapshot magic — the sniff the CLI uses
-/// to accept a snapshot anywhere a graph/table file is read.
+/// True if the file starts with the snapshot magic — the sniff that lets
+/// load_table_inputs accept a snapshot anywhere a graph/table file is read.
 bool is_snapshot_file(const std::string& path);
 
 /// Directory introspection (tests, tooling): section tags with their file

@@ -1,15 +1,12 @@
 #include "serve/table_registry.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <istream>
 #include <sstream>
 #include <utility>
 
 #include "common/contracts.hpp"
 #include "common/parse.hpp"
-#include "common/rng.hpp"
-#include "graph/graph_io.hpp"
 #include "routing/serialization.hpp"
 
 namespace ftr {
@@ -92,35 +89,10 @@ TableHandle TableRegistry::materialize_locked(const std::string& name,
   const bool from_snapshot =
       !provider.prebuilt && !provider.spec.snapshot_file.empty();
   TableSnapshot& snap = *entry;
-  if (provider.prebuilt) {
-    snap = make_table_snapshot(*provider.graph, *provider.table,
-                               provider.plan);
-  } else if (from_snapshot) {
-    // The load validates checksums and structure, throwing before any
-    // state escapes, then derives what make_table_snapshot derives.
-    snap = load_table_snapshot_file(provider.spec.snapshot_file);
-  } else {
-    std::ifstream gf(provider.spec.graph_file);
-    FTR_EXPECTS_MSG(gf, "table '" << name << "': cannot open graph file '"
-                                  << provider.spec.graph_file << "'");
-    Graph graph = load_graph(gf);
-    RoutingTable table;
-    Plan plan;
-    if (!provider.spec.table_file.empty()) {
-      std::ifstream tf(provider.spec.table_file);
-      FTR_EXPECTS_MSG(tf, "table '" << name << "': cannot open table file '"
-                                    << provider.spec.table_file << "'");
-      table = load_routing_table(tf);
-      table.validate(graph);
-    } else {
-      Rng rng(provider.spec.build_seed);
-      auto planned = build_planned_routing(graph, std::nullopt, rng);
-      table = std::move(planned.table);
-      plan = std::move(planned.plan);
-    }
-    snap = make_table_snapshot(std::move(graph), std::move(table),
-                               std::move(plan));
-  }
+  snap = provider.prebuilt
+             ? make_table_snapshot(*provider.graph, *provider.table,
+                                   provider.plan)
+             : make_table_snapshot(load_table_inputs(provider.spec));
   entry->name = name;
   entry->memory_bytes = entry->graph.memory_bytes() +
                         entry->table.memory_bytes() +

@@ -11,18 +11,24 @@
 //    shared_ptr<const ServedTable>, so a handle acquired for an in-flight
 //    batch keeps the entry alive even if the registry evicts it mid-batch
 //    (evicted tables drain safely; nothing is torn down under a worker);
-//  * build-on-miss: a name is DEFINED up front (by manifest spec or by
-//    prebuilt materials) and MATERIALIZED lazily on first acquire — file
-//    specs load the graph, then load the routing table or build one via the
-//    planner, then make_table_snapshot derives the SrgIndex and ranking;
-//    every such materialization bumps stats().builds, which is the
-//    preprocessing-count probe the warm-vs-cold bench and tests assert on;
+//  * build-on-miss: a name is DEFINED up front (by a TableSpec from the
+//    manifest, or by prebuilt materials) and MATERIALIZED lazily on first
+//    acquire. A spec materializes through load_table_inputs (routing/
+//    serialization.hpp), the door every verb uses too: it loads the graph,
+//    loads the routing table or builds one via the planner, and validates
+//    the table against the graph, then make_table_snapshot derives the
+//    SrgIndex and ranking. Every such materialization bumps stats().builds,
+//    which is the preprocessing-count probe the warm-vs-cold bench and
+//    tests assert on;
 //  * snapshot-on-miss: a spec may instead name a binary snapshot
 //    (snapshot=<file> in the manifest) — the graph, the routes and the
-//    plan — which materializes by mapping it (zero-copy mmap) and deriving
-//    the rest as a build does, bumping stats().snapshot_loads instead of
-//    builds. Served responses are bit-identical to the build-on-miss path
-//    for the same materials; only the cold-acquire cost changes;
+//    plan — which goes through the same door by mapping it (zero-copy
+//    mmap), is validated like any other table, and bumps
+//    stats().snapshot_loads instead of builds. Served responses are
+//    bit-identical to the build-on-miss path for the same materials; only
+//    the cold-acquire cost changes. A table that does not fit its graph
+//    never becomes resident: its acquire throws, and serve answers each
+//    request on it with an error line;
 //  * residency is byte-accounted against max_resident_bytes (0 = unlimited)
 //    using the memory_bytes() probes of Graph / RoutingTable / SrgIndex, and
 //    evicted in LRU order — acquire() touches, eviction walks from the cold
@@ -74,20 +80,6 @@ struct ServedTable : TableSnapshot {
 
 /// Cheap shared-ownership handle; keeps the entry alive past eviction.
 using TableHandle = std::shared_ptr<const ServedTable>;
-
-/// File-backed recipe for materializing a table on miss. Exactly one of
-/// graph_file / snapshot_file must be set: the first materializes by
-/// loading/building (text graph + optional text routes, planner otherwise),
-/// the second by loading a binary snapshot (the graph, table and plan).
-struct TableSpec {
-  std::string graph_file;
-  /// Empty = build the routing via the planner instead of loading one.
-  std::string table_file;
-  /// Planner seed when table_file is empty.
-  std::uint64_t build_seed = 42;
-  /// Binary snapshot to materialize from (exclusive with the fields above).
-  std::string snapshot_file;
-};
 
 struct TableRegistryOptions {
   /// Byte budget for resident entries; 0 = unlimited. The LRU tail is

@@ -7,7 +7,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -105,31 +104,6 @@ TEST(PipeIo, WriteExactReportsClosedOnEpipe) {
   ::close(fds[0]);
   const auto bytes = pattern_bytes(1 << 16);
   EXPECT_EQ(write_exact(fds[1], bytes.data(), bytes.size()), IoStatus::kClosed);
-  ::close(fds[1]);
-}
-
-TEST(PipeIo, DeadlineVariantsTimeOut) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  set_nonblocking(fds[0], true);
-  set_nonblocking(fds[1], true);
-
-  char buf[16];
-  const auto read_deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-  EXPECT_EQ(read_exact_deadline(fds[0], buf, sizeof buf, read_deadline),
-            IoStatus::kTimeout);
-
-  // Fill the pipe until it would block, then demand more within a deadline.
-  const auto chunk = pattern_bytes(1 << 16);
-  while (::write(fds[1], chunk.data(), chunk.size()) > 0) {
-  }
-  const auto write_deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-  EXPECT_EQ(
-      write_exact_deadline(fds[1], chunk.data(), chunk.size(), write_deadline),
-      IoStatus::kTimeout);
-  ::close(fds[0]);
   ::close(fds[1]);
 }
 

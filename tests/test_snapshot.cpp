@@ -491,10 +491,10 @@ TEST(Snapshot, SaveRefusesParallelRoutesNamingThePair) {
   }
 }
 
-// `check` and `sweep` read text inputs through load_snapshot_args: a
-// multirouting's text loads and checks exactly like the table in process,
-// on both branches of the decision tree.
-TEST(Snapshot, LoadSnapshotArgsChecksAMultitableText) {
+// `check` and `sweep` read text inputs through load_table_inputs: a
+// multirouting's text loads, validates and checks exactly like the table in
+// process, on both branches of the decision tree.
+TEST(Snapshot, LoadTableInputsChecksAMultitableText) {
   const auto gg = petersen_graph();
   const RoutingTable table = build_full_multirouting(gg.graph, 2);
   ASSERT_GT(table.num_routes(), table.num_pairs());
@@ -505,7 +505,8 @@ TEST(Snapshot, LoadSnapshotArgsChecksAMultitableText) {
     save_graph(gg.graph, g);
   }
   save_routing_table_file(table, table_path);
-  const TableSnapshot snap = cli::load_snapshot_args(graph_path, table_path);
+  const TableSnapshot snap = make_table_snapshot(
+      load_table_inputs(cli::table_spec_args(graph_path, table_path)));
   for (const std::uint64_t budget : {std::uint64_t{20000}, std::uint64_t{1}}) {
     ToleranceCheckOptions opts;
     opts.exhaustive_budget = budget;
@@ -728,6 +729,81 @@ TEST(Snapshot, CorruptSnapshotNeverPoisonsRegistry) {
   const auto handle = registry.acquire("t");
   EXPECT_EQ(handle->generation, 1u);
   EXPECT_EQ(registry.stats().snapshot_loads, 1u);
+}
+
+// A snapshot whose routes do not fit its graph (planner torus(4,4) routes
+// over a 16-cycle) passes every checksum and structural check; the table is
+// only wrong against its graph. load_table_inputs refuses it, so no verb
+// evaluates it, the registry never makes it resident, and serve answers
+// each request on it with an error line while the other tables serve on.
+TEST(Snapshot, MismatchedSnapshotIsRefusedByTheDoor) {
+  const auto ring = cycle_graph(16);
+  Rng rng(42);
+  auto planned =
+      build_planned_routing(torus_graph(4, 4).graph, std::nullopt, rng);
+  const std::string bad_path = temp_path("mismatched.snap");
+  save_table_snapshot_file(
+      make_table_snapshot(ring.graph, std::move(planned.table),
+                          std::move(planned.plan)),
+      bad_path);
+  const auto expect_refused = [](const auto& load) {
+    try {
+      load();
+      FAIL() << "a table that does not fit its graph was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("is not a simple path"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  TableSpec bad;
+  bad.snapshot_file = bad_path;
+  expect_refused([&] { (void)load_table_inputs(bad); });
+  expect_refused([&] {
+    (void)load_table_inputs(cli::table_spec_args(bad_path, bad_path));
+  });
+
+  TableRegistry registry;
+  registry.define("bad", bad);
+  TableSpec good;
+  good.snapshot_file = write_test_snapshot("mismatch_good.snap");
+  registry.define("good", good);
+  expect_refused([&] { (void)registry.acquire("bad"); });
+  EXPECT_FALSE(registry.resident("bad"));
+  EXPECT_EQ(registry.stats().snapshot_loads, 0u);
+
+  std::istringstream in(
+      "check bad f=1 claimed=9 seed=3\n"
+      "check good f=1 claimed=9 seed=3\n"
+      "certify bad f=1 claimed=9 seed=1\n"
+      "sweep bad f=1 sets=5 seed=2\n"
+      "delivery good faults=1,6 pairs=5 seed=2\n");
+  IstreamRequestSource source(in);
+  std::ostringstream out;
+  const auto summary = serve_requests(registry, source, out);
+  EXPECT_EQ(summary.requests, 5u);
+  EXPECT_EQ(summary.errors, 3u);
+  std::istringstream lines(out.str());
+  std::string line;
+  std::size_t answered = 0;
+  while (std::getline(lines, line)) {
+    ++answered;
+    const bool on_bad = line.find(" bad ") != std::string::npos;
+    EXPECT_EQ(line.find(" error: ") != std::string::npos, on_bad) << line;
+    if (on_bad) {
+      EXPECT_NE(line.find("is not a simple path"), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(answered, 5u);
+
+  // The failed acquires poisoned nothing: the good table stays resident
+  // and serves, and the bad one is still refused.
+  EXPECT_TRUE(registry.resident("good"));
+  EXPECT_FALSE(registry.resident("bad"));
+  EXPECT_EQ(registry.acquire("good")->generation, 1u);
+  EXPECT_THROW((void)registry.acquire("bad"), ContractViolation);
+  std::remove(bad_path.c_str());
+  std::remove(good.snapshot_file.c_str());
 }
 
 // The tentpole's correctness bar: served responses are a pure function of

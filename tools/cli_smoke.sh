@@ -454,4 +454,20 @@ if ! grep -q "corrupt.snap" "${WORK}/corrupt.out"; then
   exit 1
 fi
 
+# Every table read from files is validated against its graph once, by
+# whichever verb reads it: planner torus(4,4) routes over a 16-cycle are
+# not paths of that graph, so stretch refuses them instead of measuring.
+echo "== routes that do not fit their graph are refused"
+"${CLI}" gen cycle 16 > "${WORK}/ring.ftg"
+"${CLI}" gen torus 4 4 | "${CLI}" build --seed 42 \
+  > "${WORK}/torus44.ftt" 2> /dev/null
+rc=0
+"${CLI}" stretch "${WORK}/ring.ftg" "${WORK}/torus44.ftt" > /dev/null \
+  2> "${WORK}/mismatch.err" || rc=$?
+if [[ "${rc}" -ne 1 ]] || ! grep -q "not a simple path" "${WORK}/mismatch.err"; then
+  echo "error: stretch did not refuse routes off the graph (exit ${rc})" >&2
+  cat "${WORK}/mismatch.err" >&2
+  exit 1
+fi
+
 echo "cli smoke OK"
