@@ -243,11 +243,11 @@ FaultSweepSummary finish_summary(const SweepPartial& partial, unsigned workers,
   return summary;
 }
 
-// Sets per window: batch_size per thread, whole packed blocks on Gray units
-// (a chunk ending in a partial Gray block pays for a full one; other units
-// run a short tail set by set).
+// Sets per window: the resolved batch per thread, whole packed blocks on
+// Gray units (a chunk ending in a partial Gray block pays for a full one;
+// other units run a short tail set by set).
 std::uint64_t unit_grain(const UnitSpec& unit) {
-  const std::uint64_t batch = std::max<std::size_t>(1, unit.exec.batch_size);
+  const std::uint64_t batch = unit.exec.resolved_batch();
   return unit.kind == UnitKind::kSweepGray ? lane_aligned(batch) : batch;
 }
 

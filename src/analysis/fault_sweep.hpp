@@ -12,7 +12,7 @@
 // [begin, end) of set indices and where its sets come from: Gray subset
 // ranks, counter-seeded samples (set i is Rng::stream(seed, i)), or
 // literal sets it carries. The executor walks the window in windows of
-// grain x threads items (grain = the policy's batch size, rounded up to
+// grain x threads items (grain = the policy's resolved_batch(), rounded up to
 // whole packed lane blocks for Gray units); each window fans out over the
 // threads, and each chunk evaluates on the SrgScratch of the executor
 // worker that runs it (one per worker, built on first use and reused by
@@ -269,7 +269,7 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
                                          ExecutorStats* executor = nullptr);
 
 /// Streams `source` through the executor at constant memory, one window of
-/// batch_size x threads sets per kSweepExplicit unit, with progress after
+/// resolved_batch() x threads sets per kSweepExplicit unit, with progress after
 /// each unit. The deterministic fields are a pure function of (table, the
 /// source's sets, options.delivery_pairs, options.seed).
 FaultSweepSummary sweep_fault_source(const RoutingTable& table,

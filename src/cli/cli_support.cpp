@@ -47,7 +47,7 @@ std::string verb_usage(const VerbSpec& spec) {
     out += ' ';
     out += spec.positional;
   }
-  if (!spec.flags.empty() || spec.exec_mask != 0) out += " [flags]";
+  if (!spec.flags.empty()) out += " [flags]";
   out += '\n';
   out += "  ";
   out += spec.summary;
@@ -68,10 +68,6 @@ std::string verb_usage(const VerbSpec& spec) {
       out += '\n';
     }
   }
-  if (spec.exec_mask != 0) {
-    out += "\nexecution policy (see src/common/exec_policy.hpp):\n";
-    out += exec_policy_usage(spec.exec_mask);
-  }
   if (spec.notes != nullptr) {
     out += '\n';
     out += spec.notes;
@@ -82,7 +78,6 @@ std::string verb_usage(const VerbSpec& spec) {
 ParsedArgs parse_verb_args(const VerbSpec& spec,
                            const std::vector<std::string>& args) {
   ParsedArgs out;
-  out.exec = spec.exec_defaults;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a.rfind("--", 0) != 0) {
@@ -92,31 +87,16 @@ ParsedArgs parse_verb_args(const VerbSpec& spec,
     const auto vf = std::find_if(
         spec.flags.begin(), spec.flags.end(),
         [&](const VerbFlag& f) { return a == f.flag; });
-    if (vf != spec.flags.end()) {
-      if (vf->value_name == nullptr) {
-        out.values.emplace(a, "");
-        continue;
-      }
-      if (i + 1 >= args.size()) throw UsageError("missing value for " + a);
-      out.values.emplace(a, args[i + 1]);
-      ++i;
+    if (vf == spec.flags.end()) {
+      throw UsageError("unknown flag '" + a + "' for " + spec.name);
+    }
+    if (vf->value_name == nullptr) {
+      out.values.emplace(a, "");
       continue;
     }
-    ExecFlagParse ep;
-    try {
-      ep = parse_exec_flag(spec.exec_mask, args, i, out.exec);
-    } catch (const UsageError&) {
-      throw;
-    } catch (const std::exception& e) {
-      // The exec registry's missing/bad-value complaints are command-line
-      // problems: exit 2 with usage, like every other parse failure.
-      throw UsageError(e.what());
-    }
-    if (ep.matched) {
-      i += ep.consumed - 1;
-      continue;
-    }
-    throw UsageError("unknown flag '" + a + "' for " + spec.name);
+    if (i + 1 >= args.size()) throw UsageError("missing value for " + a);
+    out.values.emplace(a, args[i + 1]);
+    ++i;
   }
   if (out.positional.size() < spec.min_positional) {
     throw UsageError(std::string(spec.name) + " needs " + spec.positional);
@@ -144,6 +124,14 @@ int run_verb(const VerbSpec& spec, const std::vector<std::string>& args,
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
+}
+
+ExecPolicy exec_policy_args(const ParsedArgs& a, ExecPolicy policy) {
+  policy.threads = a.u32(kThreadsFlag.flag, policy.threads);
+  policy.batch_size =
+      static_cast<std::size_t>(a.u64(kBatchFlag.flag, policy.batch_size));
+  policy.progress_every = a.u64(kProgressFlag.flag, policy.progress_every);
+  return policy;
 }
 
 std::string executor_stats_str(const ExecutorStats& e) {
@@ -176,7 +164,7 @@ DistPoolOptions dist_pool_options(const ParsedArgs& a, unsigned workers) {
   DistPoolOptions popts;
   popts.workers = workers;
   popts.unit_items = a.u64("--worker-batch", 0);
-  popts.exec = a.exec;
+  popts.exec = exec_policy_args(a, popts.exec);
   popts.unit_timeout_sec =
       static_cast<double>(a.u64("--worker-timeout", 300));
   return popts;

@@ -9,10 +9,11 @@
 //   * an unknown flag, a missing flag value, or a malformed value raises
 //     UsageError: the message and the verb's usage go to stderr, exit 2;
 //   * any other exception prints "error: <what>" to stderr, exit 1;
-//   * execution knobs parse through parse_exec_flag() against the verb's
-//     ExecFlagBit mask, so `--threads/--batch/--progress-every` mean the
-//     same thing on every verb that has them (common/exec_policy.hpp is
-//     the single resolution authority).
+//   * the execution knobs `--threads/--batch/--progress-every` are three
+//     shared VerbFlag rows that each verb lists among its flags, read into
+//     the verb's ExecPolicy by exec_policy_args, so they mean the same thing
+//     on every verb that has them (common/exec_policy.hpp is the single
+//     resolution authority).
 #pragma once
 
 #include <cstdint>
@@ -44,15 +45,21 @@ struct VerbSpec {
   const char* positional;  // "<graph> <table>" or "" when none
   const char* summary;     // one-line description for usage
   std::vector<VerbFlag> flags;
-  /// ExecFlagBit mask of execution-policy flags this verb accepts.
-  unsigned exec_mask = 0;
-  /// Verb-specific ExecPolicy starting point (e.g. serve batches 64). The
-  /// `{}` lets verbs omit it under -Wextra -Werror.
-  ExecPolicy exec_defaults{};
   std::size_t min_positional = 0;
   std::size_t max_positional = 0;
   const char* notes = nullptr;  // free-form trailing usage text
 };
+
+/// The execution-policy flags (common/exec_policy.hpp), shared by every
+/// verb that lists them among its flags.
+inline constexpr VerbFlag kThreadsFlag{
+    "--threads", "T", "worker threads (0 = all cores, max 256; default 1)"};
+inline constexpr VerbFlag kBatchFlag{"--batch", "B",
+                                     "items per worker per batch"};
+inline constexpr VerbFlag kProgressFlag{
+    "--progress-every", "N",
+    "emit a progress line to stderr every N items (0 = never;\n"
+    "        in-process only)"};
 
 /// Raised for malformed command lines; run_verb turns it into exit 2 with
 /// the verb's usage on stderr.
@@ -62,7 +69,6 @@ struct UsageError : std::runtime_error {
 
 struct ParsedArgs {
   std::vector<std::string> positional;
-  ExecPolicy exec;
   /// Verb flag occurrences: flag -> raw value ("" for boolean flags).
   /// First occurrence wins, matching the historical scan order.
   std::map<std::string, std::string> values;
@@ -77,13 +83,12 @@ struct ParsedArgs {
   std::uint32_t u32(const std::string& flag, std::uint32_t fallback) const;
 };
 
-/// Usage text generated from the registry: synopsis, verb flags, exec
-/// flags (exec_policy_usage over the verb's mask), then notes.
+/// Usage text generated from the registry: synopsis, flags, then notes.
 std::string verb_usage(const VerbSpec& spec);
 
-/// Strict parse: every "--flag" token must match the verb registry or the
-/// verb's exec mask, else UsageError. Non-flag tokens are positionals,
-/// bounds-checked against the spec.
+/// Strict parse: every "--flag" token must match the verb registry, else
+/// UsageError. Non-flag tokens are positionals, bounds-checked against the
+/// spec.
 ParsedArgs parse_verb_args(const VerbSpec& spec,
                            const std::vector<std::string>& args);
 
@@ -92,6 +97,11 @@ int run_verb(const VerbSpec& spec, const std::vector<std::string>& args,
              const std::function<int(const ParsedArgs&)>& body);
 
 // ---- helpers shared across verbs ----------------------------------------
+
+/// `policy` (the verb's library default) with --threads, --batch and
+/// --progress-every applied where given; a verb that does not list a flag
+/// never sees it, so it keeps the default.
+ExecPolicy exec_policy_args(const ParsedArgs& a, ExecPolicy policy);
 
 /// Stderr rendering of the executor probe, shared by the sweep/serve
 /// progress lines and their closing summaries (telemetry only — it never
@@ -117,9 +127,9 @@ struct GraphTableArgs {
 GraphTableArgs load_graph_table_args(const std::string& graph_path,
                                      const std::string& table_path);
 
-/// Shared --workers plumbing for check/sweep: the verb's resolved
-/// ExecPolicy becomes the per-worker policy (exec.threads = threads inside
-/// each forked worker). The pool's knobs never affect stdout (the
+/// Shared --workers plumbing for check/sweep: the verb's execution flags
+/// become the per-worker policy (exec.threads = threads inside each forked
+/// worker). The pool's knobs never affect stdout (the
 /// bit-identity contract); they only shape scheduling.
 DistPoolOptions dist_pool_options(const ParsedArgs& a, unsigned workers);
 

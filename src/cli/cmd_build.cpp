@@ -29,13 +29,13 @@ const VerbSpec& spec() {
               {"--certify", nullptr,
                "also check the plan's claimed tolerance and exit nonzero\n"
                "        when the certificate fails"},
+              kThreadsFlag,
           },
-      .exec_mask = kExecFlagThreads,
       .min_positional = 0,
       .max_positional = 0,
       .notes =
-          "execution flags apply to the --certify check; the build itself\n"
-          "is deterministic in --seed alone\n",
+          "--threads applies to the --certify check; the build itself is\n"
+          "deterministic in --seed alone\n",
   };
   return s;
 }
@@ -48,7 +48,7 @@ int cmd_build(const std::vector<std::string>& args) {
     Rng rng(a.u64("--seed", 42));
     if (a.has("--certify")) {
       ToleranceCheckOptions opts;
-      opts.exec = a.exec;
+      opts.exec = exec_policy_args(a, opts.exec);
       const auto certified =
           build_certified_routing(g, std::nullopt, rng, opts);
       const auto& planned = certified.routing;

@@ -36,8 +36,8 @@ const VerbSpec& spec() {
               {"--worker-timeout", "S",
                "per-unit seconds before a hung worker is killed\n"
                "        (default 300, 0 = off)"},
+              kThreadsFlag,
           },
-      .exec_mask = kExecFlagThreads,
       .min_positional = 2,
       .max_positional = 2,
       .notes =
@@ -51,15 +51,15 @@ const VerbSpec& spec() {
 
 int cmd_check(const std::vector<std::string>& args) {
   return run_verb(spec(), args, [](const ParsedArgs& a) {
-    const TableSpec table = table_spec_args(a.positional.at(0),
-                                            a.positional.at(1));
-    const TableSnapshot snap = make_table_snapshot(load_table_inputs(table));
     const auto f = a.u32("--faults", 1);
     const auto claimed = a.u32("--claimed", 6);
     Rng rng(a.u64("--seed", 7));
     ToleranceCheckOptions opts;
-    opts.exec = a.exec;
+    opts.exec = exec_policy_args(a, opts.exec);
     const auto workers = a.u32("--workers", 0);
+    const TableSpec table = table_spec_args(a.positional.at(0),
+                                            a.positional.at(1));
+    const TableSnapshot snap = make_table_snapshot(load_table_inputs(table));
     std::optional<DistSweepPool> pool;
     if (workers > 0) {
       pool.emplace(snap, table.snapshot_file, dist_pool_options(a, workers));

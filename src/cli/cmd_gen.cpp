@@ -21,7 +21,6 @@ const VerbSpec& spec() {
       .positional = "<family> <args...>",
       .summary = "generate a graph and write it to stdout",
       .flags = {},
-      .exec_mask = 0,
       .min_positional = 1,
       .max_positional = 4,
       .notes =

@@ -25,7 +25,6 @@ const VerbSpec& spec() {
           "profile a graph read from stdin (degrees, connectivity, girth,\n"
           "  diameter, neighborhood sets) and show the planned construction",
       .flags = {},
-      .exec_mask = 0,
       .min_positional = 0,
       .max_positional = 0,
   };

@@ -28,9 +28,10 @@ const VerbSpec& spec() {
               {"--max-resident-bytes", "B",
                "LRU-evict resident tables, built or snapshot-loaded,\n"
                "        past this budget (0 = unlimited)"},
+              kThreadsFlag,
+              kBatchFlag,
+              kProgressFlag,
           },
-      .exec_mask = kExecFlagsAll,
-      .exec_defaults = {.batch_size = 64},
       .min_positional = 0,
       .max_positional = 0,
       .notes =
@@ -77,7 +78,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     }
 
     ServeOptions sopts;
-    sopts.exec = a.exec;
+    sopts.exec = exec_policy_args(a, sopts.exec);
     if (sopts.exec.progress_every > 0) {
       // Progress is telemetry: stderr only, so stdout keeps the
       // bit-identical contract across threads/batches/progress settings.

@@ -27,7 +27,6 @@ const VerbSpec& spec() {
                "        --routes (default 42)"},
               {"--out", "FILE", "output snapshot path (required)"},
           },
-      .exec_mask = 0,
       .min_positional = 0,
       .max_positional = 0,
       .notes =

@@ -20,7 +20,6 @@ const VerbSpec& spec() {
           "compare every route against the shortest path: stretch,\n"
           "  shortest-route counts, worst detour",
       .flags = {},
-      .exec_mask = 0,
       .min_positional = 2,
       .max_positional = 2,
       .notes =

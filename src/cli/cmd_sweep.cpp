@@ -49,8 +49,10 @@ const VerbSpec& spec() {
               {"--worker-timeout", "S",
                "per-unit seconds before a hung worker is killed\n"
                "        (default 300, 0 = off)"},
+              kThreadsFlag,
+              kBatchFlag,
+              kProgressFlag,
           },
-      .exec_mask = kExecFlagsAll,
       .min_positional = 2,
       .max_positional = 2,
       .notes =
@@ -66,9 +68,6 @@ const VerbSpec& spec() {
 
 int cmd_sweep(const std::vector<std::string>& args) {
   return run_verb(spec(), args, [](const ParsedArgs& a) {
-    const TableSpec table = table_spec_args(a.positional.at(0),
-                                            a.positional.at(1));
-    const TableSnapshot snap = make_table_snapshot(load_table_inputs(table));
     const auto f = static_cast<std::size_t>(a.u64("--faults", 1));
     const auto sets = a.u64("--sets", 1000);
     const std::uint64_t seed = a.u64("--seed", 7);
@@ -79,7 +78,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
     }
 
     FaultSweepOptions opts;
-    opts.exec = a.exec;
+    opts.exec = exec_policy_args(a, opts.exec);
     opts.delivery_pairs =
         static_cast<std::size_t>(a.u64("--delivery-pairs", 0));
     opts.seed = seed;
@@ -108,6 +107,9 @@ int cmd_sweep(const std::vector<std::string>& args) {
       throw UsageError("--progress-every is in-process only; it cannot be "
                        "combined with --workers");
     }
+    const TableSpec table = table_spec_args(a.positional.at(0),
+                                            a.positional.at(1));
+    const TableSnapshot snap = make_table_snapshot(load_table_inputs(table));
     // A bounded sweep is one whole-space unit; a --stdin feed is cut into
     // explicit-set units as it is read. Set i of a sampled sweep is a pure
     // function of (seed, i), so no sweep materializes its sets.

@@ -68,12 +68,6 @@ double Rng::uniform() {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
-}
-
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> perm(n);
   for (std::size_t i = 0; i < n; ++i) perm[i] = i;

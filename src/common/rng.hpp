@@ -36,9 +36,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform();
 
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool chance(double p);
-
   /// Fisher–Yates shuffle of an index vector 0..n-1.
   std::vector<std::size_t> permutation(std::size_t n);
 

@@ -234,27 +234,32 @@ SweepPartial DistSweepPool::fold(const UnitFeed& feed) {
     --outstanding;
   };
 
+  // Tears a lost worker down: closes both pipes, reaps the child (kill it
+  // first, or only when a plain reap finds it still running), and drops its
+  // buffers. The caller counts the loss and settles the in-flight unit.
+  auto retire_worker = [](Worker& w, bool kill) {
+    w.alive = false;
+    for (int* fd : {&w.to_fd, &w.from_fd}) {
+      if (*fd >= 0) {
+        ::close(*fd);
+        *fd = -1;
+      }
+    }
+    if (w.pid > 0) {
+      if (kill || !try_reap_child(w.pid).has_value()) kill_and_reap(w.pid);
+      w.pid = -1;
+    }
+    w.tx.clear();
+    w.tx_off = 0;
+    w.rx.clear();
+  };
+
   // The worker is gone (EOF, EPIPE, read error): reap it and requeue its
   // in-flight unit at the front so survivors pick it up first.
   auto on_worker_death = [&](Worker& w) {
     if (!w.alive) return;
-    w.alive = false;
-    if (w.to_fd >= 0) {
-      ::close(w.to_fd);
-      w.to_fd = -1;
-    }
-    if (w.from_fd >= 0) {
-      ::close(w.from_fd);
-      w.from_fd = -1;
-    }
-    if (w.pid > 0) {
-      if (!try_reap_child(w.pid).has_value()) kill_and_reap(w.pid);
-      w.pid = -1;
-    }
+    retire_worker(w, /*kill=*/false);
     ++stats_.workers_exited;
-    w.tx.clear();
-    w.tx_off = 0;
-    w.rx.clear();
     if (w.busy) {
       ++stats_.units_retried;
       retry.push_front(std::move(*w.unit));
@@ -266,24 +271,9 @@ SweepPartial DistSweepPool::fold(const UnitFeed& feed) {
   // requeue) on purpose — a unit that times out on a worker would time out
   // on the next one too, and the coordinator must make progress.
   auto on_worker_timeout = [&](Worker& w) {
-    w.alive = false;
-    if (w.to_fd >= 0) {
-      ::close(w.to_fd);
-      w.to_fd = -1;
-    }
-    if (w.from_fd >= 0) {
-      ::close(w.from_fd);
-      w.from_fd = -1;
-    }
-    if (w.pid > 0) {
-      kill_and_reap(w.pid);
-      w.pid = -1;
-    }
+    retire_worker(w, /*kill=*/true);
     ++stats_.workers_killed;
     const UnitSpec unit = std::move(*w.unit);
-    w.tx.clear();
-    w.tx_off = 0;
-    w.rx.clear();
     release_unit(w);
     if (unit_needed(unit.unit_id)) run_inline(unit);
   };

@@ -35,8 +35,6 @@ class ByteWriter {
     const auto* b = static_cast<const unsigned char*>(p);
     out_.insert(out_.end(), b, b + n);
   }
-  /// Appends the versioned ExecPolicy blob (the ONE policy encoding).
-  void exec_policy(const ExecPolicy& p) { encode_exec_policy(p, out_); }
   std::vector<unsigned char> take() { return std::move(out_); }
 
  private:
@@ -106,9 +104,6 @@ class ByteReader {
     pos_ += len;
     return s;
   }
-  /// Decodes the versioned ExecPolicy blob in place (strict: truncation,
-  /// future versions, and out-of-range enum bytes throw).
-  ExecPolicy exec_policy() { return decode_exec_policy(p_, n_, pos_); }
   void expect_end() const {
     FTR_EXPECTS_MSG(pos_ == n_, "wire payload has " << (n_ - pos_)
                                                     << " trailing byte(s)");
@@ -227,7 +222,8 @@ std::vector<unsigned char> encode_unit(const UnitSpec& unit) {
   w.u64(unit.seed);
   w.u64(unit.delivery_pairs);
   w.u64(unit.max_steps);
-  w.exec_policy(unit.exec);
+  w.u32(unit.exec.threads);
+  w.u64(unit.exec.batch_size);
   w.node_lists(unit.sets);
   w.node_lists(unit.climb_seeds);
   return w.take();
@@ -247,7 +243,8 @@ UnitSpec decode_unit(const std::vector<unsigned char>& payload) {
   u.seed = r.u64();
   u.delivery_pairs = r.u64();
   u.max_steps = r.u64();
-  u.exec = r.exec_policy();
+  u.exec.threads = r.u32();
+  u.exec.batch_size = static_cast<std::size_t>(r.u64());
   u.sets = r.node_lists();
   u.climb_seeds = r.node_lists();
   r.expect_end();

@@ -12,7 +12,9 @@
 // worker surfaces as a loud error or a closed stream, never as data.
 //
 // The protocol is deliberately tiny: the coordinator sends kUnit frames
-// (one UnitSpec each, see fault/work_unit.hpp), a worker answers every unit
+// (one UnitSpec each, see fault/work_unit.hpp; its ExecPolicy travels as
+// two plain fields, threads u32 and batch_size u64, while progress_every
+// stays in the coordinator), a worker answers every unit
 // — sweep or hill-climb alike — with exactly one kSweepResult frame
 // carrying its SweepPartial (the unit_id leads the payload so the
 // coordinator can merge out-of-order completions in unit order), or a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 #include "common/contracts.hpp"
 
@@ -18,25 +17,6 @@ std::vector<std::vector<Node>> random_fault_sets(std::size_t n, std::size_t f,
     std::vector<Node> faults(sample.begin(), sample.end());
     out.push_back(std::move(faults));
   }
-  return out;
-}
-
-std::vector<Node> targeted_fault_set(std::size_t n,
-                                     const std::vector<Node>& preferred,
-                                     std::size_t f, Rng& rng) {
-  FTR_EXPECTS(f <= n);
-  std::unordered_set<Node> chosen;
-  // Draw from the preferred pool first, in random order.
-  const auto perm = rng.permutation(preferred.size());
-  for (std::size_t i = 0; i < perm.size() && chosen.size() < f; ++i) {
-    chosen.insert(preferred[perm[i]]);
-  }
-  // Fill with uniform nodes if the pool was too small.
-  while (chosen.size() < f) {
-    chosen.insert(static_cast<Node>(rng.below(n)));
-  }
-  std::vector<Node> out(chosen.begin(), chosen.end());
-  std::sort(out.begin(), out.end());
   return out;
 }
 

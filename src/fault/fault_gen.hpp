@@ -1,8 +1,7 @@
-// Fault-set generation strategies for the verification harness:
+// Fault-set generation for the verification harness:
 //  * uniform random f-subsets,
-//  * "targeted" sets biased toward structurally important nodes
-//    (concentrator members, shell nodes, tree-routing branch points) —
-//    an adversary who knows the routing attacks these first.
+//  * the nodes ranked by route load — an adversary who knows the routing
+//    attacks the busiest nodes first.
 #pragma once
 
 #include <cstdint>
@@ -17,12 +16,6 @@ namespace ftr {
 /// `count` uniform random f-subsets of {0..n-1}, each sorted.
 std::vector<std::vector<Node>> random_fault_sets(std::size_t n, std::size_t f,
                                                  std::size_t count, Rng& rng);
-
-/// One fault set that prefers nodes from `preferred` (drawn without
-/// replacement) and fills up from the rest of {0..n-1} if needed.
-std::vector<Node> targeted_fault_set(std::size_t n,
-                                     const std::vector<Node>& preferred,
-                                     std::size_t f, Rng& rng);
 
 /// Nodes ranked by how many routes of the table pass through them
 /// (descending). The top of this ranking is what a topology-aware adversary

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/contracts.hpp"
 #include "graph/node_marks.hpp"
@@ -104,15 +103,6 @@ bool Graph::is_simple_path(const Path& path) const {
   return is_simple_path(PathView(path.data(), path.size()));
 }
 
-std::string Graph::to_dot(const std::string& name) const {
-  std::ostringstream os;
-  os << "graph " << name << " {\n";
-  for_each_edge(
-      [&os](Node u, Node v) { os << "  " << u << " -- " << v << ";\n"; });
-  os << "}\n";
-  return os.str();
-}
-
 GraphBuilder::GraphBuilder(std::size_t n) : adj_(n) {}
 
 GraphBuilder::GraphBuilder(const Graph& g)
@@ -166,15 +156,6 @@ std::string path_to_string(PathView path) {
 
 std::string path_to_string(const Path& path) {
   return path_to_string(PathView(path.data(), path.size()));
-}
-
-bool paths_share_internal_node(const Path& a, const Path& b) {
-  if (a.size() <= 2 || b.size() <= 2) return false;
-  std::unordered_set<Node> inner(a.begin() + 1, a.end() - 1);
-  for (std::size_t i = 1; i + 1 < b.size(); ++i) {
-    if (inner.count(b[i])) return true;
-  }
-  return false;
 }
 
 }  // namespace ftr

@@ -159,9 +159,6 @@ class Graph {
   /// True if every node in the (possibly empty) set is a valid node id.
   bool valid_node(Node u) const { return u < num_nodes(); }
 
-  /// Graphviz DOT rendering, handy when debugging routings on small graphs.
-  std::string to_dot(const std::string& name = "G") const;
-
   /// Footprint of the CSR arrays: allocator capacity when owned, mapped
   /// extent when snapshot-backed. Byte-accounted caches (the serving
   /// layer's table registry) sum this into their residency budget.
@@ -223,9 +220,5 @@ class GraphBuilder {
 /// Formats a path as "a->b->c" for diagnostics.
 std::string path_to_string(const Path& path);
 std::string path_to_string(PathView path);
-
-/// True if two paths share any node other than the listed allowed ones.
-/// Used to validate internal node-disjointness of tree routings.
-bool paths_share_internal_node(const Path& a, const Path& b);
 
 }  // namespace ftr

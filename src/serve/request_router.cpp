@@ -379,13 +379,9 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
   ServeSummary summary;
   const unsigned workers = options.exec.resolved_threads();
   summary.threads_used = workers;
-  // Clamped like resolve_threads' 256 cap: a typo'd huge --batch must not
-  // overflow batch_size * workers to a zero window_cap (which would break
-  // the fill loop immediately and silently drop every request).
-  constexpr std::size_t kMaxBatchSize = std::size_t{1} << 20;
-  const std::size_t batch_size = std::min<std::size_t>(
-      std::max<std::size_t>(1, options.exec.batch_size), kMaxBatchSize);
-  const std::size_t window_cap = batch_size * workers;
+  // resolved_batch() keeps a typo'd huge --batch from wrapping window_cap
+  // to zero (which would break the fill loop and drop every request).
+  const std::size_t window_cap = options.exec.resolved_batch() * workers;
 
   std::vector<ServeRequest> window;
   // window_cap caps how many requests one window HOLDS, not what gets

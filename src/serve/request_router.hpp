@@ -135,9 +135,9 @@ struct ServeProgress {
 struct ServeOptions {
   /// How the router executes (see common/exec_policy.hpp): threads fan
   /// each request window across workers, one request per chunk;
-  /// batch_size only sizes the window at batch_size * threads requests
-  /// (clamped to 2^20 so batch * workers cannot overflow; the serve default
-  /// is 64, not the policy's 1024); progress_every schedules on_progress
+  /// batch_size only sizes the window at resolved_batch() * threads
+  /// requests (the serve default is 64, not the policy's 1024);
+  /// progress_every schedules on_progress
   /// below. Responses never depend on any of it.
   ExecPolicy exec{.batch_size = 64};
   std::function<void(const ServeProgress&)> on_progress;

@@ -86,8 +86,11 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   u.seed = 0xdeadbeefcafe;
   u.delivery_pairs = 5;
   u.max_steps = 13;
-  u.exec.batch_size = 77;
-  u.exec.threads = 2;
+  // threads and batch_size travel as plain u32/u64 fields at full width;
+  // progress_every stays in the coordinator.
+  u.exec.batch_size = (std::size_t{1} << 62) + 77;
+  u.exec.threads = 0xfffffffeu;
+  u.exec.progress_every = 99;
   u.sets = {{1, 2, 3}, {4, 5}};
   u.climb_seeds = {{9, 8, 7}};
   const UnitSpec d = decode_unit(encode_unit(u));
@@ -101,6 +104,7 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   EXPECT_EQ(d.max_steps, u.max_steps);
   EXPECT_EQ(d.exec.batch_size, u.exec.batch_size);
   EXPECT_EQ(d.exec.threads, u.exec.threads);
+  EXPECT_EQ(d.exec.progress_every, 0u);
   EXPECT_EQ(d.sets, u.sets);
   EXPECT_EQ(d.climb_seeds, u.climb_seeds);
 
@@ -136,6 +140,24 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   const auto [eid, msg] = decode_error(encode_error(~std::uint64_t{0}, "boom"));
   EXPECT_EQ(eid, ~std::uint64_t{0});
   EXPECT_EQ(msg, "boom");
+}
+
+TEST(DistWire, EveryProperPrefixOfAUnitThrows) {
+  UnitSpec u;
+  u.kind = UnitKind::kSweepExplicit;
+  u.f = 2;
+  u.end = 2;
+  u.exec.threads = 3;
+  u.exec.batch_size = 5;
+  u.sets = {{1, 2}, {4, 5}};
+  u.climb_seeds = {{9}};
+  const std::vector<unsigned char> whole = encode_unit(u);
+  for (std::size_t cut = 0; cut < whole.size(); ++cut) {
+    const std::vector<unsigned char> prefix(
+        whole.begin(), whole.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_THROW((void)decode_unit(prefix), ContractViolation) << "cut=" << cut;
+  }
+  EXPECT_EQ(decode_unit(whole).sets, u.sets);
 }
 
 TEST(DistWire, FramesReassembleFromArbitraryByteArrivals) {

@@ -3,84 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/fault_sweep.hpp"
-#include "common/contracts.hpp"
+#include "cli/cli.hpp"
+#include "cli/cli_support.hpp"
+#include "common/combinatorics.hpp"
 #include "common/parallel.hpp"
 #include "dist/coordinator.hpp"
-#include "dist/wire.hpp"
-#include "fault/adversary.hpp"
 #include "fault/tolerance_check.hpp"
+#include "gen/generators.hpp"
+#include "routing/kernel.hpp"
+#include "routing/serialization.hpp"
 #include "serve/request_router.hpp"
 
 namespace ftr {
 namespace {
-
-// ---- flag registry ----------------------------------------------------------
-
-TEST(ExecPolicy, RegistryCoversEveryBitExactlyOnce) {
-  unsigned seen = 0;
-  for (const ExecFlagInfo& f : exec_flag_registry()) {
-    EXPECT_EQ(seen & f.bit, 0u) << f.flag << " bit registered twice";
-    seen |= f.bit;
-    EXPECT_NE(f.flag, nullptr);
-    EXPECT_NE(f.value_name, nullptr);
-    EXPECT_NE(f.help, nullptr);
-  }
-  EXPECT_EQ(seen, kExecFlagsAll);
-}
-
-TEST(ExecPolicy, ParseFlagsFillEveryField) {
-  const std::vector<std::string> args = {"--threads", "4", "--batch", "9",
-                                         "--progress-every", "5"};
-  ExecPolicy p;
-  for (std::size_t i = 0; i < args.size();) {
-    const ExecFlagParse r = parse_exec_flag(kExecFlagsAll, args, i, p);
-    ASSERT_TRUE(r.matched) << args[i];
-    i += r.consumed;
-  }
-  EXPECT_EQ(p.threads, 4u);
-  EXPECT_EQ(p.batch_size, 9u);
-  EXPECT_EQ(p.progress_every, 5u);
-}
-
-TEST(ExecPolicy, ParseFlagRespectsMask) {
-  const std::vector<std::string> args = {"--batch", "9"};
-  ExecPolicy p;
-  const ExecFlagParse r =
-      parse_exec_flag(kExecFlagThreads | kExecFlagProgress, args, 0, p);
-  EXPECT_FALSE(r.matched);
-  EXPECT_EQ(r.consumed, 0u);
-  EXPECT_EQ(p.batch_size, 1024u);  // untouched
-}
-
-TEST(ExecPolicy, ParseFlagRejectsMissingAndBadValues) {
-  ExecPolicy p;
-  const std::vector<std::string> missing = {"--threads"};
-  EXPECT_THROW(parse_exec_flag(kExecFlagsAll, missing, 0, p),
-               std::runtime_error);
-  const std::vector<std::string> bad_num = {"--threads", "12frog"};
-  EXPECT_THROW(parse_exec_flag(kExecFlagsAll, bad_num, 0, p),
-               std::runtime_error);
-  const std::vector<std::string> bad_batch = {"--batch", "-1"};
-  EXPECT_THROW(parse_exec_flag(kExecFlagsAll, bad_batch, 0, p),
-               std::runtime_error);
-  const std::vector<std::string> huge = {"--threads", "4294967296"};
-  EXPECT_THROW(parse_exec_flag(kExecFlagsAll, huge, 0, p), std::runtime_error);
-}
-
-TEST(ExecPolicy, UsageMentionsExactlyTheMaskedFlags) {
-  const std::string all = exec_policy_usage(kExecFlagsAll);
-  for (const ExecFlagInfo& f : exec_flag_registry()) {
-    EXPECT_NE(all.find(f.flag), std::string::npos) << f.flag;
-  }
-  const std::string some =
-      exec_policy_usage(kExecFlagThreads | kExecFlagProgress);
-  EXPECT_NE(some.find("--threads"), std::string::npos);
-  EXPECT_NE(some.find("--progress-every"), std::string::npos);
-  EXPECT_EQ(some.find("--batch"), std::string::npos);
-}
 
 // ---- resolution -------------------------------------------------------------
 
@@ -96,71 +35,131 @@ TEST(ExecPolicy, ResolvedThreadsIsTheOneClamp) {
   EXPECT_GE(p.resolved_threads(), 1u);  // "all cores" is at least one
 }
 
-// ---- wire encoding ----------------------------------------------------------
-
-TEST(ExecPolicyWire, RoundTripsEveryWireField) {
+TEST(ExecPolicy, ResolvedBatchIsClampedToOneThrough2To20) {
+  constexpr std::size_t kCap = std::size_t{1} << 20;
   ExecPolicy p;
-  p.threads = 7;
-  p.batch_size = 12345;
-  p.progress_every = 99;  // process-local: not on the wire
-  std::vector<unsigned char> buf;
-  encode_exec_policy(p, buf);
-  EXPECT_EQ(buf.size(), 4u + 4u + 8u);
-  std::size_t pos = 0;
-  const ExecPolicy d = decode_exec_policy(buf.data(), buf.size(), pos);
-  EXPECT_EQ(pos, buf.size());
-  EXPECT_EQ(d.threads, p.threads);
-  EXPECT_EQ(d.batch_size, p.batch_size);
-  EXPECT_EQ(d.progress_every, 0u);
-}
-
-TEST(ExecPolicyWire, DecodeStopsAtTheBlobEnd) {
-  std::vector<unsigned char> buf;
-  encode_exec_policy(ExecPolicy{}, buf);
-  const std::size_t blob = buf.size();
-  buf.push_back(0xab);  // trailing frame bytes belong to the caller
-  std::size_t pos = 0;
-  (void)decode_exec_policy(buf.data(), buf.size(), pos);
-  EXPECT_EQ(pos, blob);
-}
-
-TEST(ExecPolicyWire, EveryTruncationThrows) {
-  std::vector<unsigned char> buf;
-  encode_exec_policy(ExecPolicy{}, buf);
-  for (std::size_t cut = 0; cut < buf.size(); ++cut) {
-    std::size_t pos = 0;
-    EXPECT_THROW((void)decode_exec_policy(buf.data(), cut, pos),
-                 ContractViolation)
-        << "cut=" << cut;
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {0, 1},       {1, 1},       {7, 7},
+      {1024, 1024}, {kCap, kCap}, {kCap + 1, kCap},
+      {std::size_t{1} << 62, kCap}, {~std::size_t{0}, kCap},
+  };
+  for (const auto& [batch, want] : cases) {
+    p.batch_size = batch;
+    EXPECT_EQ(p.resolved_batch(), want) << "batch " << batch;
   }
 }
 
-TEST(ExecPolicyWire, FutureVersionThrows) {
-  std::vector<unsigned char> buf;
-  encode_exec_policy(ExecPolicy{}, buf);
-  buf[0] = 4;  // LE version word -> version 4
-  std::size_t pos = 0;
-  EXPECT_THROW((void)decode_exec_policy(buf.data(), buf.size(), pos),
-               ContractViolation);
+// A batch whose window (batch x threads) used to wrap to zero must sweep the
+// same sets as a modest batch instead of spinning forever.
+TEST(ExecPolicy, HugeBatchSweepsLikeAModestOne) {
+  const auto gg = torus_graph(5, 5);
+  const TableSnapshot snap =
+      make_table_snapshot(gg.graph, build_kernel_routing(gg.graph, 2).table);
+  const SrgIndex& index = *snap.index;
+  FaultSweepOptions modest;
+  modest.exec.threads = 4;
+  modest.exec.batch_size = 1024;
+  modest.delivery_pairs = 2;
+  FaultSweepOptions huge = modest;
+  huge.exec.batch_size = std::size_t{1} << 62;
+
+  const std::size_t n = gg.graph.num_nodes();
+  for (const UnitKind kind : {UnitKind::kSweepSampled, UnitKind::kSweepGray}) {
+    const std::uint64_t count =
+        kind == UnitKind::kSweepGray ? checked_binomial(n, 2) : 40;
+    const SweepPartial want =
+        execute_unit(index, sweep_unit(kind, 2, count, modest));
+    const SweepPartial got =
+        execute_unit(index, sweep_unit(kind, 2, count, huge));
+    EXPECT_EQ(got.sets, count) << unit_kind_name(kind);
+    EXPECT_EQ(got.sets, want.sets);
+    EXPECT_EQ(got.diameter_histogram, want.diameter_histogram);
+    EXPECT_EQ(got.disconnected, want.disconnected);
+    EXPECT_EQ(got.worst_diameter, want.worst_diameter);
+    EXPECT_EQ(got.worst_index, want.worst_index);
+    EXPECT_EQ(got.worst_faults, want.worst_faults);
+    EXPECT_EQ(got.pairs_sampled, want.pairs_sampled);
+    EXPECT_EQ(got.delivered, want.delivered);
+    EXPECT_EQ(got.route_hops_total, want.route_hops_total);
+  }
+
+  // The streamed feed cuts its explicit units at resolved_batch() x threads.
+  const std::vector<std::vector<Node>> sets = {{0, 7}, {3, 11}, {1, 2, 3}};
+  ExplicitListSource a(sets);
+  ExplicitListSource b(sets);
+  const FaultSweepSummary want =
+      sweep_fault_source(snap.table, index, a, modest);
+  const FaultSweepSummary got = sweep_fault_source(snap.table, index, b, huge);
+  EXPECT_EQ(got.total_sets, sets.size());
+  EXPECT_EQ(got.diameter_histogram, want.diameter_histogram);
+  EXPECT_EQ(got.worst_faults, want.worst_faults);
+  EXPECT_EQ(got.delivered, want.delivered);
 }
 
-// A v2 blob (which also carried a kernel byte and a lane width) is refused
-// outright rather than half-decoded, even though it is long enough to hold
-// a v3 payload.
-TEST(ExecPolicyWire, V2BlobIsRejected) {
-  // u32 version=2 | u32 threads | u8 kernel | u32 lanes | u64 batch.
-  std::vector<unsigned char> v2(4 + 4 + 1 + 4 + 8, 0);
-  v2[0] = 2;
-  v2[4] = 1;  // threads = 1
-  std::size_t pos = 0;
-  try {
-    (void)decode_exec_policy(v2.data(), v2.size(), pos);
-    FAIL() << "v2 blob decoded";
-  } catch (const ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("version 2 not understood"),
-              std::string::npos)
-        << e.what();
-  }
+// ---- the CLI rows -----------------------------------------------------------
+//
+// The execution flags are ordinary verb flags: each verb lists the shared
+// rows it accepts, and exec_policy_args reads them over the verb's library
+// default.
+
+cli::VerbSpec exec_spec(std::vector<cli::VerbFlag> flags) {
+  return {.name = "probe",
+          .positional = "",
+          .summary = "exec flag probe",
+          .flags = std::move(flags),
+          .min_positional = 0,
+          .max_positional = 0};
+}
+
+ExecPolicy parse_exec(const std::vector<std::string>& args,
+                      ExecPolicy defaults = {}) {
+  const cli::VerbSpec spec =
+      exec_spec({cli::kThreadsFlag, cli::kBatchFlag, cli::kProgressFlag});
+  return cli::exec_policy_args(cli::parse_verb_args(spec, args), defaults);
+}
+
+TEST(ExecPolicyFlags, ParseFillsEveryField) {
+  const ExecPolicy p = parse_exec(
+      {"--threads", "4", "--batch", "9", "--progress-every", "5"});
+  EXPECT_EQ(p.threads, 4u);
+  EXPECT_EQ(p.batch_size, 9u);
+  EXPECT_EQ(p.progress_every, 5u);
+}
+
+TEST(ExecPolicyFlags, AbsentFlagsKeepTheVerbsDefault) {
+  const ExecPolicy p = parse_exec({"--threads", "2"}, ServeOptions{}.exec);
+  EXPECT_EQ(p.threads, 2u);
+  EXPECT_EQ(p.batch_size, 64u);  // ServeOptions' default, the only copy
+  EXPECT_EQ(p.progress_every, 0u);
+}
+
+TEST(ExecPolicyFlags, AVerbRefusesTheRowsItDoesNotList) {
+  // check lists --threads only.
+  const cli::VerbSpec check = exec_spec({cli::kThreadsFlag});
+  EXPECT_THROW(cli::parse_verb_args(check, {"--batch", "9"}), cli::UsageError);
+  EXPECT_THROW(cli::parse_verb_args(check, {"--progress-every", "1"}),
+               cli::UsageError);
+  EXPECT_EQ(cli::exec_policy_args(
+                cli::parse_verb_args(check, {"--threads", "3"}), {})
+                .threads,
+            3u);
+  // The shipped verb: exit 2 (usage error) before any file is read.
+  EXPECT_EQ(cli::run_cli({"check", "--batch", "9"}), 2);
+}
+
+TEST(ExecPolicyFlags, MissingBadAndOversizedValuesAreUsageErrors) {
+  EXPECT_THROW(parse_exec({"--threads"}), cli::UsageError);
+  EXPECT_THROW(parse_exec({"--batch"}), cli::UsageError);
+  EXPECT_THROW(parse_exec({"--threads", "12frog"}), cli::UsageError);
+  EXPECT_THROW(parse_exec({"--batch", "-1"}), cli::UsageError);
+  EXPECT_THROW(parse_exec({"--progress-every", "x"}), cli::UsageError);
+  EXPECT_THROW(parse_exec({"--threads", "4294967296"}), cli::UsageError);
+  EXPECT_EQ(parse_exec({"--threads", "4294967295"}).threads, 4294967295u);
+}
+
+TEST(ExecPolicyFlags, RepeatedFlagTakesTheFirstValue) {
+  EXPECT_EQ(parse_exec({"--threads", "2", "--threads", "5"}).threads, 2u);
+  EXPECT_EQ(parse_exec({"--batch", "7", "--batch", "bogus"}).batch_size, 7u);
 }
 
 // ---- adoption differential --------------------------------------------------

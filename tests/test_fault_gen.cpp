@@ -41,26 +41,6 @@ TEST(FaultGen, OverdraftRejected) {
   EXPECT_THROW(random_fault_sets(3, 4, 1, rng), ContractViolation);
 }
 
-TEST(FaultGen, TargetedPrefersPool) {
-  Rng rng(5);
-  const std::vector<Node> pool = {2, 4, 6, 8};
-  for (int rep = 0; rep < 20; ++rep) {
-    const auto s = targeted_fault_set(20, pool, 3, rng);
-    EXPECT_EQ(s.size(), 3u);
-    for (Node v : s) {
-      EXPECT_TRUE(std::find(pool.begin(), pool.end(), v) != pool.end());
-    }
-  }
-}
-
-TEST(FaultGen, TargetedFillsFromOutsideWhenPoolSmall) {
-  Rng rng(6);
-  const std::vector<Node> pool = {5};
-  const auto s = targeted_fault_set(20, pool, 3, rng);
-  EXPECT_EQ(s.size(), 3u);
-  EXPECT_TRUE(std::find(s.begin(), s.end(), 5u) != s.end());
-}
-
 TEST(FaultGen, RouteLoadRankingPutsConcentratorFirst) {
   // Kernel routing funnels everything through the separating set, so its
   // members must rank at the top by route load.

@@ -154,14 +154,6 @@ TEST(Graph, EqualityIsStructural) {
   EXPECT_EQ(a, b.build());
 }
 
-TEST(Graph, ToDotContainsEdges) {
-  GraphBuilder b(3);
-  b.add_edge(0, 2);
-  const std::string dot = b.build().to_dot("test");
-  EXPECT_NE(dot.find("graph test"), std::string::npos);
-  EXPECT_NE(dot.find("0 -- 2"), std::string::npos);
-}
-
 TEST(PathToString, Formats) {
   EXPECT_EQ(path_to_string({1, 2, 3}), "1->2->3");
   EXPECT_EQ(path_to_string(Path{}), "");
@@ -187,15 +179,6 @@ TEST(PathView, NullAndContentSemantics) {
   EXPECT_NE(v, nullptr);
   EXPECT_FALSE(null_view == p);
   EXPECT_FALSE(null_view == v);
-}
-
-TEST(PathsShareInternalNode, DetectsOverlap) {
-  EXPECT_TRUE(paths_share_internal_node({0, 5, 1}, {2, 5, 3}));
-  EXPECT_FALSE(paths_share_internal_node({0, 5, 1}, {2, 6, 3}));
-  // Shared endpoints do not count as internal overlap.
-  EXPECT_FALSE(paths_share_internal_node({0, 5, 1}, {1, 6, 0}));
-  // Length-2 paths have no internal nodes.
-  EXPECT_FALSE(paths_share_internal_node({0, 1}, {0, 1}));
 }
 
 TEST(Graph, LargeGraphDegreeSums) {

@@ -70,21 +70,6 @@ TEST(Rng, UniformInUnitInterval) {
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
-TEST(Rng, ChanceExtremes) {
-  Rng rng(5);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_FALSE(rng.chance(0.0));
-    EXPECT_TRUE(rng.chance(1.0));
-  }
-}
-
-TEST(Rng, ChanceRoughlyCalibrated) {
-  Rng rng(17);
-  int hits = 0;
-  for (int i = 0; i < 10000; ++i) hits += rng.chance(0.3);
-  EXPECT_NEAR(hits / 10000.0, 0.3, 0.03);
-}
-
 TEST(Rng, PermutationIsPermutation) {
   Rng rng(21);
   const auto perm = rng.permutation(50);

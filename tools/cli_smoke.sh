@@ -216,6 +216,25 @@ for knobs in "--threads 1" "--threads 4" "--batch 7" \
   cmp "${GOLD}/sweep_sampled.golden" "${WORK}/ssweep.out"
 done
 
+# A batch far past the 2^20 clamp (ExecPolicy::resolved_batch) must neither
+# hang nor fail: batch x threads used to wrap to a zero window. Sampled,
+# exhaustive, --stdin and --workers sweeps at --batch 2^62 print what
+# --batch 1024 prints.
+echo "== huge --batch clamps instead of hanging"
+for mode in "--faults 1 --sets 10" "--faults 1 --exhaustive" "--stdin" \
+    "--faults 1 --sets 10 --workers 2"; do
+  for b in 1024 4611686018427387904; do
+    # shellcheck disable=SC2086  # mode is a deliberate word list
+    timeout 10 "${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+      ${mode} --threads 4 --batch "${b}" < "${WORK}/faults.txt" \
+      > "${WORK}/hbatch.${b}.out" 2> /dev/null || {
+      echo "error: sweep ${mode} --batch ${b} failed or hung" >&2
+      exit 1
+    }
+  done
+  cmp "${WORK}/hbatch.1024.out" "${WORK}/hbatch.4611686018427387904.out"
+done
+
 # A streamed feed long enough for packed blocks: 640 seeded sets of 1-6
 # faults, one with a duplicate id and one leaving a single survivor. At
 # --batch 1024 the sets are evaluated in lane blocks of unrelated sets, at
