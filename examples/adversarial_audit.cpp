@@ -1,7 +1,7 @@
 // Adversarial audit: given a routing, search for the worst fault set an
 // attacker who knows the route tables could pick, and compare it to the
-// theorem bound. Demonstrates the check's two adversarial units (uniform
-// sampling and the informed hill-climber) on three constructions with very
+// theorem bound. Demonstrates the check's two adversarial searches (a
+// uniform sampling unit and the informed hill-climber) on three constructions with very
 // different failure anatomies.
 //
 //   $ ./example_adversarial_audit
@@ -13,28 +13,26 @@ namespace {
 
 void audit(const std::string& label, const ftr::RoutingTable& table,
            std::uint32_t f, std::uint32_t claimed) {
-  // One shared preprocessing of the table; the units below build their
-  // own scratches over it.
+  // One shared preprocessing of the table; both searches below build
+  // their own scratches over it.
   const ftr::SrgIndex index(table);
 
   // Informed seed: the f busiest nodes by route load.
   const auto ranked = ftr::nodes_by_route_load(table);
   std::vector<ftr::Node> top(ranked.begin(), ranked.begin() + f);
 
-  // 300 uniform samples, then 6 climbs (the first from the informed seed)
-  // of up to 32 steps each; both draw from streams of seed 99. Each is one
-  // work unit, run by the executor behind every sweep and check.
+  // 300 uniform samples, one work unit run by the executor behind every
+  // sweep and check; then 6 climbs (the first from the informed seed) of
+  // up to 32 steps each. Both draw from streams of seed 99.
   ftr::UnitSpec unit;
   unit.f = f;
   unit.seed = 99;
   unit.kind = ftr::UnitKind::kSweepSampled;
   unit.end = 300;
   const auto random = ftr::execute_unit(index, unit);
-  unit.kind = ftr::UnitKind::kAdvClimb;
-  unit.end = 6;
-  unit.max_steps = 32;
-  unit.climb_seeds = {top};
-  const auto informed = ftr::execute_unit(index, unit);
+  const auto informed = ftr::hillclimb_worst_faults(
+      index.num_nodes(), f, ftr::srg_evaluator_factory(index), 99, 6, 32,
+      {top});
 
   std::cout << label << " (f = " << f << ", theorem bound " << claimed
             << "):\n"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <istream>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -13,7 +14,6 @@
 #include "common/parallel.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
-#include "fault/adversary.hpp"
 #include "graph/bfs.hpp"
 
 namespace ftr {
@@ -202,21 +202,20 @@ SweepPartial sweep_chunk(SrgScratch& scratch, const UnitSpec& unit,
   return part;
 }
 
-// Emits progress on the calling thread whenever the merged count crosses a
-// multiple of `every`.
+// Emits progress whenever the merged count crosses a multiple of `every`.
+// The caller serializes the calls (the merge lock, or one thread).
 class ProgressEmitter {
  public:
   ProgressEmitter(std::uint64_t every, const SweepProgressFn& fn)
       : every_(every), fn_(fn), t0_(Clock::now()), next_at_(every) {}
 
-  void maybe_emit(const SweepPartial& partial, const ExecutorStats& executor) {
+  void maybe_emit(const SweepPartial& partial) {
     if (every_ == 0 || !fn_ || partial.sets < next_at_) return;
     FaultSweepProgress p;
     p.sets_done = partial.sets;
     p.worst_diameter = partial.worst_diameter;
     p.disconnected = partial.disconnected;
     p.seconds = std::chrono::duration<double>(Clock::now() - t0_).count();
-    p.executor = executor;
     fn_(p);
     while (next_at_ <= partial.sets) next_at_ += every_;
   }
@@ -243,9 +242,9 @@ FaultSweepSummary finish_summary(const SweepPartial& partial, unsigned workers,
   return summary;
 }
 
-// Sets per window: the resolved batch per thread, whole packed blocks on
-// Gray units (a chunk ending in a partial Gray block pays for a full one;
-// other units run a short tail set by set).
+// Sets per chunk: the resolved batch, whole packed blocks on Gray units (a
+// chunk ending in a partial Gray block pays for a full one; other units run
+// a short tail set by set).
 std::uint64_t unit_grain(const UnitSpec& unit) {
   const std::uint64_t batch = unit.exec.resolved_batch();
   return unit.kind == UnitKind::kSweepGray ? lane_aligned(batch) : batch;
@@ -279,44 +278,30 @@ SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
                           ExecutorStats* executor_out) {
   const std::size_t n = index.num_nodes();
   check_unit(unit, n);
-  if (unit.kind == UnitKind::kAdvClimb) {
-    return hillclimb_worst_faults(
-        n, unit.f, srg_evaluator_factory(index), unit.seed, unit.begin,
-        unit.end, static_cast<std::size_t>(unit.max_steps), unit.climb_seeds,
-        unit.exec, executor_out);
-  }
-  const bool gray = unit.kind == UnitKind::kSweepGray;
-
   const unsigned workers = unit.exec.resolved_threads();
-  const std::uint64_t grain = unit_grain(unit);
-  const std::uint64_t window = grain * workers;
+  std::mutex merge_mutex;  // guards partial and progress
   SweepPartial partial;
-  ExecutorStats executor;
   ProgressEmitter progress(unit.exec.progress_every, on_progress);
-  std::vector<SweepPartial> chunks;
-  // One scratch per executor worker, built on first use and reused by every
-  // later window: a worker runs its chunks one at a time on its own thread,
-  // so its scratch stays on that thread.
+  // One scratch per executor worker, built on first use: a worker runs its
+  // chunks one at a time on its own thread, so its scratch stays there.
   std::vector<std::optional<SrgScratch>> scratch(workers);
-  for (std::uint64_t lo = unit.begin, count = 0; lo < unit.end; lo += count) {
-    count = std::min(window, unit.end - lo);
-    chunks.assign(num_chunks(count, grain), SweepPartial{});
-    ExecutorStats window_stats;
-    parallel_for_chunks(
-        count, workers, grain,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end,
-            unsigned worker) {
-          if (!scratch[worker]) scratch[worker].emplace(index);
-          chunks[chunk] =
-              sweep_chunk(*scratch[worker], unit, lo + begin, lo + end);
-        },
-        &window_stats);
-    executor.accumulate(window_stats);
-    for (const auto& c : chunks) merge_sweep_partials(partial, c);
-    progress.maybe_emit(partial, executor);
-  }
+  ExecutorStats executor;
+  parallel_for_chunks(
+      static_cast<std::size_t>(unit.end - unit.begin), workers,
+      static_cast<std::size_t>(unit_grain(unit)),
+      [&](std::size_t, std::size_t begin, std::size_t end, unsigned worker) {
+        if (!scratch[worker]) scratch[worker].emplace(index);
+        const SweepPartial chunk = sweep_chunk(
+            *scratch[worker], unit, unit.begin + begin, unit.begin + end);
+        // Progress fires under the lock too, so its calls never overlap
+        // and the sets they report only grow.
+        const std::lock_guard<std::mutex> lock(merge_mutex);
+        merge_sweep_partials(partial, chunk);
+        progress.maybe_emit(partial);
+      },
+      &executor);
 
-  if (gray && partial.have_worst) {
+  if (unit.kind == UnitKind::kSweepGray && partial.have_worst) {
     // Gray chunks without delivery never hold their sets; unrank the winner
     // from its rank.
     const auto worst = gray_subset_at_rank(n, unit.f, partial.worst_index);
@@ -382,7 +367,7 @@ FaultSweepSummary sweep_fault_source(const RoutingTable& table,
   ProgressEmitter progress(options.exec.progress_every, options.on_progress);
   while (const auto unit = feed()) {
     merge_sweep_partials(partial, execute_unit(index, *unit, {}, &executor));
-    progress.maybe_emit(partial, executor);
+    progress.maybe_emit(partial);
   }
   return finish_summary(partial, options.exec.resolved_threads(), executor, t0);
 }

@@ -6,24 +6,22 @@
 // the distributed workers, and the scenario benches.
 //
 // Every sweep runs as work units (fault/work_unit.hpp) through ONE loop,
-// execute_unit, which runs the tolerance check's units too: the check's
-// exhaustive and sampled units are sweep units, and its hill-climbing unit
-// goes to fault/adversary.hpp. A sweep unit names a GLOBAL window
-// [begin, end) of set indices and where its sets come from: Gray subset
-// ranks, counter-seeded samples (set i is Rng::stream(seed, i)), or
-// literal sets it carries. The executor walks the window in windows of
-// grain x threads items (grain = the policy's resolved_batch(), rounded up to
-// whole packed lane blocks for Gray units); each window fans out over the
-// threads, and each chunk evaluates on the SrgScratch of the executor
-// worker that runs it (one per worker, built on first use and reused by
-// every later window, since a worker runs one chunk at a time), makes its
-// own sets from their global indices, and folds them into a chunk
-// SweepPartial. The
-// chunks merge in index order with merge_sweep_partials — the same merge
-// the check and the distributed coordinator use — so a sweep's output is
-// bit-identical for any thread count, batch size, unit split, or worker
-// count. Delivery sampling for set i draws from Rng::stream(seed, i),
-// never from a shared generator.
+// execute_unit, which runs the tolerance check's sweep units too (its
+// hill-climb runs in process, fault/adversary.hpp). A sweep unit names a
+// GLOBAL window [begin, end) of set indices and where its sets come from:
+// Gray subset ranks, counter-seeded samples (set i is Rng::stream(seed,
+// i)), or literal sets it carries. The executor runs the whole window as
+// one parallel_for_chunks call with a grain of the policy's
+// resolved_batch() (rounded up to whole packed lane blocks for Gray
+// units). Each chunk evaluates on the SrgScratch of the executor worker
+// that runs it (one per worker, built on first use), makes its own sets
+// from their global indices, and folds them into a chunk SweepPartial,
+// which it merges into the unit's result under one lock as soon as it
+// finishes. merge_sweep_partials is order-free — the same merge the
+// distributed coordinator uses — so a sweep's output is bit-identical for
+// any thread count, batch size, unit split, or worker count. Delivery
+// sampling for set i draws from Rng::stream(seed, i), never from a shared
+// generator.
 //
 // A chunk evaluates its sets block by block, up to the lane width at a
 // time, on the packed kernel: Gray units as blocks of Gray-adjacent sets
@@ -37,8 +35,8 @@
 // never needs a strike of its own.
 //
 // Unbounded streams (FaultSetSource, e.g. the CLI's `sweep --stdin`) are
-// cut into explicit-set units of one window each as they are read, so
-// memory stays constant in the stream length.
+// cut into explicit-set units of resolved_batch() x threads sets each as
+// they are read, so memory stays constant in the stream length.
 #pragma once
 
 #include <cstdint>
@@ -151,9 +149,6 @@ struct FaultSweepProgress {
   std::uint32_t worst_diameter = 0;
   std::uint64_t disconnected = 0;
   double seconds = 0.0;
-  /// Executor telemetry accumulated over the windows so far
-  /// (scheduling-dependent — stderr probes only, never results).
-  ExecutorStats executor;
 };
 
 using SweepProgressFn = std::function<void(const FaultSweepProgress&)>;
@@ -162,8 +157,9 @@ struct FaultSweepOptions {
   /// How the sweep executes — threads, batch size, progress cadence (see
   /// common/exec_policy.hpp for the resolution rules). Results never
   /// depend on any of it. exec.progress_every schedules on_progress below:
-  /// invoked roughly every that many sets (0 = never), between windows, on
-  /// the calling thread — it never races the workers.
+  /// invoked whenever the merged set count crosses a multiple of it (0 =
+  /// never). Calls never overlap, but a bounded sweep makes them from its
+  /// executor workers, under the merge lock.
   ExecPolicy exec;
   /// Ordered survivor pairs to sample per fault set for delivery stats;
   /// 0 skips delivery measurement entirely.
@@ -200,7 +196,7 @@ struct FaultSweepSummary {
   unsigned threads_used = 1;
   double seconds = 0.0;
   double fault_sets_per_sec = 0.0;
-  /// Executor counters accumulated over all windows.
+  /// Executor counters accumulated over every unit of the sweep.
   ExecutorStats executor;
 };
 
@@ -224,14 +220,13 @@ UnitSpec sweep_unit(UnitKind kind, std::size_t f, std::uint64_t count,
 /// units is refused all the same).
 void check_unit(const UnitSpec& unit, std::size_t n);
 
-/// THE unit executor: runs every set (or restart) of `unit`'s global
-/// window and returns the partial for it — a pure function of (index,
-/// unit's sets, delivery_pairs, seed), whatever the unit's ExecPolicy says.
-/// Sweep kinds walk the window as described at the top of this file; a
-/// kAdvClimb unit runs hillclimb_worst_faults (fault/adversary.hpp). The
-/// unit must pass check_unit. `on_progress` fires between a sweep's
-/// windows at the unit's exec.progress_every cadence; executor telemetry
-/// accumulates into *executor when given. Worker processes, the
+/// THE unit executor: runs every set of `unit`'s global window and returns
+/// the partial for it — a pure function of (index, unit's sets,
+/// delivery_pairs, seed), whatever the unit's ExecPolicy says. It walks the
+/// window as described at the top of this file. The unit must pass
+/// check_unit. `on_progress` fires under the merge lock whenever the merged
+/// count crosses a multiple of the unit's exec.progress_every; executor
+/// telemetry accumulates into *executor when given. Worker processes, the
 /// coordinator's inline fallback, the tolerance check, serve, the CLI, and
 /// every wrapper below call it.
 SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
@@ -269,9 +264,10 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
                                          ExecutorStats* executor = nullptr);
 
 /// Streams `source` through the executor at constant memory, one window of
-/// resolved_batch() x threads sets per kSweepExplicit unit, with progress after
-/// each unit. The deterministic fields are a pure function of (table, the
-/// source's sets, options.delivery_pairs, options.seed).
+/// resolved_batch() x threads sets per kSweepExplicit unit (read as they
+/// arrive), with progress after each unit, on the calling thread. The
+/// deterministic fields are a pure function of (table, the source's sets,
+/// options.delivery_pairs, options.seed).
 FaultSweepSummary sweep_fault_source(const RoutingTable& table,
                                      const SrgIndex& index,
                                      FaultSetSource& source,

@@ -97,8 +97,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
                          p.seconds > 0.0
                              ? static_cast<double>(p.sets_done) / p.seconds
                              : 0.0)
-                  << " sets/sec; executor " << executor_stats_str(p.executor)
-                  << '\n';
+                  << " sets/sec\n";
       };
     }
 
@@ -131,7 +130,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
       summary = summarize_sweep_partial(from_stdin
                                             ? pool.sweep_source(source, opts)
                                             : pool.run(unit));
-      summary.threads_used = opts.exec.threads;
+      summary.threads_used = opts.exec.resolved_threads();
       summary.seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();

@@ -19,11 +19,12 @@
 //
 //  * threads — resolved_threads(): 0 means "all hardware threads"; any
 //    value is capped at 256 (fork-bomb guard). See common/parallel.hpp.
-//  * batch_size — resolved_batch(): clamped to [1, 2^20], so batch x
-//    threads can neither be zero nor wrap. Exhaustive Gray scans round it
-//    up to a multiple of the widest packed lane width (lane_aligned,
-//    common/cpu_features.hpp), since a chunk ending in a partial block pays
-//    for a full one.
+//  * batch_size — resolved_batch(): clamped to [1, 2^20]: the chunk grain
+//    of a bounded unit, while a streamed feed reads batch x threads sets
+//    per unit, which can neither be zero nor wrap. Exhaustive Gray scans
+//    round it up to a multiple of the widest packed lane width
+//    (lane_aligned, common/cpu_features.hpp), since a chunk ending in a
+//    partial block pays for a full one.
 //  * progress_every — taken literally (0 = never). It is local to the
 //    process that reports progress, so the unit frame does not carry it
 //    (workers decode it as 0).
@@ -47,7 +48,7 @@ namespace ftr {
 struct ExecPolicy {
   /// Worker threads (0 = all hardware threads, capped at 256).
   unsigned threads = 1;
-  /// Items per worker per batch/window in the streaming engines.
+  /// Items per chunk (bounded units) or per worker per window (streams).
   std::size_t batch_size = 1024;
   /// Progress callback cadence in items (0 = never). The callback itself
   /// stays on the consuming option struct.
@@ -56,7 +57,7 @@ struct ExecPolicy {
   /// resolve_threads(threads): the actual worker count.
   unsigned resolved_threads() const;
   /// batch_size clamped to [1, 2^20]: the batch every consumer sizes its
-  /// windows with.
+  /// chunks and windows with.
   std::size_t resolved_batch() const;
 };
 

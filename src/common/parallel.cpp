@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace ftr {
@@ -42,9 +43,17 @@ unsigned resolve_threads(unsigned requested) {
 }
 
 std::size_t num_chunks(std::size_t count, std::size_t grain) {
-  if (count == 0) return 0;
   const std::size_t g = std::max<std::size_t>(grain, 1);
-  return (count + g - 1) / g;
+  // Not (count + g - 1) / g: that wraps for counts near SIZE_MAX.
+  return count / g + (count % g != 0);
+}
+
+std::pair<std::size_t, std::size_t> chunk_bounds(std::size_t chunk,
+                                                 std::size_t count,
+                                                 std::size_t grain) {
+  const std::size_t g = std::max<std::size_t>(grain, 1);
+  const std::size_t begin = chunk * g;
+  return {begin, begin + std::min(g, count - begin)};
 }
 
 std::size_t sweep_grain(std::size_t count, unsigned threads) {
@@ -71,7 +80,8 @@ void parallel_for_chunks(std::size_t count, unsigned threads,
   const std::size_t chunks = num_chunks(count, g);
   const unsigned workers = workers_for(chunks, threads);
   const auto run = [&](std::size_t c, unsigned w) {
-    body(c, c * g, std::min(c * g + g, count), w);
+    const auto [begin, end] = chunk_bounds(c, count, g);
+    body(c, begin, end, w);
   };
 
   if (workers <= 1) {

@@ -8,9 +8,9 @@
 //  * work is split into chunks of a fixed grain over [0, count) — chunk
 //    boundaries are a function of (count, grain) only, never of the thread
 //    count or of scheduling;
-//  * every chunk writes its results keyed by chunk/item index, so callers
-//    reduce in index order — an order-independent merge no matter which
-//    thread ran what;
+//  * every chunk's result is keyed by chunk/item index or folded with an
+//    order-free merge (merge_sweep_partials), so no reduce depends on which
+//    thread ran what or when it finished;
 //  * randomized tasks draw from counter-based streams (Rng::stream) keyed
 //    by item index, not from a shared generator whose consumption order
 //    would depend on scheduling.
@@ -22,27 +22,27 @@
 // can keep per-worker state (SrgScratch) that stays on one thread.
 //
 // What is deterministic and what is not:
-//  * deterministic: chunk boundaries (a function of (count, grain) only),
-//    the claim order (ascending chunk ids), and therefore any index-ordered
-//    reduce a caller performs;
-//  * NOT deterministic: which worker runs a chunk (it depends on timing)
-//    and the ExecutorStats counters. Bodies must write results keyed by
-//    chunk or item index, never by worker.
+//  * deterministic: chunk boundaries (a function of (count, grain) only)
+//    and the claim order (ascending chunk ids);
+//  * NOT deterministic: which worker runs a chunk, the order in which
+//    chunks finish, and the ExecutorStats counters. Bodies must never key
+//    results by worker.
 //
 // parallel_for_chunks is the only primitive; everything above it (adversary
 // searches, tolerance sweeps, recovery sweeps, the CLI `sweep` and `serve`
-// verbs) is a chunked map plus an index-ordered reduce.
+// verbs) is a chunked map plus an order-free reduce.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 namespace ftr {
 
 /// Worker body for one chunk: half-open item range [begin, end), the
-/// chunk's index (chunks cover [0, count) in order, so chunk i spans items
-/// [i * grain, min((i + 1) * grain, count))), and the id of the worker
+/// chunk's index (chunks cover [0, count) in order; chunk i spans
+/// chunk_bounds(i, count, grain)), and the id of the worker
 /// running it (0 = the calling thread; always below the worker count, and
 /// so below resolve_threads(threads)).
 using ChunkBody = std::function<void(std::size_t chunk, std::size_t begin,
@@ -67,8 +67,13 @@ unsigned resolve_threads(unsigned requested);
 /// 256 threads is clamped like an explicit request would be.
 unsigned resolve_threads(unsigned requested, unsigned hardware);
 
-/// Chunks [0, count) for the given grain (grain 0 = one chunk per item).
+/// Chunks [0, count) for the given grain (grain 0 = one chunk per item),
+/// and chunk `chunk`'s item range [begin, end). Neither wraps, even at
+/// count = SIZE_MAX.
 std::size_t num_chunks(std::size_t count, std::size_t grain);
+std::pair<std::size_t, std::size_t> chunk_bounds(std::size_t chunk,
+                                                 std::size_t count,
+                                                 std::size_t grain);
 
 /// Execution telemetry from one parallel_for_chunks call (or a sum over
 /// several — see accumulate). Everything here is scheduling-dependent and
@@ -94,11 +99,11 @@ struct ExecutorStats {
 /// calling thread is one of them; threads <= 1 runs inline with no spawns).
 /// Chunk boundaries depend only on (count, grain). Workers claim chunks from
 /// the shared cursor in ascending order (see the header comment); any chunk
-/// may run on any worker, so bodies must write results keyed by chunk or
-/// item index. If a body throws, all unclaimed chunks are abandoned and the
-/// failing exception (lowest chunk index among those that threw) is
-/// rethrown on the caller. When `stats` is non-null it is
-/// overwritten with this call's execution telemetry.
+/// may run on any worker and finish in any order (see the header comment).
+/// If a body throws, all unclaimed chunks are abandoned and the failing
+/// exception (lowest chunk index among those that threw) is rethrown on the
+/// caller. When `stats` is non-null it is overwritten with this call's
+/// execution telemetry.
 void parallel_for_chunks(std::size_t count, unsigned threads,
                          std::size_t grain, const ChunkBody& body,
                          ExecutorStats* stats = nullptr);

@@ -174,18 +174,18 @@ std::uint64_t DistSweepPool::auto_unit_items(std::uint64_t total) const {
   const std::uint64_t per =
       std::clamp<std::uint64_t>((total + slots - 1) / slots, 1, 65536);
   // Every kind runs packed blocks (Gray blocks, any-set blocks of samples
-  // or literal sets, lockstep climbs): whole blocks only, so that no unit
-  // but the last ends in a partial one.
+  // or literal sets): whole blocks only, so that no unit but the last ends
+  // in a partial one.
   return lane_aligned(per);
 }
 
 SweepPartial DistSweepPool::fold(const UnitFeed& feed) {
-  std::vector<std::optional<SweepPartial>> results;
+  // Results merge as they land (merge_sweep_partials is order-free);
+  // merged[id] records that unit id's one merge.
+  SweepPartial total;
+  std::vector<bool> merged;
   std::uint64_t next_id = 0;
   bool feed_done = false;
-  // Unit id of the first early-stopped slice: units past it are not needed
-  // (the in-order merge discards them), so stop generating there.
-  std::optional<std::uint64_t> stop_bound;
   std::deque<UnitSpec> retry;
   std::size_t outstanding = 0;
 
@@ -193,32 +193,27 @@ SweepPartial DistSweepPool::fold(const UnitFeed& feed) {
   const auto timeout = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(std::max(options_.unit_timeout_sec, 0.0)));
 
-  auto unit_needed = [&](std::uint64_t id) {
-    return !stop_bound.has_value() || id < *stop_bound;
-  };
-
-  auto store = [&](std::uint64_t id, SweepPartial&& p) {
-    if (results.size() <= id) results.resize(id + 1);
-    if (!results[id].has_value()) {
-      if (p.stopped) stop_bound = std::min(stop_bound.value_or(id), id);
-      results[id] = std::move(p);
-    }
+  auto store = [&](std::uint64_t id, const SweepPartial& p) {
+    FTR_EXPECTS_MSG(id < merged.size() && !merged[id],
+                    "distributed run merged unit " << id << " twice");
+    merged[id] = true;
+    merge_sweep_partials(total, p);
   };
 
   auto take_next = [&]() -> std::optional<UnitSpec> {
-    while (!retry.empty()) {
+    if (!retry.empty()) {
       UnitSpec u = std::move(retry.front());
       retry.pop_front();
-      if (unit_needed(u.unit_id)) return u;
+      return u;
     }
     if (feed_done) return std::nullopt;
-    if (stop_bound.has_value() && next_id >= *stop_bound) return std::nullopt;
     auto u = feed();
     if (!u.has_value()) {
       feed_done = true;
       return std::nullopt;
     }
     u->unit_id = next_id++;
+    merged.push_back(false);
     return u;
   };
 
@@ -275,7 +270,7 @@ SweepPartial DistSweepPool::fold(const UnitFeed& feed) {
     ++stats_.workers_killed;
     const UnitSpec unit = std::move(*w.unit);
     release_unit(w);
-    if (unit_needed(unit.unit_id)) run_inline(unit);
+    run_inline(unit);
   };
 
   auto flush_tx = [&](Worker& w) {
@@ -325,7 +320,7 @@ SweepPartial DistSweepPool::fold(const UnitFeed& feed) {
         pw.busy_seconds +=
             std::chrono::duration<double>(Clock::now() - w.dispatched_at)
                 .count();
-        store(id, std::move(partial));
+        store(id, partial);
         ++stats_.units_completed;
         release_unit(w);
         return;
@@ -372,11 +367,7 @@ SweepPartial DistSweepPool::fold(const UnitFeed& feed) {
     }
 
     if (outstanding == 0) {
-      bool pending_retry = false;
-      for (const auto& u : retry) pending_retry |= unit_needed(u.unit_id);
-      const bool more_feed =
-          !feed_done && !(stop_bound.has_value() && next_id >= *stop_bound);
-      if (!pending_retry && !more_feed) break;
+      if (retry.empty() && feed_done) break;
       continue;  // back to dispatch (live workers exist, or inline drained)
     }
 
@@ -434,11 +425,8 @@ SweepPartial DistSweepPool::fold(const UnitFeed& feed) {
     }
   }
 
-  SweepPartial total;
-  for (auto& r : results) {
-    if (total.stopped) break;  // later units were never needed
-    FTR_EXPECTS_MSG(r.has_value(), "distributed run lost a unit");
-    merge_sweep_partials(total, *r);
+  for (std::uint64_t id = 0; id < merged.size(); ++id) {
+    FTR_EXPECTS_MSG(merged[id], "distributed run never merged unit " << id);
   }
   return total;
 }

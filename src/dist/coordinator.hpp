@@ -1,23 +1,21 @@
 // The coordinator side of the distributed sweep layer: forks a pool of
 // worker processes (pipe pair each, single host), splits a whole-space
 // UnitSpec (fault/work_unit.hpp) into windows, fans them over the workers,
-// and folds the returned partials in unit order with merge_sweep_partials,
-// the merge the in-process paths use. Because units carry GLOBAL indices
-// and the merge is associative under the index-order discipline, the
-// merged result — every aggregate, the worst witness, the evaluation
-// count, the early-stop point — is bit-identical to the in-process
-// computation for ANY worker count and ANY unit size. A distributed check
-// is the ordinary check_tolerance decision tree with run() as its unit
-// runner.
+// and merges each returned partial as it lands with merge_sweep_partials,
+// the order-free merge the in-process executor uses. Because units carry
+// GLOBAL indices, the merged result — every aggregate, the worst witness,
+// the set count — is bit-identical to the in-process computation for ANY
+// worker count, ANY unit size and ANY completion order. A distributed
+// check is the ordinary check_tolerance decision tree with run() as the
+// runner of its sweep unit.
 //
 // Robustness: a worker that dies mid-unit has its window requeued for the
 // survivors (or executed inline by the coordinator when none remain); a
 // worker that hangs past the per-unit timeout is SIGKILLed and its unit runs
-// inline — so a unit is re-dispatched, never lost and never double-counted
-// (results are keyed and stored once per unit id). A hill-climb that stops
-// early stops the dispatch of units past the first stopped one but lets
-// in-flight units finish, so the pipes are drained between calls and the
-// pool can be reused.
+// inline — so a unit is re-dispatched, never lost and never double-counted:
+// each unit id merges exactly once, and a run that merges one twice or
+// never throws. Every unit runs to completion, so the pipes are drained
+// between calls and the pool can be reused.
 //
 // Table acquisition is snapshot-fed: workers load the binary snapshot
 // AFTER the fork — from the original file when the CLI input was already a
@@ -45,8 +43,7 @@ struct DistPoolOptions {
   /// Worker processes to fork. Must be >= 1 (0 workers means "don't build a
   /// pool" — the callers keep the in-process path for that).
   unsigned workers = 1;
-  /// Task items (subset ranks, sample indices, restart indices, literal
-  /// sets) per unit; 0 = auto (~8 units per worker over the task space,
+  /// Task items (subset ranks, sample indices, literal sets) per unit; 0 = auto (~8 units per worker over the task space,
   /// clamped to [1, 65536] and rounded up to a multiple of kMaxLaneWidth,
   /// so that every unit kind runs whole packed blocks and a window under
   /// 512 items stays one unit; streams of unknown length use 4096).
@@ -102,9 +99,8 @@ class DistSweepPool {
 
   /// Splits `whole`'s window [begin, end) into auto_unit_items-sized units
   /// (threads/batch are the pool's per-worker knobs), runs them over the
-  /// workers through execute_unit, and folds the partials in order —
-  /// exactly what execute_unit returns in process, for any unit kind. A
-  /// hill-climb stops dispatching past the first stopped unit.
+  /// workers through execute_unit, and merges the partials as they land —
+  /// exactly what execute_unit returns in process, for any unit kind.
   SweepPartial run(const UnitSpec& whole);
 
   /// run() over every Gray rank of the f-subsets.
@@ -131,7 +127,7 @@ class DistSweepPool {
 
   /// The event loop: pulls units from `feed` (which assigns no ids — the
   /// pool numbers them 0..k in generation order), dispatches, recovers,
-  /// stores each result by unit id, and folds them in id order.
+  /// and merges each result as it lands, exactly once per unit id.
   SweepPartial fold(const UnitFeed& feed);
   UnitSpec pool_unit(UnitSpec unit) const;
   UnitFeed split(const UnitSpec& whole) const;

@@ -91,7 +91,6 @@ class ByteReader {
       case UnitKind::kSweepGray:
       case UnitKind::kSweepSampled:
       case UnitKind::kSweepExplicit:
-      case UnitKind::kAdvClimb:
         return kind;
     }
     FTR_EXPECTS_MSG(false, "wire unit has unknown kind " << raw);
@@ -221,11 +220,9 @@ std::vector<unsigned char> encode_unit(const UnitSpec& unit) {
   w.u64(unit.end);
   w.u64(unit.seed);
   w.u64(unit.delivery_pairs);
-  w.u64(unit.max_steps);
   w.u32(unit.exec.threads);
   w.u64(unit.exec.batch_size);
   w.node_lists(unit.sets);
-  w.node_lists(unit.climb_seeds);
   return w.take();
 }
 
@@ -242,11 +239,9 @@ UnitSpec decode_unit(const std::vector<unsigned char>& payload) {
                                                     << ") is inverted");
   u.seed = r.u64();
   u.delivery_pairs = r.u64();
-  u.max_steps = r.u64();
   u.exec.threads = r.u32();
   u.exec.batch_size = static_cast<std::size_t>(r.u64());
   u.sets = r.node_lists();
-  u.climb_seeds = r.node_lists();
   r.expect_end();
   return u;
 }
@@ -268,7 +263,6 @@ std::vector<unsigned char> encode_sweep_result(std::uint64_t unit_id,
   w.u64(p.route_hops_total);
   w.u32(p.max_route_hops);
   w.u64(p.max_edge_hops);
-  w.u8(p.stopped ? 1 : 0);
   return w.take();
 }
 
@@ -293,7 +287,6 @@ std::pair<std::uint64_t, SweepPartial> decode_sweep_result(
   p.route_hops_total = r.u64();
   p.max_route_hops = r.u32();
   p.max_edge_hops = r.u64();
-  p.stopped = r.u8() != 0;
   r.expect_end();
   return {unit_id, std::move(p)};
 }

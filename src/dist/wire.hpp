@@ -14,11 +14,10 @@
 // The protocol is deliberately tiny: the coordinator sends kUnit frames
 // (one UnitSpec each, see fault/work_unit.hpp; its ExecPolicy travels as
 // two plain fields, threads u32 and batch_size u64, while progress_every
-// stays in the coordinator), a worker answers every unit
-// — sweep or hill-climb alike — with exactly one kSweepResult frame
-// carrying its SweepPartial (the unit_id leads the payload so the
-// coordinator can merge out-of-order completions in unit order), or a
-// kError frame carrying the exception text. Closing the unit pipe is the
+// stays in the coordinator), a worker answers every unit with exactly one
+// kSweepResult frame carrying its SweepPartial (the unit_id leads the
+// payload, so the coordinator can check that each unit merges once as it
+// lands), or a kError frame carrying the exception text. Closing the unit pipe is the
 // shutdown signal. Frame types 4 (the retired adversary result) and any
 // other unknown type are rejected with the header.
 #pragma once
@@ -62,10 +61,10 @@ bool pop_frame(std::vector<unsigned char>& buf, WireFrame& out);
 IoStatus read_frame(int fd, WireFrame& out);
 
 // Payload encode/decode. Decoders are strict: truncation, trailing bytes,
-// unknown unit kinds, inverted unit windows (begin > end), and counts the
-// remaining bytes cannot hold all throw
-// ContractViolation before anything is allocated. Result payloads lead
-// with the unit_id they answer.
+// unknown unit kinds (the retired kinds 4-7 included), inverted unit
+// windows (begin > end), and counts the remaining bytes cannot hold all
+// throw ContractViolation before anything is allocated. Result payloads
+// lead with the unit_id they answer.
 std::vector<unsigned char> encode_unit(const UnitSpec& unit);
 UnitSpec decode_unit(const std::vector<unsigned char>& payload);
 

@@ -117,10 +117,11 @@ void drop_after_first_unreachable(std::vector<Climb>& climbs) {
 }
 
 // Climbs restarts [begin, end) of one chunk in lockstep and folds them into
-// `p` in restart order with the serial stop rule. Polls `aborted` once per
-// round and returns with `p` untouched when it fires.
+// `p` in restart order with the serial stop rule; returns whether a restart
+// stopped the search. Polls `aborted` once per round and returns false
+// with `p` untouched when it fires.
 template <typename Aborted>
-void climb_chunk(std::size_t n, std::size_t f, const FaultEvaluator& eval,
+bool climb_chunk(std::size_t n, std::size_t f, const FaultEvaluator& eval,
                  std::uint64_t seed, std::uint64_t begin, std::uint64_t end,
                  std::size_t max_steps,
                  const std::vector<std::vector<Node>>& seeds,
@@ -152,7 +153,7 @@ void climb_chunk(std::size_t n, std::size_t f, const FaultEvaluator& eval,
   drop_after_first_unreachable(climbs);
   // One step of every live climb per round, all through one call.
   for (;;) {
-    if (aborted()) return;
+    if (aborted()) return false;
     std::size_t used = 0;
     bool any_live = false;
     for (Climb& c : climbs) {
@@ -179,41 +180,34 @@ void climb_chunk(std::size_t n, std::size_t f, const FaultEvaluator& eval,
       p.worst_index = begin + k;
       p.worst_faults = c.current;
     }
-    if (c.best == kUnreachable) {
-      p.stopped = true;
-      return;
-    }
+    if (c.best == kUnreachable) return true;
   }
+  return false;
 }
 
 }  // namespace
 
 SweepPartial hillclimb_worst_faults(std::size_t n, std::size_t f,
                                     const FaultEvaluatorFactory& make_eval,
-                                    std::uint64_t seed,
-                                    std::uint64_t begin_restart,
-                                    std::uint64_t end_restart,
+                                    std::uint64_t seed, std::uint64_t restarts,
                                     std::size_t max_steps,
                                     const std::vector<std::vector<Node>>& seeds,
-                                    const ExecPolicy& exec,
-                                    ExecutorStats* executor) {
+                                    const ExecPolicy& exec) {
   FTR_EXPECTS(f <= n);
-  FTR_EXPECTS(begin_restart <= end_restart);
   // An even share of the restarts per worker: a chunk's climbs share each
   // round's evaluator call, so the more of them, the fuller its blocks.
   const unsigned threads = exec.resolved_threads();
-  const auto count = static_cast<std::size_t>(end_restart - begin_restart);
+  const auto count = static_cast<std::size_t>(restarts);
   const std::size_t grain =
       std::max<std::size_t>(1, (count + threads - 1) / threads);
   const std::size_t chunks = num_chunks(count, grain);
   std::vector<SweepPartial> partials(chunks);
-  // The lowest chunk that stopped. The ordered merge discards every chunk
-  // past it, so skipping those — or abandoning one mid-climb once a lower
-  // chunk stops — is a pure optimization. Chunks are claimed in ascending
-  // order, so the chunks past a stop are already running when it lands; the
-  // per-round poll is what lets them quit early.
+  // The lowest chunk that stopped. The search ends there, so skipping the
+  // chunks past it — or abandoning one mid-climb once a lower chunk stops —
+  // is a pure optimization. Chunks are claimed in ascending order, so the
+  // chunks past a stop are already running when it lands; the per-round
+  // poll is what lets them quit early.
   std::atomic<std::size_t> first_stop{chunks};
-  ExecutorStats stats;
   parallel_for_chunks(
       count, threads, grain,
       [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end,
@@ -222,20 +216,22 @@ SweepPartial hillclimb_worst_faults(std::size_t n, std::size_t f,
           return chunk > first_stop.load(std::memory_order_relaxed);
         };
         if (aborted()) return;
-        SweepPartial& p = partials[chunk];
-        climb_chunk(n, f, make_eval(), seed, begin_restart + c_begin,
-                    begin_restart + c_end, max_steps, seeds, aborted, p);
-        if (!p.stopped) return;
+        if (!climb_chunk(n, f, make_eval(), seed, c_begin, c_end, max_steps,
+                         seeds, aborted, partials[chunk])) {
+          return;
+        }
         std::size_t cur = first_stop.load(std::memory_order_relaxed);
         while (chunk < cur && !first_stop.compare_exchange_weak(
                                   cur, chunk, std::memory_order_relaxed)) {
         }
-      },
-      &stats);
-  if (executor != nullptr) executor->accumulate(stats);
+      });
 
+  // In restart order, through the stopping chunk.
   SweepPartial acc;
-  for (const auto& p : partials) merge_sweep_partials(acc, p);
+  const std::size_t folded = std::min(first_stop.load() + 1, chunks);
+  for (std::size_t c = 0; c < folded; ++c) {
+    merge_sweep_partials(acc, partials[c]);
+  }
   return acc;
 }
 

@@ -1,20 +1,18 @@
 // The hill-climbing adversary: the informed half of the tolerance check
 // past the exhaustive budget. The paper's (d, f)-tolerance quantifies over
 // ALL fault sets of size <= f; the check (fault/tolerance_check.hpp) runs
-// that worst case as sweep units — a Gray-order exhaustive unit when
-// C(n, f) fits a budget (ground truth), otherwise a sampled unit plus the
-// climb below (1-swap neighborhood, restarts seeded uniformly and by route
-// load). All of them run through one executor, execute_unit
-// (analysis/fault_sweep.hpp), and fold with merge_sweep_partials.
+// that worst case as one sweep unit — a Gray-order exhaustive unit when
+// C(n, f) fits a budget (ground truth), otherwise a sampled unit — plus,
+// in the sampled case, the climb below (1-swap neighborhood, restarts
+// seeded uniformly and by route load). A climb is a few restarts of a few
+// dozen steps, so it runs in process and never becomes a work unit.
 //
-// The climb scans one contiguous window [begin, end) of restart indices,
-// fans the window's chunks across exec.threads, and returns the window's
+// The climb fans its restarts' chunks across exec.threads and returns one
 // SweepPartial. Restart i draws from the counter-based Rng::stream(seed,
-// i), and chunks merge in index order with the serial tie-break (first
-// restart reaching the max wins), so the result — witness and evaluation
-// count included — is bit-identical for any thread count, any chunking,
-// and any split of the restarts into windows. Executor telemetry
-// accumulates into *executor when given.
+// i), and the chunks fold in restart order up to the first restart that
+// disconnects (the serial search stops there), so the result — witness
+// and evaluation count included — is bit-identical for any thread count
+// and any chunking.
 //
 // The climb is generic over an evaluator factory, so it works for real
 // tables and synthetic landscapes alike. It hands its sets to the
@@ -40,7 +38,6 @@
 #include <vector>
 
 #include "common/exec_policy.hpp"
-#include "common/parallel.hpp"
 #include "fault/srg_engine.hpp"
 #include "fault/work_unit.hpp"
 #include "graph/graph.hpp"
@@ -64,24 +61,21 @@ using FaultEvaluatorFactory = std::function<FaultEvaluator()>;
 /// through SrgScratch::evaluate_sets.
 FaultEvaluatorFactory srg_evaluator_factory(const SrgIndex& index);
 
-/// Hill-climbing over restart indices [begin_restart, end_restart): restart
-/// i starts from seeds[i] when i < seeds.size() (informed starts, e.g. the
-/// busiest nodes), otherwise from a uniform sample, and climbs with
+/// Hill-climbing over restarts 0 .. restarts - 1: restart i starts from
+/// seeds[i] when i < seeds.size() (informed starts, e.g. the busiest
+/// nodes), otherwise from a uniform sample, and climbs with
 /// Rng::stream(seed, i) — repeatedly swapping one fault for one non-fault,
 /// keeping the first strict improvement of each step, until no swap helps
 /// or `max_steps` runs out. The partial's `sets` counts the evaluations
 /// and worst_index is the winning restart. A restart reaching kUnreachable
-/// stops the search (`stopped`): later restarts are never counted. Each
-/// worker chunk climbs its share of the restarts in lockstep (see the top
-/// of this file).
+/// stops the search: later restarts are never counted. Each worker chunk
+/// climbs its share of the restarts in lockstep (see the top of this
+/// file).
 SweepPartial hillclimb_worst_faults(std::size_t n, std::size_t f,
                                     const FaultEvaluatorFactory& make_eval,
-                                    std::uint64_t seed,
-                                    std::uint64_t begin_restart,
-                                    std::uint64_t end_restart,
+                                    std::uint64_t seed, std::uint64_t restarts,
                                     std::size_t max_steps,
                                     const std::vector<std::vector<Node>>& seeds = {},
-                                    const ExecPolicy& exec = {},
-                                    ExecutorStats* executor = nullptr);
+                                    const ExecPolicy& exec = {});
 
 }  // namespace ftr

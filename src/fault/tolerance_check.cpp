@@ -7,6 +7,7 @@
 #include "analysis/fault_sweep.hpp"
 #include "common/combinatorics.hpp"
 #include "common/contracts.hpp"
+#include "fault/adversary.hpp"
 #include "fault/fault_gen.hpp"
 #include "graph/bfs.hpp"
 
@@ -34,35 +35,33 @@ ToleranceReport check_tolerance(const SrgIndex& index, std::uint32_t f,
   const std::uint64_t total = binomial(n, f);
   const bool exhaustive = total <= options.exhaustive_budget;
 
-  // Plan whole-space units; a runner may split each one further.
+  // One whole-space sweep unit (a runner may split it further), then, past
+  // the budget, the climb in process. Independent stream roots for the two
+  // search phases, both derived from the one seed, keep the whole report a
+  // pure function of it.
   UnitSpec unit;
+  unit.kind = exhaustive ? UnitKind::kSweepGray : UnitKind::kSweepSampled;
   unit.f = f;
+  unit.end = exhaustive ? total : options.samples;
+  unit.seed = exhaustive ? 0 : Rng::stream(seed, 1)();
   unit.exec = options.exec;
-  std::vector<UnitSpec> plan;
-  if (exhaustive) {
-    unit.kind = UnitKind::kSweepGray;
-    unit.end = total;
-    plan.push_back(unit);
-  } else {
-    // Independent stream roots for the two search phases, both derived from
-    // the one seed so the whole report is a pure function of it.
-    unit.kind = UnitKind::kSweepSampled;
-    unit.seed = Rng::stream(seed, 1)();
-    unit.end = options.samples;
-    plan.push_back(unit);
-    unit.kind = UnitKind::kAdvClimb;
-    unit.seed = Rng::stream(seed, 2)();
-    unit.end = std::max<std::uint64_t>(options.hillclimb_restarts,
-                                       options.seeds.size());
-    unit.max_steps = options.hillclimb_steps;
-    unit.climb_seeds = options.seeds;
-    plan.push_back(std::move(unit));
-  }
-
-  SweepPartial worst;
-  for (const UnitSpec& u : plan) {
-    merge_sweep_partials(worst, options.runner ? options.runner(u)
-                                               : execute_unit(index, u));
+  SweepPartial worst =
+      options.runner ? options.runner(unit) : execute_unit(index, unit);
+  if (!exhaustive) {
+    const SweepPartial climb = hillclimb_worst_faults(
+        n, f, srg_evaluator_factory(index), Rng::stream(seed, 2)(),
+        std::max<std::uint64_t>(options.hillclimb_restarts,
+                                options.seeds.size()),
+        options.hillclimb_steps, options.seeds, options.exec);
+    // Restart ids and sample ids are different index spaces, so this is no
+    // merge_sweep_partials: the climb's witness wins only on a strictly
+    // greater diameter, ties keeping the samples'.
+    worst.sets += climb.sets;
+    if (climb.have_worst &&
+        (!worst.have_worst || climb.worst_diameter > worst.worst_diameter)) {
+      worst.worst_diameter = climb.worst_diameter;
+      worst.worst_faults = climb.worst_faults;
+    }
   }
 
   ToleranceReport report;

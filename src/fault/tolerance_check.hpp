@@ -6,12 +6,14 @@
 // One decision tree answers every check: when C(n, f) fits the exhaustive
 // budget it plans one kSweepGray unit over the whole Gray rank space
 // (ground truth; the witness is the first worst set in Gray order),
-// otherwise a kSweepSampled unit without delivery plus a route-load-seeded
-// kAdvClimb unit (an adversarial lower bound). The check is a client of the
-// sweep executor: the units run through ToleranceCheckOptions::runner —
-// execute_unit in process by default, or split over a worker pool — and
-// fold with merge_sweep_partials. The report (verdict, witness, evaluation
-// count) is bit-identical for any runner, thread count, or lane width.
+// otherwise a kSweepSampled unit without delivery, followed by a
+// route-load-seeded hill-climb in process (an adversarial lower bound).
+// The check is a client of the sweep executor: its one unit runs through
+// ToleranceCheckOptions::runner — execute_unit in process by default, or
+// split over a worker pool. The climb's evaluations add to the samples',
+// and its witness replaces theirs only on a strictly greater diameter. The
+// report (verdict, witness, evaluation count) is bit-identical for any
+// runner, thread count, or lane width.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +61,9 @@ struct ToleranceCheckOptions {
   /// only short batches set by set. The report is identical for any value
   /// of any of it.
   ExecPolicy exec;
-  /// Runs the planned units; empty = in-process (execute_unit over the
-  /// check's index). `check --workers N` passes DistSweepPool::run.
+  /// Runs the planned sweep unit; empty = in-process (execute_unit over the
+  /// check's index). `check --workers N` passes DistSweepPool::run. The
+  /// hill-climb always runs in process.
   std::function<SweepPartial(const UnitSpec&)> runner;
 };
 

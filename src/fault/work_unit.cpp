@@ -5,7 +5,6 @@
 namespace ftr {
 
 void merge_sweep_partials(SweepPartial& into, const SweepPartial& next) {
-  if (into.stopped) return;
   into.sets += next.sets;
   if (next.diameter_histogram.size() > into.diameter_histogram.size()) {
     into.diameter_histogram.resize(next.diameter_histogram.size(), 0);
@@ -14,12 +13,11 @@ void merge_sweep_partials(SweepPartial& into, const SweepPartial& next) {
     into.diameter_histogram[d] += next.diameter_histogram[d];
   }
   into.disconnected += next.disconnected;
-  // `next` covers later indices, so on equal diameters the incumbent (the
-  // earlier index) must survive: strictly greater replaces. kUnreachable
-  // compares greater than every finite diameter, so disconnection needs no
-  // special casing.
+  // The greatest diameter wins, and on equal diameters the lowest index.
   if (next.have_worst &&
-      (!into.have_worst || next.worst_diameter > into.worst_diameter)) {
+      (!into.have_worst || next.worst_diameter > into.worst_diameter ||
+       (next.worst_diameter == into.worst_diameter &&
+        next.worst_index < into.worst_index))) {
     into.worst_diameter = next.worst_diameter;
     into.worst_index = next.worst_index;
     into.worst_faults = next.worst_faults;
@@ -30,7 +28,6 @@ void merge_sweep_partials(SweepPartial& into, const SweepPartial& next) {
   into.route_hops_total += next.route_hops_total;
   into.max_route_hops = std::max(into.max_route_hops, next.max_route_hops);
   into.max_edge_hops = std::max(into.max_edge_hops, next.max_edge_hops);
-  into.stopped = next.stopped;
 }
 
 }  // namespace ftr

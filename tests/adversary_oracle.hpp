@@ -115,15 +115,15 @@ inline std::pair<std::vector<Node>, std::uint32_t> climb(
   return {std::move(current), best};
 }
 
-/// Serial hill-climbing over restart indices [begin, end); a restart
-/// reaching kUnreachable stops the search. `sets` counts evaluations and
+/// Serial hill-climbing over restarts 0 .. restarts - 1; a restart reaching
+/// kUnreachable stops the search. `sets` counts evaluations and
 /// worst_index is the winning restart.
 inline SweepPartial hillclimb_oracle(
     std::size_t n, std::size_t f, const SetEvaluator& eval, std::uint64_t seed,
-    std::uint64_t begin, std::uint64_t end, std::size_t max_steps,
+    std::uint64_t restarts, std::size_t max_steps,
     const std::vector<std::vector<Node>>& seeds = {}) {
   SweepPartial p;
-  for (std::uint64_t restart = begin; restart < end; ++restart) {
+  for (std::uint64_t restart = 0; restart < restarts; ++restart) {
     Rng rng = Rng::stream(seed, restart);
     std::vector<Node> start;
     if (restart < seeds.size()) {
@@ -142,10 +142,7 @@ inline SweepPartial hillclimb_oracle(
       p.worst_index = restart;
       p.worst_faults = std::move(faults);
     }
-    if (d == kUnreachable) {
-      p.stopped = true;
-      break;
-    }
+    if (d == kUnreachable) break;
   }
   return p;
 }

@@ -57,7 +57,6 @@ TEST(Adversary, GrayUnitMatchesLexOracleOnRealRouting) {
   const SweepPartial gray = execute_unit(index, unit);
   EXPECT_EQ(gray.worst_diameter, lex.worst_diameter);
   EXPECT_EQ(gray.sets, lex.evaluations);
-  EXPECT_FALSE(gray.stopped);
   // The Gray witness may differ from the lexicographic one, but it must
   // attain the maximum.
   EXPECT_EQ(surviving_diameter(kr.table, gray.worst_faults),
@@ -82,15 +81,15 @@ TEST(Adversary, HillclimbFindsSyntheticOptimum) {
   // The sum evaluator has a smooth landscape; hill-climbing must reach the
   // global optimum {n-2, n-1}.
   const auto r =
-      hillclimb_worst_faults(12, 2, sum_factory(), /*seed=*/2, 0, 4, 50);
+      hillclimb_worst_faults(12, 2, sum_factory(), /*seed=*/2, 4, 50);
   EXPECT_EQ(r.worst_diameter, 10u + 11u);
   EXPECT_EQ(sum_eval()(r.worst_faults), r.worst_diameter);
 }
 
 TEST(Adversary, HillclimbUsesSeeds) {
   // Seed directly at the optimum: zero steps needed.
-  const auto r = hillclimb_worst_faults(12, 2, sum_factory(), /*seed=*/3, 0,
-                                        1, 0, {{10u, 11u}});
+  const auto r = hillclimb_worst_faults(12, 2, sum_factory(), /*seed=*/3, 1,
+                                        0, {{10u, 11u}});
   EXPECT_EQ(r.worst_diameter, 21u);
   EXPECT_EQ(r.sets, 1u);
   EXPECT_EQ(r.worst_index, 0u);
@@ -98,8 +97,7 @@ TEST(Adversary, HillclimbUsesSeeds) {
 }
 
 TEST(Adversary, HillclimbZeroFaults) {
-  const auto r = hillclimb_worst_faults(5, 0, sum_factory(), /*seed=*/4, 0, 1,
-                                        8);
+  const auto r = hillclimb_worst_faults(5, 0, sum_factory(), /*seed=*/4, 1, 8);
   EXPECT_EQ(r.worst_diameter, 0u);
   EXPECT_EQ(r.sets, 1u);
   EXPECT_TRUE(r.worst_faults.empty());
@@ -115,18 +113,17 @@ TEST(Adversary, HillclimbMatchesExhaustiveOnRealRouting) {
     return surviving_diameter(kr.table, f);
   });
   const auto hc = hillclimb_worst_faults(10, 1, srg_evaluator_factory(index),
-                                         /*seed=*/5, 0, 4, 20);
+                                         /*seed=*/5, 4, 20);
   EXPECT_EQ(hc.worst_diameter, ex.worst_diameter);
 }
 
-// Windows folded in order equal the whole-space search: the property the
-// check decision tree and the worker pool both rely on.
+// Sampled windows folded together equal the whole-space unit: the property
+// the worker pool relies on.
 TEST(Adversary, WindowsFoldLikeOneSearch) {
   const auto gg = torus_graph(4, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
   const auto whole_s = execute_unit(index, sampled_unit(3, 9, 0, 50));
-  const auto whole_c = hillclimb_worst_faults(20, 3, sum_factory(), 9, 0, 6, 4);
   for (const std::uint64_t cut : {1u, 17u, 49u}) {
     SweepPartial s;
     merge_sweep_partials(s, execute_unit(index, sampled_unit(3, 9, 0, cut)));
@@ -136,17 +133,6 @@ TEST(Adversary, WindowsFoldLikeOneSearch) {
     EXPECT_EQ(s.worst_faults, whole_s.worst_faults);
     EXPECT_EQ(s.sets, whole_s.sets);
     EXPECT_EQ(s.diameter_histogram, whole_s.diameter_histogram);
-  }
-  for (const std::uint64_t cut : {1u, 3u, 5u}) {
-    SweepPartial c;
-    merge_sweep_partials(c, hillclimb_worst_faults(20, 3, sum_factory(), 9, 0,
-                                                   cut, 4));
-    merge_sweep_partials(c, hillclimb_worst_faults(20, 3, sum_factory(), 9,
-                                                   cut, 6, 4));
-    EXPECT_EQ(c.worst_diameter, whole_c.worst_diameter);
-    EXPECT_EQ(c.worst_index, whole_c.worst_index);
-    EXPECT_EQ(c.worst_faults, whole_c.worst_faults);
-    EXPECT_EQ(c.sets, whole_c.sets);
   }
 }
 
@@ -179,7 +165,6 @@ void expect_same(const SweepPartial& got, const SweepPartial& want,
   EXPECT_EQ(got.worst_diameter, want.worst_diameter) << what;
   EXPECT_EQ(got.worst_index, want.worst_index) << what;
   EXPECT_EQ(got.worst_faults, want.worst_faults) << what;
-  EXPECT_EQ(got.stopped, want.stopped) << what;
 }
 
 SweepPartial fold(const SweepPartial& a, const SweepPartial& b) {
@@ -226,17 +211,16 @@ std::vector<AdvTable> differential_tables() {
 }
 
 // Every partial field of the check's sampled unit and of the climb equals
-// the serial oracle's, on whole windows and on split windows folded in
-// order, at every thread count; the sampled unit across batch sizes, and
-// the climb at every pinned lane width, with the library's own factory
-// (through execute_unit) agreeing too.
+// the serial oracle's at every thread count: the sampled unit on whole and
+// split windows across batch sizes, the climb at every pinned lane width,
+// with the library's own factory agreeing too.
 TEST(Adversary, SampledUnitAndClimbMatchSerialOracleOnRealTables) {
   bool saw_stop = false;
   for (const AdvTable& t : differential_tables()) {
     const SrgIndex& index = *t.index;
     const std::size_t n = index.num_nodes();
     const SetEvaluator serial = srg_set_evaluator(index);
-    // Climb seeds longer than the restart window: [0, 4) uses 4 of them.
+    // Five climb seeds at most, for six restarts.
     std::vector<std::vector<Node>> seeds;
     for (std::size_t k = 0; k < 5; ++k) {
       std::vector<Node> s;
@@ -250,12 +234,9 @@ TEST(Adversary, SampledUnitAndClimbMatchSerialOracleOnRealTables) {
     const auto want_s = sampled_oracle(n, t.f, serial, 11, 0, 200);
     const auto want_s_lo = sampled_oracle(n, t.f, serial, 11, 0, 77);
     const auto want_s_hi = sampled_oracle(n, t.f, serial, 11, 77, 200);
-    const auto want_c = hillclimb_oracle(n, t.f, serial, 12, 0, 6, 24, seeds);
-    const auto want_c_lo = hillclimb_oracle(n, t.f, serial, 12, 0, 4, 24, seeds);
-    const auto want_c_hi = hillclimb_oracle(n, t.f, serial, 12, 4, 6, 24, seeds);
-    saw_stop = saw_stop || want_c.stopped;
+    const auto want_c = hillclimb_oracle(n, t.f, serial, 12, 6, 24, seeds);
+    saw_stop = saw_stop || want_c.worst_diameter == kUnreachable;
     expect_same(fold(want_s_lo, want_s_hi), want_s, t.name + " oracle split");
-    expect_same(fold(want_c_lo, want_c_hi), want_c, t.name + " oracle split");
 
     for (const unsigned threads : kThreads) {
       for (const std::size_t batch : {std::size_t{1}, std::size_t{96},
@@ -275,27 +256,14 @@ TEST(Adversary, SampledUnitAndClimbMatchSerialOracleOnRealTables) {
         const std::string what = t.name + " f=" + std::to_string(t.f) +
                                  " threads=" + std::to_string(threads) +
                                  " lanes=" + std::to_string(lanes);
-        const auto make = pinned_factory(index, lanes);
-        expect_same(
-            hillclimb_worst_faults(n, t.f, make, 12, 0, 6, 24, seeds, exec),
-            want_c, what + " climb");
-        const auto lo =
-            hillclimb_worst_faults(n, t.f, make, 12, 0, 4, 24, seeds, exec);
-        expect_same(lo, want_c_lo, what + " climb [0, 4)");
-        const auto hi =
-            hillclimb_worst_faults(n, t.f, make, 12, 4, 6, 24, seeds, exec);
-        expect_same(hi, want_c_hi, what + " climb [4, 6)");
-        expect_same(fold(lo, hi), want_c, what + " climb folded");
+        expect_same(hillclimb_worst_faults(n, t.f,
+                                           pinned_factory(index, lanes), 12,
+                                           6, 24, seeds, exec),
+                    want_c, what + " climb");
       }
-      UnitSpec unit;
-      unit.kind = UnitKind::kAdvClimb;
-      unit.f = static_cast<std::uint32_t>(t.f);
-      unit.exec = exec;
-      unit.seed = 12;
-      unit.end = 6;
-      unit.max_steps = 24;
-      unit.climb_seeds = seeds;
-      expect_same(execute_unit(index, unit), want_c, t.name + " climb unit");
+      expect_same(hillclimb_worst_faults(n, t.f, srg_evaluator_factory(index),
+                                         12, 6, 24, seeds, exec),
+                  want_c, t.name + " climb, library factory");
     }
   }
   // hypercube(5) at f = 5 disconnects: the stop path ran.
@@ -306,15 +274,13 @@ TEST(Adversary, SampledUnitAndClimbMatchSerialOracleOnRealTables) {
 // against the oracle at every thread count.
 void expect_climb_matches(std::size_t n, std::size_t f,
                           const SetEvaluator& eval, std::uint64_t seed,
-                          std::uint64_t begin, std::uint64_t end,
-                          std::size_t max_steps,
+                          std::uint64_t restarts, std::size_t max_steps,
                           const std::vector<std::vector<Node>>& seeds,
                           const std::string& name) {
-  const auto want =
-      hillclimb_oracle(n, f, eval, seed, begin, end, max_steps, seeds);
+  const auto want = hillclimb_oracle(n, f, eval, seed, restarts, max_steps, seeds);
   for (const unsigned threads : kThreads) {
-    expect_same(hillclimb_worst_faults(n, f, batch_factory(eval), seed, begin,
-                                       end, max_steps, seeds,
+    expect_same(hillclimb_worst_faults(n, f, batch_factory(eval), seed,
+                                       restarts, max_steps, seeds,
                                        ExecPolicy{.threads = threads}),
                 want, name + " threads=" + std::to_string(threads));
   }
@@ -335,63 +301,54 @@ TEST(Adversary, LockstepClimbImprovesInALaterSlot) {
     later_slot = later_slot || Rng::stream(21, i).permutation(2)[0] == 1;
   }
   ASSERT_TRUE(later_slot);
-  expect_climb_matches(12, 2, eval, 21, 0, 16, 5, seeds, "later slot");
+  expect_climb_matches(12, 2, eval, 21, 16, 5, seeds, "later slot");
 }
 
 TEST(Adversary, LockstepClimbStopsAtMaxSteps) {
   // The sum landscape always has an improving swap until {37, 38, 39}, so
   // two steps end every climb short of it.
-  const auto want = hillclimb_oracle(40, 3, sum_eval(), 22, 0, 5, 2);
+  const auto want = hillclimb_oracle(40, 3, sum_eval(), 22, 5, 2);
   EXPECT_LT(want.worst_diameter, 37u + 38u + 39u);
-  expect_climb_matches(40, 3, sum_eval(), 22, 0, 5, 2, {}, "max_steps=2");
-  expect_climb_matches(40, 3, sum_eval(), 22, 0, 5, 0, {}, "max_steps=0");
-  const auto none = hillclimb_worst_faults(40, 3, sum_factory(), 22, 0, 5, 0);
+  expect_climb_matches(40, 3, sum_eval(), 22, 5, 2, {}, "max_steps=2");
+  expect_climb_matches(40, 3, sum_eval(), 22, 5, 0, {}, "max_steps=0");
+  const auto none = hillclimb_worst_faults(40, 3, sum_factory(), 22, 5, 0);
   EXPECT_EQ(none.sets, 5u);  // the starts alone
 }
 
 TEST(Adversary, LockstepClimbStopsAtTheFirstDisconnectedRestart) {
   // A flat landscape, disconnected only at {14, 15}: restarts 0 and 1 are
   // one swap away from nothing better, restart 2 reaches it in one swap,
-  // so the search stops mid-window and restarts 3..7 are never counted.
+  // so the search stops there and restarts 3..7 are never counted, at
+  // every thread count: one chunk, a stop inside the first of two, and a
+  // stop in the third of eight.
   const SetEvaluator eval = [](const std::vector<Node>& faults) {
     const bool a = std::find(faults.begin(), faults.end(), 14) != faults.end();
     const bool b = std::find(faults.begin(), faults.end(), 15) != faults.end();
     return a && b ? kUnreachable : 1u;
   };
   const std::vector<std::vector<Node>> seeds = {{0, 1}, {2, 3}, {3, 14}};
-  const auto want = hillclimb_oracle(16, 2, eval, 23, 0, 8, 6, seeds);
-  ASSERT_TRUE(want.stopped);
+  const auto want = hillclimb_oracle(16, 2, eval, 23, 8, 6, seeds);
   EXPECT_EQ(want.worst_diameter, kUnreachable);
   EXPECT_EQ(want.worst_faults, (std::vector<Node>{15, 14}));
   EXPECT_EQ(want.worst_index, 2u);
-  const auto first_two = hillclimb_oracle(16, 2, eval, 23, 0, 2, 6, seeds);
-  EXPECT_FALSE(first_two.stopped);
+  const auto first_two = hillclimb_oracle(16, 2, eval, 23, 2, 6, seeds);
+  EXPECT_NE(first_two.worst_diameter, kUnreachable);
   EXPECT_GT(want.sets, first_two.sets);
-  expect_climb_matches(16, 2, eval, 23, 0, 8, 6, seeds, "stop at restart 2");
+  expect_climb_matches(16, 2, eval, 23, 8, 6, seeds, "stop at restart 2");
   // A start that is already disconnected still scans one step, counted.
   const std::vector<std::vector<Node>> dead_start = {{0, 1}, {14, 15}};
-  expect_climb_matches(16, 2, eval, 23, 0, 8, 6, dead_start, "dead start");
-  for (std::uint64_t cut = 1; cut < 8; ++cut) {
-    SweepPartial c;
-    merge_sweep_partials(c, hillclimb_worst_faults(
-                                16, 2, batch_factory(eval), 23, 0, cut, 6,
-                                seeds, ExecPolicy{.threads = 2}));
-    merge_sweep_partials(c, hillclimb_worst_faults(
-                                16, 2, batch_factory(eval), 23, cut, 8, 6,
-                                seeds, ExecPolicy{.threads = 2}));
-    expect_same(c, want, "cut " + std::to_string(cut));
-  }
+  expect_climb_matches(16, 2, eval, 23, 8, 6, dead_start, "dead start");
 }
 
 TEST(Adversary, LockstepClimbWithMoreSeedsThanRestarts) {
   std::vector<std::vector<Node>> seeds;
   for (Node v = 0; v < 10; ++v) seeds.push_back({v, Node(v + 10)});
-  expect_climb_matches(30, 2, sum_eval(), 24, 0, 4, 8, seeds, "[0, 4)");
-  expect_climb_matches(30, 2, sum_eval(), 24, 3, 7, 8, seeds, "[3, 7)");
-  expect_climb_matches(30, 2, sum_eval(), 24, 8, 13, 8, seeds, "[8, 13)");
+  expect_climb_matches(30, 2, sum_eval(), 24, 4, 8, seeds, "4 restarts");
+  expect_climb_matches(30, 2, sum_eval(), 24, 7, 8, seeds, "7 restarts");
+  expect_climb_matches(30, 2, sum_eval(), 24, 13, 8, seeds, "13 restarts");
 }
 
-// One executor runs every unit kind the check plans.
+// One executor runs both unit kinds the check plans.
 TEST(Adversary, ExecuteUnitRunsEveryCheckUnitKind) {
   const auto gg = cycle_graph(6);
   const auto kr = build_kernel_routing(gg.graph, 1);
@@ -404,10 +361,6 @@ TEST(Adversary, ExecuteUnitRunsEveryCheckUnitKind) {
   unit.kind = UnitKind::kSweepSampled;
   unit.end = 9;
   EXPECT_EQ(execute_unit(index, unit).sets, 9u);
-  unit.kind = UnitKind::kAdvClimb;
-  unit.end = 2;
-  unit.max_steps = 0;
-  EXPECT_EQ(execute_unit(index, unit).sets, 2u);  // the starts alone
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ TEST(Circular, Theorem10TorusT3Adversarial) {
   const SrgIndex index(cr.table);
   const FaultEvaluatorFactory make_eval = srg_evaluator_factory(index);
   const auto res = hillclimb_worst_faults(25, 3, make_eval, /*seed=*/7,
-                                          0, /*restarts=*/6, 24);
+                                          /*restarts=*/6, 24);
   EXPECT_LE(res.worst_diameter, 6u);
 }
 

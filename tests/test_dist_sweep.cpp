@@ -78,21 +78,19 @@ void expect_report_equal(const ToleranceReport& got,
 
 TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   UnitSpec u;
-  u.kind = UnitKind::kAdvClimb;
+  u.kind = UnitKind::kSweepSampled;
   u.unit_id = 42;
   u.f = 3;
   u.begin = 7;
   u.end = 19;
   u.seed = 0xdeadbeefcafe;
   u.delivery_pairs = 5;
-  u.max_steps = 13;
   // threads and batch_size travel as plain u32/u64 fields at full width;
   // progress_every stays in the coordinator.
   u.exec.batch_size = (std::size_t{1} << 62) + 77;
   u.exec.threads = 0xfffffffeu;
   u.exec.progress_every = 99;
   u.sets = {{1, 2, 3}, {4, 5}};
-  u.climb_seeds = {{9, 8, 7}};
   const UnitSpec d = decode_unit(encode_unit(u));
   EXPECT_EQ(d.kind, u.kind);
   EXPECT_EQ(d.unit_id, u.unit_id);
@@ -101,12 +99,10 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   EXPECT_EQ(d.end, u.end);
   EXPECT_EQ(d.seed, u.seed);
   EXPECT_EQ(d.delivery_pairs, u.delivery_pairs);
-  EXPECT_EQ(d.max_steps, u.max_steps);
   EXPECT_EQ(d.exec.batch_size, u.exec.batch_size);
   EXPECT_EQ(d.exec.threads, u.exec.threads);
   EXPECT_EQ(d.exec.progress_every, 0u);
   EXPECT_EQ(d.sets, u.sets);
-  EXPECT_EQ(d.climb_seeds, u.climb_seeds);
 
   SweepPartial sp;
   sp.sets = 11;
@@ -121,7 +117,6 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   sp.route_hops_total = 123;
   sp.max_route_hops = 7;
   sp.max_edge_hops = 15;
-  sp.stopped = true;
   const auto [sid, sd] = decode_sweep_result(encode_sweep_result(42, sp));
   EXPECT_EQ(sid, 42u);
   EXPECT_EQ(sd.sets, sp.sets);
@@ -133,9 +128,6 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   EXPECT_EQ(sd.worst_faults, sp.worst_faults);
   EXPECT_EQ(sd.route_hops_total, sp.route_hops_total);
   EXPECT_EQ(sd.max_edge_hops, sp.max_edge_hops);
-  EXPECT_EQ(sd.stopped, sp.stopped);
-  sp.stopped = false;
-  EXPECT_FALSE(decode_sweep_result(encode_sweep_result(42, sp)).second.stopped);
 
   const auto [eid, msg] = decode_error(encode_error(~std::uint64_t{0}, "boom"));
   EXPECT_EQ(eid, ~std::uint64_t{0});
@@ -150,7 +142,6 @@ TEST(DistWire, EveryProperPrefixOfAUnitThrows) {
   u.exec.threads = 3;
   u.exec.batch_size = 5;
   u.sets = {{1, 2}, {4, 5}};
-  u.climb_seeds = {{9}};
   const std::vector<unsigned char> whole = encode_unit(u);
   for (std::size_t cut = 0; cut < whole.size(); ++cut) {
     const std::vector<unsigned char> prefix(
@@ -184,29 +175,30 @@ TEST(DistWire, FramesReassembleFromArbitraryByteArrivals) {
 }
 
 // decode_unit bounds each list count by the bytes left before reserving: a
-// frame with a valid checksum whose set or seed count is 2^32-1 is a
+// frame with a valid checksum whose set count is 2^32-1 is a
 // ContractViolation, not a ~100 GB allocation.
 TEST(DistWire, HugeListCountsAreRejectedBeforeAllocation) {
   UnitSpec u;
   u.kind = UnitKind::kSweepExplicit;
   const auto payload = encode_unit(u);
-  // The payload ends with the two list counts (sets, climb seeds), both 0.
-  for (const std::size_t at : {payload.size() - 8, payload.size() - 4}) {
-    auto bad = payload;
-    for (std::size_t i = 0; i < 4; ++i) bad[at + i] = 0xff;
-    auto buf = pack_frame(FrameType::kUnit, bad);
-    WireFrame frame;
-    ASSERT_TRUE(pop_frame(buf, frame));  // the checksum holds
-    EXPECT_THROW(decode_unit(frame.payload), ContractViolation);
+  // The payload ends with the one list count (sets), 0.
+  auto bad = payload;
+  for (std::size_t i = payload.size() - 4; i < payload.size(); ++i) {
+    bad[i] = 0xff;
   }
+  auto buf = pack_frame(FrameType::kUnit, bad);
+  WireFrame frame;
+  ASSERT_TRUE(pop_frame(buf, frame));  // the checksum holds
+  EXPECT_THROW(decode_unit(frame.payload), ContractViolation);
 }
 
 // Unit kinds and frame types are checked at decode time. Unit kinds 4, 5
-// and 6 were the retired adversary scans (Gray, lexicographic, sampled)
-// and frame type 4 their result; a frame still carrying one must be
-// refused, as must any kind or type the enums never had.
+// and 6 were the retired adversary scans (Gray, lexicographic, sampled),
+// frame type 4 their result, and kind 7 the retired hill-climb unit; a
+// frame still carrying one must be refused, as must any kind or type the
+// enums never had.
 TEST(DistWire, UnknownUnitKindsAreRejected) {
-  for (const std::uint32_t kind : {4u, 5u, 6u, 0u, 8u, 0xffffffffu}) {
+  for (const std::uint32_t kind : {4u, 5u, 6u, 7u, 0u, 8u, 0xffffffffu}) {
     auto payload = encode_unit(UnitSpec{});
     for (int i = 0; i < 4; ++i) payload[i] = (kind >> (8 * i)) & 0xff;
     EXPECT_THROW(decode_unit(payload), ContractViolation) << "kind " << kind;
@@ -234,8 +226,8 @@ TEST(DistWire, InvertedWindowIsRejected) {
   EXPECT_EQ(d.end, 10u);
 }
 
-// The merge authority: folding window partials in order must equal the
-// whole-range computation, for any cut points.
+// The merge authority: folding window partials must equal the whole-range
+// computation, for any cut points.
 TEST(DistSweep, MergeSweepPartialsFoldsLikeOneRange) {
   const Rig rig;
   const std::size_t f = 2;
@@ -391,8 +383,8 @@ TEST(DistSweep, SnapshotFileFedWorkersMatchPayloadFedWorkers) {
 // A check whose units run through the pool must report exactly what the
 // in-process check reports, on every path of the decision tree: exhaustive
 // at f <= 3, exhaustive beyond f = 3 (C(16, 4) = 1820 fits the default
-// budget), and sampling + hill-climbing — for any worker count and unit
-// size.
+// budget), and sampling + the in-process hill-climb — for any worker count
+// and unit size.
 TEST(DistCheck, PoolRunnerMatchesInProcessOnEveryPath) {
   const Rig rig;
   struct Path {
@@ -432,10 +424,10 @@ TEST(DistCheck, PoolRunnerMatchesInProcessOnEveryPath) {
   }
 }
 
-// Past the exhaustive budget (C(32, 4) = 35,960 > 20,000) a check plans a
-// 200-set sampled unit and a 6-restart climb unit. Auto-sized units of
-// every kind are whole 512-item lane blocks, so each stays one unit and
-// runs packed, and the report equals the in-process one.
+// Past the exhaustive budget (C(32, 4) = 35,960 > 20,000) a check hands
+// the pool one 200-set sampled unit and climbs in process. Auto-sized
+// units are whole 512-item lane blocks, so the sampled unit stays one unit
+// and runs packed, and the report equals the in-process one.
 TEST(DistCheck, AutoUnitsAreWholeLaneBlocksOfEveryKind) {
   const auto gg = hypercube(5);
   Rng plan_rng(42);
@@ -455,46 +447,7 @@ TEST(DistCheck, AutoUnitsAreWholeLaneBlocksOfEveryKind) {
   dopts.runner = [&pool](const UnitSpec& u) { return pool.run(u); };
   expect_report_equal(check_tolerance(*snap.index, f, claimed, 11, dopts),
                       want);
-  EXPECT_EQ(pool.stats().units_dispatched, 2u);
-}
-
-// A hill-climb stops at its first disconnecting restart, and the folded
-// result must not count any restart past it. Here that restart lies past
-// the first unit at every unit size, so units after the stopped one are
-// dispatched (up to four at once) and must be discarded: the set count,
-// the witness and the stop must equal the in-process climb's.
-TEST(DistClimb, EarlyStopMatchesInProcessEvaluationForEvaluation) {
-  const Rig rig;
-  const auto ring = rig.gg.graph.neighbors(0);
-  UnitSpec whole;
-  whole.kind = UnitKind::kAdvClimb;
-  whole.f = 4;
-  whole.seed = 5;
-  whole.end = 9;
-  whole.max_steps = 1;
-  // Four starts whose one-step climbs stay connected, then node 0's
-  // neighbors (node 0 can route nowhere), then more restarts the stop must
-  // discard.
-  whole.climb_seeds = {{0, 5, 10, 15}, {1, 6, 11, 12}, {2, 7, 8, 13},
-                       {3, 4, 9, 14}, {ring.begin(), ring.end()}};
-  const SweepPartial want = execute_unit(*rig.snap.index, whole);
-  ASSERT_TRUE(want.stopped);
-  ASSERT_EQ(want.worst_diameter, kUnreachable);
-  ASSERT_GE(want.worst_index, 3u);
-  for (const unsigned workers : {1u, 4u}) {
-    for (const std::uint64_t unit_items : {std::uint64_t{1}, std::uint64_t{2},
-                                           std::uint64_t{3}}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " unit_items=" + std::to_string(unit_items));
-      DistSweepPool pool(rig.snap, "", rig.pool_options(workers, unit_items));
-      const SweepPartial got = pool.run(whole);
-      EXPECT_EQ(got.sets, want.sets);
-      EXPECT_EQ(got.worst_diameter, want.worst_diameter);
-      EXPECT_EQ(got.worst_index, want.worst_index);
-      EXPECT_EQ(got.worst_faults, want.worst_faults);
-      EXPECT_TRUE(got.stopped);
-    }
-  }
+  EXPECT_EQ(pool.stats().units_dispatched, 1u);
 }
 
 TEST(DistFailure, DeadWorkerUnitIsReassignedWithoutChangingResults) {

@@ -15,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/neighborhood.hpp"
@@ -344,6 +346,44 @@ TEST(FaultStream, ProgressFiresBetweenBatches) {
   EXPECT_EQ(reported.back(), 64u);  // the final batch reports completion
 }
 
+// A bounded unit reports from its executor workers, under the merge lock:
+// the merged count strictly increases and stays within the unit, and no
+// two calls overlap.
+TEST(FaultStream, ProgressOnBoundedUnitsIsSerialized) {
+  const auto gg = torus_graph(5, 5);
+  const auto kr = build_kernel_routing(gg.graph, 3);
+  const SrgIndex index(kr.table);
+  for (const UnitKind kind : {UnitKind::kSweepGray, UnitKind::kSweepSampled}) {
+    for (const unsigned threads : {1u, 4u}) {
+      UnitSpec unit;
+      unit.kind = kind;
+      unit.f = 3;
+      unit.seed = 5;
+      unit.end = kind == UnitKind::kSweepGray ? binomial(25, 3) : 300;
+      unit.exec = {.threads = threads, .batch_size = 1, .progress_every = 7};
+      std::vector<std::uint64_t> reported;
+      std::atomic<bool> inside{false};
+      std::atomic<bool> overlapped{false};
+      const SweepPartial partial =
+          execute_unit(index, unit, [&](const FaultSweepProgress& p) {
+            if (inside.exchange(true)) overlapped = true;
+            reported.push_back(p.sets_done);
+            std::this_thread::yield();
+            inside = false;
+          });
+      const std::string what = std::string(unit_kind_name(kind)) +
+                               " threads=" + std::to_string(threads);
+      EXPECT_EQ(partial.sets, unit.end) << what;
+      EXPECT_FALSE(overlapped) << what;
+      ASSERT_GE(reported.size(), 2u) << what;
+      for (std::size_t i = 1; i < reported.size(); ++i) {
+        EXPECT_GT(reported[i], reported[i - 1]) << what;
+      }
+      EXPECT_LE(reported.back(), unit.end) << what;
+    }
+  }
+}
+
 // --- the Gray fast path vs the generic engine --------------------------------
 
 // THE acceptance differential: the revolving-door sweep and the generic
@@ -430,7 +470,6 @@ TEST(AdversaryGray, MatchesLexicographicGroundTruth) {
     // Same ground truth (the max over all sets) and the same coverage...
     EXPECT_EQ(gray.worst_diameter, serial.worst_diameter);
     EXPECT_EQ(gray.sets, serial.evaluations);
-    EXPECT_FALSE(gray.stopped);
     // ...the witness may be a different set (gray vs lex order), but must
     // attain the max.
     SrgScratch scratch(index);
@@ -455,7 +494,6 @@ TEST(AdversaryGray, DegenerateBudgets) {
   // f = 0: exactly one (empty) evaluation.
   const auto none = gray_unit(index, 0, 0, 1);
   EXPECT_EQ(none.sets, 1u);
-  EXPECT_FALSE(none.stopped);
   EXPECT_TRUE(none.worst_faults.empty());
   // f = n: the single everyone-faulty set has diameter 0 by convention.
   const auto all = gray_unit(index, 8, 0, 1);

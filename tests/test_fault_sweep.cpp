@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/neighborhood.hpp"
 #include "common/combinatorics.hpp"
 #include "common/cpu_features.hpp"
 #include "core/planner.hpp"
+#include "fault/adversary.hpp"
 #include "fault/fault_gen.hpp"
 #include "fault/surviving.hpp"
 #include "fault/tolerance_check.hpp"
@@ -226,22 +230,20 @@ TEST(Adversary, SampledAndClimbUnitsThreadInvariant) {
   sampled.f = 3;
   sampled.seed = 77;
   sampled.end = 50;
-  UnitSpec climb = sampled;
-  climb.kind = UnitKind::kAdvClimb;
-  climb.end = 4;
-  climb.max_steps = 8;
-  climb.climb_seeds = {{0, 1, 2}};
+  const auto climb = [&](const ExecPolicy& exec) {
+    return hillclimb_worst_faults(25, 3, srg_evaluator_factory(index), 77,
+                                  /*restarts=*/4, 8, {{0, 1, 2}}, exec);
+  };
   const auto sampled_base = execute_unit(index, sampled);
-  const auto climbed_base = execute_unit(index, climb);
+  const auto climbed_base = climb({});
   EXPECT_EQ(sampled_base.sets, 50u);
   for (unsigned threads : kThreadCounts) {
     sampled.exec.threads = threads;
-    climb.exec.threads = threads;
     const auto s = execute_unit(index, sampled);
     EXPECT_EQ(s.worst_diameter, sampled_base.worst_diameter);
     EXPECT_EQ(s.worst_faults, sampled_base.worst_faults);
     EXPECT_EQ(s.sets, sampled_base.sets);
-    const auto h = execute_unit(index, climb);
+    const auto h = climb({.threads = threads});
     EXPECT_EQ(h.worst_diameter, climbed_base.worst_diameter);
     EXPECT_EQ(h.worst_faults, climbed_base.worst_faults);
     EXPECT_EQ(h.sets, climbed_base.sets);
@@ -332,10 +334,10 @@ SweepPartial oracle_unit(const RoutingTable& table, const UnitSpec& unit,
 }
 
 // execute_unit keeps one scratch per executor worker and reuses it in
-// every later window. Each unit here spans at least 3 windows at every
-// thread count and batch size, and delivers on every set, so each scratch
-// carries fault stamps, lane state and delivery buffers from one window
-// into the next; the results must still equal the serial oracle's.
+// every later chunk. Each unit here spans more than two chunks per worker
+// at every thread count and batch size, and delivers on every set, so each
+// scratch carries fault stamps, lane state and delivery buffers from one
+// chunk into the next; the results must still equal the serial oracle's.
 TEST(FaultSweep, ScratchReusedAcrossWindowsMatchesOracle) {
   const auto gg = torus_graph(6, 6);
   const RoutingTable table = build_kernel_routing(gg.graph, 3).table;
@@ -387,7 +389,7 @@ TEST(FaultSweep, ScratchReusedAcrossWindowsMatchesOracle) {
         const std::uint64_t grain = unit->kind == UnitKind::kSweepGray
                                         ? lane_aligned(batch)
                                         : batch;
-        ASSERT_GE(sets.size(), 2 * grain * threads + 1);  // >= 3 windows
+        ASSERT_GE(sets.size(), 2 * grain * threads + 1);  // > 2 per worker
         const SweepPartial got = execute_unit(index, *unit);
         EXPECT_EQ(got.sets, want.sets);
         EXPECT_EQ(got.diameter_histogram, want.diameter_histogram);
@@ -401,6 +403,70 @@ TEST(FaultSweep, ScratchReusedAcrossWindowsMatchesOracle) {
         EXPECT_EQ(got.max_route_hops, want.max_route_hops);
         EXPECT_EQ(got.max_edge_hops, want.max_edge_hops);
       }
+    }
+  }
+}
+
+void expect_partials_equal(const SweepPartial& got, const SweepPartial& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.sets, want.sets) << what;
+  EXPECT_EQ(got.diameter_histogram, want.diameter_histogram) << what;
+  EXPECT_EQ(got.disconnected, want.disconnected) << what;
+  EXPECT_EQ(got.have_worst, want.have_worst) << what;
+  EXPECT_EQ(got.worst_diameter, want.worst_diameter) << what;
+  EXPECT_EQ(got.worst_index, want.worst_index) << what;
+  EXPECT_EQ(got.worst_faults, want.worst_faults) << what;
+  EXPECT_EQ(got.pairs_sampled, want.pairs_sampled) << what;
+  EXPECT_EQ(got.delivered, want.delivered) << what;
+  EXPECT_EQ(got.route_hops_total, want.route_hops_total) << what;
+  EXPECT_EQ(got.max_route_hops, want.max_route_hops) << what;
+  EXPECT_EQ(got.max_edge_hops, want.max_edge_hops) << what;
+}
+
+// merge_sweep_partials is order-free: a unit cut into pieces and folded
+// ascending, descending or shuffled gives execute_unit's partial field for
+// field, with several pieces tied at the worst diameter, so the lowest
+// index must win wherever its piece lands in the fold.
+TEST(FaultSweep, MergeIsOrderFree) {
+  const auto gg = torus_graph(5, 5);
+  const RoutingTable table = build_kernel_routing(gg.graph, 3).table;
+  const SrgIndex index(table);
+  UnitSpec gray;
+  gray.kind = UnitKind::kSweepGray;
+  gray.f = 2;
+  gray.end = binomial(25, 2);
+  UnitSpec sampled;
+  sampled.kind = UnitKind::kSweepSampled;
+  sampled.f = 3;
+  sampled.seed = 13;
+  sampled.begin = 30;
+  sampled.end = 430;
+  sampled.delivery_pairs = 2;
+  for (const UnitSpec& unit : {gray, sampled}) {
+    const std::string kind = unit_kind_name(unit.kind);
+    const SweepPartial whole = execute_unit(index, unit);
+    std::vector<SweepPartial> pieces;
+    std::size_t tied = 0;
+    for (std::uint64_t lo = unit.begin; lo < unit.end; lo += 20) {
+      UnitSpec piece = unit;
+      piece.begin = lo;
+      piece.end = std::min<std::uint64_t>(unit.end, lo + 20);
+      pieces.push_back(execute_unit(index, piece));
+      tied += pieces.back().worst_diameter == whole.worst_diameter ? 1 : 0;
+    }
+    ASSERT_GE(tied, 2u) << kind;
+    std::vector<std::size_t> ascending(pieces.size());
+    for (std::size_t i = 0; i < ascending.size(); ++i) ascending[i] = i;
+    const std::vector<std::size_t> descending(ascending.rbegin(),
+                                              ascending.rend());
+    Rng rng(5);
+    const std::vector<std::size_t> shuffled = rng.permutation(pieces.size());
+    for (const auto& [name, order] :
+         {std::pair{"ascending", ascending}, std::pair{"descending", descending},
+          std::pair{"shuffled", shuffled}}) {
+      SweepPartial folded;
+      for (const std::size_t i : order) merge_sweep_partials(folded, pieces[i]);
+      expect_partials_equal(folded, whole, kind + " " + name);
     }
   }
 }

@@ -9,10 +9,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -209,6 +211,24 @@ TEST(Parallel, NumChunks) {
   EXPECT_EQ(num_chunks(10, 4), 3u);
   EXPECT_EQ(num_chunks(12, 4), 3u);
   EXPECT_EQ(num_chunks(5, 0), 5u);  // grain 0 = one chunk per item
+}
+
+// The whole window of a bounded unit reaches parallel_for_chunks, so a
+// count near SIZE_MAX must neither wrap the chunk count nor the last
+// chunk's end. Computed only: nothing runs over that range.
+TEST(Parallel, NumChunksAndBoundsDoNotWrapAtSizeMax) {
+  const std::size_t count = SIZE_MAX;
+  const std::size_t chunks = num_chunks(count, 1024);
+  EXPECT_EQ(chunks, SIZE_MAX / 1024 + 1);
+  const auto [begin, end] = chunk_bounds(chunks - 1, count, 1024);
+  EXPECT_EQ(begin, (chunks - 1) * 1024);
+  EXPECT_EQ(end, SIZE_MAX);
+  EXPECT_EQ(end - begin, SIZE_MAX % 1024);
+  EXPECT_EQ(chunk_bounds(0, count, 1024),
+            (std::pair<std::size_t, std::size_t>{0, 1024}));
+  EXPECT_EQ(num_chunks(SIZE_MAX, 1), SIZE_MAX);
+  EXPECT_EQ(chunk_bounds(2, 10, 4),
+            (std::pair<std::size_t, std::size_t>{8, 10}));
 }
 
 TEST(Parallel, SweepGrainDeterministic) {

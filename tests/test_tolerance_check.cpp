@@ -5,6 +5,7 @@
 #include "analysis/fault_sweep.hpp"
 #include "common/combinatorics.hpp"
 #include "core/planner.hpp"
+#include "fault/adversary.hpp"
 #include "fault/fault_gen.hpp"
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
@@ -82,9 +83,9 @@ TEST(ToleranceCheck, ZeroFaultCase) {
   EXPECT_EQ(report.fault_sets_checked, 1u);
 }
 
-// The decision tree plans whole-space units and folds whatever the runner
-// returns: one kSweepGray unit when C(n, f) fits the budget, otherwise a
-// kSweepSampled unit without delivery plus a kAdvClimb unit.
+// The decision tree hands one whole-space unit to the runner: a kSweepGray
+// unit when C(n, f) fits the budget, otherwise a kSweepSampled unit without
+// delivery, after which the hill-climb runs in process.
 TEST(ToleranceCheck, RunnerReceivesThePlannedUnits) {
   const auto gg = cycle_graph(12);
   const auto kr = build_kernel_routing(gg.graph, 1);
@@ -112,17 +113,55 @@ TEST(ToleranceCheck, RunnerReceivesThePlannedUnits) {
       EXPECT_EQ(seen[0].kind, UnitKind::kSweepGray);
       EXPECT_EQ(seen[0].end, binomial(12, 2));
     } else {
-      ASSERT_EQ(seen.size(), 2u);
+      ASSERT_EQ(seen.size(), 1u);
       EXPECT_EQ(seen[0].kind, UnitKind::kSweepSampled);
       EXPECT_EQ(seen[0].end, 30u);
       EXPECT_EQ(seen[0].delivery_pairs, 0u);
       EXPECT_EQ(seen[0].seed, Rng::stream(99, 1)());
-      EXPECT_EQ(seen[1].kind, UnitKind::kAdvClimb);
-      EXPECT_EQ(seen[1].end, 4u);  // informed seeds extend the restarts
-      EXPECT_EQ(seen[1].climb_seeds, opts.seeds);
+      // Informed seeds extend the climb to 4 restarts.
+      const auto climb = hillclimb_worst_faults(
+          12, 2, srg_evaluator_factory(index), Rng::stream(99, 2)(), 4,
+          opts.hillclimb_steps, opts.seeds);
+      EXPECT_EQ(got.fault_sets_checked, 30u + climb.sets);
     }
-    for (const UnitSpec& u : seen) EXPECT_EQ(u.begin, 0u);
+    EXPECT_EQ(seen[0].begin, 0u);
   }
+}
+
+// Restart ids and sample ids are different index spaces, so the climb's
+// witness replaces the samples' only on a strictly greater diameter: on a
+// tie the samples' witness stays, even at a higher index than the climb's
+// winning restart (an index-space merge would hand the tie to the climb).
+TEST(ToleranceCheck, ClimbTyingTheSamplesKeepsTheSamplesWitness) {
+  const auto gg = torus_graph(5, 5);
+  const auto kr = build_kernel_routing(gg.graph, 3);
+  const SrgIndex index(kr.table);
+  ToleranceCheckOptions opts;
+  opts.exhaustive_budget = 0;
+  opts.samples = 40;
+  bool found = false;
+  for (std::uint64_t seed = 0; seed < 200 && !found; ++seed) {
+    UnitSpec unit;
+    unit.kind = UnitKind::kSweepSampled;
+    unit.f = 2;
+    unit.seed = Rng::stream(seed, 1)();
+    unit.end = opts.samples;
+    const SweepPartial samples = execute_unit(index, unit);
+    const SweepPartial climb = hillclimb_worst_faults(
+        25, 2, srg_evaluator_factory(index), Rng::stream(seed, 2)(),
+        opts.hillclimb_restarts, opts.hillclimb_steps);
+    if (climb.worst_diameter != samples.worst_diameter ||
+        samples.worst_index <= climb.worst_index ||
+        samples.worst_faults == climb.worst_faults) {
+      continue;
+    }
+    found = true;
+    const auto report = check_tolerance(index, 2, 6, seed, opts);
+    EXPECT_EQ(report.worst_diameter, samples.worst_diameter);
+    EXPECT_EQ(report.worst_faults, samples.worst_faults) << "seed " << seed;
+    EXPECT_EQ(report.fault_sets_checked, samples.sets + climb.sets);
+  }
+  ASSERT_TRUE(found);
 }
 
 TEST(ToleranceCheck, RouteLoadSeedIsTheTopFOfTheRanking) {

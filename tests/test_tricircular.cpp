@@ -8,6 +8,7 @@
 #include "analysis/neighborhood.hpp"
 #include "analysis/properties.hpp"
 #include "common/contracts.hpp"
+#include "fault/adversary.hpp"
 #include "fault/surviving.hpp"
 #include "gen/generators.hpp"
 #include "lex_oracle.hpp"
@@ -78,11 +79,10 @@ TEST(TriCircular, Theorem13TorusT3Adversarial) {
   unit.seed = 17;
   unit.end = 60;  // samples
   EXPECT_LE(execute_unit(index, unit).worst_diameter, 4u);
-  unit.kind = UnitKind::kAdvClimb;
-  unit.seed = 18;
-  unit.end = 3;  // restarts
-  unit.max_steps = 10;
-  EXPECT_LE(execute_unit(index, unit).worst_diameter, 4u);
+  EXPECT_LE(hillclimb_worst_faults(169, 3, srg_evaluator_factory(index),
+                                   /*seed=*/18, /*restarts=*/3, 10)
+                .worst_diameter,
+            4u);
 }
 
 // ---- Remark 14: (5, t) with the compact concentrator. ----

@@ -216,6 +216,34 @@ for knobs in "--threads 1" "--threads 4" "--batch 7" \
   cmp "${GOLD}/sweep_sampled.golden" "${WORK}/ssweep.out"
 done
 
+# Progress is stderr telemetry: a bounded sweep reports from its executor
+# workers under the merge lock, and stdout must not move. Every chunk here
+# is one set (or one Gray block), so each run reports at least once.
+echo "== sweeps with progress on"
+for mode in "--faults 2 --exhaustive:sweep_exhaustive" \
+    "--faults 3 --sets 200 --seed 5 --delivery-pairs 2:sweep_sampled"; do
+  # shellcheck disable=SC2086  # the mode's flags are a deliberate word list
+  "${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" ${mode%%:*} \
+    --threads 4 --batch 1 --progress-every 50 \
+    > "${WORK}/psweep.out" 2> "${WORK}/psweep.err"
+  cmp "${GOLD}/${mode##*:}.golden" "${WORK}/psweep.out"
+  if ! grep -q '^  \.\.\. ' "${WORK}/psweep.err"; then
+    echo "error: sweep ${mode%%:*} --progress-every 50 reported no progress" >&2
+    exit 1
+  fi
+done
+
+# --threads 0 means every hardware thread, in each worker too: the report
+# names the resolved count, never the raw request.
+"${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+  --faults 2 --sets 50 --threads 0 --workers 2 \
+  > /dev/null 2> "${WORK}/t0sweep.err"
+if ! grep -q "^swept .* thread(s)" "${WORK}/t0sweep.err" ||
+    grep -q "on 0 thread(s)" "${WORK}/t0sweep.err"; then
+  echo "error: sweep --threads 0 --workers 2 reports 0 threads" >&2
+  exit 1
+fi
+
 # A batch far past the 2^20 clamp (ExecPolicy::resolved_batch) must neither
 # hang nor fail: batch x threads used to wrap to a zero window. Sampled,
 # exhaustive, --stdin and --workers sweeps at --batch 2^62 print what
