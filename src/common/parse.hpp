@@ -101,9 +101,11 @@ inline std::uint64_t parse_header_count(std::string_view token,
                                         std::uint64_t max, const char* what,
                                         std::size_t line_no) {
   const auto v = parse_u64(token);
-  FTR_EXPECTS_MSG(v.has_value() && *v <= max,
-                  "line " << line_no << ": " << what << " '" << token
-                          << "' is not a number in [0, " << max << "]");
+  FTR_EXPECTS_MSG(v.has_value(), "line " << line_no << ": " << what << " '"
+                                         << token << "' is not a number");
+  FTR_EXPECTS_MSG(*v <= max, "line " << line_no << ": " << what << " '"
+                                     << token << "' exceeds the limit "
+                                     << max);
   return *v;
 }
 

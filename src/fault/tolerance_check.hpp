@@ -4,10 +4,13 @@
 // reports claimed vs. measured.
 //
 // One decision tree answers every check: when C(n, f) fits the exhaustive
-// budget it plans one kSweepGray unit over the whole Gray rank space
-// (ground truth; the witness is the first worst set in Gray order),
-// otherwise a kSweepSampled unit without delivery, followed by a
-// route-load-seeded hill-climb in process (an adversarial lower bound).
+// budget (50,000 sets, the same for `check`, `build --certify` and serve)
+// it plans one kSweepGray unit over the whole Gray rank space (ground
+// truth; the witness is the first worst set in Gray order), otherwise a
+// kSweepSampled unit without delivery, followed by a route-load-seeded
+// hill-climb in process (an adversarial lower bound). The budget admits
+// the planner's torus(8,8) at f = 3 (C(64, 3) = 41,664 sets): one packed
+// Gray sweep of it costs ~50 ms on one thread.
 // The check is a client of the sweep executor: its one unit runs through
 // ToleranceCheckOptions::runner — execute_unit in process by default, or
 // split over a worker pool. The climb's evaluations add to the samples',
@@ -49,7 +52,9 @@ struct ToleranceReport {
 
 struct ToleranceCheckOptions {
   /// Enumerate all C(n, f) fault sets when that count is <= this budget.
-  std::uint64_t exhaustive_budget = 20000;
+  /// A set count, not a cost estimate: README gives the one-thread price
+  /// of a sweep at the bound for n from 32 to 256.
+  std::uint64_t exhaustive_budget = 50000;
   /// Otherwise: this many uniform samples ...
   std::size_t samples = 200;
   /// ... plus hill-climbing with this many restarts and step budget.

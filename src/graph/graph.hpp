@@ -32,6 +32,15 @@ using Node = std::uint32_t;
 /// checked before anything sized by it is allocated.
 inline constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 31;
 
+/// Largest node count a text header (graph or route table) may claim. A
+/// text file lists edges and routes, not nodes, so its header can claim
+/// nodes the file never mentions, and the loaders size per-node arrays by
+/// that claim before they read a line; this cap bounds what a short file
+/// can make them allocate to ~30 MB. It is far above any graph the verbs
+/// can route: a full table on n nodes holds n(n - 1) routes. (A snapshot
+/// stores its per-node arrays, so its count is checked against its length.)
+inline constexpr std::uint64_t kMaxTextNodes = std::uint64_t{1} << 20;
+
 /// A simple path, stored as the node sequence from source to target
 /// (inclusive). An empty vector means "no path".
 using Path = std::vector<Node>;

@@ -29,7 +29,7 @@ Graph load_graph(std::istream& is) {
                       header[1] == "v1",
                   "line " << line_no << ": bad graph header: '" << line << "'");
   const auto n = static_cast<std::size_t>(
-      parse_header_count(header[2], kMaxNodes, "node count", line_no));
+      parse_header_count(header[2], kMaxTextNodes, "node count", line_no));
 
   GraphBuilder builder(n);
   for (;;) {

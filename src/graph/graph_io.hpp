@@ -22,7 +22,7 @@ void save_graph(const Graph& g, std::ostream& os);
 std::string graph_to_string(const Graph& g);
 
 /// Throws ContractViolation, naming the line, on malformed input: a bad
-/// header or a node count above kMaxNodes, a non-numeric, out-of-range or
+/// header or a node count above kMaxTextNodes, a non-numeric, out-of-range or
 /// self-loop edge, extra tokens, a missing "end" or data after it, or a
 /// line longer than kMaxLineBytes.
 Graph load_graph(std::istream& is);

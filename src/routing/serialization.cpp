@@ -55,8 +55,8 @@ void save_routing_table_file(const RoutingTable& table,
 namespace {
 
 // A text table header: `ftroute-table v1 <n> <mode>` (cap 1) or
-// `ftroute-multitable v1 <n> <cap> <mode>`. n is bounded before the caller
-// sizes a table by it.
+// `ftroute-multitable v1 <n> <cap> <mode>`. n is bounded by kMaxTextNodes
+// before the caller sizes a table by it.
 struct TextTableHeader {
   std::size_t n = 0;
   std::size_t cap = 1;
@@ -75,7 +75,7 @@ TextTableHeader read_table_header(std::istream& is, std::size_t& line_no) {
                   "line " << line_no << ": bad header line: '" << line << "'");
   TextTableHeader h;
   h.n = static_cast<std::size_t>(
-      parse_header_count(tok[2], kMaxNodes, "node count", line_no));
+      parse_header_count(tok[2], kMaxTextNodes, "node count", line_no));
   FTR_EXPECTS_MSG(h.n >= 2, "table needs at least 2 nodes");
   if (has_cap) {
     const auto cap = parse_u64(tok[3]);

@@ -22,7 +22,7 @@
 // bidirectional tables write each path once (from the pair with the
 // smaller source); load reconstructs the mirror.
 // The loader is strict: data after `end`, extra header tokens, a node count
-// above kMaxNodes, non-numeric junk inside a route line, routes with fewer
+// above kMaxTextNodes, non-numeric junk inside a route line, routes with fewer
 // than 2 nodes, and lines longer than kMaxLineBytes are all rejected loudly,
 // naming the line.
 //

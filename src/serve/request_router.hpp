@@ -28,8 +28,12 @@
 //    holds the unit's SweepPartial. One mutex guards the map, and each key
 //    holds a shared_future: the first request for a key computes it, and
 //    requests racing it in the same window wait for that result instead of
-//    recomputing. A sampled unit (C(n, f) past the check's budget) and the
-//    hill-climb are seeded by the request, so they always run. When a name
+//    recomputing. The computing request sweeps at threads = 1 like any
+//    other: running the sweep on all serve threads instead cut the e2e
+//    serve_mixed stream's wall ~13% but raised its peak RSS ~14% (three
+//    more threads, each with its own scratch, alive at once). A sampled
+//    unit (C(n, f) past the check's budget) and the hill-climb are seeded
+//    by the request, so they always run. When a name
 //    is re-materialized at a newer generation its older partials are
 //    dropped, so a rebuilt table is never answered from a stale result,
 //    and the memo holds at most one small partial (a histogram and one

@@ -424,7 +424,7 @@ TEST(DistCheck, PoolRunnerMatchesInProcessOnEveryPath) {
   }
 }
 
-// Past the exhaustive budget (C(32, 4) = 35,960 > 20,000) a check hands
+// Past the exhaustive budget (C(32, 5) = 201,376 > 50,000) a check hands
 // the pool one 200-set sampled unit and climbs in process. Auto-sized
 // units are whole 512-item lane blocks, so the sampled unit stays one unit
 // and runs packed, and the report equals the in-process one.
@@ -434,7 +434,7 @@ TEST(DistCheck, AutoUnitsAreWholeLaneBlocksOfEveryKind) {
   auto planned = build_planned_routing(gg.graph, std::nullopt, plan_rng);
   const TableSnapshot snap =
       make_table_snapshot(gg.graph, std::move(planned.table), planned.plan);
-  const std::uint32_t f = 4;
+  const std::uint32_t f = 5;
   const std::uint32_t claimed = snap.plan.guaranteed_diameter;
   const ToleranceCheckOptions opts =
       with_route_load_seeds(snap.route_load_ranking, f, {});

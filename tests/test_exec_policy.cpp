@@ -180,7 +180,7 @@ TEST(ExecPolicyAdoption, DefaultsMatchPreRefactorValues) {
 
   const ToleranceCheckOptions check;
   EXPECT_EQ(check.exec.threads, 1u);
-  EXPECT_EQ(check.exhaustive_budget, 20000u);
+  EXPECT_EQ(check.exhaustive_budget, 50000u);
   EXPECT_EQ(check.samples, 200u);
   EXPECT_EQ(check.hillclimb_restarts, 6u);
   EXPECT_EQ(check.hillclimb_steps, 24u);

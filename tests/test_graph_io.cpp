@@ -89,14 +89,31 @@ TEST(GraphIo, RejectsDataAfterEnd) {
       graph_from_string("ftroute-graph v1 3\nedge 0 1\nend\n\n# done\n"));
 }
 
-// A node count past kMaxNodes is refused from the header alone, before
-// GraphBuilder allocates one adjacency vector per node.
+// A node count past kMaxTextNodes is refused from the header alone, naming
+// the count, before GraphBuilder allocates one adjacency row per node: a
+// 39-byte file claiming 20,000,000 nodes must not cost hundreds of MB, and
+// 2^31 must not end in std::bad_alloc.
 TEST(GraphIo, RejectsHugeNodeCountBeforeAllocating) {
-  EXPECT_THROW(graph_from_string("ftroute-graph v1 99999999999\nend\n"),
-               ContractViolation);
-  EXPECT_THROW(graph_from_string("ftroute-graph v1 " +
-                                 std::to_string(kMaxNodes + 1) + "\nend\n"),
-               ContractViolation);
+  for (const std::uint64_t n :
+       {std::uint64_t{99999999999}, kMaxNodes + 1, kMaxNodes,
+        std::uint64_t{20000000}, kMaxTextNodes + 1}) {
+    SCOPED_TRACE(n);
+    try {
+      graph_from_string("ftroute-graph v1 " + std::to_string(n) +
+                        "\nedge 0 1\nend\n");
+      FAIL() << "a header claiming " << n << " nodes loaded";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("node count '" + std::to_string(n) +
+                                           "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(graph_from_string("ftroute-graph v1 " +
+                              std::to_string(kMaxTextNodes) +
+                              "\nedge 0 1\nend\n")
+                .num_nodes(),
+            kMaxTextNodes);
 }
 
 TEST(GraphIo, MidLineCommentIsIgnored) {

@@ -273,18 +273,26 @@ TEST(MultiSerialization, RejectsTrailingGarbage) {
                                 "route 0 1\nend\n# comment\n"));
 }
 
-// Both table headers bound the node count (the snapshot validator's
-// kMaxNodes) before the table is sized by it.
+// Both table headers bound the node count by kMaxTextNodes, naming it,
+// before the table is sized by it (its per-source offsets).
 TEST(Serialization, RejectsHugeNodeCount) {
-  EXPECT_THROW(routing_table_from_string(
-                   "ftroute-table v1 99999999999 bidirectional\nend\n"),
-               ContractViolation);
-  EXPECT_THROW(routing_table_from_string(
-                   "ftroute-multitable v1 99999999999 2 bidirectional\nend\n"),
-               ContractViolation);
-  EXPECT_THROW(routing_table_from_string("ftroute-table v1 -4 bidirectional\n"
-                                         "end\n"),
-               ContractViolation);
+  for (const std::string& count :
+       {std::string("99999999999"), std::to_string(kMaxNodes),
+        std::to_string(kMaxTextNodes + 1), std::string("-4")}) {
+    for (const std::string& header :
+         {"ftroute-table v1 " + count + " bidirectional",
+          "ftroute-multitable v1 " + count + " 2 bidirectional"}) {
+      SCOPED_TRACE(header);
+      try {
+        routing_table_from_string(header + "\nroute 0 1\nend\n");
+        FAIL() << "a header claiming " << count << " nodes loaded";
+      } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("node count '" + count + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Serialization, RejectsOverlongLineNamingIt) {

@@ -455,17 +455,20 @@ TEST(Serve, CertifyUsesPlannerClaims) {
 }
 
 // The memo tests' tables: the kernel and circular torus(5,5) tables
-// (C(25, 2) = 300 sets, exhaustive) and a planner-built hypercube(5),
-// where C(32, 4) = 35,960 sets is past the check's budget.
+// (C(25, 2) = 300 sets, exhaustive), a planner-built hypercube(5), where
+// C(32, 5) = 201,376 sets is past the check's budget, and a planner-built
+// torus(8,8), whose certify (f = 3, C(64, 3) = 41,664 sets) is within it.
 void define_memo_tables(TableRegistry& registry) {
   define_construction_tables(registry);
-  static const auto q5 = [] {
-    const auto gg = hypercube(5);
+  const auto planned = [](const GeneratedGraph& gg) {
     Rng rng(42);
-    auto planned = build_planned_routing(gg.graph, gg.known_connectivity, rng);
-    return std::pair(gg.graph, std::move(planned));
-  }();
+    auto plan = build_planned_routing(gg.graph, gg.known_connectivity, rng);
+    return std::pair(gg.graph, std::move(plan));
+  };
+  static const auto q5 = planned(hypercube(5));
+  static const auto t8 = planned(torus_graph(8, 8));
   registry.define_prebuilt("q5", q5.first, q5.second.table, q5.second.plan);
+  registry.define_prebuilt("t8", t8.first, t8.second.table, t8.second.plan);
 }
 
 // Each request run alone through execute_request without a runner, on a
@@ -519,9 +522,9 @@ TEST(Serve, ExactVerdictMemoComputesEachKeyOnce) {
         "certify ker f=2 claimed=6 seed=5"},
        1, 2},
       {"certify past the budget is never a hit",
-       {"certify q5 f=4 claimed=6 seed=1", "check q5 f=2 claimed=6 seed=1",
-        "certify q5 f=4 claimed=6 seed=1", "check q5 f=2 claimed=6 seed=2",
-        "certify q5 f=4 claimed=6 seed=2", "check cir f=2 claimed=6 seed=9"},
+       {"certify q5 f=5 claimed=6 seed=1", "check q5 f=2 claimed=6 seed=1",
+        "certify q5 f=5 claimed=6 seed=1", "check q5 f=2 claimed=6 seed=2",
+        "certify q5 f=5 claimed=6 seed=2", "check cir f=2 claimed=6 seed=9"},
        2, 1},
   };
   for (const MemoStream& stream : streams) {
@@ -586,6 +589,55 @@ TEST(Serve, ExactVerdictMemoRecomputesOncePerGeneration) {
       if (threads * batch == 1) {
         // One request per window: every request re-materializes its table.
         EXPECT_EQ(summary.exact_computed, lines.size());
+      }
+    }
+  }
+}
+
+// The budget admits t8's certify (the plan's f = 3, 41,664 sets), so the
+// memo answers every t8 certify and check from one sweep. The t8 requests
+// and the ker checks each ask one f, so the memo computes exactly one
+// sweep per materialization of a table, whatever the threads, batch or
+// byte budget, and every response equals a memo-less execute_request.
+TEST(Serve, ExactVerdictMemoSweepsAnInBudgetCertifyOnce) {
+  const std::vector<std::string> lines = {
+      "certify t8 seed=1",
+      "check t8 f=3 claimed=6 seed=2",
+      "certify t8 seed=3",
+      "check t8 f=3 claimed=2 seed=4",
+      "check ker f=2 claimed=6 seed=5",
+      "certify t8 seed=6",
+      "check ker f=2 claimed=2 seed=7",
+      "certify t8 claimed=3 seed=8",
+      "check ker f=2 claimed=6 seed=9",
+      "certify t8 seed=10",
+  };
+  const auto requests = parse_lines(lines);
+  const std::string want = memo_less_responses(requests);
+  ASSERT_NE(want.find("certify t8 construction="), std::string::npos) << want;
+  ASSERT_NE(want.find("(exhaustive, 41664 sets) HOLDS"), std::string::npos)
+      << want;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    for (const std::size_t batch : {1u, 16u, 64u}) {
+      for (const std::size_t budget : {1u, 0u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " batch=" + std::to_string(batch) +
+                     " max_resident_bytes=" + std::to_string(budget));
+        TableRegistryOptions ropts;
+        ropts.max_resident_bytes = budget;
+        TableRegistry registry(ropts);
+        define_memo_tables(registry);
+        ServeOptions opts;
+        opts.exec.threads = threads;
+        opts.exec.batch_size = batch;
+        ServeSummary summary;
+        EXPECT_EQ(serve_to_string(registry, requests, opts, &summary), want);
+        EXPECT_EQ(summary.errors, 0u);
+        EXPECT_EQ(summary.exact_computed, summary.registry.builds);
+        EXPECT_EQ(summary.exact_computed + summary.exact_hits, lines.size());
+        if (budget == 0) {
+          EXPECT_EQ(summary.exact_computed, 2u);
+        }
       }
     }
   }

@@ -187,8 +187,9 @@ TEST(ToleranceCheck, SnapshotRankedCheckMatchesTableCheck) {
     GeneratedGraph (*make)();
     std::uint32_t f;
   };
-  for (const Case c : {Case{[] { return torus_graph(8, 8); }, 3},
-                       Case{[] { return hypercube(5); }, 4}}) {
+  // Both past the default budget: C(64, 4) = 635,376, C(32, 5) = 201,376.
+  for (const Case c : {Case{[] { return torus_graph(8, 8); }, 4},
+                       Case{[] { return hypercube(5); }, 5}}) {
     const auto gg = c.make();
     Rng plan_rng(42);
     auto planned = build_planned_routing(gg.graph, std::nullopt, plan_rng);
@@ -213,6 +214,39 @@ TEST(ToleranceCheck, SnapshotRankedCheckMatchesTableCheck) {
       EXPECT_EQ(got.worst_faults, want.worst_faults);
     }
   }
+}
+
+// The default budget (50,000 sets) reaches the planner's torus(8,8) at its
+// tolerated f = 3, C(64, 3) = 41,664 sets: `check`, `build --certify` and
+// serve's certify of it sweep every set. The report is the exhaustive
+// sweep's and the same at any thread count.
+TEST(ToleranceCheck, DefaultBudgetSweepsTheTorus8x8AtThreeFaults) {
+  const auto gg = torus_graph(8, 8);
+  Rng plan_rng(42);
+  auto planned = build_planned_routing(gg.graph, std::nullopt, plan_rng);
+  const std::uint32_t f = planned.plan.tolerated_faults;
+  const std::uint32_t claimed = planned.plan.guaranteed_diameter;
+  ASSERT_EQ(f, 3u);
+  const TableSnapshot snap =
+      make_table_snapshot(gg.graph, std::move(planned.table), planned.plan);
+  const FaultSweepSummary sweep =
+      sweep_exhaustive_gray(snap.table, *snap.index, f, {});
+  std::vector<ToleranceReport> reports;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ToleranceCheckOptions opts;
+    opts.exec.threads = threads;
+    const auto& report = reports.emplace_back(check_tolerance(
+        *snap.index, f, claimed, 11,
+        with_route_load_seeds(snap.route_load_ranking, f, opts)));
+    EXPECT_TRUE(report.exhaustive);
+    EXPECT_EQ(report.fault_sets_checked, 41664u);
+    EXPECT_EQ(report.worst_diameter, sweep.worst_diameter);
+    EXPECT_EQ(report.worst_faults, sweep.worst_faults);
+    EXPECT_TRUE(report.holds) << report.summary();
+  }
+  EXPECT_EQ(reports[1].summary(), reports[0].summary());
+  EXPECT_EQ(reports[1].worst_faults, reports[0].worst_faults);
 }
 
 // The premise of serve's exact-verdict memo: an exhaustive check never

@@ -412,13 +412,15 @@ for w in 0 1 4; do
   cmp "${GOLD}/check_f4.golden" "${WORK}/check4.${w}.out"
 done
 
-# The adversarial path: C(32, 4) and C(32, 5) are past the exhaustive
-# budget, so check and certify run 200 samples plus the route-load-seeded
-# hill-climbs. At f = 4 the claim holds; at f = 5 a climb disconnects the
-# table, which stops the search (check exits 1: VIOLATED). Samples fill
-# packed lane blocks and climbs step in lockstep, so every --threads and
-# --workers must print the golden bytes.
-echo "== adversarial check and certify across --threads and --workers"
+# Both sides of the exhaustive budget on one table: C(32, 4) = 35,960 sets
+# fit it, so f = 4 sweeps every set (the claim holds, measured 4, the
+# worst set that `sweep --exhaustive --faults 4` reports), while C(32, 5)
+# is past it, so check and certify run 200 samples plus the
+# route-load-seeded hill-climbs, and a climb disconnects the table, which
+# stops the search (check exits 1: VIOLATED). Samples fill packed lane
+# blocks and climbs step in lockstep, so every --threads and --workers must
+# print the golden bytes.
+echo "== exhaustive and adversarial check and certify across --threads and --workers"
 "${CLI}" gen hypercube 5 > "${WORK}/q5.ftg"
 "${CLI}" build --seed 42 < "${WORK}/q5.ftg" > "${WORK}/q5.ftt" 2> /dev/null
 printf 'table q5 graph=%s routes=%s\n' "${WORK}/q5.ftg" "${WORK}/q5.ftt" \
@@ -445,6 +447,52 @@ for t in 1 4; do
     cmp "${GOLD}/check_adversarial.golden" "${WORK}/adv.out"
   done
 done
+
+# The exhaustive budget (50,000 sets) admits the planner's torus(8,8) at
+# its tolerated f = 3: C(64, 3) = 41,664 sets, all swept. The verdict is the
+# same at every --threads and --workers, and serve's certify of the table
+# (planner-built, so it carries the claims certify defaults to) is one
+# memo sweep at every --threads.
+echo "== torus(8,8) f=3 check and certify within the exhaustive budget"
+"${CLI}" gen torus 8 8 > "${WORK}/t8.ftg"
+"${CLI}" build --seed 42 < "${WORK}/t8.ftg" > "${WORK}/t8.ftt" 2> /dev/null
+printf 'table t8 graph=%s seed=42\n' "${WORK}/t8.ftg" > "${WORK}/tables.t8.txt"
+printf 'certify t8 seed=1\ncheck t8 f=3 claimed=6 seed=2\ncertify t8 seed=3\n' \
+  > "${WORK}/requests.t8.txt"
+for t in 1 4; do
+  for w in 0 2; do
+    "${CLI}" check "${WORK}/t8.ftg" "${WORK}/t8.ftt" --faults 3 \
+      --claimed 6 --threads "${t}" --workers "${w}" \
+      > "${WORK}/t8check.${t}.${w}.out" 2> /dev/null
+    cmp "${WORK}/t8check.1.0.out" "${WORK}/t8check.${t}.${w}.out"
+  done
+  "${CLI}" serve --tables "${WORK}/tables.t8.txt" \
+    --requests "${WORK}/requests.t8.txt" --threads "${t}" \
+    > "${WORK}/t8serve.${t}.out" 2> "${WORK}/t8serve.${t}.err"
+  cmp "${WORK}/t8serve.1.out" "${WORK}/t8serve.${t}.out"
+  grep -q "^memo: computed=1 hits=2$" "${WORK}/t8serve.${t}.err"
+done
+grep -q "(exhaustive, 41664 sets) HOLDS" "${WORK}/t8check.1.0.out"
+if [[ "$(grep -c "(exhaustive, 41664 sets) HOLDS" "${WORK}/t8serve.1.out")" \
+      -ne 3 ]]; then
+  echo "error: a t8 serve check or certify was not exhaustive" >&2
+  exit 1
+fi
+
+# A text header's node count is capped (kMaxTextNodes) before anything is
+# sized by it: this 39-byte graph claims 20,000,000 nodes and must be
+# refused from its header, naming the count, not after a multi-hundred-MB
+# builder allocation.
+echo "== text header node count is capped"
+printf 'ftroute-graph v1 20000000\nedge 0 1\nend\n' > "${WORK}/big.ftg"
+rc=0
+"${CLI}" sweep "${WORK}/big.ftg" "${WORK}/table.ftt" --faults 1 \
+  > /dev/null 2> "${WORK}/big.err" || rc=$?
+if [[ "${rc}" -ne 1 ]] || ! grep -q "node count '20000000'" "${WORK}/big.err"; then
+  echo "error: 20,000,000-node header exited ${rc}, want 1 naming the count:" >&2
+  cat "${WORK}/big.err" >&2
+  exit 1
+fi
 
 # Exhaustive sweeps with delivery evaluate one Gray-ordered set at a time;
 # spread over threads they must still print the golden bytes.
