@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <istream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -49,13 +50,12 @@ bool ExhaustiveGraySource::next(std::vector<Node>& out) {
 bool IstreamFaultSetSource::next(std::vector<Node>& out) {
   while (next_data_line(*in_, line_, line_no_)) {
     out.clear();
-    std::istringstream fields(line_);
-    std::string token;
-    while (fields >> token) {
-      // parse_u64 is the strict parse (istream extraction into an unsigned
-      // would silently wrap "-1" to 2^64-1 and half-consume "12frog"): it
-      // rejects signs, non-digit trailers, and uint64 overflow, so this one
-      // check covers every bad-token shape with a line-numbered message.
+    std::size_t pos = 0;
+    for (auto token = next_token(line_, pos); !token.empty();
+         token = next_token(line_, pos)) {
+      // parse_u64 is the strict parse: it rejects signs ("-1" never wraps),
+      // non-digit trailers ("12frog"), and uint64 overflow, so this one check
+      // covers every bad-token shape with a line-numbered message.
       const auto id = parse_u64(token);
       FTR_EXPECTS_MSG(id.has_value() && *id < n_,
                       "fault-set line " << line_no_ << ": node id '" << token
@@ -321,24 +321,6 @@ FaultSweepSummary sweep_unit_summary(const SrgIndex& index,
   return finish_summary(partial, unit.exec.resolved_threads(), executor, t0);
 }
 
-SweepUnitFeed explicit_unit_feed(FaultSetSource& source, const UnitSpec& base,
-                                 std::uint64_t step) {
-  FTR_EXPECTS(step > 0);
-  UnitSpec first = base;
-  first.kind = UnitKind::kSweepExplicit;
-  first.sets.clear();
-  return [&source, unit = std::move(first), step,
-          set = std::vector<Node>{}]() mutable -> std::optional<UnitSpec> {
-    UnitSpec u = unit;
-    while (u.sets.size() < step && source.next(set)) u.sets.push_back(set);
-    if (u.sets.empty()) return std::nullopt;
-    u.begin = unit.begin;
-    u.end = u.begin + u.sets.size();
-    unit.begin = u.end;
-    return u;
-  };
-}
-
 // --- wrappers ----------------------------------------------------------------
 
 SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
@@ -360,15 +342,84 @@ FaultSweepSummary sweep_fault_source(const RoutingTable& table,
   FTR_EXPECTS(index.num_nodes() == table.num_nodes());
   const auto t0 = Clock::now();
   const UnitSpec base = sweep_unit(UnitKind::kSweepExplicit, 0, 0, options);
-  const SweepUnitFeed feed = explicit_unit_feed(
-      source, base, unit_grain(base) * options.exec.resolved_threads());
-  SweepPartial partial;
-  ExecutorStats executor;
-  ProgressEmitter progress(options.exec.progress_every, options.on_progress);
-  while (const auto unit = feed()) {
-    merge_sweep_partials(partial, execute_unit(index, *unit, {}, &executor));
-    progress.maybe_emit(partial);
+  const std::uint64_t batch = unit_grain(base);
+  unsigned workers = options.exec.resolved_threads();
+  if (const auto size = source.size()) {
+    workers = static_cast<unsigned>(std::clamp<std::uint64_t>(
+        num_chunks(static_cast<std::size_t>(*size),
+                   static_cast<std::size_t>(batch)),
+        1, workers));
   }
+
+  // The read lock guards the source and the stream state below it.
+  std::mutex read_mutex;
+  std::uint64_t read_pos = 0;  // sets taken so far: the next chunk's begin
+  bool done = false;           // exhausted, or something failed
+  std::uint64_t failed_at = std::numeric_limits<std::uint64_t>::max();
+  std::exception_ptr failure;
+  // Caller holds the read lock. The failure at the lowest read position
+  // wins; every set below it was read before it, so it is deterministic.
+  const auto fail = [&](std::uint64_t at) {
+    done = true;
+    if (at < failed_at) {
+      failed_at = at;
+      failure = std::current_exception();
+    }
+  };
+  std::mutex merge_mutex;  // guards partial, chunks and progress
+  SweepPartial partial;
+  std::uint64_t chunks = 0;
+  ProgressEmitter progress(options.exec.progress_every, options.on_progress);
+  // Per worker, for the whole stream: an explicit-set unit whose sets are
+  // the worker's chunk buffer (reused, so a set's storage is too), and the
+  // scratch it evaluates on.
+  std::vector<UnitSpec> buffers(workers, base);
+  std::vector<std::optional<SrgScratch>> scratch(workers);
+
+  const auto pull = [&](std::size_t, std::size_t, std::size_t,
+                        unsigned worker) {
+    UnitSpec& buf = buffers[worker];
+    for (;;) {
+      std::size_t got = 0;
+      {
+        const std::lock_guard<std::mutex> lock(read_mutex);
+        if (done) return;
+        try {
+          for (; got < batch; ++got) {
+            if (got == buf.sets.size()) buf.sets.emplace_back();
+            if (!source.next(buf.sets[got])) {
+              done = true;
+              break;
+            }
+          }
+        } catch (...) {
+          fail(read_pos + got);
+          return;
+        }
+        buf.begin = read_pos;
+        read_pos += got;
+      }
+      if (got == 0) return;
+      try {
+        if (!scratch[worker]) scratch[worker].emplace(index);
+        const SweepPartial chunk =
+            sweep_chunk(*scratch[worker], buf, buf.begin, buf.begin + got);
+        const std::lock_guard<std::mutex> lock(merge_mutex);
+        merge_sweep_partials(partial, chunk);
+        ++chunks;
+        progress.maybe_emit(partial);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(read_mutex);
+        fail(buf.begin);
+        return;
+      }
+    }
+  };
+  // One executor chunk per worker, each a pull loop until the stream ends.
+  ExecutorStats executor;
+  parallel_for_chunks(workers, workers, 1, pull, &executor);
+  if (failure) std::rethrow_exception(failure);
+  executor.chunks_local = chunks;
   return finish_summary(partial, options.exec.resolved_threads(), executor, t0);
 }
 

@@ -5,9 +5,10 @@
 // the library surface behind the CLI `sweep` verb, serve's sweep requests,
 // the distributed workers, and the scenario benches.
 //
-// Every sweep runs as work units (fault/work_unit.hpp) through ONE loop,
-// execute_unit, which runs the tolerance check's sweep units too (its
-// hill-climb runs in process, fault/adversary.hpp). A sweep unit names a
+// Every bounded sweep runs as work units (fault/work_unit.hpp) through ONE
+// loop, execute_unit, which runs the tolerance check's sweep units too (its
+// hill-climb runs in process, fault/adversary.hpp; streams, below, run the
+// same chunks over sets they pull from a source). A sweep unit names a
 // GLOBAL window [begin, end) of set indices and where its sets come from:
 // Gray subset ranks, counter-seeded samples (set i is Rng::stream(seed,
 // i)), or literal sets it carries. The executor runs the whole window as
@@ -34,9 +35,14 @@
 // set's faults (set_faults) and walks its routes against them, so it
 // never needs a strike of its own.
 //
-// Unbounded streams (FaultSetSource, e.g. the CLI's `sweep --stdin`) are
-// cut into explicit-set units of resolved_batch() x threads sets each as
-// they are read, so memory stays constant in the stream length.
+// A stream (FaultSetSource, e.g. the CLI's `sweep --stdin`) runs the same
+// way in one parallel_for_chunks call whose workers pull their chunks from
+// the source: under one read lock a worker takes the next resolved_batch()
+// sets into its own buffer, whose global window is its read position, then
+// evaluates and merges them like any chunk while the others read on. Chunk
+// i is still the sets [i*batch, (i+1)*batch) in read order, parsing
+// overlaps evaluation, and at most workers x batch sets are buffered, so
+// memory stays constant in the stream length.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +65,9 @@ namespace ftr {
 
 /// A pull-based stream of fault sets. next() overwrites `out` with the next
 /// set and returns true, or returns false when the stream is exhausted.
-/// Sources are single-pass and not thread-safe; explicit_unit_feed reads
-/// them from one thread and cuts them into units.
+/// Sources are single-pass and not thread-safe: sweep_fault_source's
+/// executor workers call next() under one read lock, in read order, never
+/// concurrently (the --workers coordinator reads on its one thread).
 class FaultSetSource {
  public:
   virtual ~FaultSetSource() = default;
@@ -158,8 +165,8 @@ struct FaultSweepOptions {
   /// common/exec_policy.hpp for the resolution rules). Results never
   /// depend on any of it. exec.progress_every schedules on_progress below:
   /// invoked whenever the merged set count crosses a multiple of it (0 =
-  /// never). Calls never overlap, but a bounded sweep makes them from its
-  /// executor workers, under the merge lock.
+  /// never). Calls never overlap, but every sweep, bounded or streamed,
+  /// makes them from its executor workers, under the merge lock.
   ExecPolicy exec;
   /// Ordered survivor pairs to sample per fault set for delivery stats;
   /// 0 skips delivery measurement entirely.
@@ -228,7 +235,8 @@ void check_unit(const UnitSpec& unit, std::size_t n);
 /// count crosses a multiple of the unit's exec.progress_every; executor
 /// telemetry accumulates into *executor when given. Worker processes, the
 /// coordinator's inline fallback, the tolerance check, serve, the CLI, and
-/// every wrapper below call it.
+/// the bounded wrappers below call it; the stream wrappers run its chunk
+/// loop over chunks they pull from their source.
 SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
                           const SweepProgressFn& on_progress = {},
                           ExecutorStats* executor = nullptr);
@@ -238,17 +246,6 @@ SweepPartial execute_unit(const SrgIndex& index, const UnitSpec& unit,
 FaultSweepSummary sweep_unit_summary(const SrgIndex& index,
                                      const UnitSpec& unit,
                                      const SweepProgressFn& on_progress = {});
-
-/// Yields units in generation order, then nullopt.
-using SweepUnitFeed = std::function<std::optional<UnitSpec>()>;
-
-/// Cuts `source` into kSweepExplicit units of up to `step` sets each, whose
-/// global windows run on from base.begin; every other field is copied from
-/// `base`.
-/// `source` must outlive the feed. The in-process stream below and
-/// DistSweepPool::sweep_source both read their sources through it.
-SweepUnitFeed explicit_unit_feed(FaultSetSource& source, const UnitSpec& base,
-                                 std::uint64_t step);
 
 /// The wrappers below take the table only to check it against the index
 /// (same node count); every set is evaluated on the index.
@@ -263,11 +260,17 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
                                          const FaultSweepOptions& options = {},
                                          ExecutorStats* executor = nullptr);
 
-/// Streams `source` through the executor at constant memory, one window of
-/// resolved_batch() x threads sets per kSweepExplicit unit (read as they
-/// arrive), with progress after each unit, on the calling thread. The
-/// deterministic fields are a pure function of (table, the source's sets,
-/// options.delivery_pairs, options.seed).
+/// Streams `source` through the executor at constant memory in one
+/// parallel_for_chunks call, as described at the top of this file: each
+/// worker pulls chunks of resolved_batch() sets under the read lock and
+/// merges their partials (and fires progress) under the merge lock. A
+/// source of known size() runs on at most one worker per chunk, so a list
+/// shorter than one chunk spawns no thread. If next() throws, no worker
+/// reads past it, and the exception is rethrown after the join (the
+/// failure at the lowest read position wins, so a bad feed line reports
+/// the same message at any thread count). The deterministic fields are a
+/// pure function of (table, the source's sets, options.delivery_pairs,
+/// options.seed).
 FaultSweepSummary sweep_fault_source(const RoutingTable& table,
                                      const SrgIndex& index,
                                      FaultSetSource& source,

@@ -54,8 +54,9 @@ struct VerbSpec {
 /// verb that lists them among its flags.
 inline constexpr VerbFlag kThreadsFlag{
     "--threads", "T", "worker threads (0 = all cores, max 256; default 1)"};
-inline constexpr VerbFlag kBatchFlag{"--batch", "B",
-                                     "items per worker per batch"};
+inline constexpr VerbFlag kBatchFlag{
+    "--batch", "B",
+    "items per chunk (serve: requests per worker per window)"};
 inline constexpr VerbFlag kProgressFlag{
     "--progress-every", "N",
     "emit a progress line to stderr every N items (0 = never;\n"

@@ -19,9 +19,10 @@
 //
 //  * threads — resolved_threads(): 0 means "all hardware threads"; any
 //    value is capped at 256 (fork-bomb guard). See common/parallel.hpp.
-//  * batch_size — resolved_batch(): clamped to [1, 2^20]: the chunk grain
-//    of a bounded unit, while a streamed feed reads batch x threads sets
-//    per unit, which can neither be zero nor wrap. Exhaustive Gray scans
+//  * batch_size — resolved_batch(): clamped to [1, 2^20], so it can
+//    neither be zero nor wrap: the sets per chunk of every sweep, bounded
+//    or streamed (a stream buffers at most batch x threads sets), and the
+//    requests per worker in each of serve's windows. Exhaustive Gray scans
 //    round it up to a multiple of the widest packed lane width
 //    (lane_aligned, common/cpu_features.hpp), since a chunk ending in a
 //    partial block pays for a full one.
@@ -48,7 +49,8 @@ namespace ftr {
 struct ExecPolicy {
   /// Worker threads (0 = all hardware threads, capped at 256).
   unsigned threads = 1;
-  /// Items per chunk (bounded units) or per worker per window (streams).
+  /// Items per chunk (sweeps, bounded or streamed) or per worker per
+  /// window (serve's requests).
   std::size_t batch_size = 1024;
   /// Progress callback cadence in items (0 = never). The callback itself
   /// stays on the consuming option struct.
@@ -57,7 +59,7 @@ struct ExecPolicy {
   /// resolve_threads(threads): the actual worker count.
   unsigned resolved_threads() const;
   /// batch_size clamped to [1, 2^20]: the batch every consumer sizes its
-  /// chunks and windows with.
+  /// chunks (and serve its windows) with.
   std::size_t resolved_batch() const;
 };
 

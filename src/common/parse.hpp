@@ -81,15 +81,27 @@ inline bool next_data_line(std::istream& in, std::string& line,
   }
 }
 
+/// The next whitespace-separated token of `line` at or after `pos` (a view
+/// into it), advancing `pos` past it; empty when none is left. Allocates
+/// nothing, for readers that scan every line of a long feed.
+inline std::string_view next_token(std::string_view line, std::size_t& pos) {
+  constexpr std::string_view kSpace = " \t\r\n\f\v";
+  const std::size_t i = line.find_first_not_of(kSpace, pos);
+  if (i == std::string_view::npos) {
+    pos = line.size();
+    return {};
+  }
+  pos = std::min(line.find_first_of(kSpace, i), line.size());
+  return line.substr(i, pos - i);
+}
+
 /// The whitespace-separated tokens of `line` (views into it).
 inline std::vector<std::string_view> split_tokens(std::string_view line) {
-  constexpr std::string_view kSpace = " \t\r\n\f\v";
   std::vector<std::string_view> out;
-  std::size_t i = line.find_first_not_of(kSpace);
-  while (i != std::string_view::npos) {
-    const std::size_t j = std::min(line.find_first_of(kSpace, i), line.size());
-    out.push_back(line.substr(i, j - i));
-    i = line.find_first_not_of(kSpace, j);
+  std::size_t pos = 0;
+  for (auto tok = next_token(line, pos); !tok.empty();
+       tok = next_token(line, pos)) {
+    out.push_back(tok);
   }
   return out;
 }

@@ -22,6 +22,28 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Cuts `source` into kSweepExplicit units of up to `step` sets each, whose
+// global windows run on from base.begin; every other field is copied from
+// `base`. `source` must outlive the feed; the coordinator reads it on its
+// one thread.
+SweepUnitFeed explicit_unit_feed(FaultSetSource& source, const UnitSpec& base,
+                                 std::uint64_t step) {
+  FTR_EXPECTS(step > 0);
+  UnitSpec first = base;
+  first.kind = UnitKind::kSweepExplicit;
+  first.sets.clear();
+  return [&source, unit = std::move(first), step,
+          set = std::vector<Node>{}]() mutable -> std::optional<UnitSpec> {
+    UnitSpec u = unit;
+    while (u.sets.size() < step && source.next(set)) u.sets.push_back(set);
+    if (u.sets.empty()) return std::nullopt;
+    u.begin = unit.begin;
+    u.end = u.begin + u.sets.size();
+    unit.begin = u.end;
+    return u;
+  };
+}
+
 }  // namespace
 
 struct DistSweepPool::Worker {

@@ -39,6 +39,11 @@
 
 namespace ftr {
 
+/// Yields units in generation order, then nullopt: what the coordinator's
+/// event loop pulls from (a split window, or a source cut into
+/// explicit-set units as it is read).
+using SweepUnitFeed = std::function<std::optional<UnitSpec>()>;
+
 struct DistPoolOptions {
   /// Worker processes to fork. Must be >= 1 (0 workers means "don't build a
   /// pool" — the callers keep the in-process path for that).

@@ -83,7 +83,7 @@ TEST(ExecPolicy, HugeBatchSweepsLikeAModestOne) {
     EXPECT_EQ(got.route_hops_total, want.route_hops_total);
   }
 
-  // The streamed feed cuts its explicit units at resolved_batch() x threads.
+  // The streamed feed cuts its chunks at resolved_batch() sets.
   const std::vector<std::vector<Node>> sets = {{0, 7}, {3, 11}, {1, 2, 3}};
   ExplicitListSource a(sets);
   ExplicitListSource b(sets);

@@ -10,7 +10,9 @@
 //    pushing an ExhaustiveGraySource through the generic engine, on
 //    kernel / circular / tri-circular tables, threads {1, 2, 8}, f in
 //    {1, 2, 3};
-//  * the line-delimited istream feed reproduces the materialized sweep.
+//  * the line-delimited istream feed reproduces the materialized sweep at
+//    any thread count and batch size, and a bad feed reports its first bad
+//    line whatever the thread count.
 #include "analysis/fault_sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -283,32 +285,6 @@ TEST(FaultStream, StreamingMatchesMaterializedAcrossThreadsAndBatches) {
   }
 }
 
-TEST(FaultStream, IstreamFeedMatchesMaterialized) {
-  const auto gg = torus_graph(5, 5);
-  const auto kr = build_kernel_routing(gg.graph, 3);
-  const SrgIndex index(kr.table);
-  Rng rng(23);
-  const auto sets = random_fault_sets(25, 3, 40, rng);
-
-  std::string text = "# fault sets, one per line\n";
-  for (const auto& s : sets) {
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      if (i > 0) text += ' ';
-      text += std::to_string(s[i]);
-    }
-    text += '\n';
-  }
-
-  FaultSweepOptions opts;
-  opts.exec.threads = 2;
-  opts.exec.batch_size = 16;
-  const auto materialized = sweep_fault_sets(kr.table, index, sets, opts);
-  std::istringstream in(text);
-  IstreamFaultSetSource source(in, 25);
-  const auto streamed = sweep_fault_source(kr.table, index, source, opts);
-  expect_same_aggregates(streamed, materialized);
-}
-
 TEST(FaultStream, EmptySourceYieldsEmptySummary) {
   const auto gg = torus_graph(4, 4);
   const auto kr = build_kernel_routing(gg.graph, 2);
@@ -322,6 +298,143 @@ TEST(FaultStream, EmptySourceYieldsEmptySummary) {
   EXPECT_TRUE(summary.worst_faults.empty());
 }
 
+// A feed's lines are not its set indices: comments and blank lines count
+// toward the line numbers only. Streamed at every thread count and batch
+// size (chunks of one set, short tails, single lane blocks, several
+// blocks), with delivery, the feed must reproduce the materialized sweep.
+TEST(FaultStream, IstreamFeedMatchesMaterialized) {
+  const auto gg = torus_graph(5, 5);
+  const auto kr = build_kernel_routing(gg.graph, 3);
+  const SrgIndex index(kr.table);
+  Rng rng(31);
+  std::vector<std::vector<Node>> sets;
+  for (std::size_t f = 1; f <= 5; ++f) {
+    const auto some = random_fault_sets(25, f, 300, rng);
+    sets.insert(sets.end(), some.begin(), some.end());
+  }
+
+  std::string text = "# a seeded feed\n\n";
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    if (i % 97 == 0) text += "# comment\n";
+    if (i % 131 == 0) text += "   \n";
+    for (const Node v : sets[i]) text += std::to_string(v) + ' ';
+    text += i % 5 == 0 ? "# trailing\n" : "\n";
+  }
+
+  FaultSweepOptions base_opts;
+  base_opts.delivery_pairs = 2;
+  base_opts.seed = 77;
+  const auto materialized = sweep_fault_sets(kr.table, index, sets, base_opts);
+  ASSERT_EQ(materialized.total_sets, sets.size());
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{96}, std::size_t{512},
+                                    std::size_t{1024}}) {
+      FaultSweepOptions opts = base_opts;
+      opts.exec.threads = threads;
+      opts.exec.batch_size = batch;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch));
+      std::istringstream in(text);
+      IstreamFaultSetSource source(in, 25);
+      const auto streamed = sweep_fault_source(kr.table, index, source, opts);
+      expect_same_aggregates(streamed, materialized);
+      EXPECT_EQ(streamed.executor.chunks_local,
+                num_chunks(sets.size(), batch));
+    }
+  }
+}
+
+// Counts the reads a sweep makes after its source has thrown. The sweep
+// calls next() only under its read lock, so plain fields do.
+class WatchedSource final : public FaultSetSource {
+ public:
+  explicit WatchedSource(FaultSetSource& inner) : inner_(&inner) {}
+  bool next(std::vector<Node>& out) override {
+    if (threw_) ++reads_after_throw_;
+    try {
+      return inner_->next(out);
+    } catch (...) {
+      threw_ = true;
+      throw;
+    }
+  }
+  std::uint64_t reads_after_throw() const { return reads_after_throw_; }
+
+ private:
+  FaultSetSource* inner_;
+  bool threw_ = false;
+  std::uint64_t reads_after_throw_ = 0;
+};
+
+// A bad feed fails with its first bad line's message at every thread count
+// and batch size: the source is read in order under one lock, and no
+// worker reads past the line that threw.
+TEST(FaultStream, IstreamFeedReportsItsFirstBadLineAtAnyThreadCount) {
+  const auto gg = torus_graph(5, 5);
+  const auto kr = build_kernel_routing(gg.graph, 3);
+  const SrgIndex index(kr.table);
+  Rng rng(41);
+  const auto sets = random_fault_sets(25, 3, 400, rng);
+  std::string text;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    if (i == 150) text += "3 frog 4\n";  // line 151
+    if (i == 300) text += "2 25\n";      // line 302: id out of range
+    for (const Node v : sets[i]) text += std::to_string(v) + ' ';
+    text += '\n';
+  }
+  const std::string expected =
+      "fault-set line 151: node id 'frog' non-numeric or out of range "
+      "(n = 25)";
+  for (const unsigned threads : {1u, 4u, 8u}) {
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+      FaultSweepOptions opts;
+      opts.exec.threads = threads;
+      opts.exec.batch_size = batch;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch));
+      std::istringstream in(text);
+      IstreamFaultSetSource feed(in, 25);
+      WatchedSource source(feed);
+      try {
+        sweep_fault_source(kr.table, index, source, opts);
+        ADD_FAILURE() << "bad feed accepted";
+      } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << e.what();
+        EXPECT_EQ(std::string(e.what()).find("line 302"), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(source.reads_after_throw(), 0u);
+    }
+  }
+}
+
+// A list of known size runs on no more workers than it has chunks: one
+// shorter than a chunk stays on the calling thread.
+TEST(FaultStream, ShortKnownSizeSourceRunsOnOneWorker) {
+  const auto gg = torus_graph(5, 5);
+  const auto kr = build_kernel_routing(gg.graph, 3);
+  const SrgIndex index(kr.table);
+  Rng rng(43);
+  const auto sets = random_fault_sets(25, 3, 50, rng);
+  FaultSweepOptions opts;
+  opts.exec.threads = 8;
+  opts.exec.batch_size = 64;
+  const auto summary = sweep_fault_sets(kr.table, index, sets, opts);
+  EXPECT_EQ(summary.total_sets, 50u);
+  EXPECT_EQ(summary.executor.workers, 1u);
+  EXPECT_EQ(summary.executor.chunks_local, 1u);
+
+  opts.exec.batch_size = 16;  // four chunks: four workers of the eight
+  EXPECT_EQ(sweep_fault_sets(kr.table, index, sets, opts).executor.workers,
+            4u);
+}
+
+// A stream reports from its executor workers, under the merge lock: calls
+// never overlap, the merged count strictly increases, and the last call
+// reports the whole stream.
 TEST(FaultStream, ProgressFiresBetweenBatches) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
@@ -329,21 +442,31 @@ TEST(FaultStream, ProgressFiresBetweenBatches) {
   Rng rng(3);
   const auto sets = random_fault_sets(25, 3, 64, rng);
 
-  std::vector<std::uint64_t> reported;
-  FaultSweepOptions opts;
-  opts.exec.batch_size = 8;
-  opts.exec.progress_every = 10;
-  opts.on_progress = [&](const FaultSweepProgress& p) {
-    reported.push_back(p.sets_done);
-  };
-  ExplicitListSource source(sets);
-  const auto summary = sweep_fault_source(kr.table, index, source, opts);
-  EXPECT_EQ(summary.total_sets, 64u);
-  ASSERT_FALSE(reported.empty());
-  for (std::size_t i = 1; i < reported.size(); ++i) {
-    EXPECT_GT(reported[i], reported[i - 1]);  // strictly increasing
+  for (const unsigned threads : {1u, 4u}) {
+    std::vector<std::uint64_t> reported;
+    std::atomic<bool> inside{false};
+    std::atomic<bool> overlapped{false};
+    FaultSweepOptions opts;
+    opts.exec.threads = threads;
+    opts.exec.batch_size = 8;
+    opts.exec.progress_every = 10;
+    opts.on_progress = [&](const FaultSweepProgress& p) {
+      if (inside.exchange(true)) overlapped = true;
+      reported.push_back(p.sets_done);
+      std::this_thread::yield();
+      inside = false;
+    };
+    ExplicitListSource source(sets);
+    const auto summary = sweep_fault_source(kr.table, index, source, opts);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(summary.total_sets, 64u);
+    EXPECT_FALSE(overlapped);
+    ASSERT_FALSE(reported.empty());
+    for (std::size_t i = 1; i < reported.size(); ++i) {
+      EXPECT_GT(reported[i], reported[i - 1]);  // strictly increasing
+    }
+    EXPECT_EQ(reported.back(), 64u);  // the final batch reports completion
   }
-  EXPECT_EQ(reported.back(), 64u);  // the final batch reports completion
 }
 
 // A bounded unit reports from its executor workers, under the merge lock:

@@ -314,6 +314,31 @@ for knobs in "--threads 1 --batch 7" "--threads 1 --batch 1024" \
   cmp "${GOLD}/sweep_stdin_long.golden" "${WORK}/lsweep.out"
 done
 
+# The same feed with a bad token at line 500 and an out-of-range id at line
+# 601: executor workers read the feed in order under one lock, so every
+# knob must stop at line 500 with the same message, never at line 601.
+echo "== bad stdin feed fails at its first bad line across --threads, --batch"
+awk 'NR == 500 { print "3 frog 4" } NR == 600 { print "2 25" } { print }' \
+  "${WORK}/faults.long.txt" > "${WORK}/faults.bad.txt"
+for knobs in "--threads 1 --batch 7" "--threads 1 --batch 1024" \
+    "--threads 4 --batch 7" "--threads 4 --batch 1024"; do
+  rc=0
+  # shellcheck disable=SC2086  # knobs is a deliberate word list
+  "${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+    --stdin --delivery-pairs 2 ${knobs} < "${WORK}/faults.bad.txt" \
+    > /dev/null 2> "${WORK}/bsweep.err" || rc=$?
+  if [[ "${rc}" != 1 ]]; then
+    echo "error: bad feed at ${knobs} exited ${rc}, not 1" >&2
+    exit 1
+  fi
+  grep -q "fault-set line 500: node id 'frog'" "${WORK}/bsweep.err"
+  if [[ -f "${WORK}/bsweep.first.err" ]]; then
+    cmp "${WORK}/bsweep.first.err" "${WORK}/bsweep.err"
+  else
+    cp "${WORK}/bsweep.err" "${WORK}/bsweep.first.err"
+  fi
+done
+
 # Multi-table churn: a planner-built graph= table and a snapshot= table
 # under a 1-byte budget, so every window that switches tables evicts one
 # and rebuilds or reloads the other. Every request kind on both tables
