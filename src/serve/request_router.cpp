@@ -1,11 +1,13 @@
 #include "serve/request_router.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
-#include <future>
 #include <iomanip>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -15,6 +17,7 @@
 
 #include "analysis/fault_sweep.hpp"
 #include "common/contracts.hpp"
+#include "common/cpu_features.hpp"
 #include "common/parallel.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
@@ -303,8 +306,8 @@ std::string execute_request(const ServeRequest& request,
       }
       // Delivery is the only kind that evaluates through the worker
       // scratch (check/sweep/certify run on their own internal ones), so
-      // the scratch is built here on first use and reused while the slice
-      // stays on this table's index.
+      // the scratch is built here on first use and reused while it is on
+      // this table's index (by address; the caller keeps the table pinned).
       if (!scratch.has_value() || &scratch->index() != table.index.get()) {
         scratch.emplace(*table.index);
       }
@@ -352,16 +355,27 @@ std::pair<int, std::uint64_t> cost_rank(const ServeRequest& request,
 
 // The exhaustive sweeps behind one serve call's checks and certifies, one
 // per (table name, generation, f); see the header. Every other unit runs
-// in place.
+// in place. A computed sweep is a Job: its Gray window cut into
+// lane-aligned pieces, each one execute_unit call, claimed from one atomic
+// cursor and merged as they finish. The request computing a key claims its
+// pieces until none is left. One more worker at a time, a request hitting
+// an in-flight key or the window's helper chunk, claims pieces too, on the
+// memo's one spare seat (the header says why one).
 class ExactSweepMemo {
+  class Job;
+
  public:
+  // At most two workers sweep one key: its computing request and the
+  // spare seat's holder.
+  explicit ExactSweepMemo(unsigned workers)
+      : sweepers_(std::min(workers, 2u)) {}
+
   SweepPartial run(const ServedTable& table, const UnitSpec& unit) {
     if (unit.kind != UnitKind::kSweepGray) {
       return execute_unit(*table.index, unit);
     }
-    std::promise<SweepPartial> promise;
-    std::shared_future<SweepPartial> shared;
-    bool compute = false;
+    std::shared_ptr<Job> job;
+    bool owner = false;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ByName& entry = by_name_[table.name];
@@ -372,31 +386,170 @@ class ExactSweepMemo {
         entry.by_f.clear();
       }
       const auto [it, inserted] = entry.by_f.try_emplace(unit.f);
-      if (inserted) it->second = promise.get_future().share();
-      compute = inserted;
-      shared = it->second;
+      if (inserted) {
+        it->second = std::make_shared<Job>(*table.index, unit, sweepers_);
+        in_flight_.push_back(it->second);
+        changed_.notify_all();
+      }
+      owner = inserted;
+      job = it->second;
       ++(inserted ? computed_ : hits_);
     }
-    if (compute) {
-      try {
-        promise.set_value(execute_unit(*table.index, unit));
-      } catch (...) {
-        promise.set_exception(std::current_exception());
+    if (owner) {
+      job->work();
+    } else if (take_spare_seat()) {
+      job->work();
+      free_spare_seat();
+    }
+    job->wait();
+    if (owner) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      in_flight_.erase(std::find(in_flight_.begin(), in_flight_.end(), job));
+    }
+    return job->result();
+  }
+
+  // Opens a window of `requests` requests; each calls request_done() once.
+  void begin_window(std::size_t requests) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    open_requests_ = requests;
+  }
+
+  void request_done() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (--open_requests_ == 0) changed_.notify_all();
+  }
+
+  // The window's helper chunk: on the spare seat, claims pieces of any
+  // in-flight sweep until none is left and every request of the window has
+  // finished, so a sweep that a request starts while it waits is shared
+  // too.
+  void help() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      const auto open =
+          spare_taken_
+              ? in_flight_.end()
+              : std::find_if(in_flight_.begin(), in_flight_.end(),
+                             [](const std::shared_ptr<Job>& job) {
+                               return job->unclaimed();
+                             });
+      if (open != in_flight_.end()) {
+        const std::shared_ptr<Job> job = *open;
+        spare_taken_ = true;
+        lock.unlock();
+        job->work();
+        lock.lock();
+        spare_taken_ = false;
+      } else if (open_requests_ == 0) {
+        return;
+      } else {
+        changed_.wait(lock);
       }
     }
-    return shared.get();
   }
 
   std::uint64_t computed() const { return computed_; }
   std::uint64_t hits() const { return hits_; }
 
  private:
+  class Job {
+   public:
+    // ~8 pieces per sweeper, whole packed blocks each, so that no piece but
+    // the last ends in a partial block.
+    Job(const SrgIndex& index, const UnitSpec& unit, unsigned sweepers)
+        : index_(&index),
+          unit_(unit),
+          piece_(lane_aligned(sweep_grain(
+              static_cast<std::size_t>(unit.end - unit.begin), sweepers))),
+          pieces_(num_chunks(static_cast<std::size_t>(unit.end - unit.begin),
+                             static_cast<std::size_t>(piece_))) {}
+
+    bool unclaimed() const { return next_.load() < pieces_; }
+
+    // Runs pieces until the cursor passes the last one.
+    void work() {
+      for (std::uint64_t p = next_.fetch_add(1); p < pieces_;
+           p = next_.fetch_add(1)) {
+        UnitSpec piece = unit_;
+        piece.begin = unit_.begin + p * piece_;
+        piece.end = std::min(unit_.end, piece.begin + piece_);
+        SweepPartial partial;
+        std::exception_ptr failure;
+        try {
+          partial = execute_unit(*index_, piece);
+        } catch (...) {
+          failure = std::current_exception();
+        }
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (failure) {
+          // The lowest failing piece wins, whichever finishes first.
+          if (p < failed_piece_) {
+            failed_piece_ = p;
+            failure_ = failure;
+          }
+        } else {
+          merge_sweep_partials(partial_, partial);
+        }
+        if (++done_ == pieces_) finished_.notify_all();
+      }
+    }
+
+    // Blocks until every piece has merged.
+    void wait() {
+      std::unique_lock<std::mutex> lock(mutex_);
+      finished_.wait(lock, [this] { return done_ >= pieces_; });
+    }
+
+    // After wait(): the whole window's partial, or its failure.
+    SweepPartial result() const {
+      if (failure_) std::rethrow_exception(failure_);
+      return partial_;
+    }
+
+   private:
+    // Read only for a claimed piece, and the computing request waits for
+    // every piece, so the window's handle keeps this index alive.
+    const SrgIndex* index_;
+    const UnitSpec unit_;
+    const std::uint64_t piece_;   // sets per piece
+    const std::uint64_t pieces_;
+    std::atomic<std::uint64_t> next_{0};  // the claim cursor
+    std::mutex mutex_;  // guards everything below
+    std::condition_variable finished_;
+    std::uint64_t done_ = 0;  // pieces merged or failed
+    SweepPartial partial_;
+    std::uint64_t failed_piece_ = std::numeric_limits<std::uint64_t>::max();
+    std::exception_ptr failure_;
+  };
+
   struct ByName {
     std::uint64_t generation = 0;
-    std::unordered_map<std::uint32_t, std::shared_future<SweepPartial>> by_f;
+    std::unordered_map<std::uint32_t, std::shared_ptr<Job>> by_f;
   };
-  std::mutex mutex_;
+
+  bool take_spare_seat() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (spare_taken_) return false;
+    spare_taken_ = true;
+    return true;
+  }
+
+  // Wakes the helper waiting for the seat.
+  void free_spare_seat() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    spare_taken_ = false;
+    changed_.notify_all();
+  }
+
+  const unsigned sweepers_;
+  std::mutex mutex_;  // guards everything below
+  // A job started, the spare seat freed, or the window drained.
+  std::condition_variable changed_;
   std::unordered_map<std::string, ByName> by_name_;
+  std::vector<std::shared_ptr<Job>> in_flight_;
+  std::size_t open_requests_ = 0;
+  bool spare_taken_ = false;
   std::uint64_t computed_ = 0;
   std::uint64_t hits_ = 0;
 };
@@ -450,7 +603,7 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
   std::vector<std::size_t> order;
   std::vector<const ServedTable*> table_of;
 
-  ExactSweepMemo memo;
+  ExactSweepMemo memo(workers);
   const auto t0 = std::chrono::steady_clock::now();
   ServeProgressEmitter progress(options, t0);
   for (;;) {
@@ -530,11 +683,31 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
 
     // One request per chunk, chunk k the k-th ranked request: workers claim
     // chunks in ascending order, so a free worker always pulls the longest
-    // request still waiting.
+    // request still waiting. A window that may sweep an exact verdict on
+    // more than one worker gets one helper chunk after its requests: the
+    // cursor hands it out only once every request is claimed, to a worker
+    // that would otherwise idle until the join (ExactSweepMemo::help).
+    const bool may_sweep =
+        workers > 1 &&
+        std::any_of(order.begin(), order.end(), [&](std::size_t i) {
+          return window[i].kind == RequestKind::kCheck ||
+                 window[i].kind == RequestKind::kCertify;
+        });
+    const std::size_t helpers = may_sweep ? 1 : 0;
+    memo.begin_window(order.size());
     ExecutorStats window_stats;
     parallel_for_chunks(
-        order.size(), workers, 1,
+        order.size() + helpers, workers, 1,
         [&](std::size_t chunk, std::size_t, std::size_t, unsigned) {
+          if (chunk >= order.size()) {
+            memo.help();
+            return;
+          }
+          // Counted even if the body throws, so no helper waits forever.
+          const struct Done {
+            ExactSweepMemo& memo;
+            ~Done() { memo.request_done(); }
+          } done{memo};
           const std::size_t i = order[chunk];
           const ServedTable& entry = *table_of[i];
           // execute_request builds the scratch only for a delivery.
@@ -555,6 +728,8 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
           }
         },
         &window_stats);
+    // The executor's chunks are requests; helper chunks are not counted.
+    window_stats.chunks_local -= helpers;
     summary.executor.accumulate(window_stats);
 
     for (std::size_t i = 0; i < window.size(); ++i) {

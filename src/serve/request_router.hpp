@@ -25,20 +25,28 @@
 //    table and f: its seed is 0, and claimed= and certify's construction=
 //    only enter the report built from it. So serve_requests keeps, for one
 //    call, a memo keyed on (table name, ServedTable::generation, f) that
-//    holds the unit's SweepPartial. One mutex guards the map, and each key
-//    holds a shared_future: the first request for a key computes it, and
-//    requests racing it in the same window wait for that result instead of
-//    recomputing. The computing request sweeps at threads = 1 like any
-//    other: running the sweep on all serve threads instead cut the e2e
-//    serve_mixed stream's wall ~13% but raised its peak RSS ~14% (three
-//    more threads, each with its own scratch, alive at once). A sampled
-//    unit (C(n, f) past the check's budget) and the hill-climb are seeded
-//    by the request, so they always run. When a name
-//    is re-materialized at a newer generation its older partials are
-//    dropped, so a rebuilt table is never answered from a stale result,
-//    and the memo holds at most one small partial (a histogram and one
-//    witness) per (name, f) asked. Those bytes are not charged to
-//    TableRegistryOptions::max_resident_bytes;
+//    holds the unit's SweepPartial. One mutex guards the map. The first
+//    request for a key cuts the unit's ranks into lane-aligned pieces (~8
+//    per sweeper), each one execute_unit call merged with the order-free
+//    merge_sweep_partials, and claims pieces from the key's atomic cursor
+//    until none is left. One more worker at a time shares
+//    the sweep on the memo's spare seat: a request hitting the key in
+//    flight, or the window's helper chunk, which a window holding a check
+//    or certify gets after its requests (the executor hands it out only
+//    once every request is claimed, to a worker that would otherwise idle
+//    until the join). Every asker returns only after every piece has
+//    merged, so a sweep never outlives the window whose handle pins its
+//    table, and the partial is the whole unit's, byte for byte. No thread
+//    is spawned for it. The seat is one because each sweeper holds a
+//    packed scratch: letting every idle worker sweep raised the e2e
+//    serve_mixed peak RSS ~10% (nested threads ~14%), one spare seat ~4%,
+//    and saved only a few ms more. A sampled unit (C(n, f) past the check's
+//    budget) and the hill-climb are seeded by the request, so they always
+//    run. When a name is re-materialized at a newer generation its older
+//    partials are dropped, so a rebuilt table is never answered from a
+//    stale result, and the memo holds at most one small partial (a
+//    histogram and one witness) per (name, f) asked. Those bytes are not
+//    charged to TableRegistryOptions::max_resident_bytes;
 //  * every response is a pure function of (request, table contents) — each
 //    request runs its kernels at threads=1 inside its worker, randomized
 //    kernels are seeded from the request, and nothing about residency or
@@ -200,10 +208,13 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
 /// table.index lazily, and ONLY for the request kinds that evaluate
 /// through a scratch (delivery) — check/sweep/certify run on their own
 /// internal scratches, so a stream without deliveries never constructs
-/// one. Pure function of (request, table contents). A request runs
-/// serially (parallelism lives across requests), so no field of `policy`
-/// applies to it any more; the parameter only keeps the call shape that
-/// bench/e2e links against. `runner`, when set, runs a check's or
+/// one. A scratch is rebuilt when its index is not table.index by
+/// address, which a freed index's reused address would pass: the caller
+/// must keep `table` pinned (hold its handle) for the scratch's lifetime.
+/// Pure function of (request, table contents). A request runs serially
+/// (parallelism lives across requests), so no field of `policy` applies
+/// to it any more; the parameter only keeps the call shape that bench/e2e
+/// links against. `runner`, when set, runs a check's or
 /// certify's sweep unit (ToleranceCheckOptions::runner; serve_requests
 /// passes its exact-verdict memo); empty runs it in place. Throws on
 /// invalid requests (the router turns that into an error response).

@@ -643,6 +643,76 @@ TEST(Serve, ExactVerdictMemoSweepsAnInBudgetCertifyOnce) {
   }
 }
 
+// A computed exact sweep is cut into lane-aligned pieces that the request
+// computing it claims, and one more worker at a time: a request hitting it
+// in flight, or the window's helper chunk. The first stream's first window
+// holds several t8 certifies and t8 checks at f = 2 and 3 (two keys, both
+// in flight at once) next to a q5 certify past the budget (seeded, never a
+// key). q5 comes first, so that under a 1-byte budget its window's t8 miss
+// evicts it and t8 stays resident from then on: the keys are (t8, 2) and
+// (t8, 3) at every budget. In the second stream no request hits the
+// certify's key, so its window's helper chunk takes the spare seat. Every
+// piece size is a multiple of 512 sets, and neither C(64, 3) = 41,664 nor
+// C(64, 2) = 2,016 is, so every key ends in a ragged piece.
+TEST(Serve, ExactVerdictMemoSharesItsSweepAcrossWorkers) {
+  struct Stream {
+    const char* name;
+    std::vector<std::string> lines;
+    std::uint64_t computed;
+  };
+  const Stream streams[] = {
+      {"several keys in flight with hits",
+       {"certify q5 f=5 claimed=6 seed=1", "certify t8 seed=2",
+        "check t8 f=3 claimed=6 seed=3", "check t8 f=2 claimed=6 seed=4",
+        "certify t8 seed=5", "check t8 f=2 claimed=2 seed=6",
+        "check t8 f=3 claimed=2 seed=7", "certify t8 claimed=3 seed=8",
+        "check t8 f=2 claimed=4 seed=9", "certify t8 seed=10",
+        "check t8 f=3 claimed=6 seed=11", "certify t8 seed=12"},
+       2},
+      {"one key, shared by the helper",
+       {"certify t8 seed=1", "delivery t8 faults=1,9 pairs=4 seed=2",
+        "delivery t8 faults=3 pairs=4 seed=3",
+        "delivery t8 faults=5,6,7 pairs=4 seed=4"},
+       1},
+  };
+  for (const Stream& stream : streams) {
+    SCOPED_TRACE(stream.name);
+    const auto requests = parse_lines(stream.lines);
+    const std::string want = memo_less_responses(requests);
+    ASSERT_NE(want.find("(exhaustive, 41664 sets)"), std::string::npos)
+        << want;
+    std::uint64_t exact = 0;
+    for (const auto& request : requests) {
+      exact += request.kind == RequestKind::kCheck ||
+               (request.kind == RequestKind::kCertify && request.table == "t8");
+    }
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      for (const std::size_t batch : {1u, 16u, 64u}) {
+        for (const std::size_t budget : {1u, 0u}) {
+          SCOPED_TRACE("threads=" + std::to_string(threads) +
+                       " batch=" + std::to_string(batch) +
+                       " max_resident_bytes=" + std::to_string(budget));
+          TableRegistryOptions ropts;
+          ropts.max_resident_bytes = budget;
+          TableRegistry registry(ropts);
+          define_memo_tables(registry);
+          ServeOptions opts;
+          opts.exec.threads = threads;
+          opts.exec.batch_size = batch;
+          ServeSummary summary;
+          EXPECT_EQ(serve_to_string(registry, requests, opts, &summary),
+                    want);
+          EXPECT_EQ(summary.errors, 0u);
+          EXPECT_EQ(summary.exact_computed, stream.computed);
+          EXPECT_EQ(summary.exact_hits, exact - stream.computed);
+          // Helper chunks are not requests.
+          EXPECT_EQ(summary.executor.chunks_local, requests.size());
+        }
+      }
+    }
+  }
+}
+
 TEST(Serve, ParserRejectsMalformedLinesWithLineNumbers) {
   const auto expect_throw_mentioning = [](const std::string& line,
                                           const std::string& fragment) {

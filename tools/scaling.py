@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record how the stream and gray sweep verbs scale with threads and workers.
+"""Record how the stream, gray and serve verbs scale with threads and workers.
 
 Usage:
     tools/scaling.py [--cli build/ftroute_cli] [--base-cli OTHER_CLI]
@@ -12,16 +12,22 @@ Builds every input with the CLI itself, in a temporary directory:
     `sweep <graph> <table> --stdin --delivery-pairs 2 --threads T`;
   * gray: `gen torus 10 10` and `snapshot --seed 42`, swept with
     `sweep <snap> <snap> --faults 3 --exhaustive`, at `--threads T` and at
-    `--workers W --threads 1`.
+    `--workers W --threads 1`;
+  * serve: snapshots (`--seed 42`) of torus(10,10), torus(12,12),
+    hypercube(7) and CCC(4), plus a torus(8,8) graph file the planner
+    builds on every miss, and a seeded file of 2,560 requests (55%
+    delivery, 30% sweep, 12% check, 3% certify t8, shuffled), served with
+    `serve --tables M --requests R --threads T --batch 16
+    --max-resident-bytes 4000000`.
 
 Each cell (verb x knob) runs --runs times. The runs are interleaved: every
 round runs every cell once, so a slow phase of the host spreads over all
 cells instead of landing on one. A cell's wall time is the child's elapsed
 time, its cpu time the child's user + system time; the JSON holds the
-median of each. With --base-cli, the stream cells are also run with that
-binary (the build the change is measured against) in the same rounds, and
-recorded as build "base". Every run of one verb must print the same stdout,
-or the script fails.
+median of each. With --base-cli, the stream and serve cells are also run
+with that binary (the build the change is measured against) in the same
+rounds, and recorded as build "base". Every run of one verb must print the
+same stdout, or the script fails.
 """
 import argparse
 import datetime
@@ -41,6 +47,15 @@ THREADS = (1, 2, 4)
 WORKERS = (1, 2, 4)
 FEED_SETS = 12000
 FEED_SEED = 1
+REQUEST_SEED = 1
+# (name, `gen` arguments, nodes); every table but t8 is served as a snapshot.
+SERVE_TABLES = (("t10", ["torus", "10", "10"], 100),
+                ("t12", ["torus", "12", "12"], 144),
+                ("hc7", ["hypercube", "7"], 128),
+                ("ccc4", ["ccc", "4"], 64),
+                ("t8", ["torus", "8", "8"], 64))
+SERVE_MIX = (("delivery", 1408), ("sweep", 768), ("check", 307),
+             ("certify", 77))
 
 
 def run(cmd, stdin=None, stdout=subprocess.PIPE):
@@ -70,9 +85,42 @@ def make_inputs(cli, work):
         for _ in range(FEED_SETS):
             nodes = rng.sample(range(144), rng.randint(4, 6))
             feed.write(" ".join(map(str, nodes)) + "\n")
-    to_file([cli, "gen", "torus", "10", "10"], work / "t10.ftg")
-    run([cli, "snapshot", "--graph", str(work / "t10.ftg"), "--seed", "42",
-         "--out", str(work / "t10.snap")])
+    manifest = []
+    for name, gen, _ in SERVE_TABLES:
+        to_file([cli, "gen", *gen], work / f"{name}.ftg")
+        if name == "t8":
+            manifest.append(f"table t8 graph={work / 't8.ftg'} seed=42")
+            continue
+        run([cli, "snapshot", "--graph", str(work / f"{name}.ftg"), "--seed",
+             "42", "--out", str(work / f"{name}.snap")])
+        manifest.append(f"table {name} snapshot={work / f'{name}.snap'}")
+    (work / "tables.txt").write_text("\n".join(manifest) + "\n")
+    (work / "requests.txt").write_text(serve_requests())
+
+
+def serve_requests():
+    """The seeded serve stream: kinds in exact shares, shuffled; delivery and
+    sweep over all five tables, check on the two 64-node tables, certify
+    on the planner-built one."""
+    rng = random.Random(REQUEST_SEED)
+    kinds = [kind for kind, count in SERVE_MIX for _ in range(count)]
+    rng.shuffle(kinds)
+    lines = []
+    for kind in kinds:
+        name, _, nodes = rng.choice(SERVE_TABLES)
+        seed = f" seed={rng.randrange(1 << 30)}"
+        if kind == "delivery":
+            faults = rng.sample(range(nodes), rng.randint(1, 3))
+            lines.append(f"delivery {name} faults="
+                         f"{','.join(map(str, faults))} pairs=8{seed}")
+        elif kind == "sweep":
+            lines.append(f"sweep {name} f={rng.randint(2, 4)} sets=20{seed}")
+        elif kind == "check":
+            lines.append(f"check {rng.choice(('ccc4', 't8'))} f=2 "
+                         f"claimed=6{seed}")
+        else:
+            lines.append(f"certify t8{seed}")
+    return "\n".join(lines) + "\n"
 
 
 def cells(cli, base_cli, work):
@@ -81,6 +129,9 @@ def cells(cli, base_cli, work):
               "--delivery-pairs", "2"]
     gray = [str(work / "t10.snap"), str(work / "t10.snap"), "--faults", "3",
             "--exhaustive"]
+    serve = ["--tables", str(work / "tables.txt"), "--requests",
+             str(work / "requests.txt"), "--batch", "16",
+             "--max-resident-bytes", "4000000"]
     out = []
     builds = [("change", cli)] + ([("base", base_cli)] if base_cli else [])
     for build, binary in builds:
@@ -88,6 +139,9 @@ def cells(cli, base_cli, work):
             out.append(("stream", build, "threads", t,
                         [binary, "sweep", *stream, "--threads", str(t)],
                         work / "feed.txt"))
+        for t in THREADS:
+            out.append(("serve", build, "threads", t,
+                        [binary, "serve", *serve, "--threads", str(t)], None))
     for t in THREADS:
         out.append(("gray", "change", "threads", t,
                     [cli, "sweep", *gray, "--threads", str(t)], None))
@@ -161,6 +215,9 @@ def main():
             "stream": f"torus(12,12) text files, {FEED_SETS} seeded sets "
                       "of 4-6 faults on stdin, 2 delivery pairs",
             "gray": "torus(10,10) snapshot, f = 3 exhaustive",
+            "serve": "2,560 seeded requests over 4 snapshots and a "
+                     "planner-built torus(8,8), --batch 16, "
+                     "--max-resident-bytes 4000000",
         },
         "rows": rows,
     }
