@@ -386,12 +386,16 @@ void SrgScratch::ensure_packed_state(bool gray) {
     pk_gray_ready_ = false;
   }
   if (gray && !pk_gray_ready_) {
-    // Stored route/pair masks: only Gray blocks read them.
+    // Stored route/pair masks: only Gray blocks read them. With one route
+    // per pair the kernel reads the route masks as the pair masks, so the
+    // pair arrays stay empty.
     route_kill_mask_.assign(ix.num_routes() * w, 0);
-    pair_dead_mask_.assign(ix.num_pairs() * w, 0);
-    pair_dirty_.assign(ix.num_pairs(), 0);
     pk_dirty_routes_.assign(ix.num_routes(), 0);
-    pk_dirty_pairs_.assign(ix.num_pairs(), 0);
+    if (!single_route()) {
+      pair_dead_mask_.assign(ix.num_pairs() * w, 0);
+      pair_dirty_.assign(ix.num_pairs(), 0);
+      pk_dirty_pairs_.assign(ix.num_pairs(), 0);
+    }
     pk_gray_ready_ = true;
   }
 }
@@ -441,10 +445,14 @@ void SrgScratch::run_packed_block(std::size_t count,
   ctx.lane_node_mask = lane_node_mask_.data();
   if (gray) {
     ctx.route_kill_mask = route_kill_mask_.data();
-    ctx.pair_dead_mask = pair_dead_mask_.data();
-    ctx.pair_dirty = pair_dirty_.data();
     ctx.dirty_routes = pk_dirty_routes_.data();
-    ctx.dirty_pairs = pk_dirty_pairs_.data();
+    if (single_route()) {
+      ctx.pair_dead_mask = ctx.route_kill_mask;
+    } else {
+      ctx.pair_dead_mask = pair_dead_mask_.data();
+      ctx.pair_dirty = pair_dirty_.data();
+      ctx.dirty_pairs = pk_dirty_pairs_.data();
+    }
   }
   ctx.visited = pk_visited_.data();
   ctx.new_mask = pk_new_.data();

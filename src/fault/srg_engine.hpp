@@ -83,17 +83,22 @@
 //    profits from — see common/cpu_features.hpp). A lane-parallel BFS
 //    turns route liveness and reachability into AND/OR/ANDNOT over lane
 //    blocks held in vector registers. Gray blocks store per-route kill
-//    masks and per-pair dead masks for the pairs their faults touch; any-
-//    set blocks store none and OR each probed route's node lanes on the
-//    fly. Arc counts come from a bit-sliced per-lane counter the dead
-//    masks are added into, and diameters from per-level masks of the
-//    lanes each BFS level reached; both are read out once per block, so no
-//    phase loops over lanes per pair or per level. The BFS switches per
-//    level between top-down over out-pairs and bottom-up over in-pairs on
-//    frontier density, like the bitset kernel; the block body is
-//    dispatched at runtime to a portable, AVX2, or AVX-512 instantiation
-//    (fault/srg_packed.hpp). Lanes are consumed in rank order, so neither
-//    the width nor the chosen instantiation is observable in any result.
+//    masks and per-pair dead masks for the pairs their faults touch (on a
+//    table with one route per pair the route masks are the pair masks, and
+//    no pair array is allocated), and their bottom-up BFS levels probe a
+//    node's in-pairs four at a time, testing for exit once per group.
+//    Any-set blocks store no masks and OR each probed route's node lanes
+//    on the fly, testing for exit after every probe, since a wasted probe
+//    there costs a whole route. Arc counts come from a bit-sliced per-lane
+//    counter the dead masks are added into, and diameters from per-level
+//    masks of the lanes each BFS level reached; both are read out once per
+//    block, so no phase loops over lanes per pair or per level. The BFS
+//    switches per level between top-down over out-pairs and bottom-up over
+//    in-pairs on frontier density, like the bitset kernel; the block body
+//    is dispatched at runtime to a portable, AVX2, or AVX-512
+//    instantiation (fault/srg_packed.hpp). Lanes are consumed in rank
+//    order, so neither the width nor the chosen instantiation is
+//    observable in any result.
 //
 // The reference for both is fault/surviving.hpp: surviving_graph() builds
 // R(G, rho)/F as a Digraph straight from the paper's definition, and
@@ -369,8 +374,14 @@ class SrgScratch {
   std::uint32_t bfs_from_bits(std::uint32_t survivors, Node s,
                               std::uint32_t* reached_out, bool fill_dist);
   // Sizes the packed state for the resolved width; the stored route/pair
-  // masks only when a Gray block needs them.
+  // masks only when a Gray block needs them, and the pair ones only when
+  // some pair has two routes.
   void ensure_packed_state(bool gray);
+  // Every pair holds one route, so route r is pair r and a Gray block's
+  // route kill masks are its pair dead masks.
+  bool single_route() const {
+    return index_->num_routes() == index_->num_pairs();
+  }
   // Phase (a) helper: marks v faulty in `lane`, listing v in lane_touched_
   // on its first lane; false when it already was (a duplicate id).
   bool mark_lane_fault(Node v, std::size_t lane);
@@ -424,7 +435,8 @@ class SrgScratch {
   packed::PackedBlockFn pk_fn_ = nullptr;
   std::vector<std::uint64_t> lane_node_mask_;  // node -> lanes where faulty
   std::vector<Node> lane_touched_;
-  // Gray blocks only (any-set blocks never size them):
+  // Gray blocks only (any-set blocks never size them), and the pair
+  // arrays only when some pair has two routes (else single_route()):
   std::vector<std::uint64_t> route_kill_mask_;  // route -> lanes killed
   std::vector<std::uint32_t> pk_dirty_routes_;
   std::vector<std::uint64_t> pair_dead_mask_;  // pair -> lanes with 0 routes

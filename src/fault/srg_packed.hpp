@@ -7,7 +7,9 @@
 //   Gray blocks  — adjacent revolving-door sets share most faults, so the
 //                  kernel stores per-route kill masks and per-pair dead
 //                  masks for the pairs the block's faults touch, and the
-//                  BFS loads them.
+//                  BFS loads them (a table with one route per pair reads
+//                  the route masks as the pair masks). Bottom-up levels
+//                  probe in-pairs in groups of four.
 //   any-set      — arbitrary sets spread the block's faults over most
 //                  nodes, so the kernel stores nothing per route or pair:
 //                  each probed pair ORs the lane masks of its routes'
@@ -78,11 +80,15 @@ struct PackedCtx {
   // may be null.
   bool any_sets = false;
 
-  // W-strided lane masks (scratch).
+  // W-strided lane masks (scratch). A Gray block over a table with one
+  // route per pair (route r is pair r) passes pair_dead_mask ==
+  // route_kill_mask: the kernel then reads each route's kill mask as its
+  // pair's dead mask, and pair_dirty and dirty_pairs are unused and may be
+  // null.
   std::uint64_t* lane_node_mask = nullptr;   // n*W; prefilled by caller
   std::uint64_t* route_kill_mask = nullptr;  // routes*W (Gray blocks)
   std::uint64_t* pair_dead_mask = nullptr;   // pairs*W (Gray blocks)
-  std::uint8_t* pair_dirty = nullptr;        // pairs (Gray blocks)
+  std::uint8_t* pair_dirty = nullptr;        // pairs (Gray, multiroute)
   std::uint64_t* visited = nullptr;          // n*W
   std::uint64_t* new_mask = nullptr;         // n*W
   std::uint64_t* next_mask = nullptr;        // n*W
@@ -91,7 +97,7 @@ struct PackedCtx {
   const std::uint32_t* lane_touched = nullptr;  // nodes with faulty lanes
   std::size_t lane_touched_count = 0;
   std::uint32_t* dirty_routes = nullptr;  // capacity: num routes (Gray)
-  std::uint32_t* dirty_pairs = nullptr;   // capacity: num_pairs (Gray)
+  std::uint32_t* dirty_pairs = nullptr;   // num_pairs (Gray, multiroute)
   std::uint32_t* frontier = nullptr;      // capacity: n
   std::uint32_t* next = nullptr;          // capacity: n
 

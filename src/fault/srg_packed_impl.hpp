@@ -36,12 +36,20 @@
 //    the kill masks of the routes through it, phase (c) ANDs each dirty
 //    pair's route masks into its dead mask, and the BFS loads that mask.
 //    Adjacent revolving-door sets share most faults, so few pairs go dirty.
+//    When every pair has one route, route r is pair r and its kill mask is
+//    the pair's dead mask: the caller points pair_dead_mask at
+//    route_kill_mask, and phase (c) only counts each dirty route's lanes.
+//    A bottom-up level probes a node's in-pairs in groups of four and
+//    tests for exit once per group (gray_pull).
 //  * Any-set blocks compute them on the fly: a probed pair is dead in the
 //    lanes where every route has a faulty interior node (the OR of
 //    lane_node_mask over the route's interior). The BFS masks already
 //    exclude the lanes where the pair's source or target is faulty. The
 //    dead-pair counts come from one pass over every pair's full routes.
 //    Phases (b)-(c), their arrays and their sparse cleanup are skipped.
+//    Bottom-up levels keep their exit test after every probe: each probe
+//    ORs a whole route's node lanes, so a wasted probe costs more than the
+//    branch, and grouping them measured slower.
 //
 // The caller (SrgScratch) owns phase (a) — filling lane_node_mask /
 // lane_touched from the block's sets — because the Gray form needs
@@ -116,7 +124,8 @@ inline LaneBlock<W> routes_dead(const PackedCtx& ctx, std::uint32_t pid,
 // Gray blocks, phases (b)-(c): stores the kill masks of the routes
 // through the touched nodes and the dead masks of their pairs, adds each
 // dirty pair's dead lanes into `dead_count`, and counts the dirty lists
-// for the sparse cleanup.
+// for the sparse cleanup. Under the single-route alias (pair_dead_mask ==
+// route_kill_mask) the kill masks are the dead masks, so no pair is listed.
 template <unsigned W>
 void store_dead_masks(const PackedCtx& ctx, LaneBlock<W> full,
                       LaneCounter<W>& dead_count, std::size_t& dirty_routes,
@@ -137,6 +146,17 @@ void store_dead_masks(const PackedCtx& ctx, LaneBlock<W> full,
     }
   }
 
+  if (ctx.pair_dead_mask == ctx.route_kill_mask) {
+    // One route per pair: each dirty route is listed once, and its mask
+    // is final after (b).
+    for (std::size_t i = 0; i < dirty_routes; ++i) {
+      dead_count.add(Block::load(ctx.route_kill_mask +
+                                 std::size_t{ctx.dirty_routes[i]} * W) &
+                     full);
+    }
+    return;
+  }
+
   // (c) Pair dead masks: a pair is dead in the lanes where ALL of its
   // routes are killed — an AND over its contiguous route range.
   // Untouched pairs keep mask 0 (live in every lane). Each dirty pair's
@@ -155,6 +175,38 @@ void store_dead_masks(const PackedCtx& ctx, LaneBlock<W> full,
     dead.store(ctx.pair_dead_mask + std::size_t{pid} * W);
     dead_count.add(dead & full);
   }
+}
+
+// Gray blocks' bottom-up probe of candidate `v`: the lanes of `need` in
+// which some in-pair of v is live from a node the previous level reached.
+// In-pairs are probed four at a time against the group's starting `need`
+// and their lanes ORed, so `need` is tested for exit once per group; the
+// last in-pairs run one at a time. A probe in a group after the one that
+// empties `need` only re-finds lanes already found, so the result is the
+// same as probing pair by pair.
+template <unsigned W>
+inline LaneBlock<W> gray_pull(const PackedCtx& ctx, std::uint32_t v,
+                              LaneBlock<W> need) {
+  using Block = LaneBlock<W>;
+  const auto live_from_frontier = [&](std::uint32_t pid) {
+    const std::uint32_t u = ctx.pair_src[pid];
+    return andnot(Block::load(ctx.new_mask + std::size_t{u} * W),
+                  Block::load(ctx.pair_dead_mask + std::size_t{pid} * W));
+  };
+  const Block start = need;
+  const std::uint32_t* in = ctx.dst_pair_ids;
+  std::uint32_t k = ctx.dst_pair_off[v];
+  const std::uint32_t end = ctx.dst_pair_off[v + 1];
+  for (; k + 4 <= end && need.any(); k += 4) {
+    need = andnot(need, live_from_frontier(in[k]) |
+                            live_from_frontier(in[k + 1]) |
+                            live_from_frontier(in[k + 2]) |
+                            live_from_frontier(in[k + 3]));
+  }
+  for (; k < end && need.any(); ++k) {
+    need = andnot(need, live_from_frontier(in[k]));
+  }
+  return andnot(start, need);
 }
 
 template <unsigned W, bool kAnySets>
@@ -232,29 +284,25 @@ void run_block_impl(const PackedCtx& ctx, std::size_t count,
                 andnot(active, Block::load(ctx.visited + std::size_t{v} * W)),
                 Block::load(ctx.lane_node_mask + std::size_t{v} * W));
             Block got = Block::zero();
-            for (std::uint32_t k = ctx.dst_pair_off[v];
-                 k < ctx.dst_pair_off[v + 1]; ++k) {
-              const std::uint32_t pid = ctx.dst_pair_ids[k];
-              const std::uint32_t u = ctx.pair_src[pid];
-              Block m;
-              if constexpr (kAnySets) {
+            if constexpr (kAnySets) {
+              for (std::uint32_t k = ctx.dst_pair_off[v];
+                   k < ctx.dst_pair_off[v + 1]; ++k) {
+                const std::uint32_t pid = ctx.dst_pair_ids[k];
+                const std::uint32_t u = ctx.pair_src[pid];
                 // No skip when the probe finds nothing: whether it does
                 // hangs on every earlier probe's lanes, so that branch
                 // mispredicts often enough to cost more than the route ORs
                 // it would save (about a quarter of the block's time).
                 const Block cand =
                     need & Block::load(ctx.new_mask + std::size_t{u} * W);
-                m = andnot(cand,
-                           routes_dead<W>(ctx, pid, cand, /*interior=*/true));
-              } else {
-                m = andnot(
-                    need & Block::load(ctx.new_mask + std::size_t{u} * W),
-                    Block::load(ctx.pair_dead_mask + std::size_t{pid} * W));
-                if (m.none()) continue;
+                const Block m = andnot(
+                    cand, routes_dead<W>(ctx, pid, cand, /*interior=*/true));
+                got = got | m;
+                need = andnot(need, m);
+                if (need.none()) break;
               }
-              got = got | m;
-              need = andnot(need, m);
-              if (need.none()) break;
+            } else {
+              got = gray_pull<W>(ctx, v, need);
             }
             if (got.none()) continue;
             got.store(ctx.next_mask + std::size_t{v} * W);
@@ -356,6 +404,8 @@ void run_block_impl(const PackedCtx& ctx, std::size_t count,
     Block::zero().store(ctx.route_kill_mask +
                         std::size_t{ctx.dirty_routes[i]} * W);
   }
+  // Under the single-route alias no pair was listed: the route masks
+  // zeroed above were the pair masks.
   for (std::size_t i = 0; i < num_dirty_pairs; ++i) {
     const std::uint32_t pid = ctx.dirty_pairs[i];
     Block::zero().store(ctx.pair_dead_mask + std::size_t{pid} * W);

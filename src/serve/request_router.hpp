@@ -38,15 +38,18 @@
 //    merged, so a sweep never outlives the window whose handle pins its
 //    table, and the partial is the whole unit's, byte for byte. No thread
 //    is spawned for it. The seat is one because each sweeper holds a
-//    packed scratch: letting every idle worker sweep raised the e2e
-//    serve_mixed peak RSS ~10% (nested threads ~14%), one spare seat ~4%,
-//    and saved only a few ms more. A sampled unit (C(n, f) past the check's
-//    budget) and the hill-climb are seeded by the request, so they always
-//    run. When a name is re-materialized at a newer generation its older
-//    partials are dropped, so a rebuilt table is never answered from a
-//    stale result, and the memo holds at most one small partial (a
-//    histogram and one witness) per (name, f) asked. Those bytes are not
-//    charged to TableRegistryOptions::max_resident_bytes;
+//    packed scratch (~0.18 MB on the planner torus(8,8) at 512 lanes, 64 B
+//    per route plus ~40 KB per-node state; ~0.34 MB while Gray blocks
+//    kept pair masks too): with that larger scratch, letting every idle
+//    worker sweep raised the e2e serve_mixed peak RSS ~10% (nested threads
+//    ~14%), one spare seat ~4%, and saved only a few ms more. A sampled
+//    unit (C(n, f) past the check's budget) and the hill-climb are seeded
+//    by the request, so they always run. When a name is re-materialized
+//    at a newer generation its older partials are dropped, so a rebuilt
+//    table is never answered from a stale result, and the memo holds at
+//    most one small partial (a histogram and one witness) per (name, f)
+//    asked. Those bytes are not charged to
+//    TableRegistryOptions::max_resident_bytes;
 //  * every response is a pure function of (request, table contents) — each
 //    request runs its kernels at threads=1 inside its worker, randomized
 //    kernels are seeded from the request, and nothing about residency or

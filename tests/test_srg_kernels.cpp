@@ -18,9 +18,10 @@
 //    runs (portable/AVX2/AVX-512, SrgScratch::set_block_lookup_for_testing),
 //    must match the oracle lane for lane on every construction table, for
 //    full and partial blocks, on tables chosen to drive its BFS both
-//    top-down and bottom-up, and at the extremes of its bit-sliced
-//    dead-pair counter (0 to num_pairs) and per-level diameter masks (BFS
-//    depths past 150 levels);
+//    top-down and bottom-up, on a table mixing one- and two-route pairs
+//    (single-route tables read their route masks as their pair masks),
+//    and at the extremes of its bit-sliced dead-pair counter (0 to
+//    num_pairs) and per-level diameter masks (BFS depths past 150 levels);
 //  * the sparse strike behind every single-set evaluation (base rows minus
 //    the pairs whose every route died) must match the oracle on planner,
 //    kernel and multiroute tables, interleaved with single-lane packed
@@ -610,6 +611,34 @@ TEST(SrgKernels, PackedBfsDirectionsMatchOracle) {
     for (const std::size_t f : {3u, 4u, 5u}) {
       expect_packed_matches_oracle(t, f, "edge-only/cycle5");
     }
+  }
+}
+
+// Gray blocks read a table with one route per pair through its route kill
+// masks alone (route r is pair r); any other table keeps its pair dead
+// masks, the AND of each pair's route masks. This table mixes the two
+// shapes, so the shortcut must wait for *every* pair to have one route:
+// edge routes on Q(4), plus a disjoint second route for a few edge pairs
+// and a two-route non-edge pair, which gives nodes 0 and 3 five in-pairs
+// (a full group of bottom-up probes then a tail). The tails alone are
+// driven by the in-degree-2 cycle tables above, and full groups by the
+// hypercube tables.
+TEST(SrgKernels, PackedBlocksMatchOracleOnMixedRouteCounts) {
+  const auto gg = hypercube(4);
+  RouteTableBuilder builder(16, RoutingMode::kBidirectional, 2);
+  install_edge_routes(builder, gg.graph);
+  builder.set_route({0, 2, 3, 1});
+  builder.set_route({4, 6, 7, 5});
+  builder.set_route({8, 12, 13, 9});
+  builder.set_route({0, 1, 3});
+  builder.set_route({0, 2, 3});
+  const RoutingTable t = std::move(builder).build();
+  const SrgIndex index(t);
+  ASSERT_GT(index.num_routes(), index.num_pairs());
+  ASSERT_LT(index.num_routes(), 2 * index.num_pairs());
+  ASSERT_EQ(index.pairs_into(3).size(), 5u);
+  for (const std::size_t f : {2u, 3u}) {
+    expect_packed_matches_oracle(t, f, "mixed-route-counts/hypercube4");
   }
 }
 

@@ -24,10 +24,10 @@ Each cell (verb x knob) runs --runs times. The runs are interleaved: every
 round runs every cell once, so a slow phase of the host spreads over all
 cells instead of landing on one. A cell's wall time is the child's elapsed
 time, its cpu time the child's user + system time; the JSON holds the
-median of each. With --base-cli, the stream and serve cells are also run
-with that binary (the build the change is measured against) in the same
-rounds, and recorded as build "base". Every run of one verb must print the
-same stdout, or the script fails.
+median of each. With --base-cli, every cell is also run with that binary
+(the build the change is measured against) in the same rounds, and
+recorded as build "base". Every run of one verb must print the same
+stdout, or the script fails.
 """
 import argparse
 import datetime
@@ -142,13 +142,13 @@ def cells(cli, base_cli, work):
         for t in THREADS:
             out.append(("serve", build, "threads", t,
                         [binary, "serve", *serve, "--threads", str(t)], None))
-    for t in THREADS:
-        out.append(("gray", "change", "threads", t,
-                    [cli, "sweep", *gray, "--threads", str(t)], None))
-    for w in WORKERS:
-        out.append(("gray", "change", "workers", w,
-                    [cli, "sweep", *gray, "--workers", str(w), "--threads",
-                     "1"], None))
+        for t in THREADS:
+            out.append(("gray", build, "threads", t,
+                        [binary, "sweep", *gray, "--threads", str(t)], None))
+        for w in WORKERS:
+            out.append(("gray", build, "workers", w,
+                        [binary, "sweep", *gray, "--workers", str(w),
+                         "--threads", "1"], None))
     return out
 
 
@@ -174,7 +174,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--cli", default="build/ftroute_cli")
     ap.add_argument("--base-cli", default=None,
-                    help="also time the stream cells with this binary")
+                    help="also time every cell with this binary")
     ap.add_argument("--runs", type=int, default=9)
     ap.add_argument("--out", default="BENCH_scaling.json")
     args = ap.parse_args()
