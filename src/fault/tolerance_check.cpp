@@ -1,6 +1,7 @@
 #include "fault/tolerance_check.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -26,27 +27,39 @@ std::string ToleranceReport::summary() const {
   return os.str();
 }
 
+std::optional<UnitSpec> exhaustive_check_unit(
+    std::size_t n, std::uint32_t f, const ToleranceCheckOptions& options) {
+  UnitSpec unit;  // kSweepGray, seed 0
+  unit.f = f;
+  unit.end = binomial(n, f);
+  unit.exec = options.exec;
+  if (unit.end <= options.exhaustive_budget) return unit;
+  return std::nullopt;
+}
+
 ToleranceReport check_tolerance(const SrgIndex& index, std::uint32_t f,
                                 std::uint32_t claimed_bound,
                                 std::uint64_t seed,
                                 const ToleranceCheckOptions& options) {
   const std::size_t n = index.num_nodes();
   FTR_EXPECTS_MSG(f <= n, "f = " << f << " exceeds n = " << n);
-  const std::uint64_t total = binomial(n, f);
-  const bool exhaustive = total <= options.exhaustive_budget;
 
   // One whole-space sweep unit (a runner may split it further), then, past
   // the budget, the climb in process. Independent stream roots for the two
   // search phases, both derived from the one seed, keep the whole report a
   // pure function of it.
-  UnitSpec unit;
-  unit.kind = exhaustive ? UnitKind::kSweepGray : UnitKind::kSweepSampled;
-  unit.f = f;
-  unit.end = exhaustive ? total : options.samples;
-  unit.seed = exhaustive ? 0 : Rng::stream(seed, 1)();
-  unit.exec = options.exec;
+  std::optional<UnitSpec> unit = exhaustive_check_unit(n, f, options);
+  const bool exhaustive = unit.has_value();
+  if (!exhaustive) {
+    unit.emplace();
+    unit->kind = UnitKind::kSweepSampled;
+    unit->f = f;
+    unit->end = options.samples;
+    unit->seed = Rng::stream(seed, 1)();
+    unit->exec = options.exec;
+  }
   SweepPartial worst =
-      options.runner ? options.runner(unit) : execute_unit(index, unit);
+      options.runner ? options.runner(*unit) : execute_unit(index, *unit);
   if (!exhaustive) {
     const SweepPartial climb = hillclimb_worst_faults(
         n, f, srg_evaluator_factory(index), Rng::stream(seed, 2)(),

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -84,6 +85,14 @@ struct ToleranceCheckOptions {
 ToleranceCheckOptions with_route_load_seeds(std::span<const Node> ranking,
                                             std::uint32_t f,
                                             ToleranceCheckOptions options);
+
+/// The exhaustive unit check_tolerance plans for f faults over n nodes: one
+/// kSweepGray unit over the whole rank space [0, C(n, f)) at options.exec,
+/// or nothing when C(n, f) is past options.exhaustive_budget (the check
+/// then samples and climbs). The one owner of the budget rule: serve asks
+/// it which exact sweeps a window needs before the window runs.
+std::optional<UnitSpec> exhaustive_check_unit(
+    std::size_t n, std::uint32_t f, const ToleranceCheckOptions& options);
 
 /// The decision tree itself, over a prebuilt index with an explicit search
 /// seed. Callers that hold a shared index and its route-load ranking (a

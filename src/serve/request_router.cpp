@@ -1,14 +1,10 @@
 #include "serve/request_router.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <iomanip>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -17,7 +13,6 @@
 
 #include "analysis/fault_sweep.hpp"
 #include "common/contracts.hpp"
-#include "common/cpu_features.hpp"
 #include "common/parallel.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
@@ -95,6 +90,39 @@ std::string join_nodes(const std::vector<Node>& nodes) {
 
 std::string fmt_diameter(std::uint32_t d) {
   return d == kUnreachable ? "disconnected" : std::to_string(d);
+}
+
+// Per-request compute cap, on both the fault sets a sweep evaluates and the
+// route walks a sweep or delivery asks for: one `sweep ... exhaustive` over
+// an astronomical C(n, f), or a typo'd sets= or pairs=, must be REJECTED as
+// a deterministic error, not allowed to stall its window and every request
+// batched behind it — this layer serves many tenants.
+constexpr std::uint64_t kMaxWorkPerRequest = 10'000'000;
+
+// The (f, claimed) a check or certify is verified at. Certify re-verifies
+// the entry against its planner claims; tables loaded from files carry no
+// claims, so the request must bring its own bounds.
+struct VerifiedBounds {
+  std::uint32_t f;
+  std::uint32_t claimed;
+};
+
+VerifiedBounds verified_bounds(const ServeRequest& request,
+                               const ServedTable& table) {
+  VerifiedBounds bounds{request.faults, request.claimed};
+  if (request.kind == RequestKind::kCertify) {
+    const bool has_plan = table.plan.guaranteed_diameter > 0;
+    FTR_EXPECTS_MSG(
+        has_plan || (request.have_faults && request.have_claimed),
+        "certify '" << table.name
+                    << "': table has no planner claims; give f= and "
+                       "claimed=");
+    if (!request.have_faults) bounds.f = table.plan.tolerated_faults;
+    if (!request.have_claimed) bounds.claimed = table.plan.guaranteed_diameter;
+  }
+  const std::size_t n = table.graph.num_nodes();
+  FTR_EXPECTS_MSG(bounds.f <= n, "f = " << bounds.f << " exceeds n = " << n);
+  return bounds;
 }
 
 }  // namespace
@@ -224,25 +252,11 @@ std::string execute_request(const ServeRequest& request,
   switch (request.kind) {
     case RequestKind::kCheck:
     case RequestKind::kCertify: {
-      std::uint32_t f = request.faults;
-      std::uint32_t claimed = request.claimed;
-      if (request.kind == RequestKind::kCertify) {
-        // Certify re-verifies the entry against its planner claims; tables
-        // loaded from files carry no claims, so the request must bring its
-        // own bounds.
-        const bool has_plan = table.plan.guaranteed_diameter > 0;
-        FTR_EXPECTS_MSG(
-            has_plan || (request.have_faults && request.have_claimed),
-            "certify '" << table.name
-                        << "': table has no planner claims; give f= and "
-                           "claimed=");
-        if (!request.have_faults) f = table.plan.tolerated_faults;
-        if (!request.have_claimed) claimed = table.plan.guaranteed_diameter;
-        if (has_plan) {
-          os << " construction=" << construction_name(table.plan.construction);
-        }
+      const auto [f, claimed] = verified_bounds(request, table);
+      if (request.kind == RequestKind::kCertify &&
+          table.plan.guaranteed_diameter > 0) {
+        os << " construction=" << construction_name(table.plan.construction);
       }
-      FTR_EXPECTS_MSG(f <= n, "f = " << f << " exceeds n = " << n);
       // threads = 1: parallelism lives ACROSS requests; within one request
       // the check must be a pure serial function of (request, table).
       // (check_tolerance is thread-count-invariant anyway; this also keeps
@@ -262,18 +276,20 @@ std::string execute_request(const ServeRequest& request,
     case RequestKind::kSweep: {
       FTR_EXPECTS_MSG(request.faults <= n,
                       "f = " << request.faults << " exceeds n = " << n);
-      // Per-request compute cap: one `sweep ... exhaustive` over an
-      // astronomical C(n, f) (or a typo'd sets=) must be REJECTED as a
-      // deterministic error, not allowed to stall its window and every
-      // request batched behind it — this layer serves many tenants.
-      constexpr std::uint64_t kMaxSweepSetsPerRequest = 10'000'000;
       const std::uint64_t total =
           request.exhaustive ? binomial(n, request.faults) : request.sets;
-      FTR_EXPECTS_MSG(total <= kMaxSweepSetsPerRequest,
+      FTR_EXPECTS_MSG(total <= kMaxWorkPerRequest,
                       "sweep of " << total
                                   << " fault sets exceeds the per-request cap "
-                                  << kMaxSweepSetsPerRequest
+                                  << kMaxWorkPerRequest
                                   << " (run it via `ftroute sweep` instead)");
+      // total * pairs route walks, compared without forming the product.
+      FTR_EXPECTS_MSG(
+          request.pairs == 0 || total <= kMaxWorkPerRequest / request.pairs,
+          "sweep of " << total << " fault sets x " << request.pairs
+                      << " pairs exceeds the per-request cap "
+                      << kMaxWorkPerRequest
+                      << " route walks (run it via `ftroute sweep` instead)");
       FaultSweepOptions opts;
       opts.exec.threads = 1;
       opts.seed = request.seed;
@@ -304,6 +320,14 @@ std::string execute_request(const ServeRequest& request,
                                                     << " out of range (n = "
                                                     << n << ")");
       }
+      // pairs=0 walks every ordered pair of survivors: at most n * (n - 1),
+      // which fits 64 bits for any 32-bit node count.
+      const std::uint64_t walks =
+          request.pairs == 0 ? static_cast<std::uint64_t>(n) * (n - 1)
+                             : request.pairs;
+      FTR_EXPECTS_MSG(walks <= kMaxWorkPerRequest,
+                      "delivery of " << walks << " route walks exceeds the "
+                      << "per-request cap " << kMaxWorkPerRequest);
       // Delivery is the only kind that evaluates through the worker
       // scratch (check/sweep/certify run on their own internal ones), so
       // the scratch is built here on first use and reused while it is on
@@ -354,202 +378,83 @@ std::pair<int, std::uint64_t> cost_rank(const ServeRequest& request,
 }
 
 // The exhaustive sweeps behind one serve call's checks and certifies, one
-// per (table name, generation, f); see the header. Every other unit runs
-// in place. A computed sweep is a Job: its Gray window cut into
-// lane-aligned pieces, each one execute_unit call, claimed from one atomic
-// cursor and merged as they finish. The request computing a key claims its
-// pieces until none is left. One more worker at a time, a request hitting
-// an in-flight key or the window's helper chunk, claims pieces too, on the
-// memo's one spare seat (the header says why one).
+// per (table name, generation, f); see the header. Filled on the serving
+// thread before each window runs, then only read, so it needs no lock.
 class ExactSweepMemo {
-  class Job;
-
  public:
-  // At most two workers sweep one key: its computing request and the
-  // spare seat's holder.
-  explicit ExactSweepMemo(unsigned workers)
-      : sweepers_(std::min(workers, 2u)) {}
+  // Sweeps the exhaustive unit `request`'s check plans on `workers` threads
+  // unless its key is held; a sweep that throws is held as its failure. A
+  // request with invalid bounds answers that error itself.
+  void prepare(const ServeRequest& request, const ServedTable& table,
+               unsigned workers) {
+    if (request.kind != RequestKind::kCheck &&
+        request.kind != RequestKind::kCertify) return;
+    std::uint32_t f = 0;
+    try {
+      f = verified_bounds(request, table).f;
+    } catch (const ContractViolation&) {
+      return;
+    }
+    // execute_request's check plans with the default options.
+    ToleranceCheckOptions options;
+    options.exec.threads = workers;
+    const std::optional<UnitSpec> unit =
+        exhaustive_check_unit(table.graph.num_nodes(), f, options);
+    if (!unit) return;
+    ByName& entry = by_name_[table.name];
+    // The name was re-materialized: its partials describe a table that may
+    // have changed since.
+    if (entry.generation != table.generation) {
+      entry.generation = table.generation;
+      entry.by_f.clear();
+    }
+    const auto [it, inserted] = entry.by_f.try_emplace(f);
+    if (!inserted) {
+      ++hits_;
+      return;
+    }
+    ++computed_;
+    try {
+      it->second.partial = execute_unit(*table.index, *unit);
+    } catch (...) {
+      it->second.failure = std::current_exception();
+    }
+  }
 
-  SweepPartial run(const ServedTable& table, const UnitSpec& unit) {
+  // The runner behind a window's checks and certifies: an exhaustive unit
+  // is answered from its held key (or rethrows its sweep's failure); any
+  // other unit runs in place.
+  SweepPartial run(const ServedTable& table, const UnitSpec& unit) const {
     if (unit.kind != UnitKind::kSweepGray) {
       return execute_unit(*table.index, unit);
     }
-    std::shared_ptr<Job> job;
-    bool owner = false;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ByName& entry = by_name_[table.name];
-      // The name was re-materialized: its partials describe a table that
-      // may have changed since.
-      if (entry.generation != table.generation) {
-        entry.generation = table.generation;
-        entry.by_f.clear();
-      }
-      const auto [it, inserted] = entry.by_f.try_emplace(unit.f);
-      if (inserted) {
-        it->second = std::make_shared<Job>(*table.index, unit, sweepers_);
-        in_flight_.push_back(it->second);
-        changed_.notify_all();
-      }
-      owner = inserted;
-      job = it->second;
-      ++(inserted ? computed_ : hits_);
-    }
-    if (owner) {
-      job->work();
-    } else if (take_spare_seat()) {
-      job->work();
-      free_spare_seat();
-    }
-    job->wait();
-    if (owner) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      in_flight_.erase(std::find(in_flight_.begin(), in_flight_.end(), job));
-    }
-    return job->result();
-  }
-
-  // Opens a window of `requests` requests; each calls request_done() once.
-  void begin_window(std::size_t requests) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    open_requests_ = requests;
-  }
-
-  void request_done() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (--open_requests_ == 0) changed_.notify_all();
-  }
-
-  // The window's helper chunk: on the spare seat, claims pieces of any
-  // in-flight sweep until none is left and every request of the window has
-  // finished, so a sweep that a request starts while it waits is shared
-  // too.
-  void help() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      const auto open =
-          spare_taken_
-              ? in_flight_.end()
-              : std::find_if(in_flight_.begin(), in_flight_.end(),
-                             [](const std::shared_ptr<Job>& job) {
-                               return job->unclaimed();
-                             });
-      if (open != in_flight_.end()) {
-        const std::shared_ptr<Job> job = *open;
-        spare_taken_ = true;
-        lock.unlock();
-        job->work();
-        lock.lock();
-        spare_taken_ = false;
-      } else if (open_requests_ == 0) {
-        return;
-      } else {
-        changed_.wait(lock);
-      }
-    }
+    const auto entry = by_name_.find(table.name);
+    FTR_EXPECTS_MSG(entry != by_name_.end() &&
+                        entry->second.generation == table.generation &&
+                        entry->second.by_f.contains(unit.f),
+                    "exact-verdict memo holds no sweep for table '"
+                        << table.name << "' generation " << table.generation
+                        << " f = " << unit.f);
+    const Swept& swept = entry->second.by_f.at(unit.f);
+    if (swept.failure) std::rethrow_exception(swept.failure);
+    return swept.partial;
   }
 
   std::uint64_t computed() const { return computed_; }
   std::uint64_t hits() const { return hits_; }
 
  private:
-  class Job {
-   public:
-    // ~8 pieces per sweeper, whole packed blocks each, so that no piece but
-    // the last ends in a partial block.
-    Job(const SrgIndex& index, const UnitSpec& unit, unsigned sweepers)
-        : index_(&index),
-          unit_(unit),
-          piece_(lane_aligned(sweep_grain(
-              static_cast<std::size_t>(unit.end - unit.begin), sweepers))),
-          pieces_(num_chunks(static_cast<std::size_t>(unit.end - unit.begin),
-                             static_cast<std::size_t>(piece_))) {}
-
-    bool unclaimed() const { return next_.load() < pieces_; }
-
-    // Runs pieces until the cursor passes the last one.
-    void work() {
-      for (std::uint64_t p = next_.fetch_add(1); p < pieces_;
-           p = next_.fetch_add(1)) {
-        UnitSpec piece = unit_;
-        piece.begin = unit_.begin + p * piece_;
-        piece.end = std::min(unit_.end, piece.begin + piece_);
-        SweepPartial partial;
-        std::exception_ptr failure;
-        try {
-          partial = execute_unit(*index_, piece);
-        } catch (...) {
-          failure = std::current_exception();
-        }
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (failure) {
-          // The lowest failing piece wins, whichever finishes first.
-          if (p < failed_piece_) {
-            failed_piece_ = p;
-            failure_ = failure;
-          }
-        } else {
-          merge_sweep_partials(partial_, partial);
-        }
-        if (++done_ == pieces_) finished_.notify_all();
-      }
-    }
-
-    // Blocks until every piece has merged.
-    void wait() {
-      std::unique_lock<std::mutex> lock(mutex_);
-      finished_.wait(lock, [this] { return done_ >= pieces_; });
-    }
-
-    // After wait(): the whole window's partial, or its failure.
-    SweepPartial result() const {
-      if (failure_) std::rethrow_exception(failure_);
-      return partial_;
-    }
-
-   private:
-    // Read only for a claimed piece, and the computing request waits for
-    // every piece, so the window's handle keeps this index alive.
-    const SrgIndex* index_;
-    const UnitSpec unit_;
-    const std::uint64_t piece_;   // sets per piece
-    const std::uint64_t pieces_;
-    std::atomic<std::uint64_t> next_{0};  // the claim cursor
-    std::mutex mutex_;  // guards everything below
-    std::condition_variable finished_;
-    std::uint64_t done_ = 0;  // pieces merged or failed
-    SweepPartial partial_;
-    std::uint64_t failed_piece_ = std::numeric_limits<std::uint64_t>::max();
-    std::exception_ptr failure_;
+  struct Swept {
+    SweepPartial partial;
+    std::exception_ptr failure;
   };
 
   struct ByName {
     std::uint64_t generation = 0;
-    std::unordered_map<std::uint32_t, std::shared_ptr<Job>> by_f;
+    std::unordered_map<std::uint32_t, Swept> by_f;
   };
 
-  bool take_spare_seat() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (spare_taken_) return false;
-    spare_taken_ = true;
-    return true;
-  }
-
-  // Wakes the helper waiting for the seat.
-  void free_spare_seat() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    spare_taken_ = false;
-    changed_.notify_all();
-  }
-
-  const unsigned sweepers_;
-  std::mutex mutex_;  // guards everything below
-  // A job started, the spare seat freed, or the window drained.
-  std::condition_variable changed_;
   std::unordered_map<std::string, ByName> by_name_;
-  std::vector<std::shared_ptr<Job>> in_flight_;
-  std::size_t open_requests_ = 0;
-  bool spare_taken_ = false;
   std::uint64_t computed_ = 0;
   std::uint64_t hits_ = 0;
 };
@@ -603,7 +508,7 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
   std::vector<std::size_t> order;
   std::vector<const ServedTable*> table_of;
 
-  ExactSweepMemo memo(workers);
+  ExactSweepMemo memo;
   const auto t0 = std::chrono::steady_clock::now();
   ServeProgressEmitter progress(options, t0);
   for (;;) {
@@ -681,33 +586,19 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
                               cost_rank(window[b], *table_of[b]);
                      });
 
+    // The window's exact verdicts, swept on every worker before any of its
+    // requests runs.
+    for (const std::size_t i : order) {
+      memo.prepare(window[i], *table_of[i], workers);
+    }
+
     // One request per chunk, chunk k the k-th ranked request: workers claim
     // chunks in ascending order, so a free worker always pulls the longest
-    // request still waiting. A window that may sweep an exact verdict on
-    // more than one worker gets one helper chunk after its requests: the
-    // cursor hands it out only once every request is claimed, to a worker
-    // that would otherwise idle until the join (ExactSweepMemo::help).
-    const bool may_sweep =
-        workers > 1 &&
-        std::any_of(order.begin(), order.end(), [&](std::size_t i) {
-          return window[i].kind == RequestKind::kCheck ||
-                 window[i].kind == RequestKind::kCertify;
-        });
-    const std::size_t helpers = may_sweep ? 1 : 0;
-    memo.begin_window(order.size());
+    // request still waiting.
     ExecutorStats window_stats;
     parallel_for_chunks(
-        order.size() + helpers, workers, 1,
+        order.size(), workers, 1,
         [&](std::size_t chunk, std::size_t, std::size_t, unsigned) {
-          if (chunk >= order.size()) {
-            memo.help();
-            return;
-          }
-          // Counted even if the body throws, so no helper waits forever.
-          const struct Done {
-            ExactSweepMemo& memo;
-            ~Done() { memo.request_done(); }
-          } done{memo};
           const std::size_t i = order[chunk];
           const ServedTable& entry = *table_of[i];
           // execute_request builds the scratch only for a delivery.
@@ -728,8 +619,6 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
           }
         },
         &window_stats);
-    // The executor's chunks are requests; helper chunks are not counted.
-    window_stats.chunks_local -= helpers;
     summary.executor.accumulate(window_stats);
 
     for (std::size_t i = 0; i < window.size(); ++i) {

@@ -24,31 +24,18 @@
 //    (kSweepGray) unit behind a check or certify is a pure function of the
 //    table and f: its seed is 0, and claimed= and certify's construction=
 //    only enter the report built from it. So serve_requests keeps, for one
-//    call, a memo keyed on (table name, ServedTable::generation, f) that
-//    holds the unit's SweepPartial. One mutex guards the map. The first
-//    request for a key cuts the unit's ranks into lane-aligned pieces (~8
-//    per sweeper), each one execute_unit call merged with the order-free
-//    merge_sweep_partials, and claims pieces from the key's atomic cursor
-//    until none is left. One more worker at a time shares
-//    the sweep on the memo's spare seat: a request hitting the key in
-//    flight, or the window's helper chunk, which a window holding a check
-//    or certify gets after its requests (the executor hands it out only
-//    once every request is claimed, to a worker that would otherwise idle
-//    until the join). Every asker returns only after every piece has
-//    merged, so a sweep never outlives the window whose handle pins its
-//    table, and the partial is the whole unit's, byte for byte. No thread
-//    is spawned for it. The seat is one because each sweeper holds a
-//    packed scratch (~0.18 MB on the planner torus(8,8) at 512 lanes, 64 B
-//    per route plus ~40 KB per-node state; ~0.34 MB while Gray blocks
-//    kept pair masks too): with that larger scratch, letting every idle
-//    worker sweep raised the e2e serve_mixed peak RSS ~10% (nested threads
-//    ~14%), one spare seat ~4%, and saved only a few ms more. A sampled
-//    unit (C(n, f) past the check's budget) and the hill-climb are seeded
-//    by the request, so they always run. When a name is re-materialized
-//    at a newer generation its older partials are dropped, so a rebuilt
-//    table is never answered from a stale result, and the memo holds at
-//    most one small partial (a histogram and one witness) per (name, f)
-//    asked. Those bytes are not charged to
+//    call, a memo of the unit's SweepPartial keyed on (table name,
+//    ServedTable::generation, f). Before a window runs, the serving thread
+//    walks its ranked requests and sweeps each new key whose C(n, f) fits
+//    the check's budget (exhaustive_check_unit) as one execute_unit call
+//    on all the window's workers. The requests then only read the memo, so
+//    it takes no lock; a key the walk did not hold is an error naming it,
+//    and a sweep that threw answers its key's requests with that failure.
+//    A sampled unit (past the budget) and the hill-climb are seeded by the
+//    request, so they always run in its chunk. A name re-materialized at a
+//    newer generation drops its older partials, so a rebuilt table is
+//    never answered from a stale result. The memo holds one small partial
+//    (a histogram and one witness) per (name, f) asked, not charged to
 //    TableRegistryOptions::max_resident_bytes;
 //  * every response is a pure function of (request, table contents) — each
 //    request runs its kernels at threads=1 inside its worker, randomized
@@ -66,12 +53,14 @@
 // certify defaults its (f, claimed) to the entry's planner claims; for
 // file-loaded tables (no plan) they must be given explicitly. Keys are
 // validated against the kind (a silently dropped claimed= on a sweep would
-// read as a verification that never ran), and sweeps are capped at 10^7
-// fault sets per request so one astronomical `exhaustive` cannot stall a
-// multi-tenant window. A response line is "#<index> <kind> <table> ...",
-// one per request; request-level failures (unknown table, out-of-range
-// fault ids, over-cap sweeps, malformed lines) yield deterministic
-// "... error: <reason>" responses instead of killing the stream.
+// read as a verification that never ran), and each request is capped at
+// 10^7 fault sets and 10^7 route walks (a sweep's sets x pairs, a
+// delivery's pairs, or n * (n - 1) for its pairs=0) so one astronomical
+// `exhaustive` or pairs= cannot stall a multi-tenant window. A response
+// line is "#<index> <kind> <table> ...", one per request; request-level
+// failures (unknown table, out-of-range fault ids, over-cap sweeps and
+// deliveries, malformed lines) yield deterministic "... error: <reason>"
+// responses instead of killing the stream.
 #pragma once
 
 #include <cstddef>

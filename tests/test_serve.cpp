@@ -643,18 +643,18 @@ TEST(Serve, ExactVerdictMemoSweepsAnInBudgetCertifyOnce) {
   }
 }
 
-// A computed exact sweep is cut into lane-aligned pieces that the request
-// computing it claims, and one more worker at a time: a request hitting it
-// in flight, or the window's helper chunk. The first stream's first window
-// holds several t8 certifies and t8 checks at f = 2 and 3 (two keys, both
-// in flight at once) next to a q5 certify past the budget (seeded, never a
+// A window's new keys are swept on all of its workers before any of its
+// requests runs, and the requests only read them. The first stream's first
+// window holds several t8 certifies and t8 checks at f = 2 and 3 (two keys
+// in one window) next to a q5 certify past the budget (seeded, never a
 // key). q5 comes first, so that under a 1-byte budget its window's t8 miss
 // evicts it and t8 stays resident from then on: the keys are (t8, 2) and
-// (t8, 3) at every budget. In the second stream no request hits the
-// certify's key, so its window's helper chunk takes the spare seat. Every
-// piece size is a multiple of 512 sets, and neither C(64, 3) = 41,664 nor
-// C(64, 2) = 2,016 is, so every key ends in a ragged piece.
-TEST(Serve, ExactVerdictMemoSharesItsSweepAcrossWorkers) {
+// (t8, 3) at every budget. In the second stream the certify's key is the
+// only one, and deliveries that never read the memo share its window. The
+// sweep's chunks are whole blocks of the default 1,024-set batch, and
+// neither C(64, 3) = 41,664 nor C(64, 2) = 2,016 is a multiple of 1,024,
+// so every key ends in a ragged chunk.
+TEST(Serve, ExactVerdictMemoSweepsNewKeysBeforeTheirWindow) {
   struct Stream {
     const char* name;
     std::vector<std::string> lines;
@@ -669,7 +669,7 @@ TEST(Serve, ExactVerdictMemoSharesItsSweepAcrossWorkers) {
         "check t8 f=2 claimed=4 seed=9", "certify t8 seed=10",
         "check t8 f=3 claimed=6 seed=11", "certify t8 seed=12"},
        2},
-      {"one key, shared by the helper",
+      {"one key next to deliveries",
        {"certify t8 seed=1", "delivery t8 faults=1,9 pairs=4 seed=2",
         "delivery t8 faults=3 pairs=4 seed=3",
         "delivery t8 faults=5,6,7 pairs=4 seed=4"},
@@ -705,7 +705,7 @@ TEST(Serve, ExactVerdictMemoSharesItsSweepAcrossWorkers) {
           EXPECT_EQ(summary.errors, 0u);
           EXPECT_EQ(summary.exact_computed, stream.computed);
           EXPECT_EQ(summary.exact_hits, exact - stream.computed);
-          // Helper chunks are not requests.
+          // The executor's chunks are requests; the sweeps run before them.
           EXPECT_EQ(summary.executor.chunks_local, requests.size());
         }
       }
@@ -781,6 +781,63 @@ TEST(Serve, OversizedSweepIsRejectedNotExecuted) {
   EXPECT_NE(text.find("#1 sweep ker error:"), std::string::npos) << text;
   EXPECT_NE(text.find("per-request cap"), std::string::npos) << text;
   EXPECT_NE(text.find("#2 check ker"), std::string::npos) << text;
+}
+
+// The route walks a request asks for are capped like a sweep's sets: a
+// delivery's pairs (n * (n - 1) for pairs=0) and a sweep's sets x pairs,
+// whose product is compared without wrapping (10^7 x 2^63 wraps to 0 in 64
+// bits). Over-cap requests are answered with an error naming the cap, the
+// requests after them are answered, and the cap itself is accepted. The two
+// requests at the cap fault all of ker's 25 nodes but at most one, so they
+// pass the cap check without walking a route.
+TEST(Serve, OversizedDeliveryIsRejectedNotExecuted) {
+  const std::vector<std::string> lines = {
+      "delivery ker faults=1,2 pairs=18446744073709551615 seed=1",
+      "check ker f=1 claimed=6 seed=2",
+      "sweep ker f=2 sets=10000000 pairs=9223372036854775808 seed=3",
+      "delivery ker faults=1,2 pairs=10000001 seed=4",
+      "sweep ker f=2 sets=10 pairs=1000001 seed=5",
+      "delivery ker faults=0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,"
+      "19,20,21,22,23 pairs=10000000 seed=6",
+      "sweep ker f=25 exhaustive pairs=10000000 seed=7",
+      "delivery ker faults=1,2 pairs=0 seed=8",
+  };
+  const auto requests = parse_lines(lines);
+  std::string base;
+  for (const unsigned threads : {1u, 4u}) {
+    for (const std::size_t batch : {1u, 64u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch));
+      TableRegistry registry;
+      define_construction_tables(registry);
+      ServeOptions opts;
+      opts.exec.threads = threads;
+      opts.exec.batch_size = batch;
+      ServeSummary summary;
+      const auto text = serve_to_string(registry, requests, opts, &summary);
+      EXPECT_EQ(summary.requests, lines.size());
+      EXPECT_EQ(summary.errors, 4u);
+      for (const char* rejected :
+           {"#0 delivery ker error:", "#2 sweep ker error:",
+            "#3 delivery ker error:", "#4 sweep ker error:"}) {
+        EXPECT_NE(text.find(rejected), std::string::npos) << text;
+      }
+      EXPECT_NE(text.find("per-request cap 10000000"), std::string::npos)
+          << text;
+      EXPECT_NE(text.find("#1 check ker f=1"), std::string::npos) << text;
+      EXPECT_NE(text.find("#5 delivery ker faults=0,1,"), std::string::npos)
+          << text;
+      EXPECT_NE(text.find("#6 sweep ker sets=1 "), std::string::npos) << text;
+      EXPECT_NE(text.find("#7 delivery ker faults=1,2 diameter="),
+                std::string::npos)
+          << text;
+      if (base.empty()) {
+        base = text;
+      } else {
+        EXPECT_EQ(text, base);
+      }
+    }
+  }
 }
 
 TEST(Serve, MalformedLineMidStreamIsAnsweredNotFatal) {
